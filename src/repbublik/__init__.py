@@ -54,7 +54,6 @@ from .harness import (
     write_dataset,
 )
 from .montecarlo import (
-    SampleBudget,
     br_sample_size,
     estimate_br,
     estimate_rwcc,

@@ -14,8 +14,8 @@ from .errors import RepbublikError
 from .exact import exact_rwcc
 from .graph import BLUE, RED, WalkConfig
 from .harness import (
+    candidate_universe,
     default_k_values,
-    dataset_stats,
     emit_plotdata,
     generate_gadget,
     generate_polarized,
@@ -54,6 +54,7 @@ def _config(args: argparse.Namespace) -> WalkConfig:
         epsilon=args.epsilon,
         delta=args.delta,
         seed=args.seed,
+        kappa=args.kappa,
     )
 
 
@@ -117,7 +118,7 @@ def _cmd_rwcc(args) -> int:
         else:
             value = estimate_rwcc(
                 graph, v, pool, horizon, cfg.epsilon, cfg.delta,
-                kappa=args.kappa, seed=cfg.seed,
+                kappa=cfg.kappa, seed=cfg.seed,
             )
         lines.append(f"{int(loaded.original_ids[v])}\t{value:.9g}")
     _emit(args, "\n".join(lines) + "\n")
@@ -128,7 +129,7 @@ def _cmd_recommend(args) -> int:
     cfg = _config(args)
     loaded = load_dataset(args.edges, args.colors)
     plan = ALGORITHMS[args.algorithm](
-        loaded.graph, args.color, args.k, cfg, args.seed, args.backend
+        loaded.graph, args.color, args.k, cfg, seed=args.seed, backend=args.backend
     )
     lines = ["src\tdst\tweight"]
     for e in plan.edges:
@@ -142,15 +143,12 @@ def _cmd_recommend(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = _config(args)
-    loaded = load_dataset(args.edges, args.colors, cfg, args.backend)
-    graph = loaded.graph
-    table = br_table(graph, cfg, args.backend, cfg.seed)
-    partition = classify(table, graph.colors, cfg.theta_good, cfg.theta_bad)
-    from .harness import candidate_universe
-
+    graph = load_dataset(args.edges, args.colors).graph
     if args.k_list:
         k_values = sorted(int(k) for k in args.k_list.split(","))
     else:
+        table = br_table(graph, cfg, args.backend, cfg.seed)
+        partition = classify(table, graph.colors, cfg.theta_good, cfg.theta_bad)
         k_values = default_k_values(args.k_max, candidate_universe(graph, partition))
     seeds = [int(s) for s in args.seeds.split(",")]
     out_path = args.output if args.output is not None else Path("sweep.csv")

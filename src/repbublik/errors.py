@@ -92,10 +92,6 @@ class NoLegalTarget(RepbublikError):
         super().__init__(f"all cross-color edges from node {node} already exist")
 
 
-class EmptyParochialSet(RepbublikError):
-    """No parochial node of the requested color; nothing to repair."""
-
-
 class UncoveredElement(GraphValidationError):
     def __init__(self, element: int):
         self.element = element

@@ -172,17 +172,14 @@ class InsertionPlan:
             seen.add((e.src, e.dst))
 
 
-def empty_plan(color: str, requested: int = 0) -> InsertionPlan:
-    return InsertionPlan(edges=(), color=color, requested=requested)
-
-
 @dataclass(frozen=True)
 class WalkConfig:
     """Random-walk configuration: horizon, thresholds, accuracy, seed.
 
     ``t`` caps the walk length (exploration factor).  Nodes with Bubble
     Radius at most ``theta_good`` are cosmopolitan, at least ``theta_bad``
-    parochial; ``theta_bad`` defaults to ``t / 2``.
+    parochial; ``theta_bad`` defaults to ``t / 2``.  ``kappa`` is the number
+    of inner walks per sampled source in Monte Carlo closeness estimates.
     """
 
     t: int
@@ -191,6 +188,7 @@ class WalkConfig:
     epsilon: float = 0.5
     delta: float = 0.05
     seed: int = 0
+    kappa: int = 4
 
     def __post_init__(self):
         if not isinstance(self.t, (int, np.integer)) or self.t < 1:
@@ -208,6 +206,10 @@ class WalkConfig:
                 raise ThresholdOrder(f"{name} must lie in (0, 1), got {val!r}")
         if not 0 <= self.seed < 2**64:
             raise ThresholdOrder(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
+        if not isinstance(self.kappa, (int, np.integer)) or self.kappa < 1:
+            raise ThresholdOrder(
+                f"kappa must be a positive integer, got {self.kappa!r}"
+            )
 
 
 def build_graph(

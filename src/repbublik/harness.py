@@ -20,6 +20,7 @@ from .errors import (
     BothColorsUnbiased,
     EmptyRecords,
     ParseError,
+    RepbublikError,
     UncoveredElement,
     UnknownColor,
 )
@@ -354,8 +355,10 @@ def run_sweep(
     Each budget K is split across the colors proportionally to their
     parochial Bubble Radius mass (even split if neither color is biased),
     the algorithm runs once per color, and the gain and healed fraction are
-    measured with freshly computed Bubble Radii on the grown graph.  A
-    failing cell is recorded with an error marker and the sweep continues.
+    measured with freshly computed Bubble Radii on the grown graph.  A cell
+    failing with a :class:`RepbublikError` or ``ValueError`` is recorded
+    with an error marker and the sweep continues; any other exception is a
+    programming error and propagates.
 
     With ``measure_runtime`` left off, runtime_ms is written as 0 so that
     identical inputs and seeds produce byte-identical CSV files.
@@ -414,7 +417,9 @@ def _run_cell(
         edges = []
         for color, k_c in ((RED, k_red), (BLUE, k_blue)):
             if k_c > 0:
-                plan = ALGORITHMS[algo](graph, color, k_c, cfg, seed, backend)
+                plan = ALGORITHMS[algo](
+                    graph, color, k_c, cfg, seed=seed, backend=backend
+                )
                 edges.extend(plan.edges)
         grown = apply_plan(graph, edges)
         new_br = br_table(grown, cfg, backend, derive_seed(seed, _TAG_EVAL))
@@ -438,7 +443,7 @@ def _run_cell(
             seed=seed,
             runtime_ms=runtime,
         )
-    except Exception as exc:  # record the failure, keep sweeping
+    except (RepbublikError, ValueError) as exc:  # record the failure, keep sweeping
         runtime = (time.perf_counter() - started) * 1000.0 if measure_runtime else 0.0
         return ExperimentRecord(
             algorithm=algo,

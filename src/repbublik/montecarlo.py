@@ -10,7 +10,6 @@ result and identical (graph, config, seed) gives bit-identical estimates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -24,11 +23,6 @@ _STREAM_BR = 1
 _STREAM_RWCC_SOURCES = 2
 _STREAM_RWCC_WALKS = 3
 _STREAM_SESSION = 4
-_STREAM_CHOICE = 5
-
-#: Above this many padded table entries the sampler falls back to grouped
-#: per-state sampling instead of one dense (n, max_degree) lookup table.
-_DENSE_TABLE_LIMIT = 50_000_000
 
 
 def stream(seed: int, *key: int) -> np.random.Generator:
@@ -59,31 +53,6 @@ def _ceil(x: float) -> int:
     return math.ceil(x)
 
 
-@dataclass(frozen=True)
-class SampleBudget:
-    """Walk counts for one estimation round."""
-
-    r_br: int         # walks per node for the Bubble Radius
-    z_sources: int    # sampled sources for the closeness estimate
-    kappa: int        # inner walks per sampled source
-
-    def __post_init__(self):
-        if min(self.r_br, self.z_sources, self.kappa) < 1:
-            raise ValueError("all sample counts must be positive")
-
-    @classmethod
-    def for_accuracy(
-        cls, n: int, t: int, t_prime: int, epsilon: float, delta: float,
-        kappa: int = 4,
-    ) -> "SampleBudget":
-        """Budget meeting the (epsilon, delta) guarantees at both horizons."""
-        return cls(
-            r_br=br_sample_size(n, t, epsilon, delta),
-            z_sources=rwcc_sample_size(t_prime, epsilon, delta),
-            kappa=kappa,
-        )
-
-
 def br_sample_size(n: int, t: int, epsilon: float, delta: float) -> int:
     """Walks per node so that every node's estimate is epsilon-close w.p. 1-delta."""
     _check_accuracy(epsilon, delta)
@@ -101,42 +70,34 @@ def rwcc_sample_size(t_prime: int, epsilon: float, delta: float) -> int:
 
 
 class _WalkSampler:
-    """Vectorized next-state sampling from the CSR rows of a graph."""
+    """Vectorized next-state sampling from the CSR rows of a graph.
+
+    A walk at state ``s`` with uniform ``u`` moves to the first out-neighbor
+    whose row-cumulative weight exceeds ``u``, or to the last one when
+    rounding leaves ``u`` above the row total.  Every walk binary-searches
+    its own row for the last entry ``<= u``: all walks take the same
+    power-of-two steps, ``bit_length(max_degree)`` of them, clamped to the
+    end of their row.  Positive weights keep each row's cumulative sums
+    non-decreasing, so the search lands where a linear scan would.
+    """
 
     def __init__(self, graph: ColoredGraph):
-        self.graph = graph
+        self.indptr = graph.indptr
+        self.targets = graph.targets
         deg = np.diff(graph.indptr)
-        self.deg = deg
-        n = graph.n
-        max_deg = int(deg.max()) if n else 0
-        self.dense = n * max_deg <= _DENSE_TABLE_LIMIT
-        # Per-row cumulative weights; padding inf keeps searchsorted in-row.
         cs = np.cumsum(graph.weights)
         row_prefix = cs[graph.indptr[:-1]] - graph.weights[graph.indptr[:-1]]
-        rowcum = cs - np.repeat(row_prefix, deg)
-        if self.dense:
-            self.cum = np.full((n, max_deg), np.inf)
-            self.tgt = np.zeros((n, max_deg), dtype=np.int64)
-            rows = np.repeat(np.arange(n), deg)
-            cols = np.arange(graph.edge_count) - np.repeat(graph.indptr[:-1], deg)
-            self.cum[rows, cols] = rowcum
-            self.tgt[rows, cols] = graph.targets
-        else:
-            self.rowcum = rowcum
+        self.rowcum = cs - np.repeat(row_prefix, deg)
+        rounds = int(deg.max(initial=0)).bit_length()
+        self.steps = [1 << k for k in reversed(range(rounds))]
 
     def step(self, states: np.ndarray, u: np.ndarray) -> np.ndarray:
-        if self.dense:
-            idx = (self.cum[states] <= u[:, None]).sum(axis=1)
-            idx = np.minimum(idx, self.deg[states] - 1)
-            return self.tgt[states, idx]
-        out = np.empty_like(states)
-        for s in np.unique(states):
-            mask = states == s
-            lo, hi = self.graph.indptr[s], self.graph.indptr[s + 1]
-            idx = np.searchsorted(self.rowcum[lo:hi], u[mask], side="right")
-            idx = np.minimum(idx, hi - lo - 1)
-            out[mask] = self.graph.targets[lo:hi][idx]
-        return out
+        last = self.indptr[states + 1] - 1
+        pos = self.indptr[states] - 1  # last entry known to be <= u; none yet
+        for size in self.steps:
+            cand = np.minimum(pos + size, last)
+            pos = np.where(self.rowcum[cand] <= u, cand, pos)
+        return self.targets[np.minimum(pos + 1, last)]
 
 
 def _walk_lengths(
@@ -196,17 +157,19 @@ def estimate_br(
 
 def _hit_times(
     sampler: _WalkSampler,
-    start: int,
+    start: int | np.ndarray,
     target: int,
     forbidden: np.ndarray,
     uniforms: np.ndarray,
 ) -> np.ndarray:
     """Capped color-avoiding hit times of ``target``: walks touching the
-    opposite color, or running out of steps, count the full horizon."""
-    kappa, t_prime = uniforms.shape
-    times = np.full(kappa, t_prime, dtype=np.int64)
-    states = np.full(kappa, start, dtype=np.int64)
-    rows = np.arange(kappa)
+    opposite color, or running out of steps, count the full horizon.  Walk
+    i starts at ``start`` (one node, or one node per walk) and reads row i
+    of ``uniforms``."""
+    walks, t_prime = uniforms.shape
+    times = np.full(walks, t_prime, dtype=np.int64)
+    states = np.full(walks, start, dtype=np.int64)
+    rows = np.arange(walks)
     for step in range(1, t_prime + 1):
         nxt = sampler.step(states, uniforms[rows, step - 1])
         hit = nxt == target
@@ -252,17 +215,21 @@ def estimate_rwcc(
         t_prime, epsilon, delta
     )
     picks = stream(seed, _STREAM_RWCC_SOURCES, v).integers(0, src.size, size=z)
-    sampler = _WalkSampler(graph)
-    forbidden = graph.color_mask(opposite(graph.color_of(v)))
-
-    h_bars = np.empty(z)
-    for i, pick in enumerate(picks):
-        w = int(src[pick])
-        if w == v:
-            h_bars[i] = t_prime
-            continue
-        uniforms = stream(seed, _STREAM_RWCC_WALKS, v, i).random((kappa, t_prime))
-        h_bars[i] = _hit_times(sampler, w, v, forbidden, uniforms).mean()
+    starts = src[picks]
+    walked = np.flatnonzero(starts != v)
+    h_bars = np.full(z, float(t_prime))
+    if walked.size:
+        # All kappa walks of every drawn source step together; draw i still
+        # reads its own (seed, purpose, v, i) block.
+        uniforms = np.concatenate([
+            stream(seed, _STREAM_RWCC_WALKS, v, int(i)).random((kappa, t_prime))
+            for i in walked
+        ])
+        forbidden = graph.color_mask(opposite(graph.color_of(v)))
+        sampler = _WalkSampler(graph)
+        walk_starts = np.repeat(starts[walked], kappa)
+        times = _hit_times(sampler, walk_starts, v, forbidden, uniforms)
+        h_bars[walked] = times.reshape(walked.size, kappa).mean(axis=1)
     return float(t_prime - h_bars.mean())
 
 

@@ -7,17 +7,21 @@ from the argmax, and repeats on the grown graph.  The cheaper ``_plus``
 variant freezes the parochial set and the centralities at the start and
 divides each node's score by a penalty that grows with the edges already
 planned from it, which spreads insertions across sources.
+
+Every recommender takes ``(graph, color, budget, cfg, seed=None,
+backend="exact")``; the two greedies also take a keyword ``policy`` for the
+choice of target.
 """
 from __future__ import annotations
 
 import warnings
-from typing import Callable
+from typing import Collection
 
 import numpy as np
 
-from .errors import EmptyParochialSet, NoLegalTarget, NoOppositeColor
+from .errors import NoLegalTarget, NoOppositeColor
 from .bias import br_table
-from .exact import BrTable, exact_rwcc
+from .exact import BrTable, exact_rwcc, parochial_nodes
 from .graph import (
     ColoredGraph,
     EdgeInsertion,
@@ -35,15 +39,40 @@ _TAG_RWCC = 12
 _TAG_TARGET = 13
 _TAG_BASELINE = 14
 
+#: Share of the parochial pool, in percent, that the central baselines sample from.
 DEFAULT_TOP_PCT = 10.0
-TARGET_POLICIES = ("lowest-br", "uniform-seeded")
 
 
-def _parochial_of_color(
-    graph: ColoredGraph, color: str, br: BrTable, theta_bad: float
-) -> np.ndarray:
-    mask = graph.color_mask(color) & (br.values >= theta_bad)
-    return np.flatnonzero(mask)
+def _parochial_pool(
+    graph: ColoredGraph,
+    color: str,
+    cfg: WalkConfig,
+    seed: int,
+    backend: str,
+    round_no: int = 0,
+) -> tuple[BrTable, np.ndarray]:
+    """BR table of one scoring round and the parochial nodes of ``color``."""
+    br = br_table(graph, cfg, backend, derive_seed(seed, _TAG_BR, round_no))
+    return br, parochial_nodes(graph, br, color, cfg.theta_bad)
+
+
+def _prologue(
+    graph: ColoredGraph,
+    color: str,
+    budget: int,
+    cfg: WalkConfig,
+    seed: int | None,
+    backend: str,
+) -> tuple[int, BrTable, np.ndarray]:
+    """Shared start of every recommender: argument checks, the seed default,
+    and the first round's BR table and parochial pool."""
+    if budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
+    if not graph.color_mask(opposite(color)).any():
+        raise NoOppositeColor(f"no node of color {opposite(color)} to link toward")
+    if seed is None:
+        seed = cfg.seed
+    return (seed, *_parochial_pool(graph, color, cfg, seed, backend))
 
 
 def _centralities(
@@ -52,7 +81,6 @@ def _centralities(
     cfg: WalkConfig,
     backend: str,
     seed: int,
-    kappa: int,
 ) -> np.ndarray:
     """c_{t-2}(v, pool) for every v in pool; zeros when the horizon collapses."""
     horizon = cfg.t - 2
@@ -65,37 +93,38 @@ def _centralities(
         else:
             out[i] = estimate_rwcc(
                 graph, int(v), pool, horizon, cfg.epsilon, cfg.delta,
-                kappa=kappa, seed=seed,
+                kappa=cfg.kappa, seed=seed,
             )
     return out
 
 
-def _legal_targets(current: ColoredGraph, v: int) -> np.ndarray:
-    candidates = current.nodes_of(opposite(current.color_of(v)))
-    existing, _ = current.row(v)
-    return np.setdiff1d(candidates, existing, assume_unique=True)
+def _legal_targets(
+    graph: ColoredGraph, v: int, taken: Collection[int] = ()
+) -> np.ndarray:
+    """Opposite-color nodes, ascending, that ``v`` links to neither in
+    ``graph`` nor through the already planned targets ``taken``."""
+    candidates = graph.nodes_of(opposite(graph.color_of(v)))
+    existing, _ = graph.row(v)
+    legal = np.setdiff1d(candidates, existing, assume_unique=True)
+    if taken:
+        legal = legal[~np.isin(legal, sorted(taken))]
+    return legal
 
 
-def _select_target(
-    current: ColoredGraph,
+def _pick_target(
+    legal: np.ndarray,
     v: int,
     policy: str,
-    cfg: WalkConfig,
-    backend: str,
-    seed: int,
-    rng: np.random.Generator | None = None,
-    br: BrTable | None = None,
+    br: BrTable | None,
+    rng: np.random.Generator | None,
 ) -> int:
-    legal = _legal_targets(current, v)
+    """``lowest-br``: the legal target of smallest BR (ties: lowest id);
+    ``uniform-seeded``: one uniform draw from ``rng``."""
     if legal.size == 0:
         raise NoLegalTarget(v)
     if policy == "uniform-seeded":
-        if rng is None:
-            rng = stream(seed, _TAG_TARGET, v)
         return int(legal[rng.integers(legal.size)])
     if policy == "lowest-br":
-        if br is None:
-            br = br_table(current, cfg, backend, seed)
         order = np.lexsort((legal, br.values[legal]))
         return int(legal[order[0]])
     raise ValueError(f"unknown target policy {policy!r}")
@@ -122,7 +151,9 @@ def target_selection(
     if seed is None:
         seed = cfg.seed if cfg is not None else 0
     current = apply_plan(graph, plan)
-    return _select_target(current, v, policy, cfg, backend, seed)
+    br = br_table(current, cfg, backend, seed) if policy == "lowest-br" else None
+    rng = stream(seed, _TAG_TARGET, v) if policy == "uniform-seeded" else None
+    return _pick_target(_legal_targets(current, v), v, policy, br, rng)
 
 
 def repbublik(
@@ -130,10 +161,10 @@ def repbublik(
     color: str,
     budget: int,
     cfg: WalkConfig,
-    backend: str = "exact",
-    policy: str = "lowest-br",
     seed: int | None = None,
-    kappa: int = 4,
+    backend: str = "exact",
+    *,
+    policy: str = "lowest-br",
 ) -> InsertionPlan:
     """Greedy insertion plan with per-round recomputation.
 
@@ -142,27 +173,22 @@ def repbublik(
     node maximizing centrality times oracle weight (ties: lowest id).  Stops
     early once no parochial node of ``color`` is left.
     """
-    _check_run_args(graph, color, budget)
-    if seed is None:
-        seed = cfg.seed
+    seed, br, pool = _prologue(graph, color, budget, cfg, seed, backend)
     rng = stream(seed, _TAG_TARGET)
     current = graph
     edges: list[EdgeInsertion] = []
     for round_no in range(budget):
-        br = br_table(current, cfg, backend, derive_seed(seed, _TAG_BR, round_no))
-        pool = _parochial_of_color(current, color, br, cfg.theta_bad)
+        if round_no > 0:
+            br, pool = _parochial_pool(current, color, cfg, seed, backend, round_no)
         if pool.size == 0:
             break
         scores = _centralities(
-            current, pool, cfg, backend,
-            derive_seed(seed, _TAG_RWCC, round_no), kappa,
+            current, pool, cfg, backend, derive_seed(seed, _TAG_RWCC, round_no)
         )
         oracle = np.array([weight_oracle(graph, int(v), edges) for v in pool])
         scores = scores * oracle
         source = int(pool[int(np.argmax(scores))])  # argmax returns the first max
-        target = _select_target(
-            current, source, policy, cfg, backend, seed, rng=rng, br=br
-        )
+        target = _pick_target(_legal_targets(current, source), source, policy, br, rng)
         edge = EdgeInsertion(source, target, weight_oracle(graph, source, edges))
         current = insert_edge(current, edge)
         edges.append(edge)
@@ -174,10 +200,10 @@ def repbublik_plus(
     color: str,
     budget: int,
     cfg: WalkConfig,
-    backend: str = "exact",
-    policy: str = "lowest-br",
     seed: int | None = None,
-    kappa: int = 4,
+    backend: str = "exact",
+    *,
+    policy: str = "lowest-br",
 ) -> InsertionPlan:
     """Penalized greedy plan with a single up-front scoring pass.
 
@@ -186,64 +212,45 @@ def repbublik_plus(
     penalty is one plus the edges already planned from the node.  Ties
     prefer the node with the smaller penalty, then the lowest id, so equal
     scores still rotate across untouched sources.
+
+    Targets are chosen against the input graph's BR table: inserting edges
+    from ``color`` nodes changes only ``color`` rows, and a walk from the
+    opposite color stops at its first ``color`` node, so the opposite
+    color's Bubble Radii cannot move while the plan is built.
     """
-    _check_run_args(graph, color, budget)
-    if seed is None:
-        seed = cfg.seed
-    rng = stream(seed, _TAG_TARGET)
-    br = br_table(graph, cfg, backend, derive_seed(seed, _TAG_BR, 0))
-    pool = _parochial_of_color(graph, color, br, cfg.theta_bad)
+    seed, _, pool = _prologue(graph, color, budget, cfg, seed, backend)
     if pool.size == 0 or budget == 0:
         return InsertionPlan(edges=(), color=color, requested=budget)
-    base_scores = _centralities(
-        graph, pool, cfg, backend, derive_seed(seed, _TAG_RWCC, 0), kappa
-    )
+    base = _centralities(graph, pool, cfg, backend, derive_seed(seed, _TAG_RWCC, 0))
+    target_br = br_table(graph, cfg, backend, seed) if policy == "lowest-br" else None
+    rng = stream(seed, _TAG_TARGET)
 
-    current = graph
+    degree = np.diff(graph.indptr)[pool]
+    eta = np.ones(pool.size, dtype=np.int64)
+    open_ = np.ones(pool.size, dtype=bool)  # sources with legal targets left
+    taken: dict[int, list[int]] = {}
     edges: list[EdgeInsertion] = []
-    eta = {int(v): 1 for v in pool}
-    blocked: set[int] = set()  # sources with no legal target left
-    for _ in range(budget):
-        inserted = False
-        while not inserted:
-            best_key: tuple[float, int, int] | None = None
-            best_source = -1
-            for i, v in enumerate(pool):
-                v = int(v)
-                if v in blocked:
-                    continue
-                score = base_scores[i] * weight_oracle(graph, v, edges) / eta[v]
-                key = (score, -eta[v], -v)
-                if best_key is None or key > best_key:
-                    best_key = key
-                    best_source = v
-            if best_source < 0:
-                return InsertionPlan(edges=tuple(edges), color=color, requested=budget)
-            try:
-                target = _select_target(
-                    current, best_source, policy, cfg, backend, seed, rng=rng
-                )
-            except NoLegalTarget:
-                blocked.add(best_source)
-                continue
-            edge = EdgeInsertion(
-                best_source, target, weight_oracle(graph, best_source, edges)
+    while len(edges) < budget and open_.any():
+        # weight_oracle(graph, v, edges) == 1 / (degree + eta), bit for bit.
+        weight = 1.0 / (degree + eta)
+        score = base * weight / eta
+        ranked = np.lexsort((pool, eta, -score))
+        i = int(ranked[open_[ranked]][0])
+        v = int(pool[i])
+        try:
+            target = _pick_target(
+                _legal_targets(graph, v, taken.get(v, ())), v, policy, target_br, rng
             )
-            current = insert_edge(current, edge)
-            edges.append(edge)
-            eta[best_source] += 1
-            inserted = True
+        except NoLegalTarget:
+            open_[i] = False
+            continue
+        edges.append(EdgeInsertion(v, target, float(weight[i])))
+        taken.setdefault(v, []).append(target)
+        eta[i] += 1
     return InsertionPlan(edges=tuple(edges), color=color, requested=budget)
 
 
-def _check_run_args(graph: ColoredGraph, color: str, budget: int) -> None:
-    if budget < 0:
-        raise ValueError(f"budget must be >= 0, got {budget}")
-    if not graph.color_mask(opposite(color)).any():
-        raise NoOppositeColor(f"no node of color {opposite(color)} to link toward")
-
-
-def _random_plan_from_pool(
+def _random_plan(
     graph: ColoredGraph,
     pool: np.ndarray,
     color: str,
@@ -251,16 +258,15 @@ def _random_plan_from_pool(
     rng: np.random.Generator,
 ) -> InsertionPlan:
     """Sample (source, target) pairs: sources uniform from the pool with
-    replacement, targets uniform over the still-legal cross edges."""
+    replacement, targets uniform over the still-legal cross edges.  Warns
+    when the pool (possibly empty) runs out of legal edges before the
+    budget is spent."""
     pool = [int(v) for v in pool]
     planned: dict[int, set[int]] = {}
     edges: list[EdgeInsertion] = []
     while len(edges) < budget and pool:
         v = pool[int(rng.integers(len(pool)))]
-        legal = _legal_targets(graph, v)
-        taken = planned.get(v)
-        if taken:
-            legal = legal[~np.isin(legal, sorted(taken))]
+        legal = _legal_targets(graph, v, planned.get(v, ()))
         if legal.size == 0:
             pool.remove(v)
             continue
@@ -285,24 +291,12 @@ def baseline_pure_random(
     backend: str = "exact",
 ) -> InsertionPlan:
     """Sources uniform over the parochial set of ``color``, targets uniform."""
-    _check_run_args(graph, color, budget)
-    if seed is None:
-        seed = cfg.seed
-    br = br_table(graph, cfg, backend, derive_seed(seed, _TAG_BR, 0))
-    pool = _parochial_of_color(graph, color, br, cfg.theta_bad)
-    if pool.size == 0:
-        warnings.warn(
-            EmptyParochialSet(f"no parochial node of color {color}").args[0],
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return InsertionPlan(edges=(), color=color, requested=budget)
-    rng = stream(seed, _TAG_BASELINE, 0)
-    return _random_plan_from_pool(graph, pool, color, budget, rng)
+    seed, _, pool = _prologue(graph, color, budget, cfg, seed, backend)
+    return _random_plan(graph, pool, color, budget, stream(seed, _TAG_BASELINE, 0))
 
 
 def _top_pool(
-    pool: np.ndarray, scores: np.ndarray, top_pct: float
+    pool: np.ndarray, scores: np.ndarray, top_pct: float = DEFAULT_TOP_PCT
 ) -> np.ndarray:
     """Top-N-percent slice (ceiling) of the pool by descending score."""
     keep = int(np.ceil(top_pct / 100.0 * pool.size))
@@ -317,13 +311,12 @@ def baseline_rcn(
     cfg: WalkConfig,
     seed: int | None = None,
     backend: str = "exact",
-    top_pct: float = DEFAULT_TOP_PCT,
-    kappa: int = 4,
 ) -> InsertionPlan:
     """Random sources from the top-N-percent most central parochial nodes."""
-    return _central_baseline(
-        graph, color, budget, cfg, seed, backend, top_pct, kappa, weighted=False
-    )
+    seed, _, pool = _prologue(graph, color, budget, cfg, seed, backend)
+    scores = _centralities(graph, pool, cfg, backend, derive_seed(seed, _TAG_RWCC, 0))
+    top = _top_pool(pool, scores)
+    return _random_plan(graph, top, color, budget, stream(seed, _TAG_BASELINE, 1))
 
 
 def baseline_rwcn(
@@ -333,78 +326,21 @@ def baseline_rwcn(
     cfg: WalkConfig,
     seed: int | None = None,
     backend: str = "exact",
-    top_pct: float = DEFAULT_TOP_PCT,
-    kappa: int = 4,
 ) -> InsertionPlan:
     """Like the central baseline, but ranks by centrality * oracle weight."""
-    return _central_baseline(
-        graph, color, budget, cfg, seed, backend, top_pct, kappa, weighted=True
-    )
+    seed, _, pool = _prologue(graph, color, budget, cfg, seed, backend)
+    scores = _centralities(graph, pool, cfg, backend, derive_seed(seed, _TAG_RWCC, 0))
+    scores = scores * np.array([weight_oracle(graph, int(v)) for v in pool])
+    top = _top_pool(pool, scores)
+    return _random_plan(graph, top, color, budget, stream(seed, _TAG_BASELINE, 2))
 
 
-def _central_baseline(
-    graph: ColoredGraph,
-    color: str,
-    budget: int,
-    cfg: WalkConfig,
-    seed: int | None,
-    backend: str,
-    top_pct: float,
-    kappa: int,
-    weighted: bool,
-) -> InsertionPlan:
-    if not 0.0 < top_pct < 100.0:
-        raise ValueError(f"top_pct must lie in (0, 100), got {top_pct}")
-    _check_run_args(graph, color, budget)
-    if seed is None:
-        seed = cfg.seed
-    br = br_table(graph, cfg, backend, derive_seed(seed, _TAG_BR, 0))
-    pool = _parochial_of_color(graph, color, br, cfg.theta_bad)
-    if pool.size == 0:
-        warnings.warn(
-            EmptyParochialSet(f"no parochial node of color {color}").args[0],
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        return InsertionPlan(edges=(), color=color, requested=budget)
-    scores = _centralities(
-        graph, pool, cfg, backend, derive_seed(seed, _TAG_RWCC, 0), kappa
-    )
-    if weighted:
-        scores = scores * np.array([weight_oracle(graph, int(v)) for v in pool])
-    top = _top_pool(pool, scores, top_pct)
-    rng = stream(seed, _TAG_BASELINE, 1 if not weighted else 2)
-    return _random_plan_from_pool(graph, top, color, budget, rng)
-
-
-AlgorithmFn = Callable[[ColoredGraph, str, int, WalkConfig, int, str], InsertionPlan]
-
-
-def _algo_repbublik(graph, color, budget, cfg, seed, backend):
-    return repbublik(graph, color, budget, cfg, backend=backend, seed=seed)
-
-
-def _algo_repbublik_plus(graph, color, budget, cfg, seed, backend):
-    return repbublik_plus(graph, color, budget, cfg, backend=backend, seed=seed)
-
-
-def _algo_pure_random(graph, color, budget, cfg, seed, backend):
-    return baseline_pure_random(graph, color, budget, cfg, seed=seed, backend=backend)
-
-
-def _algo_rcn(graph, color, budget, cfg, seed, backend):
-    return baseline_rcn(graph, color, budget, cfg, seed=seed, backend=backend)
-
-
-def _algo_rwcn(graph, color, budget, cfg, seed, backend):
-    return baseline_rwcn(graph, color, budget, cfg, seed=seed, backend=backend)
-
-
-#: Registry used by the sweep harness; all entries share one call signature.
-ALGORITHMS: dict[str, AlgorithmFn] = {
-    "repbublik": _algo_repbublik,
-    "repbublik-plus": _algo_repbublik_plus,
-    "pure-random": _algo_pure_random,
-    "rcn": _algo_rcn,
-    "rwcn": _algo_rwcn,
+#: Registry used by the sweep harness and the CLI; every entry takes
+#: ``(graph, color, budget, cfg, seed=None, backend="exact")``.
+ALGORITHMS = {
+    "repbublik": repbublik,
+    "repbublik-plus": repbublik_plus,
+    "pure-random": baseline_pure_random,
+    "rcn": baseline_rcn,
+    "rwcn": baseline_rwcn,
 }

@@ -119,10 +119,14 @@ def test_validation_error_exit_code(tmp_path, capsys):
 
 
 def test_partial_sweep_failure_exit_code(g2_files, tmp_path, monkeypatch):
+    from repbublik.errors import RepbublikError
     from repbublik.recommend import ALGORITHMS
 
-    def broken(graph, color, budget, cfg, seed, backend):
-        raise RuntimeError("boom")
+    class Boom(RepbublikError):
+        pass
+
+    def broken(graph, color, budget, cfg, seed=None, backend="exact"):
+        raise Boom("boom")
 
     monkeypatch.setitem(ALGORITHMS, "broken", broken)
     edges, colors = g2_files
@@ -133,6 +137,56 @@ def test_partial_sweep_failure_exit_code(g2_files, tmp_path, monkeypatch):
         "--output", str(tmp_path / "s.csv"),
     ])
     assert code == 2
+
+
+def test_sweep_computes_br_only_for_the_default_ladder(g2_files, tmp_path, monkeypatch):
+    import repbublik.cli
+    import repbublik.harness
+
+    calls = []
+
+    def counting(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    # The CLI's own BR, plus the stats row load_dataset computes when given a config.
+    for module in (repbublik.cli, repbublik.harness):
+        monkeypatch.setattr(module, "br_table", counting(module.br_table))
+    monkeypatch.setattr(repbublik.cli, "run_sweep", lambda *a, **kw: [])
+    edges, colors = g2_files
+    argv = [
+        "sweep", "--edges", str(edges), "--colors", str(colors),
+        "--t", "4", "--theta-good", "1.5", "--theta-bad", "2.0",
+        "--output", str(tmp_path / "s.csv"),
+    ]
+    assert main([*argv, "--k-list", "1,2"]) == 0
+    assert len(calls) == 0
+    assert main(argv) == 0
+    assert len(calls) == 1  # candidate_universe for the default budget ladder
+
+
+def test_kappa_reaches_the_recommenders(g2_files, tmp_path, monkeypatch):
+    import repbublik.recommend
+
+    seen = []
+    original = repbublik.recommend.estimate_rwcc
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs["kappa"])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(repbublik.recommend, "estimate_rwcc", spy)
+    edges, colors = g2_files
+    assert main([
+        "recommend", "--edges", str(edges), "--colors", str(colors),
+        "--t", "4", "--theta-good", "1.5", "--theta-bad", "2.0",
+        "--epsilon", "0.9", "--delta", "0.5", "--backend", "mc",
+        "--kappa", "3", "--color", "R", "-k", "1",
+        "--output", str(tmp_path / "plan.tsv"),
+    ]) == 0
+    assert seen and set(seen) == {3}
 
 
 def test_console_entry_point_runs():

@@ -17,7 +17,13 @@ from repbublik import (
     run_sweep,
     write_dataset,
 )
-from repbublik.errors import EmptyRecords, ParseError, UncoveredElement, UnknownColor
+from repbublik.errors import (
+    EmptyRecords,
+    ParseError,
+    RepbublikError,
+    UncoveredElement,
+    UnknownColor,
+)
 from repbublik.harness import ExperimentRecord
 from repbublik.recommend import ALGORITHMS
 
@@ -180,8 +186,11 @@ class TestRunSweep:
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
     def test_failed_cell_marked_and_sweep_continues(self, gadget6, tmp_path):
-        def broken(graph, color, budget, cfg, seed, backend):
-            raise RuntimeError("deliberately broken")
+        class DeliberatelyBroken(RepbublikError):
+            pass
+
+        def broken(graph, color, budget, cfg, seed=None, backend="exact"):
+            raise DeliberatelyBroken("deliberately broken")
 
         ALGORITHMS["broken"] = broken
         try:
@@ -196,6 +205,15 @@ class TestRunSweep:
         assert records[1].error is None
         text = (tmp_path / "s.csv").read_text()
         assert "ERROR" in text.splitlines()[1]
+
+    def test_programming_error_propagates(self, gadget6, tmp_path, monkeypatch):
+        def broken(graph, color, budget, cfg, seed=None, backend="exact"):
+            raise RuntimeError("a bug, not a recordable failure")
+
+        monkeypatch.setitem(ALGORITHMS, "broken", broken)
+        cfg = WalkConfig(t=6, theta_good=2.0, theta_bad=3.0, seed=1)
+        with pytest.raises(RuntimeError, match="a bug"):
+            run_sweep(gadget6.graph, ["broken"], [1], cfg, [1], tmp_path / "s.csv")
 
     def test_delta_nondecreasing_in_k_for_greedy(self, tmp_path):
         g = generate_polarized(20, 20, 0.15, 0.01, seed=2)

@@ -3,7 +3,6 @@ import numpy as np
 import pytest
 
 from repbublik import (
-    SampleBudget,
     br_sample_size,
     build_graph,
     estimate_br,
@@ -14,7 +13,17 @@ from repbublik import (
     simulate_restart_session,
 )
 from repbublik.errors import EmptySourceSet, MixedColorSet
-from repbublik.montecarlo import _WalkSampler, _walk_lengths, derive_seed, stream
+from repbublik.montecarlo import (
+    _STREAM_RWCC_SOURCES,
+    _STREAM_RWCC_WALKS,
+    _WalkSampler,
+    _hit_times,
+    _walk_lengths,
+    derive_seed,
+    stream,
+)
+
+from conftest import random_polarized
 
 
 class TestSampleSizes:
@@ -43,15 +52,41 @@ class TestSampleSizes:
     def test_rwcc_quarter_delta(self):
         assert rwcc_sample_size(4, 0.5, 0.25) == 64
 
-    def test_budget_positivity(self):
-        with pytest.raises(ValueError):
-            SampleBudget(r_br=0, z_sources=1, kappa=1)
 
-    def test_budget_from_accuracy(self):
-        budget = SampleBudget.for_accuracy(100, 10, 8, 0.5, 0.05)
-        assert budget.r_br == br_sample_size(100, 10, 0.5, 0.05)
-        assert budget.z_sources == rwcc_sample_size(8, 0.5, 0.05)
-        assert budget.kappa == 4
+class TestWalkSampler:
+    def test_step_matches_linear_count(self):
+        # Out-degrees 1, 4 (a power of two), 3 and 5, with uneven weights.
+        rows = {0: [1], 1: [0, 2, 3, 4], 2: [0, 5, 6], 3: [0, 1, 2, 4, 5]}
+        raw = {0: [1], 1: [1, 2, 3, 4], 2: [5, 1, 1], 3: [3, 1, 4, 1, 5]}
+        edges = [(4, 0, 1.0), (5, 0, 1.0), (6, 0, 1.0)]
+        for v, targets in rows.items():
+            total = sum(raw[v])
+            edges += [(v, w, m / total) for w, m in zip(targets, raw[v])]
+        graph = build_graph(["R", "R", "B", "B", "R", "B", "R"], edges)
+        sampler = _WalkSampler(graph)
+        cum = sampler.rowcum
+
+        rng = np.random.default_rng(5)
+        u = np.concatenate([
+            rng.random(400), cum, np.nextafter(cum, 0.0), np.nextafter(cum, 2.0),
+            [0.0, np.nextafter(1.0, 0.0)],
+        ])
+        for s in range(graph.n):
+            lo, hi = graph.indptr[s], graph.indptr[s + 1]
+            states = np.full(u.size, s, dtype=np.int64)
+            brute = (cum[lo:hi][None, :] <= u[:, None]).sum(axis=1)
+            brute = np.minimum(brute, hi - lo - 1)
+            assert np.array_equal(sampler.step(states, u), graph.targets[lo + brute])
+
+        mixed = rng.integers(0, graph.n, size=u.size)
+        expected = [
+            graph.targets[graph.indptr[s] + min(
+                int((cum[graph.indptr[s]:graph.indptr[s + 1]] <= x).sum()),
+                graph.out_degree(int(s)) - 1,
+            )]
+            for s, x in zip(mixed, u)
+        ]
+        assert np.array_equal(sampler.step(mixed, u), expected)
 
 
 class TestEstimateBr:
@@ -90,7 +125,38 @@ class TestEstimateBr:
         assert not np.array_equal(a, c)
 
 
+def _rwcc_one_source_at_a_time(graph, v, sources, t_prime, kappa, seed, z):
+    """Reference: the per-source loop the batched estimator replaced."""
+    src = np.asarray(sorted(set(sources)), dtype=np.int64)
+    picks = stream(seed, _STREAM_RWCC_SOURCES, v).integers(0, src.size, size=z)
+    sampler = _WalkSampler(graph)
+    forbidden = graph.color_mask("B" if graph.color_of(v) == "R" else "R")
+    h_bars = np.empty(z)
+    for i, pick in enumerate(picks):
+        w = int(src[pick])
+        if w == v:
+            h_bars[i] = t_prime
+            continue
+        uniforms = stream(seed, _STREAM_RWCC_WALKS, v, i).random((kappa, t_prime))
+        h_bars[i] = _hit_times(sampler, w, v, forbidden, uniforms).mean()
+    return float(t_prime - h_bars.mean())
+
+
 class TestEstimateRwcc:
+    def test_batched_walks_match_per_source_loop(self):
+        rng = np.random.default_rng(43)
+        for _ in range(6):
+            graph, t = random_polarized(rng, n_max=20)
+            reds = [int(w) for w in graph.nodes_of("R")]
+            for v in reds[:3]:
+                for kappa in (1, 4):
+                    seed = int(rng.integers(2**32))
+                    got = estimate_rwcc(graph, v, reds, t, 0.5, 0.1, kappa=kappa,
+                                        seed=seed, num_sources=40)
+                    assert got == _rwcc_one_source_at_a_time(
+                        graph, v, reds, t, kappa, seed, 40
+                    )
+
     def test_deterministic_single_edge(self):
         g = build_graph(["R", "R", "B"], [(0, 1, 1.0), (1, 0, 1.0), (2, 0, 1.0)])
         for kappa in (1, 3):

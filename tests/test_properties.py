@@ -3,13 +3,18 @@ import numpy as np
 import pytest
 
 from repbublik import (
+    EdgeInsertion,
     WalkConfig,
+    apply_plan,
     baseline_rcn,
     baseline_rwcn,
     estimate_br,
     exact_bounded_hitting,
+    exact_br,
     exact_gain,
+    opposite,
     repbublik,
+    weight_oracle,
 )
 from repbublik.montecarlo import _WalkSampler, _hit_times, stream
 
@@ -84,3 +89,41 @@ def test_estimated_br_within_declared_range():
         table = estimate_br(graph, t, 0.9, 0.5, seed=int(rng.integers(2**32)),
                             walks_per_node=16)
         assert (table.values >= 1.0).all() and (table.values <= t).all()
+
+
+def _random_legal_plan(rng, graph, color, k):
+    """Up to k distinct new edges from ``color`` nodes to the other color."""
+    sources = graph.nodes_of(color)
+    others = graph.nodes_of(opposite(color))
+    edges = []
+    for _ in range(k):
+        v = int(sources[rng.integers(sources.size)])
+        taken = {e.dst for e in edges if e.src == v}
+        free = [
+            int(w) for w in others
+            if not graph.has_edge(v, int(w)) and int(w) not in taken
+        ]
+        if free:
+            w = free[int(rng.integers(len(free)))]
+            edges.append(EdgeInsertion(v, w, weight_oracle(graph, v, edges)))
+    return edges
+
+
+def test_single_color_plan_leaves_other_color_br_unchanged():
+    # A walk from the other color stops at its first node of ``color``, and a
+    # plan only rewrites rows of ``color`` nodes, so those Bubble Radii keep
+    # every bit.  The penalized greedy picks targets from this invariance.
+    rng = np.random.default_rng(41)
+    applied = 0
+    for _ in range(40):
+        graph, t = random_polarized(rng, n_max=24)
+        color = "R" if rng.random() < 0.5 else "B"
+        plan = _random_legal_plan(rng, graph, color, int(rng.integers(1, 8)))
+        if not plan:
+            continue
+        other = graph.color_mask(opposite(color))
+        before = exact_br(graph, t).values[other]
+        after = exact_br(apply_plan(graph, plan), t).values[other]
+        assert np.array_equal(before, after)
+        applied += 1
+    assert applied >= 30
