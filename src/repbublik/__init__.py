@@ -24,6 +24,7 @@ from .exact import (
     exact_gain,
     exact_return_mass,
     exact_rwcc,
+    exact_rwcc_many,
 )
 from .graph import (
     BLUE,

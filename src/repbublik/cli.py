@@ -11,7 +11,7 @@ from pathlib import Path
 
 from .bias import classify
 from .errors import RepbublikError
-from .exact import exact_rwcc
+from .exact import exact_rwcc_many
 from .graph import BLUE, RED, WalkConfig
 from .harness import (
     candidate_universe,
@@ -106,21 +106,27 @@ def _cmd_rwcc(args) -> int:
         nodes = [loaded.dense_ids[args.node]]
     else:
         nodes = sorted(partition.parochial)
-    lines = ["node\trwcc"]
-    for v in nodes:
-        # Centrality w.r.t. the parochial set of the node's color; fall back
-        # to all same-color nodes when none is parochial.
-        pool = sorted(partition.parochial_of(graph.color_of(v)))
+    values: dict[int, float] = {}
+    for color in (RED, BLUE):
+        members = [v for v in nodes if graph.color_of(v) == color]
+        if not members:
+            continue
+        # Centrality w.r.t. the parochial set of the color; fall back to all
+        # nodes of the color when none is parochial.
+        pool = sorted(partition.parochial_of(color))
         if not pool:
-            pool = [int(u) for u in graph.nodes_of(graph.color_of(v))]
+            pool = [int(u) for u in graph.nodes_of(color)]
         if args.backend == "exact":
-            value = exact_rwcc(graph, v, pool, horizon)
-        else:
-            value = estimate_rwcc(
+            values.update(zip(members, exact_rwcc_many(graph, members, pool, horizon)))
+            continue
+        for v in members:
+            values[v] = estimate_rwcc(
                 graph, v, pool, horizon, cfg.epsilon, cfg.delta,
                 kappa=cfg.kappa, seed=cfg.seed,
             )
-        lines.append(f"{int(loaded.original_ids[v])}\t{value:.9g}")
+    lines = ["node\trwcc"]
+    for v in nodes:
+        lines.append(f"{int(loaded.original_ids[v])}\t{values[v]:.9g}")
     _emit(args, "\n".join(lines) + "\n")
     return 0
 

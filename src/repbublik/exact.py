@@ -4,6 +4,10 @@ Every estimator and property test in the package is checked against these
 routines.  All of them run in O(t * |E|) per source/target via sparse
 matrix-vector products, so they stay practical for small and medium graphs
 while avoiding the cubic cost of Laplacian-based hitting-time solvers.
+Closeness for a whole pool of targets is one block pass
+(:func:`exact_rwcc_many`): the targets' columns are stepped together in
+chunks of at most ``BLOCK_ELEMENTS`` entries, with the bits of a
+one-target pass.
 """
 from __future__ import annotations
 
@@ -36,6 +40,8 @@ from .graph import (
 DP_TOL = 1e-9
 #: Probability mass below this (in absolute value) is clamped to zero.
 CLAMP = 1e-15
+#: Most entries in one n x width block of closeness target columns.
+BLOCK_ELEMENTS = 1 << 21
 
 
 def _clamped(x: np.ndarray) -> np.ndarray:
@@ -88,7 +94,9 @@ class FirstPassageProfile:
 
 
 def _node_set(graph: ColoredGraph, nodes: Iterable[int]) -> np.ndarray:
-    arr = np.asarray(sorted(set(int(v) for v in nodes)), dtype=np.int64)
+    if not isinstance(nodes, np.ndarray):
+        nodes = np.fromiter((int(v) for v in nodes), dtype=np.int64)
+    arr = np.unique(nodes.astype(np.int64, copy=False))
     if arr.size and (arr[0] < 0 or arr[-1] >= graph.n):
         raise ValueError(f"node set {arr} contains ids outside 0..{graph.n - 1}")
     return arr
@@ -216,47 +224,86 @@ def exact_gamma(graph: ColoredGraph, t: int) -> float:
 
 
 def _validate_centrality_set(
-    graph: ColoredGraph, v: int, sources: np.ndarray
+    graph: ColoredGraph, nodes: np.ndarray, sources: np.ndarray
 ) -> None:
     if sources.size == 0:
         raise EmptySourceSet("centrality needs at least one source node")
-    colors = graph.colors[sources]
-    if not (colors == graph.color_of(v)).all():
-        raise MixedColorSet(
-            f"sources of c(v={v}, S) must all share the color of v"
-        )
+    shared = np.unique(graph.colors[sources])
+    mixed = (graph.colors[nodes] != shared[0]) | (shared.size > 1)
+    if mixed.any():
+        v = int(nodes[np.flatnonzero(mixed)[0]])
+        raise MixedColorSet(f"sources of c(v={v}, S) must all share the color of v")
+
+
+def exact_rwcc_many(
+    graph: ColoredGraph,
+    nodes: Iterable[int],
+    sources: Iterable[int],
+    t_prime: int,
+) -> np.ndarray:
+    """Bounded random-walk closeness c_{t'}(v, S) for every v in ``nodes``.
+
+    c_{t'}(v, S) = (1/|S|) * sum_{w in S} sum_{i=1}^{t'} (t' - i) * P(walk
+    from w first hits v at step i avoiding the opposite color).  Sources that
+    cannot reach v within t' contribute zero; the self term w == v is
+    skipped (the sum starts at step 1, not 0).  Entry j of the result
+    belongs to the j-th entry of ``nodes``.
+
+    One backward DP per target: q_i(w) = P(from w, first hit of v at step i
+    avoiding the absorbing set), stepped for a block of targets at once as
+    Q <- M @ (Q * keep), where column j also zeroes its own target.  Blocks
+    hold at most ``BLOCK_ELEMENTS`` entries, and each column's arithmetic
+    is that of a one-target pass, so values do not depend on the block width.
+    """
+    if t_prime < 1:
+        raise ValueError(f"horizon must be >= 1, got {t_prime}")
+    targets = np.fromiter((int(v) for v in nodes), dtype=np.int64)
+    uniq = _node_set(graph, targets)
+    src = _node_set(graph, sources)
+    _validate_centrality_set(graph, targets, src)
+    values = np.empty(uniq.size)
+    if uniq.size == 0:
+        return values
+
+    keep = ~graph.color_mask(opposite(graph.color_of(int(uniq[0]))))
+    pos = np.searchsorted(src, uniq)
+    in_src = src[np.minimum(pos, src.size - 1)] == uniq
+    rows = np.repeat(np.arange(graph.n), np.diff(graph.indptr))
+    width = max(1, BLOCK_ELEMENTS // graph.n)
+    for lo in range(0, uniq.size, width):
+        block = uniq[lo : lo + width]
+        cols = np.arange(block.size)
+        column_of = np.full(graph.n, -1)
+        column_of[block] = cols
+        into = column_of[graph.targets]
+        hit = into >= 0
+        q = np.zeros((graph.n, block.size))
+        q[rows[hit], into[hit]] = graph.weights[hit]  # q_1(w) = M[w, v]
+        acc = (t_prime - 1) * q
+        for i in range(2, t_prime):
+            q *= keep[:, None]
+            q[block, cols] = 0.0  # the walk stops at its first visit of v
+            q = _clamped(graph.matrix @ q)
+            acc += (t_prime - i) * q
+        # Each target sums S without itself, ascending, as one contiguous
+        # row, so the sum rounds like the one-target pass.
+        for member in (False, True):
+            sel = np.flatnonzero(in_src[lo : lo + width] == member)
+            if sel.size == 0:
+                continue
+            idx = np.broadcast_to(np.arange(src.size - member), (sel.size, src.size - member))
+            if member:
+                idx = idx + (idx >= pos[lo + sel][:, None])
+            values[lo + sel] = acc[src[idx], sel[:, None]].sum(axis=1) / src.size
+    return values[np.searchsorted(uniq, targets)]
 
 
 def exact_rwcc(
     graph: ColoredGraph, v: int, sources: Iterable[int], t_prime: int
 ) -> float:
-    """Bounded random-walk closeness centrality of ``v`` w.r.t. ``sources``.
-
-    c_{t'}(v, S) = (1/|S|) * sum_{w in S} sum_{i=1}^{t'} (t' - i) * P(walk
-    from w first hits v at step i avoiding the opposite color).  Sources that
-    cannot reach v within t' contribute zero; the self term w == v is
-    skipped (the sum starts at step 1, not 0).
-
-    One backward DP over all sources: q_i(w) = P(from w, first hit of v at
-    step i avoiding the absorbing set), so the whole set costs O(t' * |E|).
-    """
-    if t_prime < 1:
-        raise ValueError(f"horizon must be >= 1, got {t_prime}")
-    src = _node_set(graph, sources)
-    _validate_centrality_set(graph, v, src)
-
-    keep = ~graph.color_mask(opposite(graph.color_of(v)))
-    keep = keep.copy()
-    keep[v] = False  # the walk stops at its first visit of v
-
-    q = graph.matrix_t[v].toarray().ravel().astype(np.float64)  # q_1(w) = M[w, v]
-    acc = (t_prime - 1) * q
-    for i in range(2, t_prime):
-        q = _clamped(graph.matrix @ (q * keep))
-        acc += (t_prime - i) * q
-
-    contributors = src[src != v]
-    return float(acc[contributors].sum() / src.size)
+    """Bounded random-walk closeness centrality of ``v`` w.r.t. ``sources``;
+    the one-target case of :func:`exact_rwcc_many`."""
+    return float(exact_rwcc_many(graph, (v,), sources, t_prime)[0])
 
 
 def exact_gain(

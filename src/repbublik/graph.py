@@ -8,7 +8,9 @@ graph with the source row renormalized so it still sums to one.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -64,7 +66,6 @@ class ColoredGraph:
             (self.weights, self.targets, self.indptr), shape=(n, n)
         )
         object.__setattr__(self, "_matrix", matrix)
-        object.__setattr__(self, "_matrix_t", matrix.T.tocsr())
         object.__setattr__(self, "_red_mask", self.colors == RED)
 
     @property
@@ -80,10 +81,11 @@ class ColoredGraph:
         """Right-stochastic transition matrix."""
         return self._matrix
 
-    @property
+    @cached_property
     def matrix_t(self) -> sp.csr_matrix:
-        """Transpose of the transition matrix (for distribution propagation)."""
-        return self._matrix_t
+        """Transpose of the transition matrix (for distribution propagation),
+        built on first use."""
+        return self._matrix.T.tocsr()
 
     def out_degree(self, v: int) -> int:
         return int(self.indptr[v + 1] - self.indptr[v])
@@ -172,6 +174,17 @@ class InsertionPlan:
             seen.add((e.src, e.dst))
 
 
+def check_accuracy(epsilon: float, delta: float) -> None:
+    """Raise unless epsilon lies in (0, 1] and delta in (0, 1).
+
+    epsilon = 1 (one whole step of slack) is a legitimate accuracy target.
+    """
+    if not 0.0 < epsilon <= 1.0:
+        raise ThresholdOrder(f"epsilon must lie in (0, 1], got {epsilon!r}")
+    if not 0.0 < delta < 1.0:
+        raise ThresholdOrder(f"delta must lie in (0, 1), got {delta!r}")
+
+
 @dataclass(frozen=True)
 class WalkConfig:
     """Random-walk configuration: horizon, thresholds, accuracy, seed.
@@ -200,10 +213,7 @@ class WalkConfig:
                 f"need 1 <= theta_good < theta_bad <= t, got "
                 f"theta_good={self.theta_good}, theta_bad={self.theta_bad}, t={self.t}"
             )
-        for name in ("epsilon", "delta"):
-            val = getattr(self, name)
-            if not 0.0 < val < 1.0:
-                raise ThresholdOrder(f"{name} must lie in (0, 1), got {val!r}")
+        check_accuracy(self.epsilon, self.delta)
         if not 0 <= self.seed < 2**64:
             raise ThresholdOrder(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
         if not isinstance(self.kappa, (int, np.integer)) or self.kappa < 1:
@@ -272,48 +282,71 @@ def build_graph(
 
 
 def insert_edge(graph: ColoredGraph, edge: EdgeInsertion) -> ColoredGraph:
-    """Return a new graph with ``edge`` added.
+    """Return a new graph with ``edge`` added (a one-edge :func:`apply_plan`).
 
     The pre-existing out-weights of the source are each multiplied by
     ``1 - edge.weight`` so the row still sums to one.  The input graph is
     left untouched.
     """
-    v, w, m = edge.src, edge.dst, edge.weight
-    if not (0 <= v < graph.n and 0 <= w < graph.n):
-        raise UnknownColor(f"insertion ({v}, {w}) references a node outside the graph")
-    if graph.color_of(v) == graph.color_of(w):
-        raise SameColorEndpoints(v, w)
-    if graph.has_edge(v, w):
-        raise EdgeExists(v, w)
-
-    lo, hi = int(graph.indptr[v]), int(graph.indptr[v + 1])
-    pos = lo + int(np.searchsorted(graph.targets[lo:hi], w))
-
-    targets = np.insert(graph.targets, pos, w)
-    weights = graph.weights.copy()
-    weights[lo:hi] *= 1.0 - m
-    weights = np.insert(weights, pos, m)
-    indptr = graph.indptr.copy()
-    indptr[v + 1 :] += 1
-
-    new_sum = float(weights[lo : hi + 1].sum())
-    if abs(new_sum - 1.0) > ROW_SUM_TOL:
-        raise NonStochasticRow(v, new_sum, "renormalization drifted")
-    return ColoredGraph(colors=graph.colors, indptr=indptr, targets=targets, weights=weights)
+    return apply_plan(graph, (edge,))
 
 
 def apply_plan(
     graph: ColoredGraph, plan: Iterable[EdgeInsertion]
 ) -> ColoredGraph:
-    """Apply insertions in plan order (weights renormalize sequentially)."""
-    out = graph
+    """Return a new graph with the insertions of ``plan`` added in order.
+
+    Each insertion multiplies the source's current out-weights by
+    ``1 - weight`` and places the new edge at its sorted position, so
+    same-source weights renormalize sequentially.  Every edge is checked in
+    plan order (endpoints in range, different colors, edge not present in
+    the graph or earlier in the plan, row sum within ``ROW_SUM_TOL``), and
+    the first bad edge raises.  Only the touched rows are rebuilt, and the
+    graph is assembled once.
+    """
+    rows: dict[int, tuple[list[int], list[float]]] = {}  # touched rows
     for edge in plan:
-        out = insert_edge(out, edge)
-    return out
+        v, w, m = edge.src, edge.dst, edge.weight
+        if not (0 <= v < graph.n and 0 <= w < graph.n):
+            raise UnknownColor(f"insertion ({v}, {w}) references a node outside the graph")
+        if graph.colors[v] == graph.colors[w]:
+            raise SameColorEndpoints(v, w)
+        if v not in rows:
+            rows[v] = tuple(part.tolist() for part in graph.row(v))
+        row_targets, row_weights = rows[v]
+        pos = bisect_left(row_targets, w)
+        if pos < len(row_targets) and row_targets[pos] == w:
+            raise EdgeExists(v, w)
+        scale = 1.0 - m
+        row_weights[:] = [x * scale for x in row_weights]
+        row_weights.insert(pos, m)
+        row_targets.insert(pos, w)
+        new_sum = float(np.sum(row_weights))
+        if abs(new_sum - 1.0) > ROW_SUM_TOL:
+            raise NonStochasticRow(v, new_sum, "renormalization drifted")
+    if not rows:
+        return graph
+
+    touched = np.fromiter(rows, dtype=np.int64)
+    added = np.zeros(graph.n, dtype=np.int64)
+    added[touched] = [len(rows[v][0]) - graph.out_degree(v) for v in rows]
+    # Open room at the end of every touched row, then overwrite those rows.
+    ends = np.repeat(graph.indptr[1:], added)
+    targets = np.insert(graph.targets, ends, 0)
+    weights = np.insert(graph.weights, ends, 0.0)
+    indptr = graph.indptr + np.concatenate(([0], np.cumsum(added)))
+    for v, (row_targets, row_weights) in rows.items():
+        targets[indptr[v] : indptr[v + 1]] = row_targets
+        weights[indptr[v] : indptr[v + 1]] = row_weights
+    return ColoredGraph(colors=graph.colors, indptr=indptr, targets=targets, weights=weights)
 
 
 def weight_oracle(
-    graph: ColoredGraph, v: int, plan: Iterable[EdgeInsertion] = ()
+    graph: ColoredGraph,
+    v: int,
+    plan: Iterable[EdgeInsertion] = (),
+    *,
+    planned: int | None = None,
 ) -> float:
     """Transition weight granted to the next edge inserted from ``v``.
 
@@ -321,6 +354,9 @@ def weight_oracle(
     ``v`` in the original graph plus the insertions already planned from
     ``v``: each planned edge changes the page, so later insertions see the
     grown degree.  Depends only on ``v`` and the plan's source multiset.
+    Callers that keep a per-source count pass it as ``planned`` instead of
+    the plan.
     """
-    planned = sum(1 for e in plan if e.src == v)
+    if planned is None:
+        planned = sum(1 for e in plan if e.src == v)
     return 1.0 / (graph.out_degree(v) + planned + 1)

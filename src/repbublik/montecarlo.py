@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import EmptySourceSet, MixedColorSet
 from .exact import BrTable
-from .graph import ColoredGraph, opposite
+from .graph import ColoredGraph, check_accuracy, opposite
 
 # Stream purposes; part of the Philox key, never reused across call sites.
 _STREAM_BR = 1
@@ -37,14 +37,6 @@ def derive_seed(seed: int, *key: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _check_accuracy(epsilon: float, delta: float) -> None:
-    # epsilon = 1 (one whole step of slack) is a legitimate accuracy target.
-    if not 0.0 < epsilon <= 1.0:
-        raise ValueError(f"epsilon must lie in (0, 1], got {epsilon!r}")
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
-
-
 def _ceil(x: float) -> int:
     # Guard against float noise pushing an exact integer over the ceiling.
     nearest = round(x)
@@ -55,7 +47,7 @@ def _ceil(x: float) -> int:
 
 def br_sample_size(n: int, t: int, epsilon: float, delta: float) -> int:
     """Walks per node so that every node's estimate is epsilon-close w.p. 1-delta."""
-    _check_accuracy(epsilon, delta)
+    check_accuracy(epsilon, delta)
     if n < 1 or t < 1:
         raise ValueError("need n >= 1 and t >= 1")
     return _ceil((t * t / (epsilon * epsilon)) * math.log(2.0 * n / delta))
@@ -63,7 +55,7 @@ def br_sample_size(n: int, t: int, epsilon: float, delta: float) -> int:
 
 def rwcc_sample_size(t_prime: int, epsilon: float, delta: float) -> int:
     """Sampled sources so the closeness estimate is epsilon-close w.p. 1-delta."""
-    _check_accuracy(epsilon, delta)
+    check_accuracy(epsilon, delta)
     if t_prime < 1:
         raise ValueError("need t' >= 1")
     return _ceil((t_prime / (2.0 * epsilon)) ** 2 / delta)

@@ -21,7 +21,9 @@ import numpy as np
 
 from .errors import NoLegalTarget, NoOppositeColor
 from .bias import br_table
-from .exact import BrTable, exact_rwcc, parochial_nodes
+# ``exact_rwcc`` and ``insert_edge`` stay bound here because the benchmark's
+# traced pass (perfbench/spans.py) patches these names.
+from .exact import BrTable, exact_rwcc, exact_rwcc_many, parochial_nodes  # noqa: F401
 from .graph import (
     ColoredGraph,
     EdgeInsertion,
@@ -86,16 +88,15 @@ def _centralities(
     horizon = cfg.t - 2
     if horizon < 1 or pool.size == 0:
         return np.zeros(pool.size)
-    out = np.empty(pool.size)
-    for i, v in enumerate(pool):
-        if backend == "exact":
-            out[i] = exact_rwcc(graph, int(v), pool, horizon)
-        else:
-            out[i] = estimate_rwcc(
-                graph, int(v), pool, horizon, cfg.epsilon, cfg.delta,
-                kappa=cfg.kappa, seed=seed,
-            )
-    return out
+    if backend == "exact":
+        return exact_rwcc_many(graph, pool, pool, horizon)
+    return np.array([
+        estimate_rwcc(
+            graph, int(v), pool, horizon, cfg.epsilon, cfg.delta,
+            kappa=cfg.kappa, seed=seed,
+        )
+        for v in pool
+    ])
 
 
 def _legal_targets(
@@ -103,12 +104,10 @@ def _legal_targets(
 ) -> np.ndarray:
     """Opposite-color nodes, ascending, that ``v`` links to neither in
     ``graph`` nor through the already planned targets ``taken``."""
-    candidates = graph.nodes_of(opposite(graph.color_of(v)))
-    existing, _ = graph.row(v)
-    legal = np.setdiff1d(candidates, existing, assume_unique=True)
-    if taken:
-        legal = legal[~np.isin(legal, sorted(taken))]
-    return legal
+    legal = ~graph.color_mask(graph.color_of(v))
+    legal[graph.row(v)[0]] = False
+    legal[list(taken)] = False
+    return np.flatnonzero(legal)
 
 
 def _pick_target(
@@ -177,6 +176,7 @@ def repbublik(
     rng = stream(seed, _TAG_TARGET)
     current = graph
     edges: list[EdgeInsertion] = []
+    planned: dict[int, int] = {}  # edges planned per source
     for round_no in range(budget):
         if round_no > 0:
             br, pool = _parochial_pool(current, color, cfg, seed, backend, round_no)
@@ -185,13 +185,17 @@ def repbublik(
         scores = _centralities(
             current, pool, cfg, backend, derive_seed(seed, _TAG_RWCC, round_no)
         )
-        oracle = np.array([weight_oracle(graph, int(v), edges) for v in pool])
+        oracle = np.array([
+            weight_oracle(graph, v, planned=planned.get(v, 0)) for v in pool.tolist()
+        ])
         scores = scores * oracle
         source = int(pool[int(np.argmax(scores))])  # argmax returns the first max
         target = _pick_target(_legal_targets(current, source), source, policy, br, rng)
-        edge = EdgeInsertion(source, target, weight_oracle(graph, source, edges))
+        weight = weight_oracle(graph, source, planned=planned.get(source, 0))
+        edge = EdgeInsertion(source, target, weight)
         current = insert_edge(current, edge)
         edges.append(edge)
+        planned[source] = planned.get(source, 0) + 1
     return InsertionPlan(edges=tuple(edges), color=color, requested=budget)
 
 
@@ -262,7 +266,7 @@ def _random_plan(
     when the pool (possibly empty) runs out of legal edges before the
     budget is spent."""
     pool = [int(v) for v in pool]
-    planned: dict[int, set[int]] = {}
+    planned: dict[int, list[int]] = {}  # targets planned per source
     edges: list[EdgeInsertion] = []
     while len(edges) < budget and pool:
         v = pool[int(rng.integers(len(pool)))]
@@ -271,8 +275,9 @@ def _random_plan(
             pool.remove(v)
             continue
         w = int(legal[rng.integers(legal.size)])
-        edges.append(EdgeInsertion(v, w, weight_oracle(graph, v, edges)))
-        planned.setdefault(v, set()).add(w)
+        taken = planned.setdefault(v, [])
+        edges.append(EdgeInsertion(v, w, weight_oracle(graph, v, planned=len(taken))))
+        taken.append(w)
     if len(edges) < budget:
         warnings.warn(
             f"only {len(edges)} of {budget} insertions were possible for color {color}",

@@ -5,6 +5,8 @@ import sys
 import pytest
 
 from repbublik.cli import main
+from repbublik.errors import NonStochasticRow, ParseError, ZeroOutDegree
+from repbublik.harness import load_dataset
 
 
 @pytest.fixture
@@ -116,6 +118,81 @@ def test_validation_error_exit_code(tmp_path, capsys):
     code = main(["stats", "--edges", str(edges), "--colors", str(colors)])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+# Loader fault injection: each bad file ends in a typed error and exit code 1.
+LOADER_FAULTS = {
+    "truncated-line": ("0\t1\t1.0\n1\t0\n", "0\tR\n1\tB\n", ParseError,
+                       "expected 3 fields"),
+    "nan-weight": ("0\t1\tnan\n1\t0\t1.0\n", "0\tR\n1\tB\n", NonStochasticRow,
+                   "must be positive"),
+    "inf-weight": ("0\t1\tinf\n1\t0\t1.0\n", "0\tR\n1\tB\n", NonStochasticRow,
+                   "must be positive"),
+    "empty-edges": ("", "0\tR\n1\tB\n", ZeroOutDegree, "no outgoing edge"),
+    "duplicate-color": ("0\t1\t1.0\n1\t0\t1.0\n", "0\tR\n1\tB\n0\tB\n", ParseError,
+                        "duplicate color"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(LOADER_FAULTS))
+def test_loader_fault_is_a_typed_error(fault, tmp_path, capsys):
+    edge_text, color_text, error, message = LOADER_FAULTS[fault]
+    edges, colors = tmp_path / "f.edges.tsv", tmp_path / "f.colors.tsv"
+    edges.write_text(edge_text)
+    colors.write_text(color_text)
+    with pytest.raises(error, match=message):
+        load_dataset(edges, colors)
+    code = main(["stats", "--edges", str(edges), "--colors", str(colors)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and message in err
+    assert "Traceback" not in err
+
+
+def test_crlf_files_load_like_lf(g2_files, tmp_path, capsys):
+    edges, colors = g2_files
+    crlf_edges, crlf_colors = tmp_path / "crlf.edges.tsv", tmp_path / "crlf.colors.tsv"
+    crlf_edges.write_bytes(edges.read_bytes().replace(b"\n", b"\r\n"))
+    crlf_colors.write_bytes(colors.read_bytes().replace(b"\n", b"\r\n"))
+    outputs = []
+    for e, c in ((edges, colors), (crlf_edges, crlf_colors)):
+        assert main(["br", "--edges", str(e), "--colors", str(c), "--t", "4",
+                     "--theta-good", "1.5", "--theta-bad", "2.0"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].splitlines()[1] == "0\t3.5"
+
+
+def test_epsilon_one_reaches_the_estimator(g2_files, monkeypatch, capsys):
+    import repbublik.bias
+
+    seen = []
+    original = repbublik.bias.estimate_br
+
+    def spy(graph, t, epsilon, *args, **kwargs):
+        seen.append(epsilon)
+        return original(graph, t, epsilon, *args, **kwargs)
+
+    monkeypatch.setattr(repbublik.bias, "estimate_br", spy)
+    edges, colors = g2_files
+    assert main([
+        "br", "--edges", str(edges), "--colors", str(colors), "--t", "4",
+        "--theta-good", "1.5", "--theta-bad", "2.0", "--backend", "mc",
+        "--epsilon", "1", "--delta", "0.5",
+    ]) == 0
+    assert seen == [1.0]
+
+
+@pytest.mark.parametrize("epsilon,delta", [("0", "0.05"), ("1.5", "0.05"), ("0.5", "1")])
+def test_accuracy_outside_range_exits_1(g2_files, epsilon, delta, capsys):
+    edges, colors = g2_files
+    code = main([
+        "br", "--edges", str(edges), "--colors", str(colors), "--t", "4",
+        "--theta-good", "1.5", "--theta-bad", "2.0", "--backend", "mc",
+        "--epsilon", epsilon, "--delta", delta,
+    ])
+    assert code == 1
+    assert "must lie in" in capsys.readouterr().err
 
 
 def test_partial_sweep_failure_exit_code(g2_files, tmp_path, monkeypatch):

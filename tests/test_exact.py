@@ -13,9 +13,13 @@ from repbublik import (
     exact_gamma,
     exact_return_mass,
     exact_rwcc,
+    exact_rwcc_many,
     generate_gadget,
     weight_oracle,
 )
+import repbublik.exact
+from repbublik.exact import CLAMP
+from repbublik.graph import opposite
 from repbublik.errors import (
     EmptySourceSet,
     EnumerationTooLarge,
@@ -153,6 +157,72 @@ class TestRwcc:
         with_self = exact_rwcc(g2, 2, {0, 1, 2}, 4)
         without = exact_rwcc(g2, 2, {0, 1}, 4)
         assert with_self == pytest.approx(without * 2 / 3)
+
+
+def _rwcc_one_target(graph, v, sources, t_prime):
+    """Reference: the closeness DP for one target column at a time, as it
+    ran before the block pass."""
+    src = np.asarray(sorted(set(int(u) for u in sources)), dtype=np.int64)
+    keep = ~graph.color_mask(opposite(graph.color_of(v)))
+    keep[v] = False
+    q = graph.matrix_t[v].toarray().ravel()
+    acc = (t_prime - 1) * q
+    for i in range(2, t_prime):
+        q = graph.matrix @ (q * keep)
+        q[np.abs(q) < CLAMP] = 0.0
+        acc += (t_prime - i) * q
+    return float(acc[src[src != v]].sum() / src.size)
+
+
+def _random_cases():
+    from conftest import random_polarized
+
+    rng = np.random.default_rng(7)
+    return [random_polarized(rng, n_max=40, t_range=(3, 12)) for _ in range(24)]
+
+
+class TestRwccBlock:
+    """The block DP equals the one-target DP bit for bit, at any block width."""
+
+    @pytest.mark.parametrize("width", [1, 3, None])
+    def test_equals_one_target_loop(
+        self, width, monkeypatch, g1, g2, all_red_cycle, red_two_cycle
+    ):
+        fixtures = [(g1, 5), (g2, 4), (all_red_cycle, 6), (red_two_cycle, 3)]
+        checked = 0
+        for graph, t in fixtures + _random_cases():
+            if width is not None:
+                monkeypatch.setattr(repbublik.exact, "BLOCK_ELEMENTS", graph.n * width)
+            for color in ("R", "B"):
+                nodes = graph.nodes_of(color)
+                if nodes.size == 0:
+                    continue
+                for sources in (nodes, nodes[::2]):
+                    for t_prime in sorted({1, 2, max(t - 2, 1), t}):
+                        expected = [
+                            _rwcc_one_target(graph, int(v), sources, t_prime)
+                            for v in nodes
+                        ]
+                        got = exact_rwcc_many(graph, nodes, sources, t_prime)
+                        assert got.tolist() == expected
+                        checked += 1
+        assert checked > 200
+
+    def test_order_and_repeats_kept(self, g2):
+        got = exact_rwcc_many(g2, [2, 0, 2, 1], {0, 1, 2}, 4)
+        expected = [exact_rwcc(g2, v, {0, 1, 2}, 4) for v in (2, 0, 2, 1)]
+        assert got.tolist() == expected
+
+    def test_empty_target_list(self, g2):
+        assert exact_rwcc_many(g2, [], {0, 1}, 4).shape == (0,)
+
+    def test_target_of_other_color_rejected(self, g2):
+        with pytest.raises(MixedColorSet, match="v=3"):
+            exact_rwcc_many(g2, [0, 3], {0, 1}, 4)
+
+    def test_target_out_of_range_rejected(self, g2):
+        with pytest.raises(ValueError):
+            exact_rwcc_many(g2, [0, 4], {0, 1}, 4)
 
 
 class TestExactGain:

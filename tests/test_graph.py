@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repbublik import (
+    ColoredGraph,
     EdgeInsertion,
     InsertionPlan,
     WalkConfig,
@@ -24,7 +25,7 @@ from repbublik.errors import (
     ZeroOutDegree,
 )
 
-from conftest import graph_strategy
+from conftest import graph_strategy, random_polarized
 
 
 class TestBuildGraph:
@@ -147,6 +148,14 @@ class TestWalkConfig:
         with pytest.raises(ThresholdOrder):
             WalkConfig(t=10, delta=1.0)
 
+    def test_epsilon_one_accepted(self):
+        assert WalkConfig(t=10, epsilon=1.0).epsilon == 1.0
+
+    @pytest.mark.parametrize("epsilon,delta", [(0.0, 0.05), (1.5, 0.05), (0.5, 1.0)])
+    def test_accuracy_outside_range_rejected(self, epsilon, delta):
+        with pytest.raises(ThresholdOrder):
+            WalkConfig(t=10, epsilon=epsilon, delta=delta)
+
 
 class TestInsertionPlan:
     def test_eta_counts_sources(self):
@@ -215,3 +224,117 @@ def test_same_source_insertions_compound(graph, ms):
     targets, weights = grown.row(v)
     kept = [i for i, w in enumerate(targets) if w in set(graph.row(v)[0])]
     assert np.allclose(weights[kept], original * scale, atol=1e-12)
+
+
+def _insert_one_by_one(graph, plan):
+    """Reference: per-edge insertion building one graph per edge, as
+    ``apply_plan`` did before it rebuilt only the touched rows."""
+    for edge in plan:
+        v, w, m = edge.src, edge.dst, edge.weight
+        if not (0 <= v < graph.n and 0 <= w < graph.n):
+            raise UnknownColor(f"insertion ({v}, {w}) references a node outside the graph")
+        if graph.color_of(v) == graph.color_of(w):
+            raise SameColorEndpoints(v, w)
+        if graph.has_edge(v, w):
+            raise EdgeExists(v, w)
+        lo, hi = int(graph.indptr[v]), int(graph.indptr[v + 1])
+        pos = lo + int(np.searchsorted(graph.targets[lo:hi], w))
+        targets = np.insert(graph.targets, pos, w)
+        weights = graph.weights.copy()
+        weights[lo:hi] *= 1.0 - m
+        weights = np.insert(weights, pos, m)
+        indptr = graph.indptr.copy()
+        indptr[v + 1 :] += 1
+        new_sum = float(weights[lo : hi + 1].sum())
+        if abs(new_sum - 1.0) > 1e-9:
+            raise NonStochasticRow(v, new_sum, "renormalization drifted")
+        graph = ColoredGraph(
+            colors=graph.colors, indptr=indptr, targets=targets, weights=weights
+        )
+    return graph
+
+
+def _random_plan(graph, rng, length):
+    """Cross-color edges from a few sources (so sources repeat), each legal."""
+    color = "R" if rng.random() < 0.5 else "B"
+    sources = rng.choice(graph.nodes_of(color), size=3)
+    others = graph.nodes_of("B" if color == "R" else "R")
+    plan, seen = [], set()
+    for _ in range(length):
+        v = int(rng.choice(sources))
+        w = int(rng.choice(others))
+        if graph.has_edge(v, w) or (v, w) in seen:
+            continue
+        seen.add((v, w))
+        plan.append(EdgeInsertion(v, w, float(rng.uniform(0.01, 0.99))))
+    return plan
+
+
+class TestApplyPlanOnePass:
+    """One-pass ``apply_plan`` equals per-edge insertion, bits and errors."""
+
+    def test_equals_one_by_one_insertion(self):
+        rng = np.random.default_rng(11)
+        checked = 0
+        for _ in range(40):
+            graph, _ = random_polarized(rng, n_max=30)
+            plan = _random_plan(graph, rng, int(rng.integers(1, 25)))
+            got, expected = apply_plan(graph, plan), _insert_one_by_one(graph, plan)
+            assert np.array_equal(got.indptr, expected.indptr)
+            assert np.array_equal(got.targets, expected.targets)
+            assert np.array_equal(got.weights, expected.weights)
+            checked += len(plan)
+        assert checked > 200
+
+    def test_empty_plan_is_identity(self, g2):
+        assert apply_plan(g2, []) is g2
+
+    @pytest.mark.parametrize("fault,error", [
+        ("out-of-range", UnknownColor),
+        ("same-color", SameColorEndpoints),
+        ("existing", EdgeExists),
+        ("repeated", EdgeExists),
+        ("drift", NonStochasticRow),
+    ])
+    def test_first_bad_edge_raises_like_one_by_one(self, fault, error):
+        rng = np.random.default_rng(len(fault))
+        checked = 0
+        for _ in range(10):
+            graph, _ = random_polarized(rng, n_max=30)
+            plan = _random_plan(graph, rng, 12)
+            if len(plan) < 2:
+                continue
+            i = int(rng.integers(1, len(plan)))
+            v, w = plan[i].src, plan[i].dst
+            if fault == "out-of-range":
+                bad = EdgeInsertion(v, graph.n, 0.5)
+            elif fault == "same-color":
+                peers = graph.nodes_of(graph.color_of(v))
+                bad = EdgeInsertion(v, int(peers[peers != v][0]), 0.5)
+            elif fault == "existing":
+                rows = np.repeat(np.arange(graph.n), np.diff(graph.indptr))
+                cross = np.flatnonzero(graph.colors[rows] != graph.colors[graph.targets])
+                if cross.size == 0:
+                    continue
+                k = int(rng.choice(cross))
+                bad = EdgeInsertion(int(rows[k]), int(graph.targets[k]), 0.5)
+            elif fault == "repeated":
+                bad = EdgeInsertion(plan[0].src, plan[0].dst, 0.5)
+            else:
+                # A source whose row sums to 0.9 drifts on its first insertion.
+                weights = graph.weights.copy()
+                lo, hi = graph.indptr[v], graph.indptr[v + 1]
+                weights[lo:hi] *= 0.9
+                graph = ColoredGraph(graph.colors, graph.indptr, graph.targets, weights)
+                plan = [e for e in plan if e.src != v]
+                i = min(i, len(plan))
+                bad = EdgeInsertion(v, w, 0.5)
+            plan = plan[:i] + [bad] + plan[i:]
+            with pytest.raises(error) as expected:
+                _insert_one_by_one(graph, plan)
+            with pytest.raises(error) as got:
+                apply_plan(graph, plan)
+            assert type(got.value) is type(expected.value)
+            assert str(got.value) == str(expected.value)
+            checked += 1
+        assert checked >= 5

@@ -12,7 +12,7 @@ from repbublik import (
     rwcc_sample_size,
     simulate_restart_session,
 )
-from repbublik.errors import EmptySourceSet, MixedColorSet
+from repbublik.errors import EmptySourceSet, MixedColorSet, ThresholdOrder
 from repbublik.montecarlo import (
     _STREAM_RWCC_SOURCES,
     _STREAM_RWCC_WALKS,
@@ -51,6 +51,14 @@ class TestSampleSizes:
 
     def test_rwcc_quarter_delta(self):
         assert rwcc_sample_size(4, 0.5, 0.25) == 64
+
+    @pytest.mark.parametrize("epsilon,delta", [(0.0, 0.05), (1.5, 0.05), (0.5, 1.0)])
+    def test_accuracy_outside_range_rejected(self, epsilon, delta):
+        # The same rule WalkConfig applies.
+        with pytest.raises(ThresholdOrder):
+            br_sample_size(10, 5, epsilon, delta)
+        with pytest.raises(ThresholdOrder):
+            rwcc_sample_size(5, epsilon, delta)
 
 
 class TestWalkSampler:

@@ -1,8 +1,10 @@
-"""Plans stay byte-identical: SHA-256 digests of every recommender's output.
+"""Plans and sweeps stay byte-identical: SHA-256 digests of their output.
 
-The digests were recorded from the implementation before the recommenders
-shared one scoring prologue; any change to a source choice, a target
-choice, a tie break or an insertion weight's bits changes a digest.
+The plan digests were recorded from the implementation before the
+recommenders shared one scoring prologue, the sweep digest from the one
+before closeness and plan application became block passes; any change to a
+source choice, a target choice, a tie break, an insertion weight's bits or
+an evaluated Bubble Radius changes a digest.
 """
 import hashlib
 import warnings
@@ -11,6 +13,8 @@ import numpy as np
 
 from repbublik import (
     WalkConfig,
+    generate_polarized,
+    run_sweep,
     baseline_pure_random,
     baseline_rcn,
     baseline_rwcn,
@@ -51,6 +55,11 @@ EXPECTED = {
 }
 
 
+# One desk graph through the figure protocol: the four figure algorithms,
+# K in {1, 8, 64, 365}, repetition seeds 0 and 1, t = 10, thresholds 2 / 5.
+SWEEP_EXPECTED = "c0c6018992d4e622d50de477ea78145a6fca4a4091c0e03768a0c3ce3c06e653"
+
+
 def _graphs():
     rng = np.random.default_rng(2021)
     return [random_polarized(rng, n_max=16, t_range=(5, 7)) for _ in range(3)]
@@ -83,6 +92,22 @@ def plan_digests() -> dict[str, str]:
 
 def test_plans_match_recorded_digests():
     assert plan_digests() == EXPECTED
+
+
+def sweep_digest(out_path) -> str:
+    graph = generate_polarized(200, 200, 0.02, 0.002, seed=0)
+    cfg = WalkConfig(t=10, theta_good=2.0, theta_bad=5.0, seed=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        run_sweep(
+            graph, ["repbublik-plus", "pure-random", "rcn", "rwcn"],
+            [1, 8, 64, 365], cfg, [0, 1], out_path, backend="exact",
+        )
+    return hashlib.sha256(out_path.read_bytes()).hexdigest()
+
+
+def test_sweep_csv_matches_recorded_digest(tmp_path):
+    assert sweep_digest(tmp_path / "sweep.csv") == SWEEP_EXPECTED
 
 
 if __name__ == "__main__":
