@@ -66,6 +66,7 @@ from .recommend import (
     baseline_pure_random,
     baseline_rcn,
     baseline_rwcn,
+    closeness,
     repbublik,
     repbublik_plus,
     target_selection,

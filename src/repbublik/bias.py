@@ -9,7 +9,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import BothColorsUnbiased, EmptySourceSet, ThresholdOrder
-from .exact import BrTable, exact_br, exact_gain
+from .exact import BrTable, _node_set, exact_br, exact_gain
 from .graph import (
     BLUE,
     RED,
@@ -111,7 +111,7 @@ def gain(
     The Monte Carlo backend estimates the before/after tables with the same
     seed, so walk noise largely cancels in the difference.
     """
-    targets = np.asarray(sorted(set(int(v) for v in nodes)), dtype=np.int64)
+    targets = _node_set(graph, nodes)
     if targets.size == 0:
         raise EmptySourceSet("gain needs a non-empty node set")
     if backend == "exact":

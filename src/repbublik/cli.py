@@ -10,8 +10,7 @@ import sys
 from pathlib import Path
 
 from .bias import classify
-from .errors import RepbublikError
-from .exact import exact_rwcc_many
+from .errors import RepbublikError, UnknownColor
 from .graph import BLUE, RED, WalkConfig
 from .harness import (
     candidate_universe,
@@ -23,9 +22,8 @@ from .harness import (
     run_sweep,
     write_dataset,
 )
-from .montecarlo import estimate_rwcc
 from .bias import br_table
-from .recommend import ALGORITHMS
+from .recommend import ALGORITHMS, closeness
 
 
 def _add_walk_options(p: argparse.ArgumentParser) -> None:
@@ -103,6 +101,8 @@ def _cmd_rwcc(args) -> int:
     partition = classify(table, graph.colors, cfg.theta_good, cfg.theta_bad)
 
     if args.node is not None:
+        if args.node not in loaded.dense_ids:
+            raise UnknownColor(f"node {args.node} has no color entry")
         nodes = [loaded.dense_ids[args.node]]
     else:
         nodes = sorted(partition.parochial)
@@ -116,14 +116,8 @@ def _cmd_rwcc(args) -> int:
         pool = sorted(partition.parochial_of(color))
         if not pool:
             pool = [int(u) for u in graph.nodes_of(color)]
-        if args.backend == "exact":
-            values.update(zip(members, exact_rwcc_many(graph, members, pool, horizon)))
-            continue
-        for v in members:
-            values[v] = estimate_rwcc(
-                graph, v, pool, horizon, cfg.epsilon, cfg.delta,
-                kappa=cfg.kappa, seed=cfg.seed,
-            )
+        scores = closeness(graph, members, pool, horizon, cfg, args.backend, cfg.seed)
+        values.update(zip(members, scores))
     lines = ["node\trwcc"]
     for v in nodes:
         lines.append(f"{int(loaded.original_ids[v])}\t{values[v]:.9g}")

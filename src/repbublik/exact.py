@@ -151,6 +151,7 @@ def exact_first_passage(
     color; the conflicting case is rejected rather than guessing precedence
     between "hit the target" and "avoid the other color".
     """
+    _node_set(graph, (source, target))
     if source == target:
         raise SourceIsTarget(f"first passage from {source} to itself is a return mass")
     if graph.color_of(source) != graph.color_of(target):
@@ -172,6 +173,28 @@ def exact_first_passage(
     return FirstPassageProfile(source=source, target=target, horizon=t, probs=probs)
 
 
+def _return_profiles(
+    graph: ColoredGraph, nodes: np.ndarray, t_prime: int
+) -> np.ndarray:
+    """Return-visit profiles of ``nodes``, all of one color, as one block.
+
+    Column j of the block is the distribution of the walk started at the
+    j-th node, zeroed on the opposite color after every step; row j of the
+    result is that node's ``p[0..t'-1]``.
+    """
+    avoid = graph.color_mask(opposite(graph.color_of(int(nodes[0]))))
+    cols = np.arange(nodes.size)
+    profiles = np.zeros((nodes.size, t_prime))
+    profiles[:, 0] = 1.0
+    block = np.zeros((graph.n, nodes.size))
+    block[nodes, cols] = 1.0
+    for step in range(1, t_prime):
+        block = _clamped(graph.matrix_t @ block)
+        block[avoid, :] = 0.0
+        profiles[:, step] = block[nodes, cols]
+    return profiles
+
+
 def exact_return_mass(
     graph: ColoredGraph, v: int, t_prime: int
 ) -> tuple[np.ndarray, float]:
@@ -181,18 +204,11 @@ def exact_return_mass(
     ``i`` while avoiding the opposite color at steps 1..i; earlier revisits
     of ``v`` do not stop the walk.  Returns ``(p[0..t'-1], F)`` with
     ``F = sum(p)``; ``p[0] = 1`` and ``p[1] = 0`` always (no self-loops).
+    The one-node case of the block pass :func:`exact_gamma` runs.
     """
     if t_prime < 1:
         raise ValueError(f"horizon must be >= 1, got {t_prime}")
-    avoid = graph.color_mask(opposite(graph.color_of(v)))
-    p = np.zeros(t_prime)
-    p[0] = 1.0
-    dist = np.zeros(graph.n)
-    dist[v] = 1.0
-    for step in range(1, t_prime):
-        dist = _clamped(graph.matrix_t @ dist)
-        dist[avoid] = 0.0
-        p[step] = dist[v]
+    p = _return_profiles(graph, _node_set(graph, (v,)), t_prime)[0]
     assert t_prime < 2 or p[1] == 0.0, "a self-loop slipped past graph validation"
     return p, float(p.sum())
 
@@ -200,26 +216,16 @@ def exact_return_mass(
 def exact_gamma(graph: ColoredGraph, t: int) -> float:
     """max over nodes of the total return mass F_t(v).
 
-    Computed with one block propagation per color: column j of the block is
-    the distribution of the walk started at the color's j-th node.
+    One block pass per color steps the walks from all of the color's nodes
+    together; each node's total is summed like :func:`exact_return_mass`.
     """
     if t < 1:
         raise ValueError(f"horizon must be >= 1, got {t}")
     best = 1.0  # p_0 = 1 contributes to every node
     for color in (RED, BLUE):
         nodes = graph.nodes_of(color)
-        if nodes.size == 0:
-            continue
-        avoid = graph.color_mask(opposite(color))
-        block = np.zeros((graph.n, nodes.size))
-        block[nodes, np.arange(nodes.size)] = 1.0
-        totals = np.ones(nodes.size)
-        for _ in range(1, t):
-            block = _clamped(graph.matrix_t @ block)
-            block[avoid, :] = 0.0
-            totals += block[nodes, np.arange(nodes.size)]
-        if totals.size:
-            best = max(best, float(totals.max()))
+        if nodes.size:
+            best = max(best, float(_return_profiles(graph, nodes, t).sum(axis=1).max()))
     return best
 
 

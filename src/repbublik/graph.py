@@ -160,18 +160,12 @@ class InsertionPlan:
         return 1 + sum(1 for e in self.edges if e.src == v)
 
     def validate_against(self, graph: ColoredGraph) -> None:
-        """Raise unless every edge is a legal cross-color insertion into graph."""
-        seen: set[tuple[int, int]] = set()
+        """Raise unless :func:`apply_plan` accepts the edges on ``graph`` and
+        every source has the plan's color."""
+        apply_plan(graph, self.edges)
         for e in self.edges:
             if graph.color_of(e.src) != self.color:
                 raise SameColorEndpoints(e.src, e.dst)
-            if graph.color_of(e.dst) == self.color:
-                raise SameColorEndpoints(e.src, e.dst)
-            if graph.has_edge(e.src, e.dst):
-                raise EdgeExists(e.src, e.dst)
-            if (e.src, e.dst) in seen:
-                raise DuplicateEdge(e.src, e.dst)
-            seen.add((e.src, e.dst))
 
 
 def check_accuracy(epsilon: float, delta: float) -> None:

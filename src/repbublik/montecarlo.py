@@ -15,7 +15,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import EmptySourceSet, MixedColorSet
-from .exact import BrTable
+from .exact import BrTable, _node_set
 from .graph import ColoredGraph, check_accuracy, opposite
 
 # Stream purposes; part of the Philox key, never reused across call sites.
@@ -92,29 +92,35 @@ class _WalkSampler:
         return self.targets[np.minimum(pos + 1, last)]
 
 
-def _walk_lengths(
-    sampler: _WalkSampler, start: int, absorbing: np.ndarray, uniforms: np.ndarray
+def _walk(
+    sampler: _WalkSampler,
+    starts: int | np.ndarray,
+    stop: np.ndarray,
+    uniforms: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Capped walk lengths from ``start``; row i of uniforms drives walk i.
+    """Step every walk until it enters the ``stop`` set or runs out of steps.
 
-    Returns (lengths, absorbed): walks that never touch the absorbing set
-    have length t and absorbed False.
+    Walk i starts at ``starts`` (one node, or one node per walk) and reads
+    row i of ``uniforms``, whose width is the horizon.  Returns each walk's
+    stop step and stop node; a walk that never stops gets the horizon and
+    -1.
     """
-    r, t = uniforms.shape
-    lengths = np.full(r, t, dtype=np.int64)
-    reached = np.zeros(r, dtype=bool)
-    states = np.full(r, start, dtype=np.int64)
-    rows = np.arange(r)
-    for step in range(1, t + 1):
+    walks, horizon = uniforms.shape
+    steps = np.full(walks, horizon, dtype=np.int64)
+    ends = np.full(walks, -1, dtype=np.int64)
+    states = np.full(walks, starts, dtype=np.int64)
+    rows = np.arange(walks)
+    for step in range(1, horizon + 1):
         nxt = sampler.step(states, uniforms[rows, step - 1])
-        hit = absorbing[nxt]
-        lengths[rows[hit]] = step
-        reached[rows[hit]] = True
+        hit = stop[nxt]
+        stopped = rows[hit]
+        steps[stopped] = step
+        ends[stopped] = nxt[hit]
         rows = rows[~hit]
         states = nxt[~hit]
         if rows.size == 0:
             break
-    return lengths, reached
+    return steps, ends
 
 
 def estimate_br(
@@ -142,36 +148,9 @@ def estimate_br(
     for v in range(graph.n):
         absorbing = graph.color_mask(opposite(graph.color_of(v)))
         uniforms = stream(seed, _STREAM_BR, v).random((r, t))
-        lengths, _ = _walk_lengths(sampler, v, absorbing, uniforms)
+        lengths, _ = _walk(sampler, v, absorbing, uniforms)
         values[v] = lengths.mean()
     return BrTable(values=values, t=t, provenance="estimated")
-
-
-def _hit_times(
-    sampler: _WalkSampler,
-    start: int | np.ndarray,
-    target: int,
-    forbidden: np.ndarray,
-    uniforms: np.ndarray,
-) -> np.ndarray:
-    """Capped color-avoiding hit times of ``target``: walks touching the
-    opposite color, or running out of steps, count the full horizon.  Walk
-    i starts at ``start`` (one node, or one node per walk) and reads row i
-    of ``uniforms``."""
-    walks, t_prime = uniforms.shape
-    times = np.full(walks, t_prime, dtype=np.int64)
-    states = np.full(walks, start, dtype=np.int64)
-    rows = np.arange(walks)
-    for step in range(1, t_prime + 1):
-        nxt = sampler.step(states, uniforms[rows, step - 1])
-        hit = nxt == target
-        times[rows[hit]] = step
-        done = hit | forbidden[nxt]
-        rows = rows[~done]
-        states = nxt[~done]
-        if rows.size == 0:
-            break
-    return times
 
 
 def estimate_rwcc(
@@ -197,7 +176,8 @@ def estimate_rwcc(
         raise ValueError(f"horizon must be >= 1, got {t_prime}")
     if kappa < 1:
         raise ValueError(f"kappa must be >= 1, got {kappa}")
-    src = np.asarray(sorted(set(int(w) for w in sources)), dtype=np.int64)
+    _node_set(graph, (v,))
+    src = _node_set(graph, sources)
     if src.size == 0:
         raise EmptySourceSet("closeness estimation needs a non-empty source set")
     if not (graph.colors[src] == graph.color_of(v)).all():
@@ -217,10 +197,13 @@ def estimate_rwcc(
             stream(seed, _STREAM_RWCC_WALKS, v, int(i)).random((kappa, t_prime))
             for i in walked
         ])
-        forbidden = graph.color_mask(opposite(graph.color_of(v)))
-        sampler = _WalkSampler(graph)
+        # A walk stops at v or at the opposite color; only a stop at v
+        # shortens its capped hit time.
+        stop = graph.color_mask(opposite(graph.color_of(v))).copy()
+        stop[v] = True
         walk_starts = np.repeat(starts[walked], kappa)
-        times = _hit_times(sampler, walk_starts, v, forbidden, uniforms)
+        steps, ends = _walk(_WalkSampler(graph), walk_starts, stop, uniforms)
+        times = np.where(ends == v, steps, t_prime)
         h_bars[walked] = times.reshape(walked.size, kappa).mean(axis=1)
     return float(t_prime - h_bars.mean())
 
@@ -237,14 +220,15 @@ def simulate_restart_session(
     """
     if t < 1 or restarts < 1:
         raise ValueError("need t >= 1 and restarts >= 1")
+    _node_set(graph, (v,))
     sampler = _WalkSampler(graph)
     absorbing = graph.color_mask(opposite(graph.color_of(v)))
     rng = stream(seed, _STREAM_SESSION, v)
     total = 0
     for _ in range(restarts):
         uniforms = rng.random((1, t))
-        lengths, reached = _walk_lengths(sampler, v, absorbing, uniforms)
-        total += int(lengths[0])
-        if reached[0]:
+        steps, ends = _walk(sampler, v, absorbing, uniforms)
+        total += int(steps[0])
+        if ends[0] >= 0:
             return total
     return None

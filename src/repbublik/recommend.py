@@ -77,6 +77,34 @@ def _prologue(
     return (seed, *_parochial_pool(graph, color, cfg, seed, backend))
 
 
+def closeness(
+    graph: ColoredGraph,
+    nodes: Collection[int],
+    sources: Collection[int],
+    horizon: int,
+    cfg: WalkConfig,
+    backend: str,
+    seed: int,
+) -> np.ndarray:
+    """Bounded closeness c_horizon(v, sources) of every v in ``nodes``.
+
+    The exact backend runs one block pass; the Monte Carlo backend runs one
+    estimate per node with ``cfg``'s accuracy and ``kappa`` and the given
+    seed.
+    """
+    if backend == "exact":
+        return exact_rwcc_many(graph, nodes, sources, horizon)
+    if backend != "mc":
+        raise ValueError(f"unknown backend {backend!r}")
+    return np.array([
+        estimate_rwcc(
+            graph, int(v), sources, horizon, cfg.epsilon, cfg.delta,
+            kappa=cfg.kappa, seed=seed,
+        )
+        for v in nodes
+    ])
+
+
 def _centralities(
     graph: ColoredGraph,
     pool: np.ndarray,
@@ -85,18 +113,9 @@ def _centralities(
     seed: int,
 ) -> np.ndarray:
     """c_{t-2}(v, pool) for every v in pool; zeros when the horizon collapses."""
-    horizon = cfg.t - 2
-    if horizon < 1 or pool.size == 0:
+    if cfg.t - 2 < 1 or pool.size == 0:
         return np.zeros(pool.size)
-    if backend == "exact":
-        return exact_rwcc_many(graph, pool, pool, horizon)
-    return np.array([
-        estimate_rwcc(
-            graph, int(v), pool, horizon, cfg.epsilon, cfg.delta,
-            kappa=cfg.kappa, seed=seed,
-        )
-        for v in pool
-    ])
+    return closeness(graph, pool, pool, cfg.t - 2, cfg, backend, seed)
 
 
 def _legal_targets(

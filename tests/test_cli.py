@@ -57,6 +57,16 @@ def test_rwcc_single_node(g2_files, capsys):
     assert out.splitlines()[1].startswith("2\t")
 
 
+def test_rwcc_unknown_node_is_a_typed_error(g2_files, capsys):
+    edges, colors = g2_files
+    code = main([
+        "rwcc", "--edges", str(edges), "--colors", str(colors),
+        "--t", "4", "--theta-good", "1.5", "--theta-bad", "2.0", "--node", "99",
+    ])
+    assert code == 1
+    assert "error: node 99 has no color entry" in capsys.readouterr().err
+
+
 def test_recommend_verb(g2_files, capsys):
     edges, colors = g2_files
     code = main([

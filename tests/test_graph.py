@@ -181,6 +181,19 @@ class TestInsertionPlan:
         with pytest.raises(EdgeExists):
             plan.validate_against(g2)
 
+    @pytest.mark.parametrize("src, dst", [(-3, 3), (-1, 3), (4, 3), (0, -1), (0, 4)])
+    def test_validate_against_rejects_ids_outside_graph(self, g2, src, dst):
+        # g2 has nodes 0..3; a negative id must not wrap around to node 3.
+        plan = InsertionPlan(edges=(EdgeInsertion(src, dst, 0.5),), color="R")
+        with pytest.raises(UnknownColor):
+            plan.validate_against(g2)
+
+    def test_validate_against_repeated_edge_is_existing(self, g2):
+        edge = EdgeInsertion(0, 3, 0.5)
+        plan = InsertionPlan(edges=(edge, edge), color="R")
+        with pytest.raises(EdgeExists):
+            plan.validate_against(g2)
+
 
 @given(graph_strategy())
 @settings(max_examples=40, deadline=None)

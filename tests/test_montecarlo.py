@@ -17,8 +17,7 @@ from repbublik.montecarlo import (
     _STREAM_RWCC_SOURCES,
     _STREAM_RWCC_WALKS,
     _WalkSampler,
-    _hit_times,
-    _walk_lengths,
+    _walk,
     derive_seed,
     stream,
 )
@@ -121,9 +120,11 @@ class TestEstimateBr:
         sampler = _WalkSampler(g2)
         absorbing = g2.color_mask("B")
         uniforms = stream(5, 99, 0).random((500, 4))
-        lengths, reached = _walk_lengths(sampler, 0, absorbing, uniforms)
+        lengths, ends = _walk(sampler, 0, absorbing, uniforms)
+        reached = ends >= 0
         assert lengths.min() >= 1 and lengths.max() <= 4
         assert reached.dtype == bool
+        assert absorbing[ends[reached]].all() and (lengths[~reached] == 4).all()
 
     def test_deterministic_given_seed(self, g2):
         a = estimate_br(g2, 4, 0.3, 0.05, seed=11).values
@@ -138,7 +139,8 @@ def _rwcc_one_source_at_a_time(graph, v, sources, t_prime, kappa, seed, z):
     src = np.asarray(sorted(set(sources)), dtype=np.int64)
     picks = stream(seed, _STREAM_RWCC_SOURCES, v).integers(0, src.size, size=z)
     sampler = _WalkSampler(graph)
-    forbidden = graph.color_mask("B" if graph.color_of(v) == "R" else "R")
+    stop = graph.color_mask("B" if graph.color_of(v) == "R" else "R").copy()
+    stop[v] = True
     h_bars = np.empty(z)
     for i, pick in enumerate(picks):
         w = int(src[pick])
@@ -146,7 +148,8 @@ def _rwcc_one_source_at_a_time(graph, v, sources, t_prime, kappa, seed, z):
             h_bars[i] = t_prime
             continue
         uniforms = stream(seed, _STREAM_RWCC_WALKS, v, i).random((kappa, t_prime))
-        h_bars[i] = _hit_times(sampler, w, v, forbidden, uniforms).mean()
+        steps, ends = _walk(sampler, w, stop, uniforms)
+        h_bars[i] = np.where(ends == v, steps, t_prime).mean()
     return float(t_prime - h_bars.mean())
 
 

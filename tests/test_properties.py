@@ -8,15 +8,22 @@ from repbublik import (
     apply_plan,
     baseline_rcn,
     baseline_rwcn,
+    build_graph,
     estimate_br,
+    estimate_rwcc,
     exact_bounded_hitting,
     exact_br,
+    exact_first_passage,
     exact_gain,
+    exact_return_mass,
+    exact_rwcc_many,
+    gain,
     opposite,
     repbublik,
+    simulate_restart_session,
     weight_oracle,
 )
-from repbublik.montecarlo import _WalkSampler, _hit_times, stream
+from repbublik.montecarlo import _WalkSampler, _walk, stream
 
 from conftest import random_polarized
 
@@ -76,9 +83,11 @@ def test_sampled_hit_times_within_horizon():
     reds = graph.nodes_of("R")
     if reds.size < 2:
         pytest.skip("instance lacks two red nodes")
-    forbidden = graph.color_mask("B")
+    stop = graph.color_mask("B").copy()
+    stop[reds[1]] = True
     uniforms = stream(3, 1, 2).random((200, t))
-    times = _hit_times(sampler, int(reds[0]), int(reds[1]), forbidden, uniforms)
+    steps, ends = _walk(sampler, int(reds[0]), stop, uniforms)
+    times = np.where(ends == reds[1], steps, t)
     assert times.min() >= 1 and times.max() <= t
 
 
@@ -127,3 +136,89 @@ def test_single_color_plan_leaves_other_color_br_unchanged():
         assert np.array_equal(before, after)
         applied += 1
     assert applied >= 30
+
+
+# Every public entry point that takes node ids rejects -1 and n (g2 has
+# nodes 0..3, node 3 blue); a negative id must not wrap around to node n-1.
+NODE_ID_CALLS = {
+    "gain-mc": lambda g, u: gain(
+        g, [u], [EdgeInsertion(0, 3, 0.5)], 4, backend="mc",
+        cfg=WalkConfig(t=4, theta_good=1.5),
+    ),
+    "estimate_rwcc-v": lambda g, u: estimate_rwcc(g, u, [0, 1], 3, 0.5, 0.1),
+    "estimate_rwcc-sources": lambda g, u: estimate_rwcc(g, 2, [u, 2], 3, 0.5, 0.1),
+    "simulate_restart_session": lambda g, u: simulate_restart_session(g, u, 4, 2, 0),
+    "exact_first_passage-source": lambda g, u: exact_first_passage(g, u, 1, 4),
+    "exact_first_passage-target": lambda g, u: exact_first_passage(g, 0, u, 4),
+    "exact_return_mass": lambda g, u: exact_return_mass(g, u, 4),
+}
+
+
+@pytest.mark.parametrize("bad", ["-1", "n"])
+@pytest.mark.parametrize("entry", sorted(NODE_ID_CALLS))
+def test_node_ids_outside_graph_raise(g2, entry, bad):
+    node = -1 if bad == "-1" else g2.n
+    with pytest.raises(ValueError, match="outside"):
+        NODE_ID_CALLS[entry](g2, node)
+
+
+def _rebuilt(graph, colors, relabel):
+    """``graph`` with node v renamed ``relabel[v]`` and the given colors."""
+    edges = [
+        (int(relabel[v]), int(relabel[w]), float(x))
+        for v in range(graph.n)
+        for w, x in zip(*graph.row(v))
+    ]
+    return build_graph(colors, edges)
+
+
+def _closeness_by_color(graph, t, pools):
+    """Closeness of every node of each color w.r.t. that color's pool."""
+    return [
+        exact_rwcc_many(graph, graph.nodes_of(c), pools[c], t - 2) for c in ("R", "B")
+    ]
+
+
+def _random_pools(rng, graph):
+    pools = {}
+    for c in ("R", "B"):
+        nodes = graph.nodes_of(c)
+        pools[c] = nodes[rng.random(nodes.size) < 0.5]
+        if pools[c].size == 0:
+            pools[c] = nodes[:1]
+    return pools
+
+
+def test_relabelling_permutes_br_and_closeness():
+    rng = np.random.default_rng(53)
+    for _ in range(15):
+        graph, t = random_polarized(rng, n_max=30)
+        perm = rng.permutation(graph.n)
+        colors = np.empty(graph.n, dtype="<U1")
+        colors[perm] = graph.colors
+        moved = _rebuilt(graph, colors, perm)
+        np.testing.assert_allclose(
+            exact_br(moved, t).values[perm], exact_br(graph, t).values, rtol=0, atol=1e-12
+        )
+        pools = _random_pools(rng, graph)
+        before = _closeness_by_color(graph, t, pools)
+        for c, old in zip(("R", "B"), before):
+            nodes = graph.nodes_of(c)
+            got = exact_rwcc_many(moved, perm[nodes], perm[pools[c]], t - 2)
+            np.testing.assert_allclose(got, old, rtol=0, atol=1e-12)
+
+
+def test_color_swap_leaves_br_and_closeness_unchanged():
+    rng = np.random.default_rng(59)
+    for _ in range(15):
+        graph, t = random_polarized(rng, n_max=30)
+        swapped = _rebuilt(graph, np.where(graph.colors == "R", "B", "R"), np.arange(graph.n))
+        np.testing.assert_allclose(
+            exact_br(swapped, t).values, exact_br(graph, t).values, rtol=0, atol=1e-12
+        )
+        pools = _random_pools(rng, graph)
+        swapped_pools = {opposite(c): nodes for c, nodes in pools.items()}
+        before = _closeness_by_color(graph, t, pools)
+        after = _closeness_by_color(swapped, t, swapped_pools)[::-1]
+        for got, old in zip(after, before):
+            np.testing.assert_allclose(got, old, rtol=0, atol=1e-12)
