@@ -72,7 +72,7 @@ def classify(
             f"need 1 <= theta_good < theta_bad <= {br.t}, got "
             f"theta_good={theta_good}, theta_bad={theta_bad}"
         )
-    color_arr = np.asarray(list(colors), dtype="<U1")
+    color_arr = np.asarray(colors)
     values = br.values
     cosmo = np.flatnonzero(values <= theta_good)
     bad = values >= theta_bad

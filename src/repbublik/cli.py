@@ -85,15 +85,15 @@ def _cmd_br(args) -> int:
     cfg = _config(args)
     loaded = load_dataset(args.edges, args.colors)
     table = br_table(loaded.graph, cfg, args.backend, cfg.seed)
-    lines = ["node\tbr"]
-    for dense, orig in enumerate(loaded.original_ids):
-        lines.append(f"{int(orig)}\t{table.values[dense]:.9g}")
-    _emit(args, "\n".join(lines) + "\n")
+    rows = zip(loaded.original_ids.tolist(), table.values.tolist())
+    _emit(args, "node\tbr\n" + "".join(f"{orig}\t{br:.9g}\n" for orig, br in rows))
     return 0
 
 
 def _cmd_rwcc(args) -> int:
     cfg = _config(args)
+    if args.horizon is not None and args.horizon < 1:
+        raise ValueError(f"horizon must be >= 1, got {args.horizon}")
     loaded = load_dataset(args.edges, args.colors)
     graph = loaded.graph
     horizon = args.horizon if args.horizon is not None else max(cfg.t - 2, 1)

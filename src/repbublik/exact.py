@@ -4,10 +4,10 @@ Every estimator and property test in the package is checked against these
 routines.  All of them run in O(t * |E|) per source/target via sparse
 matrix-vector products, so they stay practical for small and medium graphs
 while avoiding the cubic cost of Laplacian-based hitting-time solvers.
-Closeness for a whole pool of targets is one block pass
-(:func:`exact_rwcc_many`): the targets' columns are stepped together in
-chunks of at most ``BLOCK_ELEMENTS`` entries, with the bits of a
-one-target pass.
+Closeness for a whole pool of targets (:func:`exact_rwcc_many`) and the
+return-mass profiles behind :func:`exact_gamma` are block passes: the
+columns are stepped together in chunks of at most ``BLOCK_ELEMENTS``
+entries, with the bits of a one-column pass.
 """
 from __future__ import annotations
 
@@ -40,7 +40,8 @@ from .graph import (
 DP_TOL = 1e-9
 #: Probability mass below this (in absolute value) is clamped to zero.
 CLAMP = 1e-15
-#: Most entries in one n x width block of closeness target columns.
+#: Most entries in one n x width block of closeness target or return-mass
+#: columns.
 BLOCK_ELEMENTS = 1 << 21
 
 
@@ -176,22 +177,27 @@ def exact_first_passage(
 def _return_profiles(
     graph: ColoredGraph, nodes: np.ndarray, t_prime: int
 ) -> np.ndarray:
-    """Return-visit profiles of ``nodes``, all of one color, as one block.
+    """Return-visit profiles of ``nodes``, all of one color, in blocks.
 
-    Column j of the block is the distribution of the walk started at the
+    Column j of a block is the distribution of the walk started at the
     j-th node, zeroed on the opposite color after every step; row j of the
-    result is that node's ``p[0..t'-1]``.
+    result is that node's ``p[0..t'-1]``.  Blocks hold at most
+    ``BLOCK_ELEMENTS`` entries, and each column's arithmetic does not depend
+    on the block width.
     """
     avoid = graph.color_mask(opposite(graph.color_of(int(nodes[0]))))
-    cols = np.arange(nodes.size)
     profiles = np.zeros((nodes.size, t_prime))
     profiles[:, 0] = 1.0
-    block = np.zeros((graph.n, nodes.size))
-    block[nodes, cols] = 1.0
-    for step in range(1, t_prime):
-        block = _clamped(graph.matrix_t @ block)
-        block[avoid, :] = 0.0
-        profiles[:, step] = block[nodes, cols]
+    width = max(1, BLOCK_ELEMENTS // graph.n)
+    for lo in range(0, nodes.size, width):
+        chunk = nodes[lo : lo + width]
+        cols = np.arange(chunk.size)
+        block = np.zeros((graph.n, chunk.size))
+        block[chunk, cols] = 1.0
+        for step in range(1, t_prime):
+            block = _clamped(graph.matrix_t @ block)
+            block[avoid, :] = 0.0
+            profiles[lo + cols, step] = block[chunk, cols]
     return profiles
 
 
@@ -216,7 +222,7 @@ def exact_return_mass(
 def exact_gamma(graph: ColoredGraph, t: int) -> float:
     """max over nodes of the total return mass F_t(v).
 
-    One block pass per color steps the walks from all of the color's nodes
+    One chunked block pass per color steps the walks from the color's nodes
     together; each node's total is summed like :func:`exact_return_mass`.
     """
     if t < 1:

@@ -216,27 +216,37 @@ class WalkConfig:
             )
 
 
+#: Record layout of an edge table.  :func:`build_graph` reads an array of
+#: it as it is and converts any other edge iterable to one.
+EDGE_ROW = np.dtype([("src", np.int64), ("dst", np.int64), ("weight", np.float64)])
+
+
 def build_graph(
-    colors: Sequence[str], edges: Iterable[tuple[int, int, float]]
+    colors: Sequence[str] | np.ndarray,
+    edges: Iterable[tuple[int, int, float]] | np.ndarray,
 ) -> ColoredGraph:
     """Validate and assemble a colored graph from dense-id inputs.
 
-    Rows whose weight sum deviates from 1 by at most ``ROW_RENORM_TOL`` are
-    renormalized (clickstream data carries rounding noise); larger deviations
-    raise :class:`NonStochasticRow`.  Every node needs at least one out-edge,
-    self-loops and duplicate (src, dst) pairs are rejected.
+    ``edges`` is an iterable of ``(src, dst, weight)`` tuples or an array of
+    ``EDGE_ROW`` records.  Rows whose weight sum deviates from 1 by at most
+    ``ROW_RENORM_TOL`` are renormalized (clickstream data carries rounding
+    noise); larger deviations raise :class:`NonStochasticRow`.  Every node
+    needs at least one out-edge, self-loops and duplicate (src, dst) pairs are
+    rejected.
     """
-    color_arr = np.asarray(list(colors), dtype="<U1")
+    color_arr = np.asarray(
+        colors if isinstance(colors, np.ndarray) else list(colors), dtype=str
+    )
     n = color_arr.shape[0]
-    bad = ~np.isin(color_arr, (RED, BLUE))
+    bad = (color_arr != RED) & (color_arr != BLUE)
     if bad.any():
         v = int(np.flatnonzero(bad)[0])
-        raise UnknownColor(f"node {v} has color {color_arr[v]!r}, expected 'R' or 'B'")
+        raise UnknownColor(f"node {v} has color {str(color_arr[v])!r}, expected 'R' or 'B'")
+    color_arr = color_arr.astype("<U1")
 
-    edge_list = list(edges)
-    src = np.fromiter((e[0] for e in edge_list), dtype=np.int64, count=len(edge_list))
-    dst = np.fromiter((e[1] for e in edge_list), dtype=np.int64, count=len(edge_list))
-    wgt = np.fromiter((e[2] for e in edge_list), dtype=np.float64, count=len(edge_list))
+    if not (isinstance(edges, np.ndarray) and edges.dtype == EDGE_ROW):
+        edges = np.array([tuple(e) for e in edges], dtype=EDGE_ROW)
+    src, dst, wgt = edges["src"], edges["dst"], edges["weight"]
 
     if src.size:
         out_of_range = (src < 0) | (src >= n) | (dst < 0) | (dst >= n)
@@ -252,13 +262,15 @@ def build_graph(
             k = int(np.flatnonzero(~(np.isfinite(wgt) & (wgt > 0.0)))[0])
             raise NonStochasticRow(int(src[k]), float(wgt[k]), "edge weight must be positive")
 
-    order = np.lexsort((dst, src))
-    src, dst, wgt = src[order], dst[order], wgt[order]
-    if src.size > 1:
-        dup = (src[1:] == src[:-1]) & (dst[1:] == dst[:-1])
-        if dup.any():
-            k = int(np.flatnonzero(dup)[0])
-            raise DuplicateEdge(int(src[k]), int(dst[k]))
+    # One key per (src, dst) pair; a stable sort of it orders the edges as
+    # lexsort((dst, src)) does.
+    key = src * n + dst
+    order = np.argsort(key, kind="stable")
+    key, src, dst, wgt = key[order], src[order], dst[order], wgt[order]
+    dup = key[1:] == key[:-1]
+    if dup.any():
+        k = int(np.flatnonzero(dup)[0])
+        raise DuplicateEdge(int(src[k]), int(dst[k]))
 
     degree = np.bincount(src, minlength=n)
     if (degree == 0).any():

@@ -1,11 +1,14 @@
 """End-to-end CLI coverage over the documented verbs and exit codes."""
+import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from repbublik.cli import main
-from repbublik.errors import NonStochasticRow, ParseError, ZeroOutDegree
+from repbublik.graph import build_graph
+from repbublik.errors import NonStochasticRow, ParseError, UnknownColor, ZeroOutDegree
 from repbublik.harness import load_dataset
 
 
@@ -141,22 +144,153 @@ LOADER_FAULTS = {
     "empty-edges": ("", "0\tR\n1\tB\n", ZeroOutDegree, "no outgoing edge"),
     "duplicate-color": ("0\t1\t1.0\n1\t0\t1.0\n", "0\tR\n1\tB\n0\tB\n", ParseError,
                         "duplicate color"),
+    "long-color-label": ("0\t1\t1.0\n1\t0\t1.0\n", "0\tR\n1\tRed\n", UnknownColor,
+                         "c.tsv:2: color 'Red' is not 'R' or 'B'"),
+    "color-id-too-large": ("0\t1\t1.0\n1\t0\t1.0\n", f"0\tR\n1\tB\n{2**63}\tB\n",
+                           ParseError, f"c.tsv:3: node id must be below 2**63, got {2**63}"),
+    "edge-id-too-large": (f"0\t1\t1.0\n1\t0\t0.5\n{2**63}\t0\t0.5\n", "0\tR\n1\tB\n",
+                          ParseError, "e.tsv:3: source id must be below 2**63"),
+    "colorless-node": ("0\t1\t1.0\n1\t0\t0.5\n1\t7\t0.5\n", "0\tR\n1\tB\n", UnknownColor,
+                       "e.tsv:3: node 7 has no color entry"),
+    "colorless-node-between-ids": ("0\t2\t1.0\n2\t0\t0.5\n2\t1\t0.5\n", "0\tR\n2\tB\n",
+                                   UnknownColor, "e.tsv:3: node 1 has no color entry"),
+    "digit-separator": ("0\t1\t1.0\n1\t0\t1.0\n", "0\tR\n1_0\tB\n", ParseError,
+                        "c.tsv:2: bad node id '1_0'"),
 }
 
 
 @pytest.mark.parametrize("fault", sorted(LOADER_FAULTS))
 def test_loader_fault_is_a_typed_error(fault, tmp_path, capsys):
     edge_text, color_text, error, message = LOADER_FAULTS[fault]
-    edges, colors = tmp_path / "f.edges.tsv", tmp_path / "f.colors.tsv"
+    edges, colors = tmp_path / "e.tsv", tmp_path / "c.tsv"
     edges.write_text(edge_text)
     colors.write_text(color_text)
-    with pytest.raises(error, match=message):
+    with pytest.raises(error, match=re.escape(message)):
         load_dataset(edges, colors)
     code = main(["stats", "--edges", str(edges), "--colors", str(colors)])
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error:") and message in err
     assert "Traceback" not in err
+
+
+def _reference_load(edge_path, color_path):
+    """The per-line loader the array loader replaced, kept as the reference.
+
+    Ids follow the documented grammar (ASCII decimal digits with an optional
+    sign, in [0, 2**63)); otherwise this is the old loop line for line.
+    """
+    def parse_int(token, path, line_no, what):
+        digits = token.strip()
+        digits = digits[1:] if digits[:1] in ("+", "-") else digits
+        if not (digits.isascii() and digits.isdigit()):
+            raise ParseError(path, line_no, f"bad {what} {token!r}")
+        value = int(token)
+        if value < 0:
+            raise ParseError(path, line_no, f"{what} must be non-negative, got {value}")
+        if value >= 2**63:
+            raise ParseError(path, line_no, f"{what} must be below 2**63, got {value}")
+        return value
+
+    colors_by_node = {}
+    for line_no, line in enumerate(color_path.read_text().splitlines(), start=1):
+        if not line.strip():
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise ParseError(str(color_path), line_no, f"expected 2 fields, got {len(parts)}")
+        node = parse_int(parts[0], str(color_path), line_no, "node id")
+        if node in colors_by_node:
+            raise ParseError(str(color_path), line_no, f"duplicate color for node {node}")
+        if parts[1] not in ("R", "B"):
+            raise UnknownColor(f"{color_path}:{line_no}: color {parts[1]!r} is not 'R' or 'B'")
+        colors_by_node[node] = parts[1]
+    original_ids = np.asarray(sorted(colors_by_node), dtype=np.int64)
+    dense_ids = {int(orig): i for i, orig in enumerate(original_ids)}
+
+    edges = []
+    for line_no, line in enumerate(edge_path.read_text().splitlines(), start=1):
+        if not line.strip():
+            continue
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise ParseError(str(edge_path), line_no, f"expected 3 fields, got {len(parts)}")
+        src = parse_int(parts[0], str(edge_path), line_no, "source id")
+        dst = parse_int(parts[1], str(edge_path), line_no, "target id")
+        try:
+            weight = float(parts[2])
+        except ValueError:
+            raise ParseError(str(edge_path), line_no, f"bad weight {parts[2]!r}") from None
+        for node in (src, dst):
+            if node not in dense_ids:
+                raise UnknownColor(f"{edge_path}:{line_no}: node {node} has no color entry")
+        edges.append((dense_ids[src], dense_ids[dst], weight))
+    graph = build_graph([colors_by_node[int(v)] for v in original_ids], edges)
+    return graph, original_ids, dense_ids
+
+
+def _write_lines(path, lines, rng, noise):
+    """Write TSV lines, with blank and whitespace-only lines, CRLF and a
+    missing final newline mixed in when ``noise`` is set."""
+    if noise:
+        for _ in range(int(rng.integers(1, 4))):
+            pos = int(rng.integers(0, len(lines) + 1))
+            lines.insert(pos, str(rng.choice(["", " ", "\t", " \t ", "  "])))
+    newline = "\r\n" if noise and rng.random() < 0.5 else "\n"
+    text = newline.join(lines)
+    if not (noise and rng.random() < 0.5):
+        text += newline
+    path.write_bytes(text.encode())
+
+
+def test_array_loader_matches_per_line_reference(tmp_path):
+    from conftest import random_polarized
+
+    rng = np.random.default_rng(2101)
+    edges_path, colors_path = tmp_path / "e.tsv", tmp_path / "c.tsv"
+    for case in range(30):
+        graph, _ = random_polarized(rng)
+        if case % 3 == 0:  # already dense
+            ids = np.arange(graph.n)
+        else:  # sparse, up to the largest id
+            ids = np.unique(rng.integers(0, 2**63 - 1, size=3 * graph.n, dtype=np.int64))
+            ids = rng.permutation(ids)[: graph.n]
+            ids[0] = 2**63 - 1
+        src = np.repeat(np.arange(graph.n), np.diff(graph.indptr))
+        edge_lines = [
+            f"{ids[s]}\t{ids[d]}\t{w!r}"
+            for s, d, w in zip(src.tolist(), graph.targets.tolist(), graph.weights.tolist())
+        ]
+        color_lines = [f"{ids[v]}\t{graph.color_of(v)}" for v in range(graph.n)]
+        noise = case % 2 == 1
+        _write_lines(edges_path, [edge_lines[i] for i in rng.permutation(len(edge_lines))],
+                     rng, noise)
+        _write_lines(colors_path, [color_lines[i] for i in rng.permutation(graph.n)],
+                     rng, noise)
+
+        loaded = load_dataset(edges_path, colors_path)
+        ref_graph, ref_ids, ref_dense = _reference_load(edges_path, colors_path)
+        for name in ("colors", "indptr", "targets", "weights"):
+            got, expected = getattr(loaded.graph, name), getattr(ref_graph, name)
+            assert got.dtype == expected.dtype and np.array_equal(got, expected)
+        assert np.array_equal(loaded.original_ids, ref_ids)
+        assert loaded.dense_ids == ref_dense
+        assert np.array_equal(np.sort(ids), loaded.original_ids)
+
+
+@pytest.mark.parametrize("fault", sorted(LOADER_FAULTS))
+def test_loader_fault_matches_per_line_reference(fault, tmp_path):
+    edge_text, color_text, error, _ = LOADER_FAULTS[fault]
+    edges, colors = tmp_path / "e.tsv", tmp_path / "c.tsv"
+    edges.write_text(edge_text)
+    colors.write_text(color_text)
+    with pytest.raises(error) as ref:
+        _reference_load(edges, colors)
+    with pytest.raises(error) as got:
+        load_dataset(edges, colors)
+    assert type(got.value) is type(ref.value)
+    assert str(got.value) == str(ref.value)
+    assert getattr(got.value, "line_no", None) == getattr(ref.value, "line_no", None)
 
 
 def test_crlf_files_load_like_lf(g2_files, tmp_path, capsys):
@@ -171,6 +305,25 @@ def test_crlf_files_load_like_lf(g2_files, tmp_path, capsys):
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]
     assert outputs[0].splitlines()[1] == "0\t3.5"
+
+
+@pytest.mark.parametrize("backend", ["exact", "mc"])
+def test_rwcc_horizon_below_one_exits_1(tmp_path, backend, capsys):
+    # Nothing is parochial on the two-node swap graph, so no closeness call
+    # would ever see the horizon.
+    edges, colors = tmp_path / "swap.edges.tsv", tmp_path / "swap.colors.tsv"
+    edges.write_text("0\t1\t1.0\n1\t0\t1.0\n")
+    colors.write_text("0\tR\n1\tB\n")
+    for horizon in ("0", "-2"):
+        code = main([
+            "rwcc", "--edges", str(edges), "--colors", str(colors), "--t", "4",
+            "--theta-good", "1.5", "--theta-bad", "2.0", "--backend", backend,
+            "--horizon", horizon,
+        ])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert f"error: horizon must be >= 1, got {horizon}" in captured.err
+        assert captured.out == ""
 
 
 def test_epsilon_one_reaches_the_estimator(g2_files, monkeypatch, capsys):

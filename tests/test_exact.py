@@ -225,6 +225,30 @@ class TestRwccBlock:
             exact_rwcc_many(g2, [0, 4], {0, 1}, 4)
 
 
+class TestReturnMassBlock:
+    """Return-mass profiles and gamma keep their bits at any block width."""
+
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_equal_to_default_width(
+        self, width, monkeypatch, g1, g2, all_red_cycle, red_two_cycle
+    ):
+        default = repbublik.exact.BLOCK_ELEMENTS
+
+        def masses(graph, horizon):
+            per_node = [exact_return_mass(graph, v, horizon) for v in range(graph.n)]
+            return exact_gamma(graph, horizon), [(p.tolist(), f) for p, f in per_node]
+
+        fixtures = [(g1, 5), (g2, 4), (all_red_cycle, 6), (red_two_cycle, 3)]
+        checked = 0
+        for graph, t in fixtures + _random_cases():
+            for horizon in sorted({1, 2, t}):
+                monkeypatch.setattr(repbublik.exact, "BLOCK_ELEMENTS", default)
+                expected = masses(graph, horizon)
+                monkeypatch.setattr(repbublik.exact, "BLOCK_ELEMENTS", graph.n * width)
+                assert masses(graph, horizon) == expected
+                checked += 1
+        assert checked > 60
+
 class TestExactGain:
     def test_empty_plan_is_identity(self, g2):
         assert exact_gain(g2, [0, 1, 2], [], 4) == 0.0

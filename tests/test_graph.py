@@ -62,6 +62,24 @@ class TestBuildGraph:
         with pytest.raises(UnknownColor):
             build_graph(["R", "G"], [(0, 1, 1.0), (1, 0, 1.0)])
 
+    @pytest.mark.parametrize("labels", [["Red", "Blue"], ["R", "Rx"], ["B ", "R"]])
+    def test_longer_color_label_rejected_not_truncated(self, labels):
+        with pytest.raises(UnknownColor, match="expected 'R' or 'B'"):
+            build_graph(labels, [(0, 1, 1.0), (1, 0, 1.0)])
+        with pytest.raises(UnknownColor):
+            build_graph(np.asarray(labels), [(0, 1, 1.0), (1, 0, 1.0)])
+
+    def test_edge_order_matches_lexsort(self):
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            graph, _ = random_polarized(rng)
+            src = np.repeat(np.arange(graph.n), np.diff(graph.indptr))
+            order = rng.permutation(src.size)
+            s, d, w = src[order], graph.targets[order], graph.weights[order]
+            rebuilt = build_graph(graph.colors, list(zip(s.tolist(), d.tolist(), w.tolist())))
+            by_lexsort = np.lexsort((d, s))
+            assert np.array_equal(rebuilt.targets, d[by_lexsort])
+
     def test_edge_to_uncolored_node_rejected(self):
         with pytest.raises(UnknownColor):
             build_graph(["R", "B"], [(0, 2, 1.0), (1, 0, 1.0)])
