@@ -35,7 +35,7 @@ def main() -> None:
     print(f"gadget: {graph.n} nodes, sink = node {gadget.sink}")
     print(f"element Bubble Radii: {table.values[gadget.elements]}")
     print(f"subset  Bubble Radii: {table.values[gadget.subsets]}")
-    print(f"parochial nodes: {sorted(part.parochial)}")
+    print(f"parochial nodes: {part.parochial.tolist()}")
     print(f"structural bias: {structural_bias(table, part):.3f}")
 
     plan = repbublik_plus(graph, "R", args.elements, cfg)
@@ -43,7 +43,7 @@ def main() -> None:
     new_table = exact_br(healed, args.t)
     new_part = classify(new_table, healed.colors, cfg.theta_good, cfg.theta_bad)
     print(f"inserted {len(plan)} edges: {[(e.src, e.dst) for e in plan.edges]}")
-    print(f"parochial after repair: {sorted(new_part.parochial)}")
+    print(f"parochial after repair: {new_part.parochial.tolist()}")
     print(f"structural bias after repair: {structural_bias(new_table, new_part):.3f}")
 
 

@@ -49,7 +49,7 @@ def main() -> None:
     universe = candidate_universe(graph, part)
     print(
         f"graph: {graph.n} nodes, {graph.edge_count} edges, "
-        f"{len(part.parochial)} parochial, candidate universe {universe}"
+        f"{part.parochial.size} parochial, candidate universe {universe}"
     )
 
     budgets = [1, 2, 4, 8, 16, 32, 64, 128, 256, 512]

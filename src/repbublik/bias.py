@@ -8,8 +8,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import BothColorsUnbiased, EmptySourceSet, ThresholdOrder
-from .exact import BrTable, _node_set, exact_br, exact_gain
+from .errors import BothColorsUnbiased, EmptySourceSet, ThresholdOrder, UnknownColor
+from .exact import BrTable, _node_set, exact_br, exact_gain, parochial_nodes
 from .graph import (
     BLUE,
     RED,
@@ -38,26 +38,35 @@ def br_table(
     raise ValueError(f"unknown backend {backend!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BiasPartition:
-    """Cosmopolitan and per-color parochial node sets for one threshold pair.
+    """Cosmopolitan and per-color parochial nodes for one threshold pair,
+    each a sorted, read-only int64 array.
 
     The two groups are disjoint but need not cover all nodes: anything with
     a Bubble Radius strictly between the thresholds belongs to neither.
     """
 
-    cosmopolitan: frozenset[int]
-    parochial_red: frozenset[int]
-    parochial_blue: frozenset[int]
+    cosmopolitan: np.ndarray
+    parochial_red: np.ndarray
+    parochial_blue: np.ndarray
     theta_good: float
     theta_bad: float
 
-    @property
-    def parochial(self) -> frozenset[int]:
-        return self.parochial_red | self.parochial_blue
+    def __post_init__(self):
+        for arr in (self.cosmopolitan, self.parochial_red, self.parochial_blue):
+            arr.setflags(write=False)
 
-    def parochial_of(self, color: str) -> frozenset[int]:
-        return self.parochial_red if color == RED else self.parochial_blue
+    @property
+    def parochial(self) -> np.ndarray:
+        return np.union1d(self.parochial_red, self.parochial_blue)
+
+    def parochial_of(self, color: str) -> np.ndarray:
+        if color == RED:
+            return self.parochial_red
+        if color == BLUE:
+            return self.parochial_blue
+        raise UnknownColor(f"unknown color {color!r}")
 
 
 def classify(
@@ -72,14 +81,11 @@ def classify(
             f"need 1 <= theta_good < theta_bad <= {br.t}, got "
             f"theta_good={theta_good}, theta_bad={theta_bad}"
         )
-    color_arr = np.asarray(colors)
-    values = br.values
-    cosmo = np.flatnonzero(values <= theta_good)
-    bad = values >= theta_bad
+    colors = np.asarray(colors)
     return BiasPartition(
-        cosmopolitan=frozenset(int(v) for v in cosmo),
-        parochial_red=frozenset(int(v) for v in np.flatnonzero(bad & (color_arr == RED))),
-        parochial_blue=frozenset(int(v) for v in np.flatnonzero(bad & (color_arr == BLUE))),
+        cosmopolitan=np.flatnonzero(br.values <= theta_good),
+        parochial_red=parochial_nodes(colors, br, RED, theta_bad),
+        parochial_blue=parochial_nodes(colors, br, BLUE, theta_bad),
         theta_good=float(theta_good),
         theta_bad=float(theta_bad),
     )
@@ -89,13 +95,8 @@ def structural_bias(
     br: BrTable, partition: BiasPartition, color: str | None = None
 ) -> float:
     """Sum of the Bubble Radii of the parochial nodes (optionally one color)."""
-    if color is None:
-        nodes = partition.parochial
-    else:
-        nodes = partition.parochial_of(color)
-    if not nodes:
-        return 0.0
-    return float(br.values[sorted(nodes)].sum())
+    nodes = partition.parochial if color is None else partition.parochial_of(color)
+    return float(br.values[nodes].sum())
 
 
 def gain(

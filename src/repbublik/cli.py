@@ -9,11 +9,14 @@ import argparse
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .bias import classify
 from .errors import RepbublikError, UnknownColor
 from .graph import BLUE, RED, WalkConfig
 from .harness import (
     candidate_universe,
+    dataset_stats,
     default_k_values,
     emit_plotdata,
     generate_gadget,
@@ -65,8 +68,8 @@ def _emit(args: argparse.Namespace, text: str) -> None:
 
 def _cmd_stats(args) -> int:
     cfg = _config(args)
-    loaded = load_dataset(args.edges, args.colors, cfg, args.backend)
-    s = loaded.stats
+    loaded = load_dataset(args.edges, args.colors)
+    s = dataset_stats(loaded.graph, cfg, args.backend)
     lines = [
         "metric\tvalue",
         f"n_red\t{s.n_red}",
@@ -103,23 +106,23 @@ def _cmd_rwcc(args) -> int:
     if args.node is not None:
         if args.node not in loaded.dense_ids:
             raise UnknownColor(f"node {args.node} has no color entry")
-        nodes = [loaded.dense_ids[args.node]]
+        nodes = np.array([loaded.dense_ids[args.node]])
     else:
-        nodes = sorted(partition.parochial)
+        nodes = partition.parochial
     values: dict[int, float] = {}
     for color in (RED, BLUE):
-        members = [v for v in nodes if graph.color_of(v) == color]
-        if not members:
+        members = nodes[graph.colors[nodes] == color]
+        if not members.size:
             continue
         # Centrality w.r.t. the parochial set of the color; fall back to all
         # nodes of the color when none is parochial.
-        pool = sorted(partition.parochial_of(color))
-        if not pool:
-            pool = [int(u) for u in graph.nodes_of(color)]
+        pool = partition.parochial_of(color)
+        if not pool.size:
+            pool = graph.nodes_of(color)
         scores = closeness(graph, members, pool, horizon, cfg, args.backend, cfg.seed)
-        values.update(zip(members, scores))
+        values.update(zip(members.tolist(), scores))
     lines = ["node\trwcc"]
-    for v in nodes:
+    for v in nodes.tolist():
         lines.append(f"{int(loaded.original_ids[v])}\t{values[v]:.9g}")
     _emit(args, "\n".join(lines) + "\n")
     return 0

@@ -341,11 +341,11 @@ def exact_gain(
 
 
 def parochial_nodes(
-    graph: ColoredGraph, br: BrTable, color: str, theta_bad: float
+    colors: np.ndarray, br: BrTable, color: str, theta_bad: float
 ) -> np.ndarray:
-    """Nodes of ``color`` whose Bubble Radius is at least ``theta_bad``."""
-    mask = graph.color_mask(color) & (br.values >= theta_bad)
-    return np.flatnonzero(mask)
+    """Nodes of ``color``, ascending, whose Bubble Radius is at least
+    ``theta_bad``: the one parochial rule of the package."""
+    return np.flatnonzero((colors == color) & (br.values >= theta_bad))
 
 
 def brute_force_opt(
@@ -371,7 +371,7 @@ def brute_force_opt(
         return InsertionPlan(edges=(), color=color, requested=0), 0.0
 
     br = exact_br(graph, t)
-    parochial = parochial_nodes(graph, br, color, theta_bad)
+    parochial = parochial_nodes(graph.colors, br, color, theta_bad)
     others = graph.nodes_of(opposite(color))
     candidates = [
         (int(v), int(w))

@@ -67,7 +67,6 @@ class DatasetStats:
 @dataclass(frozen=True)
 class LoadedDataset:
     graph: ColoredGraph
-    stats: DatasetStats
     original_ids: np.ndarray        # dense id -> original id
     dense_ids: dict[int, int]       # original id -> dense id
 
@@ -122,8 +121,8 @@ def dataset_stats(
     if cfg is not None:
         table = br_table(graph, cfg, backend, cfg.seed)
         part = classify(table, graph.colors, cfg.theta_good, cfg.theta_bad)
-        pct_red = 100.0 * len(part.parochial_red) / n_red if n_red else 0.0
-        pct_blue = 100.0 * len(part.parochial_blue) / n_blue if n_blue else 0.0
+        pct_red = 100.0 * part.parochial_red.size / n_red if n_red else 0.0
+        pct_blue = 100.0 * part.parochial_blue.size / n_blue if n_blue else 0.0
     return DatasetStats(
         n_red=n_red,
         n_blue=n_blue,
@@ -257,19 +256,14 @@ def _dense_edges(rows: np.ndarray, original_ids: np.ndarray) -> np.ndarray | Non
     return rows
 
 
-def load_dataset(
-    edge_path: str | Path,
-    color_path: str | Path,
-    cfg: WalkConfig | None = None,
-    backend: str = "exact",
-) -> LoadedDataset:
+def load_dataset(edge_path: str | Path, color_path: str | Path) -> LoadedDataset:
     """Load `src<TAB>dst<TAB>weight` edges and `node<TAB>R|B` colors.
 
     Original node ids may be any integers in [0, 2**63); they are compacted
     to dense 0..n-1 ids (ascending original order) and the mapping is
-    returned alongside the graph and its stats row.  Blank lines are
-    skipped.  Each file is parsed in one array pass; a bad file is scanned
-    line by line to name its first bad line.
+    returned alongside the graph; :func:`dataset_stats` makes its stats
+    row.  Blank lines are skipped.  Each file is parsed in one array pass;
+    a bad file is scanned line by line to name its first bad line.
     """
     color_path, edge_path = Path(color_path), Path(edge_path)
     original_ids, colors = _read_tsv(
@@ -283,10 +277,7 @@ def load_dataset(
         lambda path, lines: _check_edge_lines(path, lines, dense_ids),
     )
     graph = build_graph(colors, edges)
-    stats = dataset_stats(graph, cfg, backend)
-    return LoadedDataset(
-        graph=graph, stats=stats, original_ids=original_ids, dense_ids=dense_ids
-    )
+    return LoadedDataset(graph=graph, original_ids=original_ids, dense_ids=dense_ids)
 
 
 def write_dataset(graph: ColoredGraph, edge_path: str | Path, color_path: str | Path) -> None:
@@ -418,15 +409,18 @@ def generate_polarized(
 
 
 def candidate_universe(graph: ColoredGraph, partition: BiasPartition) -> int:
-    """Number of insertable cross-color edges with parochial sources."""
+    """Number of insertable cross-color edges with parochial sources: per
+    color, every (parochial, opposite-color) pair minus the cross-color
+    edges the parochial nodes already have."""
+    src = np.repeat(np.arange(graph.n), np.diff(graph.indptr))
+    red = graph.color_mask(RED)
+    cross = red[src] != red[graph.targets]
+    cross_out_degree = np.bincount(src[cross], minlength=graph.n)
     total = 0
     for color in (RED, BLUE):
-        parochial = sorted(partition.parochial_of(color))
+        parochial = partition.parochial_of(color)
         n_other = int(graph.color_mask(opposite(color)).sum())
-        other_mask = graph.color_mask(opposite(color))
-        for v in parochial:
-            targets, _ = graph.row(v)
-            total += n_other - int(other_mask[targets].sum())
+        total += parochial.size * n_other - int(cross_out_degree[parochial].sum())
     return total
 
 
@@ -463,7 +457,7 @@ def run_sweep(
     partition = classify(base_br, graph.colors, cfg.theta_good, cfg.theta_bad)
     y_red = structural_bias(base_br, partition, RED)
     y_blue = structural_bias(base_br, partition, BLUE)
-    parochial = np.asarray(sorted(partition.parochial), dtype=np.int64)
+    parochial = partition.parochial
     universe = candidate_universe(graph, partition)
 
     records: list[ExperimentRecord] = []
@@ -497,8 +491,9 @@ def _run_cell(
     universe: int,
     measure_runtime: bool,
 ) -> ExperimentRecord:
-    pct_candidate = 100.0 * k / universe if universe else 0.0
     started = time.perf_counter()
+    delta = healed = float("nan")
+    error = None
     try:
         try:
             k_red, k_blue = budget_allocation(y_red, y_blue, k)
@@ -514,37 +509,27 @@ def _run_cell(
         grown = apply_plan(graph, edges)
         new_br = br_table(grown, cfg, backend, derive_seed(seed, _TAG_EVAL))
         if parochial.size:
-            delta = float(
-                np.mean(base_br.values[parochial] - new_br.values[parochial])
-            )
             new_partition = classify(
                 new_br, grown.colors, cfg.theta_good, cfg.theta_bad
             )
-            healed = (parochial.size - len(new_partition.parochial)) / parochial.size
+            delta = float(
+                np.mean(base_br.values[parochial] - new_br.values[parochial])
+            )
+            healed = (parochial.size - new_partition.parochial.size) / parochial.size
         else:
             delta, healed = 0.0, 0.0
-        runtime = (time.perf_counter() - started) * 1000.0 if measure_runtime else 0.0
-        return ExperimentRecord(
-            algorithm=algo,
-            budget=k,
-            pct_candidate=pct_candidate,
-            delta=delta,
-            pct_parochial=float(healed),
-            seed=seed,
-            runtime_ms=runtime,
-        )
     except (RepbublikError, ValueError) as exc:  # record the failure, keep sweeping
-        runtime = (time.perf_counter() - started) * 1000.0 if measure_runtime else 0.0
-        return ExperimentRecord(
-            algorithm=algo,
-            budget=k,
-            pct_candidate=pct_candidate,
-            delta=float("nan"),
-            pct_parochial=float("nan"),
-            seed=seed,
-            runtime_ms=runtime,
-            error=f"{type(exc).__name__}: {exc}",
-        )
+        error = f"{type(exc).__name__}: {exc}"
+    return ExperimentRecord(
+        algorithm=algo,
+        budget=k,
+        pct_candidate=100.0 * k / universe if universe else 0.0,
+        delta=delta,
+        pct_parochial=healed,
+        seed=seed,
+        runtime_ms=(time.perf_counter() - started) * 1000.0 if measure_runtime else 0.0,
+        error=error,
+    )
 
 
 def default_k_values(k_max: int, universe: int | None = None) -> list[int]:

@@ -55,7 +55,7 @@ def _parochial_pool(
 ) -> tuple[BrTable, np.ndarray]:
     """BR table of one scoring round and the parochial nodes of ``color``."""
     br = br_table(graph, cfg, backend, derive_seed(seed, _TAG_BR, round_no))
-    return br, parochial_nodes(graph, br, color, cfg.theta_bad)
+    return br, parochial_nodes(graph.colors, br, color, cfg.theta_bad)
 
 
 def _prologue(
@@ -116,6 +116,14 @@ def _centralities(
     if cfg.t - 2 < 1 or pool.size == 0:
         return np.zeros(pool.size)
     return closeness(graph, pool, pool, cfg.t - 2, cfg, backend, seed)
+
+
+def _oracle_weights(
+    graph: ColoredGraph, pool: np.ndarray, planned: np.ndarray
+) -> np.ndarray:
+    """``weight_oracle(graph, v, planned=planned[v])`` for every v in pool,
+    bit for bit: 1.0 divided by the same integer."""
+    return 1.0 / (graph.indptr[pool + 1] - graph.indptr[pool] + planned[pool] + 1)
 
 
 def _legal_targets(
@@ -195,7 +203,7 @@ def repbublik(
     rng = stream(seed, _TAG_TARGET)
     current = graph
     edges: list[EdgeInsertion] = []
-    planned: dict[int, int] = {}  # edges planned per source
+    planned = np.zeros(graph.n, dtype=np.int64)  # edges planned per source
     for round_no in range(budget):
         if round_no > 0:
             br, pool = _parochial_pool(current, color, cfg, seed, backend, round_no)
@@ -204,17 +212,14 @@ def repbublik(
         scores = _centralities(
             current, pool, cfg, backend, derive_seed(seed, _TAG_RWCC, round_no)
         )
-        oracle = np.array([
-            weight_oracle(graph, v, planned=planned.get(v, 0)) for v in pool.tolist()
-        ])
-        scores = scores * oracle
-        source = int(pool[int(np.argmax(scores))])  # argmax returns the first max
+        weights = _oracle_weights(graph, pool, planned)
+        i = int(np.argmax(scores * weights))  # argmax returns the first max
+        source = int(pool[i])
         target = _pick_target(_legal_targets(current, source), source, policy, br, rng)
-        weight = weight_oracle(graph, source, planned=planned.get(source, 0))
-        edge = EdgeInsertion(source, target, weight)
+        edge = EdgeInsertion(source, target, float(weights[i]))
         current = insert_edge(current, edge)
         edges.append(edge)
-        planned[source] = planned.get(source, 0) + 1
+        planned[source] += 1
     return InsertionPlan(edges=tuple(edges), color=color, requested=budget)
 
 
@@ -248,14 +253,13 @@ def repbublik_plus(
     target_br = br_table(graph, cfg, backend, seed) if policy == "lowest-br" else None
     rng = stream(seed, _TAG_TARGET)
 
-    degree = np.diff(graph.indptr)[pool]
-    eta = np.ones(pool.size, dtype=np.int64)
+    planned = np.zeros(graph.n, dtype=np.int64)  # edges planned per source
     open_ = np.ones(pool.size, dtype=bool)  # sources with legal targets left
     taken: dict[int, list[int]] = {}
     edges: list[EdgeInsertion] = []
     while len(edges) < budget and open_.any():
-        # weight_oracle(graph, v, edges) == 1 / (degree + eta), bit for bit.
-        weight = 1.0 / (degree + eta)
+        weight = _oracle_weights(graph, pool, planned)
+        eta = planned[pool] + 1
         score = base * weight / eta
         ranked = np.lexsort((pool, eta, -score))
         i = int(ranked[open_[ranked]][0])
@@ -269,7 +273,7 @@ def repbublik_plus(
             continue
         edges.append(EdgeInsertion(v, target, float(weight[i])))
         taken.setdefault(v, []).append(target)
-        eta[i] += 1
+        planned[v] += 1
     return InsertionPlan(edges=tuple(edges), color=color, requested=budget)
 
 
@@ -354,7 +358,7 @@ def baseline_rwcn(
     """Like the central baseline, but ranks by centrality * oracle weight."""
     seed, _, pool = _prologue(graph, color, budget, cfg, seed, backend)
     scores = _centralities(graph, pool, cfg, backend, derive_seed(seed, _TAG_RWCC, 0))
-    scores = scores * np.array([weight_oracle(graph, int(v)) for v in pool])
+    scores = scores * _oracle_weights(graph, pool, np.zeros(graph.n, dtype=np.int64))
     top = _top_pool(pool, scores)
     return _random_plan(graph, top, color, budget, stream(seed, _TAG_BASELINE, 2))
 

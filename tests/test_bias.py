@@ -16,20 +16,25 @@ from repbublik import (
     generate_gadget,
     structural_bias,
 )
-from repbublik.errors import BothColorsUnbiased, EmptySourceSet, ThresholdOrder
+from repbublik.errors import (
+    BothColorsUnbiased,
+    EmptySourceSet,
+    ThresholdOrder,
+    UnknownColor,
+)
 
 
 class TestClassify:
     def test_g1_all_cosmopolitan(self, g1):
         part = classify(exact_br(g1, 5), g1.colors, 2.0, 2.5)
-        assert part.cosmopolitan == {0, 1}
-        assert not part.parochial
+        assert part.cosmopolitan.tolist() == [0, 1]
+        assert part.parochial.size == 0
 
     def test_gadget_elements_only(self):
         gadget = generate_gadget(3, [[0, 1], [1, 2], [2]], 6)
         part = classify(exact_br(gadget.graph, 6), gadget.graph.colors, 2.0, 3.0)
-        assert part.parochial == set(int(v) for v in gadget.elements)
-        assert part.parochial_blue == frozenset()
+        assert part.parochial.tolist() == gadget.elements.tolist()
+        assert part.parochial_blue.size == 0
 
     def test_boundaries_inclusive(self):
         values = np.array([2.0, 2.5, 3.0])
@@ -57,8 +62,32 @@ class TestClassify:
             BrTable(values=permuted_values, t=4, provenance="exact"),
             permuted_colors, 1.5, 2.5,
         )
-        assert part2.parochial == {int(perm[v]) for v in part.parochial}
-        assert part2.cosmopolitan == {int(perm[v]) for v in part.cosmopolitan}
+        assert part2.parochial.tolist() == sorted(perm[part.parochial].tolist())
+        assert part2.cosmopolitan.tolist() == sorted(perm[part.cosmopolitan].tolist())
+
+    def test_arrays_follow_the_per_color_rule(self):
+        rng = np.random.default_rng(61)
+        from conftest import random_polarized
+
+        for _ in range(20):
+            graph, t = random_polarized(rng, n_max=30)
+            table = exact_br(graph, t)
+            part = classify(table, graph.colors, 1.5, t / 2)
+            for arr in (part.cosmopolitan, part.parochial_red, part.parochial_blue):
+                assert arr.dtype == np.int64 and not arr.flags.writeable
+            for color, got in (("R", part.parochial_red), ("B", part.parochial_blue)):
+                want = [
+                    v for v in range(graph.n)
+                    if graph.color_of(v) == color and table.values[v] >= t / 2
+                ]
+                assert got.tolist() == want
+                assert part.parochial_of(color) is got
+            assert part.parochial.tolist() == sorted(
+                part.parochial_red.tolist() + part.parochial_blue.tolist()
+            )
+            assert part.cosmopolitan.tolist() == [
+                v for v in range(graph.n) if table.values[v] <= 1.5
+            ]
 
 
 class TestStructuralBias:
@@ -82,6 +111,15 @@ class TestStructuralBias:
         table = exact_br(g2, 4)
         part = classify(table, g2.colors, 1.5, 2.5)
         assert structural_bias(table, part) >= part.theta_bad * len(part.parochial)
+
+    def test_unknown_color_rejected(self):
+        table = BrTable(values=np.array([4.0, 4.0, 1.0]), t=5, provenance="exact")
+        part = classify(table, ["R", "B", "B"], 2.0, 4.0)
+        assert structural_bias(table, part, "B") == 4.0
+        with pytest.raises(UnknownColor):
+            part.parochial_of("X")
+        with pytest.raises(UnknownColor):
+            structural_bias(table, part, "X")
 
     def test_per_color_split(self, g2):
         table = exact_br(g2, 4)

@@ -40,7 +40,7 @@ def g1_files(tmp_path):
 class TestLoadDataset:
     def test_g1_stats(self, g1_files):
         loaded = load_dataset(*g1_files)
-        s = loaded.stats
+        s = dataset_stats(loaded.graph)
         assert (s.n_red, s.n_blue) == (1, 1)
         assert (s.edges_red_to_blue, s.edges_blue_to_red) == (1, 1)
         assert s.edge_count == 2
@@ -80,8 +80,11 @@ class TestLoadDataset:
 
     def test_stats_recomputation_matches(self, g1_files):
         cfg = WalkConfig(t=5, theta_good=2.0, theta_bad=2.5)
-        loaded = load_dataset(*g1_files, cfg=cfg)
-        assert dataset_stats(loaded.graph, cfg) == loaded.stats
+        graph = load_dataset(*g1_files).graph
+        s = dataset_stats(graph, cfg)
+        assert s == dataset_stats(graph, cfg)
+        assert (s.pct_parochial_red, s.pct_parochial_blue) == (0.0, 0.0)
+        assert dataset_stats(graph).pct_parochial_red is None
 
 
 class TestGenerateGadget:
@@ -166,15 +169,23 @@ class TestRunSweep:
         assert records[0].pct_parochial == pytest.approx(1.0)
 
     def test_candidate_universe_by_enumeration(self, gadget6):
-        graph = gadget6.graph
-        part = classify(exact_br(graph, 6), graph.colors, 2.0, 3.0)
-        by_hand = sum(
-            1
-            for v in part.parochial
-            for w in range(graph.n)
-            if graph.color_of(w) != graph.color_of(v) and not graph.has_edge(v, w)
-        )
-        assert candidate_universe(graph, part) == by_hand == 3
+        from conftest import random_polarized
+
+        rng = np.random.default_rng(23)
+        cases = [(gadget6.graph, 6)] + [random_polarized(rng) for _ in range(24)]
+        counts = []
+        for graph, t in cases:
+            part = classify(exact_br(graph, t), graph.colors, 2.0, t / 2)
+            by_hand = sum(
+                1
+                for v in part.parochial.tolist()
+                for w in range(graph.n)
+                if graph.color_of(w) != graph.color_of(v) and not graph.has_edge(v, w)
+            )
+            assert candidate_universe(graph, part) == by_hand
+            counts.append(by_hand)
+        assert counts[0] == 3
+        assert sum(c > 0 for c in counts) >= 20
 
     def test_byte_identical_reruns(self, gadget6, tmp_path):
         cfg = WalkConfig(t=6, theta_good=2.0, theta_bad=3.0, seed=1)
