@@ -8,8 +8,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import BothColorsUnbiased, EmptySourceSet, ThresholdOrder, UnknownColor
-from .exact import BrTable, _node_set, exact_br, exact_gain, parochial_nodes
+from .errors import BothColorsUnbiased, UnknownColor
+from .exact import BrTable, _gain, exact_br, exact_gain, parochial_nodes
 from .graph import (
     BLUE,
     RED,
@@ -17,7 +17,8 @@ from .graph import (
     EdgeInsertion,
     InsertionPlan,
     WalkConfig,
-    apply_plan,
+    check_count,
+    check_thresholds,
 )
 from .montecarlo import estimate_br
 
@@ -76,11 +77,7 @@ def classify(
     theta_bad: float,
 ) -> BiasPartition:
     """Split nodes by Bubble Radius; both threshold boundaries are inclusive."""
-    if not 1.0 <= theta_good < theta_bad <= br.t:
-        raise ThresholdOrder(
-            f"need 1 <= theta_good < theta_bad <= {br.t}, got "
-            f"theta_good={theta_good}, theta_bad={theta_bad}"
-        )
+    check_thresholds(theta_good, theta_bad, br.t)
     colors = np.asarray(colors)
     return BiasPartition(
         cosmopolitan=np.flatnonzero(br.values <= theta_good),
@@ -112,21 +109,16 @@ def gain(
     The Monte Carlo backend estimates the before/after tables with the same
     seed, so walk noise largely cancels in the difference.
     """
-    targets = _node_set(graph, nodes)
-    if targets.size == 0:
-        raise EmptySourceSet("gain needs a non-empty node set")
     if backend == "exact":
-        return exact_gain(graph, targets, plan, t)
+        return exact_gain(graph, nodes, plan, t)
     if backend != "mc":
         raise ValueError(f"unknown backend {backend!r}")
     if cfg is None:
         raise ValueError("the mc backend needs a WalkConfig for epsilon/delta/seed")
-    edges = tuple(plan)
-    if not edges:
-        return 0.0
-    before = estimate_br(graph, t, cfg.epsilon, cfg.delta, cfg.seed)
-    after = estimate_br(apply_plan(graph, edges), t, cfg.epsilon, cfg.delta, cfg.seed)
-    return float(np.mean(before.values[targets] - after.values[targets]))
+    return _gain(
+        graph, nodes, plan, t,
+        lambda g: estimate_br(g, t, cfg.epsilon, cfg.delta, cfg.seed).values,
+    )
 
 
 def warn_if_estimate_too_coarse(cfg: WalkConfig) -> None:
@@ -153,8 +145,7 @@ def budget_allocation(y_red: float, y_blue: float, total: int) -> tuple[int, int
     sums are zero and the budget is positive; callers typically fall back to
     an even split.
     """
-    if total < 0:
-        raise ValueError(f"budget must be >= 0, got {total}")
+    check_count("budget", total, 0)
     if min(y_red, y_blue) < 0:
         raise ValueError("bias sums must be non-negative")
     if total == 0:

@@ -13,7 +13,7 @@ import numpy as np
 
 from .bias import classify
 from .errors import RepbublikError, UnknownColor
-from .graph import BLUE, RED, WalkConfig
+from .graph import BLUE, RED, WalkConfig, check_count
 from .harness import (
     candidate_universe,
     dataset_stats,
@@ -95,8 +95,8 @@ def _cmd_br(args) -> int:
 
 def _cmd_rwcc(args) -> int:
     cfg = _config(args)
-    if args.horizon is not None and args.horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {args.horizon}")
+    if args.horizon is not None:
+        check_count("horizon", args.horizon)
     loaded = load_dataset(args.edges, args.colors)
     graph = loaded.graph
     horizon = args.horizon if args.horizon is not None else max(cfg.t - 2, 1)

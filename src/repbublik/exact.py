@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -32,22 +32,16 @@ from .graph import (
     EdgeInsertion,
     InsertionPlan,
     apply_plan,
+    check_count,
     opposite,
     weight_oracle,
 )
 
 #: Absolute tolerance for the dynamic programs.
 DP_TOL = 1e-9
-#: Probability mass below this (in absolute value) is clamped to zero.
-CLAMP = 1e-15
 #: Most entries in one n x width block of closeness target or return-mass
 #: columns.
 BLOCK_ELEMENTS = 1 << 21
-
-
-def _clamped(x: np.ndarray) -> np.ndarray:
-    x[np.abs(x) < CLAMP] = 0.0
-    return x
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,8 +107,7 @@ def exact_bounded_hitting(
     absorbing set is allowed and yields t everywhere (the walk is never
     absorbed, only capped).
     """
-    if t < 1:
-        raise ValueError(f"horizon must be >= 1, got {t}")
+    check_count("horizon", t)
     absorbed = _node_set(graph, absorbing)
     survival = np.ones(graph.n)
     survival[absorbed] = 0.0
@@ -122,7 +115,7 @@ def exact_bounded_hitting(
     for _ in range(t - 1):
         survival = graph.matrix @ survival
         survival[absorbed] = 0.0
-        expected += _clamped(survival)
+        expected += survival
     return expected
 
 
@@ -159,8 +152,7 @@ def exact_first_passage(
         raise TargetInAvoidSet(
             f"target {target} has the opposite color of source {source}"
         )
-    if t < 1:
-        raise ValueError(f"horizon must be >= 1, got {t}")
+    check_count("horizon", t)
 
     absorb = graph.color_mask(opposite(graph.color_of(source))).copy()
     absorb[target] = True
@@ -168,7 +160,7 @@ def exact_first_passage(
     dist[source] = 1.0
     probs = np.zeros(t + 1)
     for step in range(1, t + 1):
-        dist = _clamped(graph.matrix_t @ dist)
+        dist = graph.matrix_t @ dist
         probs[step] = dist[target]
         dist[absorb] = 0.0
     return FirstPassageProfile(source=source, target=target, horizon=t, probs=probs)
@@ -195,7 +187,7 @@ def _return_profiles(
         block = np.zeros((graph.n, chunk.size))
         block[chunk, cols] = 1.0
         for step in range(1, t_prime):
-            block = _clamped(graph.matrix_t @ block)
+            block = graph.matrix_t @ block
             block[avoid, :] = 0.0
             profiles[lo + cols, step] = block[chunk, cols]
     return profiles
@@ -212,8 +204,7 @@ def exact_return_mass(
     ``F = sum(p)``; ``p[0] = 1`` and ``p[1] = 0`` always (no self-loops).
     The one-node case of the block pass :func:`exact_gamma` runs.
     """
-    if t_prime < 1:
-        raise ValueError(f"horizon must be >= 1, got {t_prime}")
+    check_count("horizon", t_prime)
     p = _return_profiles(graph, _node_set(graph, (v,)), t_prime)[0]
     assert t_prime < 2 or p[1] == 0.0, "a self-loop slipped past graph validation"
     return p, float(p.sum())
@@ -225,8 +216,7 @@ def exact_gamma(graph: ColoredGraph, t: int) -> float:
     One chunked block pass per color steps the walks from the color's nodes
     together; each node's total is summed like :func:`exact_return_mass`.
     """
-    if t < 1:
-        raise ValueError(f"horizon must be >= 1, got {t}")
+    check_count("horizon", t)
     best = 1.0  # p_0 = 1 contributes to every node
     for color in (RED, BLUE):
         nodes = graph.nodes_of(color)
@@ -267,8 +257,7 @@ def exact_rwcc_many(
     hold at most ``BLOCK_ELEMENTS`` entries, and each column's arithmetic
     is that of a one-target pass, so values do not depend on the block width.
     """
-    if t_prime < 1:
-        raise ValueError(f"horizon must be >= 1, got {t_prime}")
+    check_count("horizon", t_prime)
     targets = np.fromiter((int(v) for v in nodes), dtype=np.int64)
     uniq = _node_set(graph, targets)
     src = _node_set(graph, sources)
@@ -295,7 +284,7 @@ def exact_rwcc_many(
         for i in range(2, t_prime):
             q *= keep[:, None]
             q[block, cols] = 0.0  # the walk stops at its first visit of v
-            q = _clamped(graph.matrix @ q)
+            q = graph.matrix @ q
             acc += (t_prime - i) * q
         # Each target sums S without itself, ascending, as one contiguous
         # row, so the sum rounds like the one-target pass.
@@ -318,6 +307,23 @@ def exact_rwcc(
     return float(exact_rwcc_many(graph, (v,), sources, t_prime)[0])
 
 
+def _gain(
+    graph: ColoredGraph, nodes: Iterable[int], plan: Iterable[EdgeInsertion], t: int,
+    br_values: Callable[[ColoredGraph], np.ndarray],
+) -> float:
+    """Mean drop of ``br_values`` (a horizon-``t`` BR table's values) over
+    ``nodes`` after applying ``plan``; an empty plan gains zero."""
+    check_count("horizon", t)
+    targets = _node_set(graph, nodes)
+    if targets.size == 0:
+        raise EmptySourceSet("gain needs a non-empty node set")
+    edges = tuple(plan)
+    if not edges:
+        return 0.0
+    before, after = br_values(graph), br_values(apply_plan(graph, edges))
+    return float(np.mean(before[targets] - after[targets]))
+
+
 def exact_gain(
     graph: ColoredGraph,
     nodes: Iterable[int],
@@ -329,15 +335,7 @@ def exact_gain(
     Insertions are applied in plan order, so same-source weights renormalize
     sequentially.  An empty plan is the identity and gains zero.
     """
-    targets = _node_set(graph, nodes)
-    if targets.size == 0:
-        raise EmptySourceSet("gain needs a non-empty node set")
-    edges = tuple(plan)
-    if not edges:
-        return 0.0
-    before = exact_br(graph, t).values
-    after = exact_br(apply_plan(graph, edges), t).values
-    return float(np.mean(before[targets] - after[targets]))
+    return _gain(graph, nodes, plan, t, lambda g: exact_br(g, t).values)
 
 
 def parochial_nodes(
@@ -363,8 +361,7 @@ def brute_force_opt(
     plan maximizing the exact gain over the parochial set, breaking ties by
     enumeration order.  Refuses instances above ``enumeration_cap`` plans.
     """
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
+    check_count("k", k, 0)
     if theta_bad is None:
         theta_bad = t / 2
     if k == 0:

@@ -168,6 +168,29 @@ class InsertionPlan:
                 raise SameColorEndpoints(e.src, e.dst)
 
 
+def check_count(name: str, value: int, minimum: int = 1) -> None:
+    """Raise unless ``value`` is an ``int`` or ``np.integer`` >= ``minimum``."""
+    if not isinstance(value, (int, np.integer)):
+        raise ThresholdOrder(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ThresholdOrder(f"{name} must be >= {minimum}, got {value}")
+
+
+def check_seed(seed: int) -> None:
+    """Raise unless ``seed`` is an integer in [0, 2**64)."""
+    if not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**64:
+        raise ThresholdOrder(f"seed must be an integer in [0, 2**64), got {seed!r}")
+
+
+def check_thresholds(theta_good: float, theta_bad: float, t: int) -> None:
+    """Raise unless 1 <= theta_good < theta_bad <= t."""
+    if not 1.0 <= theta_good < theta_bad <= t:
+        raise ThresholdOrder(
+            f"need 1 <= theta_good < theta_bad <= t, got "
+            f"theta_good={theta_good}, theta_bad={theta_bad}, t={t}"
+        )
+
+
 def check_accuracy(epsilon: float, delta: float) -> None:
     """Raise unless epsilon lies in (0, 1] and delta in (0, 1).
 
@@ -198,22 +221,13 @@ class WalkConfig:
     kappa: int = 4
 
     def __post_init__(self):
-        if not isinstance(self.t, (int, np.integer)) or self.t < 1:
-            raise ThresholdOrder(f"exploration factor t must be a positive integer, got {self.t!r}")
+        check_count("exploration factor t", self.t)
         if self.theta_bad is None:
             object.__setattr__(self, "theta_bad", self.t / 2)
-        if not 1.0 <= self.theta_good < self.theta_bad <= self.t:
-            raise ThresholdOrder(
-                f"need 1 <= theta_good < theta_bad <= t, got "
-                f"theta_good={self.theta_good}, theta_bad={self.theta_bad}, t={self.t}"
-            )
+        check_thresholds(self.theta_good, self.theta_bad, self.t)
         check_accuracy(self.epsilon, self.delta)
-        if not 0 <= self.seed < 2**64:
-            raise ThresholdOrder(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
-        if not isinstance(self.kappa, (int, np.integer)) or self.kappa < 1:
-            raise ThresholdOrder(
-                f"kappa must be a positive integer, got {self.kappa!r}"
-            )
+        check_seed(self.seed)
+        check_count("kappa", self.kappa)
 
 
 #: Record layout of an edge table.  :func:`build_graph` reads an array of

@@ -35,6 +35,8 @@ from .graph import (
     WalkConfig,
     apply_plan,
     build_graph,
+    check_count,
+    check_seed,
     opposite,
 )
 from .montecarlo import derive_seed, stream
@@ -282,14 +284,13 @@ def load_dataset(edge_path: str | Path, color_path: str | Path) -> LoadedDataset
 
 def write_dataset(graph: ColoredGraph, edge_path: str | Path, color_path: str | Path) -> None:
     """Write a graph back out in the loader's TSV formats."""
-    lines = []
-    for v in range(graph.n):
-        targets, weights = graph.row(v)
-        for w, m in zip(targets, weights):
-            lines.append(f"{v}\t{int(w)}\t{_fmt(m)}")
-    Path(edge_path).write_text("\n".join(lines) + "\n")
+    src = np.repeat(np.arange(graph.n), np.diff(graph.indptr))
+    rows = zip(src.tolist(), graph.targets.tolist(), graph.weights.tolist())
+    Path(edge_path).write_text(
+        "\n".join(f"{v}\t{w}\t{_fmt(m)}" for v, w, m in rows) + "\n"
+    )
     Path(color_path).write_text(
-        "\n".join(f"{v}\t{graph.color_of(v)}" for v in range(graph.n)) + "\n"
+        "\n".join(f"{v}\t{c}" for v, c in enumerate(graph.colors.tolist())) + "\n"
     )
 
 
@@ -314,10 +315,8 @@ class Gadget:
 def generate_gadget(
     n_elements: int, subsets: Sequence[Iterable[int]], t: int
 ) -> Gadget:
-    if t < 3:
-        raise ValueError(f"the gadget needs t >= 3, got {t}")
-    if n_elements < 1 or not subsets:
-        raise ValueError("need at least one element and one subset")
+    check_count("t", t, 3)
+    check_count("n_elements", n_elements)
     members = [sorted(set(int(u) for u in s)) for s in subsets]
     for s in members:
         if s and (s[0] < 0 or s[-1] >= n_elements):
@@ -375,37 +374,37 @@ def generate_polarized(
     sample no edge receive one forced within-color edge so the graph stays
     sink-free.
     """
-    if n_red < 1 or n_blue < 1:
-        raise ValueError("need at least one node of each color")
+    check_count("n_red", n_red)
+    check_count("n_blue", n_blue)
     if not 0.0 <= p_cross <= p_within <= 1.0 or p_within == 0.0:
         raise ValueError(
             f"need 0 <= p_cross <= p_within <= 1 with p_within > 0, "
             f"got p_within={p_within}, p_cross={p_cross}"
         )
     n = n_red + n_blue
-    colors = [RED] * n_red + [BLUE] * n_blue
+    red = np.arange(n) < n_red
     rng = stream(seed, _TAG_POLARIZED)
-    red = np.zeros(n, dtype=bool)
-    red[:n_red] = True
-    same = red[:, None] == red[None, :]
-    prob = np.where(same, p_within, p_cross)
-    np.fill_diagonal(prob, 0.0)
-    adj = rng.random((n, n)) < prob
-
+    # Row v reads the next n uniforms, every row before any forced edge, and
+    # keeps only its hits: the stream of one n x n draw in O(n + m) memory.
+    rows = []
     for v in range(n):
-        if not adj[v].any():
-            peers = np.flatnonzero(same[v])
+        hits = np.flatnonzero(rng.random(n) < np.where(red == red[v], p_within, p_cross))
+        rows.append(hits[hits != v])
+    for v, hits in enumerate(rows):
+        if hits.size == 0:
+            peers = np.flatnonzero(red == red[v])
             peers = peers[peers != v]
             if peers.size == 0:
-                peers = np.flatnonzero(~same[v])
-            adj[v, peers[int(rng.integers(peers.size))]] = True
+                peers = np.flatnonzero(red != red[v])
+            pick = int(rng.integers(peers.size))
+            rows[v] = peers[pick : pick + 1]
 
-    edges = []
-    for v in range(n):
-        targets = np.flatnonzero(adj[v])
-        w = 1.0 / targets.size
-        edges.extend((v, int(u), w) for u in targets)
-    return build_graph(colors, edges)
+    degree = np.array([hits.size for hits in rows])
+    edges = np.empty(int(degree.sum()), dtype=EDGE_ROW)
+    edges["src"] = np.repeat(np.arange(n), degree)
+    edges["dst"] = np.concatenate(rows)
+    edges["weight"] = np.repeat(1.0 / degree, degree)
+    return build_graph(np.where(red, RED, BLUE), edges)
 
 
 def candidate_universe(graph: ColoredGraph, partition: BiasPartition) -> int:
@@ -452,6 +451,10 @@ def run_sweep(
         raise ValueError(f"unregistered algorithms: {unknown}")
     if list(k_values) != sorted(k_values):
         raise ValueError("k_values must be ascending")
+    for k in k_values:
+        check_count("K", k, 0)
+    for seed in seeds:
+        check_seed(seed)
 
     base_br = br_table(graph, cfg, backend, cfg.seed)
     partition = classify(base_br, graph.colors, cfg.theta_good, cfg.theta_bad)

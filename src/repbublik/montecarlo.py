@@ -14,9 +14,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import EmptySourceSet, MixedColorSet
-from .exact import BrTable, _node_set
-from .graph import ColoredGraph, check_accuracy, opposite
+from .exact import BrTable, _node_set, _validate_centrality_set
+from .graph import ColoredGraph, check_accuracy, check_count, check_seed, opposite
 
 # Stream purposes; part of the Philox key, never reused across call sites.
 _STREAM_BR = 1
@@ -27,12 +26,14 @@ _STREAM_SESSION = 4
 
 def stream(seed: int, *key: int) -> np.random.Generator:
     """Independent counter-based generator for one (seed, purpose, ...) task."""
+    check_seed(seed)
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(k) for k in key))
     return np.random.Generator(np.random.Philox(ss))
 
 
 def derive_seed(seed: int, *key: int) -> int:
     """Collapse (seed, key...) into a fresh 64-bit master seed."""
+    check_seed(seed)
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(k) for k in key))
     return int(ss.generate_state(1, np.uint64)[0])
 
@@ -48,16 +49,15 @@ def _ceil(x: float) -> int:
 def br_sample_size(n: int, t: int, epsilon: float, delta: float) -> int:
     """Walks per node so that every node's estimate is epsilon-close w.p. 1-delta."""
     check_accuracy(epsilon, delta)
-    if n < 1 or t < 1:
-        raise ValueError("need n >= 1 and t >= 1")
+    check_count("n", n)
+    check_count("horizon", t)
     return _ceil((t * t / (epsilon * epsilon)) * math.log(2.0 * n / delta))
 
 
 def rwcc_sample_size(t_prime: int, epsilon: float, delta: float) -> int:
     """Sampled sources so the closeness estimate is epsilon-close w.p. 1-delta."""
     check_accuracy(epsilon, delta)
-    if t_prime < 1:
-        raise ValueError("need t' >= 1")
+    check_count("horizon", t_prime)
     return _ceil((t_prime / (2.0 * epsilon)) ** 2 / delta)
 
 
@@ -136,13 +136,11 @@ def estimate_br(
     Walks stop when they hit the opposite color or after ``t`` steps,
     whichever comes first.  Deterministic for a fixed seed.
     """
-    if t < 1:
-        raise ValueError(f"horizon must be >= 1, got {t}")
+    check_count("horizon", t)
     r = walks_per_node if walks_per_node is not None else br_sample_size(
         graph.n, t, epsilon, delta
     )
-    if r < 1:
-        raise ValueError("need at least one walk per node")
+    check_count("walks_per_node", r)
     sampler = _WalkSampler(graph)
     values = np.empty(graph.n)
     for v in range(graph.n):
@@ -172,20 +170,14 @@ def estimate_rwcc(
     contributes the full horizon (zero centrality), matching the exact form
     in which the self term is skipped.
     """
-    if t_prime < 1:
-        raise ValueError(f"horizon must be >= 1, got {t_prime}")
-    if kappa < 1:
-        raise ValueError(f"kappa must be >= 1, got {kappa}")
-    _node_set(graph, (v,))
+    check_count("horizon", t_prime)
+    check_count("kappa", kappa)
     src = _node_set(graph, sources)
-    if src.size == 0:
-        raise EmptySourceSet("closeness estimation needs a non-empty source set")
-    if not (graph.colors[src] == graph.color_of(v)).all():
-        raise MixedColorSet("sources must all share the color of v")
-
+    _validate_centrality_set(graph, _node_set(graph, (v,)), src)
     z = num_sources if num_sources is not None else rwcc_sample_size(
         t_prime, epsilon, delta
     )
+    check_count("num_sources", z)
     picks = stream(seed, _STREAM_RWCC_SOURCES, v).integers(0, src.size, size=z)
     starts = src[picks]
     walked = np.flatnonzero(starts != v)
@@ -218,8 +210,8 @@ def simulate_restart_session(
     Returns the total number of steps across segments up to the first hit,
     or None if every segment failed.
     """
-    if t < 1 or restarts < 1:
-        raise ValueError("need t >= 1 and restarts >= 1")
+    check_count("horizon", t)
+    check_count("restarts", restarts)
     _node_set(graph, (v,))
     sampler = _WalkSampler(graph)
     absorbing = graph.color_mask(opposite(graph.color_of(v)))

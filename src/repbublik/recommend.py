@@ -31,6 +31,7 @@ from .graph import (
     WalkConfig,
     insert_edge,
     apply_plan,
+    check_count,
     opposite,
     weight_oracle,
 )
@@ -68,8 +69,7 @@ def _prologue(
 ) -> tuple[int, BrTable, np.ndarray]:
     """Shared start of every recommender: argument checks, the seed default,
     and the first round's BR table and parochial pool."""
-    if budget < 0:
-        raise ValueError(f"budget must be >= 0, got {budget}")
+    check_count("budget", budget, 0)
     if not graph.color_mask(opposite(color)).any():
         raise NoOppositeColor(f"no node of color {opposite(color)} to link toward")
     if seed is None:

@@ -18,7 +18,6 @@ from repbublik import (
     weight_oracle,
 )
 import repbublik.exact
-from repbublik.exact import CLAMP
 from repbublik.graph import opposite
 from repbublik.errors import (
     EmptySourceSet,
@@ -169,7 +168,6 @@ def _rwcc_one_target(graph, v, sources, t_prime):
     acc = (t_prime - 1) * q
     for i in range(2, t_prime):
         q = graph.matrix @ (q * keep)
-        q[np.abs(q) < CLAMP] = 0.0
         acc += (t_prime - i) * q
     return float(acc[src[src != v]].sum() / src.size)
 

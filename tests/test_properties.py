@@ -3,11 +3,15 @@ import numpy as np
 import pytest
 
 from repbublik import (
+    ALGORITHMS,
     EdgeInsertion,
     WalkConfig,
     apply_plan,
     baseline_rcn,
     baseline_rwcn,
+    br_sample_size,
+    brute_force_opt,
+    budget_allocation,
     build_graph,
     estimate_br,
     estimate_rwcc,
@@ -15,15 +19,24 @@ from repbublik import (
     exact_br,
     exact_first_passage,
     exact_gain,
+    exact_gamma,
     exact_return_mass,
+    exact_rwcc,
     exact_rwcc_many,
     gain,
+    generate_gadget,
+    generate_polarized,
     opposite,
     repbublik,
+    run_sweep,
+    rwcc_sample_size,
     simulate_restart_session,
     weight_oracle,
+    write_dataset,
 )
-from repbublik.montecarlo import _WalkSampler, _walk, stream
+from repbublik.cli import build_parser
+from repbublik.errors import ThresholdOrder
+from repbublik.montecarlo import _WalkSampler, _walk, derive_seed, stream
 
 from conftest import random_polarized
 
@@ -160,6 +173,116 @@ def test_node_ids_outside_graph_raise(g2, entry, bad):
     node = -1 if bad == "-1" else g2.n
     with pytest.raises(ValueError, match="outside"):
         NODE_ID_CALLS[entry](g2, node)
+
+
+def _cli_rwcc(graph, horizon, tmp):
+    edges, colors = tmp / "g.edges.tsv", tmp / "g.colors.tsv"
+    write_dataset(graph, edges, colors)
+    args = build_parser().parse_args([
+        "rwcc", "--edges", str(edges), "--colors", str(colors), "--t", "4",
+        "--theta-good", "1.5", "--theta-bad", "2.0",
+    ])
+    args.horizon = horizon
+    return args.fn(args)
+
+
+def _count(call, minimum=1):
+    """A count parameter: rejected as a non-integer and just below its minimum."""
+    return call, (2.5, minimum - 1)
+
+
+def _seed(call):
+    """A seed parameter: rejected as a non-integer, negative and too wide."""
+    return call, (1.5, -1, 2**64)
+
+
+_CFG = WalkConfig(t=4, theta_good=1.5)
+_PLAN = [EdgeInsertion(0, 3, 0.5)]
+
+# Every entry point that takes a horizon, count, budget or seed, as a call
+# of (g2, value, scratch dir) with the values its rule rejects.
+PARAMETER_CALLS = {
+    "WalkConfig-t": _count(lambda g, x, _: WalkConfig(t=x)),
+    "WalkConfig-kappa": _count(lambda g, x, _: WalkConfig(t=4, kappa=x)),
+    "WalkConfig-seed": _seed(lambda g, x, _: WalkConfig(t=4, seed=x)),
+    "exact_bounded_hitting": _count(lambda g, x, _: exact_bounded_hitting(g, [3], x)),
+    "exact_br": _count(lambda g, x, _: exact_br(g, x)),
+    "exact_first_passage": _count(lambda g, x, _: exact_first_passage(g, 0, 1, x)),
+    "exact_return_mass": _count(lambda g, x, _: exact_return_mass(g, 0, x)),
+    "exact_gamma": _count(lambda g, x, _: exact_gamma(g, x)),
+    "exact_rwcc": _count(lambda g, x, _: exact_rwcc(g, 0, [1, 2], x)),
+    "exact_rwcc_many": _count(lambda g, x, _: exact_rwcc_many(g, [0, 1], [0, 1, 2], x)),
+    "gain-t": _count(lambda g, x, _: gain(g, [0, 1, 2], _PLAN, x)),
+    "gain-t-empty-plan": _count(lambda g, x, _: gain(g, [0, 1, 2], [], x)),
+    "gain-mc-t-empty-plan": _count(
+        lambda g, x, _: gain(g, [0, 1, 2], [], x, backend="mc", cfg=_CFG)
+    ),
+    "brute_force_opt-k": _count(lambda g, x, _: brute_force_opt(g, "R", x, 4), 0),
+    "br_sample_size-n": _count(lambda g, x, _: br_sample_size(x, 10, 0.5, 0.1)),
+    "br_sample_size-t": _count(lambda g, x, _: br_sample_size(10, x, 0.5, 0.1)),
+    "rwcc_sample_size": _count(lambda g, x, _: rwcc_sample_size(x, 0.5, 0.1)),
+    "estimate_br-t": _count(lambda g, x, _: estimate_br(g, x, 0.5, 0.1, 0)),
+    "estimate_br-walks_per_node": _count(
+        lambda g, x, _: estimate_br(g, 4, 0.5, 0.1, 0, walks_per_node=x)
+    ),
+    "estimate_br-seed": _seed(lambda g, x, _: estimate_br(g, 4, 0.5, 0.1, x)),
+    "estimate_rwcc-t": _count(lambda g, x, _: estimate_rwcc(g, 0, [1, 2], x, 0.5, 0.1)),
+    "estimate_rwcc-kappa": _count(
+        lambda g, x, _: estimate_rwcc(g, 0, [1, 2], 3, 0.5, 0.1, kappa=x)
+    ),
+    "estimate_rwcc-num_sources": _count(
+        lambda g, x, _: estimate_rwcc(g, 0, [1, 2], 3, 0.5, 0.1, num_sources=x)
+    ),
+    "estimate_rwcc-seed": _seed(
+        lambda g, x, _: estimate_rwcc(g, 0, [1, 2], 3, 0.5, 0.1, seed=x)
+    ),
+    "simulate_restart_session-t": _count(
+        lambda g, x, _: simulate_restart_session(g, 0, x, 2, 0)
+    ),
+    "simulate_restart_session-restarts": _count(
+        lambda g, x, _: simulate_restart_session(g, 0, 4, x, 0)
+    ),
+    "simulate_restart_session-seed": _seed(
+        lambda g, x, _: simulate_restart_session(g, 0, 4, 2, x)
+    ),
+    "stream-seed": _seed(lambda g, x, _: stream(x, 1)),
+    "derive_seed-seed": _seed(lambda g, x, _: derive_seed(x, 1)),
+    "budget_allocation": _count(lambda g, x, _: budget_allocation(1.0, 2.0, x), 0),
+    "generate_polarized-n_red": _count(lambda g, x, _: generate_polarized(x, 2, 0.5, 0.1, 0)),
+    "generate_polarized-n_blue": _count(lambda g, x, _: generate_polarized(2, x, 0.5, 0.1, 0)),
+    "generate_polarized-seed": _seed(lambda g, x, _: generate_polarized(2, 2, 0.5, 0.1, x)),
+    "generate_gadget-n_elements": _count(lambda g, x, _: generate_gadget(x, [[0]], 4)),
+    "generate_gadget-t": _count(lambda g, x, _: generate_gadget(1, [[0]], x), 3),
+    "run_sweep-K": _count(
+        lambda g, x, tmp: run_sweep(g, ["pure-random"], [x], _CFG, [0], tmp / "sweep.csv"), 0
+    ),
+    "run_sweep-seed": _seed(
+        lambda g, x, tmp: run_sweep(g, ["pure-random"], [1], _CFG, [x], tmp / "sweep.csv")
+    ),
+    "cli-rwcc-horizon": _count(_cli_rwcc),
+    **{
+        f"{name}-budget": _count(
+            lambda g, x, _, algo=algo: algo(g, "R", x, _CFG), 0
+        )
+        for name, algo in ALGORITHMS.items()
+    },
+    **{
+        f"{name}-seed": _seed(lambda g, x, _, algo=algo: algo(g, "R", 1, _CFG, seed=x))
+        for name, algo in ALGORITHMS.items()
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "entry,value",
+    [(entry, value) for entry, (_, values) in PARAMETER_CALLS.items() for value in values],
+)
+def test_bad_parameters_raise_threshold_order(g2, tmp_path, entry, value):
+    call, _ = PARAMETER_CALLS[entry]
+    with pytest.raises(ThresholdOrder):
+        call(g2, value, tmp_path)
+    # The sweep checks its budgets and seeds before it writes a row.
+    assert not (tmp_path / "sweep.csv").exists()
 
 
 def _rebuilt(graph, colors, relabel):
