@@ -123,8 +123,13 @@ def exact_br(graph: ColoredGraph, t: int) -> BrTable:
     """Exact Bubble Radius of every node at horizon ``t``.
 
     Two absorbing-set passes: blue nodes absorb the walks of red sources and
-    vice versa.  A color with no opposite nodes sits at the cap ``t``.
+    vice versa.  A color with no opposite nodes sits at the cap ``t``.  The
+    table is computed once per graph and ``t`` and kept in ``graph.memo``.
     """
+    check_count("horizon", t)
+    key = ("br", t)
+    if key in graph.memo:
+        return graph.memo[key]
     values = np.empty(graph.n)
     for color in (RED, BLUE):
         sources = graph.color_mask(color)
@@ -132,7 +137,8 @@ def exact_br(graph: ColoredGraph, t: int) -> BrTable:
             continue
         hit = exact_bounded_hitting(graph, graph.nodes_of(opposite(color)), t)
         values[sources] = hit[sources]
-    return BrTable(values=values, t=t, provenance="exact")
+    graph.memo[key] = BrTable(values=values, t=t, provenance="exact")
+    return graph.memo[key]
 
 
 def exact_first_passage(
@@ -256,12 +262,32 @@ def exact_rwcc_many(
     Q <- M @ (Q * keep), where column j also zeroes its own target.  Blocks
     hold at most ``BLOCK_ELEMENTS`` entries, and each column's arithmetic
     is that of a one-target pass, so values do not depend on the block width.
+
+    The result is read-only and kept in ``graph.memo`` under the horizon and
+    the validated node and source arrays, so a repeated request is one
+    dictionary lookup.
     """
     check_count("horizon", t_prime)
     targets = np.fromiter((int(v) for v in nodes), dtype=np.int64)
     uniq = _node_set(graph, targets)
     src = _node_set(graph, sources)
     _validate_centrality_set(graph, targets, src)
+    key = ("rwcc", t_prime, targets.tobytes(), src.tobytes())
+    if key not in graph.memo:
+        result = _rwcc_block(graph, targets, uniq, src, t_prime)
+        result.setflags(write=False)
+        graph.memo[key] = result
+    return graph.memo[key]
+
+
+def _rwcc_block(
+    graph: ColoredGraph,
+    targets: np.ndarray,
+    uniq: np.ndarray,
+    src: np.ndarray,
+    t_prime: int,
+) -> np.ndarray:
+    """The block DP of :func:`exact_rwcc_many` on validated arrays."""
     values = np.empty(uniq.size)
     if uniq.size == 0:
         return values

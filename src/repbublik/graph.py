@@ -8,6 +8,7 @@ graph with the source row renormalized so it still sums to one.
 """
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
@@ -86,6 +87,12 @@ class ColoredGraph:
         """Transpose of the transition matrix (for distribution propagation),
         built on first use."""
         return self._matrix.T.tocsr()
+
+    @cached_property
+    def memo(self) -> dict:
+        """Exact results derived from this graph, keyed by their inputs;
+        filled on first use and dropped with the graph."""
+        return {}
 
     def out_degree(self, v: int) -> int:
         return int(self.indptr[v + 1] - self.indptr[v])
@@ -341,7 +348,7 @@ def apply_plan(
         row_weights[:] = [x * scale for x in row_weights]
         row_weights.insert(pos, m)
         row_targets.insert(pos, w)
-        new_sum = float(np.sum(row_weights))
+        new_sum = math.fsum(row_weights)
         if abs(new_sum - 1.0) > ROW_SUM_TOL:
             raise NonStochasticRow(v, new_sum, "renormalization drifted")
     if not rows:

@@ -247,12 +247,18 @@ def _color_columns(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
 
 def _dense_edges(rows: np.ndarray, original_ids: np.ndarray) -> np.ndarray | None:
     """``rows`` with both id columns mapped to dense ids in place, or None
-    when an id has no color entry."""
+    when an id has no color entry.  Ids that are already 0..n-1 map to
+    themselves, so only their range is checked."""
     last = original_ids.size - 1
+    dense = last < 0 or original_ids[last] == last  # ascending distinct ids >= 0
     for column in ("src", "dst"):
         ids = rows[column]
+        if dense:
+            if ids.size and (ids.min() < 0 or ids.max() > last):
+                return None
+            continue
         pos = np.searchsorted(original_ids, ids)
-        if ids.size and (last < 0 or (original_ids[np.minimum(pos, last)] != ids).any()):
+        if ids.size and (original_ids[np.minimum(pos, last)] != ids).any():
             return None
         rows[column] = pos
     return rows
@@ -537,6 +543,7 @@ def _run_cell(
 
 def default_k_values(k_max: int, universe: int | None = None) -> list[int]:
     """1, 2, 4, 6, ... capped at ``k_max`` and the candidate universe."""
+    check_count("k_max", k_max, 0)
     cap = k_max if universe is None else min(k_max, universe)
     values = [k for k in [1, *range(2, cap + 1, 2)] if k <= cap]
     return values

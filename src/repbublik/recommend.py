@@ -14,7 +14,9 @@ choice of target.
 """
 from __future__ import annotations
 
+import heapq
 import warnings
+from bisect import bisect_left, insort
 from typing import Collection
 
 import numpy as np
@@ -126,34 +128,64 @@ def _oracle_weights(
     return 1.0 / (graph.indptr[pool + 1] - graph.indptr[pool] + planned[pool] + 1)
 
 
-def _legal_targets(
-    graph: ColoredGraph, v: int, taken: Collection[int] = ()
-) -> np.ndarray:
-    """Opposite-color nodes, ascending, that ``v`` links to neither in
-    ``graph`` nor through the already planned targets ``taken``."""
-    legal = ~graph.color_mask(graph.color_of(v))
-    legal[graph.row(v)[0]] = False
-    legal[list(taken)] = False
-    return np.flatnonzero(legal)
+def _holds(ascending: list[int], x: int) -> bool:
+    i = bisect_left(ascending, x)
+    return i < len(ascending) and ascending[i] == x
 
 
-def _pick_target(
-    legal: np.ndarray,
-    v: int,
-    policy: str,
-    br: BrTable | None,
-    rng: np.random.Generator | None,
-) -> int:
-    """``lowest-br``: the legal target of smallest BR (ties: lowest id);
-    ``uniform-seeded``: one uniform draw from ``rng``."""
-    if legal.size == 0:
-        raise NoLegalTarget(v)
-    if policy == "uniform-seeded":
-        return int(legal[rng.integers(legal.size)])
-    if policy == "lowest-br":
-        order = np.lexsort((legal, br.values[legal]))
-        return int(legal[order[0]])
-    raise ValueError(f"unknown target policy {policy!r}")
+class _Targets:
+    """Legal targets of one plan's sources, without an n-long mask.
+
+    A source may link to any node of the opposite color except its current
+    out-neighbors and the targets already picked for it.  ``others`` holds
+    the opposite color ascending, and each source keeps the excluded
+    positions in ``others`` as a sorted list, so the count and the k-th
+    legal target follow from the two sorted sequences.
+    """
+
+    def __init__(self, graph: ColoredGraph, color: str):
+        self.graph = graph
+        self.others = graph.nodes_of(opposite(color))
+        self._excluded: dict[int, list[int]] = {}
+        self._ranked: np.ndarray | None = None  # set by rank()
+
+    def rank(self, br: BrTable) -> None:
+        """Order ``others`` by (BR, id) for the ``lowest-br`` policy."""
+        self._ranked = np.lexsort((self.others, br.values[self.others]))
+
+    def _excluded_of(self, v: int) -> list[int]:
+        excluded = self._excluded.get(v)
+        if excluded is None:
+            row = self.graph.row(v)[0]
+            pos = np.searchsorted(self.others, row)
+            inside = pos < self.others.size
+            pos, row = pos[inside], row[inside]
+            excluded = self._excluded[v] = pos[self.others[pos] == row].tolist()
+        return excluded
+
+    def pick(self, v: int, policy: str, rng: np.random.Generator | None) -> int:
+        """Choose ``v``'s next target and exclude it from later picks.
+
+        ``lowest-br``: the legal target first in the ranked order, so of
+        smallest BR, ties to the lowest id; ``uniform-seeded``: one uniform
+        draw from ``rng`` over the legal targets, ascending.
+        """
+        excluded = self._excluded_of(v)
+        legal = self.others.size - len(excluded)
+        if legal == 0:
+            raise NoLegalTarget(v)
+        if policy == "uniform-seeded":
+            pos = int(rng.integers(legal))
+            for p in excluded:  # step over the excluded positions at or before it
+                if p > pos:
+                    break
+                pos += 1
+        elif policy == "lowest-br":
+            pos = next(int(p) for p in self._ranked if not _holds(excluded, p))
+        else:
+            raise ValueError(f"unknown target policy {policy!r}")
+        insort(excluded, pos)
+        return int(self.others[pos])
 
 
 def target_selection(
@@ -177,9 +209,11 @@ def target_selection(
     if seed is None:
         seed = cfg.seed if cfg is not None else 0
     current = apply_plan(graph, plan)
-    br = br_table(current, cfg, backend, seed) if policy == "lowest-br" else None
+    targets = _Targets(current, current.color_of(v))
+    if policy == "lowest-br":
+        targets.rank(br_table(current, cfg, backend, seed))
     rng = stream(seed, _TAG_TARGET, v) if policy == "uniform-seeded" else None
-    return _pick_target(_legal_targets(current, v), v, policy, br, rng)
+    return targets.pick(v, policy, rng)
 
 
 def repbublik(
@@ -201,6 +235,7 @@ def repbublik(
     """
     seed, br, pool = _prologue(graph, color, budget, cfg, seed, backend)
     rng = stream(seed, _TAG_TARGET)
+    targets = _Targets(graph, color)
     current = graph
     edges: list[EdgeInsertion] = []
     planned = np.zeros(graph.n, dtype=np.int64)  # edges planned per source
@@ -215,7 +250,9 @@ def repbublik(
         weights = _oracle_weights(graph, pool, planned)
         i = int(np.argmax(scores * weights))  # argmax returns the first max
         source = int(pool[i])
-        target = _pick_target(_legal_targets(current, source), source, policy, br, rng)
+        if policy == "lowest-br":
+            targets.rank(br)
+        target = targets.pick(source, policy, rng)
         edge = EdgeInsertion(source, target, float(weights[i]))
         current = insert_edge(current, edge)
         edges.append(edge)
@@ -250,30 +287,30 @@ def repbublik_plus(
     if pool.size == 0 or budget == 0:
         return InsertionPlan(edges=(), color=color, requested=budget)
     base = _centralities(graph, pool, cfg, backend, derive_seed(seed, _TAG_RWCC, 0))
-    target_br = br_table(graph, cfg, backend, seed) if policy == "lowest-br" else None
+    targets = _Targets(graph, color)
+    if policy == "lowest-br":
+        targets.rank(br_table(graph, cfg, backend, seed))
     rng = stream(seed, _TAG_TARGET)
 
-    planned = np.zeros(graph.n, dtype=np.int64)  # edges planned per source
-    open_ = np.ones(pool.size, dtype=bool)  # sources with legal targets left
-    taken: dict[int, list[int]] = {}
+    # A min-heap on (-score, eta, id), where eta is one plus the edges
+    # planned from the source and its oracle weight is 1 / (degree + eta).
+    # Only the chosen source's score moves, so it alone is pushed back.
+    def entry(v: int, b: float, d: int, eta: int) -> tuple:
+        return (-(b * (1.0 / (d + eta)) / eta), eta, v, b, d)  # base * weight / eta
+
+    degree = np.diff(graph.indptr)[pool].tolist()
+    heap = [entry(v, b, d, 1) for v, b, d in zip(pool.tolist(), base.tolist(), degree)]
+    heapq.heapify(heap)
     edges: list[EdgeInsertion] = []
-    while len(edges) < budget and open_.any():
-        weight = _oracle_weights(graph, pool, planned)
-        eta = planned[pool] + 1
-        score = base * weight / eta
-        ranked = np.lexsort((pool, eta, -score))
-        i = int(ranked[open_[ranked]][0])
-        v = int(pool[i])
+    while len(edges) < budget and heap:
+        _, eta, v, b, d = heap[0]
         try:
-            target = _pick_target(
-                _legal_targets(graph, v, taken.get(v, ())), v, policy, target_br, rng
-            )
-        except NoLegalTarget:
-            open_[i] = False
+            target = targets.pick(v, policy, rng)
+        except NoLegalTarget:  # no legal target left: drop the source
+            heapq.heappop(heap)
             continue
-        edges.append(EdgeInsertion(v, target, float(weight[i])))
-        taken.setdefault(v, []).append(target)
-        planned[v] += 1
+        edges.append(EdgeInsertion(v, target, 1.0 / (d + eta)))
+        heapq.heapreplace(heap, entry(v, b, d, eta + 1))
     return InsertionPlan(edges=tuple(edges), color=color, requested=budget)
 
 
@@ -289,18 +326,19 @@ def _random_plan(
     when the pool (possibly empty) runs out of legal edges before the
     budget is spent."""
     pool = [int(v) for v in pool]
-    planned: dict[int, list[int]] = {}  # targets planned per source
+    targets = _Targets(graph, color)
+    planned: dict[int, int] = {}  # edges planned per source
     edges: list[EdgeInsertion] = []
     while len(edges) < budget and pool:
         v = pool[int(rng.integers(len(pool)))]
-        legal = _legal_targets(graph, v, planned.get(v, ()))
-        if legal.size == 0:
+        try:
+            w = targets.pick(v, "uniform-seeded", rng)
+        except NoLegalTarget:
             pool.remove(v)
             continue
-        w = int(legal[rng.integers(legal.size)])
-        taken = planned.setdefault(v, [])
-        edges.append(EdgeInsertion(v, w, weight_oracle(graph, v, planned=len(taken))))
-        taken.append(w)
+        count = planned.get(v, 0)
+        edges.append(EdgeInsertion(v, w, weight_oracle(graph, v, planned=count)))
+        planned[v] = count + 1
     if len(edges) < budget:
         warnings.warn(
             f"only {len(edges)} of {budget} insertions were possible for color {color}",

@@ -407,6 +407,19 @@ def test_sweep_computes_br_only_for_the_default_ladder(g2_files, tmp_path, monke
     assert len(calls) == 1  # candidate_universe for the default budget ladder
 
 
+def test_negative_k_max_rejected(g2_files, tmp_path, capsys):
+    edges, colors = g2_files
+    out = tmp_path / "s.csv"
+    code = main([
+        "sweep", "--edges", str(edges), "--colors", str(colors),
+        "--t", "4", "--theta-good", "1.5", "--theta-bad", "2.0",
+        "--k-max", "-3", "--output", str(out),
+    ])
+    assert code == 1
+    assert "error: k_max must be >= 0, got -3" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_kappa_reaches_the_recommenders(g2_files, tmp_path, monkeypatch):
     import repbublik.recommend
 

@@ -1,4 +1,6 @@
 """Graph construction, edge insertion, the weight oracle, and plan types."""
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -276,7 +278,7 @@ def _insert_one_by_one(graph, plan):
         weights = np.insert(weights, pos, m)
         indptr = graph.indptr.copy()
         indptr[v + 1 :] += 1
-        new_sum = float(weights[lo : hi + 1].sum())
+        new_sum = math.fsum(weights[lo : hi + 1])  # apply_plan's row-sum rule
         if abs(new_sum - 1.0) > 1e-9:
             raise NonStochasticRow(v, new_sum, "renormalization drifted")
         graph = ColoredGraph(

@@ -21,6 +21,7 @@ from repbublik.errors import (
     EmptyRecords,
     ParseError,
     RepbublikError,
+    ThresholdOrder,
     UncoveredElement,
     UnknownColor,
 )
@@ -278,3 +279,6 @@ class TestEmitPlotdata:
 def test_default_k_values_follow_protocol():
     assert default_k_values(10) == [1, 2, 4, 6, 8, 10]
     assert default_k_values(400, universe=5) == [1, 2, 4]
+    assert default_k_values(0) == []
+    with pytest.raises(ThresholdOrder, match="k_max must be >= 0, got -3"):
+        default_k_values(-3)

@@ -1,12 +1,18 @@
 """Greedy recommenders, target policies, and the randomized baselines."""
+import gc
 import math
+import warnings
+import weakref
 
 import numpy as np
 import pytest
 
 from repbublik import (
     ALGORITHMS,
+    ColoredGraph,
+    EdgeInsertion,
     WalkConfig,
+    apply_plan,
     baseline_pure_random,
     baseline_rcn,
     baseline_rwcn,
@@ -16,13 +22,15 @@ from repbublik import (
     exact_gain,
     exact_gamma,
     exact_rwcc,
+    exact_rwcc_many,
     generate_gadget,
     repbublik,
     repbublik_plus,
     target_selection,
     weight_oracle,
 )
-from repbublik.errors import NoLegalTarget, NoOppositeColor
+import repbublik.recommend as rec
+from repbublik.errors import NoLegalTarget, NoOppositeColor, ThresholdOrder
 from repbublik.recommend import _top_pool
 
 from conftest import random_polarized
@@ -279,3 +287,236 @@ class TestBaselines:
         assert set(ALGORITHMS) == {
             "repbublik", "repbublik-plus", "pure-random", "rcn", "rwcn"
         }
+
+
+# ---------------------------------------------------------------- references
+# The mask-based target choice and the per-round lexsort loop of
+# repbublik_plus, as they were before the sorted-position targets and the
+# heap replaced them; the plan builders must reproduce them bit for bit.
+
+
+def _legal_targets_reference(graph, v, taken=()):
+    legal = ~graph.color_mask(graph.color_of(v))
+    legal[graph.row(v)[0]] = False
+    legal[list(taken)] = False
+    return np.flatnonzero(legal)
+
+
+def _pick_reference(legal, v, policy, br, rng):
+    if legal.size == 0:
+        raise NoLegalTarget(v)
+    if policy == "uniform-seeded":
+        return int(legal[rng.integers(legal.size)])
+    return int(legal[np.lexsort((legal, br.values[legal]))[0]])
+
+
+def _plus_reference(graph, color, budget, cfg, seed, policy):
+    seed, _, pool = rec._prologue(graph, color, budget, cfg, seed, "exact")
+    if pool.size == 0 or budget == 0:
+        return ()
+    base = rec._centralities(graph, pool, cfg, "exact", rec.derive_seed(seed, rec._TAG_RWCC, 0))
+    target_br = exact_br(graph, cfg.t)
+    rng = rec.stream(seed, rec._TAG_TARGET)
+    planned = np.zeros(graph.n, dtype=np.int64)
+    open_ = np.ones(pool.size, dtype=bool)
+    taken = {}
+    edges = []
+    while len(edges) < budget and open_.any():
+        weight = rec._oracle_weights(graph, pool, planned)
+        eta = planned[pool] + 1
+        score = base * weight / eta
+        ranked = np.lexsort((pool, eta, -score))
+        i = int(ranked[open_[ranked]][0])
+        v = int(pool[i])
+        legal = _legal_targets_reference(graph, v, taken.get(v, ()))
+        try:
+            target = _pick_reference(legal, v, policy, target_br, rng)
+        except NoLegalTarget:
+            open_[i] = False
+            continue
+        edges.append((v, target, float(weight[i])))
+        taken.setdefault(v, []).append(target)
+        planned[v] += 1
+    return tuple(edges)
+
+
+def _random_plan_reference(graph, pool, budget, rng):
+    pool = [int(v) for v in pool]
+    planned = {}
+    edges = []
+    while len(edges) < budget and pool:
+        v = pool[int(rng.integers(len(pool)))]
+        legal = _legal_targets_reference(graph, v, planned.get(v, ()))
+        if legal.size == 0:
+            pool.remove(v)
+            continue
+        w = int(legal[rng.integers(legal.size)])
+        taken = planned.setdefault(v, [])
+        edges.append((v, w, weight_oracle(graph, v, planned=len(taken))))
+        taken.append(w)
+    return tuple(edges)
+
+
+def _triples(plan):
+    return tuple((e.src, e.dst, e.weight) for e in plan.edges)
+
+
+def _plan_cases(n=24):
+    rng = np.random.default_rng(61)
+    cases = []
+    for i in range(n):
+        graph, t = random_polarized(rng, n_max=30, t_range=(3, 9))
+        cases.append((graph, WalkConfig(t=t, theta_good=1.0, seed=i)))
+    return cases
+
+
+class _Draws:
+    """Stands in for a Generator: records each bound and draws from ``rng``."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.high = self.k = None
+
+    def integers(self, high):
+        self.high, self.k = high, int(self.rng.integers(high))
+        return self.k
+
+
+class TestTargets:
+    """Sorted-position targets equal the mask-based legal targets."""
+
+    @pytest.mark.parametrize("policy", ["uniform-seeded", "lowest-br"])
+    def test_pick_equals_mask_reference(self, policy):
+        rng = np.random.default_rng(67)
+        checked = exhausted = 0
+        for graph, cfg in _plan_cases():
+            br = exact_br(graph, cfg.t)
+            for v in range(graph.n):
+                targets = rec._Targets(graph, graph.color_of(v))
+                targets.rank(br)
+                draws = _Draws(rng)
+                taken = []
+                while True:
+                    legal = _legal_targets_reference(graph, v, taken)
+                    if legal.size == 0:
+                        with pytest.raises(NoLegalTarget):
+                            targets.pick(v, policy, draws)
+                        exhausted += 1
+                        break
+                    w = targets.pick(v, policy, draws)
+                    if policy == "uniform-seeded":
+                        assert draws.high == legal.size
+                        assert w == legal[draws.k]
+                    else:
+                        assert w == _pick_reference(legal, v, policy, br, None)
+                    taken.append(w)
+                    checked += 1
+        assert checked > 2000 and exhausted > 300
+
+    def test_unknown_policy_rejected(self, g2):
+        with pytest.raises(ValueError, match="unknown target policy"):
+            rec._Targets(g2, "R").pick(0, "nearest", None)
+
+
+class TestPlanPaths:
+    """The heap plan and the sorted-position baselines equal the old loops."""
+
+    SCORINGS = {
+        "exact": None,
+        "zero": lambda pool: np.zeros(pool.size),
+        "tied": lambda pool: np.array([0.0, 0.5, 1.0])[pool % 3],
+    }
+
+    @pytest.mark.parametrize("scoring", sorted(SCORINGS))
+    def test_heap_equals_lexsort_loop(self, scoring, monkeypatch):
+        scores = self.SCORINGS[scoring]
+        if scores is not None:
+            monkeypatch.setattr(rec, "_centralities", lambda g, pool, *a: scores(pool))
+        runs = 0
+        for graph, cfg in _plan_cases():
+            for color in ("R", "B"):
+                others = graph.nodes_of("B" if color == "R" else "R").size
+                for budget in (1, 7, graph.n * others):  # the last one exhausts
+                    for policy in ("lowest-br", "uniform-seeded"):
+                        plan = repbublik_plus(graph, color, budget, cfg, policy=policy)
+                        expected = _plus_reference(graph, color, budget, cfg, cfg.seed, policy)
+                        assert _triples(plan) == expected
+                        runs += bool(expected)
+        assert runs > 200
+
+    def test_baselines_equal_mask_loop(self):
+        for graph, cfg in _plan_cases():
+            for color in ("R", "B"):
+                pool = graph.nodes_of(color)
+                for budget in (5, graph.n * graph.n):
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("ignore", RuntimeWarning)
+                        plan = rec._random_plan(graph, pool, color, budget, rec.stream(cfg.seed, 3))
+                    expected = _random_plan_reference(graph, pool, budget, rec.stream(cfg.seed, 3))
+                    assert _triples(plan) == expected
+
+
+class TestMemo:
+    """Exact BR and closeness are computed once per graph and read-only."""
+
+    @staticmethod
+    def _plans(graph, cfg):
+        out = []
+        for fn in ALGORITHMS.values():
+            for color in ("R", "B"):
+                try:
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("ignore", RuntimeWarning)
+                        out.append(_triples(fn(graph, color, 6, cfg, seed=3)))
+                except NoLegalTarget as exc:
+                    out.append(str(exc))
+        return out
+
+    def test_warm_and_cold_memo_give_the_same_plans(self):
+        for graph, cfg in _plan_cases(8):
+            warm = self._plans(graph, cfg)
+            assert graph.memo
+            cold = ColoredGraph(graph.colors, graph.indptr, graph.targets, graph.weights)
+            assert not cold.memo
+            assert self._plans(graph, cfg) == self._plans(cold, cfg) == warm
+
+    def test_cached_results_are_read_only_and_shared(self, g2):
+        table = exact_br(g2, 4)
+        assert exact_br(g2, 4) is table
+        assert not table.values.flags.writeable
+        values = exact_rwcc_many(g2, [2, 0], [0, 1, 2], 3)
+        assert exact_rwcc_many(g2, [2, 0], [0, 1, 2], 3) is values
+        with pytest.raises(ValueError):
+            values[0] = 1.0
+        assert exact_rwcc_many(g2, [0, 2], [0, 1, 2], 3).tolist() == values.tolist()[::-1]
+        grown = apply_plan(g2, [EdgeInsertion(0, 3, 0.5)])
+        assert not grown.memo
+        assert exact_br(grown, 4) is not table
+
+    def test_memo_keys_tell_requests_apart(self):
+        for graph, cfg in _plan_cases(8):
+            nodes = graph.nodes_of("R")
+            requests = [
+                (nodes, nodes, cfg.t), (nodes, nodes[::2], cfg.t), (nodes[::-1], nodes, cfg.t),
+                (nodes, nodes, cfg.t + 1), (nodes[:1], nodes, cfg.t),
+            ]
+            for t in (cfg.t, cfg.t + 1):
+                cold = ColoredGraph(graph.colors, graph.indptr, graph.targets, graph.weights)
+                assert exact_br(graph, t).values.tolist() == exact_br(cold, t).values.tolist()
+            for args in requests:
+                cold = ColoredGraph(graph.colors, graph.indptr, graph.targets, graph.weights)
+                expected = exact_rwcc_many(cold, *args).tolist()
+                assert exact_rwcc_many(graph, *args).tolist() == expected
+
+    def test_bad_horizon_is_checked_before_the_memo(self, g2):
+        exact_br(g2, 4)
+        with pytest.raises(ThresholdOrder):
+            exact_br(g2, 4.0)
+
+    def test_memo_is_dropped_with_the_graph(self, g2):
+        grown = apply_plan(g2, [EdgeInsertion(0, 3, 0.5)])
+        exact_br(grown, 4)
+        ref = weakref.ref(grown)
+        del grown
+        gc.collect()
+        assert ref() is None
