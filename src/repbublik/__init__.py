@@ -58,6 +58,7 @@ from .montecarlo import (
     br_sample_size,
     estimate_br,
     estimate_rwcc,
+    estimate_rwcc_many,
     rwcc_sample_size,
     simulate_restart_session,
 )

@@ -2,26 +2,56 @@
 
 Sample sizes follow the Hoeffding bound for the Bubble Radius (a union bound
 over all nodes) and a Chebyshev/Popoviciu bound for the closeness estimate.
+
 Randomness comes from counter-based Philox streams keyed on
-``(master seed, purpose, node id)``: walk ``i`` of a node reads row ``i`` of
-that node's uniform block, so scheduling or worker count can never change a
-result and identical (graph, config, seed) gives bit-identical estimates.
+``(master seed, purpose, node id)``, one stream per node and purpose.  Each
+node owns one block of uniforms with one row per walk and one column per
+step:
+
+- the Bubble Radius of ``v`` reads an ``(r, t)`` block from
+  ``(seed, _STREAM_BR, v)``;
+- the closeness of ``v`` draws its ``z`` sources from
+  ``(seed, _STREAM_RWCC_SOURCES, v)`` and reads a ``(z * kappa, t')`` block
+  from ``(seed, _STREAM_RWCC_WALKS, v)``, where draw ``i`` owns rows
+  ``i * kappa`` to ``i * kappa + kappa - 1``; a draw equal to ``v``
+  counts the full horizon whatever its rows hold.
+
+The walks of many nodes step together.  Their blocks are laid end to end and
+cut into walk passes of at most ``WALK_ELEMENTS`` uniforms (and at least one
+row); a block that crosses a pass boundary is drawn in row slices from its
+one generator, which yields the rows one draw of the whole block would.
+Each estimate is reduced from its own node's rows alone, through exact
+integer sums, so results are bit-identical whatever the budget and whatever
+batch a node is estimated in, and identical (graph, config, seed) gives
+identical estimates.
 """
 from __future__ import annotations
 
 import math
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from .exact import BrTable, _node_set, _validate_centrality_set
-from .graph import ColoredGraph, check_accuracy, check_count, check_seed, opposite
+from .graph import (
+    BLUE,
+    RED,
+    ColoredGraph,
+    check_accuracy,
+    check_count,
+    check_seed,
+    opposite,
+)
 
 # Stream purposes; part of the Philox key, never reused across call sites.
 _STREAM_BR = 1
 _STREAM_RWCC_SOURCES = 2
 _STREAM_RWCC_WALKS = 3
 _STREAM_SESSION = 4
+
+#: Most uniforms one walk pass holds (a pass takes at least one row).  It
+#: bounds the memory of a pass; no result depends on it.
+WALK_ELEMENTS = 1 << 16
 
 
 def stream(seed: int, *key: int) -> np.random.Generator:
@@ -77,10 +107,27 @@ class _WalkSampler:
         self.indptr = graph.indptr
         self.targets = graph.targets
         deg = np.diff(graph.indptr)
-        cs = np.cumsum(graph.weights)
-        row_prefix = cs[graph.indptr[:-1]] - graph.weights[graph.indptr[:-1]]
-        self.rowcum = cs - np.repeat(row_prefix, deg)
-        rounds = int(deg.max(initial=0)).bit_length()
+        # Running sums one column position j at a time, over the rows long
+        # enough to have it (a prefix of the rows by descending degree): the
+        # bits of np.cumsum on each row alone, so no row's rounding depends
+        # on the rows stored before it.  Once fewer than j rows are longer
+        # than j, each of them finishes with its own cumsum from column
+        # j - 1, which adds in the same order; so there are at most
+        # sqrt(edges) column passes even with one huge row.
+        order = np.argsort(-deg, kind="stable")
+        heads, neg_deg = graph.indptr[order], -deg[order]  # neg_deg ascending
+        max_deg = int(deg.max(initial=0))
+        cum = self.rowcum = graph.weights.copy()
+        j = 1
+        while j < max_deg and (longer := int(np.searchsorted(neg_deg, -j))) >= j:
+            at = heads[:longer] + j
+            cum[at] += cum[at - 1]
+            j += 1
+        for lo, d in zip(heads.tolist(), (-neg_deg).tolist()):
+            if d <= j:
+                break
+            cum[lo + j - 1 : lo + d] = np.cumsum(cum[lo + j - 1 : lo + d])
+        rounds = max_deg.bit_length()
         self.steps = [1 << k for k in reversed(range(rounds))]
 
     def step(self, states: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -97,13 +144,14 @@ def _walk(
     starts: int | np.ndarray,
     stop: np.ndarray,
     uniforms: np.ndarray,
+    goals: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Step every walk until it enters the ``stop`` set or runs out of steps.
 
     Walk i starts at ``starts`` (one node, or one node per walk) and reads
-    row i of ``uniforms``, whose width is the horizon.  Returns each walk's
-    stop step and stop node; a walk that never stops gets the horizon and
-    -1.
+    row i of ``uniforms``, whose width is the horizon; with ``goals`` it
+    also stops on reaching node ``goals[i]``.  Returns each walk's stop step
+    and stop node; a walk that never stops gets the horizon and -1.
     """
     walks, horizon = uniforms.shape
     steps = np.full(walks, horizon, dtype=np.int64)
@@ -113,14 +161,54 @@ def _walk(
     for step in range(1, horizon + 1):
         nxt = sampler.step(states, uniforms[rows, step - 1])
         hit = stop[nxt]
+        if goals is not None:
+            hit |= nxt == goals
         stopped = rows[hit]
         steps[stopped] = step
         ends[stopped] = nxt[hit]
-        rows = rows[~hit]
-        states = nxt[~hit]
+        going = ~hit
+        rows = rows[going]
+        states = nxt[going]
+        if goals is not None:
+            goals = goals[going]
         if rows.size == 0:
             break
     return steps, ends
+
+
+def _walk_passes(
+    seed: int, purpose: int, nodes: np.ndarray, per_node: int, horizon: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The blocks of ``nodes`` laid end to end, cut into walk passes.
+
+    ``nodes[k]`` owns rows ``k * per_node`` to ``(k + 1) * per_node - 1`` of
+    the whole, drawn from ``stream(seed, purpose, nodes[k])`` in row order.
+    Yields ``(rows, uniforms)`` per pass: the indices of its rows in the
+    whole and their uniforms, at most ``WALK_ELEMENTS`` of them but at least
+    one row.  Every pass refills one buffer, so a pass's uniforms last until
+    the next.
+    """
+    per_pass = max(1, WALK_ELEMENTS // horizon)
+    total = nodes.size * per_node
+    buffer = np.empty((min(per_pass, total), horizon))
+    for first in range(0, total, per_pass):
+        uniforms = buffer[: min(per_pass, total - first)]
+        at = 0
+        while at < len(uniforms):
+            k, row = divmod(first + at, per_node)
+            if row == 0:
+                rng = stream(seed, purpose, int(nodes[k]))
+            take = min(per_node - row, len(uniforms) - at)
+            rng.random(out=uniforms[at : at + take])
+            at += take
+        yield np.arange(first, first + len(uniforms)), uniforms
+
+
+def _add_by_owner(owner: np.ndarray, values: np.ndarray, out: np.ndarray) -> None:
+    """``out[owner[i]] += values[i]`` for a non-decreasing ``owner``.  The
+    values are whole numbers, so every partial sum is exact and the totals
+    do not depend on how the values were split into passes."""
+    out[owner[0] : owner[-1] + 1] += np.bincount(owner - owner[0], weights=values)
 
 
 def estimate_br(
@@ -134,7 +222,9 @@ def estimate_br(
     """Monte Carlo Bubble Radius table: mean of r capped walk lengths per node.
 
     Walks stop when they hit the opposite color or after ``t`` steps,
-    whichever comes first.  Deterministic for a fixed seed.
+    whichever comes first.  The walks of each color's nodes step together,
+    and node ``v`` reads its own ``(seed, _STREAM_BR, v)`` block.
+    Deterministic for a fixed seed.
     """
     check_count("horizon", t)
     r = walks_per_node if walks_per_node is not None else br_sample_size(
@@ -143,12 +233,72 @@ def estimate_br(
     check_count("walks_per_node", r)
     sampler = _WalkSampler(graph)
     values = np.empty(graph.n)
-    for v in range(graph.n):
-        absorbing = graph.color_mask(opposite(graph.color_of(v)))
-        uniforms = stream(seed, _STREAM_BR, v).random((r, t))
-        lengths, _ = _walk(sampler, v, absorbing, uniforms)
-        values[v] = lengths.mean()
+    for color in (RED, BLUE):
+        nodes = graph.nodes_of(color)
+        absorbing = graph.color_mask(opposite(color))
+        lengths = np.zeros(nodes.size)  # summed over each node's r walks
+        for rows, uniforms in _walk_passes(seed, _STREAM_BR, nodes, r, t):
+            owner = rows // r
+            steps, _ = _walk(sampler, nodes[owner], absorbing, uniforms)
+            _add_by_owner(owner, steps, lengths)
+        values[nodes] = lengths / r
     return BrTable(values=values, t=t, provenance="estimated")
+
+
+def estimate_rwcc_many(
+    graph: ColoredGraph,
+    nodes: Iterable[int],
+    sources: Iterable[int],
+    t_prime: int,
+    epsilon: float,
+    delta: float,
+    kappa: int = 4,
+    seed: int = 0,
+    num_sources: int | None = None,
+) -> np.ndarray:
+    """Monte Carlo bounded closeness c_{t'}(v, S) for every v in ``nodes``.
+
+    The twin of :func:`exact.exact_rwcc_many`: entry j belongs to the j-th
+    entry of ``nodes``.  For each node v, draws z sources uniformly at
+    random with replacement, estimates each drawn source's capped hit time
+    of v as the mean of ``kappa`` walks, and returns t' minus the grand
+    mean.  A walk stops when it enters the opposite color or reaches v.  A
+    drawn source equal to v contributes the full horizon (zero centrality),
+    matching the exact form in which the self term is skipped.  The walks
+    of all nodes step together; each estimate reads only its node's
+    streams, so it does not depend on the other entries of ``nodes``.
+    """
+    check_count("horizon", t_prime)
+    check_count("kappa", kappa)
+    targets = np.fromiter((int(v) for v in nodes), dtype=np.int64)
+    uniq = _node_set(graph, targets)
+    src = _node_set(graph, sources)
+    _validate_centrality_set(graph, targets, src)
+    z = num_sources if num_sources is not None else rwcc_sample_size(
+        t_prime, epsilon, delta
+    )
+    check_count("num_sources", z)
+    if uniq.size == 0:
+        return np.empty(0)
+    starts = np.concatenate([
+        src[stream(seed, _STREAM_RWCC_SOURCES, int(v)).integers(0, src.size, size=z)]
+        for v in uniq
+    ])
+    absorbing = graph.color_mask(opposite(graph.color_of(int(uniq[0]))))
+    sampler = _WalkSampler(graph)
+    hit_sums = np.zeros(uniq.size * z)  # summed over each draw's kappa walks
+    passes = _walk_passes(seed, _STREAM_RWCC_WALKS, uniq, z * kappa, t_prime)
+    for rows, uniforms in passes:
+        draw = rows // kappa
+        goal, start = uniq[draw // z], starts[draw]
+        steps, ends = _walk(sampler, start, absorbing, uniforms, goal)
+        # Only a stop at v shortens a walk's capped hit time; a walk of a
+        # self draw counts the full horizon whatever it does.
+        times = np.where((ends == goal) & (start != goal), steps, t_prime)
+        _add_by_owner(draw, times, hit_sums)
+    h_bars = (hit_sums / kappa).reshape(uniq.size, z)
+    values = t_prime - h_bars.mean(axis=1)
+    return values[np.searchsorted(uniq, targets)]
 
 
 def estimate_rwcc(
@@ -162,42 +312,11 @@ def estimate_rwcc(
     seed: int = 0,
     num_sources: int | None = None,
 ) -> float:
-    """Monte Carlo bounded closeness of ``v`` w.r.t. a monochromatic set.
-
-    Draws z sources uniformly at random with replacement, estimates each
-    source's capped hit time of ``v`` as the mean of ``kappa`` walks, and
-    returns t' minus the grand mean.  A drawn source equal to ``v`` itself
-    contributes the full horizon (zero centrality), matching the exact form
-    in which the self term is skipped.
-    """
-    check_count("horizon", t_prime)
-    check_count("kappa", kappa)
-    src = _node_set(graph, sources)
-    _validate_centrality_set(graph, _node_set(graph, (v,)), src)
-    z = num_sources if num_sources is not None else rwcc_sample_size(
-        t_prime, epsilon, delta
-    )
-    check_count("num_sources", z)
-    picks = stream(seed, _STREAM_RWCC_SOURCES, v).integers(0, src.size, size=z)
-    starts = src[picks]
-    walked = np.flatnonzero(starts != v)
-    h_bars = np.full(z, float(t_prime))
-    if walked.size:
-        # All kappa walks of every drawn source step together; draw i still
-        # reads its own (seed, purpose, v, i) block.
-        uniforms = np.concatenate([
-            stream(seed, _STREAM_RWCC_WALKS, v, int(i)).random((kappa, t_prime))
-            for i in walked
-        ])
-        # A walk stops at v or at the opposite color; only a stop at v
-        # shortens its capped hit time.
-        stop = graph.color_mask(opposite(graph.color_of(v))).copy()
-        stop[v] = True
-        walk_starts = np.repeat(starts[walked], kappa)
-        steps, ends = _walk(_WalkSampler(graph), walk_starts, stop, uniforms)
-        times = np.where(ends == v, steps, t_prime)
-        h_bars[walked] = times.reshape(walked.size, kappa).mean(axis=1)
-    return float(t_prime - h_bars.mean())
+    """Monte Carlo bounded closeness of ``v`` w.r.t. a monochromatic set:
+    ``estimate_rwcc_many`` for the one node ``v``."""
+    return float(estimate_rwcc_many(
+        graph, (v,), sources, t_prime, epsilon, delta, kappa, seed, num_sources
+    )[0])
 
 
 def simulate_restart_session(

@@ -23,8 +23,8 @@ import numpy as np
 
 from .errors import NoLegalTarget, NoOppositeColor
 from .bias import br_table
-# ``exact_rwcc`` and ``insert_edge`` stay bound here because the benchmark's
-# traced pass (perfbench/spans.py) patches these names.
+# ``exact_rwcc``, ``estimate_rwcc`` and ``insert_edge`` stay bound here
+# because the benchmark's traced pass (perfbench/spans.py) patches these names.
 from .exact import BrTable, exact_rwcc, exact_rwcc_many, parochial_nodes  # noqa: F401
 from .graph import (
     ColoredGraph,
@@ -37,7 +37,7 @@ from .graph import (
     opposite,
     weight_oracle,
 )
-from .montecarlo import derive_seed, estimate_rwcc, stream
+from .montecarlo import derive_seed, estimate_rwcc, estimate_rwcc_many, stream  # noqa: F401
 
 _TAG_BR = 11
 _TAG_RWCC = 12
@@ -90,21 +90,18 @@ def closeness(
 ) -> np.ndarray:
     """Bounded closeness c_horizon(v, sources) of every v in ``nodes``.
 
-    The exact backend runs one block pass; the Monte Carlo backend runs one
-    estimate per node with ``cfg``'s accuracy and ``kappa`` and the given
-    seed.
+    The exact backend runs one block pass; the Monte Carlo backend steps the
+    walks of all nodes together, with ``cfg``'s accuracy and ``kappa`` and
+    the given seed.
     """
     if backend == "exact":
         return exact_rwcc_many(graph, nodes, sources, horizon)
     if backend != "mc":
         raise ValueError(f"unknown backend {backend!r}")
-    return np.array([
-        estimate_rwcc(
-            graph, int(v), sources, horizon, cfg.epsilon, cfg.delta,
-            kappa=cfg.kappa, seed=seed,
-        )
-        for v in nodes
-    ])
+    return estimate_rwcc_many(
+        graph, nodes, sources, horizon, cfg.epsilon, cfg.delta,
+        kappa=cfg.kappa, seed=seed,
+    )
 
 
 def _centralities(
@@ -278,18 +275,19 @@ def repbublik_plus(
     prefer the node with the smaller penalty, then the lowest id, so equal
     scores still rotate across untouched sources.
 
-    Targets are chosen against the input graph's BR table: inserting edges
-    from ``color`` nodes changes only ``color`` rows, and a walk from the
-    opposite color stops at its first ``color`` node, so the opposite
-    color's Bubble Radii cannot move while the plan is built.
+    Targets are ranked with the prologue's BR table, the one the parochial
+    pool came from: inserting edges from ``color`` nodes changes only
+    ``color`` rows, and a walk from the opposite color stops at its first
+    ``color`` node, so the opposite color's Bubble Radii cannot move while
+    the plan is built.
     """
-    seed, _, pool = _prologue(graph, color, budget, cfg, seed, backend)
+    seed, br, pool = _prologue(graph, color, budget, cfg, seed, backend)
     if pool.size == 0 or budget == 0:
         return InsertionPlan(edges=(), color=color, requested=budget)
     base = _centralities(graph, pool, cfg, backend, derive_seed(seed, _TAG_RWCC, 0))
     targets = _Targets(graph, color)
     if policy == "lowest-br":
-        targets.rank(br_table(graph, cfg, backend, seed))
+        targets.rank(br)
     rng = stream(seed, _TAG_TARGET)
 
     # A min-heap on (-score, eta, id), where eta is one plus the edges

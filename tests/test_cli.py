@@ -424,13 +424,13 @@ def test_kappa_reaches_the_recommenders(g2_files, tmp_path, monkeypatch):
     import repbublik.recommend
 
     seen = []
-    original = repbublik.recommend.estimate_rwcc
+    original = repbublik.recommend.estimate_rwcc_many
 
     def spy(*args, **kwargs):
         seen.append(kwargs["kappa"])
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(repbublik.recommend, "estimate_rwcc", spy)
+    monkeypatch.setattr(repbublik.recommend, "estimate_rwcc_many", spy)
     edges, colors = g2_files
     assert main([
         "recommend", "--edges", str(edges), "--colors", str(colors),

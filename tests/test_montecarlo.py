@@ -2,13 +2,18 @@
 import numpy as np
 import pytest
 
+import repbublik.montecarlo as mc
 from repbublik import (
+    EdgeInsertion,
     br_sample_size,
     build_graph,
     estimate_br,
     estimate_rwcc,
+    estimate_rwcc_many,
     exact_br,
     exact_rwcc,
+    insert_edge,
+    opposite,
     rwcc_sample_size,
     simulate_restart_session,
 )
@@ -96,6 +101,40 @@ class TestWalkSampler:
         assert np.array_equal(sampler.step(mixed, u), expected)
 
 
+    def test_rowcum_equals_per_row_cumsum(self):
+        rng = np.random.default_rng(71)
+        graphs = [random_polarized(rng)[0] for _ in range(24)]
+        # Two hubs far longer than the other rows, with uneven weights.
+        n = 300
+        edges = [(v, 0, 1.0) for v in range(2, n)]
+        for hub, width in ((0, n - 2), (1, 40)):
+            raw = rng.random(width) + 0.01
+            edges += [(hub, w, x) for w, x in zip(range(2, 2 + width), raw / raw.sum())]
+        graphs.append(build_graph(["R", "R"] + ["B"] * (n - 2), edges))
+        for graph in graphs:
+            cum = _WalkSampler(graph).rowcum
+            for v in range(graph.n):
+                lo, hi = graph.indptr[v], graph.indptr[v + 1]
+                assert np.array_equal(cum[lo:hi], np.cumsum(graph.weights[lo:hi]))
+
+    def test_insert_edge_leaves_other_rows_bit_identical(self):
+        rng = np.random.default_rng(73)
+        for _ in range(24):
+            graph, _ = random_polarized(rng)
+            v = int(rng.integers(graph.n))
+            others = graph.nodes_of(opposite(graph.color_of(v)))
+            free = [int(w) for w in others if not graph.has_edge(v, int(w))]
+            if not free:
+                continue
+            grown = insert_edge(graph, EdgeInsertion(v, free[0], 0.3))
+            before, after = _WalkSampler(graph).rowcum, _WalkSampler(grown).rowcum
+            for u in range(graph.n):
+                if u != v:
+                    old = before[graph.indptr[u] : graph.indptr[u + 1]]
+                    new = after[grown.indptr[u] : grown.indptr[u + 1]]
+                    assert old.tobytes() == new.tobytes()
+
+
 class TestEstimateBr:
     def test_g1_exact_one(self, g1):
         est = estimate_br(g1, 5, 0.9, 0.5, seed=3, walks_per_node=64)
@@ -135,9 +174,11 @@ class TestEstimateBr:
 
 
 def _rwcc_one_source_at_a_time(graph, v, sources, t_prime, kappa, seed, z):
-    """Reference: the per-source loop the batched estimator replaced."""
+    """Reference: one drawn source at a time, each walking alone on rows
+    i*kappa .. i*kappa + kappa - 1 of the node's one walk block."""
     src = np.asarray(sorted(set(sources)), dtype=np.int64)
     picks = stream(seed, _STREAM_RWCC_SOURCES, v).integers(0, src.size, size=z)
+    block = stream(seed, _STREAM_RWCC_WALKS, v).random((z * kappa, t_prime))
     sampler = _WalkSampler(graph)
     stop = graph.color_mask("B" if graph.color_of(v) == "R" else "R").copy()
     stop[v] = True
@@ -147,7 +188,7 @@ def _rwcc_one_source_at_a_time(graph, v, sources, t_prime, kappa, seed, z):
         if w == v:
             h_bars[i] = t_prime
             continue
-        uniforms = stream(seed, _STREAM_RWCC_WALKS, v, i).random((kappa, t_prime))
+        uniforms = block[i * kappa : (i + 1) * kappa]
         steps, ends = _walk(sampler, w, stop, uniforms)
         h_bars[i] = np.where(ends == v, steps, t_prime).mean()
     return float(t_prime - h_bars.mean())
@@ -205,6 +246,55 @@ class TestEstimateRwcc:
     def test_self_source_contributes_zero(self, g2):
         # With S = {v}, every draw is the self source: centrality must be 0.
         assert estimate_rwcc(g2, 0, {0}, 4, 0.5, 0.1, seed=9) == 0.0
+
+
+BUDGETS = (1, 37, mc.WALK_ELEMENTS, 2**30)
+
+
+class TestChunking:
+    """No walk budget and no batch changes a Monte Carlo result."""
+
+    @staticmethod
+    def _graphs():
+        rng = np.random.default_rng(79)
+        return [random_polarized(rng, n_max=20) for _ in range(4)]
+
+    def test_br_equal_under_every_budget(self, monkeypatch):
+        for graph, t in self._graphs():
+            tables = []
+            for budget in BUDGETS:
+                monkeypatch.setattr(mc, "WALK_ELEMENTS", budget)
+                tables.append(estimate_br(graph, t, 0.5, 0.1, seed=3, walks_per_node=9).values)
+            assert all(np.array_equal(tables[0], other) for other in tables[1:])
+
+    def test_rwcc_many_equal_under_every_budget(self, monkeypatch):
+        for graph, t in self._graphs():
+            reds = graph.nodes_of("R")
+            runs = []
+            for budget in BUDGETS:
+                monkeypatch.setattr(mc, "WALK_ELEMENTS", budget)
+                runs.append(estimate_rwcc_many(graph, reds, reds, t, 0.5, 0.1, kappa=3,
+                                               seed=5, num_sources=11))
+            assert all(np.array_equal(runs[0], other) for other in runs[1:])
+
+    @pytest.mark.parametrize("z", [13, 150])
+    def test_one_node_equals_its_entry_in_any_batch(self, z, monkeypatch):
+        rng = np.random.default_rng(83)
+        monkeypatch.setattr(mc, "WALK_ELEMENTS", 37)
+        for graph, t in self._graphs():
+            blues = graph.nodes_of("B")
+            batches = [blues, blues[::-1], np.concatenate([blues, blues[:2]]),
+                       rng.permutation(blues)[: max(1, blues.size // 2)]]
+            for batch in batches:
+                got = estimate_rwcc_many(graph, batch, blues, t, 0.5, 0.1, kappa=2,
+                                         seed=7, num_sources=z)
+                for i, v in enumerate(batch):
+                    alone = estimate_rwcc(graph, int(v), blues, t, 0.5, 0.1, kappa=2,
+                                          seed=7, num_sources=z)
+                    assert got[i] == alone
+
+    def test_empty_batch(self, g2):
+        assert estimate_rwcc_many(g2, [], [0, 1], 4, 0.5, 0.1).shape == (0,)
 
 
 class TestRestartSessions:

@@ -1,10 +1,13 @@
 """Plans and sweeps stay byte-identical: SHA-256 digests of their output.
 
-The plan digests were recorded from the implementation before the
+The exact plan digests were recorded from the implementation before the
 recommenders shared one scoring prologue, the sweep digest from the one
-before closeness and plan application became block passes; any change to a
-source choice, a target choice, a tie break, an insertion weight's bits or
-an evaluated Bubble Radius changes a digest.
+before closeness and plan application became block passes.  The Monte Carlo
+(``@mc``) digests were recorded again when each node's closeness walks came
+to read one block of its own stream and repbublik-plus began to rank targets
+with its prologue's BR table.  Any change to a source choice, a target
+choice, a tie break, an insertion weight's bits or an evaluated Bubble
+Radius changes a digest.
 """
 import hashlib
 import warnings
@@ -45,10 +48,10 @@ EXPECTED = {
     "pure-random@exact": "d46403d872674d2236fe591d4fbf14085d36facaabce5a5ce829a51d22235541",
     "rcn@exact": "cef6f9080d7751e32000ca2ee3f3af1aa8985bd73b4659404ce0ca8589cabe18",
     "rwcn@exact": "2f613f77e270092b4c03a1ab95c12fcbaf600e9f102100bb90fd611c746bd1e2",
-    "repbublik/lowest-br@mc": "eb7fe3b3c429f3f3d91dd1d5724d33a68656e514b9bb213870a1197313b78d75",
-    "repbublik/uniform-seeded@mc": "57eece46cf64ddb4653a7bbe0e0698f7da1705659a01a614e574835ea42f4063",
-    "repbublik-plus/lowest-br@mc": "6daf89d9815552a3e342f90e123361d3f2955eccf2c542e3d8fcdb737f266bd8",
-    "repbublik-plus/uniform-seeded@mc": "3beb9f76866570f891baa8e2da921f345b92ff6dd55a587d2b8aff264c08d1a1",
+    "repbublik/lowest-br@mc": "1f0f65b05cb781bd1c4798a402ae8f9dff346af875960d0477c75819d4f016aa",
+    "repbublik/uniform-seeded@mc": "b35fb600f2b106735588c61fd4196a1ed3e78e076366dc3828cd6c081369c8ad",
+    "repbublik-plus/lowest-br@mc": "bfc6a7e29ad4526014bda09da08f0d0ca3989eff50cce8cbd34f85e85d845c43",
+    "repbublik-plus/uniform-seeded@mc": "0b9fd7cbfc99801a8e5f6a63a58b1f8fcb9945bf7a9490f677e102236e011df7",
     "pure-random@mc": "2f546946ea25b3d5b42f498715c92ec8ffd0f0786e2c5fe8e80799da1deb1308",
     "rcn@mc": "68a0cefb58b53aac5e5cc8741f334cf30780a6757c70cbfd06504ef371d65ad4",
     "rwcn@mc": "2f613f77e270092b4c03a1ab95c12fcbaf600e9f102100bb90fd611c746bd1e2",

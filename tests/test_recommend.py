@@ -444,6 +444,30 @@ class TestPlanPaths:
                         runs += bool(expected)
         assert runs > 200
 
+    @pytest.mark.parametrize("backend", ["exact", "mc"])
+    def test_one_br_table_per_plan(self, backend, monkeypatch):
+        # Targets are ranked with the prologue's table.  With the exact
+        # backend that is the table a separate request returns, so the plan
+        # is the one the reference builds with its own exact_br call.
+        original = rec.br_table
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(rec, "br_table", spy)
+        for graph, cfg in _plan_cases(8):
+            cfg = WalkConfig(t=cfg.t, theta_good=1.0, epsilon=0.9, delta=0.5, seed=cfg.seed)
+            for policy in ("lowest-br", "uniform-seeded"):
+                calls.clear()
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", RuntimeWarning)
+                    plan = repbublik_plus(graph, "R", 5, cfg, backend=backend, policy=policy)
+                assert len(calls) == 1
+                if backend == "exact":
+                    assert _triples(plan) == _plus_reference(graph, "R", 5, cfg, cfg.seed, policy)
+
     def test_baselines_equal_mask_loop(self):
         for graph, cfg in _plan_cases():
             for color in ("R", "B"):
