@@ -90,8 +90,9 @@ class ColoredGraph:
 
     @cached_property
     def memo(self) -> dict:
-        """Exact results derived from this graph, keyed by their inputs;
-        filled on first use and dropped with the graph."""
+        """Seedless results derived from this graph (exact tables, the
+        Monte Carlo walk sampler), keyed by their inputs; filled on first
+        use and dropped with the graph."""
         return {}
 
     def out_degree(self, v: int) -> int:

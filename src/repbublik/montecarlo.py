@@ -24,6 +24,17 @@ Each estimate is reduced from its own node's rows alone, through exact
 integer sums, so results are bit-identical whatever the budget and whatever
 batch a node is estimated in, and identical (graph, config, seed) gives
 identical estimates.
+
+A walk step moves to out-edge ``count(rowcum <= u)`` of its row.  It finds
+that count with one lookup in a bucket guide: each row's range of ``u`` is
+cut into a power of two of equal buckets, and scaling by a power of two is
+exact, so both ends of a bucket have exact integer answers.  The count is
+monotone in ``u``, so a bucket whose ends agree settles every ``u`` in it;
+only a walk in a bucket whose ends differ searches the few edges between
+them, with the same comparison.  Every step is thus bit-identical to a
+search of the whole row (see :class:`_WalkSampler`).  The sampler is
+derived from the graph alone, with no seed, so each graph builds it once
+and keeps it in ``graph.memo``.
 """
 from __future__ import annotations
 
@@ -52,6 +63,13 @@ _STREAM_SESSION = 4
 #: Most uniforms one walk pass holds (a pass takes at least one row).  It
 #: bounds the memory of a pass; no result depends on it.
 WALK_ELEMENTS = 1 << 16
+
+#: Guide buckets per out-edge, at least: each row gets the least power of
+#: two at or above ``GUIDE`` times its degree.  It trades the guide's size
+#: against the share of steps that search a bucket; no result depends on it.
+GUIDE = 4
+
+_BELOW_ONE = np.nextafter(1.0, 0.0)
 
 
 def stream(seed: int, *key: int) -> np.random.Generator:
@@ -91,52 +109,134 @@ def rwcc_sample_size(t_prime: int, epsilon: float, delta: float) -> int:
     return _ceil((t_prime / (2.0 * epsilon)) ** 2 / delta)
 
 
+def _row_cumsum(indptr: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """``np.cumsum`` of every CSR row alone, bit for bit.
+
+    Running sums go one column position j at a time, over the rows long
+    enough to have it (a prefix of the rows by descending degree), so no
+    row's rounding depends on the rows stored before it.  Once fewer than j
+    rows are longer than j, each of them finishes with its own cumsum from
+    column j - 1, which adds in the same order; so there are at most
+    sqrt(edges) column passes even with one huge row.
+    """
+    deg = np.diff(indptr)
+    order = np.argsort(-deg, kind="stable")
+    heads, neg_deg = indptr[order], -deg[order]  # neg_deg ascending
+    max_deg = int(deg.max(initial=0))
+    cum = weights.copy()
+    j = 1
+    while j < max_deg and (longer := int(np.searchsorted(neg_deg, -j))) >= j:
+        at = heads[:longer] + j
+        cum[at] += cum[at - 1]
+        j += 1
+    for lo, d in zip(heads.tolist(), (-neg_deg).tolist()):
+        if d <= j:
+            break
+        cum[lo + j - 1 : lo + d] = np.cumsum(cum[lo + j - 1 : lo + d])
+    return cum
+
+
+def _bucket_keys(
+    indptr: np.ndarray, cum: np.ndarray, scale: np.ndarray, offsets: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every edge's guide bucket, and whether it ends strictly inside it.
+
+    An inner edge's bucket is its row's offset plus ``min(floor(rowcum *
+    2**b), 2**b - 1)``, and it straddles when ``rowcum * 2**b`` lies above
+    that (not on the bucket's lower end); a row's last edge gets the next
+    row's offset.  Keys never decrease along the edge array.
+    """
+    edge_row = np.repeat(np.arange(scale.size, dtype=np.int32), np.diff(indptr))
+    width = scale[edge_row]
+    scaled = cum * width
+    bucket = np.minimum(np.floor(scaled), width - 1)
+    straddles = scaled > bucket
+    last = indptr[1:] - 1
+    bucket[last], straddles[last] = width[last], False
+    keys = offsets[edge_row]
+    keys += bucket.astype(np.int64)
+    return keys, straddles
+
+
 class _WalkSampler:
     """Vectorized next-state sampling from the CSR rows of a graph.
 
-    A walk at state ``s`` with uniform ``u`` moves to the first out-neighbor
-    whose row-cumulative weight exceeds ``u``, or to the last one when
-    rounding leaves ``u`` above the row total.  Every walk binary-searches
-    its own row for the last entry ``<= u``: all walks take the same
-    power-of-two steps, ``bit_length(max_degree)`` of them, clamped to the
-    end of their row.  Positive weights keep each row's cumulative sums
-    non-decreasing, so the search lands where a linear scan would.
+    A walk at state ``s`` with uniform ``u`` moves to out-edge
+    ``count(rowcum <= u)`` of its row, the count taken over the row's inner
+    edges (all but the last): the first out-neighbor whose row-cumulative
+    weight exceeds ``u``, or the last one when rounding leaves ``u`` above
+    the row total.  Positive weights keep ``rowcum`` non-decreasing along a
+    row, so the count is monotone in ``u``.
+
+    A bucket guide finds the count in one lookup.  Row ``s`` is cut into
+    ``2**b`` equal buckets of ``u``, the least power of two at or above
+    ``GUIDE`` times its degree; a step's key is ``offsets[s] + floor(min(u,
+    1-) * 2**b)``.  Scaling by a power of two is exact, so both ends of
+    bucket ``i`` have exact integer answers: at ``u = i / 2**b`` the count
+    is of inner edges with ``ceil(rowcum * 2**b) <= i``, and just below
+    ``(i + 1) / 2**b`` of those with ``floor(rowcum * 2**b) <= i``; the
+    row's last bucket reaches past ``u = 1`` to the row's end.  As the
+    count is monotone, every ``u`` in a bucket whose two ends agree has
+    that answer, and the guide stores its next node.  Any other bucket
+    stores ``-1 - j`` for span ``j``, the inner edges whose weights end
+    inside it, and only the walks that land there binary-search that span
+    with the same ``rowcum <= u`` comparison.  So every step has the bits
+    of a search of the whole row; ``GUIDE`` sets only the guide's size
+    (under ``2 * GUIDE`` entries per edge) and the share of steps that
+    search.
     """
 
     def __init__(self, graph: ColoredGraph):
-        self.indptr = graph.indptr
         self.targets = graph.targets
-        deg = np.diff(graph.indptr)
-        # Running sums one column position j at a time, over the rows long
-        # enough to have it (a prefix of the rows by descending degree): the
-        # bits of np.cumsum on each row alone, so no row's rounding depends
-        # on the rows stored before it.  Once fewer than j rows are longer
-        # than j, each of them finishes with its own cumsum from column
-        # j - 1, which adds in the same order; so there are at most
-        # sqrt(edges) column passes even with one huge row.
-        order = np.argsort(-deg, kind="stable")
-        heads, neg_deg = graph.indptr[order], -deg[order]  # neg_deg ascending
-        max_deg = int(deg.max(initial=0))
-        cum = self.rowcum = graph.weights.copy()
-        j = 1
-        while j < max_deg and (longer := int(np.searchsorted(neg_deg, -j))) >= j:
-            at = heads[:longer] + j
-            cum[at] += cum[at - 1]
-            j += 1
-        for lo, d in zip(heads.tolist(), (-neg_deg).tolist()):
-            if d <= j:
-                break
-            cum[lo + j - 1 : lo + d] = np.cumsum(cum[lo + j - 1 : lo + d])
-        rounds = max_deg.bit_length()
-        self.steps = [1 << k for k in reversed(range(rounds))]
+        self.rowcum = _row_cumsum(graph.indptr, graph.weights)
+        bits = np.frexp((GUIDE * np.diff(graph.indptr) - 1).astype(float))[1]
+        self.scale = np.ldexp(1.0, bits)  # 2**b per row
+        sizes = self.scale.astype(np.int64)
+        self.offsets = np.cumsum(sizes) - sizes  # each row's first bucket
+        keys, straddles = _bucket_keys(graph.indptr, self.rowcum, self.scale, self.offsets)
+        # Within a bucket the edges on its lower end come first, so an
+        # ambiguous bucket's span runs from its first straddling edge to its
+        # last edge.
+        inside = np.flatnonzero(straddles)
+        first = np.flatnonzero(np.diff(keys[inside], prepend=-1))
+        ambiguous = keys[inside[first]]
+        self.span_first = inside[first] - 1  # the last edge known to be <= u
+        self.span_last = np.append(inside[first[1:] - 1], inside[-1:])
+        del inside, first, straddles  # bound the peak: the guide is larger
+        # Bucket k's answer at its upper end is edge #{keys <= k}.
+        self.guide = np.repeat(self.targets, np.diff(keys, prepend=0))
+        del keys
+        self.guide[ambiguous] = ~np.arange(ambiguous.size)
+        widest = int((self.span_last - self.span_first).max(initial=0))
+        self.search = [1 << k for k in reversed(range(widest.bit_length()))]
+        for arr in (self.rowcum, self.scale, self.offsets, self.guide,
+                    self.span_first, self.span_last):
+            arr.setflags(write=False)
 
     def step(self, states: np.ndarray, u: np.ndarray) -> np.ndarray:
-        last = self.indptr[states + 1] - 1
-        pos = self.indptr[states] - 1  # last entry known to be <= u; none yet
-        for size in self.steps:
-            cand = np.minimum(pos + size, last)
-            pos = np.where(self.rowcum[cand] <= u, cand, pos)
-        return self.targets[np.minimum(pos + 1, last)]
+        """Next node of each walk for uniforms ``u``; any ``u`` from the
+        row's total up takes the row's last edge."""
+        key = self.offsets[states] + (
+            np.minimum(u, _BELOW_ONE) * self.scale[states]
+        ).astype(np.int64)
+        nxt = self.guide[key]
+        miss = np.flatnonzero(nxt < 0)
+        if miss.size:
+            span, um = ~nxt[miss], u[miss]
+            pos, last = self.span_first[span], self.span_last[span]
+            for size in self.search:
+                cand = np.minimum(pos + size, last)
+                pos = np.where(self.rowcum[cand] <= um, cand, pos)
+            nxt[miss] = self.targets[pos + 1]
+        return nxt
+
+
+def _sampler_of(graph: ColoredGraph) -> _WalkSampler:
+    """The graph's one walk sampler, built on first use and kept in
+    ``graph.memo``: it is read-only and holds no seed."""
+    if "walk_sampler" not in graph.memo:
+        graph.memo["walk_sampler"] = _WalkSampler(graph)
+    return graph.memo["walk_sampler"]
 
 
 def _walk(
@@ -158,8 +258,9 @@ def _walk(
     ends = np.full(walks, -1, dtype=np.int64)
     states = np.full(walks, starts, dtype=np.int64)
     rows = np.arange(walks)
+    columns = uniforms.T.copy()  # one contiguous row per step: 1-D gathers
     for step in range(1, horizon + 1):
-        nxt = sampler.step(states, uniforms[rows, step - 1])
+        nxt = sampler.step(states, columns[step - 1][rows])
         hit = stop[nxt]
         if goals is not None:
             hit |= nxt == goals
@@ -231,7 +332,7 @@ def estimate_br(
         graph.n, t, epsilon, delta
     )
     check_count("walks_per_node", r)
-    sampler = _WalkSampler(graph)
+    sampler = _sampler_of(graph)
     values = np.empty(graph.n)
     for color in (RED, BLUE):
         nodes = graph.nodes_of(color)
@@ -285,7 +386,7 @@ def estimate_rwcc_many(
         for v in uniq
     ])
     absorbing = graph.color_mask(opposite(graph.color_of(int(uniq[0]))))
-    sampler = _WalkSampler(graph)
+    sampler = _sampler_of(graph)
     hit_sums = np.zeros(uniq.size * z)  # summed over each draw's kappa walks
     passes = _walk_passes(seed, _STREAM_RWCC_WALKS, uniq, z * kappa, t_prime)
     for rows, uniforms in passes:
@@ -332,7 +433,7 @@ def simulate_restart_session(
     check_count("horizon", t)
     check_count("restarts", restarts)
     _node_set(graph, (v,))
-    sampler = _WalkSampler(graph)
+    sampler = _sampler_of(graph)
     absorbing = graph.color_mask(opposite(graph.color_of(v)))
     rng = stream(seed, _STREAM_SESSION, v)
     total = 0

@@ -1,10 +1,14 @@
 """Monte Carlo estimators: sample sizes, concentration, sessions, determinism."""
+import warnings
+
 import numpy as np
 import pytest
 
 import repbublik.montecarlo as mc
 from repbublik import (
     EdgeInsertion,
+    WalkConfig,
+    apply_plan,
     br_sample_size,
     build_graph,
     estimate_br,
@@ -12,8 +16,10 @@ from repbublik import (
     estimate_rwcc_many,
     exact_br,
     exact_rwcc,
+    generate_polarized,
     insert_edge,
     opposite,
+    repbublik_plus,
     rwcc_sample_size,
     simulate_restart_session,
 )
@@ -65,6 +71,65 @@ class TestSampleSizes:
             rwcc_sample_size(5, epsilon, delta)
 
 
+def _two_hub_graph(rng):
+    """Two hubs far longer than the other rows, with uneven weights."""
+    n = 300
+    edges = [(v, 0, 1.0) for v in range(2, n)]
+    for hub, width in ((0, n - 2), (1, 40)):
+        raw = rng.random(width) + 0.01
+        edges += [(hub, w, x) for w, x in zip(range(2, 2 + width), raw / raw.sum())]
+    return build_graph(["R", "R"] + ["B"] * (n - 2), edges)
+
+
+def _packed_row_graph():
+    """Row 0 puts 40 tiny weights below one bucket width, then one large
+    weight, then 20 tiny weights again: two buckets hold many cuts."""
+    n = 63
+    raw = np.concatenate([np.full(40, 1e-5), [1.0], np.full(20, 3e-6)])
+    edges = [(0, w, x) for w, x in zip(range(2, n), raw / raw.sum())]
+    edges += [(1, 0, 1.0)] + [(v, 1, 1.0) for v in range(2, n)]
+    return build_graph(["R", "R"] + ["B"] * (n - 2), edges)
+
+
+def _grown(graph, rng):
+    """``graph`` after up to 20 random cross-color insertions."""
+    plan, seen = [], set()
+    for _ in range(int(rng.integers(1, 21))):
+        v = int(rng.integers(graph.n))
+        others = graph.nodes_of(opposite(graph.color_of(v)))
+        w = int(others[rng.integers(others.size)])
+        if (v, w) in seen or graph.has_edge(v, w):
+            continue
+        seen.add((v, w))
+        plan.append(EdgeInsertion(v, w, float(rng.uniform(0.01, 0.99))))
+    return apply_plan(graph, plan)
+
+
+def _full_row_search(graph, rowcum, states, u):
+    """Reference step: a binary search of each walk's whole row for the last
+    entry ``<= u``, in ``bit_length(max_degree)`` power-of-two steps clamped
+    to the row's end (the search the bucket guide replaced)."""
+    last = graph.indptr[states + 1] - 1
+    pos = graph.indptr[states] - 1
+    rounds = int(np.diff(graph.indptr).max()).bit_length()
+    for size in [1 << k for k in reversed(range(rounds))]:
+        cand = np.minimum(pos + size, last)
+        pos = np.where(rowcum[cand] <= u, cand, pos)
+    return graph.targets[np.minimum(pos + 1, last)]
+
+
+def _probes(sampler, graph, s):
+    """Uniforms at every guide bucket edge of row ``s`` and just below it,
+    at each of the row's cumulative weights and their neighbours, and at 1
+    and above."""
+    edges = np.arange(int(sampler.scale[s]) + 1) / sampler.scale[s]
+    cum = sampler.rowcum[graph.indptr[s] : graph.indptr[s + 1]]
+    return np.concatenate([
+        edges, np.nextafter(edges[1:], 0.0), cum, np.nextafter(cum, 0.0),
+        np.nextafter(cum, 2.0), [np.nextafter(1.0, 2.0), 1.5],
+    ])
+
+
 class TestWalkSampler:
     def test_step_matches_linear_count(self):
         # Out-degrees 1, 4 (a power of two), 3 and 5, with uneven weights.
@@ -104,18 +169,69 @@ class TestWalkSampler:
     def test_rowcum_equals_per_row_cumsum(self):
         rng = np.random.default_rng(71)
         graphs = [random_polarized(rng)[0] for _ in range(24)]
-        # Two hubs far longer than the other rows, with uneven weights.
-        n = 300
-        edges = [(v, 0, 1.0) for v in range(2, n)]
-        for hub, width in ((0, n - 2), (1, 40)):
-            raw = rng.random(width) + 0.01
-            edges += [(hub, w, x) for w, x in zip(range(2, 2 + width), raw / raw.sum())]
-        graphs.append(build_graph(["R", "R"] + ["B"] * (n - 2), edges))
+        graphs.append(_two_hub_graph(rng))
         for graph in graphs:
             cum = _WalkSampler(graph).rowcum
             for v in range(graph.n):
                 lo, hi = graph.indptr[v], graph.indptr[v + 1]
                 assert np.array_equal(cum[lo:hi], np.cumsum(graph.weights[lo:hi]))
+
+    def test_step_matches_full_row_search_and_linear_count(self):
+        rng = np.random.default_rng(89)
+        graphs = [random_polarized(rng)[0] for _ in range(24)]
+        graphs += [_grown(random_polarized(rng)[0], rng) for _ in range(12)]
+        graphs += [_two_hub_graph(rng), _packed_row_graph()]
+        assert len(_WalkSampler(graphs[-1]).search) > 1  # a multi-round bucket search
+        for graph in graphs:
+            sampler = _WalkSampler(graph)
+            cum = sampler.rowcum
+            states, u, linear = [], [], []
+            for s in range(graph.n):
+                lo, hi = graph.indptr[s], graph.indptr[s + 1]
+                probe = _probes(sampler, graph, s)
+                count = (cum[lo:hi][None, :] <= probe[:, None]).sum(axis=1)
+                states.append(np.full(probe.size, s))
+                u.append(probe)
+                linear.append(graph.targets[lo + np.minimum(count, hi - lo - 1)])
+            order = rng.permutation(sum(p.size for p in u))
+            states, u = np.concatenate(states)[order], np.concatenate(u)[order]
+            got = sampler.step(states, u)
+            assert np.array_equal(got, _full_row_search(graph, cum, states, u))
+            assert np.array_equal(got, np.concatenate(linear)[order])
+
+    def test_guide_size_and_read_only(self):
+        graphs = [_two_hub_graph(np.random.default_rng(71)),
+                  generate_polarized(1000, 1000, 0.0025, 0.0004, seed=3)]
+        for graph in graphs:
+            sampler = _WalkSampler(graph)
+            assert sampler.guide.size < 2 * mc.GUIDE * graph.edge_count
+            for arr in (sampler.rowcum, sampler.scale, sampler.offsets,
+                        sampler.guide, sampler.span_first, sampler.span_last):
+                assert not arr.flags.writeable
+
+    def test_one_sampler_per_graph(self, monkeypatch):
+        built = []
+        original = _WalkSampler.__init__
+
+        def counting(self, graph):
+            built.append(graph)
+            original(self, graph)
+
+        monkeypatch.setattr(_WalkSampler, "__init__", counting)
+        graph, t = random_polarized(np.random.default_rng(97))
+        reds = graph.nodes_of("R")
+        estimate_br(graph, t, 0.5, 0.1, seed=1, walks_per_node=5)
+        estimate_rwcc_many(graph, reds, reds, t, 0.5, 0.1, seed=1, num_sources=3)
+        for seed in (1, 2):
+            simulate_restart_session(graph, int(reds[0]), t, 2, seed=seed)
+        assert len(built) == 1
+        # An MC plan scores its input graph with one sampler, not two.
+        fresh, _ = random_polarized(np.random.default_rng(97))
+        cfg = WalkConfig(t=t, theta_good=1.0, epsilon=0.9, delta=0.5, seed=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            repbublik_plus(fresh, "R", 3, cfg, backend="mc")
+        assert sum(g is fresh for g in built) == 1
 
     def test_insert_edge_leaves_other_rows_bit_identical(self):
         rng = np.random.default_rng(73)
