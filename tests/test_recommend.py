@@ -24,6 +24,7 @@ from repbublik import (
     exact_rwcc,
     exact_rwcc_many,
     generate_gadget,
+    generate_polarized,
     repbublik,
     repbublik_plus,
     target_selection,
@@ -544,3 +545,69 @@ class TestMemo:
         del grown
         gc.collect()
         assert ref() is None
+
+
+class TestPrefixContract:
+    """A plan for budget K is the first K edges of the plan for any larger
+    budget: the heap, the per-round greedy and the random draws consume
+    their streams in the same order whatever the budget.  The sweep builds
+    one plan per (algorithm, seed, color) and slices it, so it relies on
+    this for every registry entry, both backends and both target policies.
+    """
+
+    BUDGETS = (0, 1, 3, 7, 16, 29)
+    TOP = 40
+
+    @staticmethod
+    def _variants():
+        for fn in ALGORITHMS.values():
+            if fn in (repbublik, repbublik_plus):
+                yield from ((fn, {"policy": p}) for p in ("lowest-br", "uniform-seeded"))
+            else:
+                yield fn, {}
+
+    @staticmethod
+    def _cases():
+        rng = np.random.default_rng(113)
+        cases = []
+        for i in range(14):  # the small ones run out of legal edges below 40
+            graph, t = random_polarized(rng, n_max=12 if i % 2 else 40, t_range=(4, 7))
+            cases.append((graph, WalkConfig(
+                t=t, theta_good=1.5, theta_bad=t / 2, epsilon=0.9, delta=0.5, seed=i,
+            )))
+        return cases
+
+    def _plan(self, fn, graph, color, budget, cfg, backend, kwargs):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            return fn(graph, color, budget, cfg, seed=cfg.seed + 5, backend=backend, **kwargs)
+
+    def _check(self, fn, graph, cfg, backend, kwargs, tally):
+        for color in ("R", "B"):
+            top = self._plan(fn, graph, color, self.TOP, cfg, backend, kwargs)
+            for k in self.BUDGETS:
+                plan = self._plan(fn, graph, color, k, cfg, backend, kwargs)
+                assert plan.edges == top.edges[:k], (k, color)
+            tally["short" if len(top) < self.TOP else "full"] += 1
+
+    @pytest.mark.parametrize("backend", ["exact", "mc"])
+    def test_random_graphs(self, backend):
+        tally = {"full": 0, "short": 0}
+        for fn, kwargs in self._variants():
+            for graph, cfg in self._cases():
+                self._check(fn, graph, cfg, backend, kwargs, tally)
+        assert tally["full"] >= 20 and tally["short"] >= 100
+
+    @pytest.mark.parametrize("backend", ["exact", "mc"])
+    def test_desk_graph(self, backend):
+        graph = generate_polarized(200, 200, 0.02, 0.002, seed=0)
+        if backend == "exact":
+            cfg = WalkConfig(t=10, theta_good=2.0, theta_bad=5.0, seed=0)
+        else:  # a short horizon keeps the Monte Carlo passes cheap
+            cfg = WalkConfig(t=4, theta_good=1.5, theta_bad=2.0, epsilon=1.0, delta=0.5, seed=0)
+        tally = {"full": 0, "short": 0}
+        for fn, kwargs in self._variants():
+            if backend == "mc" and fn is repbublik:
+                continue  # 96 Monte Carlo BR passes per color; covered on the random graphs
+            self._check(fn, graph, cfg, backend, kwargs, tally)
+        assert tally["full"] > 0
