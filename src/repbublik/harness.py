@@ -32,6 +32,7 @@ from .graph import (
     EDGE_ROW,
     RED,
     ColoredGraph,
+    EdgeInsertion,
     WalkConfig,
     apply_plan,
     build_graph,
@@ -449,6 +450,14 @@ def run_sweep(
     with an error marker and the sweep continues; any other exception is a
     programming error and propagates.
 
+    A plan for a budget is a prefix of the plan for any larger one, so each
+    (algorithm, seed, color) plan is built once, at the color's largest
+    budget on the ladder, by the first cell that needs it, and every cell
+    reads a prefix (see :class:`_AlgorithmCells`).  A recommender's warning
+    about a short plan is therefore raised once per plan, not once per
+    cell, and with ``measure_runtime`` the time to build a plan is charged
+    to the cell that builds it.
+
     With ``measure_runtime`` left off, runtime_ms is written as 0 so that
     identical inputs and seeds produce byte-identical CSV files.
     """
@@ -469,16 +478,28 @@ def run_sweep(
     parochial = partition.parochial
     universe = candidate_universe(graph, partition)
 
+    splits: list[tuple[int, int] | Exception] = []  # per K; an error fails its cells
+    for k in k_values:
+        try:
+            splits.append(_split(y_red, y_blue, int(k)))
+        except (RepbublikError, ValueError) as exc:
+            splits.append(exc)
+    done = [s for s in splits if not isinstance(s, Exception)]
+    top = {
+        RED: max((k_red for k_red, _ in done), default=0),
+        BLUE: max((k_blue for _, k_blue in done), default=0),
+    }
+
     records: list[ExperimentRecord] = []
     with open(out_path, "w", newline="\n") as fh:
         fh.write(CSV_HEADER + "\n")
         for algo in algorithms:
-            for k in k_values:
+            cells = _AlgorithmCells(graph, algo, top, cfg, backend)
+            for k, split in zip(k_values, splits):
                 for seed in seeds:
                     record = _run_cell(
-                        graph, algo, int(k), cfg, int(seed), backend,
-                        base_br, parochial, y_red, y_blue, universe,
-                        measure_runtime,
+                        cells, int(k), split, int(seed),
+                        base_br, parochial, universe, measure_runtime,
                     )
                     records.append(record)
                     fh.write(record.csv_row() + "\n")
@@ -486,17 +507,84 @@ def run_sweep(
     return records
 
 
+def _split(y_red: float, y_blue: float, k: int) -> tuple[int, int]:
+    """(k_red, k_blue): proportional to the bias sums, even if both are zero."""
+    try:
+        return budget_allocation(y_red, y_blue, k)
+    except BothColorsUnbiased:
+        return even_split(k)
+
+
+class _AlgorithmCells:
+    """One algorithm's plans and grown graphs while a sweep runs its cells.
+
+    Plans: every recommender's plan for a budget is the first edges of its
+    plan for a larger budget (``tests/test_recommend.py`` asserts this
+    prefix contract).  So the plan of each (seed, color) is built once, at
+    ``top[color]``, on the first cell whose budget for that color is
+    positive, and cells read prefixes of it.  When that build fails with a
+    :class:`RepbublikError` or ``ValueError``, each cell of the (seed,
+    color) calls the recommender at its own budget, as a plan that fails at
+    some round still succeeds at the budgets below it.
+
+    Graphs: each seed keeps the graph of its last cell and the edges of
+    each color applied to it.  A cell whose edges extend those, color by
+    color, applies only the new ones to that graph; any other cell grows
+    from the input graph.  Both give the same bits: an edge of one color
+    rewrites only that color's rows, and a row renormalised edge by edge in
+    plan order runs the same float operations whether it is built in one
+    call or in several.
+    """
+
+    def __init__(
+        self, graph: ColoredGraph, algo: str, top: dict[str, int],
+        cfg: WalkConfig, backend: str,
+    ):
+        self.graph, self.algo, self.top = graph, algo, top
+        self.cfg, self.backend = cfg, backend
+        self._plans: dict[tuple[int, str], tuple[EdgeInsertion, ...] | None] = {}
+        self._grown: dict[int, tuple[ColoredGraph, tuple, tuple]] = {}
+
+    def _build(self, color: str, budget: int, seed: int) -> tuple[EdgeInsertion, ...]:
+        plan = ALGORITHMS[self.algo](
+            self.graph, color, budget, self.cfg, seed=seed, backend=self.backend
+        )
+        return plan.edges
+
+    def edges(self, color: str, budget: int, seed: int) -> tuple[EdgeInsertion, ...]:
+        """The first ``budget`` edges of the (seed, color) plan."""
+        if budget == 0:
+            return ()
+        key = (seed, color)
+        if key not in self._plans:
+            try:
+                self._plans[key] = self._build(color, self.top[color], seed)
+            except (RepbublikError, ValueError):
+                self._plans[key] = None
+        plan = self._plans[key]
+        if plan is None:
+            return self._build(color, budget, seed)
+        return plan[:budget]
+
+    def grow(
+        self, seed: int, red: tuple[EdgeInsertion, ...], blue: tuple[EdgeInsertion, ...]
+    ) -> ColoredGraph:
+        """The input graph with ``red`` and then ``blue`` applied."""
+        base, old_red, old_blue = self._grown.get(seed, (self.graph, (), ()))
+        if red[: len(old_red)] != old_red or blue[: len(old_blue)] != old_blue:
+            base, old_red, old_blue = self.graph, (), ()
+        grown = apply_plan(base, red[len(old_red) :] + blue[len(old_blue) :])
+        self._grown[seed] = (grown, red, blue)
+        return grown
+
+
 def _run_cell(
-    graph: ColoredGraph,
-    algo: str,
+    cells: _AlgorithmCells,
     k: int,
-    cfg: WalkConfig,
+    split: tuple[int, int] | Exception,
     seed: int,
-    backend: str,
     base_br: BrTable,
     parochial: np.ndarray,
-    y_red: float,
-    y_blue: float,
     universe: int,
     measure_runtime: bool,
 ) -> ExperimentRecord:
@@ -504,19 +592,14 @@ def _run_cell(
     delta = healed = float("nan")
     error = None
     try:
-        try:
-            k_red, k_blue = budget_allocation(y_red, y_blue, k)
-        except BothColorsUnbiased:
-            k_red, k_blue = even_split(k)
-        edges = []
-        for color, k_c in ((RED, k_red), (BLUE, k_blue)):
-            if k_c > 0:
-                plan = ALGORITHMS[algo](
-                    graph, color, k_c, cfg, seed=seed, backend=backend
-                )
-                edges.extend(plan.edges)
-        grown = apply_plan(graph, edges)
-        new_br = br_table(grown, cfg, backend, derive_seed(seed, _TAG_EVAL))
+        if isinstance(split, Exception):
+            raise split
+        k_red, k_blue = split
+        grown = cells.grow(
+            seed, cells.edges(RED, k_red, seed), cells.edges(BLUE, k_blue, seed)
+        )
+        cfg = cells.cfg
+        new_br = br_table(grown, cfg, cells.backend, derive_seed(seed, _TAG_EVAL))
         if parochial.size:
             new_partition = classify(
                 new_br, grown.colors, cfg.theta_good, cfg.theta_bad
@@ -530,7 +613,7 @@ def _run_cell(
     except (RepbublikError, ValueError) as exc:  # record the failure, keep sweeping
         error = f"{type(exc).__name__}: {exc}"
     return ExperimentRecord(
-        algorithm=algo,
+        algorithm=cells.algo,
         budget=k,
         pct_candidate=100.0 * k / universe if universe else 0.0,
         delta=delta,

@@ -444,10 +444,14 @@ def test_criterion_6_figure_trend(figure_sweeps):
 
 
 def test_criterion_7_sweep_determinism(figure_sweeps):
+    # Each rerun regenerates its graph, so it starts from an empty memo and
+    # recomputes every Bubble Radius and closeness value of the sweep.
     identical = 0
     for gi, run in enumerate(figure_sweeps["runs"]):
         repeat_path = figure_sweeps["root"] / f"repeat_{GRAPH_SEEDS[gi]}.csv"
-        _figure_sweep(run["graph"], run["cfg"], repeat_path)
+        graph = generate_polarized(200, 200, 0.02, 0.002, seed=GRAPH_SEEDS[gi])
+        assert graph is not run["graph"] and not graph.memo
+        _figure_sweep(graph, run["cfg"], repeat_path)
         identical += run["path"].read_bytes() == repeat_path.read_bytes()
     _report(
         "7 byte-identical sweep reruns",

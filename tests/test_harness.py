@@ -1,6 +1,11 @@
 """Dataset IO, fixture generators, the sweep protocol, and plot emission."""
+import time
+import warnings
+
 import numpy as np
 import pytest
+
+import repbublik.harness as harness
 
 from repbublik import (
     WalkConfig,
@@ -25,8 +30,11 @@ from repbublik.errors import (
     UncoveredElement,
     UnknownColor,
 )
-from repbublik.harness import ExperimentRecord
-from repbublik.recommend import ALGORITHMS
+from repbublik.harness import CSV_HEADER, ExperimentRecord
+from repbublik.montecarlo import derive_seed
+from repbublik.recommend import ALGORITHMS, baseline_pure_random, repbublik_plus
+
+from conftest import random_polarized
 
 
 @pytest.fixture
@@ -247,6 +255,216 @@ class TestRunSweep:
         cfg = WalkConfig(t=6, theta_good=2.0, theta_bad=3.0, seed=1)
         with pytest.raises(ValueError):
             run_sweep(gadget6.graph, ["nope"], [1], cfg, [1], tmp_path / "s.csv")
+
+
+def _reference_sweep(graph, algorithms, k_values, cfg, seeds, out_path, backend):
+    """The sweep as one independent cell per (algorithm, K, seed): every
+    cell builds its plans at its own budget and applies them all to the
+    input graph.  run_sweep must write the same bytes and records."""
+    base_br = harness.br_table(graph, cfg, backend, cfg.seed)
+    partition = classify(base_br, graph.colors, cfg.theta_good, cfg.theta_bad)
+    y_red = harness.structural_bias(base_br, partition, "R")
+    y_blue = harness.structural_bias(base_br, partition, "B")
+    parochial = partition.parochial
+    universe = candidate_universe(graph, partition)
+    records = []
+    with open(out_path, "w", newline="\n") as fh:
+        fh.write(CSV_HEADER + "\n")
+        for algo in algorithms:
+            for k in k_values:
+                for seed in seeds:
+                    delta = healed = float("nan")
+                    error = None
+                    try:
+                        try:
+                            k_red, k_blue = harness.budget_allocation(y_red, y_blue, k)
+                        except harness.BothColorsUnbiased:
+                            k_red, k_blue = harness.even_split(k)
+                        edges = []
+                        for color, k_c in (("R", k_red), ("B", k_blue)):
+                            if k_c > 0:
+                                plan = ALGORITHMS[algo](
+                                    graph, color, k_c, cfg, seed=seed, backend=backend
+                                )
+                                edges.extend(plan.edges)
+                        grown = harness.apply_plan(graph, edges)
+                        new_br = harness.br_table(
+                            grown, cfg, backend, derive_seed(seed, harness._TAG_EVAL)
+                        )
+                        if parochial.size:
+                            left = classify(new_br, grown.colors, cfg.theta_good, cfg.theta_bad)
+                            delta = float(np.mean(
+                                base_br.values[parochial] - new_br.values[parochial]
+                            ))
+                            healed = (parochial.size - left.parochial.size) / parochial.size
+                        else:
+                            delta, healed = 0.0, 0.0
+                    except (RepbublikError, ValueError) as exc:
+                        error = f"{type(exc).__name__}: {exc}"
+                    record = ExperimentRecord(
+                        algo, k, 100.0 * k / universe if universe else 0.0,
+                        delta, healed, seed, 0.0, error,
+                    )
+                    records.append(record)
+                    fh.write(record.csv_row() + "\n")
+    return records
+
+
+class _BudgetLimited(RepbublikError):
+    pass
+
+
+def _fails_above_two(graph, color, budget, cfg, seed=None, backend="exact"):
+    """pure-random, but a package error at every budget above 2."""
+    if budget > 2:
+        raise _BudgetLimited(f"budget {budget} is above 2")
+    return baseline_pure_random(graph, color, budget, cfg, seed=seed, backend=backend)
+
+
+def _reversed_below_three(graph, color, budget, cfg, seed=None, backend="exact"):
+    """repbublik-plus reversed, so no plan is a prefix of the next, and a
+    package error at every budget above 2.  Out of the prefix contract, it
+    is safe only while every top-budget build fails."""
+    if budget > 2:
+        raise _BudgetLimited(f"budget {budget} is above 2")
+    plan = repbublik_plus(graph, color, budget, cfg, seed=seed, backend=backend)
+    return type(plan)(edges=plan.edges[::-1], color=color, requested=budget)
+
+
+class TestSweepOracle:
+    """run_sweep builds one plan per (algorithm, seed, color) and grows each
+    cell's graph from the previous budget's; the per-cell loop it replaced
+    is the oracle, byte for byte."""
+
+    K_VALUES = [0, 1, 2, 2, 3, 5, 9, 14]
+
+    @staticmethod
+    def _graphs():
+        rng = np.random.default_rng(509)
+        return [random_polarized(rng, n_max=24, t_range=(4, 7)) for _ in range(12)]
+
+    @staticmethod
+    def _cfg(t, seed):
+        return WalkConfig(t=t, theta_good=1.5, theta_bad=t / 2, epsilon=0.9, delta=0.5, seed=seed)
+
+    @staticmethod
+    def _bias(graph, t):
+        br = exact_br(graph, t)
+        part = classify(br, graph.colors, 1.5, t / 2)
+        return (harness.structural_bias(br, part, "R"), harness.structural_bias(br, part, "B"))
+
+    def _assert_same(self, tmp_path, graph, algorithms, k_values, cfg, seeds, backend):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            records = run_sweep(
+                graph, algorithms, k_values, cfg, seeds, tmp_path / "new.csv", backend=backend
+            )
+            expected = _reference_sweep(
+                graph, algorithms, k_values, cfg, seeds, tmp_path / "old.csv", backend
+            )
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+        assert [repr(r) for r in records] == [repr(r) for r in expected]  # NaN-safe
+        return records
+
+    @pytest.mark.parametrize("backend", ["exact", "mc"])
+    def test_equals_per_cell_loop(self, tmp_path, backend):
+        errors = rows = 0
+        for gi, (graph, t) in enumerate(self._graphs()):
+            records = self._assert_same(
+                tmp_path, graph, sorted(ALGORITHMS), self.K_VALUES, self._cfg(t, gi),
+                [gi, gi + 40], backend,
+            )
+            errors += sum(r.error is not None for r in records)
+            rows += len(records)
+        assert rows == 12 * 5 * len(self.K_VALUES) * 2 and errors < rows // 10
+
+    def test_failing_builds_fall_back_to_the_cell_budget(self, tmp_path, monkeypatch):
+        monkeypatch.setitem(ALGORITHMS, "fails-above-2", _fails_above_two)
+        monkeypatch.setitem(ALGORITHMS, "reversed", _reversed_below_three)
+        graph, t = self._graphs()[0]
+        k_values = [0, 1, 2, 3, 4, 6, 12]
+        splits = [harness._split(*self._bias(graph, t), k) for k in k_values]
+        assert min(max(s[0] for s in splits), max(s[1] for s in splits)) > 2
+        records = self._assert_same(
+            tmp_path, graph, ["fails-above-2", "reversed", "pure-random"],
+            k_values, self._cfg(t, 1), [3, 4], "exact",
+        )
+        for r, (k_red, k_blue) in zip(records, [s for s in splits for _ in range(2)] * 3):
+            if r.algorithm == "pure-random" or max(k_red, k_blue) <= 2:
+                assert r.error is None
+            else:
+                first = k_red if k_red > 2 else k_blue
+                assert r.error == f"_BudgetLimited: budget {first} is above 2"
+        assert sum(r.error is None for r in records) >= 24
+
+    def test_falling_color_budget_grows_from_the_input_graph(self, tmp_path, monkeypatch):
+        # The split in floats could in principle hand a color fewer edges at
+        # a larger K; such a cell must not reuse the previous budget's graph.
+        seesaw = lambda y_red, y_blue, k: (k, 0) if k % 2 else (0, k)
+        monkeypatch.setattr(harness, "budget_allocation", seesaw)
+        for gi, (graph, t) in enumerate(self._graphs()[:4]):
+            self._assert_same(
+                tmp_path, graph, ["repbublik-plus", "rcn"], [1, 2, 3, 4, 7, 8],
+                self._cfg(t, gi), [gi], "exact",
+            )
+
+    def test_rows_before_a_programming_error_are_flushed(self, tmp_path, monkeypatch):
+        def broken(graph, color, budget, cfg, seed=None, backend="exact"):
+            raise RuntimeError("a bug, not a recordable failure")
+
+        monkeypatch.setitem(ALGORITHMS, "broken", broken)
+        graph, t = self._graphs()[1]
+        cfg = self._cfg(t, 2)
+        with pytest.raises(RuntimeError, match="a bug"):
+            run_sweep(graph, ["rwcn", "broken"], [0, 1, 4], cfg, [0, 1], tmp_path / "new.csv")
+        _reference_sweep(graph, ["rwcn"], [0, 1, 4], cfg, [0, 1], tmp_path / "old.csv", "exact")
+        # Budget 0 builds no plan, so the two K=0 rows of `broken` succeed.
+        new = (tmp_path / "new.csv").read_text().splitlines()
+        assert new[:7] == (tmp_path / "old.csv").read_text().splitlines()
+        assert [row.split(",")[:2] for row in new[7:]] == [["broken", "0"], ["broken", "0"]]
+
+    def test_short_plan_warns_once_per_plan(self, tmp_path):
+        # Three legal edges in all: every K above 3 asks for more, but each
+        # seed's red plan is built once, at K = 8.
+        gadget = generate_gadget(3, [[0, 1], [1, 2], [2]], 6)
+        cfg = WalkConfig(t=6, theta_good=2.0, theta_bad=3.0, seed=1)
+        with pytest.warns(RuntimeWarning) as caught:
+            records = run_sweep(
+                gadget.graph, ["pure-random"], [1, 2, 4, 6, 8], cfg, [1, 2], tmp_path / "s.csv"
+            )
+        messages = [str(w.message) for w in caught]
+        assert messages == ["only 3 of 8 insertions were possible for color R"] * 2
+        assert all(r.error is None for r in records)
+
+    def test_runtime_charges_each_build_to_its_cell(self, tmp_path, monkeypatch):
+        graph, t = self._graphs()[2]
+        calls = []
+
+        def slow(graph, color, budget, cfg, seed=None, backend="exact"):
+            calls.append((color, budget, seed))
+            time.sleep(0.05)
+            return baseline_pure_random(graph, color, budget, cfg, seed=seed, backend=backend)
+
+        monkeypatch.setitem(ALGORITHMS, "slow", slow)
+        k_values, seeds = [0, 1, 3, 6], [5, 6]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            records = run_sweep(
+                graph, ["slow"], k_values, self._cfg(t, 0), seeds, tmp_path / "s.csv",
+                measure_runtime=True,
+            )
+        # One build per (seed, color) with a positive budget, at the top
+        # budget, inside the first cell that needs it.
+        splits = [harness._split(*self._bias(graph, t), k) for k in k_values]
+        top = dict(zip("RB", np.max(splits, axis=0).tolist()))
+        assert sorted(calls) == sorted((c, top[c], s) for s in seeds for c in "RB" if top[c])
+        built = set()
+        for r, split in zip(records, [s for s in splits for _ in seeds]):
+            needs = {(r.seed, c) for c, k_c in zip("RB", split) if k_c} - built
+            built |= needs
+            assert r.runtime_ms >= 50.0 * len(needs)
+            if not needs:
+                assert r.runtime_ms < 50.0
 
 
 class TestEmitPlotdata:

@@ -10,7 +10,12 @@ choice, a tie break, an insertion weight's bits or an evaluated Bubble
 Radius changes a digest.
 """
 import hashlib
+import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 
@@ -111,6 +116,35 @@ def sweep_digest(out_path) -> str:
 
 def test_sweep_csv_matches_recorded_digest(tmp_path):
     assert sweep_digest(tmp_path / "sweep.csv") == SWEEP_EXPECTED
+
+
+# Small chunk sizes, set as module attributes in a fresh interpreter: one
+# column per exact block on the desk graph, Monte Carlo passes of a few
+# walks, and a bucket guide of one bucket per out-edge (GUIDE is 4).
+_SMALL_CHUNKS = """
+import json, sys
+import repbublik.exact, repbublik.montecarlo
+repbublik.exact.BLOCK_ELEMENTS = 64
+repbublik.montecarlo.WALK_ELEMENTS = 256
+repbublik.montecarlo.GUIDE = 1
+from pathlib import Path
+import test_plan_digest as digests
+print(json.dumps([digests.plan_digests(), digests.sweep_digest(Path(sys.argv[1]))]))
+"""
+
+
+def test_digests_hold_with_small_chunks_in_a_fresh_process(tmp_path):
+    import repbublik
+
+    paths = [str(Path(repbublik.__file__).parents[1]), str(Path(__file__).parent)]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([*paths, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _SMALL_CHUNKS, str(tmp_path / "sweep.csv")],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    plans, sweep = json.loads(done.stdout.splitlines()[-1])
+    assert plans == EXPECTED
+    assert sweep == SWEEP_EXPECTED
 
 
 if __name__ == "__main__":
