@@ -4,19 +4,25 @@ Every estimator and property test in the package is checked against these
 routines.  All of them run in O(t * |E|) per source/target via sparse
 matrix-vector products, so they stay practical for small and medium graphs
 while avoiding the cubic cost of Laplacian-based hitting-time solvers.
-Closeness for a whole pool of targets (:func:`exact_rwcc_many`) and the
-return-mass profiles behind :func:`exact_gamma` are block passes: the
-columns are stepped together in chunks of at most ``BLOCK_ELEMENTS``
-entries, with the bits of a one-column pass.
+A walk is absorbed when it first enters the opposite color, so closeness
+and return mass depend only on the color's own block of M, the rows and
+columns of the color's nodes (:func:`_color_block`).  Closeness for a whole
+pool of targets (:func:`exact_rwcc_many`) and the return-mass profiles
+behind :func:`exact_gamma` are block passes on that |C| x |C| matrix: the
+columns are stepped together in |C| x width chunks of at most
+``BLOCK_ELEMENTS`` entries, with the bits of a one-column pass on the full
+matrix, since every term the block leaves out adds an exact +0.0.
 """
 from __future__ import annotations
 
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import (
     EmptySourceSet,
@@ -39,8 +45,8 @@ from .graph import (
 
 #: Absolute tolerance for the dynamic programs.
 DP_TOL = 1e-9
-#: Most entries in one n x width block of closeness target or return-mass
-#: columns.
+#: Most entries in one |C| x width block of closeness target or return-mass
+#: columns, where C is the nodes of the block's color.
 BLOCK_ELEMENTS = 1 << 21
 
 
@@ -89,9 +95,15 @@ class FirstPassageProfile:
 
 
 def _node_set(graph: ColoredGraph, nodes: Iterable[int]) -> np.ndarray:
+    """``nodes`` as an ascending, duplicate-free int64 array of valid ids.
+    An array that already is one (``nodes_of``, a parochial pool) is
+    returned as it is."""
     if not isinstance(nodes, np.ndarray):
         nodes = np.fromiter((int(v) for v in nodes), dtype=np.int64)
-    arr = np.unique(nodes.astype(np.int64, copy=False))
+    if nodes.dtype == np.int64 and nodes.ndim == 1 and (nodes[1:] > nodes[:-1]).all():
+        arr = nodes
+    else:
+        arr = np.unique(nodes.astype(np.int64, copy=False))
     if arr.size and (arr[0] < 0 or arr[-1] >= graph.n):
         raise ValueError(f"node set {arr} contains ids outside 0..{graph.n - 1}")
     return arr
@@ -122,21 +134,26 @@ def exact_bounded_hitting(
 def exact_br(graph: ColoredGraph, t: int) -> BrTable:
     """Exact Bubble Radius of every node at horizon ``t``.
 
-    Two absorbing-set passes: blue nodes absorb the walks of red sources and
-    vice versa.  A color with no opposite nodes sits at the cap ``t``.  The
-    table is computed once per graph and ``t`` and kept in ``graph.memo``.
+    One two-column pass of :func:`exact_bounded_hitting`'s recurrence:
+    column 0 holds the walks of red sources, absorbed by blue nodes, and
+    column 1 those of blue sources, absorbed by red nodes.  Each column sums
+    its terms in the order of a one-column pass, so the values have its
+    bits.  A color with no opposite nodes sits at the cap ``t``.  The table
+    is computed once per graph and ``t`` and kept in ``graph.memo``.
     """
     check_count("horizon", t)
     key = ("br", t)
     if key in graph.memo:
         return graph.memo[key]
-    values = np.empty(graph.n)
-    for color in (RED, BLUE):
-        sources = graph.color_mask(color)
-        if not sources.any():
-            continue
-        hit = exact_bounded_hitting(graph, graph.nodes_of(opposite(color)), t)
-        values[sources] = hit[sources]
+    red = graph.color_mask(RED)
+    keep = np.stack((red, ~red), axis=1).astype(np.float64)
+    survival = keep.copy()
+    expected = survival.copy()
+    for _ in range(t - 1):
+        survival = graph.matrix @ survival
+        survival *= keep
+        expected += survival
+    values = np.where(red, expected[:, 0], expected[:, 1])
     graph.memo[key] = BrTable(values=values, t=t, provenance="exact")
     return graph.memo[key]
 
@@ -172,29 +189,70 @@ def exact_first_passage(
     return FirstPassageProfile(source=source, target=target, horizon=t, probs=probs)
 
 
+@dataclass(frozen=True, eq=False)
+class _ColorBlock:
+    """The transition matrix restricted to one color's nodes.
+
+    ``matrix`` is M[C][:, C] for the ascending nodes C of the color, with
+    each row's entries in the order of M's CSR row; ``rows`` is the local
+    row of each stored entry.
+    """
+
+    nodes: np.ndarray
+    matrix: sp.csr_matrix
+    rows: np.ndarray
+
+    @cached_property
+    def matrix_t(self) -> sp.csr_matrix:
+        return self.matrix.T.tocsr()
+
+    def local(self, nodes: np.ndarray) -> np.ndarray:
+        """Local indices of ``nodes``, all of the block's color."""
+        return np.searchsorted(self.nodes, nodes)
+
+
+def _color_block(graph: ColoredGraph, color: str) -> _ColorBlock:
+    """The block of ``color``, built from the CSR arrays on first use and
+    kept in ``graph.memo``."""
+    key = ("block", color)
+    if key not in graph.memo:
+        inside = graph.color_mask(color)
+        nodes = np.flatnonzero(inside)
+        local = np.cumsum(inside) - 1
+        rows = np.repeat(local, np.diff(graph.indptr))
+        kept = np.repeat(inside, np.diff(graph.indptr)) & inside[graph.targets]
+        rows = rows[kept]
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=nodes.size))))
+        matrix = sp.csr_matrix(
+            (graph.weights[kept], local[graph.targets[kept]], indptr),
+            shape=(nodes.size, nodes.size),
+        )
+        graph.memo[key] = _ColorBlock(nodes=nodes, matrix=matrix, rows=rows)
+    return graph.memo[key]
+
+
 def _return_profiles(
     graph: ColoredGraph, nodes: np.ndarray, t_prime: int
 ) -> np.ndarray:
     """Return-visit profiles of ``nodes``, all of one color, in blocks.
 
-    Column j of a block is the distribution of the walk started at the
-    j-th node, zeroed on the opposite color after every step; row j of the
-    result is that node's ``p[0..t'-1]``.  Blocks hold at most
-    ``BLOCK_ELEMENTS`` entries, and each column's arithmetic does not depend
-    on the block width.
+    Column j of a block is the distribution, on the color's own block, of
+    the walk started at the j-th node; row j of the result is that node's
+    ``p[0..t'-1]``.  Blocks hold at most ``BLOCK_ELEMENTS`` entries, and
+    each column's arithmetic does not depend on the block width.
     """
-    avoid = graph.color_mask(opposite(graph.color_of(int(nodes[0]))))
+    color = _color_block(graph, graph.color_of(int(nodes[0])))
+    local = color.local(nodes)
     profiles = np.zeros((nodes.size, t_prime))
     profiles[:, 0] = 1.0
-    width = max(1, BLOCK_ELEMENTS // graph.n)
+    width = max(1, BLOCK_ELEMENTS // color.nodes.size)
     for lo in range(0, nodes.size, width):
-        chunk = nodes[lo : lo + width]
+        chunk = local[lo : lo + width]
         cols = np.arange(chunk.size)
-        block = np.zeros((graph.n, chunk.size))
+        block = np.zeros((color.nodes.size, chunk.size))
         block[chunk, cols] = 1.0
         for step in range(1, t_prime):
-            block = graph.matrix_t @ block
-            block[avoid, :] = 0.0
+            block = color.matrix_t @ block
             profiles[lo + cols, step] = block[chunk, cols]
     return profiles
 
@@ -258,10 +316,12 @@ def exact_rwcc_many(
     belongs to the j-th entry of ``nodes``.
 
     One backward DP per target: q_i(w) = P(from w, first hit of v at step i
-    avoiding the absorbing set), stepped for a block of targets at once as
-    Q <- M @ (Q * keep), where column j also zeroes its own target.  Blocks
-    hold at most ``BLOCK_ELEMENTS`` entries, and each column's arithmetic
-    is that of a one-target pass, so values do not depend on the block width.
+    avoiding the opposite color), stepped for a block of targets at once as
+    Q <- A @ Q on the color's own block A = M[C][:, C], where column j
+    zeroes its own target first.  Only the rows of S are accumulated.
+    Blocks hold at most ``BLOCK_ELEMENTS`` entries, and each column's
+    arithmetic is that of a one-target pass on the full matrix, so values
+    do not depend on the block width.
 
     The result is read-only and kept in ``graph.memo`` under the horizon and
     the validated node and source arrays, so a repeated request is one
@@ -292,36 +352,38 @@ def _rwcc_block(
     if uniq.size == 0:
         return values
 
-    keep = ~graph.color_mask(opposite(graph.color_of(int(uniq[0]))))
+    color = _color_block(graph, graph.color_of(int(uniq[0])))
+    size = color.nodes.size
     pos = np.searchsorted(src, uniq)
     in_src = src[np.minimum(pos, src.size - 1)] == uniq
-    rows = np.repeat(np.arange(graph.n), np.diff(graph.indptr))
-    width = max(1, BLOCK_ELEMENTS // graph.n)
+    src_local = color.local(src)
+    width = max(1, BLOCK_ELEMENTS // size)
     for lo in range(0, uniq.size, width):
-        block = uniq[lo : lo + width]
+        block = color.local(uniq[lo : lo + width])
         cols = np.arange(block.size)
-        column_of = np.full(graph.n, -1)
+        column_of = np.full(size, -1)
         column_of[block] = cols
-        into = column_of[graph.targets]
+        into = column_of[color.matrix.indices]
         hit = into >= 0
-        q = np.zeros((graph.n, block.size))
-        q[rows[hit], into[hit]] = graph.weights[hit]  # q_1(w) = M[w, v]
-        acc = (t_prime - 1) * q
+        q = np.zeros((size, block.size))
+        q[color.rows[hit], into[hit]] = color.matrix.data[hit]  # q_1(w) = M[w, v]
+        acc = (t_prime - 1) * q[src_local]
         for i in range(2, t_prime):
-            q *= keep[:, None]
             q[block, cols] = 0.0  # the walk stops at its first visit of v
-            q = graph.matrix @ q
-            acc += (t_prime - i) * q
-        # Each target sums S without itself, ascending, as one contiguous
-        # row, so the sum rounds like the one-target pass.
-        for member in (False, True):
-            sel = np.flatnonzero(in_src[lo : lo + width] == member)
-            if sel.size == 0:
-                continue
-            idx = np.broadcast_to(np.arange(src.size - member), (sel.size, src.size - member))
-            if member:
-                idx = idx + (idx >= pos[lo + sel][:, None])
-            values[lo + sel] = acc[src[idx], sel[:, None]].sum(axis=1) / src.size
+            q = color.matrix @ q
+            acc += (t_prime - i) * q[src_local]
+        # Row j of ``terms`` holds target j's terms over S.  Each target sums
+        # S without itself, ascending, as one contiguous row, so the sum
+        # rounds like the one-target pass.
+        terms = acc.T.copy()
+        member = in_src[lo : lo + width]
+        outside = np.flatnonzero(~member)
+        values[lo + outside] = terms[outside].sum(axis=1) / src.size
+        inside = np.flatnonzero(member)
+        others = np.ones((inside.size, src.size), dtype=bool)
+        others[np.arange(inside.size), pos[lo + inside]] = False  # v itself
+        kept = terms[inside][others].reshape(inside.size, src.size - 1)
+        values[lo + inside] = kept.sum(axis=1) / src.size
     return values[np.searchsorted(uniq, targets)]
 
 

@@ -90,9 +90,9 @@ class ColoredGraph:
 
     @cached_property
     def memo(self) -> dict:
-        """Seedless results derived from this graph (exact tables, the
-        Monte Carlo walk sampler), keyed by their inputs; filled on first
-        use and dropped with the graph."""
+        """Seedless results derived from this graph (exact tables, each
+        color's block of the matrix, the Monte Carlo walk sampler), keyed
+        by their inputs; filled on first use and dropped with the graph."""
         return {}
 
     def out_degree(self, v: int) -> int:
@@ -332,15 +332,28 @@ def apply_plan(
     the first bad edge raises.  Only the touched rows are rebuilt, and the
     graph is assembled once.
     """
+    edges = list(plan)
+    n = graph.n
+    # The edges before the first out-of-range one are checked in order, and
+    # then that one raises.  Their endpoint colors and source row bounds are
+    # read as Python values in one array pass.
+    stop = next(
+        (k for k, e in enumerate(edges) if not (0 <= e.src < n and 0 <= e.dst < n)),
+        len(edges),
+    )
+    endpoints = [x for e in edges[:stop] for x in (e.src, e.dst)]
+    ids = np.array(endpoints) if endpoints else np.zeros(0, dtype=np.int64)
+    red = graph.color_mask(RED)[ids].tolist()
+    lows = graph.indptr[ids[::2]].tolist()
+    highs = graph.indptr[ids[::2] + 1].tolist()
     rows: dict[int, tuple[list[int], list[float]]] = {}  # touched rows
-    for edge in plan:
+    for k, edge in enumerate(edges[:stop]):
         v, w, m = edge.src, edge.dst, edge.weight
-        if not (0 <= v < graph.n and 0 <= w < graph.n):
-            raise UnknownColor(f"insertion ({v}, {w}) references a node outside the graph")
-        if graph.colors[v] == graph.colors[w]:
+        if red[2 * k] == red[2 * k + 1]:
             raise SameColorEndpoints(v, w)
         if v not in rows:
-            rows[v] = tuple(part.tolist() for part in graph.row(v))
+            lo, hi = lows[k], highs[k]
+            rows[v] = (graph.targets[lo:hi].tolist(), graph.weights[lo:hi].tolist())
         row_targets, row_weights = rows[v]
         pos = bisect_left(row_targets, w)
         if pos < len(row_targets) and row_targets[pos] == w:
@@ -352,20 +365,26 @@ def apply_plan(
         new_sum = math.fsum(row_weights)
         if abs(new_sum - 1.0) > ROW_SUM_TOL:
             raise NonStochasticRow(v, new_sum, "renormalization drifted")
+    if stop < len(edges):
+        v, w = edges[stop].src, edges[stop].dst
+        raise UnknownColor(f"insertion ({v}, {w}) references a node outside the graph")
     if not rows:
         return graph
 
     touched = np.fromiter(rows, dtype=np.int64)
-    added = np.zeros(graph.n, dtype=np.int64)
-    added[touched] = [len(rows[v][0]) - graph.out_degree(v) for v in rows]
+    lengths = np.fromiter((len(row) for row, _ in rows.values()), dtype=np.int64)
+    added = np.zeros(n, dtype=np.int64)
+    added[touched] = lengths - (graph.indptr[touched + 1] - graph.indptr[touched])
     # Open room at the end of every touched row, then overwrite those rows.
     ends = np.repeat(graph.indptr[1:], added)
     targets = np.insert(graph.targets, ends, 0)
     weights = np.insert(graph.weights, ends, 0.0)
     indptr = graph.indptr + np.concatenate(([0], np.cumsum(added)))
-    for v, (row_targets, row_weights) in rows.items():
-        targets[indptr[v] : indptr[v + 1]] = row_targets
-        weights[indptr[v] : indptr[v + 1]] = row_weights
+    # Entry j of the touched rows laid end to end goes to ``at[j]``.
+    offsets = np.cumsum(lengths) - lengths
+    at = np.repeat(indptr[touched] - offsets, lengths) + np.arange(lengths.sum())
+    targets[at] = [x for row_targets, _ in rows.values() for x in row_targets]
+    weights[at] = [x for _, row_weights in rows.values() for x in row_weights]
     return ColoredGraph(colors=graph.colors, indptr=indptr, targets=targets, weights=weights)
 
 

@@ -12,6 +12,7 @@ import re
 import time
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -71,7 +72,11 @@ class DatasetStats:
 class LoadedDataset:
     graph: ColoredGraph
     original_ids: np.ndarray        # dense id -> original id
-    dense_ids: dict[int, int]       # original id -> dense id
+
+    @cached_property
+    def dense_ids(self) -> dict[int, int]:
+        """Original id -> dense id, built on first use."""
+        return dict(zip(self.original_ids.tolist(), range(self.original_ids.size)))
 
 
 @dataclass(frozen=True)
@@ -106,10 +111,11 @@ class ExperimentRecord:
 
 
 def cross_edge_counts(graph: ColoredGraph) -> tuple[int, int]:
-    src_colors = np.repeat(graph.colors, np.diff(graph.indptr))
-    dst_colors = graph.colors[graph.targets]
-    red_to_blue = int(((src_colors == RED) & (dst_colors == BLUE)).sum())
-    blue_to_red = int(((src_colors == BLUE) & (dst_colors == RED)).sum())
+    red = graph.color_mask(RED)
+    src_red = np.repeat(red, np.diff(graph.indptr))
+    dst_red = red[graph.targets]
+    red_to_blue = int(np.count_nonzero(src_red & ~dst_red))
+    blue_to_red = int(np.count_nonzero(dst_red & ~src_red))
     return red_to_blue, blue_to_red
 
 
@@ -217,7 +223,7 @@ def _check_color_lines(path: str, lines: list[tuple[int, str]]) -> None:
 
 
 def _check_edge_lines(
-    path: str, lines: list[tuple[int, str]], colored: dict[int, int]
+    path: str, lines: list[tuple[int, str]], colored: set[int]
 ) -> None:
     for line_no, line in lines:
         parts = line.split("\t")
@@ -278,15 +284,14 @@ def load_dataset(edge_path: str | Path, color_path: str | Path) -> LoadedDataset
     original_ids, colors = _read_tsv(
         color_path, _COLOR_ROW, _color_columns, _check_color_lines
     )
-    dense_ids = dict(zip(original_ids.tolist(), range(original_ids.size)))
     edges = _read_tsv(
         edge_path,
         EDGE_ROW,
         lambda rows: _dense_edges(rows, original_ids),
-        lambda path, lines: _check_edge_lines(path, lines, dense_ids),
+        lambda path, lines: _check_edge_lines(path, lines, set(original_ids.tolist())),
     )
     graph = build_graph(colors, edges)
-    return LoadedDataset(graph=graph, original_ids=original_ids, dense_ids=dense_ids)
+    return LoadedDataset(graph=graph, original_ids=original_ids)
 
 
 def write_dataset(graph: ColoredGraph, edge_path: str | Path, color_path: str | Path) -> None:

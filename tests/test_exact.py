@@ -65,6 +65,28 @@ class TestExactBr:
     def test_monochromatic_component_capped(self, all_red_cycle):
         assert exact_br(all_red_cycle, 6).values == pytest.approx([6.0] * 3)
 
+    def test_equals_two_absorbing_passes(self, g1, g2, all_red_cycle, red_two_cycle):
+        """The two-column pass has the bits of one exact_bounded_hitting pass
+        per color, also on one-color graphs, where it caps at t."""
+        third = 1.0 / 3.0
+        triangle = [(v, w, third) for v in range(4) for w in range(4) if v != w]
+        monochrome = [
+            build_graph(["B", "B", "B"], [(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0)]),
+            build_graph(["R"] * 4, triangle),
+            build_graph(["B"] * 4, triangle),
+        ]
+        fixtures = [(g1, 5), (g2, 4), (all_red_cycle, 6), (red_two_cycle, 3)]
+        fixtures += [(graph, 9) for graph in monochrome]
+        checked = 0
+        for graph, t in fixtures + _random_cases():
+            for horizon in sorted({1, 2, t}):
+                expected = _br_two_passes(graph, horizon)
+                assert exact_br(graph, horizon).values.tolist() == expected.tolist()
+                checked += 1
+        for graph in monochrome:
+            assert exact_br(graph, 9).values == pytest.approx([9.0] * graph.n, abs=1e-12)
+        assert checked > 60
+
 
 class TestFirstPassage:
     def test_deterministic_chain(self):
@@ -172,6 +194,69 @@ def _rwcc_one_target(graph, v, sources, t_prime):
     return float(acc[src[src != v]].sum() / src.size)
 
 
+def _br_two_passes(graph, t):
+    """Reference: exact_br as one absorbing pass per color."""
+    values = np.empty(graph.n)
+    for color in ("R", "B"):
+        sources = graph.color_mask(color)
+        if sources.any():
+            hit = exact_bounded_hitting(graph, graph.nodes_of(opposite(color)), t)
+            values[sources] = hit[sources]
+    return values
+
+
+def _rwcc_full_matrix(graph, nodes, sources, t_prime):
+    """Reference: the closeness block DP on all n rows of M, zeroing the
+    opposite color's rows before every product, as it ran before the DP
+    moved to the color's own block."""
+    targets = np.asarray(nodes, dtype=np.int64)
+    uniq = np.unique(targets)
+    src = np.unique(np.asarray(sources, dtype=np.int64))
+    keep = ~graph.color_mask(opposite(graph.color_of(int(uniq[0]))))
+    pos = np.searchsorted(src, uniq)
+    in_src = src[np.minimum(pos, src.size - 1)] == uniq
+    rows = np.repeat(np.arange(graph.n), np.diff(graph.indptr))
+    cols = np.arange(uniq.size)
+    column_of = np.full(graph.n, -1)
+    column_of[uniq] = cols
+    into = column_of[graph.targets]
+    hit = into >= 0
+    q = np.zeros((graph.n, uniq.size))
+    q[rows[hit], into[hit]] = graph.weights[hit]
+    acc = (t_prime - 1) * q
+    for i in range(2, t_prime):
+        q *= keep[:, None]
+        q[uniq, cols] = 0.0
+        q = graph.matrix @ q
+        acc += (t_prime - i) * q
+    values = np.empty(uniq.size)
+    for member in (False, True):
+        sel = np.flatnonzero(in_src == member)
+        if sel.size == 0:
+            continue
+        idx = np.broadcast_to(np.arange(src.size - member), (sel.size, src.size - member))
+        if member:
+            idx = idx + (idx >= pos[sel][:, None])
+        values[sel] = acc[src[idx], sel[:, None]].sum(axis=1) / src.size
+    return values[np.searchsorted(uniq, targets)]
+
+
+def _return_profiles_full_matrix(graph, nodes, t_prime):
+    """Reference: return-mass profiles stepped on all n rows of M^T, zeroing
+    the opposite color's rows after every product."""
+    avoid = graph.color_mask(opposite(graph.color_of(int(nodes[0]))))
+    profiles = np.zeros((nodes.size, t_prime))
+    profiles[:, 0] = 1.0
+    cols = np.arange(nodes.size)
+    block = np.zeros((graph.n, nodes.size))
+    block[nodes, cols] = 1.0
+    for step in range(1, t_prime):
+        block = graph.matrix_t @ block
+        block[avoid, :] = 0.0
+        profiles[cols, step] = block[nodes, cols]
+    return profiles
+
+
 def _random_cases():
     from conftest import random_polarized
 
@@ -180,7 +265,8 @@ def _random_cases():
 
 
 class TestRwccBlock:
-    """The block DP equals the one-target DP bit for bit, at any block width."""
+    """The within-color block DP equals the one-target DP and the full-matrix
+    block DP bit for bit, at any block width."""
 
     @pytest.mark.parametrize("width", [1, 3, None])
     def test_equals_one_target_loop(
@@ -189,12 +275,14 @@ class TestRwccBlock:
         fixtures = [(g1, 5), (g2, 4), (all_red_cycle, 6), (red_two_cycle, 3)]
         checked = 0
         for graph, t in fixtures + _random_cases():
-            if width is not None:
-                monkeypatch.setattr(repbublik.exact, "BLOCK_ELEMENTS", graph.n * width)
             for color in ("R", "B"):
                 nodes = graph.nodes_of(color)
                 if nodes.size == 0:
                     continue
+                if width is not None:
+                    # Blocks are |C| x width, so this runs exactly ``width``
+                    # targets per block.
+                    monkeypatch.setattr(repbublik.exact, "BLOCK_ELEMENTS", nodes.size * width)
                 for sources in (nodes, nodes[::2]):
                     for t_prime in sorted({1, 2, max(t - 2, 1), t}):
                         expected = [
@@ -203,8 +291,26 @@ class TestRwccBlock:
                         ]
                         got = exact_rwcc_many(graph, nodes, sources, t_prime)
                         assert got.tolist() == expected
+                        full = _rwcc_full_matrix(graph, nodes, sources, t_prime)
+                        assert got.tolist() == full.tolist()
                         checked += 1
         assert checked > 200
+
+    def test_equals_full_matrix_on_shuffled_pools(self, monkeypatch):
+        """Target lists in any order and with repeats, source pools that
+        leave targets out: the bits of the full-matrix block DP."""
+        rng = np.random.default_rng(19)
+        checked = 0
+        for graph, t in _random_cases():
+            for color in ("R", "B"):
+                nodes = graph.nodes_of(color)
+                monkeypatch.setattr(repbublik.exact, "BLOCK_ELEMENTS", nodes.size * 2)
+                targets = rng.choice(nodes, size=nodes.size + 3)
+                sources = rng.choice(nodes, size=max(1, nodes.size // 3), replace=False)
+                got = exact_rwcc_many(graph, targets.tolist(), sources.tolist(), t)
+                assert got.tolist() == _rwcc_full_matrix(graph, targets, sources, t).tolist()
+                checked += 1
+        assert checked == 48
 
     def test_order_and_repeats_kept(self, g2):
         got = exact_rwcc_many(g2, [2, 0, 2, 1], {0, 1, 2}, 4)
@@ -224,7 +330,8 @@ class TestRwccBlock:
 
 
 class TestReturnMassBlock:
-    """Return-mass profiles and gamma keep their bits at any block width."""
+    """Return-mass profiles and gamma keep their bits at any block width and
+    equal the full-matrix pass."""
 
     @pytest.mark.parametrize("width", [1, 3])
     def test_equal_to_default_width(
@@ -232,18 +339,36 @@ class TestReturnMassBlock:
     ):
         default = repbublik.exact.BLOCK_ELEMENTS
 
-        def masses(graph, horizon):
-            per_node = [exact_return_mass(graph, v, horizon) for v in range(graph.n)]
-            return exact_gamma(graph, horizon), [(p.tolist(), f) for p, f in per_node]
+        def masses(graph, horizon, block_elements):
+            out = []
+            for color in ("R", "B"):
+                nodes = graph.nodes_of(color)
+                if nodes.size == 0:
+                    continue
+                monkeypatch.setattr(repbublik.exact, "BLOCK_ELEMENTS", block_elements(nodes))
+                profiles = repbublik.exact._return_profiles(graph, nodes, horizon)
+                per_node = [exact_return_mass(graph, v, horizon) for v in nodes]
+                out.append((
+                    profiles.tolist(),
+                    exact_gamma(graph, horizon),
+                    [(p.tolist(), f) for p, f in per_node],
+                ))
+            return out
 
         fixtures = [(g1, 5), (g2, 4), (all_red_cycle, 6), (red_two_cycle, 3)]
         checked = 0
         for graph, t in fixtures + _random_cases():
             for horizon in sorted({1, 2, t}):
-                monkeypatch.setattr(repbublik.exact, "BLOCK_ELEMENTS", default)
-                expected = masses(graph, horizon)
-                monkeypatch.setattr(repbublik.exact, "BLOCK_ELEMENTS", graph.n * width)
-                assert masses(graph, horizon) == expected
+                expected = masses(graph, horizon, lambda nodes: default)
+                # Blocks are |C| x width, so this runs exactly ``width``
+                # columns per block.
+                got = masses(graph, horizon, lambda nodes: nodes.size * width)
+                assert got == expected
+                colors = [graph.nodes_of(c) for c in ("R", "B") if graph.nodes_of(c).size]
+                full = [_return_profiles_full_matrix(graph, nodes, horizon) for nodes in colors]
+                assert [profiles for profiles, _, _ in got] == [f.tolist() for f in full]
+                gamma = max(1.0, *(float(f.sum(axis=1).max()) for f in full))
+                assert all(g == gamma for _, g, _ in got)
                 checked += 1
         assert checked > 60
 

@@ -1,4 +1,5 @@
 """Graph construction, edge insertion, the weight oracle, and plan types."""
+import itertools
 import math
 
 import numpy as np
@@ -371,3 +372,47 @@ class TestApplyPlanOnePass:
             assert str(got.value) == str(expected.value)
             checked += 1
         assert checked >= 5
+
+    @pytest.mark.parametrize("numpy_ints", [False, True])
+    def test_first_of_competing_bad_edges_raises(self, numpy_ints):
+        """Several bad edges of different kinds in one plan: the first in
+        plan order raises its own error, with the per-edge message."""
+        # Red 0, 1, 2 and blue 3, 4, 5; node 2's row sums to 0.9.
+        base = build_graph(
+            ["R", "R", "R", "B", "B", "B"],
+            [(0, 1, 1.0), (1, 2, 0.5), (1, 3, 0.5), (2, 0, 1.0),
+             (3, 4, 1.0), (4, 5, 1.0), (5, 3, 1.0)],
+        )
+        weights = base.weights.copy()
+        weights[base.indptr[2] : base.indptr[3]] *= 0.9
+        graph = ColoredGraph(base.colors, base.indptr, base.targets, weights)
+        good = [(0, 3), (0, 4), (1, 4)]
+        bad = {
+            "dst-out-of-range": ((0, 6), UnknownColor),
+            "negative-src": ((-1, 3), UnknownColor),
+            "far-negative-dst": ((0, -100), UnknownColor),
+            "same-color": ((0, 2), SameColorEndpoints),
+            "same-color-and-existing": ((0, 1), SameColorEndpoints),
+            "existing": ((1, 3), EdgeExists),
+            "repeated": ((0, 3), EdgeExists),
+            "drift": ((2, 5), NonStochasticRow),
+        }
+        as_id = np.int64 if numpy_ints else int
+        checked = 0
+        for kinds in itertools.permutations(bad, 3):
+            pairs = [good[0]]
+            for kind, extra in zip(kinds, good[1:] + [good[1]]):
+                pairs += [bad[kind][0], extra]
+            plan = [
+                EdgeInsertion(as_id(v), as_id(w), 0.5 if (v, w) in good[1:] else 0.25)
+                for v, w in pairs
+            ]
+            error = bad[kinds[0]][1]
+            with pytest.raises(error) as expected:
+                _insert_one_by_one(graph, plan)
+            with pytest.raises(error) as got:
+                apply_plan(graph, plan)
+            assert type(got.value) is type(expected.value) is error
+            assert str(got.value) == str(expected.value)
+            checked += 1
+        assert checked == 336

@@ -67,6 +67,18 @@ class TestLoadDataset:
         with pytest.raises(UnknownColor):
             load_dataset(edges, g1_files[1])
 
+    def test_cross_edge_counts_match_per_edge_colors(self):
+        rng = np.random.default_rng(5)
+        for _ in range(12):
+            graph, _ = random_polarized(rng, n_max=40)
+            src = np.repeat(np.arange(graph.n), np.diff(graph.indptr)).tolist()
+            pairs = [
+                (graph.color_of(v), graph.color_of(w))
+                for v, w in zip(src, graph.targets.tolist())
+            ]
+            expected = (pairs.count(("R", "B")), pairs.count(("B", "R")))
+            assert harness.cross_edge_counts(graph) == expected
+
     def test_sparse_ids_compacted(self, tmp_path):
         edges = tmp_path / "sparse.edges.tsv"
         colors = tmp_path / "sparse.colors.tsv"
@@ -75,6 +87,7 @@ class TestLoadDataset:
         loaded = load_dataset(edges, colors)
         assert loaded.graph.n == 2
         assert loaded.original_ids.tolist() == [10, 700]
+        assert "dense_ids" not in vars(loaded)  # built on first use
         assert loaded.dense_ids == {10: 0, 700: 1}
         assert loaded.graph.color_of(0) == "R"
 
