@@ -5,20 +5,21 @@ routines.  All of them run in O(t * |E|) per source/target via sparse
 matrix-vector products, so they stay practical for small and medium graphs
 while avoiding the cubic cost of Laplacian-based hitting-time solvers.
 A walk is absorbed when it first enters the opposite color, so closeness
-and return mass depend only on the color's own block of M, the rows and
-columns of the color's nodes (:func:`_color_block`).  Closeness for a whole
-pool of targets (:func:`exact_rwcc_many`) and the return-mass profiles
-behind :func:`exact_gamma` are block passes on that |C| x |C| matrix: the
-columns are stepped together in |C| x width chunks of at most
-``BLOCK_ELEMENTS`` entries, with the bits of a one-column pass on the full
-matrix, since every term the block leaves out adds an exact +0.0.
+and return mass depend only on the color's own block A of M, the rows and
+columns of the color's nodes (:func:`_color_block`).  Both are built on one
+engine, the return-visit profiles of :func:`_return_profiles`: the walks
+from the requested nodes step together through A^T in |C| x width chunks
+of at most ``BLOCK_ELEMENTS`` entries, with the bits of a one-column pass
+on the full matrix, since every term the block leaves out adds an exact
++0.0.  :func:`exact_gamma` sums the profiles; :func:`exact_rwcc_many` adds
+one forward occupancy pass and solves the renewal equation for the first
+passages.
 """
 from __future__ import annotations
 
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -45,8 +46,8 @@ from .graph import (
 
 #: Absolute tolerance for the dynamic programs.
 DP_TOL = 1e-9
-#: Most entries in one |C| x width block of closeness target or return-mass
-#: columns, where C is the nodes of the block's color.
+#: Most entries in one |C| x width block of return-profile columns, where C
+#: is the nodes of the block's color.
 BLOCK_ELEMENTS = 1 << 21
 
 
@@ -193,18 +194,12 @@ def exact_first_passage(
 class _ColorBlock:
     """The transition matrix restricted to one color's nodes.
 
-    ``matrix`` is M[C][:, C] for the ascending nodes C of the color, with
-    each row's entries in the order of M's CSR row; ``rows`` is the local
-    row of each stored entry.
+    ``matrix_t`` is the transpose of A = M[C][:, C] for the ascending nodes
+    C of the color.
     """
 
     nodes: np.ndarray
-    matrix: sp.csr_matrix
-    rows: np.ndarray
-
-    @cached_property
-    def matrix_t(self) -> sp.csr_matrix:
-        return self.matrix.T.tocsr()
+    matrix_t: sp.csr_matrix
 
     def local(self, nodes: np.ndarray) -> np.ndarray:
         """Local indices of ``nodes``, all of the block's color."""
@@ -227,7 +222,7 @@ def _color_block(graph: ColoredGraph, color: str) -> _ColorBlock:
             (graph.weights[kept], local[graph.targets[kept]], indptr),
             shape=(nodes.size, nodes.size),
         )
-        graph.memo[key] = _ColorBlock(nodes=nodes, matrix=matrix, rows=rows)
+        graph.memo[key] = _ColorBlock(nodes=nodes, matrix_t=matrix.T.tocsr())
     return graph.memo[key]
 
 
@@ -289,16 +284,23 @@ def exact_gamma(graph: ColoredGraph, t: int) -> float:
     return best
 
 
-def _validate_centrality_set(
-    graph: ColoredGraph, nodes: np.ndarray, sources: np.ndarray
-) -> None:
-    if sources.size == 0:
+def _centrality_request(
+    graph: ColoredGraph, nodes: Iterable[int], sources: Iterable[int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(targets, uniq, src)`` of a closeness request: the targets in the
+    order given, the same as a node set, and the source set.  The sources
+    must be non-empty and share the color of every target."""
+    targets = np.fromiter((int(v) for v in nodes), dtype=np.int64)
+    uniq = _node_set(graph, targets)
+    src = _node_set(graph, sources)
+    if src.size == 0:
         raise EmptySourceSet("centrality needs at least one source node")
-    shared = np.unique(graph.colors[sources])
-    mixed = (graph.colors[nodes] != shared[0]) | (shared.size > 1)
+    shared = np.unique(graph.colors[src])
+    mixed = (graph.colors[targets] != shared[0]) | (shared.size > 1)
     if mixed.any():
-        v = int(nodes[np.flatnonzero(mixed)[0]])
+        v = int(targets[np.flatnonzero(mixed)[0]])
         raise MixedColorSet(f"sources of c(v={v}, S) must all share the color of v")
+    return targets, uniq, src
 
 
 def exact_rwcc_many(
@@ -315,23 +317,27 @@ def exact_rwcc_many(
     skipped (the sum starts at step 1, not 0).  Entry j of the result
     belongs to the j-th entry of ``nodes``.
 
-    One backward DP per target: q_i(w) = P(from w, first hit of v at step i
-    avoiding the opposite color), stepped for a block of targets at once as
-    Q <- A @ Q on the color's own block A = M[C][:, C], where column j
-    zeroes its own target first.  Only the rows of S are accumulated.
-    Blocks hold at most ``BLOCK_ELEMENTS`` entries, and each column's
-    arithmetic is that of a one-target pass on the full matrix, so values
-    do not depend on the block width.
+    Closeness by renewal on the color's own block A = M[C][:, C]: one
+    forward pass u_i = A^T u_{i-1} from u_0 = 1_S gives the occupancy
+    o_i(v) = sum_{w in S} (A^i)[w, v] of every target at once, and
+    :func:`_return_profiles` gives r_v(k) = (A^k)[v, v].  When v is in S
+    its own walk is dropped, o'_i = o_i - r_v(i).  Splitting each walk at
+    its first visit of v gives the renewal equation o'_i = sum_{k=1}^{i}
+    F_k r_v(i - k) (Feller, *An Introduction to Probability Theory and Its
+    Applications*, Vol. 1, ch. XIII), solved forward for the first-passage
+    mass F_i = o'_i - sum_{k=1}^{i-1} F_k r_v(i - k) of S minus v; then
+    c = (1/|S|) sum_{i<t'} (t' - i) F_i.  The solve is elementwise over the
+    targets, so each value has the same bits whatever the block width and
+    whatever else the request holds.  It agrees with the per-target
+    first-passage DP to within rounding, so exact ties between symmetric
+    nodes may break at the last bit.
 
     The result is read-only and kept in ``graph.memo`` under the horizon and
     the validated node and source arrays, so a repeated request is one
     dictionary lookup.
     """
     check_count("horizon", t_prime)
-    targets = np.fromiter((int(v) for v in nodes), dtype=np.int64)
-    uniq = _node_set(graph, targets)
-    src = _node_set(graph, sources)
-    _validate_centrality_set(graph, targets, src)
+    targets, uniq, src = _centrality_request(graph, nodes, sources)
     key = ("rwcc", t_prime, targets.tobytes(), src.tobytes())
     if key not in graph.memo:
         result = _rwcc_block(graph, targets, uniq, src, t_prime)
@@ -347,43 +353,26 @@ def _rwcc_block(
     src: np.ndarray,
     t_prime: int,
 ) -> np.ndarray:
-    """The block DP of :func:`exact_rwcc_many` on validated arrays."""
-    values = np.empty(uniq.size)
+    """The renewal solve of :func:`exact_rwcc_many` on validated arrays."""
+    values = np.zeros(uniq.size)
     if uniq.size == 0:
         return values
-
     color = _color_block(graph, graph.color_of(int(uniq[0])))
-    size = color.nodes.size
-    pos = np.searchsorted(src, uniq)
-    in_src = src[np.minimum(pos, src.size - 1)] == uniq
-    src_local = color.local(src)
-    width = max(1, BLOCK_ELEMENTS // size)
-    for lo in range(0, uniq.size, width):
-        block = color.local(uniq[lo : lo + width])
-        cols = np.arange(block.size)
-        column_of = np.full(size, -1)
-        column_of[block] = cols
-        into = column_of[color.matrix.indices]
-        hit = into >= 0
-        q = np.zeros((size, block.size))
-        q[color.rows[hit], into[hit]] = color.matrix.data[hit]  # q_1(w) = M[w, v]
-        acc = (t_prime - 1) * q[src_local]
-        for i in range(2, t_prime):
-            q[block, cols] = 0.0  # the walk stops at its first visit of v
-            q = color.matrix @ q
-            acc += (t_prime - i) * q[src_local]
-        # Row j of ``terms`` holds target j's terms over S.  Each target sums
-        # S without itself, ascending, as one contiguous row, so the sum
-        # rounds like the one-target pass.
-        terms = acc.T.copy()
-        member = in_src[lo : lo + width]
-        outside = np.flatnonzero(~member)
-        values[lo + outside] = terms[outside].sum(axis=1) / src.size
-        inside = np.flatnonzero(member)
-        others = np.ones((inside.size, src.size), dtype=bool)
-        others[np.arange(inside.size), pos[lo + inside]] = False  # v itself
-        kept = terms[inside][others].reshape(inside.size, src.size - 1)
-        values[lo + inside] = kept.sum(axis=1) / src.size
+    local = color.local(uniq)
+    returns = _return_profiles(graph, uniq, t_prime).T  # returns[k][j] = r_j(k)
+    in_src = np.isin(uniq, src, assume_unique=True)
+    occupancy = np.zeros(color.nodes.size)
+    occupancy[color.local(src)] = 1.0  # u_0 = 1_S
+    passages = np.zeros((t_prime, uniq.size))  # passages[i] = F_i
+    for i in range(1, t_prime):
+        occupancy = color.matrix_t @ occupancy
+        # o'_i, without the target's own walk when it is a source
+        f = occupancy[local] - np.where(in_src, returns[i], 0.0)
+        for k in range(1, i):
+            f -= passages[k] * returns[i - k]
+        passages[i] = f
+        values += (t_prime - i) * f
+    values /= src.size
     return values[np.searchsorted(uniq, targets)]
 
 

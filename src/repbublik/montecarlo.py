@@ -43,7 +43,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .exact import BrTable, _node_set, _validate_centrality_set
+from .exact import BrTable, _centrality_request, _node_set
 from .graph import (
     BLUE,
     RED,
@@ -371,10 +371,7 @@ def estimate_rwcc_many(
     """
     check_count("horizon", t_prime)
     check_count("kappa", kappa)
-    targets = np.fromiter((int(v) for v in nodes), dtype=np.int64)
-    uniq = _node_set(graph, targets)
-    src = _node_set(graph, sources)
-    _validate_centrality_set(graph, targets, src)
+    targets, uniq, src = _centrality_request(graph, nodes, sources)
     z = num_sources if num_sources is not None else rwcc_sample_size(
         t_prime, epsilon, delta
     )

@@ -15,9 +15,11 @@ from repbublik import (
     exact_rwcc,
     exact_rwcc_many,
     generate_gadget,
+    generate_polarized,
     weight_oracle,
 )
 import repbublik.exact
+from repbublik.exact import parochial_nodes
 from repbublik.graph import opposite
 from repbublik.errors import (
     EmptySourceSet,
@@ -181,8 +183,8 @@ class TestRwcc:
 
 
 def _rwcc_one_target(graph, v, sources, t_prime):
-    """Reference: the closeness DP for one target column at a time, as it
-    ran before the block pass."""
+    """Reference: the backward first-passage DP for one target: q_i(w) is
+    the probability that a walk from w first hits v at step i."""
     src = np.asarray(sorted(set(int(u) for u in sources)), dtype=np.int64)
     keep = ~graph.color_mask(opposite(graph.color_of(v)))
     keep[v] = False
@@ -206,9 +208,9 @@ def _br_two_passes(graph, t):
 
 
 def _rwcc_full_matrix(graph, nodes, sources, t_prime):
-    """Reference: the closeness block DP on all n rows of M, zeroing the
-    opposite color's rows before every product, as it ran before the DP
-    moved to the color's own block."""
+    """Reference: the backward first-passage DP for a block of targets on
+    all n rows of M, zeroing the opposite color's rows before every
+    product."""
     targets = np.asarray(nodes, dtype=np.int64)
     uniq = np.unique(targets)
     src = np.unique(np.asarray(sources, dtype=np.int64))
@@ -264,9 +266,19 @@ def _random_cases():
     return [random_polarized(rng, n_max=40, t_range=(3, 12)) for _ in range(24)]
 
 
+def _assert_close(got, oracle):
+    """``got`` lies within 1e-12 of ``oracle``, scaled by its largest value
+    (at least 1)."""
+    oracle = np.asarray(oracle, dtype=float)
+    scale = max(1.0, float(np.abs(oracle).max(initial=0.0)))
+    assert float(np.abs(np.asarray(got) - oracle).max(initial=0.0)) <= 1e-12 * scale
+
+
 class TestRwccBlock:
-    """The within-color block DP equals the one-target DP and the full-matrix
-    block DP bit for bit, at any block width."""
+    """Closeness by renewal over the return profiles agrees with the
+    one-target and full-matrix first-passage DPs within 1e-12 of the
+    largest value, and keeps its bits at any block width and in any batch
+    of targets."""
 
     @pytest.mark.parametrize("width", [1, 3, None])
     def test_equals_one_target_loop(
@@ -290,15 +302,15 @@ class TestRwccBlock:
                             for v in nodes
                         ]
                         got = exact_rwcc_many(graph, nodes, sources, t_prime)
-                        assert got.tolist() == expected
-                        full = _rwcc_full_matrix(graph, nodes, sources, t_prime)
-                        assert got.tolist() == full.tolist()
+                        _assert_close(got, expected)
+                        _assert_close(got, _rwcc_full_matrix(graph, nodes, sources, t_prime))
+                        assert (got >= 0.0).all()
                         checked += 1
         assert checked > 200
 
     def test_equals_full_matrix_on_shuffled_pools(self, monkeypatch):
         """Target lists in any order and with repeats, source pools that
-        leave targets out: the bits of the full-matrix block DP."""
+        leave targets out: within 1e-12 of the full-matrix block DP."""
         rng = np.random.default_rng(19)
         checked = 0
         for graph, t in _random_cases():
@@ -308,14 +320,74 @@ class TestRwccBlock:
                 targets = rng.choice(nodes, size=nodes.size + 3)
                 sources = rng.choice(nodes, size=max(1, nodes.size // 3), replace=False)
                 got = exact_rwcc_many(graph, targets.tolist(), sources.tolist(), t)
-                assert got.tolist() == _rwcc_full_matrix(graph, targets, sources, t).tolist()
+                _assert_close(got, _rwcc_full_matrix(graph, targets, sources, t))
                 checked += 1
         assert checked == 48
 
+    def test_equals_full_matrix_on_2k_graph(self):
+        graph = generate_polarized(1000, 1000, 0.004, 0.0008, seed=5)
+        t = 10
+        br = exact_br(graph, t)
+        for color in ("R", "B"):
+            nodes = graph.nodes_of(color)
+            pool = parochial_nodes(graph.colors, br, color, t / 2)
+            assert pool.size > 100
+            got = exact_rwcc_many(graph, nodes, pool, t)
+            _assert_close(got, _rwcc_full_matrix(graph, nodes, pool, t))
+            assert (got >= 0.0).all()
+
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_equal_to_default_width(self, width, monkeypatch, g2, all_red_cycle):
+        fixtures = [(g2, 4), (all_red_cycle, 6)]
+        checked = 0
+        for graph, t in fixtures + _random_cases():
+            for color in ("R", "B"):
+                nodes = graph.nodes_of(color)
+                if nodes.size == 0:
+                    continue
+                for sources in (nodes, nodes[::2]):
+                    graph.memo.clear()
+                    expected = exact_rwcc_many(graph, nodes, sources, t).tolist()
+                    graph.memo.clear()
+                    monkeypatch.setattr(repbublik.exact, "BLOCK_ELEMENTS", nodes.size * width)
+                    got = exact_rwcc_many(graph, nodes, sources, t)
+                    monkeypatch.undo()
+                    assert got.tolist() == expected
+                    checked += 1
+        assert checked > 80
+
     def test_order_and_repeats_kept(self, g2):
+        """Each target requested alone has the bits of its entry in a pool
+        given in any order and with repeats."""
         got = exact_rwcc_many(g2, [2, 0, 2, 1], {0, 1, 2}, 4)
         expected = [exact_rwcc(g2, v, {0, 1, 2}, 4) for v in (2, 0, 2, 1)]
         assert got.tolist() == expected
+        rng = np.random.default_rng(23)
+        for graph, t in _random_cases():
+            for color in ("R", "B"):
+                nodes = graph.nodes_of(color)
+                targets = rng.choice(nodes, size=nodes.size + 3).tolist()
+                for sources in (nodes, nodes[::2]):
+                    got = exact_rwcc_many(graph, targets, sources, t)
+                    alone = [exact_rwcc(graph, v, sources, t) for v in targets]
+                    assert got.tolist() == alone
+
+    def test_unreached_target_is_exactly_zero(self):
+        """Target 3 returns to itself through 4, but the other sources 0 and
+        5 reach it first at steps 3 and 4: up to t' = 3 its closeness is an
+        exact 0.0 although its own walk is dropped from the occupancy."""
+        g = build_graph(
+            ["R", "R", "R", "R", "R", "R", "B"],
+            [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 4, 0.5), (3, 6, 0.5),
+             (4, 3, 1.0), (5, 0, 1.0), (6, 5, 1.0)],
+        )
+        sources = (0, 3, 5)
+        for t_prime in (1, 2, 3):
+            got = exact_rwcc_many(g, range(6), sources, t_prime)
+            assert got[3] == 0.0
+            assert (got >= 0.0).all()
+        assert exact_rwcc(g, 3, sources, 4) == pytest.approx(1 / 3, abs=1e-15)
+        assert exact_rwcc(g, 3, sources, 5) == pytest.approx((2 + 1) / 3, abs=1e-15)
 
     def test_empty_target_list(self, g2):
         assert exact_rwcc_many(g2, [], {0, 1}, 4).shape == (0,)
