@@ -20,6 +20,7 @@ import scipy.sparse as sp
 from .errors import (
     DuplicateEdge,
     EdgeExists,
+    GraphValidationError,
     NonStochasticRow,
     SameColorEndpoints,
     SelfLoopEdge,
@@ -172,8 +173,12 @@ class InsertionPlan:
         every source has the plan's color."""
         apply_plan(graph, self.edges)
         for e in self.edges:
-            if graph.color_of(e.src) != self.color:
-                raise SameColorEndpoints(e.src, e.dst)
+            color = graph.color_of(e.src)
+            if color != self.color:
+                raise GraphValidationError(
+                    f"insertion ({e.src}, {e.dst}): source {e.src} has color "
+                    f"{color!r}, not the plan's color {self.color!r}"
+                )
 
 
 def check_count(name: str, value: int, minimum: int = 1) -> None:
@@ -326,33 +331,23 @@ def apply_plan(
 
     Each insertion multiplies the source's current out-weights by
     ``1 - weight`` and places the new edge at its sorted position, so
-    same-source weights renormalize sequentially.  Every edge is checked in
-    plan order (endpoints in range, different colors, edge not present in
-    the graph or earlier in the plan, row sum within ``ROW_SUM_TOL``), and
-    the first bad edge raises.  Only the touched rows are rebuilt, and the
-    graph is assembled once.
+    same-source weights renormalize sequentially.  The edges are checked one
+    by one in plan order (endpoints in range, different colors, edge not
+    present in the graph or earlier in the plan, row sum within
+    ``ROW_SUM_TOL``), and the first bad edge raises.  Only the touched rows
+    are rebuilt, as Python lists, and the graph is assembled once.
     """
-    edges = list(plan)
     n = graph.n
-    # The edges before the first out-of-range one are checked in order, and
-    # then that one raises.  Their endpoint colors and source row bounds are
-    # read as Python values in one array pass.
-    stop = next(
-        (k for k, e in enumerate(edges) if not (0 <= e.src < n and 0 <= e.dst < n)),
-        len(edges),
-    )
-    endpoints = [x for e in edges[:stop] for x in (e.src, e.dst)]
-    ids = np.array(endpoints) if endpoints else np.zeros(0, dtype=np.int64)
-    red = graph.color_mask(RED)[ids].tolist()
-    lows = graph.indptr[ids[::2]].tolist()
-    highs = graph.indptr[ids[::2] + 1].tolist()
+    red = graph.color_mask(RED).tolist()
     rows: dict[int, tuple[list[int], list[float]]] = {}  # touched rows
-    for k, edge in enumerate(edges[:stop]):
+    for edge in plan:
         v, w, m = edge.src, edge.dst, edge.weight
-        if red[2 * k] == red[2 * k + 1]:
+        if not (0 <= v < n and 0 <= w < n):
+            raise UnknownColor(f"insertion ({v}, {w}) references a node outside the graph")
+        if red[v] == red[w]:
             raise SameColorEndpoints(v, w)
         if v not in rows:
-            lo, hi = lows[k], highs[k]
+            lo, hi = graph.indptr[v : v + 2].tolist()
             rows[v] = (graph.targets[lo:hi].tolist(), graph.weights[lo:hi].tolist())
         row_targets, row_weights = rows[v]
         pos = bisect_left(row_targets, w)
@@ -365,9 +360,6 @@ def apply_plan(
         new_sum = math.fsum(row_weights)
         if abs(new_sum - 1.0) > ROW_SUM_TOL:
             raise NonStochasticRow(v, new_sum, "renormalization drifted")
-    if stop < len(edges):
-        v, w = edges[stop].src, edges[stop].dst
-        raise UnknownColor(f"insertion ({v}, {w}) references a node outside the graph")
     if not rows:
         return graph
 

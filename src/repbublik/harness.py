@@ -483,16 +483,10 @@ def run_sweep(
     parochial = partition.parochial
     universe = candidate_universe(graph, partition)
 
-    splits: list[tuple[int, int] | Exception] = []  # per K; an error fails its cells
-    for k in k_values:
-        try:
-            splits.append(_split(y_red, y_blue, int(k)))
-        except (RepbublikError, ValueError) as exc:
-            splits.append(exc)
-    done = [s for s in splits if not isinstance(s, Exception)]
+    splits = [_split(y_red, y_blue, int(k)) for k in k_values]  # (k_red, k_blue) per K
     top = {
-        RED: max((k_red for k_red, _ in done), default=0),
-        BLUE: max((k_blue for _, k_blue in done), default=0),
+        RED: max((k_red for k_red, _ in splits), default=0),
+        BLUE: max((k_blue for _, k_blue in splits), default=0),
     }
 
     records: list[ExperimentRecord] = []
@@ -586,7 +580,7 @@ class _AlgorithmCells:
 def _run_cell(
     cells: _AlgorithmCells,
     k: int,
-    split: tuple[int, int] | Exception,
+    split: tuple[int, int],
     seed: int,
     base_br: BrTable,
     parochial: np.ndarray,
@@ -597,8 +591,6 @@ def _run_cell(
     delta = healed = float("nan")
     error = None
     try:
-        if isinstance(split, Exception):
-            raise split
         k_red, k_blue = split
         grown = cells.grow(
             seed, cells.edges(RED, k_red, seed), cells.edges(BLUE, k_blue, seed)

@@ -112,27 +112,19 @@ def rwcc_sample_size(t_prime: int, epsilon: float, delta: float) -> int:
 def _row_cumsum(indptr: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """``np.cumsum`` of every CSR row alone, bit for bit.
 
-    Running sums go one column position j at a time, over the rows long
-    enough to have it (a prefix of the rows by descending degree), so no
-    row's rounding depends on the rows stored before it.  Once fewer than j
-    rows are longer than j, each of them finishes with its own cumsum from
-    column j - 1, which adds in the same order; so there are at most
-    sqrt(edges) column passes even with one huge row.
+    Rows of one degree d are gathered into a (rows, d) block and summed
+    along axis 1, which adds each row left to right as its own cumsum does;
+    so no row's rounding depends on the rows stored before it.  There is
+    one pass per distinct degree, so fewer than sqrt(2 * edges) passes.
     """
     deg = np.diff(indptr)
-    order = np.argsort(-deg, kind="stable")
-    heads, neg_deg = indptr[order], -deg[order]  # neg_deg ascending
-    max_deg = int(deg.max(initial=0))
-    cum = weights.copy()
-    j = 1
-    while j < max_deg and (longer := int(np.searchsorted(neg_deg, -j))) >= j:
-        at = heads[:longer] + j
-        cum[at] += cum[at - 1]
-        j += 1
-    for lo, d in zip(heads.tolist(), (-neg_deg).tolist()):
-        if d <= j:
-            break
-        cum[lo + j - 1 : lo + d] = np.cumsum(cum[lo + j - 1 : lo + d])
+    order = np.argsort(deg, kind="stable")
+    starts = np.flatnonzero(np.diff(deg[order], prepend=-1)).tolist()
+    cum = np.empty_like(weights)
+    for lo, hi in zip(starts, starts[1:] + [order.size]):
+        rows = order[lo:hi]
+        at = indptr[rows, None] + np.arange(deg[rows[0]])
+        cum[at] = np.cumsum(weights[at], axis=1)
     return cum
 
 

@@ -137,11 +137,14 @@ class _Targets:
     out-neighbors and the targets already picked for it.  ``others`` holds
     the opposite color ascending, and each source keeps the excluded
     positions in ``others`` as a sorted list, so the count and the k-th
-    legal target follow from the two sorted sequences.
+    legal target follow from the two sorted sequences.  ``policy`` is
+    checked here, before any pick, and holds for every pick.
     """
 
-    def __init__(self, graph: ColoredGraph, color: str):
-        self.graph = graph
+    def __init__(self, graph: ColoredGraph, color: str, policy: str):
+        if policy not in ("lowest-br", "uniform-seeded"):
+            raise ValueError(f"unknown target policy {policy!r}")
+        self.graph, self.policy = graph, policy
         self.others = graph.nodes_of(opposite(color))
         self._excluded: dict[int, list[int]] = {}
         self._ranked: np.ndarray | None = None  # set by rank()
@@ -160,7 +163,7 @@ class _Targets:
             excluded = self._excluded[v] = pos[self.others[pos] == row].tolist()
         return excluded
 
-    def pick(self, v: int, policy: str, rng: np.random.Generator | None) -> int:
+    def pick(self, v: int, rng: np.random.Generator | None) -> int:
         """Choose ``v``'s next target and exclude it from later picks.
 
         ``lowest-br``: the legal target first in the ranked order, so of
@@ -171,16 +174,14 @@ class _Targets:
         legal = self.others.size - len(excluded)
         if legal == 0:
             raise NoLegalTarget(v)
-        if policy == "uniform-seeded":
+        if self.policy == "uniform-seeded":
             pos = int(rng.integers(legal))
             for p in excluded:  # step over the excluded positions at or before it
                 if p > pos:
                     break
                 pos += 1
-        elif policy == "lowest-br":
-            pos = next(int(p) for p in self._ranked if not _holds(excluded, p))
         else:
-            raise ValueError(f"unknown target policy {policy!r}")
+            pos = next(int(p) for p in self._ranked if not _holds(excluded, p))
         insort(excluded, pos)
         return int(self.others[pos])
 
@@ -206,11 +207,11 @@ def target_selection(
     if seed is None:
         seed = cfg.seed if cfg is not None else 0
     current = apply_plan(graph, plan)
-    targets = _Targets(current, current.color_of(v))
+    targets = _Targets(current, current.color_of(v), policy)
     if policy == "lowest-br":
         targets.rank(br_table(current, cfg, backend, seed))
     rng = stream(seed, _TAG_TARGET, v) if policy == "uniform-seeded" else None
-    return targets.pick(v, policy, rng)
+    return targets.pick(v, rng)
 
 
 def repbublik(
@@ -232,7 +233,7 @@ def repbublik(
     """
     seed, br, pool = _prologue(graph, color, budget, cfg, seed, backend)
     rng = stream(seed, _TAG_TARGET)
-    targets = _Targets(graph, color)
+    targets = _Targets(graph, color, policy)
     current = graph
     edges: list[EdgeInsertion] = []
     planned = np.zeros(graph.n, dtype=np.int64)  # edges planned per source
@@ -249,7 +250,7 @@ def repbublik(
         source = int(pool[i])
         if policy == "lowest-br":
             targets.rank(br)
-        target = targets.pick(source, policy, rng)
+        target = targets.pick(source, rng)
         edge = EdgeInsertion(source, target, float(weights[i]))
         current = insert_edge(current, edge)
         edges.append(edge)
@@ -282,10 +283,10 @@ def repbublik_plus(
     the plan is built.
     """
     seed, br, pool = _prologue(graph, color, budget, cfg, seed, backend)
+    targets = _Targets(graph, color, policy)
     if pool.size == 0 or budget == 0:
         return InsertionPlan(edges=(), color=color, requested=budget)
     base = _centralities(graph, pool, cfg, backend, derive_seed(seed, _TAG_RWCC, 0))
-    targets = _Targets(graph, color)
     if policy == "lowest-br":
         targets.rank(br)
     rng = stream(seed, _TAG_TARGET)
@@ -303,7 +304,7 @@ def repbublik_plus(
     while len(edges) < budget and heap:
         _, eta, v, b, d = heap[0]
         try:
-            target = targets.pick(v, policy, rng)
+            target = targets.pick(v, rng)
         except NoLegalTarget:  # no legal target left: drop the source
             heapq.heappop(heap)
             continue
@@ -324,13 +325,13 @@ def _random_plan(
     when the pool (possibly empty) runs out of legal edges before the
     budget is spent."""
     pool = [int(v) for v in pool]
-    targets = _Targets(graph, color)
+    targets = _Targets(graph, color, "uniform-seeded")
     planned: dict[int, int] = {}  # edges planned per source
     edges: list[EdgeInsertion] = []
     while len(edges) < budget and pool:
         v = pool[int(rng.integers(len(pool)))]
         try:
-            w = targets.pick(v, "uniform-seeded", rng)
+            w = targets.pick(v, rng)
         except NoLegalTarget:
             pool.remove(v)
             continue

@@ -6,7 +6,9 @@ import sys
 import numpy as np
 import pytest
 
+from repbublik import exact_br, exact_rwcc_many, generate_polarized
 from repbublik.cli import main
+from repbublik.exact import parochial_nodes
 from repbublik.graph import build_graph
 from repbublik.errors import NonStochasticRow, ParseError, UnknownColor, ZeroOutDegree
 from repbublik.harness import load_dataset
@@ -58,6 +60,66 @@ def test_rwcc_single_node(g2_files, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert out.splitlines()[1].startswith("2\t")
+
+
+def _rwcc_lines(values, nodes, original_ids):
+    return ["node\trwcc"] + [
+        f"{int(original_ids[v])}\t{x:.9g}" for v, x in zip(nodes.tolist(), values)
+    ]
+
+
+def test_rwcc_without_node_scores_every_parochial_node(tmp_path, capsys):
+    graph = generate_polarized(12, 12, 0.3, 0.12, seed=0)
+    # Original ids in another order than the generated ones.
+    original = [(7 * v) % graph.n * 5 + 1 for v in range(graph.n)]
+    src = np.repeat(np.arange(graph.n), np.diff(graph.indptr))
+    edges, colors = tmp_path / "e.tsv", tmp_path / "c.tsv"
+    edges.write_text("".join(
+        f"{original[v]}\t{original[w]}\t{m!r}\n"
+        for v, w, m in zip(src.tolist(), graph.targets.tolist(), graph.weights.tolist())
+    ))
+    colors.write_text("".join(f"{original[v]}\t{c}\n" for v, c in enumerate(graph.colors)))
+    code = main([
+        "rwcc", "--edges", str(edges), "--colors", str(colors),
+        "--t", "6", "--theta-good", "2", "--theta-bad", "3",
+    ])
+    assert code == 0
+    loaded = load_dataset(edges, colors)
+    g, br = loaded.graph, exact_br(loaded.graph, 6)
+    expected = {}
+    for color in ("R", "B"):
+        pool = parochial_nodes(g.colors, br, color, 3.0)
+        assert 0 < pool.size < g.nodes_of(color).size
+        expected.update(zip(pool.tolist(), exact_rwcc_many(g, pool, pool, 4).tolist()))
+    nodes = np.array(sorted(expected))
+    lines = _rwcc_lines([expected[v] for v in nodes.tolist()], nodes, loaded.original_ids)
+    assert capsys.readouterr().out.splitlines() == lines
+    ids = [int(line.split("\t")[0]) for line in lines[1:]]
+    assert ids == sorted(ids)
+
+
+def test_rwcc_node_of_a_color_without_parochial_nodes(tmp_path, capsys):
+    # Red 0 -> 1 -> 2 -> {0, 3} is parochial at t=4; every blue node leaves
+    # for red with probability 1/2 per step, so no blue node is.
+    edges, colors = tmp_path / "e.tsv", tmp_path / "c.tsv"
+    edges.write_text(
+        "0\t1\t1.0\n1\t2\t1.0\n2\t0\t0.5\n2\t3\t0.5\n"
+        "3\t4\t0.5\n3\t0\t0.5\n4\t5\t0.5\n4\t1\t0.5\n5\t3\t0.5\n5\t2\t0.5\n"
+    )
+    colors.write_text("0\tR\n1\tR\n2\tR\n3\tB\n4\tB\n5\tB\n")
+    code = main([
+        "rwcc", "--edges", str(edges), "--colors", str(colors),
+        "--t", "4", "--theta-good", "1.5", "--theta-bad", "2.0", "--node", "4",
+    ])
+    assert code == 0
+    loaded = load_dataset(edges, colors)
+    g = loaded.graph
+    assert parochial_nodes(g.colors, exact_br(g, 4), "B", 2.0).size == 0
+    # The pool falls back to every blue node.
+    value = exact_rwcc_many(g, [4], [3, 4, 5], 2)
+    assert value[0] > 0
+    lines = _rwcc_lines(value, np.array([4]), loaded.original_ids)
+    assert capsys.readouterr().out.splitlines() == lines
 
 
 def test_rwcc_unknown_node_is_a_typed_error(g2_files, capsys):

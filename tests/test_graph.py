@@ -20,6 +20,7 @@ from repbublik import (
 from repbublik.errors import (
     DuplicateEdge,
     EdgeExists,
+    GraphValidationError,
     NonStochasticRow,
     SameColorEndpoints,
     SelfLoopEdge,
@@ -196,6 +197,17 @@ class TestInsertionPlan:
         plan = InsertionPlan(edges=(EdgeInsertion(0, 1, 0.5),), color="R")
         with pytest.raises(SameColorEndpoints):
             plan.validate_against(g2)
+
+    def test_validate_against_catches_source_of_other_color(self, g2):
+        # (3, 1) joins blue to red, so its endpoints differ; only its source
+        # has the wrong color for a red plan.
+        plan = InsertionPlan(edges=(EdgeInsertion(3, 1, 0.5),), color="R")
+        with pytest.raises(GraphValidationError) as err:
+            plan.validate_against(g2)
+        assert type(err.value) is GraphValidationError
+        assert str(err.value) == (
+            "insertion (3, 1): source 3 has color 'B', not the plan's color 'R'"
+        )
 
     def test_validate_against_catches_existing(self, g2):
         plan = InsertionPlan(edges=(EdgeInsertion(2, 3, 0.5),), color="R")

@@ -172,6 +172,29 @@ class TestRunSweep:
         )
         assert all(r.delta == 0.0 and r.pct_parochial == 0.0 for r in records)
 
+    def test_no_parochial_node_splits_evenly(self, monkeypatch, tmp_path):
+        # Every walk of this graph leaves its color at the first step.
+        graph = build_graph(
+            ["R", "R", "B", "B"],
+            [(0, 2, 0.5), (0, 3, 0.5), (1, 2, 1.0), (2, 0, 1.0), (3, 1, 1.0)],
+        )
+        cfg = WalkConfig(t=6, theta_good=2.0, theta_bad=3.0, seed=1)
+        builds = []
+
+        def spy(graph, color, budget, cfg, seed=None, backend="exact"):
+            builds.append((seed, color, budget))
+            return repbublik_plus(graph, color, budget, cfg, seed=seed, backend=backend)
+
+        monkeypatch.setitem(ALGORITHMS, "spy", spy)
+        records = run_sweep(graph, ["spy"], [0, 1, 2, 3], cfg, [1, 2], tmp_path / "s.csv")
+        assert len(records) == 8
+        for r in records:
+            assert r.error is None and r.pct_candidate == 0.0
+            assert r.delta == 0.0 and r.pct_parochial == 0.0
+        # Even splits (0, 0), (0, 1), (1, 1), (1, 2): blue gets the ceiling,
+        # and each (seed, color) plan is built at the color's largest budget.
+        assert sorted(builds) == [(1, "B", 2), (1, "R", 1), (2, "B", 2), (2, "R", 1)]
+
     def test_record_count(self, gadget6, tmp_path):
         cfg = WalkConfig(t=6, theta_good=2.0, theta_bad=3.0, seed=1)
         records = run_sweep(

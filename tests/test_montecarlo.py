@@ -175,6 +175,16 @@ class TestWalkSampler:
             for v in range(graph.n):
                 lo, hi = graph.indptr[v], graph.indptr[v + 1]
                 assert np.array_equal(cum[lo:hi], np.cumsum(graph.weights[lo:hi]))
+        # Extreme degree profiles as bare CSR rows, in shuffled order: one
+        # huge row among short ones, and rows of pairwise distinct degrees
+        # (no graph has those on every node: out-degrees lie in 1..n-1).
+        huge = np.r_[rng.integers(1, 4, 500), 20_000]
+        for degrees in (rng.permutation(huge), rng.permutation(np.arange(1, 121))):
+            indptr = np.concatenate(([0], np.cumsum(degrees)))
+            weights = rng.random(indptr[-1])
+            cum = mc._row_cumsum(indptr, weights)
+            for lo, hi in zip(indptr[:-1].tolist(), indptr[1:].tolist()):
+                assert np.array_equal(cum[lo:hi], np.cumsum(weights[lo:hi]))
 
     def test_step_matches_full_row_search_and_linear_count(self):
         rng = np.random.default_rng(89)
@@ -256,6 +266,11 @@ class TestEstimateBr:
         est = estimate_br(g1, 5, 0.9, 0.5, seed=3, walks_per_node=64)
         assert est.values == pytest.approx([1.0, 1.0])
         assert est.provenance == "estimated"
+
+    def test_empty_graph_gives_empty_table(self):
+        empty = build_graph([], [])
+        est = estimate_br(empty, 4, 0.5, 0.05, seed=0, walks_per_node=2)
+        assert est.values.shape == (0,) and est.t == 4
 
     def test_all_red_component_capped(self, all_red_cycle):
         est = estimate_br(all_red_cycle, 4, 0.9, 0.5, seed=3, walks_per_node=32)

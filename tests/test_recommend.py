@@ -383,6 +383,41 @@ class _Draws:
         return self.k
 
 
+class TestUnknownPolicy:
+    """An unknown target policy raises before any closeness work, whatever
+    the pool, and after the budget, seed and opposite-color checks."""
+
+    GREEDIES = [repbublik, repbublik_plus]
+    CFG = WalkConfig(t=4, theta_good=1.5, theta_bad=2.0)
+
+    @pytest.mark.parametrize("fn", GREEDIES)
+    def test_raised_on_an_all_cosmopolitan_graph(self, fn, g1):
+        for color in ("R", "B"):
+            for budget in (0, 2):
+                assert len(fn(g1, color, budget, self.CFG)) == 0  # the pool is empty
+                with pytest.raises(ValueError, match="unknown target policy 'bogus'"):
+                    fn(g1, color, budget, self.CFG, policy="bogus")
+
+    @pytest.mark.parametrize("fn", GREEDIES)
+    def test_raised_before_closeness(self, fn, g2, monkeypatch):
+        def no_closeness(*args, **kwargs):
+            raise AssertionError("closeness computed for an unknown policy")
+
+        assert len(fn(g2, "R", 1, self.CFG)) == 1  # the pool is not empty
+        monkeypatch.setattr(rec, "closeness", no_closeness)
+        with pytest.raises(ValueError, match="unknown target policy 'bogus'"):
+            fn(g2, "R", 1, self.CFG, policy="bogus")
+
+    @pytest.mark.parametrize("fn", GREEDIES)
+    def test_earlier_checks_keep_precedence(self, fn, g2, all_red_cycle):
+        with pytest.raises(ThresholdOrder, match="budget"):
+            fn(g2, "R", -1, self.CFG, policy="bogus")
+        with pytest.raises(ThresholdOrder, match="seed"):
+            fn(g2, "R", 1, self.CFG, seed=-1, policy="bogus")
+        with pytest.raises(NoOppositeColor):
+            fn(all_red_cycle, "R", 1, self.CFG, policy="bogus")
+
+
 class TestTargets:
     """Sorted-position targets equal the mask-based legal targets."""
 
@@ -393,7 +428,7 @@ class TestTargets:
         for graph, cfg in _plan_cases():
             br = exact_br(graph, cfg.t)
             for v in range(graph.n):
-                targets = rec._Targets(graph, graph.color_of(v))
+                targets = rec._Targets(graph, graph.color_of(v), policy)
                 targets.rank(br)
                 draws = _Draws(rng)
                 taken = []
@@ -401,10 +436,10 @@ class TestTargets:
                     legal = _legal_targets_reference(graph, v, taken)
                     if legal.size == 0:
                         with pytest.raises(NoLegalTarget):
-                            targets.pick(v, policy, draws)
+                            targets.pick(v, draws)
                         exhausted += 1
                         break
-                    w = targets.pick(v, policy, draws)
+                    w = targets.pick(v, draws)
                     if policy == "uniform-seeded":
                         assert draws.high == legal.size
                         assert w == legal[draws.k]
@@ -416,7 +451,7 @@ class TestTargets:
 
     def test_unknown_policy_rejected(self, g2):
         with pytest.raises(ValueError, match="unknown target policy"):
-            rec._Targets(g2, "R").pick(0, "nearest", None)
+            rec._Targets(g2, "R", "nearest")
 
 
 class TestPlanPaths:
