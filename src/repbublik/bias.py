@@ -140,8 +140,9 @@ def warn_if_estimate_too_coarse(cfg: WalkConfig) -> None:
 def budget_allocation(y_red: float, y_blue: float, total: int) -> tuple[int, int]:
     """Split a budget between the colors proportionally to their bias sums.
 
-    Returns ``(k_red, k_blue)`` with ``k_blue = ceil(total * Y_B / (Y_B + Y_R))``
-    and ``k_red`` the remainder.  Raises :class:`BothColorsUnbiased` when both
+    Returns ``(k_red, k_blue)`` with ``k_blue = ceil(total * Y_B / (Y_B + Y_R))``,
+    at most ``total`` (the float quotient can round above it), and ``k_red``
+    the remainder.  Raises :class:`BothColorsUnbiased` when both
     sums are zero and the budget is positive; callers typically fall back to
     an even split.
     """
@@ -154,7 +155,7 @@ def budget_allocation(y_red: float, y_blue: float, total: int) -> tuple[int, int
         raise BothColorsUnbiased(
             "no parochial mass in either color; split the budget explicitly"
         )
-    k_blue = math.ceil(total * y_blue / (y_blue + y_red))
+    k_blue = min(total, math.ceil(total * y_blue / (y_blue + y_red)))
     return total - k_blue, k_blue
 
 

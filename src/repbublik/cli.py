@@ -29,17 +29,25 @@ from .bias import br_table
 from .recommend import ALGORITHMS, closeness
 
 
-def _add_walk_options(p: argparse.ArgumentParser) -> None:
+_WALK_OPTIONS = {
+    "--t": dict(type=int, default=10, help="exploration factor (walk cap)"),
+    "--theta-good": dict(type=float, default=2.0, help="cosmopolitan threshold"),
+    "--theta-bad": dict(type=float, default=None, help="parochial threshold (default t/2)"),
+    "--epsilon": dict(type=float, default=0.5, help="estimation accuracy"),
+    "--delta": dict(type=float, default=0.05, help="estimation failure probability"),
+    "--kappa": dict(type=int, default=4, help="inner walks per sampled source"),
+    "--seed": dict(type=int, default=0, help="master random seed"),
+    "--backend": dict(choices=("exact", "mc"), default="exact"),
+    "--output": dict(type=Path, default=None, help="write results here instead of stdout"),
+}
+
+
+def _add_walk_options(
+    p: argparse.ArgumentParser, names: tuple[str, ...] = tuple(_WALK_OPTIONS)
+) -> None:
     g = p.add_argument_group("walk configuration")
-    g.add_argument("--t", type=int, default=10, help="exploration factor (walk cap)")
-    g.add_argument("--theta-good", type=float, default=2.0, help="cosmopolitan threshold")
-    g.add_argument("--theta-bad", type=float, default=None, help="parochial threshold (default t/2)")
-    g.add_argument("--epsilon", type=float, default=0.5, help="estimation accuracy")
-    g.add_argument("--delta", type=float, default=0.05, help="estimation failure probability")
-    g.add_argument("--kappa", type=int, default=4, help="inner walks per sampled source")
-    g.add_argument("--seed", type=int, default=0, help="master random seed")
-    g.add_argument("--backend", choices=("exact", "mc"), default="exact")
-    g.add_argument("--output", type=Path, default=None, help="write results here instead of stdout")
+    for name in names:
+        g.add_argument(name, **_WALK_OPTIONS[name])
 
 
 def _add_dataset_options(p: argparse.ArgumentParser) -> None:
@@ -254,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_sweep)
 
     p = sub.add_parser("gen-gadget", help="write a set-cover gadget dataset")
-    _add_walk_options(p)
+    _add_walk_options(p, ("--t", "--output"))
     p.add_argument("--elements", type=int, required=True, help="universe size")
     p.add_argument(
         "--sets", required=True,
@@ -263,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_gen_gadget)
 
     p = sub.add_parser("gen-polarized", help="write a random polarized dataset")
-    _add_walk_options(p)
+    _add_walk_options(p, ("--seed", "--output"))
     p.add_argument("--n-red", type=int, required=True)
     p.add_argument("--n-blue", type=int, required=True)
     p.add_argument("--p-within", type=float, required=True)

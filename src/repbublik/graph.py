@@ -91,9 +91,10 @@ class ColoredGraph:
 
     @cached_property
     def memo(self) -> dict:
-        """Seedless results derived from this graph (exact tables, each
-        color's block of the matrix, the Monte Carlo walk sampler), keyed
-        by their inputs; filled on first use and dropped with the graph."""
+        """Results derived from this graph (exact tables, each color's block
+        of the matrix, the Monte Carlo walk sampler and BR tables), keyed by
+        all their inputs, seeds included; filled on first use and dropped
+        with the graph."""
         return {}
 
     def out_degree(self, v: int) -> int:

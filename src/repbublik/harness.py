@@ -455,13 +455,12 @@ def run_sweep(
     with an error marker and the sweep continues; any other exception is a
     programming error and propagates.
 
-    A plan for a budget is a prefix of the plan for any larger one, so each
-    (algorithm, seed, color) plan is built once, at the color's largest
-    budget on the ladder, by the first cell that needs it, and every cell
-    reads a prefix (see :class:`_AlgorithmCells`).  A recommender's warning
-    about a short plan is therefore raised once per plan, not once per
-    cell, and with ``measure_runtime`` the time to build a plan is charged
-    to the cell that builds it.
+    Each (algorithm, seed, color) plan is built once, at the color's
+    largest budget on the ladder, by the first cell that needs it, and
+    every cell reads a prefix (see :class:`_AlgorithmCells`).  So a
+    recommender's warning about a short plan is raised once per plan, and
+    with ``measure_runtime`` the time to build a plan is charged to the
+    cell that builds it.
 
     With ``measure_runtime`` left off, runtime_ms is written as 0 so that
     identical inputs and seeds produce byte-identical CSV files.
@@ -517,22 +516,19 @@ def _split(y_red: float, y_blue: float, k: int) -> tuple[int, int]:
 class _AlgorithmCells:
     """One algorithm's plans and grown graphs while a sweep runs its cells.
 
-    Plans: every recommender's plan for a budget is the first edges of its
-    plan for a larger budget (``tests/test_recommend.py`` asserts this
-    prefix contract).  So the plan of each (seed, color) is built once, at
-    ``top[color]``, on the first cell whose budget for that color is
-    positive, and cells read prefixes of it.  When that build fails with a
-    :class:`RepbublikError` or ``ValueError``, each cell of the (seed,
-    color) calls the recommender at its own budget, as a plan that fails at
-    some round still succeeds at the budgets below it.
+    Plans: a recommender's plan for a budget is the first edges of its plan
+    for any larger budget, and a recommender that fails at one positive
+    budget fails at all of them (``tests/test_recommend.py`` asserts both).
+    So the plan of each (seed, color) is built once, at ``top[color]``, on
+    the first cell whose budget for that color is positive; cells read
+    prefixes of it, or raise again the error its build raised.
 
-    Graphs: each seed keeps the graph of its last cell and the edges of
-    each color applied to it.  A cell whose edges extend those, color by
-    color, applies only the new ones to that graph; any other cell grows
-    from the input graph.  Both give the same bits: an edge of one color
-    rewrites only that color's rows, and a row renormalised edge by edge in
-    plan order runs the same float operations whether it is built in one
-    call or in several.
+    Graphs: no color's budget falls as K grows, so each seed keeps the graph
+    of its last cell and applies only the new edges of each color to it.
+    That gives the bits of one call on the input graph: an edge of one
+    color rewrites only that color's rows, and a row renormalised edge by
+    edge in plan order runs the same float operations whether it is built
+    in one call or in several.
     """
 
     def __init__(
@@ -541,14 +537,8 @@ class _AlgorithmCells:
     ):
         self.graph, self.algo, self.top = graph, algo, top
         self.cfg, self.backend = cfg, backend
-        self._plans: dict[tuple[int, str], tuple[EdgeInsertion, ...] | None] = {}
-        self._grown: dict[int, tuple[ColoredGraph, tuple, tuple]] = {}
-
-    def _build(self, color: str, budget: int, seed: int) -> tuple[EdgeInsertion, ...]:
-        plan = ALGORITHMS[self.algo](
-            self.graph, color, budget, self.cfg, seed=seed, backend=self.backend
-        )
-        return plan.edges
+        self._plans: dict[tuple[int, str], tuple[EdgeInsertion, ...] | Exception] = {}
+        self._grown: dict[int, tuple[ColoredGraph, int, int]] = {}
 
     def edges(self, color: str, budget: int, seed: int) -> tuple[EdgeInsertion, ...]:
         """The first ``budget`` edges of the (seed, color) plan."""
@@ -557,23 +547,23 @@ class _AlgorithmCells:
         key = (seed, color)
         if key not in self._plans:
             try:
-                self._plans[key] = self._build(color, self.top[color], seed)
-            except (RepbublikError, ValueError):
-                self._plans[key] = None
+                self._plans[key] = ALGORITHMS[self.algo](
+                    self.graph, color, self.top[color], self.cfg, seed=seed, backend=self.backend
+                ).edges
+            except (RepbublikError, ValueError) as exc:
+                self._plans[key] = exc
         plan = self._plans[key]
-        if plan is None:
-            return self._build(color, budget, seed)
+        if isinstance(plan, Exception):
+            raise plan
         return plan[:budget]
 
     def grow(
         self, seed: int, red: tuple[EdgeInsertion, ...], blue: tuple[EdgeInsertion, ...]
     ) -> ColoredGraph:
         """The input graph with ``red`` and then ``blue`` applied."""
-        base, old_red, old_blue = self._grown.get(seed, (self.graph, (), ()))
-        if red[: len(old_red)] != old_red or blue[: len(old_blue)] != old_blue:
-            base, old_red, old_blue = self.graph, (), ()
-        grown = apply_plan(base, red[len(old_red) :] + blue[len(old_blue) :])
-        self._grown[seed] = (grown, red, blue)
+        base, n_red, n_blue = self._grown.get(seed, (self.graph, 0, 0))
+        grown = apply_plan(base, red[n_red:] + blue[n_blue:])
+        self._grown[seed] = (grown, len(red), len(blue))
         return grown
 
 

@@ -317,13 +317,18 @@ def estimate_br(
     Walks stop when they hit the opposite color or after ``t`` steps,
     whichever comes first.  The walks of each color's nodes step together,
     and node ``v`` reads its own ``(seed, _STREAM_BR, v)`` block.
-    Deterministic for a fixed seed.
+    Deterministic for a fixed seed, so the table is computed once per
+    graph, ``t``, walk count and seed and kept in ``graph.memo``.
     """
     check_count("horizon", t)
     r = walks_per_node if walks_per_node is not None else br_sample_size(
         graph.n, t, epsilon, delta
     )
     check_count("walks_per_node", r)
+    check_seed(seed)
+    key = ("br-mc", t, r, seed)
+    if key in graph.memo:
+        return graph.memo[key]
     sampler = _sampler_of(graph)
     values = np.empty(graph.n)
     for color in (RED, BLUE):
@@ -335,7 +340,8 @@ def estimate_br(
             steps, _ = _walk(sampler, nodes[owner], absorbing, uniforms)
             _add_by_owner(owner, steps, lengths)
         values[nodes] = lengths / r
-    return BrTable(values=values, t=t, provenance="estimated")
+    graph.memo[key] = BrTable(values=values, t=t, provenance="estimated")
+    return graph.memo[key]
 
 
 def estimate_rwcc_many(

@@ -23,8 +23,8 @@ import numpy as np
 
 from .errors import NoLegalTarget, NoOppositeColor
 from .bias import br_table
-# ``exact_rwcc``, ``estimate_rwcc`` and ``insert_edge`` stay bound here
-# because the benchmark's traced pass (perfbench/spans.py) patches these names.
+# ``exact_rwcc`` and ``estimate_rwcc`` stay bound here only because the benchmark's
+# traced pass (perfbench/spans.py) patches them, as it does ``insert_edge``.
 from .exact import BrTable, exact_rwcc, exact_rwcc_many, parochial_nodes  # noqa: F401
 from .graph import (
     ColoredGraph,
@@ -228,8 +228,9 @@ def repbublik(
 
     Each of the ``budget`` rounds recomputes the parochial set and the
     centralities on the graph grown so far, then inserts an edge from the
-    node maximizing centrality times oracle weight (ties: lowest id).  Stops
-    early once no parochial node of ``color`` is left.
+    node maximizing centrality times oracle weight (ties: lowest id),
+    passing over nodes that already link to every node of the other color.
+    Stops early once no parochial node of ``color`` has a legal target left.
     """
     seed, br, pool = _prologue(graph, color, budget, cfg, seed, backend)
     rng = stream(seed, _TAG_TARGET)
@@ -246,11 +247,18 @@ def repbublik(
             current, pool, cfg, backend, derive_seed(seed, _TAG_RWCC, round_no)
         )
         weights = _oracle_weights(graph, pool, planned)
-        i = int(np.argmax(scores * weights))  # argmax returns the first max
-        source = int(pool[i])
         if policy == "lowest-br":
             targets.rank(br)
-        target = targets.pick(source, rng)
+        # Best score first, ties to the lowest id; a failed pick draws nothing.
+        for i in np.argsort(-(scores * weights), kind="stable").tolist():
+            try:
+                target = targets.pick(int(pool[i]), rng)
+                break
+            except NoLegalTarget:  # the source links to every other-color node
+                continue
+        else:  # no source in the pool has a legal target left
+            break
+        source = int(pool[i])
         edge = EdgeInsertion(source, target, float(weights[i]))
         current = insert_edge(current, edge)
         edges.append(edge)

@@ -1,6 +1,8 @@
 """Classification, structural bias, gain dispatch, and budget splits."""
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from repbublik import (
     BrTable,
@@ -180,6 +182,15 @@ class TestGainDispatch:
             gain(g2, [], [EdgeInsertion(0, 3, 0.5)], 4)
 
 
+# Bias sums: zero, tiny (subnormal included), ordinary and large.
+_BIAS_SUMS = st.one_of(
+    st.just(0.0),
+    st.floats(0.0, 1e-300),
+    st.floats(0.0, 1e4),
+    st.floats(1e4, 1e300),
+)
+
+
 class TestBudgetAllocation:
     def test_proportional_ceiling(self):
         assert budget_allocation(10.0, 30.0, 10) == (2, 8)
@@ -187,6 +198,8 @@ class TestBudgetAllocation:
     def test_one_sided(self):
         assert budget_allocation(5.0, 0.0, 5) == (5, 0)
         assert budget_allocation(0.0, 5.0, 5) == (0, 5)
+        # 27 * y / y rounds above 27, so the ceiling alone gives (-1, 28).
+        assert budget_allocation(0.0, 672.6868563178937, 27) == (0, 27)
 
     def test_zero_budget(self):
         assert budget_allocation(3.0, 4.0, 0) == (0, 0)
@@ -209,3 +222,13 @@ class TestBudgetAllocation:
             k_r, k_b = budget_allocation(float(y_r), float(y_b), k)
             assert k_r + k_b == k
             assert k_r >= 0 and k_b >= 0
+
+    @given(y_red=_BIAS_SUMS, y_blue=_BIAS_SUMS, k=st.integers(0, 1000))
+    @example(y_red=0.0, y_blue=672.6868563178937, k=26)
+    @settings(max_examples=500, deadline=None)
+    def test_parts_in_range_and_nondecreasing_in_k(self, y_red, y_blue, k):
+        assume(y_red + y_blue > 0)
+        k_r, k_b = budget_allocation(y_red, y_blue, k)
+        assert 0 <= k_r and 0 <= k_b and k_r + k_b == k
+        next_r, next_b = budget_allocation(y_red, y_blue, k + 1)
+        assert next_r >= k_r and next_b >= k_b

@@ -185,6 +185,19 @@ def test_generators_roundtrip(tmp_path, capsys):
     ]) == 0
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (["gen-polarized", "--n-red", "4", "--n-blue", "4", "--p-within", "0.5",
+      "--p-cross", "0.1", "--backend", "mc"], "--backend mc"),
+    (["gen-gadget", "--elements", "2", "--sets", "0,1;1", "--seed", "3"], "--seed 3"),
+])
+def test_generators_reject_walk_flags_they_do_not_read(argv, flag, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(argv + ["--output", str(tmp_path / "g")])
+    assert exit_.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_validation_error_exit_code(tmp_path, capsys):
     edges = tmp_path / "bad.edges.tsv"
     colors = tmp_path / "bad.colors.tsv"

@@ -346,25 +346,22 @@ def _reference_sweep(graph, algorithms, k_values, cfg, seeds, out_path, backend)
     return records
 
 
-class _BudgetLimited(RepbublikError):
+class _NoRedPlan(RepbublikError):
     pass
 
 
-def _fails_above_two(graph, color, budget, cfg, seed=None, backend="exact"):
-    """pure-random, but a package error at every budget above 2."""
-    if budget > 2:
-        raise _BudgetLimited(f"budget {budget} is above 2")
-    return baseline_pure_random(graph, color, budget, cfg, seed=seed, backend=backend)
-
-
-def _reversed_below_three(graph, color, budget, cfg, seed=None, backend="exact"):
-    """repbublik-plus reversed, so no plan is a prefix of the next, and a
-    package error at every budget above 2.  Out of the prefix contract, it
-    is safe only while every top-budget build fails."""
-    if budget > 2:
-        raise _BudgetLimited(f"budget {budget} is above 2")
-    plan = repbublik_plus(graph, color, budget, cfg, seed=seed, backend=backend)
-    return type(plan)(edges=plan.edges[::-1], color=color, requested=budget)
+def _y_red_zero_graph():
+    """Six red nodes, each linking to blue node 6 and to the next red node,
+    and a 30-node blue chain leaking to red node 0.  At t=10, theta_bad=5 no
+    red node is parochial and y_blue = 210.97213558013718, a sum for which
+    the float quotient K * y_blue / y_blue lands above K = 83."""
+    edges = []
+    for v in range(6):
+        edges += [(v, 6, 0.5), (v, (v + 1) % 6, 0.5)]
+    for v in range(6, 35):
+        edges += [(v, v + 1, 0.97), (v, 0, 0.03)]
+    edges.append((35, 0, 1.0))
+    return build_graph(["R"] * 6 + ["B"] * 30, edges)
 
 
 class TestSweepOracle:
@@ -414,35 +411,56 @@ class TestSweepOracle:
             rows += len(records)
         assert rows == 12 * 5 * len(self.K_VALUES) * 2 and errors < rows // 10
 
-    def test_failing_builds_fall_back_to_the_cell_budget(self, tmp_path, monkeypatch):
-        monkeypatch.setitem(ALGORITHMS, "fails-above-2", _fails_above_two)
-        monkeypatch.setitem(ALGORITHMS, "reversed", _reversed_below_three)
-        graph, t = self._graphs()[0]
-        k_values = [0, 1, 2, 3, 4, 6, 12]
-        splits = [harness._split(*self._bias(graph, t), k) for k in k_values]
-        assert min(max(s[0] for s in splits), max(s[1] for s in splits)) > 2
-        records = self._assert_same(
-            tmp_path, graph, ["fails-above-2", "reversed", "pure-random"],
-            k_values, self._cfg(t, 1), [3, 4], "exact",
-        )
-        for r, (k_red, k_blue) in zip(records, [s for s in splits for _ in range(2)] * 3):
-            if r.algorithm == "pure-random" or max(k_red, k_blue) <= 2:
-                assert r.error is None
-            else:
-                first = k_red if k_red > 2 else k_blue
-                assert r.error == f"_BudgetLimited: budget {first} is above 2"
-        assert sum(r.error is None for r in records) >= 24
+    def test_failing_build_fails_each_cell_of_its_color(self, tmp_path, monkeypatch):
+        calls = []
 
-    def test_falling_color_budget_grows_from_the_input_graph(self, tmp_path, monkeypatch):
-        # The split in floats could in principle hand a color fewer edges at
-        # a larger K; such a cell must not reuse the previous budget's graph.
-        seesaw = lambda y_red, y_blue, k: (k, 0) if k % 2 else (0, k)
-        monkeypatch.setattr(harness, "budget_allocation", seesaw)
-        for gi, (graph, t) in enumerate(self._graphs()[:4]):
-            self._assert_same(
-                tmp_path, graph, ["repbublik-plus", "rcn"], [1, 2, 3, 4, 7, 8],
-                self._cfg(t, gi), [gi], "exact",
-            )
+        def red_fails(graph, color, budget, cfg, seed=None, backend="exact"):
+            calls.append((seed, color, budget))
+            if color == "R" and budget > 0:
+                raise _NoRedPlan(f"no red plan for seed {seed}")
+            return baseline_pure_random(graph, color, budget, cfg, seed=seed, backend=backend)
+
+        monkeypatch.setitem(ALGORITHMS, "red-fails", red_fails)
+        graph, t = self._graphs()[0]
+        k_values, seeds, cfg = [0, 1, 2, 3, 4, 6, 12], [3, 4], self._cfg(t, 1)
+        splits = [harness._split(*self._bias(graph, t), k) for k in k_values]
+        assert any(k_red == 0 < k_blue for k_red, k_blue in splits)
+        records = self._assert_same(
+            tmp_path, graph, ["red-fails", "pure-random"], k_values, cfg, seeds, "exact"
+        )
+        for r, (k_red, _) in zip(records, [s for s in splits for _ in seeds] * 2):
+            if r.algorithm == "red-fails" and k_red > 0:
+                assert r.error == f"_NoRedPlan: no red plan for seed {r.seed}"
+            else:
+                assert r.error is None
+        # The sweep calls the entry once per (seed, color), at the top budget.
+        calls.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            run_sweep(graph, ["red-fails"], k_values, cfg, seeds, tmp_path / "again.csv")
+        top = dict(zip("RB", np.max(splits, axis=0).tolist()))
+        assert sorted(calls) == sorted((s, c, top[c]) for s in seeds for c in "RB")
+
+    def test_split_never_applies_more_than_k_edges(self, tmp_path, monkeypatch):
+        graph, cfg = _y_red_zero_graph(), WalkConfig(t=10, theta_good=2.0, seed=0)
+        y_red, y_blue = self._bias(graph, 10)
+        assert y_red == 0.0 and 83 * y_blue / y_blue > 83
+        k_values, algorithms = [1, 82, 83, 84], sorted(ALGORITHMS)
+        self._assert_same(tmp_path, graph, algorithms, k_values, cfg, [0, 1], "exact")
+        added = []
+        original = harness.br_table
+
+        def spy(grown, *args):
+            added.append(grown.edge_count - graph.edge_count)
+            return original(grown, *args)
+
+        monkeypatch.setattr(harness, "br_table", spy)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            records = run_sweep(graph, algorithms, k_values, cfg, [0, 1], tmp_path / "s.csv")
+        assert len(added) == 1 + len(records)  # the input graph's table, then one per cell
+        assert all(r.error is None and n <= r.budget for r, n in zip(records, added[1:]))
+        assert max(n for r, n in zip(records, added[1:]) if r.budget == 83) == 83
 
     def test_rows_before_a_programming_error_are_flushed(self, tmp_path, monkeypatch):
         def broken(graph, color, budget, cfg, seed=None, backend="exact"):

@@ -1,5 +1,6 @@
 """Greedy recommenders, target policies, and the randomized baselines."""
 import gc
+import itertools
 import math
 import warnings
 import weakref
@@ -18,6 +19,7 @@ from repbublik import (
     baseline_rwcn,
     brute_force_opt,
     build_graph,
+    estimate_br,
     exact_br,
     exact_gain,
     exact_gamma,
@@ -31,7 +33,7 @@ from repbublik import (
     weight_oracle,
 )
 import repbublik.recommend as rec
-from repbublik.errors import NoLegalTarget, NoOppositeColor, ThresholdOrder
+from repbublik.errors import NoLegalTarget, NoOppositeColor, RepbublikError, ThresholdOrder
 from repbublik.recommend import _top_pool
 
 from conftest import random_polarized
@@ -97,6 +99,14 @@ class TestRepbublik:
         plan = repbublik(gadget.graph, "R", 5, cfg)
         assert plan.requested == 5
         assert len(plan) == 2  # one edge heals each element, then P is empty
+
+    def test_passes_over_a_saturated_source(self):
+        # Node 0 comes to link to all three blue nodes while it still scores
+        # best; the greedy goes on from the next source instead of failing.
+        graph, cfg = _plan_cases()[4]
+        plan = repbublik(graph, "R", 9, cfg)
+        assert len(plan) == 9 == len(repbublik_plus(graph, "R", 9, cfg))
+        assert _legal_targets_reference(apply_plan(graph, plan.edges), 0).size == 0
 
     def test_no_opposite_color_rejected(self, all_red_cycle):
         cfg = WalkConfig(t=6, theta_good=2.0, theta_bad=3.0)
@@ -517,28 +527,27 @@ class TestPlanPaths:
 
 
 class TestMemo:
-    """Exact BR and closeness are computed once per graph and read-only."""
+    """Exact BR and closeness, and Monte Carlo BR, are computed once per
+    graph and read-only."""
 
     @staticmethod
-    def _plans(graph, cfg):
+    def _plans(graph, cfg, backend):
         out = []
         for fn in ALGORITHMS.values():
             for color in ("R", "B"):
-                try:
-                    with warnings.catch_warnings():
-                        warnings.simplefilter("ignore", RuntimeWarning)
-                        out.append(_triples(fn(graph, color, 6, cfg, seed=3)))
-                except NoLegalTarget as exc:
-                    out.append(str(exc))
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", RuntimeWarning)
+                    out.append(_triples(fn(graph, color, 6, cfg, seed=3, backend=backend)))
         return out
 
     def test_warm_and_cold_memo_give_the_same_plans(self):
-        for graph, cfg in _plan_cases(8):
-            warm = self._plans(graph, cfg)
+        for (graph, cfg), backend in itertools.product(_plan_cases(8), ["exact", "mc"]):
+            cfg = WalkConfig(t=cfg.t, theta_good=1.0, epsilon=0.9, delta=0.5, seed=cfg.seed)
+            warm = self._plans(graph, cfg, backend)
             assert graph.memo
             cold = ColoredGraph(graph.colors, graph.indptr, graph.targets, graph.weights)
             assert not cold.memo
-            assert self._plans(graph, cfg) == self._plans(cold, cfg) == warm
+            assert self._plans(graph, cfg, backend) == self._plans(cold, cfg, backend) == warm
 
     def test_cached_results_are_read_only_and_shared(self, g2):
         table = exact_br(g2, 4)
@@ -552,6 +561,9 @@ class TestMemo:
         grown = apply_plan(g2, [EdgeInsertion(0, 3, 0.5)])
         assert not grown.memo
         assert exact_br(grown, 4) is not table
+        estimate = estimate_br(g2, 4, 0.9, 0.5, seed=3)
+        assert estimate_br(g2, 4, 0.9, 0.5, seed=3) is estimate
+        assert not estimate.values.flags.writeable
 
     def test_memo_keys_tell_requests_apart(self):
         for graph, cfg in _plan_cases(8):
@@ -563,6 +575,11 @@ class TestMemo:
             for t in (cfg.t, cfg.t + 1):
                 cold = ColoredGraph(graph.colors, graph.indptr, graph.targets, graph.weights)
                 assert exact_br(graph, t).values.tolist() == exact_br(cold, t).values.tolist()
+            for t, seed, walks in [(3, 0, 5), (4, 0, 5), (3, 1, 5), (3, 0, 6), (3, 0, None)]:
+                cold = ColoredGraph(graph.colors, graph.indptr, graph.targets, graph.weights)
+                args = (t, 0.9, 0.5, seed, walks)
+                expected = estimate_br(cold, *args).values.tolist()
+                assert estimate_br(graph, *args).values.tolist() == expected
             for args in requests:
                 cold = ColoredGraph(graph.colors, graph.indptr, graph.targets, graph.weights)
                 expected = exact_rwcc_many(cold, *args).tolist()
@@ -572,6 +589,11 @@ class TestMemo:
         exact_br(g2, 4)
         with pytest.raises(ThresholdOrder):
             exact_br(g2, 4.0)
+        estimate_br(g2, 4, 0.9, 0.5, seed=3, walks_per_node=5)
+        for bad in [(4.0, 3, 5), (4, 3.0, 5), (4, 3, 5.0)]:
+            t, seed, walks = bad
+            with pytest.raises(ThresholdOrder):
+                estimate_br(g2, t, 0.9, 0.5, seed=seed, walks_per_node=walks)
 
     def test_memo_is_dropped_with_the_graph(self, g2):
         grown = apply_plan(g2, [EdgeInsertion(0, 3, 0.5)])
@@ -585,9 +607,10 @@ class TestMemo:
 class TestPrefixContract:
     """A plan for budget K is the first K edges of the plan for any larger
     budget: the heap, the per-round greedy and the random draws consume
-    their streams in the same order whatever the budget.  The sweep builds
+    their streams in the same order whatever the budget.  An entry that
+    fails raises the same error at every positive budget.  The sweep builds
     one plan per (algorithm, seed, color) and slices it, so it relies on
-    this for every registry entry, both backends and both target policies.
+    both for every registry entry, both backends and both target policies.
     """
 
     BUDGETS = (0, 1, 3, 7, 16, 29)
@@ -610,28 +633,55 @@ class TestPrefixContract:
             cases.append((graph, WalkConfig(
                 t=t, theta_good=1.5, theta_bad=t / 2, epsilon=0.9, delta=0.5, seed=i,
             )))
+        saturating = _plan_cases()
+        for i in (4, 17):  # the greedy's best red sources come to link to every blue node
+            graph, cfg = saturating[i]
+            cases.append((graph, WalkConfig(
+                t=cfg.t, theta_good=1.0, epsilon=0.9, delta=0.5, seed=cfg.seed,
+            )))
+        one_color = build_graph(["R"] * 3, [(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0)])
+        cases.append((one_color, WalkConfig(t=4, theta_good=1.5, epsilon=0.9, delta=0.5)))
         return cases
 
-    def _plan(self, fn, graph, color, budget, cfg, backend, kwargs):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            return fn(graph, color, budget, cfg, seed=cfg.seed + 5, backend=backend, **kwargs)
+    @staticmethod
+    def _outcome(fn, graph, color, budget, cfg, backend, kwargs):
+        """(error or None, edges) of one call."""
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                plan = fn(graph, color, budget, cfg, seed=cfg.seed + 5, backend=backend, **kwargs)
+        except (RepbublikError, ValueError) as exc:
+            return f"{type(exc).__name__}: {exc}", ()
+        return None, plan.edges
 
     def _check(self, fn, graph, cfg, backend, kwargs, tally):
         for color in ("R", "B"):
-            top = self._plan(fn, graph, color, self.TOP, cfg, backend, kwargs)
+            error, top = self._outcome(fn, graph, color, self.TOP, cfg, backend, kwargs)
+            assert error is None or not error.startswith("NoLegalTarget")
             for k in self.BUDGETS:
-                plan = self._plan(fn, graph, color, k, cfg, backend, kwargs)
-                assert plan.edges == top.edges[:k], (k, color)
-            tally["short" if len(top) < self.TOP else "full"] += 1
+                outcome = self._outcome(fn, graph, color, k, cfg, backend, kwargs)
+                if k > 0 or error is None:
+                    assert outcome == (error, top[:k]), (k, color)
+            if fn is repbublik and error is None and len(top) < self.TOP:
+                self._assert_no_legal_target_left(graph, color, top, cfg, backend)
+            tally["error" if error else "short" if len(top) < self.TOP else "full"] += 1
+
+    @staticmethod
+    def _assert_no_legal_target_left(graph, color, edges, cfg, backend):
+        """A short greedy plan ends on a round whose pool has no legal target."""
+        grown = apply_plan(graph, edges)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            _, pool = rec._parochial_pool(grown, color, cfg, cfg.seed + 5, backend, len(edges))
+        assert all(_legal_targets_reference(grown, v).size == 0 for v in pool.tolist())
 
     @pytest.mark.parametrize("backend", ["exact", "mc"])
     def test_random_graphs(self, backend):
-        tally = {"full": 0, "short": 0}
+        tally = {"full": 0, "short": 0, "error": 0}
         for fn, kwargs in self._variants():
             for graph, cfg in self._cases():
                 self._check(fn, graph, cfg, backend, kwargs, tally)
-        assert tally["full"] >= 20 and tally["short"] >= 100
+        assert tally["full"] >= 20 and tally["short"] >= 100 and tally["error"] == 7
 
     @pytest.mark.parametrize("backend", ["exact", "mc"])
     def test_desk_graph(self, backend):
@@ -640,7 +690,7 @@ class TestPrefixContract:
             cfg = WalkConfig(t=10, theta_good=2.0, theta_bad=5.0, seed=0)
         else:  # a short horizon keeps the Monte Carlo passes cheap
             cfg = WalkConfig(t=4, theta_good=1.5, theta_bad=2.0, epsilon=1.0, delta=0.5, seed=0)
-        tally = {"full": 0, "short": 0}
+        tally = {"full": 0, "short": 0, "error": 0}
         for fn, kwargs in self._variants():
             if backend == "mc" and fn is repbublik:
                 continue  # 96 Monte Carlo BR passes per color; covered on the random graphs
