@@ -10,19 +10,12 @@ from .bias import (
     budget_allocation,
     classify,
     even_split,
-    gain,
     structural_bias,
 )
 from .exact import (
     BrTable,
-    FirstPassageProfile,
-    brute_force_opt,
-    exact_bounded_hitting,
     exact_br,
-    exact_first_passage,
     exact_gamma,
-    exact_gain,
-    exact_return_mass,
     exact_rwcc,
     exact_rwcc_many,
 )
@@ -60,7 +53,6 @@ from .montecarlo import (
     estimate_rwcc,
     estimate_rwcc_many,
     rwcc_sample_size,
-    simulate_restart_session,
 )
 from .recommend import (
     ALGORITHMS,
@@ -70,7 +62,6 @@ from .recommend import (
     closeness,
     repbublik,
     repbublik_plus,
-    target_selection,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

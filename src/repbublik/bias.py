@@ -1,21 +1,19 @@
-"""Cosmopolitan/parochial classification, structural bias, gain, budgets."""
+"""Cosmopolitan/parochial classification, structural bias, budgets."""
 from __future__ import annotations
 
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import BothColorsUnbiased, UnknownColor
-from .exact import BrTable, _gain, exact_br, exact_gain, parochial_nodes
+from .exact import BrTable, exact_br, parochial_nodes
 from .graph import (
     BLUE,
     RED,
     ColoredGraph,
-    EdgeInsertion,
-    InsertionPlan,
     WalkConfig,
     check_count,
     check_thresholds,
@@ -94,31 +92,6 @@ def structural_bias(
     """Sum of the Bubble Radii of the parochial nodes (optionally one color)."""
     nodes = partition.parochial if color is None else partition.parochial_of(color)
     return float(br.values[nodes].sum())
-
-
-def gain(
-    graph: ColoredGraph,
-    nodes: Iterable[int],
-    plan: InsertionPlan | Sequence[EdgeInsertion],
-    t: int,
-    backend: str = "exact",
-    cfg: WalkConfig | None = None,
-) -> float:
-    """Mean Bubble Radius drop over ``nodes`` due to ``plan``.
-
-    The Monte Carlo backend estimates the before/after tables with the same
-    seed, so walk noise largely cancels in the difference.
-    """
-    if backend == "exact":
-        return exact_gain(graph, nodes, plan, t)
-    if backend != "mc":
-        raise ValueError(f"unknown backend {backend!r}")
-    if cfg is None:
-        raise ValueError("the mc backend needs a WalkConfig for epsilon/delta/seed")
-    return _gain(
-        graph, nodes, plan, t,
-        lambda g: estimate_br(g, t, cfg.epsilon, cfg.delta, cfg.seed).values,
-    )
 
 
 def warn_if_estimate_too_coarse(cfg: WalkConfig) -> None:

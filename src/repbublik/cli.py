@@ -43,11 +43,25 @@ _WALK_OPTIONS = {
 
 
 def _add_walk_options(
-    p: argparse.ArgumentParser, names: tuple[str, ...] = tuple(_WALK_OPTIONS)
+    p: argparse.ArgumentParser,
+    names: tuple[str, ...] = tuple(_WALK_OPTIONS),
+    output_help: str | None = None,
 ) -> None:
+    """Add the shared options ``names``; ``output_help`` replaces the help of
+    ``--output`` for a verb that does not write its results to stdout."""
     g = p.add_argument_group("walk configuration")
     for name in names:
-        g.add_argument(name, **_WALK_OPTIONS[name])
+        options = _WALK_OPTIONS[name]
+        if name == "--output" and output_help is not None:
+            options = dict(options, help=output_help)
+        g.add_argument(name, **options)
+
+
+def _prefix_help(default: str) -> str:
+    return (
+        "file prefix: write PREFIX.edges.tsv and PREFIX.colors.tsv "
+        f"(default {default})"
+    )
 
 
 def _add_dataset_options(p: argparse.ArgumentParser) -> None:
@@ -175,9 +189,11 @@ def _cmd_sweep(args) -> int:
     )
     if args.plot_dir is not None:
         emit_plotdata(records, args.plot_dir)
-    failures = sum(1 for r in records if r.error is not None)
-    if failures:
-        print(f"{failures} of {len(records)} cells failed", file=sys.stderr)
+    failed = [r for r in records if r.error is not None]
+    for r in failed:
+        print(f"cell {r.algorithm} K={r.budget} seed={r.seed}: {r.error}", file=sys.stderr)
+    if failed:
+        print(f"{len(failed)} of {len(records)} cells failed", file=sys.stderr)
         return 2
     return 0
 
@@ -244,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="budget sweep over several algorithms")
     _add_dataset_options(p)
-    _add_walk_options(p)
+    _add_walk_options(p, output_help="CSV file to write (default sweep.csv)")
     p.add_argument(
         "--algorithms",
         default="repbublik-plus,pure-random,rcn,rwcn",
@@ -262,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_sweep)
 
     p = sub.add_parser("gen-gadget", help="write a set-cover gadget dataset")
-    _add_walk_options(p, ("--t", "--output"))
+    _add_walk_options(p, ("--t", "--output"), _prefix_help("gadget"))
     p.add_argument("--elements", type=int, required=True, help="universe size")
     p.add_argument(
         "--sets", required=True,
@@ -271,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_gen_gadget)
 
     p = sub.add_parser("gen-polarized", help="write a random polarized dataset")
-    _add_walk_options(p, ("--seed", "--output"))
+    _add_walk_options(p, ("--seed", "--output"), _prefix_help("polarized"))
     p.add_argument("--n-red", type=int, required=True)
     p.add_argument("--n-blue", type=int, required=True)
     p.add_argument("--p-within", type=float, required=True)

@@ -56,26 +56,12 @@ class ThresholdOrder(GraphValidationError):
     """Thresholds must satisfy 1 <= theta_good < theta_bad <= t."""
 
 
-class SourceIsTarget(GraphValidationError):
-    """First-passage source and target coincide; use the return-mass profile."""
-
-
-class TargetInAvoidSet(GraphValidationError):
-    """First-passage target has the opposite color of the source."""
-
-
 class MixedColorSet(GraphValidationError):
     """A source set for centrality must be monochromatic and match the target."""
 
 
 class EmptySourceSet(GraphValidationError):
     """A source set for centrality estimation must be non-empty."""
-
-
-class EnumerationTooLarge(RepbublikError):
-    def __init__(self, plans: int, cap: int):
-        self.plans, self.cap = plans, cap
-        super().__init__(f"{plans} candidate plans exceed the enumeration cap {cap}")
 
 
 class BothColorsUnbiased(RepbublikError):

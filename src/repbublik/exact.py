@@ -1,9 +1,9 @@
 """Exact dynamic programs for bounded random-walk quantities.
 
-Every estimator and property test in the package is checked against these
-routines.  All of them run in O(t * |E|) per source/target via sparse
-matrix-vector products, so they stay practical for small and medium graphs
-while avoiding the cubic cost of Laplacian-based hitting-time solvers.
+These are the exact backend of the recommenders, the sweep and the CLI,
+and the Monte Carlo estimators are checked against them.  Each pass costs
+O(t * |E|) via sparse matrix-vector products, which avoids the cubic cost
+of Laplacian-based hitting-time solvers.
 A walk is absorbed when it first enters the opposite color, so closeness
 and return mass depend only on the color's own block A of M, the rows and
 columns of the color's nodes (:func:`_color_block`).  Both are built on one
@@ -17,32 +17,14 @@ passages.
 """
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import (
-    EmptySourceSet,
-    EnumerationTooLarge,
-    MixedColorSet,
-    SourceIsTarget,
-    TargetInAvoidSet,
-)
-from .graph import (
-    BLUE,
-    RED,
-    ColoredGraph,
-    EdgeInsertion,
-    InsertionPlan,
-    apply_plan,
-    check_count,
-    opposite,
-    weight_oracle,
-)
+from .errors import EmptySourceSet, MixedColorSet
+from .graph import BLUE, RED, ColoredGraph, check_count
 
 #: Absolute tolerance for the dynamic programs.
 DP_TOL = 1e-9
@@ -73,28 +55,6 @@ class BrTable:
             raise ValueError(f"Bubble Radius values must lie in [1, {self.t}]")
 
 
-@dataclass(frozen=True, eq=False)
-class FirstPassageProfile:
-    """Color-avoiding first-passage probabilities from one node to another.
-
-    ``probs[i]`` is the probability that a walk from ``source`` is at
-    ``target`` at exactly step ``i`` (1-indexed; ``probs[0]`` is unused and
-    zero) without visiting ``target`` or any opposite-color node earlier.
-    """
-
-    source: int
-    target: int
-    horizon: int
-    probs: np.ndarray  # shape (horizon + 1,)
-
-    def __post_init__(self):
-        self.probs.setflags(write=False)
-
-    @property
-    def total(self) -> float:
-        return float(self.probs.sum())
-
-
 def _node_set(graph: ColoredGraph, nodes: Iterable[int]) -> np.ndarray:
     """``nodes`` as an ascending, duplicate-free int64 array of valid ids.
     An array that already is one (``nodes_of``, a parochial pool) is
@@ -110,32 +70,11 @@ def _node_set(graph: ColoredGraph, nodes: Iterable[int]) -> np.ndarray:
     return arr
 
 
-def exact_bounded_hitting(
-    graph: ColoredGraph, absorbing: Iterable[int], t: int
-) -> np.ndarray:
-    """E[min(t, first hit of the absorbing set)] for every start node.
-
-    Uses the survival identity E[min(t, T)] = sum_{i=0}^{t-1} P(T > i) with
-    the recurrence s_{i+1} = M @ s_i zeroed on the absorbing set.  An empty
-    absorbing set is allowed and yields t everywhere (the walk is never
-    absorbed, only capped).
-    """
-    check_count("horizon", t)
-    absorbed = _node_set(graph, absorbing)
-    survival = np.ones(graph.n)
-    survival[absorbed] = 0.0
-    expected = survival.copy()
-    for _ in range(t - 1):
-        survival = graph.matrix @ survival
-        survival[absorbed] = 0.0
-        expected += survival
-    return expected
-
-
 def exact_br(graph: ColoredGraph, t: int) -> BrTable:
     """Exact Bubble Radius of every node at horizon ``t``.
 
-    One two-column pass of :func:`exact_bounded_hitting`'s recurrence:
+    One two-column pass of the survival recurrence E[min(t, T)] =
+    sum_{i<t} P(T > i), with s_{i+1} = M @ s_i zeroed on the absorbing set:
     column 0 holds the walks of red sources, absorbed by blue nodes, and
     column 1 those of blue sources, absorbed by red nodes.  Each column sums
     its terms in the order of a one-column pass, so the values have its
@@ -157,37 +96,6 @@ def exact_br(graph: ColoredGraph, t: int) -> BrTable:
     values = np.where(red, expected[:, 0], expected[:, 1])
     graph.memo[key] = BrTable(values=values, t=t, provenance="exact")
     return graph.memo[key]
-
-
-def exact_first_passage(
-    graph: ColoredGraph, source: int, target: int, t: int
-) -> FirstPassageProfile:
-    """Distribution of the first hit of ``target`` avoiding the other color.
-
-    Step-wise distribution propagation with absorbing set
-    {target} union opposite-color nodes.  Source and target must share a
-    color; the conflicting case is rejected rather than guessing precedence
-    between "hit the target" and "avoid the other color".
-    """
-    _node_set(graph, (source, target))
-    if source == target:
-        raise SourceIsTarget(f"first passage from {source} to itself is a return mass")
-    if graph.color_of(source) != graph.color_of(target):
-        raise TargetInAvoidSet(
-            f"target {target} has the opposite color of source {source}"
-        )
-    check_count("horizon", t)
-
-    absorb = graph.color_mask(opposite(graph.color_of(source))).copy()
-    absorb[target] = True
-    dist = np.zeros(graph.n)
-    dist[source] = 1.0
-    probs = np.zeros(t + 1)
-    for step in range(1, t + 1):
-        dist = graph.matrix_t @ dist
-        probs[step] = dist[target]
-        dist[absorb] = 0.0
-    return FirstPassageProfile(source=source, target=target, horizon=t, probs=probs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -252,28 +160,11 @@ def _return_profiles(
     return profiles
 
 
-def exact_return_mass(
-    graph: ColoredGraph, v: int, t_prime: int
-) -> tuple[np.ndarray, float]:
-    """Return-visit probabilities of ``v`` before touching the other color.
-
-    ``p[i]`` is the probability that a walk from ``v`` is at ``v`` at step
-    ``i`` while avoiding the opposite color at steps 1..i; earlier revisits
-    of ``v`` do not stop the walk.  Returns ``(p[0..t'-1], F)`` with
-    ``F = sum(p)``; ``p[0] = 1`` and ``p[1] = 0`` always (no self-loops).
-    The one-node case of the block pass :func:`exact_gamma` runs.
-    """
-    check_count("horizon", t_prime)
-    p = _return_profiles(graph, _node_set(graph, (v,)), t_prime)[0]
-    assert t_prime < 2 or p[1] == 0.0, "a self-loop slipped past graph validation"
-    return p, float(p.sum())
-
-
 def exact_gamma(graph: ColoredGraph, t: int) -> float:
     """max over nodes of the total return mass F_t(v).
 
     One chunked block pass per color steps the walks from the color's nodes
-    together; each node's total is summed like :func:`exact_return_mass`.
+    together; a node's total is the sum of its profile.
     """
     check_count("horizon", t)
     best = 1.0  # p_0 = 1 contributes to every node
@@ -384,89 +275,9 @@ def exact_rwcc(
     return float(exact_rwcc_many(graph, (v,), sources, t_prime)[0])
 
 
-def _gain(
-    graph: ColoredGraph, nodes: Iterable[int], plan: Iterable[EdgeInsertion], t: int,
-    br_values: Callable[[ColoredGraph], np.ndarray],
-) -> float:
-    """Mean drop of ``br_values`` (a horizon-``t`` BR table's values) over
-    ``nodes`` after applying ``plan``; an empty plan gains zero."""
-    check_count("horizon", t)
-    targets = _node_set(graph, nodes)
-    if targets.size == 0:
-        raise EmptySourceSet("gain needs a non-empty node set")
-    edges = tuple(plan)
-    if not edges:
-        return 0.0
-    before, after = br_values(graph), br_values(apply_plan(graph, edges))
-    return float(np.mean(before[targets] - after[targets]))
-
-
-def exact_gain(
-    graph: ColoredGraph,
-    nodes: Iterable[int],
-    plan: InsertionPlan | Sequence[EdgeInsertion],
-    t: int,
-) -> float:
-    """Mean Bubble Radius drop over ``nodes`` after applying ``plan``.
-
-    Insertions are applied in plan order, so same-source weights renormalize
-    sequentially.  An empty plan is the identity and gains zero.
-    """
-    return _gain(graph, nodes, plan, t, lambda g: exact_br(g, t).values)
-
-
 def parochial_nodes(
     colors: np.ndarray, br: BrTable, color: str, theta_bad: float
 ) -> np.ndarray:
     """Nodes of ``color``, ascending, whose Bubble Radius is at least
     ``theta_bad``: the one parochial rule of the package."""
     return np.flatnonzero((colors == color) & (br.values >= theta_bad))
-
-
-def brute_force_opt(
-    graph: ColoredGraph,
-    color: str,
-    k: int,
-    t: int,
-    theta_bad: float | None = None,
-    enumeration_cap: int = 200_000,
-) -> tuple[InsertionPlan, float]:
-    """Exhaustive optimum of the k-edge insertion problem (test oracle).
-
-    Enumerates every k-subset of candidate cross-color edges with parochial
-    sources (weights assigned sequentially by the oracle) and returns the
-    plan maximizing the exact gain over the parochial set, breaking ties by
-    enumeration order.  Refuses instances above ``enumeration_cap`` plans.
-    """
-    check_count("k", k, 0)
-    if theta_bad is None:
-        theta_bad = t / 2
-    if k == 0:
-        return InsertionPlan(edges=(), color=color, requested=0), 0.0
-
-    br = exact_br(graph, t)
-    parochial = parochial_nodes(graph.colors, br, color, theta_bad)
-    others = graph.nodes_of(opposite(color))
-    candidates = [
-        (int(v), int(w))
-        for v in parochial
-        for w in others
-        if not graph.has_edge(int(v), int(w))
-    ]
-    if len(candidates) < k:
-        return InsertionPlan(edges=(), color=color, requested=k), 0.0
-    n_plans = math.comb(len(candidates), k)
-    if n_plans > enumeration_cap:
-        raise EnumerationTooLarge(n_plans, enumeration_cap)
-
-    best_gain = -np.inf
-    best_edges: tuple[EdgeInsertion, ...] = ()
-    for combo in itertools.combinations(candidates, k):
-        edges: list[EdgeInsertion] = []
-        for v, w in combo:
-            edges.append(EdgeInsertion(v, w, weight_oracle(graph, v, edges)))
-        gain = exact_gain(graph, parochial, edges, t)
-        if gain > best_gain:
-            best_gain = gain
-            best_edges = tuple(edges)
-    return InsertionPlan(edges=best_edges, color=color, requested=k), float(best_gain)

@@ -84,12 +84,6 @@ class ColoredGraph:
         return self._matrix
 
     @cached_property
-    def matrix_t(self) -> sp.csr_matrix:
-        """Transpose of the transition matrix (for distribution propagation),
-        built on first use."""
-        return self._matrix.T.tocsr()
-
-    @cached_property
     def memo(self) -> dict:
         """Results derived from this graph (exact tables, each color's block
         of the matrix, the Monte Carlo walk sampler and BR tables), keyed by

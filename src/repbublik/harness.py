@@ -451,9 +451,9 @@ def run_sweep(
     parochial Bubble Radius mass (even split if neither color is biased),
     the algorithm runs once per color, and the gain and healed fraction are
     measured with freshly computed Bubble Radii on the grown graph.  A cell
-    failing with a :class:`RepbublikError` or ``ValueError`` is recorded
-    with an error marker and the sweep continues; any other exception is a
-    programming error and propagates.
+    failing with a :class:`RepbublikError` is recorded with an error marker
+    and the sweep continues; any other exception, a plain ``ValueError``
+    included, is a programming error and propagates.
 
     Each (algorithm, seed, color) plan is built once, at the color's
     largest budget on the ladder, by the first cell that needs it, and
@@ -550,7 +550,7 @@ class _AlgorithmCells:
                 self._plans[key] = ALGORITHMS[self.algo](
                     self.graph, color, self.top[color], self.cfg, seed=seed, backend=self.backend
                 ).edges
-            except (RepbublikError, ValueError) as exc:
+            except RepbublikError as exc:
                 self._plans[key] = exc
         plan = self._plans[key]
         if isinstance(plan, Exception):
@@ -597,7 +597,7 @@ def _run_cell(
             healed = (parochial.size - new_partition.parochial.size) / parochial.size
         else:
             delta, healed = 0.0, 0.0
-    except (RepbublikError, ValueError) as exc:  # record the failure, keep sweeping
+    except RepbublikError as exc:  # record the failure, keep sweeping
         error = f"{type(exc).__name__}: {exc}"
     return ExperimentRecord(
         algorithm=cells.algo,

@@ -43,7 +43,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .exact import BrTable, _centrality_request, _node_set
+from .exact import BrTable, _centrality_request
 from .graph import (
     BLUE,
     RED,
@@ -58,7 +58,6 @@ from .graph import (
 _STREAM_BR = 1
 _STREAM_RWCC_SOURCES = 2
 _STREAM_RWCC_WALKS = 3
-_STREAM_SESSION = 4
 
 #: Most uniforms one walk pass holds (a pass takes at least one row).  It
 #: bounds the memory of a pass; no result depends on it.
@@ -413,29 +412,3 @@ def estimate_rwcc(
     return float(estimate_rwcc_many(
         graph, (v,), sources, t_prime, epsilon, delta, kappa, seed, num_sources
     )[0])
-
-
-def simulate_restart_session(
-    graph: ColoredGraph, v: int, t: int, restarts: int, seed: int
-) -> int | None:
-    """Browsing session from ``v`` with up to ``restarts`` attempts.
-
-    Runs sequential walk segments of at most ``t`` steps each; a segment that
-    ends without touching the opposite color triggers a restart from ``v``.
-    Returns the total number of steps across segments up to the first hit,
-    or None if every segment failed.
-    """
-    check_count("horizon", t)
-    check_count("restarts", restarts)
-    _node_set(graph, (v,))
-    sampler = _sampler_of(graph)
-    absorbing = graph.color_mask(opposite(graph.color_of(v)))
-    rng = stream(seed, _STREAM_SESSION, v)
-    total = 0
-    for _ in range(restarts):
-        uniforms = rng.random((1, t))
-        steps, ends = _walk(sampler, v, absorbing, uniforms)
-        total += int(steps[0])
-        if ends[0] >= 0:
-            return total
-    return None

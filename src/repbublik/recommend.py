@@ -32,7 +32,6 @@ from .graph import (
     InsertionPlan,
     WalkConfig,
     insert_edge,
-    apply_plan,
     check_count,
     opposite,
     weight_oracle,
@@ -184,34 +183,6 @@ class _Targets:
             pos = next(int(p) for p in self._ranked if not _holds(excluded, p))
         insort(excluded, pos)
         return int(self.others[pos])
-
-
-def target_selection(
-    graph: ColoredGraph,
-    v: int,
-    plan: InsertionPlan | tuple[EdgeInsertion, ...] = (),
-    policy: str = "lowest-br",
-    cfg: WalkConfig | None = None,
-    backend: str = "exact",
-    seed: int | None = None,
-) -> int:
-    """Pick the destination for the next insertion from ``v`` given ``plan``.
-
-    ``lowest-br`` (default) returns the opposite-color node with the smallest
-    current Bubble Radius among targets not already linked from ``v``;
-    ``uniform-seeded`` draws uniformly from the legal targets.  Ties go to
-    the lowest node id.
-    """
-    if policy == "lowest-br" and cfg is None:
-        raise ValueError("the lowest-br policy needs a WalkConfig for the horizon")
-    if seed is None:
-        seed = cfg.seed if cfg is not None else 0
-    current = apply_plan(graph, plan)
-    targets = _Targets(current, current.color_of(v), policy)
-    if policy == "lowest-br":
-        targets.rank(br_table(current, cfg, backend, seed))
-    rng = stream(seed, _TAG_TARGET, v) if policy == "uniform-seeded" else None
-    return targets.pick(v, rng)
 
 
 def repbublik(

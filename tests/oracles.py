@@ -1,0 +1,303 @@
+"""Test oracles: the reference computations that check the package.
+
+No CLI verb, recommender, sweep step or engine calls these, so they live
+with the tests.  They are the bounded hitting times and first-passage
+profiles the exact engines are checked against, the one-node return-mass
+profile, the Bubble Radius gain of a plan (exact or estimated), the paper's
+browsing-session model, the brute-force optimum of the insertion problem and
+the one-source target choice of the recommenders.  Tests import this module
+the way they import ``conftest``.
+"""
+from __future__ import annotations
+
+import itertools
+import math
+from dataclasses import dataclass
+from typing import Callable, Iterable, Sequence
+
+import numpy as np
+
+from repbublik.bias import br_table
+from repbublik.errors import EmptySourceSet, GraphValidationError, RepbublikError
+from repbublik.exact import _node_set, _return_profiles, exact_br, parochial_nodes
+from repbublik.graph import (
+    ColoredGraph,
+    EdgeInsertion,
+    InsertionPlan,
+    WalkConfig,
+    apply_plan,
+    check_count,
+    opposite,
+    weight_oracle,
+)
+from repbublik.montecarlo import _sampler_of, _walk, estimate_br, stream
+from repbublik.recommend import _TAG_TARGET, _Targets
+
+# The browsing session's stream purpose; the package's walk streams use 1-3.
+_STREAM_SESSION = 4
+
+
+class SourceIsTarget(GraphValidationError):
+    """First-passage source and target coincide; use the return-mass profile."""
+
+
+class TargetInAvoidSet(GraphValidationError):
+    """First-passage target has the opposite color of the source."""
+
+
+class EnumerationTooLarge(RepbublikError):
+    def __init__(self, plans: int, cap: int):
+        self.plans, self.cap = plans, cap
+        super().__init__(f"{plans} candidate plans exceed the enumeration cap {cap}")
+
+
+@dataclass(frozen=True, eq=False)
+class FirstPassageProfile:
+    """Color-avoiding first-passage probabilities from one node to another.
+
+    ``probs[i]`` is the probability that a walk from ``source`` is at
+    ``target`` at exactly step ``i`` (1-indexed; ``probs[0]`` is unused and
+    zero) without visiting ``target`` or any opposite-color node earlier.
+    """
+
+    source: int
+    target: int
+    horizon: int
+    probs: np.ndarray  # shape (horizon + 1,)
+
+    def __post_init__(self):
+        self.probs.setflags(write=False)
+
+    @property
+    def total(self) -> float:
+        return float(self.probs.sum())
+
+
+def exact_bounded_hitting(
+    graph: ColoredGraph, absorbing: Iterable[int], t: int
+) -> np.ndarray:
+    """E[min(t, first hit of the absorbing set)] for every start node.
+
+    Uses the survival identity E[min(t, T)] = sum_{i=0}^{t-1} P(T > i) with
+    the recurrence s_{i+1} = M @ s_i zeroed on the absorbing set.  An empty
+    absorbing set is allowed and yields t everywhere (the walk is never
+    absorbed, only capped).
+    """
+    check_count("horizon", t)
+    absorbed = _node_set(graph, absorbing)
+    survival = np.ones(graph.n)
+    survival[absorbed] = 0.0
+    expected = survival.copy()
+    for _ in range(t - 1):
+        survival = graph.matrix @ survival
+        survival[absorbed] = 0.0
+        expected += survival
+    return expected
+
+
+def exact_first_passage(
+    graph: ColoredGraph, source: int, target: int, t: int
+) -> FirstPassageProfile:
+    """Distribution of the first hit of ``target`` avoiding the other color.
+
+    Step-wise distribution propagation with absorbing set
+    {target} union opposite-color nodes.  Source and target must share a
+    color; the conflicting case is rejected rather than guessing precedence
+    between "hit the target" and "avoid the other color".
+    """
+    _node_set(graph, (source, target))
+    if source == target:
+        raise SourceIsTarget(f"first passage from {source} to itself is a return mass")
+    if graph.color_of(source) != graph.color_of(target):
+        raise TargetInAvoidSet(
+            f"target {target} has the opposite color of source {source}"
+        )
+    check_count("horizon", t)
+
+    matrix_t = graph.matrix.T.tocsr()
+    absorb = graph.color_mask(opposite(graph.color_of(source))).copy()
+    absorb[target] = True
+    dist = np.zeros(graph.n)
+    dist[source] = 1.0
+    probs = np.zeros(t + 1)
+    for step in range(1, t + 1):
+        dist = matrix_t @ dist
+        probs[step] = dist[target]
+        dist[absorb] = 0.0
+    return FirstPassageProfile(source=source, target=target, horizon=t, probs=probs)
+
+
+def exact_return_mass(
+    graph: ColoredGraph, v: int, t_prime: int
+) -> tuple[np.ndarray, float]:
+    """Return-visit probabilities of ``v`` before touching the other color.
+
+    ``p[i]`` is the probability that a walk from ``v`` is at ``v`` at step
+    ``i`` while avoiding the opposite color at steps 1..i; earlier revisits
+    of ``v`` do not stop the walk.  Returns ``(p[0..t'-1], F)`` with
+    ``F = sum(p)``; ``p[0] = 1`` and ``p[1] = 0`` always (no self-loops).
+    The one-node case of the block pass ``exact_gamma`` runs.
+    """
+    check_count("horizon", t_prime)
+    p = _return_profiles(graph, _node_set(graph, (v,)), t_prime)[0]
+    assert t_prime < 2 or p[1] == 0.0, "a self-loop slipped past graph validation"
+    return p, float(p.sum())
+
+
+def _gain(
+    graph: ColoredGraph, nodes: Iterable[int], plan: Iterable[EdgeInsertion], t: int,
+    br_values: Callable[[ColoredGraph], np.ndarray],
+) -> float:
+    """Mean drop of ``br_values`` (a horizon-``t`` BR table's values) over
+    ``nodes`` after applying ``plan``; an empty plan gains zero."""
+    check_count("horizon", t)
+    targets = _node_set(graph, nodes)
+    if targets.size == 0:
+        raise EmptySourceSet("gain needs a non-empty node set")
+    edges = tuple(plan)
+    if not edges:
+        return 0.0
+    before, after = br_values(graph), br_values(apply_plan(graph, edges))
+    return float(np.mean(before[targets] - after[targets]))
+
+
+def exact_gain(
+    graph: ColoredGraph,
+    nodes: Iterable[int],
+    plan: InsertionPlan | Sequence[EdgeInsertion],
+    t: int,
+) -> float:
+    """Mean Bubble Radius drop over ``nodes`` after applying ``plan``.
+
+    Insertions are applied in plan order, so same-source weights renormalize
+    sequentially.  An empty plan is the identity and gains zero.
+    """
+    return _gain(graph, nodes, plan, t, lambda g: exact_br(g, t).values)
+
+
+def gain(
+    graph: ColoredGraph,
+    nodes: Iterable[int],
+    plan: InsertionPlan | Sequence[EdgeInsertion],
+    t: int,
+    backend: str = "exact",
+    cfg: WalkConfig | None = None,
+) -> float:
+    """Mean Bubble Radius drop over ``nodes`` due to ``plan``.
+
+    The Monte Carlo backend estimates the before/after tables with the same
+    seed, so walk noise largely cancels in the difference.
+    """
+    if backend == "exact":
+        return exact_gain(graph, nodes, plan, t)
+    if backend != "mc":
+        raise ValueError(f"unknown backend {backend!r}")
+    if cfg is None:
+        raise ValueError("the mc backend needs a WalkConfig for epsilon/delta/seed")
+    return _gain(
+        graph, nodes, plan, t,
+        lambda g: estimate_br(g, t, cfg.epsilon, cfg.delta, cfg.seed).values,
+    )
+
+
+def brute_force_opt(
+    graph: ColoredGraph,
+    color: str,
+    k: int,
+    t: int,
+    theta_bad: float | None = None,
+    enumeration_cap: int = 200_000,
+) -> tuple[InsertionPlan, float]:
+    """Exhaustive optimum of the k-edge insertion problem.
+
+    Enumerates every k-subset of candidate cross-color edges with parochial
+    sources (weights assigned sequentially by the oracle) and returns the
+    plan maximizing the exact gain over the parochial set, breaking ties by
+    enumeration order.  Refuses instances above ``enumeration_cap`` plans.
+    """
+    check_count("k", k, 0)
+    if theta_bad is None:
+        theta_bad = t / 2
+    if k == 0:
+        return InsertionPlan(edges=(), color=color, requested=0), 0.0
+
+    br = exact_br(graph, t)
+    parochial = parochial_nodes(graph.colors, br, color, theta_bad)
+    others = graph.nodes_of(opposite(color))
+    candidates = [
+        (int(v), int(w))
+        for v in parochial
+        for w in others
+        if not graph.has_edge(int(v), int(w))
+    ]
+    if len(candidates) < k:
+        return InsertionPlan(edges=(), color=color, requested=k), 0.0
+    n_plans = math.comb(len(candidates), k)
+    if n_plans > enumeration_cap:
+        raise EnumerationTooLarge(n_plans, enumeration_cap)
+
+    best_gain = -np.inf
+    best_edges: tuple[EdgeInsertion, ...] = ()
+    for combo in itertools.combinations(candidates, k):
+        edges: list[EdgeInsertion] = []
+        for v, w in combo:
+            edges.append(EdgeInsertion(v, w, weight_oracle(graph, v, edges)))
+        gain = exact_gain(graph, parochial, edges, t)
+        if gain > best_gain:
+            best_gain = gain
+            best_edges = tuple(edges)
+    return InsertionPlan(edges=best_edges, color=color, requested=k), float(best_gain)
+
+
+def simulate_restart_session(
+    graph: ColoredGraph, v: int, t: int, restarts: int, seed: int
+) -> int | None:
+    """Browsing session from ``v`` with up to ``restarts`` attempts.
+
+    Runs sequential walk segments of at most ``t`` steps each; a segment that
+    ends without touching the opposite color triggers a restart from ``v``.
+    Returns the total number of steps across segments up to the first hit,
+    or None if every segment failed.
+    """
+    check_count("horizon", t)
+    check_count("restarts", restarts)
+    _node_set(graph, (v,))
+    sampler = _sampler_of(graph)
+    absorbing = graph.color_mask(opposite(graph.color_of(v)))
+    rng = stream(seed, _STREAM_SESSION, v)
+    total = 0
+    for _ in range(restarts):
+        uniforms = rng.random((1, t))
+        steps, ends = _walk(sampler, v, absorbing, uniforms)
+        total += int(steps[0])
+        if ends[0] >= 0:
+            return total
+    return None
+
+
+def target_selection(
+    graph: ColoredGraph,
+    v: int,
+    plan: InsertionPlan | tuple[EdgeInsertion, ...] = (),
+    policy: str = "lowest-br",
+    cfg: WalkConfig | None = None,
+    backend: str = "exact",
+    seed: int | None = None,
+) -> int:
+    """Pick the destination for the next insertion from ``v`` given ``plan``.
+
+    ``lowest-br`` (default) returns the opposite-color node with the smallest
+    current Bubble Radius among targets not already linked from ``v``;
+    ``uniform-seeded`` draws uniformly from the legal targets.  Ties go to
+    the lowest node id.
+    """
+    if policy == "lowest-br" and cfg is None:
+        raise ValueError("the lowest-br policy needs a WalkConfig for the horizon")
+    if seed is None:
+        seed = cfg.seed if cfg is not None else 0
+    current = apply_plan(graph, plan)
+    targets = _Targets(current, current.color_of(v), policy)
+    if policy == "lowest-br":
+        targets.rank(br_table(current, cfg, backend, seed))
+    rng = stream(seed, _TAG_TARGET, v) if policy == "uniform-seeded" else None
+    return targets.pick(v, rng)

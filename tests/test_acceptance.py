@@ -15,26 +15,29 @@ import pytest
 from repbublik import (
     EdgeInsertion,
     WalkConfig,
-    brute_force_opt,
     build_graph,
     candidate_universe,
     classify,
     estimate_br,
     estimate_rwcc,
     exact_br,
-    exact_first_passage,
-    exact_gain,
     exact_gamma,
-    exact_return_mass,
     exact_rwcc,
     generate_gadget,
     generate_polarized,
     repbublik,
     run_sweep,
-    simulate_restart_session,
     weight_oracle,
 )
 from repbublik.montecarlo import br_sample_size, derive_seed, rwcc_sample_size
+
+from oracles import (
+    brute_force_opt,
+    exact_first_passage,
+    exact_gain,
+    exact_return_mass,
+    simulate_restart_session,
+)
 
 TOL = 1e-9
 

@@ -13,8 +13,6 @@ from repbublik import (
     classify,
     even_split,
     exact_br,
-    exact_gain,
-    gain,
     generate_gadget,
     structural_bias,
 )
@@ -24,6 +22,8 @@ from repbublik.errors import (
     ThresholdOrder,
     UnknownColor,
 )
+
+from oracles import exact_gain, gain
 
 
 class TestClassify:

@@ -433,7 +433,7 @@ def test_accuracy_outside_range_exits_1(g2_files, epsilon, delta, capsys):
     assert "must lie in" in capsys.readouterr().err
 
 
-def test_partial_sweep_failure_exit_code(g2_files, tmp_path, monkeypatch):
+def test_partial_sweep_failure_exit_code(g2_files, tmp_path, monkeypatch, capsys):
     from repbublik.errors import RepbublikError
     from repbublik.recommend import ALGORITHMS
 
@@ -452,6 +452,8 @@ def test_partial_sweep_failure_exit_code(g2_files, tmp_path, monkeypatch):
         "--output", str(tmp_path / "s.csv"),
     ])
     assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["cell broken K=1 seed=1: Boom: boom", "1 of 1 cells failed"]
 
 
 def test_sweep_computes_br_only_for_the_default_ladder(g2_files, tmp_path, monkeypatch):
@@ -515,6 +517,26 @@ def test_kappa_reaches_the_recommenders(g2_files, tmp_path, monkeypatch):
         "--output", str(tmp_path / "plan.tsv"),
     ]) == 0
     assert seen and set(seen) == {3}
+
+
+# The verbs whose --output is not "results instead of stdout", and what its
+# help says instead.
+_OUTPUT_HELP = {
+    "sweep": "CSV file to write (default sweep.csv)",
+    "gen-gadget": "file prefix: write PREFIX.edges.tsv and PREFIX.colors.tsv (default gadget)",
+    "gen-polarized":
+        "file prefix: write PREFIX.edges.tsv and PREFIX.colors.tsv (default polarized)",
+}
+
+
+@pytest.mark.parametrize("verb", sorted(_OUTPUT_HELP))
+def test_output_help_says_what_the_verb_writes(verb, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main([verb, "--help"])
+    assert exit_info.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert f"--output OUTPUT {_OUTPUT_HELP[verb]}" in text
+    assert "instead of stdout" not in text
 
 
 def test_console_entry_point_runs():

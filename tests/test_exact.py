@@ -4,14 +4,9 @@ import pytest
 
 from repbublik import (
     EdgeInsertion,
-    brute_force_opt,
     build_graph,
-    exact_bounded_hitting,
     exact_br,
-    exact_first_passage,
-    exact_gain,
     exact_gamma,
-    exact_return_mass,
     exact_rwcc,
     exact_rwcc_many,
     generate_gadget,
@@ -21,12 +16,17 @@ from repbublik import (
 import repbublik.exact
 from repbublik.exact import parochial_nodes
 from repbublik.graph import opposite
-from repbublik.errors import (
-    EmptySourceSet,
+from repbublik.errors import EmptySourceSet, MixedColorSet
+
+from oracles import (
     EnumerationTooLarge,
-    MixedColorSet,
     SourceIsTarget,
     TargetInAvoidSet,
+    brute_force_opt,
+    exact_bounded_hitting,
+    exact_first_passage,
+    exact_gain,
+    exact_return_mass,
 )
 
 
@@ -188,7 +188,7 @@ def _rwcc_one_target(graph, v, sources, t_prime):
     src = np.asarray(sorted(set(int(u) for u in sources)), dtype=np.int64)
     keep = ~graph.color_mask(opposite(graph.color_of(v)))
     keep[v] = False
-    q = graph.matrix_t[v].toarray().ravel()
+    q = graph.matrix.T.tocsr()[v].toarray().ravel()
     acc = (t_prime - 1) * q
     for i in range(2, t_prime):
         q = graph.matrix @ (q * keep)
@@ -252,8 +252,9 @@ def _return_profiles_full_matrix(graph, nodes, t_prime):
     cols = np.arange(nodes.size)
     block = np.zeros((graph.n, nodes.size))
     block[nodes, cols] = 1.0
+    matrix_t = graph.matrix.T.tocsr()
     for step in range(1, t_prime):
-        block = graph.matrix_t @ block
+        block = matrix_t @ block
         block[avoid, :] = 0.0
         profiles[cols, step] = block[nodes, cols]
     return profiles

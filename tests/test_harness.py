@@ -262,13 +262,14 @@ class TestRunSweep:
         text = (tmp_path / "s.csv").read_text()
         assert "ERROR" in text.splitlines()[1]
 
-    def test_programming_error_propagates(self, gadget6, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("error", [RuntimeError, ValueError])
+    def test_programming_error_propagates(self, error, gadget6, tmp_path, monkeypatch):
         def broken(graph, color, budget, cfg, seed=None, backend="exact"):
-            raise RuntimeError("a bug, not a recordable failure")
+            raise error("a bug, not a recordable failure")
 
         monkeypatch.setitem(ALGORITHMS, "broken", broken)
         cfg = WalkConfig(t=6, theta_good=2.0, theta_bad=3.0, seed=1)
-        with pytest.raises(RuntimeError, match="a bug"):
+        with pytest.raises(error, match="a bug"):
             run_sweep(gadget6.graph, ["broken"], [1], cfg, [1], tmp_path / "s.csv")
 
     def test_delta_nondecreasing_in_k_for_greedy(self, tmp_path):
@@ -335,7 +336,7 @@ def _reference_sweep(graph, algorithms, k_values, cfg, seeds, out_path, backend)
                             healed = (parochial.size - left.parochial.size) / parochial.size
                         else:
                             delta, healed = 0.0, 0.0
-                    except (RepbublikError, ValueError) as exc:
+                    except RepbublikError as exc:
                         error = f"{type(exc).__name__}: {exc}"
                     record = ExperimentRecord(
                         algo, k, 100.0 * k / universe if universe else 0.0,

@@ -22,7 +22,6 @@ from repbublik import (
     opposite,
     repbublik_plus,
     rwcc_sample_size,
-    simulate_restart_session,
 )
 from repbublik.errors import EmptySourceSet, MixedColorSet, ThresholdOrder
 from repbublik.montecarlo import (
@@ -35,6 +34,7 @@ from repbublik.montecarlo import (
 )
 
 from conftest import random_polarized
+from oracles import simulate_restart_session
 
 
 class TestSampleSizes:

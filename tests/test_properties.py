@@ -10,27 +10,20 @@ from repbublik import (
     baseline_rcn,
     baseline_rwcn,
     br_sample_size,
-    brute_force_opt,
     budget_allocation,
     build_graph,
     estimate_br,
     estimate_rwcc,
-    exact_bounded_hitting,
     exact_br,
-    exact_first_passage,
-    exact_gain,
     exact_gamma,
-    exact_return_mass,
     exact_rwcc,
     exact_rwcc_many,
-    gain,
     generate_gadget,
     generate_polarized,
     opposite,
     repbublik,
     run_sweep,
     rwcc_sample_size,
-    simulate_restart_session,
     weight_oracle,
     write_dataset,
 )
@@ -39,6 +32,15 @@ from repbublik.errors import ThresholdOrder
 from repbublik.montecarlo import _WalkSampler, _walk, derive_seed, stream
 
 from conftest import random_polarized
+from oracles import (
+    brute_force_opt,
+    exact_bounded_hitting,
+    exact_first_passage,
+    exact_gain,
+    exact_return_mass,
+    gain,
+    simulate_restart_session,
+)
 
 
 def test_bounded_hitting_monotone_in_horizon_random_graphs():

@@ -17,11 +17,9 @@ from repbublik import (
     baseline_pure_random,
     baseline_rcn,
     baseline_rwcn,
-    brute_force_opt,
     build_graph,
     estimate_br,
     exact_br,
-    exact_gain,
     exact_gamma,
     exact_rwcc,
     exact_rwcc_many,
@@ -29,7 +27,6 @@ from repbublik import (
     generate_polarized,
     repbublik,
     repbublik_plus,
-    target_selection,
     weight_oracle,
 )
 import repbublik.recommend as rec
@@ -37,6 +34,7 @@ from repbublik.errors import NoLegalTarget, NoOppositeColor, RepbublikError, Thr
 from repbublik.recommend import _top_pool
 
 from conftest import random_polarized
+from oracles import brute_force_opt, exact_gain, target_selection
 
 
 def dominant_hub_graph():
