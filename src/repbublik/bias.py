@@ -8,7 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import BothColorsUnbiased, UnknownColor
+from .errors import BothColorsUnbiased, ThresholdOrder, UnknownColor, UnknownName
 from .exact import BrTable, exact_br, parochial_nodes
 from .graph import (
     BLUE,
@@ -34,7 +34,7 @@ def br_table(
             graph, cfg.t, cfg.epsilon, cfg.delta,
             cfg.seed if seed is None else seed,
         )
-    raise ValueError(f"unknown backend {backend!r}")
+    raise UnknownName(f"unknown backend {backend!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,7 +121,7 @@ def budget_allocation(y_red: float, y_blue: float, total: int) -> tuple[int, int
     """
     check_count("budget", total, 0)
     if min(y_red, y_blue) < 0:
-        raise ValueError("bias sums must be non-negative")
+        raise ThresholdOrder("bias sums must be non-negative")
     if total == 0:
         return 0, 0
     if y_red + y_blue == 0:

@@ -53,7 +53,13 @@ class SameColorEndpoints(GraphValidationError):
 
 
 class ThresholdOrder(GraphValidationError):
-    """Thresholds must satisfy 1 <= theta_good < theta_bad <= t."""
+    """A parameter lies outside its range or order: the thresholds
+    (1 <= theta_good < theta_bad <= t), a count, a seed, an accuracy, a
+    probability, a bias sum or the budget ladder."""
+
+
+class IdOutOfRange(GraphValidationError):
+    """A node or element id lies outside the ids the graph or gadget has."""
 
 
 class MixedColorSet(GraphValidationError):
@@ -88,6 +94,14 @@ class ParseError(RepbublikError, ValueError):
     def __init__(self, path: str, line_no: int, detail: str):
         self.path, self.line_no, self.detail = path, line_no, detail
         super().__init__(f"{path}:{line_no}: {detail}")
+
+
+class UnknownName(RepbublikError, ValueError):
+    """A backend, target policy or algorithm name the package does not know."""
+
+
+class BrOutOfRange(RepbublikError, ValueError):
+    """A Bubble Radius table holds a value outside [1, t]."""
 
 
 class EmptyRecords(RepbublikError):

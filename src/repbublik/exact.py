@@ -23,7 +23,7 @@ from typing import Iterable
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import EmptySourceSet, MixedColorSet
+from .errors import BrOutOfRange, EmptySourceSet, IdOutOfRange, MixedColorSet
 from .graph import BLUE, RED, ColoredGraph, check_count
 
 #: Absolute tolerance for the dynamic programs.
@@ -52,7 +52,7 @@ class BrTable:
         if self.values.size and (
             self.values.min() < 1.0 - DP_TOL or self.values.max() > self.t + DP_TOL
         ):
-            raise ValueError(f"Bubble Radius values must lie in [1, {self.t}]")
+            raise BrOutOfRange(f"Bubble Radius values must lie in [1, {self.t}]")
 
 
 def _node_set(graph: ColoredGraph, nodes: Iterable[int]) -> np.ndarray:
@@ -66,7 +66,7 @@ def _node_set(graph: ColoredGraph, nodes: Iterable[int]) -> np.ndarray:
     else:
         arr = np.unique(nodes.astype(np.int64, copy=False))
     if arr.size and (arr[0] < 0 or arr[-1] >= graph.n):
-        raise ValueError(f"node set {arr} contains ids outside 0..{graph.n - 1}")
+        raise IdOutOfRange(f"node set {arr} contains ids outside 0..{graph.n - 1}")
     return arr
 
 

@@ -22,10 +22,13 @@ from .bias import BiasPartition, budget_allocation, classify, even_split, struct
 from .errors import (
     BothColorsUnbiased,
     EmptyRecords,
+    IdOutOfRange,
     ParseError,
     RepbublikError,
+    ThresholdOrder,
     UncoveredElement,
     UnknownColor,
+    UnknownName,
 )
 from .exact import BrTable
 from .graph import (
@@ -332,7 +335,7 @@ def generate_gadget(
     members = [sorted(set(int(u) for u in s)) for s in subsets]
     for s in members:
         if s and (s[0] < 0 or s[-1] >= n_elements):
-            raise ValueError(f"subset {s} references elements outside 0..{n_elements - 1}")
+            raise IdOutOfRange(f"subset {s} references elements outside 0..{n_elements - 1}")
     counts = np.zeros(n_elements, dtype=np.int64)
     for s in members:
         counts[s] += 1
@@ -389,7 +392,7 @@ def generate_polarized(
     check_count("n_red", n_red)
     check_count("n_blue", n_blue)
     if not 0.0 <= p_cross <= p_within <= 1.0 or p_within == 0.0:
-        raise ValueError(
+        raise ThresholdOrder(
             f"need 0 <= p_cross <= p_within <= 1 with p_within > 0, "
             f"got p_within={p_within}, p_cross={p_cross}"
         )
@@ -467,9 +470,9 @@ def run_sweep(
     """
     unknown = [a for a in algorithms if a not in ALGORITHMS]
     if unknown:
-        raise ValueError(f"unregistered algorithms: {unknown}")
+        raise UnknownName(f"unregistered algorithms: {unknown}")
     if list(k_values) != sorted(k_values):
-        raise ValueError("k_values must be ascending")
+        raise ThresholdOrder("k_values must be ascending")
     for k in k_values:
         check_count("K", k, 0)
     for seed in seeds:

@@ -25,6 +25,20 @@ integer sums, so results are bit-identical whatever the budget and whatever
 batch a node is estimated in, and identical (graph, config, seed) gives
 identical estimates.
 
+One walk loop (:func:`_live_walks`) steps both estimators.  It keeps only
+the live walks, their rows in order and their states, and compacts both
+once per step.  It never takes the last step of the horizon: a walk live
+before step t scores t whatever that step does, and a closeness walk that
+first reaches its target on step t' scores t' as a miss does.  A node's
+summed capped length is, over the steps k, the count of its walks live
+before step k, read per node from the sorted rows; a closeness draw starts
+at ``kappa * t'`` and loses ``t' - k`` for each walk that reaches ``v`` at a
+step k < t'; a self draw's walks never step.  Every block still holds all
+its columns, the last included, so the stream layout (and every estimate)
+is that of a walker taking each step.  The uniforms a stopped walk leaves
+unread are drawn all the same: skipping them would move every later row of
+the stream and so change every estimate.
+
 A walk step moves to out-edge ``count(rowcum <= u)`` of its row.  It finds
 that count with one lookup in a bucket guide: each row's range of ``u`` is
 cut into a power of two of equal buckets, and scaling by a power of two is
@@ -51,7 +65,6 @@ from .graph import (
     check_accuracy,
     check_count,
     check_seed,
-    opposite,
 )
 
 # Stream purposes; part of the Philox key, never reused across call sites.
@@ -230,42 +243,41 @@ def _sampler_of(graph: ColoredGraph) -> _WalkSampler:
     return graph.memo["walk_sampler"]
 
 
-def _walk(
+def _live_walks(
     sampler: _WalkSampler,
-    starts: int | np.ndarray,
-    stop: np.ndarray,
+    live: np.ndarray,
     uniforms: np.ndarray,
+    rows: np.ndarray,
+    states: np.ndarray,
     goals: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Step every walk until it enters the ``stop`` set or runs out of steps.
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Step the walks at ``rows`` of ``uniforms`` through every step but the last.
 
-    Walk i starts at ``starts`` (one node, or one node per walk) and reads
-    row i of ``uniforms``, whose width is the horizon; with ``goals`` it
-    also stops on reaching node ``goals[i]``.  Returns each walk's stop step
-    and stop node; a walk that never stops gets the horizon and -1.
+    Walk ``rows[i]`` (sorted) starts at ``states[i]`` and reads its row of
+    ``uniforms``, whose width is the horizon.  It lives while it stays on
+    ``live`` nodes and, with ``goals``, until it reaches node ``goals[i]``.
+    After each step k below the horizon, yields k, the rows still live
+    (sorted) and the rows that reached their goal at step k.  The last step
+    is never taken: a walk live before it scores the horizon whatever it
+    does, and so does a goal reached on it.
     """
-    walks, horizon = uniforms.shape
-    steps = np.full(walks, horizon, dtype=np.int64)
-    ends = np.full(walks, -1, dtype=np.int64)
-    states = np.full(walks, starts, dtype=np.int64)
-    rows = np.arange(walks)
-    columns = uniforms.T.copy()  # one contiguous row per step: 1-D gathers
-    for step in range(1, horizon + 1):
-        nxt = sampler.step(states, columns[step - 1][rows])
-        hit = stop[nxt]
-        if goals is not None:
-            hit |= nxt == goals
-        stopped = rows[hit]
-        steps[stopped] = step
-        ends[stopped] = nxt[hit]
-        going = ~hit
-        rows = rows[going]
-        states = nxt[going]
-        if goals is not None:
-            goals = goals[going]
+    horizon = uniforms.shape[1]
+    columns = uniforms[:, : horizon - 1].T.copy()  # one contiguous row per step
+    reached = rows[:0]
+    for step in range(1, horizon):
         if rows.size == 0:
-            break
-    return steps, ends
+            return
+        nxt = sampler.step(states, columns[step - 1][rows])
+        going = live[nxt]
+        if goals is not None:
+            at_goal = nxt == goals
+            reached = rows[at_goal]
+            going &= ~at_goal
+        keep = np.flatnonzero(going)
+        rows, states = rows[keep], nxt[keep]
+        if goals is not None:
+            goals = goals[keep]
+        yield step, rows, reached
 
 
 def _walk_passes(
@@ -332,12 +344,21 @@ def estimate_br(
     values = np.empty(graph.n)
     for color in (RED, BLUE):
         nodes = graph.nodes_of(color)
-        absorbing = graph.color_mask(opposite(color))
-        lengths = np.zeros(nodes.size)  # summed over each node's r walks
+        live = graph.color_mask(color)
+        lengths = np.zeros(nodes.size, dtype=np.int64)  # over each node's r walks
         for rows, uniforms in _walk_passes(seed, _STREAM_BR, nodes, r, t):
-            owner = rows // r
-            steps, _ = _walk(sampler, nodes[owner], absorbing, uniforms)
-            _add_by_owner(owner, steps, lengths)
+            # A walk's capped length is the number of steps it is live
+            # before.  A pass's owners are contiguous and its live rows
+            # sorted, so each step's live count per owner is one search.
+            lo, hi = rows[0] // r, rows[-1] // r + 1
+            bounds = np.arange(lo, hi + 1) * r - rows[0]
+            walking = np.arange(rows.size)
+            counts = np.diff(np.searchsorted(walking, bounds))
+            for _, walking, _ in _live_walks(
+                sampler, live, uniforms, walking, nodes[rows // r]
+            ):
+                counts += np.diff(np.searchsorted(walking, bounds))
+            lengths[lo:hi] += counts
         values[nodes] = lengths / r
     graph.memo[key] = BrTable(values=values, t=t, provenance="estimated")
     return graph.memo[key]
@@ -379,18 +400,24 @@ def estimate_rwcc_many(
         src[stream(seed, _STREAM_RWCC_SOURCES, int(v)).integers(0, src.size, size=z)]
         for v in uniq
     ])
-    absorbing = graph.color_mask(opposite(graph.color_of(int(uniq[0]))))
+    live = graph.color_mask(graph.color_of(int(uniq[0])))
     sampler = _sampler_of(graph)
-    hit_sums = np.zeros(uniq.size * z)  # summed over each draw's kappa walks
+    # Each draw's kappa walks score t' apiece, less t' - k for a walk that
+    # reaches v at a step k < t'.  A self draw keeps the full horizon, so
+    # its walks never step.
+    hit_sums = np.full(uniq.size * z, float(kappa * t_prime))
     passes = _walk_passes(seed, _STREAM_RWCC_WALKS, uniq, z * kappa, t_prime)
     for rows, uniforms in passes:
         draw = rows // kappa
         goal, start = uniq[draw // z], starts[draw]
-        steps, ends = _walk(sampler, start, absorbing, uniforms, goal)
-        # Only a stop at v shortens a walk's capped hit time; a walk of a
-        # self draw counts the full horizon whatever it does.
-        times = np.where((ends == goal) & (start != goal), steps, t_prime)
-        _add_by_owner(draw, times, hit_sums)
+        walking = np.flatnonzero(start != goal)
+        for step, _, reached in _live_walks(
+            sampler, live, uniforms, walking, start[walking], goal[walking]
+        ):
+            if reached.size:
+                _add_by_owner(
+                    draw[reached], np.full(reached.size, step - t_prime), hit_sums
+                )
     h_bars = (hit_sums / kappa).reshape(uniq.size, z)
     values = t_prime - h_bars.mean(axis=1)
     return values[np.searchsorted(uniq, targets)]

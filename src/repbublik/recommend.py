@@ -21,7 +21,7 @@ from typing import Collection
 
 import numpy as np
 
-from .errors import NoLegalTarget, NoOppositeColor
+from .errors import NoLegalTarget, NoOppositeColor, UnknownName
 from .bias import br_table
 # ``exact_rwcc`` and ``estimate_rwcc`` stay bound here only because the benchmark's
 # traced pass (perfbench/spans.py) patches them, as it does ``insert_edge``.
@@ -96,7 +96,7 @@ def closeness(
     if backend == "exact":
         return exact_rwcc_many(graph, nodes, sources, horizon)
     if backend != "mc":
-        raise ValueError(f"unknown backend {backend!r}")
+        raise UnknownName(f"unknown backend {backend!r}")
     return estimate_rwcc_many(
         graph, nodes, sources, horizon, cfg.epsilon, cfg.delta,
         kappa=cfg.kappa, seed=seed,
@@ -142,7 +142,7 @@ class _Targets:
 
     def __init__(self, graph: ColoredGraph, color: str, policy: str):
         if policy not in ("lowest-br", "uniform-seeded"):
-            raise ValueError(f"unknown target policy {policy!r}")
+            raise UnknownName(f"unknown target policy {policy!r}")
         self.graph, self.policy = graph, policy
         self.others = graph.nodes_of(opposite(color))
         self._excluded: dict[int, list[int]] = {}

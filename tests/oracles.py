@@ -4,9 +4,10 @@ No CLI verb, recommender, sweep step or engine calls these, so they live
 with the tests.  They are the bounded hitting times and first-passage
 profiles the exact engines are checked against, the one-node return-mass
 profile, the Bubble Radius gain of a plan (exact or estimated), the paper's
-browsing-session model, the brute-force optimum of the insertion problem and
-the one-source target choice of the recommenders.  Tests import this module
-the way they import ``conftest``.
+browsing-session model, the brute-force optimum of the insertion problem,
+the one-source target choice of the recommenders, and the per-walk walker
+with the walk-by-walk reductions the Monte Carlo estimators must equal bit
+for bit.  Tests import this module the way they import ``conftest``.
 """
 from __future__ import annotations
 
@@ -30,7 +31,15 @@ from repbublik.graph import (
     opposite,
     weight_oracle,
 )
-from repbublik.montecarlo import _sampler_of, _walk, estimate_br, stream
+from repbublik.montecarlo import (
+    _STREAM_BR,
+    _STREAM_RWCC_SOURCES,
+    _STREAM_RWCC_WALKS,
+    _sampler_of,
+    _WalkSampler,
+    estimate_br,
+    stream,
+)
 from repbublik.recommend import _TAG_TARGET, _Targets
 
 # The browsing session's stream purpose; the package's walk streams use 1-3.
@@ -247,6 +256,80 @@ def brute_force_opt(
             best_gain = gain
             best_edges = tuple(edges)
     return InsertionPlan(edges=best_edges, color=color, requested=k), float(best_gain)
+
+
+def _walk(
+    sampler: _WalkSampler, starts: int | np.ndarray, stop: np.ndarray, uniforms: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Step every walk until it enters the ``stop`` set or runs out of steps.
+
+    Walk i starts at ``starts`` (one node, or one node per walk) and reads
+    row i of ``uniforms``, whose width is the horizon.  Returns each walk's
+    stop step and stop node; a walk that never stops gets the horizon and
+    -1.  Unlike the package's walk loop it takes every step, the last too,
+    and records each walk's own stop.
+    """
+    walks, horizon = uniforms.shape
+    steps = np.full(walks, horizon, dtype=np.int64)
+    ends = np.full(walks, -1, dtype=np.int64)
+    states = np.full(walks, starts, dtype=np.int64)
+    rows = np.arange(walks)
+    columns = uniforms.T.copy()  # one contiguous row per step: 1-D gathers
+    for step in range(1, horizon + 1):
+        nxt = sampler.step(states, columns[step - 1][rows])
+        hit = stop[nxt]
+        stopped = rows[hit]
+        steps[stopped] = step
+        ends[stopped] = nxt[hit]
+        going = ~hit
+        rows = rows[going]
+        states = nxt[going]
+        if rows.size == 0:
+            break
+    return steps, ends
+
+
+def br_by_walks(graph: ColoredGraph, t: int, r: int, seed: int) -> np.ndarray:
+    """``estimate_br(..., walks_per_node=r).values`` reduced walk by walk.
+
+    Each node's ``(r, t)`` block is drawn whole from its stream and walked
+    by :func:`_walk`; the node's value is the mean of its walks' stop steps.
+    """
+    sampler = _WalkSampler(graph)
+    values = np.empty(graph.n)
+    for v in range(graph.n):
+        absorbing = graph.color_mask(opposite(graph.color_of(v)))
+        uniforms = stream(seed, _STREAM_BR, v).random((r, t))
+        steps, _ = _walk(sampler, v, absorbing, uniforms)
+        values[v] = steps.sum() / r
+    return values
+
+
+def rwcc_by_walks(
+    graph: ColoredGraph, v: int, sources: Iterable[int], t_prime: int,
+    kappa: int, seed: int, z: int,
+) -> float:
+    """``estimate_rwcc(..., kappa=kappa, seed=seed, num_sources=z)`` reduced
+    walk by walk: one drawn source at a time, each walking alone on rows
+    ``i * kappa`` to ``i * kappa + kappa - 1`` of the node's one walk block
+    until it enters the other color or reaches ``v``.  A self draw counts
+    the full horizon."""
+    src = np.asarray(sorted(set(sources)), dtype=np.int64)
+    picks = stream(seed, _STREAM_RWCC_SOURCES, v).integers(0, src.size, size=z)
+    block = stream(seed, _STREAM_RWCC_WALKS, v).random((z * kappa, t_prime))
+    sampler = _WalkSampler(graph)
+    stop = graph.color_mask(opposite(graph.color_of(v))).copy()
+    stop[v] = True
+    h_bars = np.empty(z)
+    for i, pick in enumerate(picks):
+        w = int(src[pick])
+        if w == v:
+            h_bars[i] = t_prime
+            continue
+        uniforms = block[i * kappa : (i + 1) * kappa]
+        steps, ends = _walk(sampler, w, stop, uniforms)
+        h_bars[i] = np.where(ends == v, steps, t_prime).mean()
+    return float(t_prime - h_bars.mean())
 
 
 def simulate_restart_session(

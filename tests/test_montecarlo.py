@@ -24,17 +24,10 @@ from repbublik import (
     rwcc_sample_size,
 )
 from repbublik.errors import EmptySourceSet, MixedColorSet, ThresholdOrder
-from repbublik.montecarlo import (
-    _STREAM_RWCC_SOURCES,
-    _STREAM_RWCC_WALKS,
-    _WalkSampler,
-    _walk,
-    derive_seed,
-    stream,
-)
+from repbublik.montecarlo import _WalkSampler, derive_seed, stream
 
 from conftest import random_polarized
-from oracles import simulate_restart_session
+from oracles import _walk, rwcc_by_walks, simulate_restart_session
 
 
 class TestSampleSizes:
@@ -310,27 +303,6 @@ class TestEstimateBr:
         assert not np.array_equal(a, c)
 
 
-def _rwcc_one_source_at_a_time(graph, v, sources, t_prime, kappa, seed, z):
-    """Reference: one drawn source at a time, each walking alone on rows
-    i*kappa .. i*kappa + kappa - 1 of the node's one walk block."""
-    src = np.asarray(sorted(set(sources)), dtype=np.int64)
-    picks = stream(seed, _STREAM_RWCC_SOURCES, v).integers(0, src.size, size=z)
-    block = stream(seed, _STREAM_RWCC_WALKS, v).random((z * kappa, t_prime))
-    sampler = _WalkSampler(graph)
-    stop = graph.color_mask("B" if graph.color_of(v) == "R" else "R").copy()
-    stop[v] = True
-    h_bars = np.empty(z)
-    for i, pick in enumerate(picks):
-        w = int(src[pick])
-        if w == v:
-            h_bars[i] = t_prime
-            continue
-        uniforms = block[i * kappa : (i + 1) * kappa]
-        steps, ends = _walk(sampler, w, stop, uniforms)
-        h_bars[i] = np.where(ends == v, steps, t_prime).mean()
-    return float(t_prime - h_bars.mean())
-
-
 class TestEstimateRwcc:
     def test_batched_walks_match_per_source_loop(self):
         rng = np.random.default_rng(43)
@@ -342,9 +314,7 @@ class TestEstimateRwcc:
                     seed = int(rng.integers(2**32))
                     got = estimate_rwcc(graph, v, reds, t, 0.5, 0.1, kappa=kappa,
                                         seed=seed, num_sources=40)
-                    assert got == _rwcc_one_source_at_a_time(
-                        graph, v, reds, t, kappa, seed, 40
-                    )
+                    assert got == rwcc_by_walks(graph, v, reds, t, kappa, seed, 40)
 
     def test_deterministic_single_edge(self):
         g = build_graph(["R", "R", "B"], [(0, 1, 1.0), (1, 0, 1.0), (2, 0, 1.0)])

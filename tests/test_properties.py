@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+import repbublik.montecarlo as mc
 from repbublik import (
     ALGORITHMS,
     EdgeInsertion,
@@ -14,6 +15,7 @@ from repbublik import (
     build_graph,
     estimate_br,
     estimate_rwcc,
+    estimate_rwcc_many,
     exact_br,
     exact_gamma,
     exact_rwcc,
@@ -28,17 +30,20 @@ from repbublik import (
     write_dataset,
 )
 from repbublik.cli import build_parser
-from repbublik.errors import ThresholdOrder
-from repbublik.montecarlo import _WalkSampler, _walk, derive_seed, stream
+from repbublik.errors import IdOutOfRange, ThresholdOrder
+from repbublik.montecarlo import _WalkSampler, derive_seed, stream
 
 from conftest import random_polarized
 from oracles import (
+    _walk,
+    br_by_walks,
     brute_force_opt,
     exact_bounded_hitting,
     exact_first_passage,
     exact_gain,
     exact_return_mass,
     gain,
+    rwcc_by_walks,
     simulate_restart_session,
 )
 
@@ -104,6 +109,42 @@ def test_sampled_hit_times_within_horizon():
     steps, ends = _walk(sampler, int(reds[0]), stop, uniforms)
     times = np.where(ends == reds[1], steps, t)
     assert times.min() >= 1 and times.max() <= t
+
+
+def _exit_cycle():
+    """A red 3-cycle 0 -> 1 -> 2 -> 0 whose node 2 also leaves for a blue
+    2-cycle.  Node 0's closeness pool {0, 1, 2} holds self draws whose walks
+    return to 0 at step 3, walks from 1 that first reach 0 at step 2 and
+    walks from 2 that reach it at step 1; so t' = 2 has goals first reached
+    at step t', and t' = 10 has self draws that would return before t' if
+    they walked."""
+    return build_graph(
+        ["R", "R", "R", "B", "B"],
+        [(0, 1, 1.0), (1, 2, 1.0), (2, 0, 0.5), (2, 3, 0.5), (3, 4, 1.0), (4, 3, 1.0)],
+    )
+
+
+@pytest.mark.parametrize("one_row_per_pass", [True, False])
+def test_walk_loop_equals_per_walk_oracle(one_row_per_pass, monkeypatch):
+    """Both estimators equal the per-walk walker's reduction bit for bit,
+    whatever the walk passes hold."""
+    if one_row_per_pass:
+        monkeypatch.setattr(mc, "WALK_ELEMENTS", 1)
+    rng = np.random.default_rng(41)
+    # Fresh graphs: estimate_br keeps its tables in graph.memo.
+    graphs = [random_polarized(rng, n_max=16)[0] for _ in range(3)] + [_exit_cycle()]
+    for graph in graphs:
+        for t in (1, 2, 3, 10):
+            seed = int(rng.integers(2**32))
+            table = estimate_br(graph, t, 0.5, 0.1, seed=seed, walks_per_node=7)
+            assert np.array_equal(table.values, br_by_walks(graph, t, 7, seed))
+            for color in ("R", "B"):
+                pool = graph.nodes_of(color)
+                got = estimate_rwcc_many(graph, pool, pool, t, 0.5, 0.1, kappa=3,
+                                         seed=seed, num_sources=12)
+                assert got.tolist() == [
+                    rwcc_by_walks(graph, int(v), pool, t, 3, seed, 12) for v in pool
+                ]
 
 
 def test_estimated_br_within_declared_range():
@@ -173,7 +214,7 @@ NODE_ID_CALLS = {
 @pytest.mark.parametrize("entry", sorted(NODE_ID_CALLS))
 def test_node_ids_outside_graph_raise(g2, entry, bad):
     node = -1 if bad == "-1" else g2.n
-    with pytest.raises(ValueError, match="outside"):
+    with pytest.raises(IdOutOfRange, match="outside"):
         NODE_ID_CALLS[entry](g2, node)
 
 

@@ -1,8 +1,10 @@
 """The public surface: the names the package exports and its error classes."""
 import ast
+import builtins
 from pathlib import Path
 
 import repbublik
+from repbublik import errors
 
 PACKAGE = Path(repbublik.__file__).parent
 
@@ -21,6 +23,22 @@ PUBLIC = {
     "graph", "harness", "insert_edge", "load_dataset", "montecarlo",
     "opposite", "recommend", "repbublik", "repbublik_plus", "run_sweep",
     "rwcc_sample_size", "structural_bias", "weight_oracle", "write_dataset",
+}
+
+
+# Every class in errors.py; each one subclasses RepbublikError.
+ERRORS = {
+    "BothColorsUnbiased", "BrOutOfRange", "DuplicateEdge", "EdgeExists",
+    "EmptyRecords", "EmptySourceSet", "GraphValidationError", "IdOutOfRange",
+    "MixedColorSet", "NoLegalTarget", "NoOppositeColor", "NonStochasticRow",
+    "ParseError", "RepbublikError", "SameColorEndpoints", "SelfLoopEdge",
+    "ThresholdOrder", "UncoveredElement", "UnknownColor", "UnknownName",
+    "ZeroOutDegree",
+}
+
+BUILTIN_EXCEPTIONS = {
+    name for name, value in vars(builtins).items()
+    if isinstance(value, type) and issubclass(value, BaseException)
 }
 
 
@@ -44,3 +62,25 @@ def test_every_error_class_is_used_outside_errors_py():
             elif isinstance(node, ast.Attribute):
                 unused.discard(node.attr)
     assert unused == set()
+
+
+def test_error_classes_are_pinned():
+    tree = ast.parse((PACKAGE / "errors.py").read_text())
+    classes = {node.name for node in tree.body if isinstance(node, ast.ClassDef)}
+    assert len(ERRORS) == 21
+    assert classes == ERRORS
+    assert all(issubclass(getattr(errors, name), errors.RepbublikError) for name in ERRORS)
+
+
+def test_no_module_raises_a_builtin_exception():
+    """Bad input ends in a RepbublikError, so no module of the package may
+    raise a builtin exception class (a bare ``raise`` re-raises and is fine)."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Raise) or node.exc is None:
+                continue
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id in BUILTIN_EXCEPTIONS:
+                found.append(f"{path.name}:{node.lineno} raises {exc.id}")
+    assert found == []
