@@ -3,41 +3,43 @@
 Sample sizes follow the Hoeffding bound for the Bubble Radius (a union bound
 over all nodes) and a Chebyshev/Popoviciu bound for the closeness estimate.
 
-Randomness comes from counter-based Philox streams keyed on
-``(master seed, purpose, node id)``, one stream per node and purpose.  Each
-node owns one block of uniforms with one row per walk and one column per
-step:
+Randomness comes from one stream per ``(master seed, purpose, node id)``.
+Every draw but the walk steps comes from counter-based Philox streams
+(:func:`stream`): the closeness source draws, and outside this module the
+generated graphs, the target picks and the baselines.  The walk steps come
+from SFC64 streams (:func:`_walk_stream`), which fill uniforms about four
+times faster:
 
-- the Bubble Radius of ``v`` reads an ``(r, t)`` block from
-  ``(seed, _STREAM_BR, v)``;
-- the closeness of ``v`` draws its ``z`` sources from
-  ``(seed, _STREAM_RWCC_SOURCES, v)`` and reads a ``(z * kappa, t')`` block
-  from ``(seed, _STREAM_RWCC_WALKS, v)``, where draw ``i`` owns rows
+- the Bubble Radius of ``v`` runs its r walks on ``(seed, _STREAM_BR, v)``;
+- the closeness of ``v`` draws its ``z`` sources from the Philox stream
+  ``(seed, _STREAM_RWCC_SOURCES, v)`` and runs ``z * kappa`` walks on
+  ``(seed, _STREAM_RWCC_WALKS, v)``, where draw ``i`` owns walks
   ``i * kappa`` to ``i * kappa + kappa - 1``; a draw equal to ``v``
-  counts the full horizon whatever its rows hold.
+  counts the full horizon, and its walks never step.
 
-The walks of many nodes step together.  Their blocks are laid end to end and
-cut into walk passes of at most ``WALK_ELEMENTS`` uniforms (and at least one
-row); a block that crosses a pass boundary is drawn in row slices from its
-one generator, which yields the rows one draw of the whole block would.
-Each estimate is reduced from its own node's rows alone, through exact
-integer sums, so results are bit-identical whatever the budget and whatever
-batch a node is estimated in, and identical (graph, config, seed) gives
-identical estimates.
+A walk stream holds only the uniforms that are read.  A node's walks are cut
+into groups of ``_WALK_GROUP`` walks, run in order; a group draws step by
+step, and at step k one uniform for each of its walks still live before
+step k, in walk order.  No walk takes the last step of the horizon: a walk
+live before step t scores t whatever that step does, and a closeness walk
+that first reaches its target on step t' scores t' as a miss does.  So a
+node draws exactly the steps its walks take.  The group size and this order
+are the stream layout; they fix every estimate.
+
+The walks of many nodes step together.  Their groups are laid end to end
+and packed into walk passes of at most ``WALK_ELEMENTS`` walks (and at
+least one group); a pass holds at most one group of each node, as a node's
+groups draw from its one generator in turn.  Each estimate is reduced from
+its own node's walks alone, through exact integer sums, so results are
+bit-identical whatever the budget and whatever batch a node is estimated
+in, and identical (graph, config, seed) gives identical estimates.
 
 One walk loop (:func:`_live_walks`) steps both estimators.  It keeps only
-the live walks, their rows in order and their states, and compacts both
-once per step.  It never takes the last step of the horizon: a walk live
-before step t scores t whatever that step does, and a closeness walk that
-first reaches its target on step t' scores t' as a miss does.  A node's
-summed capped length is, over the steps k, the count of its walks live
-before step k, read per node from the sorted rows; a closeness draw starts
-at ``kappa * t'`` and loses ``t' - k`` for each walk that reaches ``v`` at a
-step k < t'; a self draw's walks never step.  Every block still holds all
-its columns, the last included, so the stream layout (and every estimate)
-is that of a walker taking each step.  The uniforms a stopped walk leaves
-unread are drawn all the same: skipping them would move every later row of
-the stream and so change every estimate.
+the live walks, their indices in order and their states, and compacts both
+once per step.  A node's summed capped length is, over the steps k, the
+count of its walks live before step k, read per group from the sorted
+indices; a closeness draw starts at ``kappa * t'`` and loses ``t' - k`` for
+each walk that reaches ``v`` at a step k < t'.
 
 A walk step moves to out-edge ``count(rowcum <= u)`` of its row.  It finds
 that count with one lookup in a bucket guide: each row's range of ``u`` is
@@ -53,7 +55,7 @@ and keeps it in ``graph.memo``.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -67,14 +69,18 @@ from .graph import (
     check_seed,
 )
 
-# Stream purposes; part of the Philox key, never reused across call sites.
+# Stream purposes; part of the stream key, never reused across call sites.
 _STREAM_BR = 1
 _STREAM_RWCC_SOURCES = 2
 _STREAM_RWCC_WALKS = 3
 
-#: Most uniforms one walk pass holds (a pass takes at least one row).  It
+# Walks per group: a node's walks are cut into groups of this many, each of
+# which draws its steps in turn.  Part of the stream layout, not a knob.
+_WALK_GROUP = 1 << 14
+
+#: Most walks one walk pass holds (a pass takes at least one group).  It
 #: bounds the memory of a pass; no result depends on it.
-WALK_ELEMENTS = 1 << 16
+WALK_ELEMENTS = 1 << 14
 
 #: Guide buckets per out-edge, at least: each row gets the least power of
 #: two at or above ``GUIDE`` times its degree.  It trades the guide's size
@@ -85,10 +91,18 @@ _BELOW_ONE = np.nextafter(1.0, 0.0)
 
 
 def stream(seed: int, *key: int) -> np.random.Generator:
-    """Independent counter-based generator for one (seed, purpose, ...) task."""
+    """Independent counter-based Philox generator for one (seed, purpose, ...)
+    task: every draw of the package but the walk steps, which come from
+    :func:`_walk_stream`."""
     check_seed(seed)
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(k) for k in key))
     return np.random.Generator(np.random.Philox(ss))
+
+
+def _walk_stream(seed: int, purpose: int, node: int) -> np.random.Generator:
+    """The SFC64 generator whose uniforms step the walks of one node."""
+    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(purpose, node))
+    return np.random.Generator(np.random.SFC64(ss))
 
 
 def derive_seed(seed: int, *key: int) -> int:
@@ -243,31 +257,50 @@ def _sampler_of(graph: ColoredGraph) -> _WalkSampler:
     return graph.memo["walk_sampler"]
 
 
+class _Pass(NamedTuple):
+    """One walk pass: whole groups of walks, at most one per node.
+
+    The pass holds walks ``first`` to ``first + bounds[-1] - 1`` of the
+    whole; group j is its walks ``bounds[j]`` to ``bounds[j + 1] - 1`` and
+    draws from ``streams[j]``.
+    """
+
+    first: int
+    bounds: np.ndarray
+    streams: list[np.random.Generator]
+
+
 def _live_walks(
     sampler: _WalkSampler,
     live: np.ndarray,
-    uniforms: np.ndarray,
+    horizon: int,
+    walks: _Pass,
     rows: np.ndarray,
     states: np.ndarray,
     goals: np.ndarray | None = None,
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """Step the walks at ``rows`` of ``uniforms`` through every step but the last.
+    """Step the walks at ``rows`` of a pass through every step but the last.
 
-    Walk ``rows[i]`` (sorted) starts at ``states[i]`` and reads its row of
-    ``uniforms``, whose width is the horizon.  It lives while it stays on
-    ``live`` nodes and, with ``goals``, until it reaches node ``goals[i]``.
-    After each step k below the horizon, yields k, the rows still live
-    (sorted) and the rows that reached their goal at step k.  The last step
-    is never taken: a walk live before it scores the horizon whatever it
-    does, and so does a goal reached on it.
+    Walk ``rows[i]`` (sorted, indices into the pass) starts at ``states[i]``.
+    It lives while it stays on ``live`` nodes and, with ``goals``, until it
+    reaches node ``goals[i]``.  Before each step, each group draws one
+    uniform per live walk of its own, in order.  After each step k below the
+    horizon, yields k, the rows still live (sorted) and the rows that
+    reached their goal at step k.  The last step is never taken: a walk
+    live before it scores the horizon whatever it does, and so does a goal
+    reached on it.
     """
-    horizon = uniforms.shape[1]
-    columns = uniforms[:, : horizon - 1].T.copy()  # one contiguous row per step
+    buffer = np.empty(rows.size)
     reached = rows[:0]
     for step in range(1, horizon):
         if rows.size == 0:
             return
-        nxt = sampler.step(states, columns[step - 1][rows])
+        u = buffer[: rows.size]
+        cut = np.searchsorted(rows, walks.bounds).tolist()
+        for rng, lo, hi in zip(walks.streams, cut, cut[1:]):
+            if lo < hi:
+                rng.random(out=u[lo:hi])
+        nxt = sampler.step(states, u)
         going = live[nxt]
         if goals is not None:
             at_goal = nxt == goals
@@ -281,31 +314,28 @@ def _live_walks(
 
 
 def _walk_passes(
-    seed: int, purpose: int, nodes: np.ndarray, per_node: int, horizon: int
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The blocks of ``nodes`` laid end to end, cut into walk passes.
+    seed: int, purpose: int, nodes: np.ndarray, per_node: int
+) -> Iterator[_Pass]:
+    """The walks of ``nodes`` laid end to end, cut into walk passes.
 
-    ``nodes[k]`` owns rows ``k * per_node`` to ``(k + 1) * per_node - 1`` of
-    the whole, drawn from ``stream(seed, purpose, nodes[k])`` in row order.
-    Yields ``(rows, uniforms)`` per pass: the indices of its rows in the
-    whole and their uniforms, at most ``WALK_ELEMENTS`` of them but at least
-    one row.  Every pass refills one buffer, so a pass's uniforms last until
-    the next.
+    ``nodes[k]`` owns walks ``k * per_node`` to ``(k + 1) * per_node - 1``
+    of the whole, in groups of ``_WALK_GROUP`` that draw in turn from
+    ``_walk_stream(seed, purpose, nodes[k])``.  A pass holds whole groups,
+    at most ``WALK_ELEMENTS`` walks but at least one group, and never two
+    groups of one node: the second could only draw once the first is done.
     """
-    per_pass = max(1, WALK_ELEMENTS // horizon)
-    total = nodes.size * per_node
-    buffer = np.empty((min(per_pass, total), horizon))
-    for first in range(0, total, per_pass):
-        uniforms = buffer[: min(per_pass, total - first)]
-        at = 0
-        while at < len(uniforms):
-            k, row = divmod(first + at, per_node)
-            if row == 0:
-                rng = stream(seed, purpose, int(nodes[k]))
-            take = min(per_node - row, len(uniforms) - at)
-            rng.random(out=uniforms[at : at + take])
-            at += take
-        yield np.arange(first, first + len(uniforms)), uniforms
+    first, bounds, streams = 0, [0], []
+    for node in nodes.tolist():
+        rng = _walk_stream(seed, purpose, node)
+        for lo in range(0, per_node, _WALK_GROUP):
+            size = min(_WALK_GROUP, per_node - lo)
+            if streams and (lo > 0 or bounds[-1] + size > WALK_ELEMENTS):
+                yield _Pass(first, np.array(bounds), streams)
+                first, bounds, streams = first + bounds[-1], [0], []
+            bounds.append(bounds[-1] + size)
+            streams.append(rng)
+    if streams:
+        yield _Pass(first, np.array(bounds), streams)
 
 
 def _add_by_owner(owner: np.ndarray, values: np.ndarray, out: np.ndarray) -> None:
@@ -327,7 +357,7 @@ def estimate_br(
 
     Walks stop when they hit the opposite color or after ``t`` steps,
     whichever comes first.  The walks of each color's nodes step together,
-    and node ``v`` reads its own ``(seed, _STREAM_BR, v)`` block.
+    and node ``v`` runs its walks on its own ``(seed, _STREAM_BR, v)`` stream.
     Deterministic for a fixed seed, so the table is computed once per
     graph, ``t``, walk count and seed and kept in ``graph.memo``.
     """
@@ -346,16 +376,18 @@ def estimate_br(
         nodes = graph.nodes_of(color)
         live = graph.color_mask(color)
         lengths = np.zeros(nodes.size, dtype=np.int64)  # over each node's r walks
-        for rows, uniforms in _walk_passes(seed, _STREAM_BR, nodes, r, t):
+        for walks in _walk_passes(seed, _STREAM_BR, nodes, r):
             # A walk's capped length is the number of steps it is live
-            # before.  A pass's owners are contiguous and its live rows
-            # sorted, so each step's live count per owner is one search.
-            lo, hi = rows[0] // r, rows[-1] // r + 1
-            bounds = np.arange(lo, hi + 1) * r - rows[0]
-            walking = np.arange(rows.size)
-            counts = np.diff(np.searchsorted(walking, bounds))
+            # before.  A pass holds one group of each of its owners, which
+            # are contiguous, and its live rows are sorted, so each step's
+            # live count per owner is one search.
+            bounds = walks.bounds
+            lo = walks.first // r
+            counts = np.diff(bounds)
+            hi = lo + counts.size
             for _, walking, _ in _live_walks(
-                sampler, live, uniforms, walking, nodes[rows // r]
+                sampler, live, t, walks, np.arange(bounds[-1]),
+                np.repeat(nodes[lo:hi], counts),
             ):
                 counts += np.diff(np.searchsorted(walking, bounds))
             lengths[lo:hi] += counts
@@ -406,13 +438,12 @@ def estimate_rwcc_many(
     # reaches v at a step k < t'.  A self draw keeps the full horizon, so
     # its walks never step.
     hit_sums = np.full(uniq.size * z, float(kappa * t_prime))
-    passes = _walk_passes(seed, _STREAM_RWCC_WALKS, uniq, z * kappa, t_prime)
-    for rows, uniforms in passes:
-        draw = rows // kappa
+    for walks in _walk_passes(seed, _STREAM_RWCC_WALKS, uniq, z * kappa):
+        draw = (walks.first + np.arange(walks.bounds[-1])) // kappa
         goal, start = uniq[draw // z], starts[draw]
         walking = np.flatnonzero(start != goal)
         for step, _, reached in _live_walks(
-            sampler, live, uniforms, walking, start[walking], goal[walking]
+            sampler, live, t_prime, walks, walking, start[walking], goal[walking]
         ):
             if reached.size:
                 _add_by_owner(

@@ -5,9 +5,10 @@ with the tests.  They are the bounded hitting times and first-passage
 profiles the exact engines are checked against, the one-node return-mass
 profile, the Bubble Radius gain of a plan (exact or estimated), the paper's
 browsing-session model, the brute-force optimum of the insertion problem,
-the one-source target choice of the recommenders, and the per-walk walker
-with the walk-by-walk reductions the Monte Carlo estimators must equal bit
-for bit.  Tests import this module the way they import ``conftest``.
+the one-source target choice of the recommenders, the per-walk walker the
+sessions run on, and the walk-stream walker with the walk-by-walk
+reductions the Monte Carlo estimators must equal bit for bit, draw for
+draw.  Tests import this module the way they import ``conftest``.
 """
 from __future__ import annotations
 
@@ -35,6 +36,7 @@ from repbublik.montecarlo import (
     _STREAM_BR,
     _STREAM_RWCC_SOURCES,
     _STREAM_RWCC_WALKS,
+    _WALK_GROUP,
     _sampler_of,
     _WalkSampler,
     estimate_br,
@@ -289,47 +291,95 @@ def _walk(
     return steps, ends
 
 
-def br_by_walks(graph: ColoredGraph, t: int, r: int, seed: int) -> np.ndarray:
-    """``estimate_br(..., walks_per_node=r).values`` reduced walk by walk.
+def _walk_stream(seed: int, purpose: int, v: int) -> np.random.Generator:
+    """Node ``v``'s SFC64 walk stream for ``purpose``."""
+    key = np.random.SeedSequence(entropy=seed, spawn_key=(purpose, v))
+    return np.random.Generator(np.random.SFC64(key))
 
-    Each node's ``(r, t)`` block is drawn whole from its stream and walked
-    by :func:`_walk`; the node's value is the mean of its walks' stop steps.
+
+def walk_steps(
+    graph: ColoredGraph, rng: np.random.Generator, starts: np.ndarray,
+    stop: np.ndarray, horizon: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """One node's walks as its walk stream ``rng`` runs them.
+
+    Walk i starts at ``starts[i]``; a start of -1 never steps.  The walks
+    run in groups of ``_WALK_GROUP``, one group after the other; a group
+    steps through every step but the last, and before each step draws one
+    uniform per walk still live, in walk order.  A walk at ``s`` moves to
+    the out-neighbor ``count(rowcum <= u)`` of its row, the count taken over
+    the row's inner edges by a search of the whole row.  It stops on
+    entering the ``stop`` set.  Returns each walk's steps taken (its
+    uniforms drawn) and its stop node, -1 for a walk that never stopped.
     """
-    sampler = _WalkSampler(graph)
+    indptr, targets = graph.indptr, graph.targets
+    rowcums = [np.cumsum(graph.weights[a:b]) for a, b in zip(indptr, indptr[1:])]
+    steps = np.zeros(starts.size, dtype=np.int64)
+    ends = np.full(starts.size, -1, dtype=np.int64)
+    for first in range(0, starts.size, _WALK_GROUP):
+        walks = first + np.flatnonzero(starts[first : first + _WALK_GROUP] >= 0)
+        states = starts[walks]
+        for _ in range(1, horizon):
+            if walks.size == 0:
+                break
+            u = rng.random(walks.size)
+            nxt = np.empty_like(states)
+            for s in np.unique(states).tolist():
+                at = np.flatnonzero(states == s)
+                inner = rowcums[s][:-1]
+                moves = (inner[None, :] <= u[at, None]).sum(axis=1)
+                nxt[at] = targets[indptr[s] + moves]
+            steps[walks] += 1
+            hit = stop[nxt]
+            ends[walks[hit]] = nxt[hit]
+            walks, states = walks[~hit], nxt[~hit]
+    return steps, ends
+
+
+def br_by_walks(
+    graph: ColoredGraph, t: int, r: int, seed: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``estimate_br(..., walks_per_node=r).values`` reduced walk by walk,
+    with each node's uniforms drawn.
+
+    Node ``v`` runs its r walks from ``v`` by :func:`walk_steps` on its
+    ``(seed, _STREAM_BR, v)`` walk stream.  A walk that stops at step k
+    scores k, any other t; the node's value is the mean of its walks'
+    scores, and its draws the sum of their steps.
+    """
     values = np.empty(graph.n)
+    draws = np.zeros(graph.n, dtype=np.int64)
     for v in range(graph.n):
         absorbing = graph.color_mask(opposite(graph.color_of(v)))
-        uniforms = stream(seed, _STREAM_BR, v).random((r, t))
-        steps, _ = _walk(sampler, v, absorbing, uniforms)
-        values[v] = steps.sum() / r
-    return values
+        rng = _walk_stream(seed, _STREAM_BR, v)
+        steps, ends = walk_steps(graph, rng, np.full(r, v), absorbing, t)
+        values[v] = np.where(ends >= 0, steps, t).sum() / r
+        draws[v] = steps.sum()
+    return values, draws
 
 
 def rwcc_by_walks(
     graph: ColoredGraph, v: int, sources: Iterable[int], t_prime: int,
     kappa: int, seed: int, z: int,
-) -> float:
+) -> tuple[float, int]:
     """``estimate_rwcc(..., kappa=kappa, seed=seed, num_sources=z)`` reduced
-    walk by walk: one drawn source at a time, each walking alone on rows
-    ``i * kappa`` to ``i * kappa + kappa - 1`` of the node's one walk block
-    until it enters the other color or reaches ``v``.  A self draw counts
-    the full horizon."""
+    walk by walk, with the uniforms ``v`` draws.
+
+    Draw i of the node's z source picks owns walks ``i * kappa`` to ``i *
+    kappa + kappa - 1`` of its ``(seed, _STREAM_RWCC_WALKS, v)`` walk
+    stream, run by :func:`walk_steps` until they enter the other color or
+    reach ``v``.  A walk that reaches ``v`` at step k scores k, any other
+    t'; a self draw's walks never step and score t'.
+    """
     src = np.asarray(sorted(set(sources)), dtype=np.int64)
     picks = stream(seed, _STREAM_RWCC_SOURCES, v).integers(0, src.size, size=z)
-    block = stream(seed, _STREAM_RWCC_WALKS, v).random((z * kappa, t_prime))
-    sampler = _WalkSampler(graph)
+    starts = np.repeat(np.where(src[picks] == v, -1, src[picks]), kappa)
     stop = graph.color_mask(opposite(graph.color_of(v))).copy()
     stop[v] = True
-    h_bars = np.empty(z)
-    for i, pick in enumerate(picks):
-        w = int(src[pick])
-        if w == v:
-            h_bars[i] = t_prime
-            continue
-        uniforms = block[i * kappa : (i + 1) * kappa]
-        steps, ends = _walk(sampler, w, stop, uniforms)
-        h_bars[i] = np.where(ends == v, steps, t_prime).mean()
-    return float(t_prime - h_bars.mean())
+    rng = _walk_stream(seed, _STREAM_RWCC_WALKS, v)
+    steps, ends = walk_steps(graph, rng, starts, stop, t_prime)
+    h_bars = np.where(ends == v, steps, t_prime).reshape(z, kappa).mean(axis=1)
+    return float(t_prime - h_bars.mean()), int(steps.sum())
 
 
 def simulate_restart_session(

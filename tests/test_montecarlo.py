@@ -1,4 +1,6 @@
 """Monte Carlo estimators: sample sizes, concentration, sessions, determinism."""
+import collections
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -27,7 +29,7 @@ from repbublik.errors import EmptySourceSet, MixedColorSet, ThresholdOrder
 from repbublik.montecarlo import _WalkSampler, derive_seed, stream
 
 from conftest import random_polarized
-from oracles import _walk, rwcc_by_walks, simulate_restart_session
+from oracles import _walk, br_by_walks, rwcc_by_walks, simulate_restart_session
 
 
 class TestSampleSizes:
@@ -314,7 +316,7 @@ class TestEstimateRwcc:
                     seed = int(rng.integers(2**32))
                     got = estimate_rwcc(graph, v, reds, t, 0.5, 0.1, kappa=kappa,
                                         seed=seed, num_sources=40)
-                    assert got == rwcc_by_walks(graph, v, reds, t, kappa, seed, 40)
+                    assert got == rwcc_by_walks(graph, v, reds, t, kappa, seed, 40)[0]
 
     def test_deterministic_single_edge(self):
         g = build_graph(["R", "R", "B"], [(0, 1, 1.0), (1, 0, 1.0), (2, 0, 1.0)])
@@ -403,6 +405,110 @@ class TestChunking:
 
     def test_empty_batch(self, g2):
         assert estimate_rwcc_many(g2, [], [0, 1], 4, 0.5, 0.1).shape == (0,)
+
+    def test_walks_beyond_a_group_equal_under_every_budget(self, monkeypatch):
+        # More walks per node than a group and than every budget but the
+        # largest, which packs the groups of several nodes into one pass.
+        r = mc._WALK_GROUP + 5
+        for graph, t in self._graphs()[:2]:
+            reds = graph.nodes_of("R")
+            tables, runs = [], []
+            for budget in BUDGETS:
+                monkeypatch.setattr(mc, "WALK_ELEMENTS", budget)
+                tables.append(estimate_br(_fresh(graph), t, 0.5, 0.1, seed=4,
+                                          walks_per_node=r).values)
+                runs.append(estimate_rwcc_many(graph, reds, reds, t, 0.5, 0.1, kappa=2,
+                                               seed=4, num_sources=r // 2))
+            assert all(np.array_equal(tables[0], other) for other in tables[1:])
+            assert all(np.array_equal(runs[0], other) for other in runs[1:])
+
+    def test_pass_memory_does_not_grow_with_walks(self, g2):
+        peaks = []
+        for r in (mc._WALK_GROUP, 8 * mc._WALK_GROUP):
+            graph = _fresh(g2)
+            mc._sampler_of(graph)
+            tracemalloc.start()
+            estimate_br(graph, 4, 0.5, 0.1, seed=1, walks_per_node=r)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        # A pass holds one group either way; allow a few objects of slack.
+        assert peaks[1] <= 1.01 * peaks[0]
+
+
+class _CountingStream:
+    """A walk stream that tallies the uniforms drawn from it under ``key``."""
+
+    def __init__(self, rng, tally, key):
+        self.rng, self.tally, self.key = rng, tally, key
+
+    def random(self, size=None, out=None):
+        self.tally[self.key] += out.size if out is not None else int(np.prod(size))
+        return self.rng.random(size, out=out)
+
+
+class TestDrawsRead:
+    """Each node draws one uniform per step its walks take, and no more."""
+
+    @pytest.fixture
+    def tally(self, monkeypatch):
+        tally = collections.Counter()
+        walk_stream = mc._walk_stream
+
+        def counting(seed, purpose, node):
+            return _CountingStream(walk_stream(seed, purpose, node), tally, (purpose, node))
+
+        monkeypatch.setattr(mc, "_walk_stream", counting)
+        return tally
+
+    def test_br_draws_the_steps_taken(self, tally):
+        rng = np.random.default_rng(89)
+        for _ in range(3):
+            graph, _ = random_polarized(rng, n_max=16)
+            for t in (1, 2, 7):
+                tally.clear()
+                seed = int(rng.integers(2**32))
+                table = estimate_br(graph, t, 0.5, 0.1, seed=seed, walks_per_node=9)
+                values, draws = br_by_walks(graph, t, 9, seed)
+                assert np.array_equal(table.values, values)
+                assert [tally[mc._STREAM_BR, v] for v in range(graph.n)] == draws.tolist()
+                if t == 1:
+                    assert sum(tally.values()) == 0
+
+    def test_rwcc_draws_the_steps_taken(self, tally):
+        # Pools of one color hold each node itself, so z = 12 draws include
+        # self draws, whose walks draw nothing.
+        rng = np.random.default_rng(97)
+        for _ in range(3):
+            graph, _ = random_polarized(rng, n_max=16)
+            for t in (1, 2, 7):
+                for color in ("R", "B"):
+                    tally.clear()
+                    seed = int(rng.integers(2**32))
+                    pool = graph.nodes_of(color)
+                    got = estimate_rwcc_many(graph, pool, pool, t, 0.5, 0.1, kappa=3,
+                                             seed=seed, num_sources=12)
+                    expected = [rwcc_by_walks(graph, int(v), pool, t, 3, seed, 12)
+                                for v in pool]
+                    assert got.tolist() == [value for value, _ in expected]
+                    assert [tally[mc._STREAM_RWCC_WALKS, int(v)] for v in pool] == [
+                        draws for _, draws in expected
+                    ]
+
+    def test_self_draws_draw_nothing(self, g2, tally):
+        assert estimate_rwcc(g2, 0, {0}, 4, 0.5, 0.1, kappa=3, seed=9) == 0.0
+        assert sum(tally.values()) == 0
+
+    def test_walks_across_groups(self, g2, tally):
+        r = 2 * mc._WALK_GROUP + 3
+        table = estimate_br(g2, 4, 0.5, 0.1, seed=6, walks_per_node=r)
+        values, draws = br_by_walks(g2, 4, r, 6)
+        assert np.array_equal(table.values, values)
+        assert [tally[mc._STREAM_BR, v] for v in range(g2.n)] == draws.tolist()
+        z = mc._WALK_GROUP + 1  # 2 walks per draw: three groups
+        got = estimate_rwcc(g2, 2, {0, 1, 2}, 4, 0.5, 0.1, kappa=2, seed=6, num_sources=z)
+        assert (got, tally[mc._STREAM_RWCC_WALKS, 2]) == rwcc_by_walks(
+            g2, 2, {0, 1, 2}, 4, 2, 6, z
+        )
 
 
 class TestRestartSessions:

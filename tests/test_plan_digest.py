@@ -3,9 +3,11 @@
 The exact plan digests were recorded from the implementation before the
 recommenders shared one scoring prologue, the sweep digest from the one
 before closeness and plan application became block passes.  The Monte Carlo
-(``@mc``) digests were recorded again when each node's closeness walks came
-to read one block of its own stream and repbublik-plus began to rank targets
-with its prologue's BR table.  Any change to a source choice, a target
+(``@mc``) digests were recorded again when the walks came to step on SFC64
+walk streams that draw, group by group and step by step, one uniform per
+live walk: every walk's uniforms changed, so every estimate did.  (``rwcn``
+reads no estimate, so its digest did not move, and ``pure-random@mc`` now
+happens to draw the exact backend's parochial pools.)  Any change to a source choice, a target
 choice, a tie break, an insertion weight's bits or an evaluated Bubble
 Radius changes a digest.
 """
@@ -53,12 +55,12 @@ EXPECTED = {
     "pure-random@exact": "d46403d872674d2236fe591d4fbf14085d36facaabce5a5ce829a51d22235541",
     "rcn@exact": "cef6f9080d7751e32000ca2ee3f3af1aa8985bd73b4659404ce0ca8589cabe18",
     "rwcn@exact": "2f613f77e270092b4c03a1ab95c12fcbaf600e9f102100bb90fd611c746bd1e2",
-    "repbublik/lowest-br@mc": "1f0f65b05cb781bd1c4798a402ae8f9dff346af875960d0477c75819d4f016aa",
-    "repbublik/uniform-seeded@mc": "b35fb600f2b106735588c61fd4196a1ed3e78e076366dc3828cd6c081369c8ad",
-    "repbublik-plus/lowest-br@mc": "bfc6a7e29ad4526014bda09da08f0d0ca3989eff50cce8cbd34f85e85d845c43",
-    "repbublik-plus/uniform-seeded@mc": "0b9fd7cbfc99801a8e5f6a63a58b1f8fcb9945bf7a9490f677e102236e011df7",
-    "pure-random@mc": "2f546946ea25b3d5b42f498715c92ec8ffd0f0786e2c5fe8e80799da1deb1308",
-    "rcn@mc": "68a0cefb58b53aac5e5cc8741f334cf30780a6757c70cbfd06504ef371d65ad4",
+    "repbublik/lowest-br@mc": "61d376b7524450c5577d77880e7eaf90fc550dca99fbf93c91b8582d9b09031c",
+    "repbublik/uniform-seeded@mc": "5a19ebfc537578799f5f6ef58df42a95a59180a6ab13c048f25354715b7f6747",
+    "repbublik-plus/lowest-br@mc": "42269c1f53c201170f8e17d337f2af9fd441d55637efa15b08a403bdb7251015",
+    "repbublik-plus/uniform-seeded@mc": "afd4b56ec207e800730eb3a5be0c2103fdd9fa9bd490a6aeb9cc88f3eb2150d9",
+    "pure-random@mc": "d46403d872674d2236fe591d4fbf14085d36facaabce5a5ce829a51d22235541",
+    "rcn@mc": "0bb703636cd7646cc5decb513796832d3db319c913d989d83a1d920644355ebc",
     "rwcn@mc": "2f613f77e270092b4c03a1ab95c12fcbaf600e9f102100bb90fd611c746bd1e2",
 }
 
@@ -119,8 +121,8 @@ def test_sweep_csv_matches_recorded_digest(tmp_path):
 
 
 # Small chunk sizes, set as module attributes in a fresh interpreter: one
-# column per exact block on the desk graph, Monte Carlo passes of a few
-# walks, and a bucket guide of one bucket per out-edge (GUIDE is 4).
+# column per exact block on the desk graph, Monte Carlo passes of one walk
+# group, and a bucket guide of one bucket per out-edge (GUIDE is 4).
 _SMALL_CHUNKS = """
 import json, sys
 import repbublik.exact, repbublik.montecarlo

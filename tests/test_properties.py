@@ -124,11 +124,11 @@ def _exit_cycle():
     )
 
 
-@pytest.mark.parametrize("one_row_per_pass", [True, False])
-def test_walk_loop_equals_per_walk_oracle(one_row_per_pass, monkeypatch):
+@pytest.mark.parametrize("one_group_per_pass", [True, False])
+def test_walk_loop_equals_per_walk_oracle(one_group_per_pass, monkeypatch):
     """Both estimators equal the per-walk walker's reduction bit for bit,
     whatever the walk passes hold."""
-    if one_row_per_pass:
+    if one_group_per_pass:
         monkeypatch.setattr(mc, "WALK_ELEMENTS", 1)
     rng = np.random.default_rng(41)
     # Fresh graphs: estimate_br keeps its tables in graph.memo.
@@ -137,13 +137,13 @@ def test_walk_loop_equals_per_walk_oracle(one_row_per_pass, monkeypatch):
         for t in (1, 2, 3, 10):
             seed = int(rng.integers(2**32))
             table = estimate_br(graph, t, 0.5, 0.1, seed=seed, walks_per_node=7)
-            assert np.array_equal(table.values, br_by_walks(graph, t, 7, seed))
+            assert np.array_equal(table.values, br_by_walks(graph, t, 7, seed)[0])
             for color in ("R", "B"):
                 pool = graph.nodes_of(color)
                 got = estimate_rwcc_many(graph, pool, pool, t, 0.5, 0.1, kappa=3,
                                          seed=seed, num_sources=12)
                 assert got.tolist() == [
-                    rwcc_by_walks(graph, int(v), pool, t, 3, seed, 12) for v in pool
+                    rwcc_by_walks(graph, int(v), pool, t, 3, seed, 12)[0] for v in pool
                 ]
 
 
