@@ -9,7 +9,6 @@ from .bias import (
     BiasPartition,
     budget_allocation,
     classify,
-    even_split,
     structural_bias,
 )
 from .exact import (

@@ -8,7 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import BothColorsUnbiased, ThresholdOrder, UnknownColor, UnknownName
+from .errors import ThresholdOrder, UnknownColor, UnknownName
 from .exact import BrTable, exact_br, parochial_nodes
 from .graph import (
     BLUE,
@@ -115,9 +115,8 @@ def budget_allocation(y_red: float, y_blue: float, total: int) -> tuple[int, int
 
     Returns ``(k_red, k_blue)`` with ``k_blue = ceil(total * Y_B / (Y_B + Y_R))``,
     at most ``total`` (the float quotient can round above it), and ``k_red``
-    the remainder.  Raises :class:`BothColorsUnbiased` when both
-    sums are zero and the budget is positive; callers typically fall back to
-    an even split.
+    the remainder.  When neither color carries bias the split is even, and
+    blue gets the ceiling.
     """
     check_count("budget", total, 0)
     if min(y_red, y_blue) < 0:
@@ -125,14 +124,7 @@ def budget_allocation(y_red: float, y_blue: float, total: int) -> tuple[int, int
     if total == 0:
         return 0, 0
     if y_red + y_blue == 0:
-        raise BothColorsUnbiased(
-            "no parochial mass in either color; split the budget explicitly"
-        )
-    k_blue = min(total, math.ceil(total * y_blue / (y_blue + y_red)))
-    return total - k_blue, k_blue
-
-
-def even_split(total: int) -> tuple[int, int]:
-    """Fallback split when neither color carries bias: blue gets the ceiling."""
-    k_blue = math.ceil(total / 2)
+        k_blue = math.ceil(total / 2)
+    else:
+        k_blue = min(total, math.ceil(total * y_blue / (y_blue + y_red)))
     return total - k_blue, k_blue

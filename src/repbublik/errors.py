@@ -70,18 +70,8 @@ class EmptySourceSet(GraphValidationError):
     """A source set for centrality estimation must be non-empty."""
 
 
-class BothColorsUnbiased(RepbublikError):
-    """Budget split requested but neither color carries structural bias."""
-
-
 class NoOppositeColor(GraphValidationError):
     """The graph has no node of the opposite color to insert edges toward."""
-
-
-class NoLegalTarget(RepbublikError):
-    def __init__(self, node: int):
-        self.node = node
-        super().__init__(f"all cross-color edges from node {node} already exist")
 
 
 class UncoveredElement(GraphValidationError):

@@ -159,10 +159,6 @@ class InsertionPlan:
     def __bool__(self) -> bool:
         return bool(self.edges)
 
-    def eta(self, v: int) -> int:
-        """Penalty counter: one plus the number of plan edges with source v."""
-        return 1 + sum(1 for e in self.edges if e.src == v)
-
     def validate_against(self, graph: ColoredGraph) -> None:
         """Raise unless :func:`apply_plan` accepts the edges on ``graph`` and
         every source has the plan's color."""
@@ -375,22 +371,12 @@ def apply_plan(
     return ColoredGraph(colors=graph.colors, indptr=indptr, targets=targets, weights=weights)
 
 
-def weight_oracle(
-    graph: ColoredGraph,
-    v: int,
-    plan: Iterable[EdgeInsertion] = (),
-    *,
-    planned: int | None = None,
-) -> float:
+def weight_oracle(graph: ColoredGraph, v: int, *, planned: int = 0) -> float:
     """Transition weight granted to the next edge inserted from ``v``.
 
     Returns ``1 / (d'(v) + 1)`` where ``d'(v)`` counts the out-degree of
-    ``v`` in the original graph plus the insertions already planned from
-    ``v``: each planned edge changes the page, so later insertions see the
-    grown degree.  Depends only on ``v`` and the plan's source multiset.
-    Callers that keep a per-source count pass it as ``planned`` instead of
-    the plan.
+    ``v`` in the original graph plus the ``planned`` insertions already
+    planned from ``v``: each planned edge changes the page, so later
+    insertions see the grown degree.
     """
-    if planned is None:
-        planned = sum(1 for e in plan if e.src == v)
     return 1.0 / (graph.out_degree(v) + planned + 1)

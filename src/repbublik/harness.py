@@ -18,9 +18,8 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .bias import BiasPartition, budget_allocation, classify, even_split, structural_bias
+from .bias import BiasPartition, budget_allocation, classify, structural_bias
 from .errors import (
-    BothColorsUnbiased,
     EmptyRecords,
     IdOutOfRange,
     ParseError,
@@ -485,7 +484,8 @@ def run_sweep(
     parochial = partition.parochial
     universe = candidate_universe(graph, partition)
 
-    splits = [_split(y_red, y_blue, int(k)) for k in k_values]  # (k_red, k_blue) per K
+    # (k_red, k_blue) per K
+    splits = [budget_allocation(y_red, y_blue, int(k)) for k in k_values]
     top = {
         RED: max((k_red for k_red, _ in splits), default=0),
         BLUE: max((k_blue for _, k_blue in splits), default=0),
@@ -506,14 +506,6 @@ def run_sweep(
                     fh.write(record.csv_row() + "\n")
                     fh.flush()
     return records
-
-
-def _split(y_red: float, y_blue: float, k: int) -> tuple[int, int]:
-    """(k_red, k_blue): proportional to the bias sums, even if both are zero."""
-    try:
-        return budget_allocation(y_red, y_blue, k)
-    except BothColorsUnbiased:
-        return even_split(k)
 
 
 class _AlgorithmCells:

@@ -10,7 +10,8 @@ planned from it, which spreads insertions across sources.
 
 Every recommender takes ``(graph, color, budget, cfg, seed=None,
 backend="exact")``; the two greedies also take a keyword ``policy`` for the
-choice of target.
+choice of target.  Each builds its plan through one ``_Plan``, which picks
+every target by the policy and gives every edge its oracle weight.
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ from typing import Collection
 
 import numpy as np
 
-from .errors import NoLegalTarget, NoOppositeColor, UnknownName
+from .errors import NoOppositeColor, UnknownName
 from .bias import br_table
 # ``exact_rwcc`` and ``estimate_rwcc`` stay bound here only because the benchmark's
 # traced pass (perfbench/spans.py) patches them, as it does ``insert_edge``.
@@ -129,22 +130,35 @@ def _holds(ascending: list[int], x: int) -> bool:
     return i < len(ascending) and ascending[i] == x
 
 
-class _Targets:
-    """Legal targets of one plan's sources, without an n-long mask.
+class _Plan:
+    """One insertion plan while it is built: its edges, the edges planned
+    per source, and the legal targets left, without an n-long mask.
 
     A source may link to any node of the opposite color except its current
     out-neighbors and the targets already picked for it.  ``others`` holds
     the opposite color ascending, and each source keeps the excluded
     positions in ``others`` as a sorted list, so the count and the k-th
     legal target follow from the two sorted sequences.  ``policy`` is
-    checked here, before any pick, and holds for every pick.
+    checked here, before any pick, and holds for every pick; the
+    ``uniform-seeded`` picks draw from ``rng``.  ``planned[v]`` counts the
+    edges planned from v, the count the oracle weight of v's next edge reads.
     """
 
-    def __init__(self, graph: ColoredGraph, color: str, policy: str):
+    def __init__(
+        self,
+        graph: ColoredGraph,
+        color: str,
+        budget: int,
+        policy: str,
+        rng: np.random.Generator | None = None,
+    ):
         if policy not in ("lowest-br", "uniform-seeded"):
             raise UnknownName(f"unknown target policy {policy!r}")
-        self.graph, self.policy = graph, policy
+        self.graph, self.color, self.budget = graph, color, budget
+        self.policy, self.rng = policy, rng
         self.others = graph.nodes_of(opposite(color))
+        self.edges: list[EdgeInsertion] = []
+        self.planned = np.zeros(graph.n, dtype=np.int64)
         self._excluded: dict[int, list[int]] = {}
         self._ranked: np.ndarray | None = None  # set by rank()
 
@@ -162,8 +176,10 @@ class _Targets:
             excluded = self._excluded[v] = pos[self.others[pos] == row].tolist()
         return excluded
 
-    def pick(self, v: int, rng: np.random.Generator | None) -> int:
-        """Choose ``v``'s next target and exclude it from later picks.
+    def add(self, v: int) -> bool:
+        """Plan ``v``'s next edge with its oracle weight; False, with nothing
+        planned and nothing drawn, when ``v`` links to every node of the
+        other color.
 
         ``lowest-br``: the legal target first in the ranked order, so of
         smallest BR, ties to the lowest id; ``uniform-seeded``: one uniform
@@ -172,9 +188,9 @@ class _Targets:
         excluded = self._excluded_of(v)
         legal = self.others.size - len(excluded)
         if legal == 0:
-            raise NoLegalTarget(v)
+            return False
         if self.policy == "uniform-seeded":
-            pos = int(rng.integers(legal))
+            pos = int(self.rng.integers(legal))
             for p in excluded:  # step over the excluded positions at or before it
                 if p > pos:
                     break
@@ -182,7 +198,14 @@ class _Targets:
         else:
             pos = next(int(p) for p in self._ranked if not _holds(excluded, p))
         insort(excluded, pos)
-        return int(self.others[pos])
+        planned = int(self.planned[v])
+        weight = weight_oracle(self.graph, v, planned=planned)
+        self.edges.append(EdgeInsertion(v, int(self.others[pos]), weight))
+        self.planned[v] = planned + 1
+        return True
+
+    def done(self) -> InsertionPlan:
+        return InsertionPlan(edges=tuple(self.edges), color=self.color, requested=self.budget)
 
 
 def repbublik(
@@ -204,11 +227,8 @@ def repbublik(
     Stops early once no parochial node of ``color`` has a legal target left.
     """
     seed, br, pool = _prologue(graph, color, budget, cfg, seed, backend)
-    rng = stream(seed, _TAG_TARGET)
-    targets = _Targets(graph, color, policy)
+    plan = _Plan(graph, color, budget, policy, stream(seed, _TAG_TARGET))
     current = graph
-    edges: list[EdgeInsertion] = []
-    planned = np.zeros(graph.n, dtype=np.int64)  # edges planned per source
     for round_no in range(budget):
         if round_no > 0:
             br, pool = _parochial_pool(current, color, cfg, seed, backend, round_no)
@@ -217,24 +237,16 @@ def repbublik(
         scores = _centralities(
             current, pool, cfg, backend, derive_seed(seed, _TAG_RWCC, round_no)
         )
-        weights = _oracle_weights(graph, pool, planned)
+        weights = _oracle_weights(graph, pool, plan.planned)
         if policy == "lowest-br":
-            targets.rank(br)
-        # Best score first, ties to the lowest id; a failed pick draws nothing.
-        for i in np.argsort(-(scores * weights), kind="stable").tolist():
-            try:
-                target = targets.pick(int(pool[i]), rng)
-                break
-            except NoLegalTarget:  # the source links to every other-color node
-                continue
-        else:  # no source in the pool has a legal target left
+            plan.rank(br)
+        # Best score first, ties to the lowest id; a source without a legal
+        # target draws nothing, and a pool of such sources ends the plan.
+        order = np.argsort(-(scores * weights), kind="stable").tolist()
+        if not any(plan.add(int(pool[i])) for i in order):
             break
-        source = int(pool[i])
-        edge = EdgeInsertion(source, target, float(weights[i]))
-        current = insert_edge(current, edge)
-        edges.append(edge)
-        planned[source] += 1
-    return InsertionPlan(edges=tuple(edges), color=color, requested=budget)
+        current = insert_edge(current, plan.edges[-1])
+    return plan.done()
 
 
 def repbublik_plus(
@@ -262,34 +274,30 @@ def repbublik_plus(
     the plan is built.
     """
     seed, br, pool = _prologue(graph, color, budget, cfg, seed, backend)
-    targets = _Targets(graph, color, policy)
+    plan = _Plan(graph, color, budget, policy, stream(seed, _TAG_TARGET))
     if pool.size == 0 or budget == 0:
-        return InsertionPlan(edges=(), color=color, requested=budget)
+        return plan.done()
     base = _centralities(graph, pool, cfg, backend, derive_seed(seed, _TAG_RWCC, 0))
     if policy == "lowest-br":
-        targets.rank(br)
-    rng = stream(seed, _TAG_TARGET)
+        plan.rank(br)
 
     # A min-heap on (-score, eta, id), where eta is one plus the edges
-    # planned from the source and its oracle weight is 1 / (degree + eta).
+    # planned from the source and the score is base * oracle weight / eta.
     # Only the chosen source's score moves, so it alone is pushed back.
-    def entry(v: int, b: float, d: int, eta: int) -> tuple:
-        return (-(b * (1.0 / (d + eta)) / eta), eta, v, b, d)  # base * weight / eta
+    def entry(v: int, b: float) -> tuple:
+        planned = int(plan.planned[v])
+        eta = planned + 1
+        return (-(b * weight_oracle(graph, v, planned=planned) / eta), eta, v, b)
 
-    degree = np.diff(graph.indptr)[pool].tolist()
-    heap = [entry(v, b, d, 1) for v, b, d in zip(pool.tolist(), base.tolist(), degree)]
+    heap = [entry(v, b) for v, b in zip(pool.tolist(), base.tolist())]
     heapq.heapify(heap)
-    edges: list[EdgeInsertion] = []
-    while len(edges) < budget and heap:
-        _, eta, v, b, d = heap[0]
-        try:
-            target = targets.pick(v, rng)
-        except NoLegalTarget:  # no legal target left: drop the source
+    while len(plan.edges) < budget and heap:
+        _, _, v, b = heap[0]
+        if plan.add(v):
+            heapq.heapreplace(heap, entry(v, b))
+        else:  # no legal target left: drop the source
             heapq.heappop(heap)
-            continue
-        edges.append(EdgeInsertion(v, target, 1.0 / (d + eta)))
-        heapq.heapreplace(heap, entry(v, b, d, eta + 1))
-    return InsertionPlan(edges=tuple(edges), color=color, requested=budget)
+    return plan.done()
 
 
 def _random_plan(
@@ -304,26 +312,18 @@ def _random_plan(
     when the pool (possibly empty) runs out of legal edges before the
     budget is spent."""
     pool = [int(v) for v in pool]
-    targets = _Targets(graph, color, "uniform-seeded")
-    planned: dict[int, int] = {}  # edges planned per source
-    edges: list[EdgeInsertion] = []
-    while len(edges) < budget and pool:
+    plan = _Plan(graph, color, budget, "uniform-seeded", rng)
+    while len(plan.edges) < budget and pool:
         v = pool[int(rng.integers(len(pool)))]
-        try:
-            w = targets.pick(v, rng)
-        except NoLegalTarget:
+        if not plan.add(v):
             pool.remove(v)
-            continue
-        count = planned.get(v, 0)
-        edges.append(EdgeInsertion(v, w, weight_oracle(graph, v, planned=count)))
-        planned[v] = count + 1
-    if len(edges) < budget:
+    if len(plan.edges) < budget:
         warnings.warn(
-            f"only {len(edges)} of {budget} insertions were possible for color {color}",
+            f"only {len(plan.edges)} of {budget} insertions were possible for color {color}",
             RuntimeWarning,
             stacklevel=3,
         )
-    return InsertionPlan(edges=tuple(edges), color=color, requested=budget)
+    return plan.done()
 
 
 def baseline_pure_random(
@@ -339,11 +339,10 @@ def baseline_pure_random(
     return _random_plan(graph, pool, color, budget, stream(seed, _TAG_BASELINE, 0))
 
 
-def _top_pool(
-    pool: np.ndarray, scores: np.ndarray, top_pct: float = DEFAULT_TOP_PCT
-) -> np.ndarray:
-    """Top-N-percent slice (ceiling) of the pool by descending score."""
-    keep = int(np.ceil(top_pct / 100.0 * pool.size))
+def _top_pool(pool: np.ndarray, scores: np.ndarray) -> np.ndarray:
+    """Top-``DEFAULT_TOP_PCT``-percent slice (ceiling) of the pool by
+    descending score."""
+    keep = int(np.ceil(DEFAULT_TOP_PCT / 100.0 * pool.size))
     order = np.lexsort((pool, -scores))
     return pool[order[:keep]]
 

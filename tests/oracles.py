@@ -42,7 +42,7 @@ from repbublik.montecarlo import (
     estimate_br,
     stream,
 )
-from repbublik.recommend import _TAG_TARGET, _Targets
+from repbublik.recommend import _TAG_TARGET, _Plan
 
 # The browsing session's stream purpose; the package's walk streams use 1-3.
 _STREAM_SESSION = 4
@@ -50,6 +50,12 @@ _STREAM_SESSION = 4
 
 class SourceIsTarget(GraphValidationError):
     """First-passage source and target coincide; use the return-mass profile."""
+
+
+class NoLegalTarget(RepbublikError):
+    def __init__(self, node: int):
+        self.node = node
+        super().__init__(f"all cross-color edges from node {node} already exist")
 
 
 class TargetInAvoidSet(GraphValidationError):
@@ -252,7 +258,8 @@ def brute_force_opt(
     for combo in itertools.combinations(candidates, k):
         edges: list[EdgeInsertion] = []
         for v, w in combo:
-            edges.append(EdgeInsertion(v, w, weight_oracle(graph, v, edges)))
+            planned = sum(1 for e in edges if e.src == v)
+            edges.append(EdgeInsertion(v, w, weight_oracle(graph, v, planned=planned)))
         gain = exact_gain(graph, parochial, edges, t)
         if gain > best_gain:
             best_gain = gain
@@ -429,8 +436,10 @@ def target_selection(
     if seed is None:
         seed = cfg.seed if cfg is not None else 0
     current = apply_plan(graph, plan)
-    targets = _Targets(current, current.color_of(v), policy)
-    if policy == "lowest-br":
-        targets.rank(br_table(current, cfg, backend, seed))
     rng = stream(seed, _TAG_TARGET, v) if policy == "uniform-seeded" else None
-    return targets.pick(v, rng)
+    one = _Plan(current, current.color_of(v), 1, policy, rng)
+    if policy == "lowest-br":
+        one.rank(br_table(current, cfg, backend, seed))
+    if not one.add(v):
+        raise NoLegalTarget(v)
+    return one.edges[-1].dst

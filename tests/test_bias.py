@@ -1,7 +1,7 @@
 """Classification, structural bias, gain dispatch, and budget splits."""
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repbublik import (
@@ -11,13 +11,11 @@ from repbublik import (
     budget_allocation,
     build_graph,
     classify,
-    even_split,
     exact_br,
     generate_gadget,
     structural_bias,
 )
 from repbublik.errors import (
-    BothColorsUnbiased,
     EmptySourceSet,
     ThresholdOrder,
     UnknownColor,
@@ -204,21 +202,17 @@ class TestBudgetAllocation:
     def test_zero_budget(self):
         assert budget_allocation(3.0, 4.0, 0) == (0, 0)
 
-    def test_both_unbiased_raises(self):
-        with pytest.raises(BothColorsUnbiased):
-            budget_allocation(0.0, 0.0, 3)
-
     def test_even_split_fallback(self):
-        assert even_split(3) == (1, 2)
-        assert even_split(4) == (2, 2)
+        # Neither color is biased: blue gets the ceiling.
+        assert budget_allocation(0.0, 0.0, 1) == (0, 1)
+        assert budget_allocation(0.0, 0.0, 3) == (1, 2)
+        assert budget_allocation(0.0, 0.0, 4) == (2, 2)
 
     def test_parts_always_sum(self):
         rng = np.random.default_rng(5)
         for _ in range(200):
             y_r, y_b = rng.uniform(0, 50, size=2)
             k = int(rng.integers(0, 40))
-            if y_r + y_b == 0 and k > 0:
-                continue
             k_r, k_b = budget_allocation(float(y_r), float(y_b), k)
             assert k_r + k_b == k
             assert k_r >= 0 and k_b >= 0
@@ -227,7 +221,6 @@ class TestBudgetAllocation:
     @example(y_red=0.0, y_blue=672.6868563178937, k=26)
     @settings(max_examples=500, deadline=None)
     def test_parts_in_range_and_nondecreasing_in_k(self, y_red, y_blue, k):
-        assume(y_red + y_blue > 0)
         k_r, k_b = budget_allocation(y_red, y_blue, k)
         assert 0 <= k_r and 0 <= k_b and k_r + k_b == k
         next_r, next_b = budget_allocation(y_red, y_blue, k + 1)

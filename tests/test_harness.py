@@ -313,10 +313,7 @@ def _reference_sweep(graph, algorithms, k_values, cfg, seeds, out_path, backend)
                     delta = healed = float("nan")
                     error = None
                     try:
-                        try:
-                            k_red, k_blue = harness.budget_allocation(y_red, y_blue, k)
-                        except harness.BothColorsUnbiased:
-                            k_red, k_blue = harness.even_split(k)
+                        k_red, k_blue = harness.budget_allocation(y_red, y_blue, k)
                         edges = []
                         for color, k_c in (("R", k_red), ("B", k_blue)):
                             if k_c > 0:
@@ -424,7 +421,7 @@ class TestSweepOracle:
         monkeypatch.setitem(ALGORITHMS, "red-fails", red_fails)
         graph, t = self._graphs()[0]
         k_values, seeds, cfg = [0, 1, 2, 3, 4, 6, 12], [3, 4], self._cfg(t, 1)
-        splits = [harness._split(*self._bias(graph, t), k) for k in k_values]
+        splits = [harness.budget_allocation(*self._bias(graph, t), k) for k in k_values]
         assert any(k_red == 0 < k_blue for k_red, k_blue in splits)
         records = self._assert_same(
             tmp_path, graph, ["red-fails", "pure-random"], k_values, cfg, seeds, "exact"
@@ -510,7 +507,7 @@ class TestSweepOracle:
             )
         # One build per (seed, color) with a positive budget, at the top
         # budget, inside the first cell that needs it.
-        splits = [harness._split(*self._bias(graph, t), k) for k in k_values]
+        splits = [harness.budget_allocation(*self._bias(graph, t), k) for k in k_values]
         top = dict(zip("RB", np.max(splits, axis=0).tolist()))
         assert sorted(calls) == sorted((c, top[c], s) for s in seeds for c in "RB" if top[c])
         built = set()

@@ -170,7 +170,7 @@ def _random_legal_plan(rng, graph, color, k):
         ]
         if free:
             w = free[int(rng.integers(len(free)))]
-            edges.append(EdgeInsertion(v, w, weight_oracle(graph, v, edges)))
+            edges.append(EdgeInsertion(v, w, weight_oracle(graph, v, planned=len(taken))))
     return edges
 
 

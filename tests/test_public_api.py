@@ -1,6 +1,7 @@
 """The public surface: the names the package exports and its error classes."""
 import ast
 import builtins
+import inspect
 from pathlib import Path
 
 import repbublik
@@ -18,8 +19,8 @@ PUBLIC = {
     "br_sample_size", "budget_allocation", "build_graph", "candidate_universe",
     "classify", "closeness", "dataset_stats", "default_k_values",
     "emit_plotdata", "errors", "estimate_br", "estimate_rwcc",
-    "estimate_rwcc_many", "even_split", "exact", "exact_br", "exact_gamma",
-    "exact_rwcc", "exact_rwcc_many", "generate_gadget", "generate_polarized",
+    "estimate_rwcc_many", "exact", "exact_br", "exact_gamma", "exact_rwcc",
+    "exact_rwcc_many", "generate_gadget", "generate_polarized",
     "graph", "harness", "insert_edge", "load_dataset", "montecarlo",
     "opposite", "recommend", "repbublik", "repbublik_plus", "run_sweep",
     "rwcc_sample_size", "structural_bias", "weight_oracle", "write_dataset",
@@ -28,12 +29,11 @@ PUBLIC = {
 
 # Every class in errors.py; each one subclasses RepbublikError.
 ERRORS = {
-    "BothColorsUnbiased", "BrOutOfRange", "DuplicateEdge", "EdgeExists",
-    "EmptyRecords", "EmptySourceSet", "GraphValidationError", "IdOutOfRange",
-    "MixedColorSet", "NoLegalTarget", "NoOppositeColor", "NonStochasticRow",
-    "ParseError", "RepbublikError", "SameColorEndpoints", "SelfLoopEdge",
-    "ThresholdOrder", "UncoveredElement", "UnknownColor", "UnknownName",
-    "ZeroOutDegree",
+    "BrOutOfRange", "DuplicateEdge", "EdgeExists", "EmptyRecords",
+    "EmptySourceSet", "GraphValidationError", "IdOutOfRange", "MixedColorSet",
+    "NoOppositeColor", "NonStochasticRow", "ParseError", "RepbublikError",
+    "SameColorEndpoints", "SelfLoopEdge", "ThresholdOrder", "UncoveredElement",
+    "UnknownColor", "UnknownName", "ZeroOutDegree",
 }
 
 BUILTIN_EXCEPTIONS = {
@@ -43,8 +43,27 @@ BUILTIN_EXCEPTIONS = {
 
 
 def test_public_names_are_pinned():
-    assert len(PUBLIC) == 53
+    assert len(PUBLIC) == 52
     assert sorted(repbublik.__all__) == sorted(PUBLIC)
+
+
+def test_registry_entries_share_one_signature():
+    """Every ``ALGORITHMS`` entry is ``fn(graph, color, budget, cfg,
+    seed=None, backend="exact")``; the two greedies add a keyword-only
+    ``policy="lowest-br"``."""
+    positional, keyword = inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.KEYWORD_ONLY
+    empty = inspect.Parameter.empty
+    common = [
+        ("graph", positional, empty), ("color", positional, empty),
+        ("budget", positional, empty), ("cfg", positional, empty),
+        ("seed", positional, None), ("backend", positional, "exact"),
+    ]
+    greedy = common + [("policy", keyword, "lowest-br")]
+    for name, fn in repbublik.ALGORITHMS.items():
+        params = [
+            (p.name, p.kind, p.default) for p in inspect.signature(fn).parameters.values()
+        ]
+        assert params == (greedy if name in ("repbublik", "repbublik-plus") else common), name
 
 
 def test_every_error_class_is_used_outside_errors_py():
@@ -67,7 +86,7 @@ def test_every_error_class_is_used_outside_errors_py():
 def test_error_classes_are_pinned():
     tree = ast.parse((PACKAGE / "errors.py").read_text())
     classes = {node.name for node in tree.body if isinstance(node, ast.ClassDef)}
-    assert len(ERRORS) == 21
+    assert len(ERRORS) == 19
     assert classes == ERRORS
     assert all(issubclass(getattr(errors, name), errors.RepbublikError) for name in ERRORS)
 

@@ -30,11 +30,11 @@ from repbublik import (
     weight_oracle,
 )
 import repbublik.recommend as rec
-from repbublik.errors import NoLegalTarget, NoOppositeColor, RepbublikError, ThresholdOrder
+from repbublik.errors import NoOppositeColor, RepbublikError, ThresholdOrder
 from repbublik.recommend import _top_pool
 
 from conftest import random_polarized
-from oracles import brute_force_opt, exact_gain, target_selection
+from oracles import NoLegalTarget, brute_force_opt, exact_gain, target_selection
 
 
 def dominant_hub_graph():
@@ -117,13 +117,7 @@ class TestRepbublik:
         while cfgs < 10:
             graph, t = random_polarized(rng, n_max=20, t_range=(5, 8))
             cfg = WalkConfig(t=t, theta_good=1.5, theta_bad=t / 2, seed=7)
-            plan = repbublik(graph, "R", 3, cfg)
-            plan.validate_against(graph)
-            assert all(e.weight == pytest.approx(
-                1.0 / (graph.out_degree(e.src) + sum(
-                    1 for prev in plan.edges[:i] if prev.src == e.src
-                ) + 1)
-            ) for i, e in enumerate(plan.edges))
+            repbublik(graph, "R", 3, cfg).validate_against(graph)
             cfgs += 1
 
 
@@ -170,8 +164,10 @@ class TestRepbublikPlus:
             cfg = WalkConfig(t=t, theta_good=1.5, theta_bad=t / 2, seed=9)
             plan = repbublik_plus(graph, "B", 4, cfg)
             plan.validate_against(graph)
-            for v in set(e.src for e in plan.edges):
-                assert plan.eta(v) == 1 + sum(1 for e in plan.edges if e.src == v)
+            # eta is one plus the edges planned from the source before.
+            for i, e in enumerate(plan.edges):
+                eta = 1 + sum(1 for prev in plan.edges[:i] if prev.src == e.src)
+                assert e.weight == 1.0 / (graph.out_degree(e.src) + eta)
 
 
 class TestTargetSelection:
@@ -245,7 +241,7 @@ class TestBaselines:
     def test_top_pool_ceiling(self):
         pool = np.arange(58)
         scores = np.linspace(1.0, 0.0, 58)
-        assert _top_pool(pool, scores, 10.0).size == 6
+        assert _top_pool(pool, scores).size == 6
 
     def test_rcn_pool_ordering_matches_exact_centrality(self):
         graph = dominant_hub_graph()
@@ -255,7 +251,7 @@ class TestBaselines:
         assert len(plan) == 2
         assert {e.src for e in plan.edges} == {0}
 
-    def test_rwcn_matches_rcn_when_degrees_equal(self):
+    def test_rwcn_matches_rcn_when_degrees_equal(self, monkeypatch):
         graph = twin_hub_graph()
         cfg = WalkConfig(t=6, theta_good=2.0, theta_bad=3.0, seed=8)
         br = exact_br(graph, 6)
@@ -264,10 +260,11 @@ class TestBaselines:
         )
         cent = np.array([exact_rwcc(graph, int(v), pool, 4) for v in pool])
         weights = np.array([weight_oracle(graph, int(v)) for v in pool])
-        # All out-degrees equal -> the two rankings coincide.
+        # All out-degrees equal -> the two rankings coincide, all the way down.
         assert len(set(graph.out_degree(int(v)) for v in pool)) == 1
-        a = _top_pool(pool, cent, 30.0)
-        b = _top_pool(pool, cent * weights, 30.0)
+        monkeypatch.setattr(rec, "DEFAULT_TOP_PCT", 100.0)
+        a = _top_pool(pool, cent)
+        b = _top_pool(pool, cent * weights)
         assert a.tolist() == b.tolist()
 
     def test_rwcn_diverges_from_rcn_when_degrees_differ(self):
@@ -427,7 +424,9 @@ class TestUnknownPolicy:
 
 
 class TestTargets:
-    """Sorted-position targets equal the mask-based legal targets."""
+    """The plan builder's sorted-position targets equal the mask-based legal
+    targets, and a source without one leaves the plan and the stream as
+    they were."""
 
     @pytest.mark.parametrize("policy", ["uniform-seeded", "lowest-br"])
     def test_pick_equals_mask_reference(self, policy):
@@ -436,30 +435,36 @@ class TestTargets:
         for graph, cfg in _plan_cases():
             br = exact_br(graph, cfg.t)
             for v in range(graph.n):
-                targets = rec._Targets(graph, graph.color_of(v), policy)
-                targets.rank(br)
-                draws = _Draws(rng)
+                plan = rec._Plan(graph, graph.color_of(v), 0, policy, _Draws(rng))
+                plan.rank(br)
                 taken = []
                 while True:
                     legal = _legal_targets_reference(graph, v, taken)
                     if legal.size == 0:
-                        with pytest.raises(NoLegalTarget):
-                            targets.pick(v, draws)
+                        edges, planned = list(plan.edges), plan.planned.copy()
+                        state = rng.bit_generator.state
+                        assert not plan.add(v)
+                        assert plan.edges == edges
+                        assert plan.planned.tolist() == planned.tolist()
+                        assert rng.bit_generator.state == state
                         exhausted += 1
                         break
-                    w = targets.pick(v, draws)
+                    assert plan.add(v)
+                    edge = plan.edges[-1]
                     if policy == "uniform-seeded":
-                        assert draws.high == legal.size
-                        assert w == legal[draws.k]
+                        assert plan.rng.high == legal.size
+                        assert edge.dst == legal[plan.rng.k]
                     else:
-                        assert w == _pick_reference(legal, v, policy, br, None)
-                    taken.append(w)
+                        assert edge.dst == _pick_reference(legal, v, policy, br, None)
+                    assert edge.weight == weight_oracle(graph, v, planned=len(taken))
+                    taken.append(edge.dst)
+                    assert plan.planned[v] == len(taken) == plan.planned.sum()
                     checked += 1
         assert checked > 2000 and exhausted > 300
 
     def test_unknown_policy_rejected(self, g2):
-        with pytest.raises(ValueError, match="unknown target policy"):
-            rec._Targets(g2, "R", "nearest")
+        with pytest.raises(ValueError, match="unknown target policy 'nearest'"):
+            rec._Plan(g2, "R", 1, "nearest")
 
 
 class TestPlanPaths:
@@ -655,7 +660,7 @@ class TestPrefixContract:
     def _check(self, fn, graph, cfg, backend, kwargs, tally):
         for color in ("R", "B"):
             error, top = self._outcome(fn, graph, color, self.TOP, cfg, backend, kwargs)
-            assert error is None or not error.startswith("NoLegalTarget")
+            self._assert_oracle_weights(graph, color, top)
             for k in self.BUDGETS:
                 outcome = self._outcome(fn, graph, color, k, cfg, backend, kwargs)
                 if k > 0 or error is None:
@@ -663,6 +668,20 @@ class TestPrefixContract:
             if fn is repbublik and error is None and len(top) < self.TOP:
                 self._assert_no_legal_target_left(graph, color, top, cfg, backend)
             tally["error" if error else "short" if len(top) < self.TOP else "full"] += 1
+
+    @staticmethod
+    def _assert_oracle_weights(graph, color, edges):
+        """Each edge carries ``weight_oracle`` of the edges planned from its
+        source before it, and ``_oracle_weights`` equals ``weight_oracle``
+        node by node under the plan's counts."""
+        planned = np.zeros(graph.n, dtype=np.int64)
+        for e in edges:
+            assert e.weight == weight_oracle(graph, e.src, planned=int(planned[e.src]))
+            planned[e.src] += 1
+        pool = graph.nodes_of(color)
+        assert rec._oracle_weights(graph, pool, planned).tolist() == [
+            weight_oracle(graph, v, planned=int(planned[v])) for v in pool.tolist()
+        ]
 
     @staticmethod
     def _assert_no_legal_target_left(graph, color, edges, cfg, backend):
