@@ -202,11 +202,16 @@ class TestBudgetAllocation:
     def test_zero_budget(self):
         assert budget_allocation(3.0, 4.0, 0) == (0, 0)
 
-    def test_even_split_fallback(self):
-        # Neither color is biased: blue gets the ceiling.
+    def test_both_unbiased_raises(self):
+        # The name is historical: this split once raised BothColorsUnbiased.
+        # Neither color is biased now means an even split, blue taking the ceiling.
         assert budget_allocation(0.0, 0.0, 1) == (0, 1)
         assert budget_allocation(0.0, 0.0, 3) == (1, 2)
         assert budget_allocation(0.0, 0.0, 4) == (2, 2)
+
+    def test_even_split_fallback(self):
+        for k in range(50):
+            assert budget_allocation(0.0, 0.0, k) == (k // 2, k - k // 2)
 
     def test_parts_always_sum(self):
         rng = np.random.default_rng(5)
