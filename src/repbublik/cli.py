@@ -187,15 +187,14 @@ def _cmd_sweep(args) -> int:
         backend=args.backend,
         measure_runtime=args.measure_runtime,
     )
-    if args.plot_dir is not None:
-        emit_plotdata(records, args.plot_dir)
     failed = [r for r in records if r.error is not None]
     for r in failed:
         print(f"cell {r.algorithm} K={r.budget} seed={r.seed}: {r.error}", file=sys.stderr)
     if failed:
         print(f"{len(failed)} of {len(records)} cells failed", file=sys.stderr)
-        return 2
-    return 0
+    if args.plot_dir is not None:
+        emit_plotdata(records, args.plot_dir)
+    return 2 if failed else 0
 
 
 def _cmd_gen_gadget(args) -> int:

@@ -4,15 +4,17 @@ These are the exact backend of the recommenders, the sweep and the CLI,
 and the Monte Carlo estimators are checked against them.  Each pass costs
 O(t * |E|) via sparse matrix-vector products, which avoids the cubic cost
 of Laplacian-based hitting-time solvers.
-A walk is absorbed when it first enters the opposite color, so closeness
-and return mass depend only on the color's own block A of M, the rows and
-columns of the color's nodes (:func:`_color_block`).  Both are built on one
-engine, the return-visit profiles of :func:`_return_profiles`: the walks
-from the requested nodes step together through A^T in |C| x width chunks
-of at most ``BLOCK_ELEMENTS`` entries, with the bits of a one-column pass
-on the full matrix, since every term the block leaves out adds an exact
-+0.0.  :func:`exact_gamma` sums the profiles; :func:`exact_rwcc_many` adds
-one forward occupancy pass and solves the renewal equation for the first
+A walk is absorbed when it first enters the opposite color.  The engines
+step on W (:func:`_within`), the transition matrix M without its
+cross-color edges, the one place where they decide where a walk dies:
+:func:`exact_br` is one one-column pass over W, and closeness and return
+mass use the color's block A of W (:func:`_color_block`), through the
+return-visit profiles of :func:`_return_profiles`.  These step the walks
+from the requested nodes together through A^T in |C| x width chunks of at
+most ``BLOCK_ELEMENTS`` entries.  Every term W leaves out was an exact
++0.0 in the same CSR order, so the bits are those of a pass over M.
+:func:`exact_gamma` sums the profiles; :func:`exact_rwcc_many` adds one
+forward occupancy pass and solves the renewal equation for the first
 passages.
 """
 from __future__ import annotations
@@ -70,40 +72,49 @@ def _node_set(graph: ColoredGraph, nodes: Iterable[int]) -> np.ndarray:
     return arr
 
 
+def _within(graph: ColoredGraph) -> sp.csr_matrix:
+    """W, the transition matrix M without its cross-color edges, in M's row
+    order; built on first use and kept in ``graph.memo``."""
+    if "within" not in graph.memo:
+        red = graph.color_mask(RED)
+        kept = np.repeat(red, np.diff(graph.indptr)) == red[graph.targets]
+        indptr = np.concatenate(([0], np.cumsum(kept)))[graph.indptr]
+        graph.memo["within"] = sp.csr_matrix(
+            (graph.weights[kept], graph.targets[kept], indptr),
+            shape=(graph.n, graph.n),
+        )
+    return graph.memo["within"]
+
+
 def exact_br(graph: ColoredGraph, t: int) -> BrTable:
     """Exact Bubble Radius of every node at horizon ``t``.
 
-    One two-column pass of the survival recurrence E[min(t, T)] =
-    sum_{i<t} P(T > i), with s_{i+1} = M @ s_i zeroed on the absorbing set:
-    column 0 holds the walks of red sources, absorbed by blue nodes, and
-    column 1 those of blue sources, absorbed by red nodes.  Each column sums
-    its terms in the order of a one-column pass, so the values have its
-    bits.  A color with no opposite nodes sits at the cap ``t``.  The table
-    is computed once per graph and ``t`` and kept in ``graph.memo``.
+    One pass of the survival recurrence E[min(t, T)] = sum_{i<t} P(T > i)
+    with s_0 = 1 and s_{i+1} = W @ s_i: a walk that leaves its color is
+    absorbed, and W never mixes the colors, so one column holds the walks
+    of both.  A color with no opposite nodes sits at the cap ``t``.  The
+    table is computed once per graph and ``t`` and kept in ``graph.memo``.
     """
     check_count("horizon", t)
     key = ("br", t)
     if key in graph.memo:
         return graph.memo[key]
-    red = graph.color_mask(RED)
-    keep = np.stack((red, ~red), axis=1).astype(np.float64)
-    survival = keep.copy()
+    within = _within(graph)
+    survival = np.ones(graph.n)
     expected = survival.copy()
     for _ in range(t - 1):
-        survival = graph.matrix @ survival
-        survival *= keep
+        survival = within @ survival
         expected += survival
-    values = np.where(red, expected[:, 0], expected[:, 1])
-    graph.memo[key] = BrTable(values=values, t=t, provenance="exact")
+    graph.memo[key] = BrTable(values=expected, t=t, provenance="exact")
     return graph.memo[key]
 
 
 @dataclass(frozen=True, eq=False)
 class _ColorBlock:
-    """The transition matrix restricted to one color's nodes.
+    """The within-color matrix restricted to one color's nodes.
 
-    ``matrix_t`` is the transpose of A = M[C][:, C] for the ascending nodes
-    C of the color.
+    ``matrix_t`` is the transpose of A = W[C][:, C] = M[C][:, C] for the
+    ascending nodes C of the color.
     """
 
     nodes: np.ndarray
@@ -115,19 +126,16 @@ class _ColorBlock:
 
 
 def _color_block(graph: ColoredGraph, color: str) -> _ColorBlock:
-    """The block of ``color``, built from the CSR arrays on first use and
-    kept in ``graph.memo``."""
+    """The block of ``color``, its rows of W on local column ids; built on
+    first use and kept in ``graph.memo``."""
     key = ("block", color)
     if key not in graph.memo:
         inside = graph.color_mask(color)
         nodes = np.flatnonzero(inside)
+        rows = _within(graph)[nodes]
         local = np.cumsum(inside) - 1
-        rows = np.repeat(local, np.diff(graph.indptr))
-        kept = np.repeat(inside, np.diff(graph.indptr)) & inside[graph.targets]
-        rows = rows[kept]
-        indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=nodes.size))))
         matrix = sp.csr_matrix(
-            (graph.weights[kept], local[graph.targets[kept]], indptr),
+            (rows.data, local[rows.indices], rows.indptr),
             shape=(nodes.size, nodes.size),
         )
         graph.memo[key] = _ColorBlock(nodes=nodes, matrix_t=matrix.T.tocsr())

@@ -1,10 +1,12 @@
 """Two-colored weighted directed graphs with row-stochastic transitions.
 
 A :class:`ColoredGraph` stores a directed graph whose nodes carry one of two
-colors (``"R"`` or ``"B"``) and whose out-edge weights form a right-stochastic
-transition matrix: random walks pick the next node with probability equal to
-the edge weight.  Graphs are immutable; :func:`insert_edge` returns a new
-graph with the source row renormalized so it still sums to one.
+colors (``"R"`` or ``"B"``) in CSR arrays whose out-edge weights form a
+right-stochastic transition matrix M: random walks pick the next node with
+probability equal to the edge weight.  The graph builds no matrix object;
+the exact engines derive what they step on from the CSR arrays and keep it
+in ``memo``.  Graphs are immutable; :func:`insert_edge` returns a new graph
+with the source row renormalized so it still sums to one.
 """
 from __future__ import annotations
 
@@ -15,7 +17,6 @@ from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import (
     DuplicateEdge,
@@ -63,11 +64,6 @@ class ColoredGraph:
     def __post_init__(self):
         for arr in (self.colors, self.indptr, self.targets, self.weights):
             arr.setflags(write=False)
-        n = self.colors.shape[0]
-        matrix = sp.csr_matrix(
-            (self.weights, self.targets, self.indptr), shape=(n, n)
-        )
-        object.__setattr__(self, "_matrix", matrix)
         object.__setattr__(self, "_red_mask", self.colors == RED)
 
     @property
@@ -78,17 +74,12 @@ class ColoredGraph:
     def edge_count(self) -> int:
         return self.targets.shape[0]
 
-    @property
-    def matrix(self) -> sp.csr_matrix:
-        """Right-stochastic transition matrix."""
-        return self._matrix
-
     @cached_property
     def memo(self) -> dict:
-        """Results derived from this graph (exact tables, each color's block
-        of the matrix, the Monte Carlo walk sampler and BR tables), keyed by
-        all their inputs, seeds included; filled on first use and dropped
-        with the graph."""
+        """Results derived from this graph (exact tables, the within-color
+        matrix W and each color's block of it, the Monte Carlo walk sampler
+        and BR tables), keyed by all their inputs, seeds included; filled on
+        first use and dropped with the graph."""
         return {}
 
     def out_degree(self, v: int) -> int:

@@ -66,8 +66,8 @@ class DatasetStats:
     edges_red_to_blue: int
     edges_blue_to_red: int
     edge_count: int
-    pct_parochial_red: float | None = None
-    pct_parochial_blue: float | None = None
+    pct_parochial_red: float
+    pct_parochial_blue: float
 
 
 @dataclass(frozen=True)
@@ -122,18 +122,16 @@ def cross_edge_counts(graph: ColoredGraph) -> tuple[int, int]:
 
 
 def dataset_stats(
-    graph: ColoredGraph, cfg: WalkConfig | None = None, backend: str = "exact"
+    graph: ColoredGraph, cfg: WalkConfig, backend: str = "exact"
 ) -> DatasetStats:
-    """Recompute the stats row from a graph; parochial shares need a config."""
+    """Recompute the stats row from a graph; ``cfg`` sets the parochial rule."""
     rb, br_ = cross_edge_counts(graph)
     n_red = int(graph.color_mask(RED).sum())
     n_blue = graph.n - n_red
-    pct_red = pct_blue = None
-    if cfg is not None:
-        table = br_table(graph, cfg, backend, cfg.seed)
-        part = classify(table, graph.colors, cfg.theta_good, cfg.theta_bad)
-        pct_red = 100.0 * part.parochial_red.size / n_red if n_red else 0.0
-        pct_blue = 100.0 * part.parochial_blue.size / n_blue if n_blue else 0.0
+    table = br_table(graph, cfg, backend, cfg.seed)
+    part = classify(table, graph.colors, cfg.theta_good, cfg.theta_bad)
+    pct_red = 100.0 * part.parochial_red.size / n_red if n_red else 0.0
+    pct_blue = 100.0 * part.parochial_blue.size / n_blue if n_blue else 0.0
     return DatasetStats(
         n_red=n_red,
         n_blue=n_blue,

@@ -1,8 +1,9 @@
 """Test oracles: the reference computations that check the package.
 
 No CLI verb, recommender, sweep step or engine calls these, so they live
-with the tests.  They are the bounded hitting times and first-passage
-profiles the exact engines are checked against, the one-node return-mass
+with the tests.  They are the transition matrix M built from the CSR
+arrays, the bounded hitting times and first-passage profiles stepped on it
+that the exact engines are checked against, the one-node return-mass
 profile, the Bubble Radius gain of a plan (exact or estimated), the paper's
 browsing-session model, the brute-force optimum of the insertion problem,
 the one-source target choice of the recommenders, the per-walk walker the
@@ -18,6 +19,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
 from repbublik.bias import br_table
 from repbublik.errors import EmptySourceSet, GraphValidationError, RepbublikError
@@ -68,6 +70,14 @@ class EnumerationTooLarge(RepbublikError):
         super().__init__(f"{plans} candidate plans exceed the enumeration cap {cap}")
 
 
+def transition_matrix(graph: ColoredGraph) -> sp.csr_matrix:
+    """M, the graph's right-stochastic transition matrix, built from its CSR
+    arrays; the reference programs step on it, not on the engine's W."""
+    return sp.csr_matrix(
+        (graph.weights, graph.targets, graph.indptr), shape=(graph.n, graph.n)
+    )
+
+
 @dataclass(frozen=True, eq=False)
 class FirstPassageProfile:
     """Color-avoiding first-passage probabilities from one node to another.
@@ -105,8 +115,9 @@ def exact_bounded_hitting(
     survival = np.ones(graph.n)
     survival[absorbed] = 0.0
     expected = survival.copy()
+    matrix = transition_matrix(graph)
     for _ in range(t - 1):
-        survival = graph.matrix @ survival
+        survival = matrix @ survival
         survival[absorbed] = 0.0
         expected += survival
     return expected
@@ -131,7 +142,7 @@ def exact_first_passage(
         )
     check_count("horizon", t)
 
-    matrix_t = graph.matrix.T.tocsr()
+    matrix_t = transition_matrix(graph).T.tocsr()
     absorb = graph.color_mask(opposite(graph.color_of(source))).copy()
     absorb[target] = True
     dist = np.zeros(graph.n)

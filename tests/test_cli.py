@@ -434,6 +434,8 @@ def test_accuracy_outside_range_exits_1(g2_files, epsilon, delta, capsys):
 
 
 def test_partial_sweep_failure_exit_code(g2_files, tmp_path, monkeypatch, capsys):
+    """Failed cells are named on stderr, also when --plot-dir then finds no
+    successful record to plot and the run exits 1."""
     from repbublik.errors import RepbublikError
     from repbublik.recommend import ALGORITHMS
 
@@ -445,15 +447,20 @@ def test_partial_sweep_failure_exit_code(g2_files, tmp_path, monkeypatch, capsys
 
     monkeypatch.setitem(ALGORITHMS, "broken", broken)
     edges, colors = g2_files
-    code = main([
-        "sweep", "--edges", str(edges), "--colors", str(colors),
-        "--t", "4", "--theta-good", "1.5", "--theta-bad", "2.0",
-        "--algorithms", "broken", "--k-list", "1", "--seeds", "1",
-        "--output", str(tmp_path / "s.csv"),
-    ])
-    assert code == 2
-    err = capsys.readouterr().err.splitlines()
-    assert err == ["cell broken K=1 seed=1: Boom: boom", "1 of 1 cells failed"]
+    report = ["cell broken K=1 seed=1: Boom: boom", "1 of 1 cells failed"]
+    no_plot = ["error: no successful experiment records to plot"]
+    for plot, want_code, tail in (
+        ([], 2, []),
+        (["--plot-dir", str(tmp_path / "plots")], 1, no_plot),
+    ):
+        code = main([
+            "sweep", "--edges", str(edges), "--colors", str(colors),
+            "--t", "4", "--theta-good", "1.5", "--theta-bad", "2.0",
+            "--algorithms", "broken", "--k-list", "1", "--seeds", "1",
+            "--output", str(tmp_path / "s.csv"), *plot,
+        ])
+        assert code == want_code
+        assert capsys.readouterr().err.splitlines() == report + tail
 
 
 def test_sweep_computes_br_only_for_the_default_ladder(g2_files, tmp_path, monkeypatch):

@@ -27,6 +27,7 @@ from oracles import (
     exact_first_passage,
     exact_gain,
     exact_return_mass,
+    transition_matrix,
 )
 
 
@@ -68,17 +69,12 @@ class TestExactBr:
         assert exact_br(all_red_cycle, 6).values == pytest.approx([6.0] * 3)
 
     def test_equals_two_absorbing_passes(self, g1, g2, all_red_cycle, red_two_cycle):
-        """The two-column pass has the bits of one exact_bounded_hitting pass
-        per color, also on one-color graphs, where it caps at t."""
-        third = 1.0 / 3.0
-        triangle = [(v, w, third) for v in range(4) for w in range(4) if v != w]
-        monochrome = [
-            build_graph(["B", "B", "B"], [(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0)]),
-            build_graph(["R"] * 4, triangle),
-            build_graph(["B"] * 4, triangle),
-        ]
+        """The one-column pass over W has the bits of one
+        exact_bounded_hitting pass per color, also on one-color graphs, where
+        it caps at t, and on a graph with empty rows in W."""
+        monochrome = _monochrome()
         fixtures = [(g1, 5), (g2, 4), (all_red_cycle, 6), (red_two_cycle, 3)]
-        fixtures += [(graph, 9) for graph in monochrome]
+        fixtures += [(graph, 9) for graph in monochrome + [_cross_only()]]
         checked = 0
         for graph, t in fixtures + _random_cases():
             for horizon in sorted({1, 2, t}):
@@ -88,6 +84,27 @@ class TestExactBr:
         for graph in monochrome:
             assert exact_br(graph, 9).values == pytest.approx([9.0] * graph.n, abs=1e-12)
         assert checked > 60
+
+
+class TestColorBlock:
+    def test_slice_of_transition_matrix(self, all_red_cycle, red_two_cycle):
+        """Each color's block, sliced out of W, holds the CSR arrays of
+        M[C][:, C]^T."""
+        graphs = [graph for graph, _ in _random_cases()]
+        graphs += _monochrome() + [all_red_cycle, red_two_cycle, _cross_only()]
+        checked = 0
+        for graph in graphs:
+            for color in ("R", "B"):
+                nodes = graph.nodes_of(color)
+                if nodes.size == 0:
+                    continue
+                got = repbublik.exact._color_block(graph, color).matrix_t
+                want = transition_matrix(graph)[nodes][:, nodes].T.tocsr()
+                assert np.array_equal(got.indptr, want.indptr)
+                assert np.array_equal(got.indices, want.indices)
+                assert np.array_equal(got.data, want.data)
+                checked += 1
+        assert checked > 50
 
 
 class TestFirstPassage:
@@ -188,10 +205,11 @@ def _rwcc_one_target(graph, v, sources, t_prime):
     src = np.asarray(sorted(set(int(u) for u in sources)), dtype=np.int64)
     keep = ~graph.color_mask(opposite(graph.color_of(v)))
     keep[v] = False
-    q = graph.matrix.T.tocsr()[v].toarray().ravel()
+    matrix = transition_matrix(graph)
+    q = matrix.T.tocsr()[v].toarray().ravel()
     acc = (t_prime - 1) * q
     for i in range(2, t_prime):
-        q = graph.matrix @ (q * keep)
+        q = matrix @ (q * keep)
         acc += (t_prime - i) * q
     return float(acc[src[src != v]].sum() / src.size)
 
@@ -226,10 +244,11 @@ def _rwcc_full_matrix(graph, nodes, sources, t_prime):
     q = np.zeros((graph.n, uniq.size))
     q[rows[hit], into[hit]] = graph.weights[hit]
     acc = (t_prime - 1) * q
+    matrix = transition_matrix(graph)
     for i in range(2, t_prime):
         q *= keep[:, None]
         q[uniq, cols] = 0.0
-        q = graph.matrix @ q
+        q = matrix @ q
         acc += (t_prime - i) * q
     values = np.empty(uniq.size)
     for member in (False, True):
@@ -252,12 +271,32 @@ def _return_profiles_full_matrix(graph, nodes, t_prime):
     cols = np.arange(nodes.size)
     block = np.zeros((graph.n, nodes.size))
     block[nodes, cols] = 1.0
-    matrix_t = graph.matrix.T.tocsr()
+    matrix_t = transition_matrix(graph).T.tocsr()
     for step in range(1, t_prime):
         block = matrix_t @ block
         block[avoid, :] = 0.0
         profiles[cols, step] = block[nodes, cols]
     return profiles
+
+
+def _monochrome():
+    """One-color graphs: a blue 3-cycle and complete red and blue 4-graphs."""
+    third = 1.0 / 3.0
+    triangle = [(v, w, third) for v in range(4) for w in range(4) if v != w]
+    return [
+        build_graph(["B", "B", "B"], [(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0)]),
+        build_graph(["R"] * 4, triangle),
+        build_graph(["B"] * 4, triangle),
+    ]
+
+
+def _cross_only():
+    """Red node 1 and blue node 3 link only across colors, so their rows of
+    W are empty."""
+    return build_graph(
+        ["R", "R", "B", "B"],
+        [(0, 1, 0.5), (0, 2, 0.5), (1, 2, 1.0), (2, 3, 0.5), (2, 0, 0.5), (3, 0, 1.0)],
+    )
 
 
 def _random_cases():

@@ -49,7 +49,7 @@ def g1_files(tmp_path):
 class TestLoadDataset:
     def test_g1_stats(self, g1_files):
         loaded = load_dataset(*g1_files)
-        s = dataset_stats(loaded.graph)
+        s = dataset_stats(loaded.graph, WalkConfig(t=5, theta_good=2.0, theta_bad=2.5))
         assert (s.n_red, s.n_blue) == (1, 1)
         assert (s.edges_red_to_blue, s.edges_blue_to_red) == (1, 1)
         assert s.edge_count == 2
@@ -106,7 +106,6 @@ class TestLoadDataset:
         s = dataset_stats(graph, cfg)
         assert s == dataset_stats(graph, cfg)
         assert (s.pct_parochial_red, s.pct_parochial_blue) == (0.0, 0.0)
-        assert dataset_stats(graph).pct_parochial_red is None
 
 
 class TestGenerateGadget:
