@@ -94,5 +94,10 @@ class BrOutOfRange(RepbublikError, ValueError):
     """A Bubble Radius table holds a value outside [1, t]."""
 
 
+class WorkLimitExceeded(RepbublikError, ValueError):
+    """A request implies more walk steps or horizon products than
+    ``graph.MAX_WORK``; raised before any of that work starts."""
+
+
 class EmptyRecords(RepbublikError):
     """Plot data requested from an empty experiment record list."""

@@ -26,7 +26,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import BrOutOfRange, EmptySourceSet, IdOutOfRange, MixedColorSet
-from .graph import BLUE, RED, ColoredGraph, check_count
+from .graph import BLUE, RED, ColoredGraph, check_count, check_work
 
 #: Absolute tolerance for the dynamic programs.
 DP_TOL = 1e-9
@@ -86,6 +86,12 @@ def _within(graph: ColoredGraph) -> sp.csr_matrix:
     return graph.memo["within"]
 
 
+def _check_horizon(graph: ColoredGraph, t: int) -> None:
+    """Raise unless ``t`` is a horizon whose passes over W fit ``MAX_WORK``."""
+    check_count("horizon", t)
+    check_work("exact products over W", graph.n + graph.edge_count, t)
+
+
 def exact_br(graph: ColoredGraph, t: int) -> BrTable:
     """Exact Bubble Radius of every node at horizon ``t``.
 
@@ -95,7 +101,7 @@ def exact_br(graph: ColoredGraph, t: int) -> BrTable:
     of both.  A color with no opposite nodes sits at the cap ``t``.  The
     table is computed once per graph and ``t`` and kept in ``graph.memo``.
     """
-    check_count("horizon", t)
+    _check_horizon(graph, t)
     key = ("br", t)
     if key in graph.memo:
         return graph.memo[key]
@@ -174,7 +180,7 @@ def exact_gamma(graph: ColoredGraph, t: int) -> float:
     One chunked block pass per color steps the walks from the color's nodes
     together; a node's total is the sum of its profile.
     """
-    check_count("horizon", t)
+    _check_horizon(graph, t)
     best = 1.0  # p_0 = 1 contributes to every node
     for color in (RED, BLUE):
         nodes = graph.nodes_of(color)
@@ -235,7 +241,7 @@ def exact_rwcc_many(
     the validated node and source arrays, so a repeated request is one
     dictionary lookup.
     """
-    check_count("horizon", t_prime)
+    _check_horizon(graph, t_prime)
     targets, uniq, src = _centrality_request(graph, nodes, sources)
     key = ("rwcc", t_prime, targets.tobytes(), src.tobytes())
     if key not in graph.memo:

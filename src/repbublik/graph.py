@@ -27,6 +27,7 @@ from .errors import (
     SelfLoopEdge,
     ThresholdOrder,
     UnknownColor,
+    WorkLimitExceeded,
     ZeroOutDegree,
 )
 
@@ -37,6 +38,10 @@ BLUE = "B"
 ROW_RENORM_TOL = 1e-6
 #: Constructed rows must sum to 1 within this tolerance.
 ROW_SUM_TOL = 1e-9
+#: Most work one request may imply, as items stepped times the horizon (see
+#: :func:`check_work`): about 1.1e12, orders of magnitude above what the
+#: figures, the benchmark or the tests ask for.
+MAX_WORK = 1 << 40
 
 
 def opposite(color: str) -> str:
@@ -171,6 +176,22 @@ def check_count(name: str, value: int, minimum: int = 1) -> None:
         raise ThresholdOrder(f"{name} must be >= {minimum}, got {value}")
 
 
+def check_work(name: str, items: float, horizon: int) -> None:
+    """Raise :class:`WorkLimitExceeded` when ``items`` stepped through
+    ``horizon`` steps exceed ``MAX_WORK``; called before the work starts.
+
+    The Monte Carlo estimators pass their walk count (a walk visits at most
+    ``horizon`` nodes), and the sizing functions theirs before it is rounded
+    up, which may be a float; the exact passes pass the graph's nodes plus
+    edges (each of the ``horizon - 1`` products over W touches every one
+    once).
+    """
+    if items > MAX_WORK / horizon:
+        raise WorkLimitExceeded(
+            f"{name} at horizon {horizon} exceed the work limit of 2**40 steps"
+        )
+
+
 def check_seed(seed: int) -> None:
     """Raise unless ``seed`` is an integer in [0, 2**64)."""
     if not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**64:
@@ -286,7 +307,8 @@ def build_graph(
         raise ZeroOutDegree(int(np.flatnonzero(degree == 0)[0]))
     indptr = np.concatenate(([0], np.cumsum(degree)))
 
-    row_sums = np.add.reduceat(wgt, indptr[:-1])
+    with np.errstate(over="ignore"):  # an infinite sum fails the check below
+        row_sums = np.add.reduceat(wgt, indptr[:-1])
     off = np.abs(row_sums - 1.0) > ROW_RENORM_TOL
     if off.any():
         v = int(np.flatnonzero(off)[0])

@@ -546,6 +546,22 @@ def test_output_help_says_what_the_verb_writes(verb, capsys):
     assert "instead of stdout" not in text
 
 
+def test_overflowing_row_sum_exits_1_without_a_warning(tmp_path):
+    # Two weights of 1e308 sum to inf: a typed NonStochasticRow, and no
+    # numpy overflow warning on stderr before it.
+    edges, colors = tmp_path / "e.tsv", tmp_path / "c.tsv"
+    edges.write_text("0\t1\t1e308\n0\t2\t1e308\n1\t0\t1.0\n2\t0\t1.0\n")
+    colors.write_text("0\tR\n1\tB\n2\tR\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "repbublik.cli", "stats",
+         "--edges", str(edges), "--colors", str(colors)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 1
+    assert "error:" in proc.stderr
+    assert "Warning" not in proc.stderr
+
+
 def test_console_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "repbublik.cli", "--help"],

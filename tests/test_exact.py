@@ -16,7 +16,8 @@ from repbublik import (
 import repbublik.exact
 from repbublik.exact import parochial_nodes
 from repbublik.graph import opposite
-from repbublik.errors import EmptySourceSet, MixedColorSet
+from repbublik.errors import EmptySourceSet, MixedColorSet, WorkLimitExceeded
+from repbublik.graph import MAX_WORK
 
 from oracles import (
     EnumerationTooLarge,
@@ -84,6 +85,16 @@ class TestExactBr:
         for graph in monochrome:
             assert exact_br(graph, 9).values == pytest.approx([9.0] * graph.n, abs=1e-12)
         assert checked > 60
+
+
+class TestHorizonBound:
+    def test_products_beyond_the_work_bound_are_typed(self, g2):
+        # g2 has 4 nodes and 5 edges, so its horizon may reach MAX_WORK / 9.
+        repbublik.exact._check_horizon(g2, MAX_WORK // 9)
+        with pytest.raises(WorkLimitExceeded, match="exact products over W"):
+            repbublik.exact._check_horizon(g2, MAX_WORK // 9 + 1)
+        with pytest.raises(WorkLimitExceeded):
+            repbublik.exact._check_horizon(g2, 99999999999999999999)
 
 
 class TestColorBlock:
@@ -439,6 +450,17 @@ class TestRwccBlock:
     def test_target_out_of_range_rejected(self, g2):
         with pytest.raises(ValueError):
             exact_rwcc_many(g2, [0, 4], {0, 1}, 4)
+
+    def test_sources_of_both_colors_rejected_for_a_blue_target(self, g2):
+        # The sources' colors sort to ("B", "R"), so the blue target matches
+        # the first; only the count of source colors rejects the request.
+        with pytest.raises(MixedColorSet, match="v=3"):
+            exact_rwcc_many(g2, [3], {0, 3}, 4)
+
+    def test_sorted_array_with_duplicates_is_deduplicated(self, g2):
+        nodes = np.array([0, 1, 1, 2], dtype=np.int64)
+        got = repbublik.exact._node_set(g2, nodes)
+        assert got.tolist() == [0, 1, 2]
 
 
 class TestReturnMassBlock:

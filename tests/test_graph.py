@@ -26,8 +26,10 @@ from repbublik.errors import (
     SelfLoopEdge,
     ThresholdOrder,
     UnknownColor,
+    WorkLimitExceeded,
     ZeroOutDegree,
 )
+from repbublik.graph import MAX_WORK, check_work
 
 from conftest import graph_strategy, random_polarized
 
@@ -179,6 +181,22 @@ class TestWalkConfig:
     def test_accuracy_outside_range_rejected(self, epsilon, delta):
         with pytest.raises(ThresholdOrder):
             WalkConfig(t=10, epsilon=epsilon, delta=delta)
+
+
+class TestCheckWork:
+    def test_bound_is_inclusive(self):
+        check_work("walks", MAX_WORK // 8, 8)
+        with pytest.raises(WorkLimitExceeded, match="walks at horizon 8"):
+            check_work("walks", MAX_WORK // 8 + 1, 8)
+
+    def test_counts_of_any_size_are_typed(self):
+        # A horizon past any float and a sizing's unrounded infinite count.
+        with pytest.raises(WorkLimitExceeded):
+            check_work("walks", 1, 10**400)
+        with pytest.raises(WorkLimitExceeded):
+            check_work("walks", math.inf, 2)
+        with pytest.raises(WorkLimitExceeded):
+            check_work("walks", np.int64(2**40), np.int64(2))
 
 
 class TestInsertionPlan:

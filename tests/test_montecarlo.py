@@ -1,5 +1,7 @@
 """Monte Carlo estimators: sample sizes, concentration, sessions, determinism."""
 import collections
+import itertools
+import math
 import tracemalloc
 import warnings
 
@@ -25,7 +27,13 @@ from repbublik import (
     repbublik_plus,
     rwcc_sample_size,
 )
-from repbublik.errors import EmptySourceSet, MixedColorSet, ThresholdOrder
+from repbublik.errors import (
+    EmptySourceSet,
+    MixedColorSet,
+    ThresholdOrder,
+    WorkLimitExceeded,
+)
+from repbublik.graph import MAX_WORK
 from repbublik.montecarlo import _WalkSampler, derive_seed, stream
 
 from conftest import random_polarized
@@ -34,19 +42,48 @@ from oracles import _walk, br_by_walks, rwcc_by_walks, simulate_restart_session
 
 class TestSampleSizes:
     def test_br_formula_reference_value(self):
-        assert br_sample_size(100, 10, 0.5, 0.05) == 3318
+        # ceil(9^2 * ln(4000) / (2 * 0.25)) = ceil(1343.6)
+        assert br_sample_size(100, 10, 0.5, 0.05) == 1344
 
     def test_br_t_one(self):
-        import math
-
-        n, eps, delta = 30, 0.4, 0.1
-        assert br_sample_size(n, 1, eps, delta) == math.ceil(
-            (1 / eps**2) * math.log(2 * n / delta)
-        )
+        # Every capped length is exactly 1, so one walk is exact.
+        assert br_sample_size(30, 1, 0.4, 0.1) == 1
 
     def test_br_loose_limit(self):
-        # epsilon -> 1, delta -> 0.5, n = t = 1: ceil(ln 4) = 2
-        assert br_sample_size(1, 1, 1.0, 0.5) == 2
+        # epsilon -> 1, delta -> 0.5, n = t = 1: still one walk
+        assert br_sample_size(1, 1, 1.0, 0.5) == 1
+
+    def test_br_formula_on_a_grid(self):
+        # Hoeffding for lengths in [1, t] with a union bound over n nodes.
+        for n, t, eps, delta in itertools.product(
+            (1, 7, 400), (2, 3, 10, 25), (0.1, 0.5, 0.9, 1.0), (0.01, 0.2, 0.5)
+        ):
+            want = math.ceil((t - 1) ** 2 * math.log(2 * n / delta) / (2 * eps**2))
+            assert br_sample_size(n, t, eps, delta) == want, (n, t, eps, delta)
+
+    def test_sizes_beyond_the_work_bound_are_typed(self):
+        # About 7e20 walks per node, and 5e20 sources per target.
+        with pytest.raises(WorkLimitExceeded, match="Bubble Radius walks"):
+            br_sample_size(40, 10, 1e-9, 0.05)
+        with pytest.raises(WorkLimitExceeded, match="closeness walks"):
+            rwcc_sample_size(10, 1e-9, 0.05)
+        # An epsilon whose square underflows, and horizons past any float.
+        with pytest.raises(WorkLimitExceeded):
+            br_sample_size(40, 10, 1e-200, 0.05)
+        with pytest.raises(WorkLimitExceeded):
+            br_sample_size(40, 10**400, 0.5, 0.05)
+        with pytest.raises(WorkLimitExceeded):
+            rwcc_sample_size(10**400, 0.5, 0.05)
+
+    def test_sizes_at_100k_nodes_fit_the_work_bound(self):
+        n, t = 100_000, 10
+        assert n * br_sample_size(n, t, 0.5, 0.05) * t <= MAX_WORK
+        assert n * rwcc_sample_size(t, 0.5, 0.05) * 4 * t <= MAX_WORK
+
+    def test_closeness_request_beyond_the_bound_is_typed(self, g2):
+        # The source draw would otherwise fail inside numpy, untyped.
+        with pytest.raises(WorkLimitExceeded):
+            estimate_rwcc_many(g2, [0], {0, 1}, 4, 1e-9, 0.05)
 
     def test_rwcc_reference_value(self):
         assert rwcc_sample_size(10, 1.0, 0.1) == 250

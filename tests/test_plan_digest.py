@@ -7,9 +7,14 @@ before closeness and plan application became block passes.  The Monte Carlo
 walk streams that draw, group by group and step by step, one uniform per
 live walk: every walk's uniforms changed, so every estimate did.  (``rwcn``
 reads no estimate, so its digest did not move, and ``pure-random@mc`` now
-happens to draw the exact backend's parochial pools.)  Any change to a source choice, a target
-choice, a tie break, an insertion weight's bits or an evaluated Bubble
-Radius changes a digest.
+happens to draw the exact backend's parochial pools.)  Three were recorded
+again when ``br_sample_size`` moved to the Hoeffding size for lengths in
+[1, t]: fewer walks per node change every Monte Carlo Bubble Radius, and so
+the ``repbublik`` plans and the ``lowest-br`` targets of ``repbublik-plus``;
+the other ``@mc`` variants read the estimates only through parochial pools,
+which did not change on these graphs.  Any change to a source choice, a
+target choice, a tie break, an insertion weight's bits or an evaluated
+Bubble Radius changes a digest.
 """
 import hashlib
 import json
@@ -55,9 +60,9 @@ EXPECTED = {
     "pure-random@exact": "d46403d872674d2236fe591d4fbf14085d36facaabce5a5ce829a51d22235541",
     "rcn@exact": "cef6f9080d7751e32000ca2ee3f3af1aa8985bd73b4659404ce0ca8589cabe18",
     "rwcn@exact": "2f613f77e270092b4c03a1ab95c12fcbaf600e9f102100bb90fd611c746bd1e2",
-    "repbublik/lowest-br@mc": "61d376b7524450c5577d77880e7eaf90fc550dca99fbf93c91b8582d9b09031c",
-    "repbublik/uniform-seeded@mc": "5a19ebfc537578799f5f6ef58df42a95a59180a6ab13c048f25354715b7f6747",
-    "repbublik-plus/lowest-br@mc": "42269c1f53c201170f8e17d337f2af9fd441d55637efa15b08a403bdb7251015",
+    "repbublik/lowest-br@mc": "c524b12408e9cadd148a65334e37a6ec737469b315d947c1feb937aac3e1bd17",
+    "repbublik/uniform-seeded@mc": "8b951d7875c725f08c098a3d9d3e8bf0ef6f7f60e8851c0311b08610f36f3c43",
+    "repbublik-plus/lowest-br@mc": "771f9ded5aa7884616d56c075994605b39863fc53d909d325edce8a2dff0c6dd",
     "repbublik-plus/uniform-seeded@mc": "afd4b56ec207e800730eb3a5be0c2103fdd9fa9bd490a6aeb9cc88f3eb2150d9",
     "pure-random@mc": "d46403d872674d2236fe591d4fbf14085d36facaabce5a5ce829a51d22235541",
     "rcn@mc": "0bb703636cd7646cc5decb513796832d3db319c913d989d83a1d920644355ebc",

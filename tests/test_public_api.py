@@ -33,7 +33,7 @@ ERRORS = {
     "EmptySourceSet", "GraphValidationError", "IdOutOfRange", "MixedColorSet",
     "NoOppositeColor", "NonStochasticRow", "ParseError", "RepbublikError",
     "SameColorEndpoints", "SelfLoopEdge", "ThresholdOrder", "UncoveredElement",
-    "UnknownColor", "UnknownName", "ZeroOutDegree",
+    "UnknownColor", "UnknownName", "WorkLimitExceeded", "ZeroOutDegree",
 }
 
 BUILTIN_EXCEPTIONS = {
@@ -86,7 +86,7 @@ def test_every_error_class_is_used_outside_errors_py():
 def test_error_classes_are_pinned():
     tree = ast.parse((PACKAGE / "errors.py").read_text())
     classes = {node.name for node in tree.body if isinstance(node, ast.ClassDef)}
-    assert len(ERRORS) == 19
+    assert len(ERRORS) == 20
     assert classes == ERRORS
     assert all(issubclass(getattr(errors, name), errors.RepbublikError) for name in ERRORS)
 
