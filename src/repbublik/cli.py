@@ -153,9 +153,7 @@ def _cmd_rwcc(args) -> int:
 def _cmd_recommend(args) -> int:
     cfg = _config(args)
     loaded = load_dataset(args.edges, args.colors)
-    plan = ALGORITHMS[args.algorithm](
-        loaded.graph, args.color, args.k, cfg, seed=args.seed, backend=args.backend
-    )
+    plan = ALGORITHMS[args.algorithm](loaded.graph, args.color, args.k, cfg, backend=args.backend)
     lines = ["src\tdst\tweight"]
     for e in plan.edges:
         lines.append(

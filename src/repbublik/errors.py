@@ -87,7 +87,7 @@ class ParseError(RepbublikError, ValueError):
 
 
 class UnknownName(RepbublikError, ValueError):
-    """A backend, target policy or algorithm name the package does not know."""
+    """A backend or algorithm name the package does not know."""
 
 
 class BrOutOfRange(RepbublikError, ValueError):

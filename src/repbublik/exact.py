@@ -239,10 +239,13 @@ def exact_rwcc_many(
 
     The result is read-only and kept in ``graph.memo`` under the horizon and
     the validated node and source arrays, so a repeated request is one
-    dictionary lookup.
+    dictionary lookup.  Raises :class:`WorkLimitExceeded`, before any
+    product, when the products over W or the renewal's t'(t' - 1)/2 vector
+    operations exceed ``MAX_WORK``.
     """
     _check_horizon(graph, t_prime)
     targets, uniq, src = _centrality_request(graph, nodes, sources)
+    check_work("exact renewal operations", uniq.size, t_prime * (t_prime - 1) // 2)
     key = ("rwcc", t_prime, targets.tobytes(), src.tobytes())
     if key not in graph.memo:
         result = _rwcc_block(graph, targets, uniq, src, t_prime)

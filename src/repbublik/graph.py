@@ -38,10 +38,15 @@ BLUE = "B"
 ROW_RENORM_TOL = 1e-6
 #: Constructed rows must sum to 1 within this tolerance.
 ROW_SUM_TOL = 1e-9
-#: Most work one request may imply, as items stepped times the horizon (see
+#: Most work one request may imply, in element operations (see
 #: :func:`check_work`): about 1.1e12, orders of magnitude above what the
 #: figures, the benchmark or the tests ask for.
 MAX_WORK = 1 << 40
+#: Least work one step is charged, however few items it steps.  A step is a
+#: numpy or scipy call made from Python: 1-4 us each on a 2-CPU Xeon desk
+#: host (Python 3.11, numpy 2.4, scipy 1.17), about as long as 4096 element
+#: operations take there.
+STEP_COST = 1 << 12
 
 
 def opposite(color: str) -> str:
@@ -176,19 +181,21 @@ def check_count(name: str, value: int, minimum: int = 1) -> None:
         raise ThresholdOrder(f"{name} must be >= {minimum}, got {value}")
 
 
-def check_work(name: str, items: float, horizon: int) -> None:
-    """Raise :class:`WorkLimitExceeded` when ``items`` stepped through
-    ``horizon`` steps exceed ``MAX_WORK``; called before the work starts.
+def check_work(name: str, items: float, steps: int) -> None:
+    """Raise :class:`WorkLimitExceeded` when ``steps`` steps over ``items``
+    items each exceed ``MAX_WORK``; called before the work starts.  Each
+    step is charged ``max(items, STEP_COST)``.
 
-    The Monte Carlo estimators pass their walk count (a walk visits at most
-    ``horizon`` nodes), and the sizing functions theirs before it is rounded
-    up, which may be a float; the exact passes pass the graph's nodes plus
-    edges (each of the ``horizon - 1`` products over W touches every one
-    once).
+    The Monte Carlo estimators pass their walk count and the horizon (a
+    walk visits at most ``horizon`` nodes), and the sizing functions theirs
+    before it is rounded up, which may be a float; the exact passes pass the
+    graph's nodes plus edges and the horizon (each of the ``horizon - 1``
+    products over W touches every one once), and the closeness renewal its
+    targets and its count of vector operations.
     """
-    if items > MAX_WORK / horizon:
+    if steps and max(items, STEP_COST) > MAX_WORK / steps:
         raise WorkLimitExceeded(
-            f"{name} at horizon {horizon} exceed the work limit of 2**40 steps"
+            f"{name}: {steps} steps exceed the work limit of 2**40 element operations"
         )
 
 
@@ -384,12 +391,21 @@ def apply_plan(
     return ColoredGraph(colors=graph.colors, indptr=indptr, targets=targets, weights=weights)
 
 
-def weight_oracle(graph: ColoredGraph, v: int, *, planned: int = 0) -> float:
+def weight_oracle(
+    graph: ColoredGraph,
+    v: int | np.ndarray,
+    *,
+    planned: int | np.ndarray = 0,
+) -> float | np.ndarray:
     """Transition weight granted to the next edge inserted from ``v``.
 
     Returns ``1 / (d'(v) + 1)`` where ``d'(v)`` counts the out-degree of
     ``v`` in the original graph plus the ``planned`` insertions already
     planned from ``v``: each planned edge changes the page, so later
-    insertions see the grown degree.
+    insertions see the grown degree.  ``v`` may also be an array of nodes,
+    with ``planned`` one count or one per node; the weights then come back
+    as an array, each with the bits of the one-node call.
     """
+    if isinstance(v, np.ndarray):
+        return 1.0 / (graph.indptr[v + 1] - graph.indptr[v] + planned + 1)
     return 1.0 / (graph.out_degree(v) + planned + 1)

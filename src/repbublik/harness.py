@@ -11,7 +11,7 @@ import math
 import re
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
@@ -541,7 +541,8 @@ class _AlgorithmCells:
         if key not in self._plans:
             try:
                 self._plans[key] = ALGORITHMS[self.algo](
-                    self.graph, color, self.top[color], self.cfg, seed=seed, backend=self.backend
+                    self.graph, color, self.top[color], replace(self.cfg, seed=seed),
+                    backend=self.backend,
                 ).edges
             except RepbublikError as exc:
                 self._plans[key] = exc

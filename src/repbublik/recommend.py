@@ -8,10 +8,14 @@ variant freezes the parochial set and the centralities at the start and
 divides each node's score by a penalty that grows with the edges already
 planned from it, which spreads insertions across sources.
 
-Every recommender takes ``(graph, color, budget, cfg, seed=None,
-backend="exact")``; the two greedies also take a keyword ``policy`` for the
-choice of target.  Each builds its plan through one ``_Plan``, which picks
-every target by the policy and gives every edge its oracle weight.
+Every recommender takes ``(graph, color, budget, cfg, backend="exact")``
+and draws from ``cfg.seed``.  Each builds its plan through one ``_Plan``,
+which picks every target and gives every edge its oracle weight.  The
+baselines draw their targets uniformly; the greedies link each source to
+its legal target of lowest Bubble Radius (BR), ties to the lowest id, and
+draw nothing for it.  The target cannot move any BR: the new edge leaves the
+source's color, and a walk ends at its first node of the other color,
+whichever node that is.
 """
 from __future__ import annotations
 
@@ -41,7 +45,6 @@ from .montecarlo import derive_seed, estimate_rwcc, estimate_rwcc_many, stream  
 
 _TAG_BR = 11
 _TAG_RWCC = 12
-_TAG_TARGET = 13
 _TAG_BASELINE = 14
 
 #: Share of the parochial pool, in percent, that the central baselines sample from.
@@ -52,12 +55,11 @@ def _parochial_pool(
     graph: ColoredGraph,
     color: str,
     cfg: WalkConfig,
-    seed: int,
     backend: str,
     round_no: int = 0,
 ) -> tuple[BrTable, np.ndarray]:
     """BR table of one scoring round and the parochial nodes of ``color``."""
-    br = br_table(graph, cfg, backend, derive_seed(seed, _TAG_BR, round_no))
+    br = br_table(graph, cfg, backend, derive_seed(cfg.seed, _TAG_BR, round_no))
     return br, parochial_nodes(graph.colors, br, color, cfg.theta_bad)
 
 
@@ -66,17 +68,14 @@ def _prologue(
     color: str,
     budget: int,
     cfg: WalkConfig,
-    seed: int | None,
     backend: str,
-) -> tuple[int, BrTable, np.ndarray]:
-    """Shared start of every recommender: argument checks, the seed default,
-    and the first round's BR table and parochial pool."""
+) -> tuple[BrTable, np.ndarray]:
+    """Shared start of every recommender: argument checks, then the first
+    round's BR table and parochial pool."""
     check_count("budget", budget, 0)
     if not graph.color_mask(opposite(color)).any():
         raise NoOppositeColor(f"no node of color {opposite(color)} to link toward")
-    if seed is None:
-        seed = cfg.seed
-    return (seed, *_parochial_pool(graph, color, cfg, seed, backend))
+    return _parochial_pool(graph, color, cfg, backend)
 
 
 def closeness(
@@ -117,14 +116,6 @@ def _centralities(
     return closeness(graph, pool, pool, cfg.t - 2, cfg, backend, seed)
 
 
-def _oracle_weights(
-    graph: ColoredGraph, pool: np.ndarray, planned: np.ndarray
-) -> np.ndarray:
-    """``weight_oracle(graph, v, planned=planned[v])`` for every v in pool,
-    bit for bit: 1.0 divided by the same integer."""
-    return 1.0 / (graph.indptr[pool + 1] - graph.indptr[pool] + planned[pool] + 1)
-
-
 def _holds(ascending: list[int], x: int) -> bool:
     i = bisect_left(ascending, x)
     return i < len(ascending) and ascending[i] == x
@@ -138,10 +129,10 @@ class _Plan:
     out-neighbors and the targets already picked for it.  ``others`` holds
     the opposite color ascending, and each source keeps the excluded
     positions in ``others`` as a sorted list, so the count and the k-th
-    legal target follow from the two sorted sequences.  ``policy`` is
-    checked here, before any pick, and holds for every pick; the
-    ``uniform-seeded`` picks draw from ``rng``.  ``planned[v]`` counts the
-    edges planned from v, the count the oracle weight of v's next edge reads.
+    legal target follow from the two sorted sequences.  With ``rng`` every
+    pick is one uniform draw from it; without, every pick follows the order
+    set by :meth:`rank`.  ``planned[v]`` counts the edges planned from v,
+    the count the oracle weight of v's next edge reads.
     """
 
     def __init__(
@@ -149,13 +140,9 @@ class _Plan:
         graph: ColoredGraph,
         color: str,
         budget: int,
-        policy: str,
         rng: np.random.Generator | None = None,
     ):
-        if policy not in ("lowest-br", "uniform-seeded"):
-            raise UnknownName(f"unknown target policy {policy!r}")
-        self.graph, self.color, self.budget = graph, color, budget
-        self.policy, self.rng = policy, rng
+        self.graph, self.color, self.budget, self.rng = graph, color, budget, rng
         self.others = graph.nodes_of(opposite(color))
         self.edges: list[EdgeInsertion] = []
         self.planned = np.zeros(graph.n, dtype=np.int64)
@@ -163,7 +150,7 @@ class _Plan:
         self._ranked: np.ndarray | None = None  # set by rank()
 
     def rank(self, br: BrTable) -> None:
-        """Order ``others`` by (BR, id) for the ``lowest-br`` policy."""
+        """Order ``others`` by (BR, id) for the picks without ``rng``."""
         self._ranked = np.lexsort((self.others, br.values[self.others]))
 
     def _excluded_of(self, v: int) -> list[int]:
@@ -181,15 +168,15 @@ class _Plan:
         planned and nothing drawn, when ``v`` links to every node of the
         other color.
 
-        ``lowest-br``: the legal target first in the ranked order, so of
-        smallest BR, ties to the lowest id; ``uniform-seeded``: one uniform
-        draw from ``rng`` over the legal targets, ascending.
+        With ``rng``: one uniform draw over the legal targets, ascending;
+        without: the legal target first in the ranked order, so of smallest
+        BR, ties to the lowest id.
         """
         excluded = self._excluded_of(v)
         legal = self.others.size - len(excluded)
         if legal == 0:
             return False
-        if self.policy == "uniform-seeded":
+        if self.rng is not None:
             pos = int(self.rng.integers(legal))
             for p in excluded:  # step over the excluded positions at or before it
                 if p > pos:
@@ -213,10 +200,7 @@ def repbublik(
     color: str,
     budget: int,
     cfg: WalkConfig,
-    seed: int | None = None,
     backend: str = "exact",
-    *,
-    policy: str = "lowest-br",
 ) -> InsertionPlan:
     """Greedy insertion plan with per-round recomputation.
 
@@ -226,22 +210,21 @@ def repbublik(
     passing over nodes that already link to every node of the other color.
     Stops early once no parochial node of ``color`` has a legal target left.
     """
-    seed, br, pool = _prologue(graph, color, budget, cfg, seed, backend)
-    plan = _Plan(graph, color, budget, policy, stream(seed, _TAG_TARGET))
+    br, pool = _prologue(graph, color, budget, cfg, backend)
+    plan = _Plan(graph, color, budget)
     current = graph
     for round_no in range(budget):
         if round_no > 0:
-            br, pool = _parochial_pool(current, color, cfg, seed, backend, round_no)
+            br, pool = _parochial_pool(current, color, cfg, backend, round_no)
         if pool.size == 0:
             break
         scores = _centralities(
-            current, pool, cfg, backend, derive_seed(seed, _TAG_RWCC, round_no)
+            current, pool, cfg, backend, derive_seed(cfg.seed, _TAG_RWCC, round_no)
         )
-        weights = _oracle_weights(graph, pool, plan.planned)
-        if policy == "lowest-br":
-            plan.rank(br)
+        weights = weight_oracle(graph, pool, planned=plan.planned[pool])
+        plan.rank(br)
         # Best score first, ties to the lowest id; a source without a legal
-        # target draws nothing, and a pool of such sources ends the plan.
+        # target is passed over, and a pool of such sources ends the plan.
         order = np.argsort(-(scores * weights), kind="stable").tolist()
         if not any(plan.add(int(pool[i])) for i in order):
             break
@@ -254,10 +237,7 @@ def repbublik_plus(
     color: str,
     budget: int,
     cfg: WalkConfig,
-    seed: int | None = None,
     backend: str = "exact",
-    *,
-    policy: str = "lowest-br",
 ) -> InsertionPlan:
     """Penalized greedy plan with a single up-front scoring pass.
 
@@ -273,13 +253,12 @@ def repbublik_plus(
     ``color`` node, so the opposite color's Bubble Radii cannot move while
     the plan is built.
     """
-    seed, br, pool = _prologue(graph, color, budget, cfg, seed, backend)
-    plan = _Plan(graph, color, budget, policy, stream(seed, _TAG_TARGET))
+    br, pool = _prologue(graph, color, budget, cfg, backend)
+    plan = _Plan(graph, color, budget)
     if pool.size == 0 or budget == 0:
         return plan.done()
-    base = _centralities(graph, pool, cfg, backend, derive_seed(seed, _TAG_RWCC, 0))
-    if policy == "lowest-br":
-        plan.rank(br)
+    base = _centralities(graph, pool, cfg, backend, derive_seed(cfg.seed, _TAG_RWCC, 0))
+    plan.rank(br)
 
     # A min-heap on (-score, eta, id), where eta is one plus the edges
     # planned from the source and the score is base * oracle weight / eta.
@@ -312,7 +291,7 @@ def _random_plan(
     when the pool (possibly empty) runs out of legal edges before the
     budget is spent."""
     pool = [int(v) for v in pool]
-    plan = _Plan(graph, color, budget, "uniform-seeded", rng)
+    plan = _Plan(graph, color, budget, rng)
     while len(plan.edges) < budget and pool:
         v = pool[int(rng.integers(len(pool)))]
         if not plan.add(v):
@@ -331,12 +310,11 @@ def baseline_pure_random(
     color: str,
     budget: int,
     cfg: WalkConfig,
-    seed: int | None = None,
     backend: str = "exact",
 ) -> InsertionPlan:
     """Sources uniform over the parochial set of ``color``, targets uniform."""
-    seed, _, pool = _prologue(graph, color, budget, cfg, seed, backend)
-    return _random_plan(graph, pool, color, budget, stream(seed, _TAG_BASELINE, 0))
+    _, pool = _prologue(graph, color, budget, cfg, backend)
+    return _random_plan(graph, pool, color, budget, stream(cfg.seed, _TAG_BASELINE, 0))
 
 
 def _top_pool(pool: np.ndarray, scores: np.ndarray) -> np.ndarray:
@@ -352,14 +330,13 @@ def baseline_rcn(
     color: str,
     budget: int,
     cfg: WalkConfig,
-    seed: int | None = None,
     backend: str = "exact",
 ) -> InsertionPlan:
     """Random sources from the top-N-percent most central parochial nodes."""
-    seed, _, pool = _prologue(graph, color, budget, cfg, seed, backend)
-    scores = _centralities(graph, pool, cfg, backend, derive_seed(seed, _TAG_RWCC, 0))
+    _, pool = _prologue(graph, color, budget, cfg, backend)
+    scores = _centralities(graph, pool, cfg, backend, derive_seed(cfg.seed, _TAG_RWCC, 0))
     top = _top_pool(pool, scores)
-    return _random_plan(graph, top, color, budget, stream(seed, _TAG_BASELINE, 1))
+    return _random_plan(graph, top, color, budget, stream(cfg.seed, _TAG_BASELINE, 1))
 
 
 def baseline_rwcn(
@@ -367,19 +344,18 @@ def baseline_rwcn(
     color: str,
     budget: int,
     cfg: WalkConfig,
-    seed: int | None = None,
     backend: str = "exact",
 ) -> InsertionPlan:
     """Like the central baseline, but ranks by centrality * oracle weight."""
-    seed, _, pool = _prologue(graph, color, budget, cfg, seed, backend)
-    scores = _centralities(graph, pool, cfg, backend, derive_seed(seed, _TAG_RWCC, 0))
-    scores = scores * _oracle_weights(graph, pool, np.zeros(graph.n, dtype=np.int64))
+    _, pool = _prologue(graph, color, budget, cfg, backend)
+    scores = _centralities(graph, pool, cfg, backend, derive_seed(cfg.seed, _TAG_RWCC, 0))
+    scores = scores * weight_oracle(graph, pool)
     top = _top_pool(pool, scores)
-    return _random_plan(graph, top, color, budget, stream(seed, _TAG_BASELINE, 2))
+    return _random_plan(graph, top, color, budget, stream(cfg.seed, _TAG_BASELINE, 2))
 
 
 #: Registry used by the sweep harness and the CLI; every entry takes
-#: ``(graph, color, budget, cfg, seed=None, backend="exact")``.
+#: ``(graph, color, budget, cfg, backend="exact")`` and draws from ``cfg.seed``.
 ALGORITHMS = {
     "repbublik": repbublik,
     "repbublik-plus": repbublik_plus,

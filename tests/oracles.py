@@ -44,7 +44,7 @@ from repbublik.montecarlo import (
     estimate_br,
     stream,
 )
-from repbublik.recommend import _TAG_TARGET, _Plan
+from repbublik.recommend import _Plan
 
 # The browsing session's stream purpose; the package's walk streams use 1-3.
 _STREAM_SESSION = 4
@@ -429,28 +429,17 @@ def simulate_restart_session(
 def target_selection(
     graph: ColoredGraph,
     v: int,
-    plan: InsertionPlan | tuple[EdgeInsertion, ...] = (),
-    policy: str = "lowest-br",
-    cfg: WalkConfig | None = None,
+    plan: InsertionPlan | tuple[EdgeInsertion, ...],
+    cfg: WalkConfig,
     backend: str = "exact",
-    seed: int | None = None,
 ) -> int:
-    """Pick the destination for the next insertion from ``v`` given ``plan``.
-
-    ``lowest-br`` (default) returns the opposite-color node with the smallest
-    current Bubble Radius among targets not already linked from ``v``;
-    ``uniform-seeded`` draws uniformly from the legal targets.  Ties go to
-    the lowest node id.
+    """Pick the destination for the next insertion from ``v`` given ``plan``:
+    the opposite-color node with the smallest current Bubble Radius among
+    targets not already linked from ``v``, ties to the lowest node id.
     """
-    if policy == "lowest-br" and cfg is None:
-        raise ValueError("the lowest-br policy needs a WalkConfig for the horizon")
-    if seed is None:
-        seed = cfg.seed if cfg is not None else 0
     current = apply_plan(graph, plan)
-    rng = stream(seed, _TAG_TARGET, v) if policy == "uniform-seeded" else None
-    one = _Plan(current, current.color_of(v), 1, policy, rng)
-    if policy == "lowest-br":
-        one.rank(br_table(current, cfg, backend, seed))
+    one = _Plan(current, current.color_of(v), 1)
+    one.rank(br_table(current, cfg, backend, cfg.seed))
     if not one.add(v):
         raise NoLegalTarget(v)
     return one.edges[-1].dst

@@ -442,7 +442,7 @@ def test_partial_sweep_failure_exit_code(g2_files, tmp_path, monkeypatch, capsys
     class Boom(RepbublikError):
         pass
 
-    def broken(graph, color, budget, cfg, seed=None, backend="exact"):
+    def broken(graph, color, budget, cfg, backend="exact"):
         raise Boom("boom")
 
     monkeypatch.setitem(ALGORITHMS, "broken", broken)
@@ -560,6 +560,27 @@ def test_overflowing_row_sum_exits_1_without_a_warning(tmp_path):
     assert proc.returncode == 1
     assert "error:" in proc.stderr
     assert "Warning" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["br", "--t", "100000000000"],
+    ["rwcc", "--t", "100000"],
+    ["recommend", "--color", "R", "-k", "1", "--t", "100000"],
+])
+def test_work_past_the_bound_exits_1_at_once(tmp_path, argv):
+    # Three nodes and four edges: the requests are tiny in items but long
+    # in steps, a BR pass of 1e11 products and a closeness renewal of about
+    # 5e9 vector operations.
+    edges, colors = tmp_path / "e.tsv", tmp_path / "c.tsv"
+    edges.write_text("0\t1\t0.5\n0\t2\t0.5\n1\t0\t1.0\n2\t0\t1.0\n")
+    colors.write_text("0\tR\n1\tR\n2\tB\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "repbublik.cli", *argv, "--edges", str(edges),
+         "--colors", str(colors), "--theta-good", "1.5", "--theta-bad", "2"],
+        capture_output=True, text=True, timeout=5,
+    )
+    assert proc.returncode == 1
+    assert "exceed the work limit of 2**40" in proc.stderr
 
 
 def test_console_entry_point_runs():

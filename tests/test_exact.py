@@ -17,7 +17,7 @@ import repbublik.exact
 from repbublik.exact import parochial_nodes
 from repbublik.graph import opposite
 from repbublik.errors import EmptySourceSet, MixedColorSet, WorkLimitExceeded
-from repbublik.graph import MAX_WORK
+from repbublik.graph import MAX_WORK, STEP_COST
 
 from oracles import (
     EnumerationTooLarge,
@@ -89,12 +89,26 @@ class TestExactBr:
 
 class TestHorizonBound:
     def test_products_beyond_the_work_bound_are_typed(self, g2):
-        # g2 has 4 nodes and 5 edges, so its horizon may reach MAX_WORK / 9.
-        repbublik.exact._check_horizon(g2, MAX_WORK // 9)
+        # g2 has 4 nodes and 5 edges, fewer than a step's least charge, so
+        # its horizon may reach MAX_WORK / STEP_COST.
+        repbublik.exact._check_horizon(g2, MAX_WORK // STEP_COST)
         with pytest.raises(WorkLimitExceeded, match="exact products over W"):
-            repbublik.exact._check_horizon(g2, MAX_WORK // 9 + 1)
+            repbublik.exact._check_horizon(g2, MAX_WORK // STEP_COST + 1)
         with pytest.raises(WorkLimitExceeded):
             repbublik.exact._check_horizon(g2, 99999999999999999999)
+
+    def test_renewal_beyond_the_work_bound_is_typed(self, g2, monkeypatch):
+        # Two red targets: the renewal's t'(t' - 1)/2 vector operations are
+        # charged STEP_COST each, so t' = 23170 passes and 23171 does not,
+        # before any product over the block.
+        def no_products(*args):
+            raise AssertionError("a product ran before the renewal check")
+
+        monkeypatch.setattr(repbublik.exact, "_rwcc_block", no_products)
+        with pytest.raises(AssertionError, match="a product ran"):
+            exact_rwcc_many(g2, [0, 1], [0, 1, 2], 23170)
+        with pytest.raises(WorkLimitExceeded, match="exact renewal operations"):
+            exact_rwcc_many(g2, [0, 1], [0, 1, 2], 23171)
 
 
 class TestColorBlock:

@@ -29,7 +29,7 @@ from repbublik.errors import (
     WorkLimitExceeded,
     ZeroOutDegree,
 )
-from repbublik.graph import MAX_WORK, check_work
+from repbublik.graph import MAX_WORK, STEP_COST, check_work
 
 from conftest import graph_strategy, random_polarized
 
@@ -186,8 +186,16 @@ class TestWalkConfig:
 class TestCheckWork:
     def test_bound_is_inclusive(self):
         check_work("walks", MAX_WORK // 8, 8)
-        with pytest.raises(WorkLimitExceeded, match="walks at horizon 8"):
+        with pytest.raises(WorkLimitExceeded, match="walks: 8 steps"):
             check_work("walks", MAX_WORK // 8 + 1, 8)
+
+    def test_a_step_costs_at_least_step_cost(self):
+        steps = MAX_WORK // STEP_COST
+        for items in (0, 1, STEP_COST):
+            check_work("products", items, steps)
+            with pytest.raises(WorkLimitExceeded, match=f"products: {steps + 1} steps"):
+                check_work("products", items, steps + 1)
+        check_work("products", 1, 0)
 
     def test_counts_of_any_size_are_typed(self):
         # A horizon past any float and a sizing's unrounded infinite count.

@@ -1,6 +1,7 @@
 """Dataset IO, fixture generators, the sweep protocol, and plot emission."""
 import time
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -180,9 +181,9 @@ class TestRunSweep:
         cfg = WalkConfig(t=6, theta_good=2.0, theta_bad=3.0, seed=1)
         builds = []
 
-        def spy(graph, color, budget, cfg, seed=None, backend="exact"):
-            builds.append((seed, color, budget))
-            return repbublik_plus(graph, color, budget, cfg, seed=seed, backend=backend)
+        def spy(graph, color, budget, cfg, backend="exact"):
+            builds.append((cfg.seed, color, budget))
+            return repbublik_plus(graph, color, budget, cfg, backend=backend)
 
         monkeypatch.setitem(ALGORITHMS, "spy", spy)
         records = run_sweep(graph, ["spy"], [0, 1, 2, 3], cfg, [1, 2], tmp_path / "s.csv")
@@ -244,7 +245,7 @@ class TestRunSweep:
         class DeliberatelyBroken(RepbublikError):
             pass
 
-        def broken(graph, color, budget, cfg, seed=None, backend="exact"):
+        def broken(graph, color, budget, cfg, backend="exact"):
             raise DeliberatelyBroken("deliberately broken")
 
         ALGORITHMS["broken"] = broken
@@ -263,7 +264,7 @@ class TestRunSweep:
 
     @pytest.mark.parametrize("error", [RuntimeError, ValueError])
     def test_programming_error_propagates(self, error, gadget6, tmp_path, monkeypatch):
-        def broken(graph, color, budget, cfg, seed=None, backend="exact"):
+        def broken(graph, color, budget, cfg, backend="exact"):
             raise error("a bug, not a recordable failure")
 
         monkeypatch.setitem(ALGORITHMS, "broken", broken)
@@ -317,7 +318,7 @@ def _reference_sweep(graph, algorithms, k_values, cfg, seeds, out_path, backend)
                         for color, k_c in (("R", k_red), ("B", k_blue)):
                             if k_c > 0:
                                 plan = ALGORITHMS[algo](
-                                    graph, color, k_c, cfg, seed=seed, backend=backend
+                                    graph, color, k_c, replace(cfg, seed=seed), backend=backend
                                 )
                                 edges.extend(plan.edges)
                         grown = harness.apply_plan(graph, edges)
@@ -411,11 +412,11 @@ class TestSweepOracle:
     def test_failing_build_fails_each_cell_of_its_color(self, tmp_path, monkeypatch):
         calls = []
 
-        def red_fails(graph, color, budget, cfg, seed=None, backend="exact"):
-            calls.append((seed, color, budget))
+        def red_fails(graph, color, budget, cfg, backend="exact"):
+            calls.append((cfg.seed, color, budget))
             if color == "R" and budget > 0:
-                raise _NoRedPlan(f"no red plan for seed {seed}")
-            return baseline_pure_random(graph, color, budget, cfg, seed=seed, backend=backend)
+                raise _NoRedPlan(f"no red plan for seed {cfg.seed}")
+            return baseline_pure_random(graph, color, budget, cfg, backend=backend)
 
         monkeypatch.setitem(ALGORITHMS, "red-fails", red_fails)
         graph, t = self._graphs()[0]
@@ -460,7 +461,7 @@ class TestSweepOracle:
         assert max(n for r, n in zip(records, added[1:]) if r.budget == 83) == 83
 
     def test_rows_before_a_programming_error_are_flushed(self, tmp_path, monkeypatch):
-        def broken(graph, color, budget, cfg, seed=None, backend="exact"):
+        def broken(graph, color, budget, cfg, backend="exact"):
             raise RuntimeError("a bug, not a recordable failure")
 
         monkeypatch.setitem(ALGORITHMS, "broken", broken)
@@ -491,10 +492,10 @@ class TestSweepOracle:
         graph, t = self._graphs()[2]
         calls = []
 
-        def slow(graph, color, budget, cfg, seed=None, backend="exact"):
-            calls.append((color, budget, seed))
+        def slow(graph, color, budget, cfg, backend="exact"):
+            calls.append((color, budget, cfg.seed))
             time.sleep(0.05)
-            return baseline_pure_random(graph, color, budget, cfg, seed=seed, backend=backend)
+            return baseline_pure_random(graph, color, budget, cfg, backend=backend)
 
         monkeypatch.setitem(ALGORITHMS, "slow", slow)
         k_values, seeds = [0, 1, 3, 6], [5, 6]

@@ -10,9 +10,12 @@ reads no estimate, so its digest did not move, and ``pure-random@mc`` now
 happens to draw the exact backend's parochial pools.)  Three were recorded
 again when ``br_sample_size`` moved to the Hoeffding size for lengths in
 [1, t]: fewer walks per node change every Monte Carlo Bubble Radius, and so
-the ``repbublik`` plans and the ``lowest-br`` targets of ``repbublik-plus``;
-the other ``@mc`` variants read the estimates only through parochial pools,
-which did not change on these graphs.  Any change to a source choice, a
+the ``repbublik`` plans and the targets of ``repbublik-plus``; the other
+``@mc`` variants read the estimates only through parochial pools, which did
+not change on these graphs.  The greedies once took a keyword ``policy``
+whose uniform targets had digests of their own; they went with it, and the
+greedies' digests are those once recorded for their lowest-BR targets.  Each
+call draws from its config's seed, ``10 + gi``.  Any change to a source choice, a
 target choice, a tie break, an insertion weight's bits or an evaluated
 Bubble Radius changes a digest.
 """
@@ -43,27 +46,21 @@ BUDGETS = (3, 10)  # the larger one exhausts some sources' legal targets
 MC_EPSILON, MC_DELTA = 0.6, 0.3
 
 VARIANTS = {
-    "repbublik/lowest-br": (repbublik, {"policy": "lowest-br"}),
-    "repbublik/uniform-seeded": (repbublik, {"policy": "uniform-seeded"}),
-    "repbublik-plus/lowest-br": (repbublik_plus, {"policy": "lowest-br"}),
-    "repbublik-plus/uniform-seeded": (repbublik_plus, {"policy": "uniform-seeded"}),
-    "pure-random": (baseline_pure_random, {}),
-    "rcn": (baseline_rcn, {}),
-    "rwcn": (baseline_rwcn, {}),
+    "repbublik": repbublik,
+    "repbublik-plus": repbublik_plus,
+    "pure-random": baseline_pure_random,
+    "rcn": baseline_rcn,
+    "rwcn": baseline_rwcn,
 }
 
 EXPECTED = {
-    "repbublik/lowest-br@exact": "2864cb15848b23d2679e8b3be744203a80ec82bdf96d95786165c322c8fdd48c",
-    "repbublik/uniform-seeded@exact": "d328d7a44fdfa4f183769cc139f6156e0d9c722662711d0c48212d26a0de5a59",
-    "repbublik-plus/lowest-br@exact": "5918a544fe8922f6642b55da6de20be9a454666eb00cc0acf0067167538432cb",
-    "repbublik-plus/uniform-seeded@exact": "27fd6177a827ff17b20d89eba03d13dfc51167a4ee0d759619f6a02e1646f57b",
+    "repbublik@exact": "2864cb15848b23d2679e8b3be744203a80ec82bdf96d95786165c322c8fdd48c",
+    "repbublik-plus@exact": "5918a544fe8922f6642b55da6de20be9a454666eb00cc0acf0067167538432cb",
     "pure-random@exact": "d46403d872674d2236fe591d4fbf14085d36facaabce5a5ce829a51d22235541",
     "rcn@exact": "cef6f9080d7751e32000ca2ee3f3af1aa8985bd73b4659404ce0ca8589cabe18",
     "rwcn@exact": "2f613f77e270092b4c03a1ab95c12fcbaf600e9f102100bb90fd611c746bd1e2",
-    "repbublik/lowest-br@mc": "c524b12408e9cadd148a65334e37a6ec737469b315d947c1feb937aac3e1bd17",
-    "repbublik/uniform-seeded@mc": "8b951d7875c725f08c098a3d9d3e8bf0ef6f7f60e8851c0311b08610f36f3c43",
-    "repbublik-plus/lowest-br@mc": "771f9ded5aa7884616d56c075994605b39863fc53d909d325edce8a2dff0c6dd",
-    "repbublik-plus/uniform-seeded@mc": "afd4b56ec207e800730eb3a5be0c2103fdd9fa9bd490a6aeb9cc88f3eb2150d9",
+    "repbublik@mc": "c524b12408e9cadd148a65334e37a6ec737469b315d947c1feb937aac3e1bd17",
+    "repbublik-plus@mc": "771f9ded5aa7884616d56c075994605b39863fc53d909d325edce8a2dff0c6dd",
     "pure-random@mc": "d46403d872674d2236fe591d4fbf14085d36facaabce5a5ce829a51d22235541",
     "rcn@mc": "0bb703636cd7646cc5decb513796832d3db319c913d989d83a1d920644355ebc",
     "rwcn@mc": "2f613f77e270092b4c03a1ab95c12fcbaf600e9f102100bb90fd611c746bd1e2",
@@ -85,19 +82,18 @@ def plan_digests() -> dict[str, str]:
     out = {}
     graphs = _graphs()
     for backend in ("exact", "mc"):
-        for name, (fn, kwargs) in VARIANTS.items():
+        for name, fn in VARIANTS.items():
             h = hashlib.sha256()
             for gi, (graph, t) in enumerate(graphs):
                 cfg = WalkConfig(
                     t=t, theta_good=1.5, theta_bad=t / 2,
-                    epsilon=MC_EPSILON, delta=MC_DELTA, seed=gi,
+                    epsilon=MC_EPSILON, delta=MC_DELTA, seed=10 + gi,
                 )
                 for color in ("R", "B"):
                     for budget in BUDGETS:
                         with warnings.catch_warnings():
                             warnings.simplefilter("ignore", RuntimeWarning)
-                            plan = fn(graph, color, budget, cfg, seed=10 + gi,
-                                      backend=backend, **kwargs)
+                            plan = fn(graph, color, budget, cfg, backend=backend)
                         h.update(f"{gi}:{color}:{plan.requested}|".encode())
                         for e in plan.edges:
                             h.update(f"{e.src},{e.dst},{e.weight.hex()};".encode())

@@ -49,21 +49,18 @@ def test_public_names_are_pinned():
 
 def test_registry_entries_share_one_signature():
     """Every ``ALGORITHMS`` entry is ``fn(graph, color, budget, cfg,
-    seed=None, backend="exact")``; the two greedies add a keyword-only
-    ``policy="lowest-br"``."""
-    positional, keyword = inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.KEYWORD_ONLY
-    empty = inspect.Parameter.empty
-    common = [
+    backend="exact")`` and nothing more."""
+    positional, empty = inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.empty
+    expected = [
         ("graph", positional, empty), ("color", positional, empty),
         ("budget", positional, empty), ("cfg", positional, empty),
-        ("seed", positional, None), ("backend", positional, "exact"),
+        ("backend", positional, "exact"),
     ]
-    greedy = common + [("policy", keyword, "lowest-br")]
     for name, fn in repbublik.ALGORITHMS.items():
         params = [
             (p.name, p.kind, p.default) for p in inspect.signature(fn).parameters.values()
         ]
-        assert params == (greedy if name in ("repbublik", "repbublik-plus") else common), name
+        assert params == expected, name
 
 
 def test_every_error_class_is_used_outside_errors_py():

@@ -1,9 +1,10 @@
-"""Greedy recommenders, target policies, and the randomized baselines."""
+"""Greedy recommenders, their targets, and the randomized baselines."""
 import gc
 import itertools
 import math
 import warnings
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -176,31 +177,17 @@ class TestTargetSelection:
             ["R", "B", "R"], [(0, 1, 1.0), (1, 0, 1.0), (2, 0, 1.0)]
         )
         cfg = WalkConfig(t=5, theta_good=2.0, theta_bad=2.5)
-        assert target_selection(g, 2, (), cfg=cfg) == 1
+        assert target_selection(g, 2, (), cfg) == 1
 
     def test_no_legal_target(self, g1):
         cfg = WalkConfig(t=5, theta_good=2.0, theta_bad=2.5)
         with pytest.raises(NoLegalTarget):
-            target_selection(g1, 0, (), cfg=cfg)
+            target_selection(g1, 0, (), cfg)
 
     def test_gadget_lowest_br_is_sink(self):
         gadget = generate_gadget(2, [[0, 1], [1]], 6)
         cfg = WalkConfig(t=6, theta_good=2.0, theta_bad=3.0)
-        assert target_selection(gadget.graph, 0, (), cfg=cfg) == gadget.sink
-
-    def test_uniform_policy_is_seeded(self, g2):
-        g = build_graph(
-            ["R", "B", "B", "B"],
-            [(0, 1, 1.0), (1, 0, 1.0), (2, 0, 1.0), (3, 0, 1.0)],
-        )
-        picks = {
-            target_selection(g, 0, (), policy="uniform-seeded", seed=s)
-            for s in range(30)
-        }
-        assert picks <= {2, 3}  # 1 is an existing edge
-        assert len(picks) == 2
-        assert target_selection(g, 0, (), policy="uniform-seeded", seed=5) == \
-            target_selection(g, 0, (), policy="uniform-seeded", seed=5)
+        assert target_selection(gadget.graph, 0, (), cfg) == gadget.sink
 
 
 class TestBaselines:
@@ -216,19 +203,19 @@ class TestBaselines:
             assert len(fn(polarized, "R", 0, cfg)) == 0
 
     def test_reproducible_given_seed(self, polarized):
-        cfg = WalkConfig(t=6, theta_good=1.5, theta_bad=3.0, seed=3)
+        cfg = WalkConfig(t=6, theta_good=1.5, theta_bad=3.0, seed=11)
         for fn in (baseline_pure_random, baseline_rcn, baseline_rwcn):
-            a = fn(polarized, "R", 4, cfg, seed=11)
-            b = fn(polarized, "R", 4, cfg, seed=11)
+            a = fn(polarized, "R", 4, cfg)
+            b = fn(polarized, "R", 4, cfg)
             assert a.edges == b.edges
 
     def test_sources_come_from_static_parochial_set(self, polarized):
-        cfg = WalkConfig(t=6, theta_good=1.5, theta_bad=3.0, seed=3)
+        cfg = WalkConfig(t=6, theta_good=1.5, theta_bad=3.0, seed=2)
         br = exact_br(polarized, 6)
         parochial = {
             int(v) for v in polarized.nodes_of("R") if br.values[v] >= 3.0
         }
-        plan = baseline_pure_random(polarized, "R", 6, cfg, seed=2)
+        plan = baseline_pure_random(polarized, "R", 6, cfg)
         plan.validate_against(polarized)
         assert {e.src for e in plan.edges} <= parochial
 
@@ -245,9 +232,9 @@ class TestBaselines:
 
     def test_rcn_pool_ordering_matches_exact_centrality(self):
         graph = dominant_hub_graph()
-        cfg = WalkConfig(t=6, theta_good=2.0, theta_bad=3.0, seed=8)
+        cfg = WalkConfig(t=6, theta_good=2.0, theta_bad=3.0, seed=4)
         # 10% of 7 parochial nodes -> pool of 1: must be the hub (node 0).
-        plan = baseline_rcn(graph, "R", 2, cfg, seed=4)
+        plan = baseline_rcn(graph, "R", 2, cfg)
         assert len(plan) == 2
         assert {e.src for e in plan.edges} == {0}
 
@@ -278,14 +265,14 @@ class TestBaselines:
         edges += [(m, 12, 1.0) for m in (9, 10, 11)]
         edges += [(12, 13, 1.0), (13, 0, 1.0)]
         graph = build_graph(["R"] * 13 + ["B"], edges)
-        cfg = WalkConfig(t=6, theta_good=2.0, theta_bad=3.0, seed=8)
+        cfg = WalkConfig(t=6, theta_good=2.0, theta_bad=3.0, seed=6)
         br = exact_br(graph, 6)
         pool = np.array(
             [int(v) for v in graph.nodes_of("R") if br.values[v] >= 3.0]
         )
         assert set(pool.tolist()) == {0, 1, 2, 3, 4, 5, 6}
-        rcn_plan = baseline_rcn(graph, "R", 2, cfg, seed=6)
-        rwcn_plan = baseline_rwcn(graph, "R", 2, cfg, seed=6)
+        rcn_plan = baseline_rcn(graph, "R", 2, cfg)
+        rwcn_plan = baseline_rwcn(graph, "R", 2, cfg)
         assert {e.src for e in rcn_plan.edges} == {1}
         assert {e.src for e in rwcn_plan.edges} == {0}
 
@@ -308,27 +295,26 @@ def _legal_targets_reference(graph, v, taken=()):
     return np.flatnonzero(legal)
 
 
-def _pick_reference(legal, v, policy, br, rng):
+def _pick_reference(legal, v, br):
     if legal.size == 0:
         raise NoLegalTarget(v)
-    if policy == "uniform-seeded":
-        return int(legal[rng.integers(legal.size)])
     return int(legal[np.lexsort((legal, br.values[legal]))[0]])
 
 
-def _plus_reference(graph, color, budget, cfg, seed, policy):
-    seed, _, pool = rec._prologue(graph, color, budget, cfg, seed, "exact")
+def _plus_reference(graph, color, budget, cfg):
+    _, pool = rec._prologue(graph, color, budget, cfg, "exact")
     if pool.size == 0 or budget == 0:
         return ()
-    base = rec._centralities(graph, pool, cfg, "exact", rec.derive_seed(seed, rec._TAG_RWCC, 0))
+    base = rec._centralities(
+        graph, pool, cfg, "exact", rec.derive_seed(cfg.seed, rec._TAG_RWCC, 0)
+    )
     target_br = exact_br(graph, cfg.t)
-    rng = rec.stream(seed, rec._TAG_TARGET)
     planned = np.zeros(graph.n, dtype=np.int64)
     open_ = np.ones(pool.size, dtype=bool)
     taken = {}
     edges = []
     while len(edges) < budget and open_.any():
-        weight = rec._oracle_weights(graph, pool, planned)
+        weight = np.array([weight_oracle(graph, v, planned=int(planned[v])) for v in pool])
         eta = planned[pool] + 1
         score = base * weight / eta
         ranked = np.lexsort((pool, eta, -score))
@@ -336,7 +322,7 @@ def _plus_reference(graph, color, budget, cfg, seed, policy):
         v = int(pool[i])
         legal = _legal_targets_reference(graph, v, taken.get(v, ()))
         try:
-            target = _pick_reference(legal, v, policy, target_br, rng)
+            target = _pick_reference(legal, v, target_br)
         except NoLegalTarget:
             open_[i] = False
             continue
@@ -388,54 +374,50 @@ class _Draws:
         return self.k
 
 
-class TestUnknownPolicy:
-    """An unknown target policy raises before any closeness work, whatever
-    the pool, and after the budget, seed and opposite-color checks."""
+class TestArgumentChecks:
+    """Every registry entry checks its budget, then that the other color
+    exists, before any Bubble Radius or closeness work; a bad seed cannot
+    reach an entry, since the config it reads the seed from rejects it.
+    An empty parochial pool is no error: the plan is empty."""
 
-    GREEDIES = [repbublik, repbublik_plus]
     CFG = WalkConfig(t=4, theta_good=1.5, theta_bad=2.0)
 
-    @pytest.mark.parametrize("fn", GREEDIES)
-    def test_raised_on_an_all_cosmopolitan_graph(self, fn, g1):
-        for color in ("R", "B"):
-            for budget in (0, 2):
-                assert len(fn(g1, color, budget, self.CFG)) == 0  # the pool is empty
-                with pytest.raises(ValueError, match="unknown target policy 'bogus'"):
-                    fn(g1, color, budget, self.CFG, policy="bogus")
+    @pytest.mark.parametrize("fn", list(ALGORITHMS.values()), ids=list(ALGORITHMS))
+    def test_checks_keep_their_order(self, fn, g1, g2, all_red_cycle, monkeypatch):
+        for color in ("R", "B"):  # g1 is all cosmopolitan
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                assert len(fn(g1, color, 2, self.CFG)) == 0
 
-    @pytest.mark.parametrize("fn", GREEDIES)
-    def test_raised_before_closeness(self, fn, g2, monkeypatch):
-        def no_closeness(*args, **kwargs):
-            raise AssertionError("closeness computed for an unknown policy")
+        def no_walks(*args, **kwargs):
+            raise AssertionError("walk work before the argument checks")
 
-        assert len(fn(g2, "R", 1, self.CFG)) == 1  # the pool is not empty
-        monkeypatch.setattr(rec, "closeness", no_closeness)
-        with pytest.raises(ValueError, match="unknown target policy 'bogus'"):
-            fn(g2, "R", 1, self.CFG, policy="bogus")
-
-    @pytest.mark.parametrize("fn", GREEDIES)
-    def test_earlier_checks_keep_precedence(self, fn, g2, all_red_cycle):
+        monkeypatch.setattr(rec, "br_table", no_walks)
+        monkeypatch.setattr(rec, "closeness", no_walks)
         with pytest.raises(ThresholdOrder, match="budget"):
-            fn(g2, "R", -1, self.CFG, policy="bogus")
-        with pytest.raises(ThresholdOrder, match="seed"):
-            fn(g2, "R", 1, self.CFG, seed=-1, policy="bogus")
+            fn(g2, "R", -1, self.CFG)
+        with pytest.raises(ThresholdOrder, match="budget"):
+            fn(all_red_cycle, "R", -1, self.CFG)
         with pytest.raises(NoOppositeColor):
-            fn(all_red_cycle, "R", 1, self.CFG, policy="bogus")
+            fn(all_red_cycle, "R", 1, self.CFG)
+        with pytest.raises(ThresholdOrder, match="seed"):
+            fn(g2, "R", 1, replace(self.CFG, seed=-1))
 
 
 class TestTargets:
     """The plan builder's sorted-position targets equal the mask-based legal
-    targets, and a source without one leaves the plan and the stream as
-    they were."""
+    targets, both the uniform draws of a plan given ``rng`` and the
+    lowest-BR picks of one without, and a source without one leaves the
+    plan and the stream as they were."""
 
-    @pytest.mark.parametrize("policy", ["uniform-seeded", "lowest-br"])
-    def test_pick_equals_mask_reference(self, policy):
+    @pytest.mark.parametrize("uniform", [True, False], ids=["uniform-seeded", "lowest-br"])
+    def test_pick_equals_mask_reference(self, uniform):
         rng = np.random.default_rng(67)
         checked = exhausted = 0
         for graph, cfg in _plan_cases():
             br = exact_br(graph, cfg.t)
             for v in range(graph.n):
-                plan = rec._Plan(graph, graph.color_of(v), 0, policy, _Draws(rng))
+                plan = rec._Plan(graph, graph.color_of(v), 0, _Draws(rng) if uniform else None)
                 plan.rank(br)
                 taken = []
                 while True:
@@ -451,20 +433,16 @@ class TestTargets:
                         break
                     assert plan.add(v)
                     edge = plan.edges[-1]
-                    if policy == "uniform-seeded":
+                    if uniform:
                         assert plan.rng.high == legal.size
                         assert edge.dst == legal[plan.rng.k]
                     else:
-                        assert edge.dst == _pick_reference(legal, v, policy, br, None)
+                        assert edge.dst == _pick_reference(legal, v, br)
                     assert edge.weight == weight_oracle(graph, v, planned=len(taken))
                     taken.append(edge.dst)
                     assert plan.planned[v] == len(taken) == plan.planned.sum()
                     checked += 1
         assert checked > 2000 and exhausted > 300
-
-    def test_unknown_policy_rejected(self, g2):
-        with pytest.raises(ValueError, match="unknown target policy 'nearest'"):
-            rec._Plan(g2, "R", 1, "nearest")
 
 
 class TestPlanPaths:
@@ -486,12 +464,11 @@ class TestPlanPaths:
             for color in ("R", "B"):
                 others = graph.nodes_of("B" if color == "R" else "R").size
                 for budget in (1, 7, graph.n * others):  # the last one exhausts
-                    for policy in ("lowest-br", "uniform-seeded"):
-                        plan = repbublik_plus(graph, color, budget, cfg, policy=policy)
-                        expected = _plus_reference(graph, color, budget, cfg, cfg.seed, policy)
-                        assert _triples(plan) == expected
-                        runs += bool(expected)
-        assert runs > 200
+                    plan = repbublik_plus(graph, color, budget, cfg)
+                    expected = _plus_reference(graph, color, budget, cfg)
+                    assert _triples(plan) == expected
+                    runs += bool(expected)
+        assert runs > 100
 
     @pytest.mark.parametrize("backend", ["exact", "mc"])
     def test_one_br_table_per_plan(self, backend, monkeypatch):
@@ -508,14 +485,13 @@ class TestPlanPaths:
         monkeypatch.setattr(rec, "br_table", spy)
         for graph, cfg in _plan_cases(8):
             cfg = WalkConfig(t=cfg.t, theta_good=1.0, epsilon=0.9, delta=0.5, seed=cfg.seed)
-            for policy in ("lowest-br", "uniform-seeded"):
-                calls.clear()
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", RuntimeWarning)
-                    plan = repbublik_plus(graph, "R", 5, cfg, backend=backend, policy=policy)
-                assert len(calls) == 1
-                if backend == "exact":
-                    assert _triples(plan) == _plus_reference(graph, "R", 5, cfg, cfg.seed, policy)
+            calls.clear()
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                plan = repbublik_plus(graph, "R", 5, cfg, backend=backend)
+            assert len(calls) == 1
+            if backend == "exact":
+                assert _triples(plan) == _plus_reference(graph, "R", 5, cfg)
 
     def test_baselines_equal_mask_loop(self):
         for graph, cfg in _plan_cases():
@@ -540,12 +516,12 @@ class TestMemo:
             for color in ("R", "B"):
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore", RuntimeWarning)
-                    out.append(_triples(fn(graph, color, 6, cfg, seed=3, backend=backend)))
+                    out.append(_triples(fn(graph, color, 6, cfg, backend=backend)))
         return out
 
     def test_warm_and_cold_memo_give_the_same_plans(self):
         for (graph, cfg), backend in itertools.product(_plan_cases(8), ["exact", "mc"]):
-            cfg = WalkConfig(t=cfg.t, theta_good=1.0, epsilon=0.9, delta=0.5, seed=cfg.seed)
+            cfg = WalkConfig(t=cfg.t, theta_good=1.0, epsilon=0.9, delta=0.5, seed=3)
             warm = self._plans(graph, cfg, backend)
             assert graph.memo
             cold = ColoredGraph(graph.colors, graph.indptr, graph.targets, graph.weights)
@@ -613,19 +589,11 @@ class TestPrefixContract:
     their streams in the same order whatever the budget.  An entry that
     fails raises the same error at every positive budget.  The sweep builds
     one plan per (algorithm, seed, color) and slices it, so it relies on
-    both for every registry entry, both backends and both target policies.
+    both for every registry entry and both backends.
     """
 
     BUDGETS = (0, 1, 3, 7, 16, 29)
     TOP = 40
-
-    @staticmethod
-    def _variants():
-        for fn in ALGORITHMS.values():
-            if fn in (repbublik, repbublik_plus):
-                yield from ((fn, {"policy": p}) for p in ("lowest-br", "uniform-seeded"))
-            else:
-                yield fn, {}
 
     @staticmethod
     def _cases():
@@ -647,22 +615,22 @@ class TestPrefixContract:
         return cases
 
     @staticmethod
-    def _outcome(fn, graph, color, budget, cfg, backend, kwargs):
+    def _outcome(fn, graph, color, budget, cfg, backend):
         """(error or None, edges) of one call."""
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
-                plan = fn(graph, color, budget, cfg, seed=cfg.seed + 5, backend=backend, **kwargs)
+                plan = fn(graph, color, budget, cfg, backend=backend)
         except (RepbublikError, ValueError) as exc:
             return f"{type(exc).__name__}: {exc}", ()
         return None, plan.edges
 
-    def _check(self, fn, graph, cfg, backend, kwargs, tally):
+    def _check(self, fn, graph, cfg, backend, tally):
         for color in ("R", "B"):
-            error, top = self._outcome(fn, graph, color, self.TOP, cfg, backend, kwargs)
+            error, top = self._outcome(fn, graph, color, self.TOP, cfg, backend)
             self._assert_oracle_weights(graph, color, top)
             for k in self.BUDGETS:
-                outcome = self._outcome(fn, graph, color, k, cfg, backend, kwargs)
+                outcome = self._outcome(fn, graph, color, k, cfg, backend)
                 if k > 0 or error is None:
                     assert outcome == (error, top[:k]), (k, color)
             if fn is repbublik and error is None and len(top) < self.TOP:
@@ -672,14 +640,14 @@ class TestPrefixContract:
     @staticmethod
     def _assert_oracle_weights(graph, color, edges):
         """Each edge carries ``weight_oracle`` of the edges planned from its
-        source before it, and ``_oracle_weights`` equals ``weight_oracle``
-        node by node under the plan's counts."""
+        source before it, and ``weight_oracle`` of an array of nodes equals
+        the one-node calls under the plan's counts."""
         planned = np.zeros(graph.n, dtype=np.int64)
         for e in edges:
             assert e.weight == weight_oracle(graph, e.src, planned=int(planned[e.src]))
             planned[e.src] += 1
         pool = graph.nodes_of(color)
-        assert rec._oracle_weights(graph, pool, planned).tolist() == [
+        assert weight_oracle(graph, pool, planned=planned[pool]).tolist() == [
             weight_oracle(graph, v, planned=int(planned[v])) for v in pool.tolist()
         ]
 
@@ -689,16 +657,16 @@ class TestPrefixContract:
         grown = apply_plan(graph, edges)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            _, pool = rec._parochial_pool(grown, color, cfg, cfg.seed + 5, backend, len(edges))
+            _, pool = rec._parochial_pool(grown, color, cfg, backend, len(edges))
         assert all(_legal_targets_reference(grown, v).size == 0 for v in pool.tolist())
 
     @pytest.mark.parametrize("backend", ["exact", "mc"])
     def test_random_graphs(self, backend):
         tally = {"full": 0, "short": 0, "error": 0}
-        for fn, kwargs in self._variants():
+        for fn in ALGORITHMS.values():
             for graph, cfg in self._cases():
-                self._check(fn, graph, cfg, backend, kwargs, tally)
-        assert tally["full"] >= 20 and tally["short"] >= 100 and tally["error"] == 7
+                self._check(fn, graph, cfg, backend, tally)
+        assert tally["full"] >= 15 and tally["short"] >= 100 and tally["error"] == 5
 
     @pytest.mark.parametrize("backend", ["exact", "mc"])
     def test_desk_graph(self, backend):
@@ -708,8 +676,8 @@ class TestPrefixContract:
         else:  # a short horizon keeps the Monte Carlo passes cheap
             cfg = WalkConfig(t=4, theta_good=1.5, theta_bad=2.0, epsilon=1.0, delta=0.5, seed=0)
         tally = {"full": 0, "short": 0, "error": 0}
-        for fn, kwargs in self._variants():
+        for fn in ALGORITHMS.values():
             if backend == "mc" and fn is repbublik:
                 continue  # 96 Monte Carlo BR passes per color; covered on the random graphs
-            self._check(fn, graph, cfg, backend, kwargs, tally)
+            self._check(fn, graph, cfg, backend, tally)
         assert tally["full"] > 0
