@@ -21,19 +21,14 @@ from .graph import (
 from .montecarlo import estimate_br
 
 
-def br_table(
-    graph: ColoredGraph, cfg: WalkConfig, backend: str = "exact",
-    seed: int | None = None,
-) -> BrTable:
-    """Bubble Radius table for one config, exact or estimated."""
+def br_table(graph: ColoredGraph, cfg: WalkConfig, backend: str, seed: int) -> BrTable:
+    """Bubble Radius table for one config, exact or estimated; an estimate
+    walks on the stream ``seed``, which callers derive per request."""
     if backend == "exact":
         return exact_br(graph, cfg.t)
     if backend == "mc":
         warn_if_estimate_too_coarse(cfg)
-        return estimate_br(
-            graph, cfg.t, cfg.epsilon, cfg.delta,
-            cfg.seed if seed is None else seed,
-        )
+        return estimate_br(graph, cfg.t, cfg.epsilon, cfg.delta, seed)
     raise UnknownName(f"unknown backend {backend!r}")
 
 
@@ -49,8 +44,6 @@ class BiasPartition:
     cosmopolitan: np.ndarray
     parochial_red: np.ndarray
     parochial_blue: np.ndarray
-    theta_good: float
-    theta_bad: float
 
     def __post_init__(self):
         for arr in (self.cosmopolitan, self.parochial_red, self.parochial_blue):
@@ -81,8 +74,6 @@ def classify(
         cosmopolitan=np.flatnonzero(br.values <= theta_good),
         parochial_red=parochial_nodes(colors, br, RED, theta_bad),
         parochial_blue=parochial_nodes(colors, br, BLUE, theta_bad),
-        theta_good=float(theta_good),
-        theta_bad=float(theta_bad),
     )
 
 

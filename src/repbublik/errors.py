@@ -96,7 +96,8 @@ class BrOutOfRange(RepbublikError, ValueError):
 
 class WorkLimitExceeded(RepbublikError, ValueError):
     """A request implies more walk steps or horizon products than
-    ``graph.MAX_WORK``; raised before any of that work starts."""
+    ``graph.MAX_WORK``, or more closeness source draws than
+    ``montecarlo.DRAW_ELEMENTS``; raised before any of that work starts."""
 
 
 class EmptyRecords(RepbublikError):

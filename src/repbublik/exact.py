@@ -41,13 +41,11 @@ class BrTable:
 
     ``values[v]`` is E[min(t, steps to first hit the opposite color)] and
     always lies in [1, t]; nodes that cannot reach the opposite color sit at
-    the cap t.  ``provenance`` records whether the table came from the exact
-    engine or a Monte Carlo estimate.
+    the cap t.  :func:`exact_br` and ``montecarlo.estimate_br`` build it.
     """
 
     values: np.ndarray
     t: int
-    provenance: str  # "exact" | "estimated"
 
     def __post_init__(self):
         self.values.setflags(write=False)
@@ -111,7 +109,7 @@ def exact_br(graph: ColoredGraph, t: int) -> BrTable:
     for _ in range(t - 1):
         survival = within @ survival
         expected += survival
-    graph.memo[key] = BrTable(values=expected, t=t, provenance="exact")
+    graph.memo[key] = BrTable(values=expected, t=t)
     return graph.memo[key]
 
 
@@ -240,8 +238,8 @@ def exact_rwcc_many(
     The result is read-only and kept in ``graph.memo`` under the horizon and
     the validated node and source arrays, so a repeated request is one
     dictionary lookup.  Raises :class:`WorkLimitExceeded`, before any
-    product, when the products over W or the renewal's t'(t' - 1)/2 vector
-    operations exceed ``MAX_WORK``.
+    product, when the products over W or the renewal's t'(t' - 1)/2 row
+    updates, charged as vector operations, exceed ``MAX_WORK``.
     """
     _check_horizon(graph, t_prime)
     targets, uniq, src = _centrality_request(graph, nodes, sources)
@@ -267,19 +265,22 @@ def _rwcc_block(
         return values
     color = _color_block(graph, graph.color_of(int(uniq[0])))
     local = color.local(uniq)
-    returns = _return_profiles(graph, uniq, t_prime).T  # returns[k][j] = r_j(k)
+    # Rows are steps, columns targets: returns[k][j] = r_j(k), and
+    # passages[i] holds o'_i until the solve below turns it into F_i.
+    returns = _return_profiles(graph, uniq, t_prime).T
     in_src = np.isin(uniq, src, assume_unique=True)
     occupancy = np.zeros(color.nodes.size)
     occupancy[color.local(src)] = 1.0  # u_0 = 1_S
-    passages = np.zeros((t_prime, uniq.size))  # passages[i] = F_i
+    passages = np.zeros((t_prime, uniq.size))
     for i in range(1, t_prime):
         occupancy = color.matrix_t @ occupancy
         # o'_i, without the target's own walk when it is a source
-        f = occupancy[local] - np.where(in_src, returns[i], 0.0)
-        for k in range(1, i):
-            f -= passages[k] * returns[i - k]
-        passages[i] = f
-        values += (t_prime - i) * f
+        passages[i] = occupancy[local] - np.where(in_src, returns[i], 0.0)
+    # Final F_k leaves F_k r(i - k) from every later row i at once: each row
+    # takes the subtractions of a row-by-row solve, in the same k order.
+    for k in range(1, t_prime):
+        passages[k + 1 :] -= passages[k] * returns[1 : t_prime - k]
+        values += (t_prime - k) * passages[k]
     values /= src.size
     return values[np.searchsorted(uniq, targets)]
 

@@ -7,8 +7,9 @@ Radius.  :func:`br_sample_size` sizes it by Hoeffding's bound for lengths in
 ceil((t - 1)^2 ln(2n / delta) / (2 epsilon^2)) walks per node, tighter than
 the paper's t^2 / epsilon^2 * ln(2n / delta) (2.47 times fewer walks at
 t = 10).  The closeness estimate is sized per target by a
-Chebyshev/Popoviciu bound.  Both sizes, and the work of every estimate, are
-checked against ``graph.MAX_WORK`` before any walk starts.
+Chebyshev/Popoviciu bound, :func:`rwcc_sample_size`.  The estimators take
+r and z from these two alone, and check them and their work against
+``graph.MAX_WORK`` before any walk starts.
 
 Randomness comes from one stream per ``(master seed, purpose, node id)``.
 Every draw but the walk steps comes from counter-based Philox streams
@@ -48,9 +49,10 @@ count of its walks live before step k, read per group from the sorted
 indices; a closeness draw starts at ``kappa * t'`` and loses ``t' - k`` for
 each walk that reaches ``v`` at a step k < t'.
 
-A walk step moves to out-edge ``count(rowcum <= u)`` of its row.  It finds
-that count with one lookup in a bucket guide: each row's range of ``u`` is
-cut into a power of two of equal buckets, and scaling by a power of two is
+A walk step moves to out-edge ``count(rowcum <= u)`` of its row for a
+uniform ``u`` in [0, 1), as ``Generator.random`` draws it.  It finds that
+count with one lookup in a bucket guide: each row's range of ``u`` is cut
+into a power of two of equal buckets, and scaling by a power of two is
 exact, so both ends of a bucket have exact integer answers.  The count is
 monotone in ``u``, so a bucket whose ends agree settles every ``u`` in it;
 only a walk in a bucket whose ends differ searches the few edges between
@@ -66,11 +68,13 @@ from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
+from .errors import WorkLimitExceeded
 from .exact import BrTable, _centrality_request
 from .graph import (
     BLUE,
     RED,
     ColoredGraph,
+    MAX_WORK,
     check_accuracy,
     check_count,
     check_seed,
@@ -90,12 +94,14 @@ _WALK_GROUP = 1 << 14
 #: bounds the memory of a pass; no result depends on it.
 WALK_ELEMENTS = 1 << 14
 
+#: Most source draws one closeness request holds, 16 bytes each: 2 GiB,
+#: where the work bound alone admits terabytes.
+DRAW_ELEMENTS = 1 << 27
+
 #: Guide buckets per out-edge, at least: each row gets the least power of
 #: two at or above ``GUIDE`` times its degree.  It trades the guide's size
 #: against the share of steps that search a bucket; no result depends on it.
 GUIDE = 4
-
-_BELOW_ONE = np.nextafter(1.0, 0.0)
 
 
 def stream(seed: int, *key: int) -> np.random.Generator:
@@ -148,8 +154,9 @@ def br_sample_size(n: int, t: int, epsilon: float, delta: float) -> int:
     check_work("Monte Carlo Bubble Radius walks", n, t)  # so t fits a float
     spread = (t - 1) / epsilon
     walks = spread * spread * math.log(2.0 * n / delta) / 2.0
-    check_work("Monte Carlo Bubble Radius walks", n * walks, t)
-    return max(1, _ceil(walks))
+    r = max(1, _ceil(min(walks, MAX_WORK)))  # capped, so inf rounds and fails
+    check_work("Monte Carlo Bubble Radius walks", n * r, t)
+    return r
 
 
 def rwcc_sample_size(t_prime: int, epsilon: float, delta: float) -> int:
@@ -218,13 +225,13 @@ class _WalkSampler:
 
     A bucket guide finds the count in one lookup.  Row ``s`` is cut into
     ``2**b`` equal buckets of ``u``, the least power of two at or above
-    ``GUIDE`` times its degree; a step's key is ``offsets[s] + floor(min(u,
-    1-) * 2**b)``.  Scaling by a power of two is exact, so both ends of
-    bucket ``i`` have exact integer answers: at ``u = i / 2**b`` the count
-    is of inner edges with ``ceil(rowcum * 2**b) <= i``, and just below
-    ``(i + 1) / 2**b`` of those with ``floor(rowcum * 2**b) <= i``; the
-    row's last bucket reaches past ``u = 1`` to the row's end.  As the
-    count is monotone, every ``u`` in a bucket whose two ends agree has
+    ``GUIDE`` times its degree; a step's key is ``offsets[s] + floor(u *
+    2**b)`` for ``u`` in [0, 1).  Scaling by a power of two is exact, so
+    both ends of bucket ``i`` have exact integer answers: at ``u = i /
+    2**b`` the count is of inner edges with ``ceil(rowcum * 2**b) <= i``,
+    and just below ``(i + 1) / 2**b`` of those with ``floor(rowcum * 2**b)
+    <= i``; the row's last bucket reaches to the row's end.  As the count
+    is monotone, every ``u`` in a bucket whose two ends agree has
     that answer, and the guide stores its next node.  Any other bucket
     stores ``-1 - j`` for span ``j``, the inner edges whose weights end
     inside it, and only the walks that land there binary-search that span
@@ -262,11 +269,9 @@ class _WalkSampler:
             arr.setflags(write=False)
 
     def step(self, states: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Next node of each walk for uniforms ``u``; any ``u`` from the
-        row's total up takes the row's last edge."""
-        key = self.offsets[states] + (
-            np.minimum(u, _BELOW_ONE) * self.scale[states]
-        ).astype(np.int64)
+        """Next node of each walk for uniforms ``u`` in [0, 1); any ``u``
+        from the row's total up takes the row's last edge."""
+        key = self.offsets[states] + (u * self.scale[states]).astype(np.int64)
         nxt = self.guide[key]
         miss = np.flatnonzero(nxt < 0)
         if miss.size:
@@ -381,9 +386,9 @@ def estimate_br(
     epsilon: float,
     delta: float,
     seed: int,
-    walks_per_node: int | None = None,
 ) -> BrTable:
-    """Monte Carlo Bubble Radius table: mean of r capped walk lengths per node.
+    """Monte Carlo Bubble Radius table: mean of r = :func:`br_sample_size`
+    capped walk lengths per node.
 
     Walks stop when they hit the opposite color or after ``t`` steps,
     whichever comes first.  The walks of each color's nodes step together,
@@ -391,12 +396,7 @@ def estimate_br(
     Deterministic for a fixed seed, so the table is computed once per
     graph, ``t``, walk count and seed and kept in ``graph.memo``.
     """
-    check_count("horizon", t)
-    r = walks_per_node if walks_per_node is not None else br_sample_size(
-        graph.n, t, epsilon, delta
-    )
-    check_count("walks_per_node", r)
-    check_work("Monte Carlo Bubble Radius walks", graph.n * int(r), t)
+    r = br_sample_size(graph.n, t, epsilon, delta)
     check_seed(seed)
     key = ("br-mc", t, r, seed)
     if key in graph.memo:
@@ -423,7 +423,7 @@ def estimate_br(
                 counts += np.diff(np.searchsorted(walking, bounds))
             lengths[lo:hi] += counts
         values[nodes] = lengths / r
-    graph.memo[key] = BrTable(values=values, t=t, provenance="estimated")
+    graph.memo[key] = BrTable(values=values, t=t)
     return graph.memo[key]
 
 
@@ -434,30 +434,29 @@ def estimate_rwcc_many(
     t_prime: int,
     epsilon: float,
     delta: float,
-    kappa: int = 4,
-    seed: int = 0,
-    num_sources: int | None = None,
+    kappa: int,
+    seed: int,
 ) -> np.ndarray:
     """Monte Carlo bounded closeness c_{t'}(v, S) for every v in ``nodes``.
 
     The twin of :func:`exact.exact_rwcc_many`: entry j belongs to the j-th
-    entry of ``nodes``.  For each node v, draws z sources uniformly at
-    random with replacement, estimates each drawn source's capped hit time
-    of v as the mean of ``kappa`` walks, and returns t' minus the grand
-    mean.  A walk stops when it enters the opposite color or reaches v.  A
-    drawn source equal to v contributes the full horizon (zero centrality),
-    matching the exact form in which the self term is skipped.  The walks
-    of all nodes step together; each estimate reads only its node's
-    streams, so it does not depend on the other entries of ``nodes``.
+    entry of ``nodes``.  For each node v, draws z = :func:`rwcc_sample_size`
+    sources uniformly at random with replacement, estimates each drawn
+    source's capped hit time of v as the mean of ``kappa`` walks, and
+    returns t' minus the grand mean.  A walk stops when it enters the
+    opposite color or reaches v.  A drawn source equal to v contributes the
+    full horizon (zero centrality), matching the exact form in which the
+    self term is skipped.  The walks of all nodes step together; each
+    estimate reads only its node's streams, so it does not depend on the
+    other entries of ``nodes``.
     """
     check_count("horizon", t_prime)
     check_count("kappa", kappa)
     targets, uniq, src = _centrality_request(graph, nodes, sources)
-    z = num_sources if num_sources is not None else rwcc_sample_size(
-        t_prime, epsilon, delta
-    )
-    check_count("num_sources", z)
-    check_work("Monte Carlo closeness walks", uniq.size * int(z) * int(kappa), t_prime)
+    z = rwcc_sample_size(t_prime, epsilon, delta)
+    check_work("Monte Carlo closeness walks", uniq.size * z * int(kappa), t_prime)
+    if uniq.size * z > DRAW_ELEMENTS:
+        raise WorkLimitExceeded(f"Monte Carlo closeness: {uniq.size * z} source draws > 2**27")
     if uniq.size == 0:
         return np.empty(0)
     starts = np.concatenate([
@@ -493,12 +492,11 @@ def estimate_rwcc(
     t_prime: int,
     epsilon: float,
     delta: float,
-    kappa: int = 4,
-    seed: int = 0,
-    num_sources: int | None = None,
+    kappa: int,
+    seed: int,
 ) -> float:
     """Monte Carlo bounded closeness of ``v`` w.r.t. a monochromatic set:
     ``estimate_rwcc_many`` for the one node ``v``."""
     return float(estimate_rwcc_many(
-        graph, (v,), sources, t_prime, epsilon, delta, kappa, seed, num_sources
+        graph, (v,), sources, t_prime, epsilon, delta, kappa, seed
     )[0])

@@ -357,8 +357,9 @@ def walk_steps(
 def br_by_walks(
     graph: ColoredGraph, t: int, r: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``estimate_br(..., walks_per_node=r).values`` reduced walk by walk,
-    with each node's uniforms drawn.
+    """``estimate_br(graph, t, epsilon, delta, seed).values`` reduced walk by
+    walk, with each node's uniforms drawn, for the r walks per node that
+    ``br_sample_size(graph.n, t, epsilon, delta)`` sizes.
 
     Node ``v`` runs its r walks from ``v`` by :func:`walk_steps` on its
     ``(seed, _STREAM_BR, v)`` walk stream.  A walk that stops at step k
@@ -380,8 +381,9 @@ def rwcc_by_walks(
     graph: ColoredGraph, v: int, sources: Iterable[int], t_prime: int,
     kappa: int, seed: int, z: int,
 ) -> tuple[float, int]:
-    """``estimate_rwcc(..., kappa=kappa, seed=seed, num_sources=z)`` reduced
-    walk by walk, with the uniforms ``v`` draws.
+    """``estimate_rwcc(graph, v, sources, t_prime, epsilon, delta, kappa,
+    seed)`` reduced walk by walk, with the uniforms ``v`` draws, for the z
+    sources that ``rwcc_sample_size(t_prime, epsilon, delta)`` sizes.
 
     Draw i of the node's z source picks owns walks ``i * kappa`` to ``i *
     kappa + kappa - 1`` of its ``(seed, _STREAM_RWCC_WALKS, v)`` walk

@@ -38,7 +38,7 @@ class TestClassify:
 
     def test_boundaries_inclusive(self):
         values = np.array([2.0, 2.5, 3.0])
-        table = BrTable(values=values, t=5, provenance="exact")
+        table = BrTable(values=values, t=5)
         part = classify(table, ["R", "R", "B"], 2.0, 3.0)
         assert 0 in part.cosmopolitan          # == theta_good
         assert 2 in part.parochial_blue        # == theta_bad
@@ -59,7 +59,7 @@ class TestClassify:
         permuted_colors = np.empty_like(g2.colors)
         permuted_colors[perm] = g2.colors
         part2 = classify(
-            BrTable(values=permuted_values, t=4, provenance="exact"),
+            BrTable(values=permuted_values, t=4),
             permuted_colors, 1.5, 2.5,
         )
         assert part2.parochial.tolist() == sorted(perm[part.parochial].tolist())
@@ -103,17 +103,18 @@ class TestStructuralBias:
         assert structural_bias(table, part) == pytest.approx(6.0)
 
     def test_single_node_value(self):
-        table = BrTable(values=np.array([4.25, 1.0]), t=5, provenance="exact")
+        table = BrTable(values=np.array([4.25, 1.0]), t=5)
         part = classify(table, ["R", "B"], 2.0, 4.0)
         assert structural_bias(table, part) == pytest.approx(4.25)
 
     def test_lower_bound_by_threshold(self, g2):
         table = exact_br(g2, 4)
-        part = classify(table, g2.colors, 1.5, 2.5)
-        assert structural_bias(table, part) >= part.theta_bad * len(part.parochial)
+        theta_bad = 2.5
+        part = classify(table, g2.colors, 1.5, theta_bad)
+        assert structural_bias(table, part) >= theta_bad * len(part.parochial)
 
     def test_unknown_color_rejected(self):
-        table = BrTable(values=np.array([4.0, 4.0, 1.0]), t=5, provenance="exact")
+        table = BrTable(values=np.array([4.0, 4.0, 1.0]), t=5)
         part = classify(table, ["R", "B", "B"], 2.0, 4.0)
         assert structural_bias(table, part, "B") == 4.0
         with pytest.raises(UnknownColor):

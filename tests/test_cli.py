@@ -583,6 +583,22 @@ def test_work_past_the_bound_exits_1_at_once(tmp_path, argv):
     assert "exceed the work limit of 2**40" in proc.stderr
 
 
+def test_long_closeness_horizon_finishes(tmp_path):
+    # t' = 22998 passes the work bound; the renewal solve is t' - 1 array
+    # operations, so the request finishes in seconds.
+    edges, colors = tmp_path / "e.tsv", tmp_path / "c.tsv"
+    edges.write_text("0\t1\t0.5\n0\t2\t0.5\n1\t0\t1.0\n2\t0\t1.0\n")
+    colors.write_text("0\tR\n1\tR\n2\tB\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "repbublik.cli", "rwcc", "--t", "23000",
+         "--edges", str(edges), "--colors", str(colors), "--theta-good", "1.5",
+         "--theta-bad", "2"],
+        capture_output=True, text=True, timeout=20,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == "node\trwcc"
+
+
 def test_console_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "repbublik.cli", "--help"],

@@ -331,6 +331,33 @@ def _random_cases():
     return [random_polarized(rng, n_max=40, t_range=(3, 12)) for _ in range(24)]
 
 
+def _rwcc_row_by_row(graph, nodes, sources, t_prime):
+    """``exact_rwcc_many`` with the renewal solved one row at a time: F_i =
+    o'_i - sum_{k=1}^{i-1} F_k r(i - k), subtracted in k order, the loop the
+    engine's solve replaced."""
+    exact = repbublik.exact
+    targets, uniq, src = exact._centrality_request(graph, nodes, sources)
+    values = np.zeros(uniq.size)
+    if uniq.size == 0:
+        return values
+    color = exact._color_block(graph, graph.color_of(int(uniq[0])))
+    local = color.local(uniq)
+    returns = exact._return_profiles(graph, uniq, t_prime).T
+    in_src = np.isin(uniq, src, assume_unique=True)
+    occupancy = np.zeros(color.nodes.size)
+    occupancy[color.local(src)] = 1.0
+    passages = np.zeros((t_prime, uniq.size))
+    for i in range(1, t_prime):
+        occupancy = color.matrix_t @ occupancy
+        f = occupancy[local] - np.where(in_src, returns[i], 0.0)
+        for k in range(1, i):
+            f -= passages[k] * returns[i - k]
+        passages[i] = f
+        values += (t_prime - i) * f
+    values /= src.size
+    return values[np.searchsorted(uniq, targets)]
+
+
 def _assert_close(got, oracle):
     """``got`` lies within 1e-12 of ``oracle``, scaled by its largest value
     (at least 1)."""
@@ -400,6 +427,24 @@ class TestRwccBlock:
             got = exact_rwcc_many(graph, nodes, pool, t)
             _assert_close(got, _rwcc_full_matrix(graph, nodes, pool, t))
             assert (got >= 0.0).all()
+
+    def test_renewal_equals_the_row_by_row_solve(self):
+        """The solve that takes each F_k from every later row at once keeps
+        the bits of the one-row-at-a-time solve, on pools, reversed and
+        strided requests and half pools of sources."""
+        desk = [(generate_polarized(200, 200, 0.02, 0.002, seed=s), 14) for s in (0, 1)]
+        checked = 0
+        for graph, t in _random_cases() + desk:
+            for color in ("R", "B"):
+                nodes = graph.nodes_of(color)
+                for targets, sources in ((nodes, nodes), (nodes[::-1], nodes),
+                                         (nodes[::3], nodes[::2])):
+                    for t_prime in sorted({1, 2, 5, t}):
+                        got = exact_rwcc_many(graph, targets, sources, t_prime)
+                        want = _rwcc_row_by_row(graph, targets, sources, t_prime)
+                        assert np.array_equal(got, want)
+                        checked += 1
+        assert checked > 500
 
     @pytest.mark.parametrize("width", [1, 3])
     def test_equal_to_default_width(self, width, monkeypatch, g2, all_red_cycle):

@@ -83,7 +83,18 @@ class TestSampleSizes:
     def test_closeness_request_beyond_the_bound_is_typed(self, g2):
         # The source draw would otherwise fail inside numpy, untyped.
         with pytest.raises(WorkLimitExceeded):
-            estimate_rwcc_many(g2, [0], {0, 1}, 4, 1e-9, 0.05)
+            estimate_rwcc_many(g2, [0], {0, 1}, 4, 1e-9, 0.05, 4, 0)
+
+    def test_source_draws_beyond_the_draw_bound_are_typed(self, g2, monkeypatch):
+        # 2.25e9 draws per target pass the work bound at t' = 3 but would
+        # need 36 GiB per target.
+        with pytest.raises(WorkLimitExceeded, match="source draws"):
+            estimate_rwcc_many(g2, [0, 1], {0, 1}, 3, 1.0, 1e-9, 1, 0)
+        z = rwcc_sample_size(3, 0.5, 0.1)
+        monkeypatch.setattr(mc, "DRAW_ELEMENTS", 2 * z)
+        assert estimate_rwcc_many(g2, [0, 1], {0, 1}, 3, 0.5, 0.1, 1, 0).shape == (2,)
+        with pytest.raises(WorkLimitExceeded, match="source draws"):
+            estimate_rwcc_many(g2, [0, 1, 2], {0, 1}, 3, 0.5, 0.1, 1, 0)
 
     def test_rwcc_reference_value(self):
         assert rwcc_sample_size(10, 1.0, 0.1) == 250
@@ -102,6 +113,23 @@ class TestSampleSizes:
             br_sample_size(10, 5, epsilon, delta)
         with pytest.raises(ThresholdOrder):
             rwcc_sample_size(5, epsilon, delta)
+
+
+def _br_accuracy(n, t, r):
+    """An (epsilon, delta) at which ``br_sample_size`` sizes r walks per node
+    for n nodes at horizon t >= 2; needs r >= (t - 1)^2 ln(4n) / 2."""
+    delta = 0.5
+    epsilon = (t - 1) * math.sqrt(math.log(2 * n / delta) / (2 * r))
+    assert br_sample_size(n, t, epsilon, delta) == r
+    return epsilon, delta
+
+
+def _rwcc_accuracy(t_prime, z):
+    """An (epsilon, delta) at which ``rwcc_sample_size`` sizes z sources at
+    horizon t'; needs t'^2 < 4z."""
+    epsilon, delta = 1.0, t_prime * t_prime / (4 * z)
+    assert rwcc_sample_size(t_prime, epsilon, delta) == z
+    return epsilon, delta
 
 
 def _two_hub_graph(rng):
@@ -153,14 +181,15 @@ def _full_row_search(graph, rowcum, states, u):
 
 def _probes(sampler, graph, s):
     """Uniforms at every guide bucket edge of row ``s`` and just below it,
-    at each of the row's cumulative weights and their neighbours, and at 1
-    and above."""
+    and at each of the row's cumulative weights and their neighbours; only
+    those below 1, as ``Generator.random`` draws them."""
     edges = np.arange(int(sampler.scale[s]) + 1) / sampler.scale[s]
     cum = sampler.rowcum[graph.indptr[s] : graph.indptr[s + 1]]
-    return np.concatenate([
+    probes = np.concatenate([
         edges, np.nextafter(edges[1:], 0.0), cum, np.nextafter(cum, 0.0),
-        np.nextafter(cum, 2.0), [np.nextafter(1.0, 2.0), 1.5],
+        np.nextafter(cum, 2.0),
     ])
+    return probes[probes < 1.0]
 
 
 class TestWalkSampler:
@@ -181,6 +210,7 @@ class TestWalkSampler:
             rng.random(400), cum, np.nextafter(cum, 0.0), np.nextafter(cum, 2.0),
             [0.0, np.nextafter(1.0, 0.0)],
         ])
+        u = u[u < 1.0]  # the sampler's uniforms lie in [0, 1)
         for s in range(graph.n):
             lo, hi = graph.indptr[s], graph.indptr[s + 1]
             states = np.full(u.size, s, dtype=np.int64)
@@ -263,8 +293,8 @@ class TestWalkSampler:
         monkeypatch.setattr(_WalkSampler, "__init__", counting)
         graph, t = random_polarized(np.random.default_rng(97))
         reds = graph.nodes_of("R")
-        estimate_br(graph, t, 0.5, 0.1, seed=1, walks_per_node=5)
-        estimate_rwcc_many(graph, reds, reds, t, 0.5, 0.1, seed=1, num_sources=3)
+        estimate_br(graph, t, 1.0, 0.9, seed=1)
+        estimate_rwcc_many(graph, reds, reds, t, 1.0, 0.9, kappa=4, seed=1)
         for seed in (1, 2):
             simulate_restart_session(graph, int(reds[0]), t, 2, seed=seed)
         assert len(built) == 1
@@ -301,17 +331,18 @@ def _fresh(graph):
 
 class TestEstimateBr:
     def test_g1_exact_one(self, g1):
-        est = estimate_br(g1, 5, 0.9, 0.5, seed=3, walks_per_node=64)
+        est = estimate_br(g1, 5, 0.9, 0.5, seed=3)
         assert est.values == pytest.approx([1.0, 1.0])
-        assert est.provenance == "estimated"
 
-    def test_empty_graph_gives_empty_table(self):
+    def test_empty_graph_is_rejected_by_the_sizing(self):
+        # The union bound needs a node; the exact table of an empty graph is empty.
         empty = build_graph([], [])
-        est = estimate_br(empty, 4, 0.5, 0.05, seed=0, walks_per_node=2)
-        assert est.values.shape == (0,) and est.t == 4
+        with pytest.raises(ThresholdOrder, match="n must be"):
+            estimate_br(empty, 4, 0.5, 0.05, seed=0)
+        assert exact_br(empty, 4).values.shape == (0,)
 
     def test_all_red_component_capped(self, all_red_cycle):
-        est = estimate_br(all_red_cycle, 4, 0.9, 0.5, seed=3, walks_per_node=32)
+        est = estimate_br(all_red_cycle, 4, 0.9, 0.5, seed=3)
         assert est.values == pytest.approx([4.0, 4.0, 4.0])
 
     def test_g2_concentration_200_reruns(self, g2):
@@ -348,12 +379,13 @@ class TestEstimateRwcc:
         for _ in range(6):
             graph, t = random_polarized(rng, n_max=20)
             reds = [int(w) for w in graph.nodes_of("R")]
+            z = rwcc_sample_size(t, 1.0, 0.5)
             for v in reds[:3]:
                 for kappa in (1, 4):
                     seed = int(rng.integers(2**32))
-                    got = estimate_rwcc(graph, v, reds, t, 0.5, 0.1, kappa=kappa,
-                                        seed=seed, num_sources=40)
-                    assert got == rwcc_by_walks(graph, v, reds, t, kappa, seed, 40)[0]
+                    got = estimate_rwcc(graph, v, reds, t, 1.0, 0.5, kappa=kappa,
+                                        seed=seed)
+                    assert got == rwcc_by_walks(graph, v, reds, t, kappa, seed, z)[0]
 
     def test_deterministic_single_edge(self):
         g = build_graph(["R", "R", "B"], [(0, 1, 1.0), (1, 0, 1.0), (2, 0, 1.0)])
@@ -363,7 +395,7 @@ class TestEstimateRwcc:
 
     def test_unreachable_target_zero(self):
         g = build_graph(["R", "R", "B"], [(0, 2, 1.0), (1, 0, 1.0), (2, 0, 1.0)])
-        assert estimate_rwcc(g, 1, {0}, 4, 0.5, 0.1, seed=2) == 0.0
+        assert estimate_rwcc(g, 1, {0}, 4, 0.5, 0.1, kappa=4, seed=2) == 0.0
 
     def test_g2_concentration(self, g2):
         eps, delta = 0.5, 0.05
@@ -383,15 +415,15 @@ class TestEstimateRwcc:
 
     def test_mixed_colors_rejected(self, g2):
         with pytest.raises(MixedColorSet):
-            estimate_rwcc(g2, 2, {0, 3}, 4, 0.5, 0.1, seed=1)
+            estimate_rwcc(g2, 2, {0, 3}, 4, 0.5, 0.1, kappa=4, seed=1)
 
     def test_empty_sources_rejected(self, g2):
         with pytest.raises(EmptySourceSet):
-            estimate_rwcc(g2, 2, set(), 4, 0.5, 0.1, seed=1)
+            estimate_rwcc(g2, 2, set(), 4, 0.5, 0.1, kappa=4, seed=1)
 
     def test_self_source_contributes_zero(self, g2):
         # With S = {v}, every draw is the self source: centrality must be 0.
-        assert estimate_rwcc(g2, 0, {0}, 4, 0.5, 0.1, seed=9) == 0.0
+        assert estimate_rwcc(g2, 0, {0}, 4, 0.5, 0.1, kappa=4, seed=9) == 0.0
 
 
 BUDGETS = (1, 37, mc.WALK_ELEMENTS, 2**30)
@@ -410,7 +442,7 @@ class TestChunking:
             tables = []
             for budget in BUDGETS:
                 monkeypatch.setattr(mc, "WALK_ELEMENTS", budget)
-                table = estimate_br(_fresh(graph), t, 0.5, 0.1, seed=3, walks_per_node=9)
+                table = estimate_br(_fresh(graph), t, 1.0, 0.5, seed=3)
                 tables.append(table.values)
             assert all(np.array_equal(tables[0], other) for other in tables[1:])
 
@@ -420,8 +452,8 @@ class TestChunking:
             runs = []
             for budget in BUDGETS:
                 monkeypatch.setattr(mc, "WALK_ELEMENTS", budget)
-                runs.append(estimate_rwcc_many(graph, reds, reds, t, 0.5, 0.1, kappa=3,
-                                               seed=5, num_sources=11))
+                runs.append(estimate_rwcc_many(graph, reds, reds, t, 1.0, 0.5, kappa=3,
+                                               seed=5))
             assert all(np.array_equal(runs[0], other) for other in runs[1:])
 
     @pytest.mark.parametrize("z", [13, 150])
@@ -429,19 +461,21 @@ class TestChunking:
         rng = np.random.default_rng(83)
         monkeypatch.setattr(mc, "WALK_ELEMENTS", 37)
         for graph, t in self._graphs():
+            horizon = min(t, 7)  # z = 13 sources needs t'^2 < 52
+            eps, delta = _rwcc_accuracy(horizon, z)
             blues = graph.nodes_of("B")
             batches = [blues, blues[::-1], np.concatenate([blues, blues[:2]]),
                        rng.permutation(blues)[: max(1, blues.size // 2)]]
             for batch in batches:
-                got = estimate_rwcc_many(graph, batch, blues, t, 0.5, 0.1, kappa=2,
-                                         seed=7, num_sources=z)
+                got = estimate_rwcc_many(graph, batch, blues, horizon, eps, delta,
+                                         kappa=2, seed=7)
                 for i, v in enumerate(batch):
-                    alone = estimate_rwcc(graph, int(v), blues, t, 0.5, 0.1, kappa=2,
-                                          seed=7, num_sources=z)
+                    alone = estimate_rwcc(graph, int(v), blues, horizon, eps, delta,
+                                          kappa=2, seed=7)
                     assert got[i] == alone
 
     def test_empty_batch(self, g2):
-        assert estimate_rwcc_many(g2, [], [0, 1], 4, 0.5, 0.1).shape == (0,)
+        assert estimate_rwcc_many(g2, [], [0, 1], 4, 0.5, 0.1, 4, 0).shape == (0,)
 
     def test_walks_beyond_a_group_equal_under_every_budget(self, monkeypatch):
         # More walks per node than a group and than every budget but the
@@ -449,13 +483,15 @@ class TestChunking:
         r = mc._WALK_GROUP + 5
         for graph, t in self._graphs()[:2]:
             reds = graph.nodes_of("R")
+            br_eps, br_delta = _br_accuracy(graph.n, t, r)
+            rw_eps, rw_delta = _rwcc_accuracy(t, r // 2)
             tables, runs = [], []
             for budget in BUDGETS:
                 monkeypatch.setattr(mc, "WALK_ELEMENTS", budget)
-                tables.append(estimate_br(_fresh(graph), t, 0.5, 0.1, seed=4,
-                                          walks_per_node=r).values)
-                runs.append(estimate_rwcc_many(graph, reds, reds, t, 0.5, 0.1, kappa=2,
-                                               seed=4, num_sources=r // 2))
+                tables.append(estimate_br(_fresh(graph), t, br_eps, br_delta,
+                                          seed=4).values)
+                runs.append(estimate_rwcc_many(graph, reds, reds, t, rw_eps, rw_delta,
+                                               kappa=2, seed=4))
             assert all(np.array_equal(tables[0], other) for other in tables[1:])
             assert all(np.array_equal(runs[0], other) for other in runs[1:])
 
@@ -464,8 +500,9 @@ class TestChunking:
         for r in (mc._WALK_GROUP, 8 * mc._WALK_GROUP):
             graph = _fresh(g2)
             mc._sampler_of(graph)
+            eps, delta = _br_accuracy(graph.n, 4, r)
             tracemalloc.start()
-            estimate_br(graph, 4, 0.5, 0.1, seed=1, walks_per_node=r)
+            estimate_br(graph, 4, eps, delta, seed=1)
             peaks.append(tracemalloc.get_traced_memory()[1])
             tracemalloc.stop()
         # A pass holds one group either way; allow a few objects of slack.
@@ -504,27 +541,29 @@ class TestDrawsRead:
             for t in (1, 2, 7):
                 tally.clear()
                 seed = int(rng.integers(2**32))
-                table = estimate_br(graph, t, 0.5, 0.1, seed=seed, walks_per_node=9)
-                values, draws = br_by_walks(graph, t, 9, seed)
+                table = estimate_br(graph, t, 1.0, 0.9, seed=seed)
+                r = br_sample_size(graph.n, t, 1.0, 0.9)
+                values, draws = br_by_walks(graph, t, r, seed)
                 assert np.array_equal(table.values, values)
                 assert [tally[mc._STREAM_BR, v] for v in range(graph.n)] == draws.tolist()
                 if t == 1:
                     assert sum(tally.values()) == 0
 
     def test_rwcc_draws_the_steps_taken(self, tally):
-        # Pools of one color hold each node itself, so z = 12 draws include
-        # self draws, whose walks draw nothing.
+        # Pools of one color hold each node itself, so the z = 14 draws at
+        # t' = 7 include self draws, whose walks draw nothing.
         rng = np.random.default_rng(97)
         for _ in range(3):
             graph, _ = random_polarized(rng, n_max=16)
             for t in (1, 2, 7):
+                z = rwcc_sample_size(t, 1.0, 0.9)
                 for color in ("R", "B"):
                     tally.clear()
                     seed = int(rng.integers(2**32))
                     pool = graph.nodes_of(color)
-                    got = estimate_rwcc_many(graph, pool, pool, t, 0.5, 0.1, kappa=3,
-                                             seed=seed, num_sources=12)
-                    expected = [rwcc_by_walks(graph, int(v), pool, t, 3, seed, 12)
+                    got = estimate_rwcc_many(graph, pool, pool, t, 1.0, 0.9, kappa=3,
+                                             seed=seed)
+                    expected = [rwcc_by_walks(graph, int(v), pool, t, 3, seed, z)
                                 for v in pool]
                     assert got.tolist() == [value for value, _ in expected]
                     assert [tally[mc._STREAM_RWCC_WALKS, int(v)] for v in pool] == [
@@ -536,13 +575,15 @@ class TestDrawsRead:
         assert sum(tally.values()) == 0
 
     def test_walks_across_groups(self, g2, tally):
-        r = 2 * mc._WALK_GROUP + 3
-        table = estimate_br(g2, 4, 0.5, 0.1, seed=6, walks_per_node=r)
+        r = br_sample_size(g2.n, 4, 0.022, 0.1)
+        assert r > 2 * mc._WALK_GROUP  # 40,742 walks per node: three groups
+        table = estimate_br(g2, 4, 0.022, 0.1, seed=6)
         values, draws = br_by_walks(g2, 4, r, 6)
         assert np.array_equal(table.values, values)
         assert [tally[mc._STREAM_BR, v] for v in range(g2.n)] == draws.tolist()
-        z = mc._WALK_GROUP + 1  # 2 walks per draw: three groups
-        got = estimate_rwcc(g2, 2, {0, 1, 2}, 4, 0.5, 0.1, kappa=2, seed=6, num_sources=z)
+        z = rwcc_sample_size(4, 0.02, 0.5)
+        assert 2 * z > 2 * mc._WALK_GROUP  # 20,000 draws of 2 walks: three groups
+        got = estimate_rwcc(g2, 2, {0, 1, 2}, 4, 0.02, 0.5, kappa=2, seed=6)
         assert (got, tally[mc._STREAM_RWCC_WALKS, 2]) == rwcc_by_walks(
             g2, 2, {0, 1, 2}, 4, 2, 6, z
         )

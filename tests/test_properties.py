@@ -158,14 +158,15 @@ def test_walk_loop_equals_per_walk_oracle(one_group_per_pass, monkeypatch):
     for graph in graphs:
         for t in (1, 2, 3, 10):
             seed = int(rng.integers(2**32))
-            table = estimate_br(graph, t, 0.5, 0.1, seed=seed, walks_per_node=7)
-            assert np.array_equal(table.values, br_by_walks(graph, t, 7, seed)[0])
+            r, z = br_sample_size(graph.n, t, 1.0, 0.9), rwcc_sample_size(t, 1.0, 0.9)
+            table = estimate_br(graph, t, 1.0, 0.9, seed=seed)
+            assert np.array_equal(table.values, br_by_walks(graph, t, r, seed)[0])
             for color in ("R", "B"):
                 pool = graph.nodes_of(color)
-                got = estimate_rwcc_many(graph, pool, pool, t, 0.5, 0.1, kappa=3,
-                                         seed=seed, num_sources=12)
+                got = estimate_rwcc_many(graph, pool, pool, t, 1.0, 0.9, kappa=3,
+                                         seed=seed)
                 assert got.tolist() == [
-                    rwcc_by_walks(graph, int(v), pool, t, 3, seed, 12)[0] for v in pool
+                    rwcc_by_walks(graph, int(v), pool, t, 3, seed, z)[0] for v in pool
                 ]
 
 
@@ -173,8 +174,7 @@ def test_estimated_br_within_declared_range():
     rng = np.random.default_rng(37)
     for _ in range(5):
         graph, t = random_polarized(rng, n_max=20)
-        table = estimate_br(graph, t, 0.9, 0.5, seed=int(rng.integers(2**32)),
-                            walks_per_node=16)
+        table = estimate_br(graph, t, 0.9, 0.5, seed=int(rng.integers(2**32)))
         assert (table.values >= 1.0).all() and (table.values <= t).all()
 
 
@@ -223,8 +223,8 @@ NODE_ID_CALLS = {
         g, [u], [EdgeInsertion(0, 3, 0.5)], 4, backend="mc",
         cfg=WalkConfig(t=4, theta_good=1.5),
     ),
-    "estimate_rwcc-v": lambda g, u: estimate_rwcc(g, u, [0, 1], 3, 0.5, 0.1),
-    "estimate_rwcc-sources": lambda g, u: estimate_rwcc(g, 2, [u, 2], 3, 0.5, 0.1),
+    "estimate_rwcc-v": lambda g, u: estimate_rwcc(g, u, [0, 1], 3, 0.5, 0.1, 4, 0),
+    "estimate_rwcc-sources": lambda g, u: estimate_rwcc(g, 2, [u, 2], 3, 0.5, 0.1, 4, 0),
     "simulate_restart_session": lambda g, u: simulate_restart_session(g, u, 4, 2, 0),
     "exact_first_passage-source": lambda g, u: exact_first_passage(g, u, 1, 4),
     "exact_first_passage-target": lambda g, u: exact_first_passage(g, 0, u, 4),
@@ -287,19 +287,15 @@ PARAMETER_CALLS = {
     "br_sample_size-t": _count(lambda g, x, _: br_sample_size(10, x, 0.5, 0.1)),
     "rwcc_sample_size": _count(lambda g, x, _: rwcc_sample_size(x, 0.5, 0.1)),
     "estimate_br-t": _count(lambda g, x, _: estimate_br(g, x, 0.5, 0.1, 0)),
-    "estimate_br-walks_per_node": _count(
-        lambda g, x, _: estimate_br(g, 4, 0.5, 0.1, 0, walks_per_node=x)
-    ),
     "estimate_br-seed": _seed(lambda g, x, _: estimate_br(g, 4, 0.5, 0.1, x)),
-    "estimate_rwcc-t": _count(lambda g, x, _: estimate_rwcc(g, 0, [1, 2], x, 0.5, 0.1)),
-    "estimate_rwcc-kappa": _count(
-        lambda g, x, _: estimate_rwcc(g, 0, [1, 2], 3, 0.5, 0.1, kappa=x)
+    "estimate_rwcc-t": _count(
+        lambda g, x, _: estimate_rwcc(g, 0, [1, 2], x, 0.5, 0.1, 4, 0)
     ),
-    "estimate_rwcc-num_sources": _count(
-        lambda g, x, _: estimate_rwcc(g, 0, [1, 2], 3, 0.5, 0.1, num_sources=x)
+    "estimate_rwcc-kappa": _count(
+        lambda g, x, _: estimate_rwcc(g, 0, [1, 2], 3, 0.5, 0.1, x, 0)
     ),
     "estimate_rwcc-seed": _seed(
-        lambda g, x, _: estimate_rwcc(g, 0, [1, 2], 3, 0.5, 0.1, seed=x)
+        lambda g, x, _: estimate_rwcc(g, 0, [1, 2], 3, 0.5, 0.1, 4, x)
     ),
     "simulate_restart_session-t": _count(
         lambda g, x, _: simulate_restart_session(g, 0, x, 2, 0)

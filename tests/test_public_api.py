@@ -63,6 +63,30 @@ def test_registry_entries_share_one_signature():
         assert params == expected, name
 
 
+def test_estimator_signatures_are_pinned():
+    """The estimators and ``br_table`` take every argument positionally and
+    with no default: the benchmark's traced pass (``perfbench/spans.py``)
+    reads them by position to count walks, so a reorder would miscount."""
+    expected = {
+        repbublik.estimate_br: ["graph", "t", "epsilon", "delta", "seed"],
+        repbublik.estimate_rwcc_many: [
+            "graph", "nodes", "sources", "t_prime", "epsilon", "delta", "kappa", "seed",
+        ],
+        repbublik.estimate_rwcc: [
+            "graph", "v", "sources", "t_prime", "epsilon", "delta", "kappa", "seed",
+        ],
+        repbublik.exact_br: ["graph", "t"],
+        repbublik.exact_rwcc: ["graph", "v", "sources", "t_prime"],
+        repbublik.bias.br_table: ["graph", "cfg", "backend", "seed"],
+    }
+    positional, empty = inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.empty
+    for fn, names in expected.items():
+        params = inspect.signature(fn).parameters.values()
+        assert [(p.name, p.kind, p.default) for p in params] == [
+            (name, positional, empty) for name in names
+        ], fn.__name__
+
+
 def test_every_error_class_is_used_outside_errors_py():
     """Each error class but the two bases is named in another module of the
     package, so a class only a removed routine raised cannot linger."""

@@ -554,9 +554,11 @@ class TestMemo:
             for t in (cfg.t, cfg.t + 1):
                 cold = ColoredGraph(graph.colors, graph.indptr, graph.targets, graph.weights)
                 assert exact_br(graph, t).values.tolist() == exact_br(cold, t).values.tolist()
-            for t, seed, walks in [(3, 0, 5), (4, 0, 5), (3, 1, 5), (3, 0, 6), (3, 0, None)]:
+            # Each epsilon sizes its own walk count.
+            for t, epsilon, seed in [(3, 0.9, 0), (4, 0.9, 0), (3, 0.9, 1), (3, 0.8, 0),
+                                     (3, 0.7, 0)]:
                 cold = ColoredGraph(graph.colors, graph.indptr, graph.targets, graph.weights)
-                args = (t, 0.9, 0.5, seed, walks)
+                args = (t, epsilon, 0.5, seed)
                 expected = estimate_br(cold, *args).values.tolist()
                 assert estimate_br(graph, *args).values.tolist() == expected
             for args in requests:
@@ -568,11 +570,10 @@ class TestMemo:
         exact_br(g2, 4)
         with pytest.raises(ThresholdOrder):
             exact_br(g2, 4.0)
-        estimate_br(g2, 4, 0.9, 0.5, seed=3, walks_per_node=5)
-        for bad in [(4.0, 3, 5), (4, 3.0, 5), (4, 3, 5.0)]:
-            t, seed, walks = bad
+        estimate_br(g2, 4, 0.9, 0.5, seed=3)
+        for t, seed in [(4.0, 3), (4, 3.0)]:
             with pytest.raises(ThresholdOrder):
-                estimate_br(g2, t, 0.9, 0.5, seed=seed, walks_per_node=walks)
+                estimate_br(g2, t, 0.9, 0.5, seed=seed)
 
     def test_memo_is_dropped_with_the_graph(self, g2):
         grown = apply_plan(g2, [EdgeInsertion(0, 3, 0.5)])
