@@ -92,8 +92,14 @@ class ColoredGraph:
         first use and dropped with the graph."""
         return {}
 
+    @cached_property
+    def _out_degrees(self) -> list[int]:
+        """Every node's out-degree as Python ints, built on first use: a
+        list read is several times cheaper than two numpy-scalar reads."""
+        return np.diff(self.indptr).tolist()
+
     def out_degree(self, v: int) -> int:
-        return int(self.indptr[v + 1] - self.indptr[v])
+        return self._out_degrees[v]
 
     def row(self, v: int) -> tuple[np.ndarray, np.ndarray]:
         lo, hi = self.indptr[v], self.indptr[v + 1]

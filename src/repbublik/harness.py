@@ -45,7 +45,7 @@ from .graph import (
 )
 from .montecarlo import derive_seed, stream
 from .bias import br_table
-from .recommend import ALGORITHMS
+from .recommend import ALGORITHMS, EXACT_SEED_FREE
 
 _TAG_EVAL = 31
 _TAG_POLARIZED = 32
@@ -457,10 +457,13 @@ def run_sweep(
 
     Each (algorithm, seed, color) plan is built once, at the color's
     largest budget on the ladder, by the first cell that needs it, and
-    every cell reads a prefix (see :class:`_AlgorithmCells`).  So a
-    recommender's warning about a short plan is raised once per plan, and
-    with ``measure_runtime`` the time to build a plan is charged to the
-    cell that builds it.
+    every cell reads a prefix (see :class:`_AlgorithmCells`).  Under the
+    exact backend an entry of ``EXACT_SEED_FREE`` draws nothing, so its
+    plan and grown graphs are built once per color and shared by every
+    repetition seed.  So a recommender's warning about a short plan is
+    raised once per plan, and with ``measure_runtime`` the time to build a
+    plan, or to grow a shared graph, is charged to the cell that does it:
+    a later seed's cell of a shared plan records its evaluation alone.
 
     With ``measure_runtime`` left off, runtime_ms is written as 0 so that
     identical inputs and seeds produce byte-identical CSV files.
@@ -522,6 +525,13 @@ class _AlgorithmCells:
     color rewrites only that color's rows, and a row renormalised edge by
     edge in plan order runs the same float operations whether it is built
     in one call or in several.
+
+    Seeds: plans and graphs are keyed by the repetition seed, or by None
+    under the exact backend for an entry of ``EXACT_SEED_FREE``, whose plan
+    is the same for every seed.  Then every seed shares one plan per color
+    and one chain of grown graphs: a later seed at the same K applies no
+    edge, gets the graph back from ``apply_plan`` and its exact table from
+    the graph's memo.
     """
 
     def __init__(
@@ -530,14 +540,18 @@ class _AlgorithmCells:
     ):
         self.graph, self.algo, self.top = graph, algo, top
         self.cfg, self.backend = cfg, backend
-        self._plans: dict[tuple[int, str], tuple[EdgeInsertion, ...] | Exception] = {}
-        self._grown: dict[int, tuple[ColoredGraph, int, int]] = {}
+        self._seed_free = backend == "exact" and algo in EXACT_SEED_FREE
+        self._plans: dict[tuple[int | None, str], tuple[EdgeInsertion, ...] | Exception] = {}
+        self._grown: dict[int | None, tuple[ColoredGraph, int, int]] = {}
+
+    def _key(self, seed: int) -> int | None:
+        return None if self._seed_free else seed
 
     def edges(self, color: str, budget: int, seed: int) -> tuple[EdgeInsertion, ...]:
         """The first ``budget`` edges of the (seed, color) plan."""
         if budget == 0:
             return ()
-        key = (seed, color)
+        key = (self._key(seed), color)
         if key not in self._plans:
             try:
                 self._plans[key] = ALGORITHMS[self.algo](
@@ -555,9 +569,10 @@ class _AlgorithmCells:
         self, seed: int, red: tuple[EdgeInsertion, ...], blue: tuple[EdgeInsertion, ...]
     ) -> ColoredGraph:
         """The input graph with ``red`` and then ``blue`` applied."""
-        base, n_red, n_blue = self._grown.get(seed, (self.graph, 0, 0))
+        key = self._key(seed)
+        base, n_red, n_blue = self._grown.get(key, (self.graph, 0, 0))
         grown = apply_plan(base, red[n_red:] + blue[n_blue:])
-        self._grown[seed] = (grown, len(red), len(blue))
+        self._grown[key] = (grown, len(red), len(blue))
         return grown
 
 

@@ -394,8 +394,15 @@ def estimate_br(
     whichever comes first.  The walks of each color's nodes step together,
     and node ``v`` runs its walks on its own ``(seed, _STREAM_BR, v)`` stream.
     Deterministic for a fixed seed, so the table is computed once per
-    graph, ``t``, walk count and seed and kept in ``graph.memo``.
+    graph, ``t``, walk count and seed and kept in ``graph.memo``.  A graph
+    without nodes gets the exact backend's empty table: there is no
+    estimate to bound, and the sizing's union bound needs a node.
     """
+    if graph.n == 0:
+        check_accuracy(epsilon, delta)
+        check_count("horizon", t)
+        check_seed(seed)
+        return BrTable(values=np.empty(0), t=t)
     r = br_sample_size(graph.n, t, epsilon, delta)
     check_seed(seed)
     key = ("br-mc", t, r, seed)

@@ -363,3 +363,8 @@ ALGORITHMS = {
     "rcn": baseline_rcn,
     "rwcn": baseline_rwcn,
 }
+
+#: The registry entries whose plan under the exact backend draws nothing, so
+#: that it is a function of the graph and the walk settings alone: the sweep
+#: builds it once and shares it across repetition seeds.
+EXACT_SEED_FREE = frozenset({"repbublik", "repbublik-plus"})

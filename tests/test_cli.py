@@ -50,6 +50,28 @@ def test_br_verb_writes_table(g2_files, tmp_path, capsys):
     assert lines[1] == "0\t3.5"
 
 
+def test_empty_dataset_gives_both_backends_the_same_output(tmp_path, capsys):
+    # Blank edge and color files: no node, so the Monte Carlo table is the
+    # exact backend's empty one rather than a sizing error.
+    edges, colors = tmp_path / "empty.edges.tsv", tmp_path / "empty.colors.tsv"
+    edges.write_text("")
+    colors.write_text("\n")
+    outputs = {}
+    for backend in ("exact", "mc"):
+        for verb in ("br", "stats"):
+            out_file = tmp_path / f"{verb}.{backend}.tsv"
+            code = main([
+                verb, "--edges", str(edges), "--colors", str(colors), "--t", "10",
+                "--theta-good", "2", "--theta-bad", "5", "--backend", backend,
+                "--output", str(out_file),
+            ])
+            assert code == 0, capsys.readouterr().err
+            outputs[backend, verb] = out_file.read_bytes()
+    assert outputs["exact", "br"] == b"node\tbr\n"
+    for verb in ("br", "stats"):
+        assert outputs["mc", verb] == outputs["exact", verb]
+
+
 def test_rwcc_single_node(g2_files, capsys):
     edges, colors = g2_files
     code = main([

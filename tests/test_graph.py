@@ -153,6 +153,21 @@ class TestWeightOracle:
                 weight_oracle(g2, 0, planned=planned)
 
 
+    def test_out_degree_is_read_from_each_graphs_own_indptr(self):
+        rng = np.random.default_rng(23)
+        graph, _ = random_polarized(rng)
+        assert [graph.out_degree(v) for v in range(graph.n)] == np.diff(graph.indptr).tolist()
+        # An edge from v: the child's degrees are its own, not the parent's.
+        v = int(graph.nodes_of("R")[0])
+        blue = graph.nodes_of("B")
+        w = int(blue[~np.isin(blue, graph.row(v)[0])][0])
+        grown = apply_plan(graph, [EdgeInsertion(v, w, weight_oracle(graph, v))])
+        degrees = [grown.out_degree(u) for u in np.arange(grown.n)]  # numpy ids too
+        assert degrees == np.diff(grown.indptr).tolist()
+        assert grown.out_degree(v) == graph.out_degree(v) + 1
+        assert weight_oracle(grown, v) == 1.0 / (graph.out_degree(v) + 2)
+
+
 class TestWalkConfig:
     def test_theta_bad_defaults_to_half_t(self):
         cfg = WalkConfig(t=10)

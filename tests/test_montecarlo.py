@@ -334,12 +334,19 @@ class TestEstimateBr:
         est = estimate_br(g1, 5, 0.9, 0.5, seed=3)
         assert est.values == pytest.approx([1.0, 1.0])
 
-    def test_empty_graph_is_rejected_by_the_sizing(self):
-        # The union bound needs a node; the exact table of an empty graph is empty.
+    def test_empty_graph_gets_the_exact_empty_table(self):
+        # No node, no estimate to bound: the table is the exact backend's
+        # empty one, while the sizing's union bound still needs a node and
+        # the arguments are still checked.
         empty = build_graph([], [])
+        table = estimate_br(empty, 4, 0.5, 0.05, seed=0)
+        assert table.t == 4 and table.values.shape == (0,)
+        assert table.values.dtype == exact_br(empty, 4).values.dtype
         with pytest.raises(ThresholdOrder, match="n must be"):
-            estimate_br(empty, 4, 0.5, 0.05, seed=0)
-        assert exact_br(empty, 4).values.shape == (0,)
+            br_sample_size(0, 4, 0.5, 0.05)
+        for epsilon, t, seed in ((0.0, 4, 0), (0.5, 0, 0), (0.5, 4, -1)):
+            with pytest.raises(ThresholdOrder):
+                estimate_br(empty, t, epsilon, 0.05, seed=seed)
 
     def test_all_red_component_capped(self, all_red_cycle):
         est = estimate_br(all_red_cycle, 4, 0.9, 0.5, seed=3)

@@ -30,6 +30,7 @@ from repbublik import (
     repbublik_plus,
     weight_oracle,
 )
+import repbublik.harness as harness
 import repbublik.recommend as rec
 from repbublik.errors import NoOppositeColor, RepbublikError, ThresholdOrder
 from repbublik.recommend import _top_pool
@@ -280,6 +281,84 @@ class TestBaselines:
         assert set(ALGORITHMS) == {
             "repbublik", "repbublik-plus", "pure-random", "rcn", "rwcn"
         }
+
+
+class TestSeedFree:
+    """``EXACT_SEED_FREE`` names exactly the entries whose exact-backend
+    plan does not depend on the seed, and the sweep builds their plans once
+    per color under the exact backend and once per (seed, color) otherwise."""
+
+    SEEDS = (0, 1, 2, 3, 4)
+
+    @staticmethod
+    def _cases():
+        rng = np.random.default_rng(331)
+        cases = []
+        for i in range(12):
+            graph, t = random_polarized(rng, n_max=30, t_range=(4, 7))
+            cases.append((graph, WalkConfig(
+                t=t, theta_good=1.5, theta_bad=t / 2, epsilon=0.9, delta=0.5, seed=i,
+            )))
+        return cases
+
+    def test_set_holds_exactly_the_seed_free_entries(self):
+        assert rec.EXACT_SEED_FREE <= set(ALGORITHMS)
+        differs = dict.fromkeys(ALGORITHMS, False)
+        for graph, cfg in self._cases():
+            for name, fn in ALGORITHMS.items():
+                for color in ("R", "B"):
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("ignore", RuntimeWarning)
+                        plans = {
+                            fn(graph, color, 6, replace(cfg, seed=seed)).edges
+                            for seed in self.SEEDS
+                        }
+                    if name in rec.EXACT_SEED_FREE:
+                        assert len(plans) == 1, (name, color)
+                    differs[name] |= len(plans) > 1
+        assert {name for name, d in differs.items() if not d} == rec.EXACT_SEED_FREE
+
+    @pytest.mark.parametrize("backend", ["exact", "mc"])
+    def test_sweep_builds_a_seed_free_plan_once_per_color(self, backend, tmp_path, monkeypatch):
+        calls, evaluated = [], []
+        for name in rec.EXACT_SEED_FREE:
+            def spy(graph, color, budget, cfg, backend="exact", name=name, fn=ALGORITHMS[name]):
+                calls.append((name, cfg.seed, color))
+                return fn(graph, color, budget, cfg, backend=backend)
+
+            monkeypatch.setitem(ALGORITHMS, name, spy)
+        original = harness.br_table
+
+        def br_spy(grown, *args):
+            evaluated.append(grown)
+            return original(grown, *args)
+
+        monkeypatch.setattr(harness, "br_table", br_spy)
+        algorithms, k_values = sorted(rec.EXACT_SEED_FREE), [1, 4, 9]
+        built = total = 0
+        for graph, cfg in self._cases()[:4]:
+            calls.clear()
+            evaluated.clear()
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                records = harness.run_sweep(
+                    graph, algorithms, k_values, cfg, self.SEEDS, tmp_path / "s.csv",
+                    backend=backend,
+                )
+            colors = {color for _, _, color in calls}
+            per_seed = [(n, s, c) for n in algorithms for s in self.SEEDS for c in sorted(colors)]
+            if backend == "exact":
+                # Built by the first seed's cell, and only then.
+                assert sorted(calls) == sorted({(n, self.SEEDS[0], c) for n, _, c in per_seed})
+                # Every seed's cell at one K evaluates the one shared grown graph.
+                for i in range(0, len(records), len(self.SEEDS)):
+                    cell_graphs = evaluated[1 + i : 1 + i + len(self.SEEDS)]
+                    assert all(g is cell_graphs[0] for g in cell_graphs)
+            else:
+                assert sorted(calls) == per_seed
+            built += len(colors)
+            total += len(records)
+        assert built >= 6 and total == 4 * len(algorithms) * len(k_values) * len(self.SEEDS)
 
 
 # ---------------------------------------------------------------- references
