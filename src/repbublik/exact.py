@@ -108,6 +108,8 @@ def exact_br(graph: ColoredGraph, t: int) -> BrTable:
     expected = survival.copy()
     for _ in range(t - 1):
         survival = within @ survival
+        if not survival.any():
+            break  # every later term adds +0.0
         expected += survival
     graph.memo[key] = BrTable(values=expected, t=t)
     return graph.memo[key]
@@ -168,6 +170,8 @@ def _return_profiles(
         block[chunk, cols] = 1.0
         for step in range(1, t_prime):
             block = color.matrix_t @ block
+            if not block.any():
+                break  # the later entries stay +0.0
             profiles[lo + cols, step] = block[chunk, cols]
     return profiles
 
@@ -274,6 +278,8 @@ def _rwcc_block(
     passages = np.zeros((t_prime, uniq.size))
     for i in range(1, t_prime):
         occupancy = color.matrix_t @ occupancy
+        if not occupancy.any():
+            break  # r_v(i) <= o_i(v) for v in S, so o'_i stays +0.0
         # o'_i, without the target's own walk when it is a source
         passages[i] = occupancy[local] - np.where(in_src, returns[i], 0.0)
     # Final F_k leaves F_k r(i - k) from every later row i at once: each row

@@ -1,65 +1,49 @@
 """Seeded Monte Carlo estimators for Bubble Radius and bounded closeness.
 
-The Bubble Radius table keeps an (epsilon, delta) contract: with probability
-at least 1 - delta, every node's estimate lies within epsilon of its Bubble
-Radius.  :func:`br_sample_size` sizes it by Hoeffding's bound for lengths in
-[1, t], a range of t - 1, with a union bound over the n nodes: r =
-ceil((t - 1)^2 ln(2n / delta) / (2 epsilon^2)) walks per node, tighter than
-the paper's t^2 / epsilon^2 * ln(2n / delta) (2.47 times fewer walks at
-t = 10).  The closeness estimate is sized per target by a
-Chebyshev/Popoviciu bound, :func:`rwcc_sample_size`.  The estimators take
-r and z from these two alone, and check them and their work against
-``graph.MAX_WORK`` before any walk starts.
+Both keep an (epsilon, delta) contract: with probability at least 1 - delta,
+every node's estimate lies within epsilon of its true value.  One rule sizes
+both, Hoeffding's bound (1963) for means of draws in a range of t - 1 with a
+union bound over the n nodes: ceil((t - 1)^2 ln(2n / delta) / (2 epsilon^2))
+draws.  A capped walk length lies in [1, t], and :func:`br_sample_size` runs
+that many walks per node; a closeness draw scores each node in [0, t' - 1],
+and :func:`rwcc_sample_size` draws that many sources per request, shared by
+all of its targets.  The estimators check these sizes and their work
+against ``graph.MAX_WORK`` before any walk starts.
 
-Randomness comes from one stream per ``(master seed, purpose, node id)``.
+Randomness comes from one stream per ``(master seed, purpose, ...)`` key.
 Every draw but the walk steps comes from counter-based Philox streams
 (:func:`stream`): the closeness source draws, and outside this module the
 generated graphs, the target picks and the baselines.  The walk steps come
 from SFC64 streams (:func:`_walk_stream`), which fill uniforms about four
-times faster:
+times faster.  The Bubble Radius of ``v`` runs its r walks on ``(seed,
+_STREAM_BR, v)``.  A closeness request draws its N sources uniformly over S
+from ``(seed, _STREAM_RWCC_SOURCES)`` and runs ``kappa`` walks from each on
+``(seed, _STREAM_RWCC_WALKS)``: draw ``i`` owns walks ``i * kappa`` to
+``i * kappa + kappa - 1``.
 
-- the Bubble Radius of ``v`` runs its r walks on ``(seed, _STREAM_BR, v)``;
-- the closeness of ``v`` draws its ``z`` sources from the Philox stream
-  ``(seed, _STREAM_RWCC_SOURCES, v)`` and runs ``z * kappa`` walks on
-  ``(seed, _STREAM_RWCC_WALKS, v)``, where draw ``i`` owns walks
-  ``i * kappa`` to ``i * kappa + kappa - 1``; a draw equal to ``v``
-  counts the full horizon, and its walks never step.
+A walk stream holds only the uniforms that are read.  Its walks are cut into
+groups of ``_WALK_GROUP`` walks, run in order; a group draws step by step,
+at step k one uniform for each of its walks still live before step k, in
+walk order.  No walk takes the last step of the horizon, which cannot change
+a capped length or a closeness score.  The group size and this order are the
+stream layout; they fix every estimate.  The groups of many streams are laid
+end to end and packed into walk passes of at most ``WALK_ELEMENTS`` walks
+(and at least one group, never two of one stream).  Every estimate is
+reduced through exact integer sums, so results are bit-identical whatever
+the budget, and identical (graph, config, seed) gives identical estimates.
 
-A walk stream holds only the uniforms that are read.  A node's walks are cut
-into groups of ``_WALK_GROUP`` walks, run in order; a group draws step by
-step, and at step k one uniform for each of its walks still live before
-step k, in walk order.  No walk takes the last step of the horizon: a walk
-live before step t scores t whatever that step does, and a closeness walk
-that first reaches its target on step t' scores t' as a miss does.  So a
-node draws exactly the steps its walks take.  The group size and this order
-are the stream layout; they fix every estimate.
-
-The walks of many nodes step together.  Their groups are laid end to end
-and packed into walk passes of at most ``WALK_ELEMENTS`` walks (and at
-least one group); a pass holds at most one group of each node, as a node's
-groups draw from its one generator in turn.  Each estimate is reduced from
-its own node's walks alone, through exact integer sums, so results are
-bit-identical whatever the budget and whatever batch a node is estimated
-in, and identical (graph, config, seed) gives identical estimates.
-
-One walk loop (:func:`_live_walks`) steps both estimators.  It keeps only
-the live walks, their indices in order and their states, and compacts both
-once per step.  A node's summed capped length is, over the steps k, the
-count of its walks live before step k, read per group from the sorted
-indices; a closeness draw starts at ``kappa * t'`` and loses ``t' - k`` for
-each walk that reaches ``v`` at a step k < t'.
+One walk loop (:func:`_live_walks`) steps both estimators, keeping only the
+live walks, their indices in order and their states.  A node's summed
+capped length is, over the steps k, the count of its walks live before step
+k.  A closeness walk scores ``t' - k`` for every node it first visits at a
+step k < t', other than its own start; a node's total over the ``N *
+kappa`` walks, divided by their number, estimates c_{t'}(v, S) without bias
+for every v at once, and no entry depends on the other targets asked for.
 
 A walk step moves to out-edge ``count(rowcum <= u)`` of its row for a
-uniform ``u`` in [0, 1), as ``Generator.random`` draws it.  It finds that
-count with one lookup in a bucket guide: each row's range of ``u`` is cut
-into a power of two of equal buckets, and scaling by a power of two is
-exact, so both ends of a bucket have exact integer answers.  The count is
-monotone in ``u``, so a bucket whose ends agree settles every ``u`` in it;
-only a walk in a bucket whose ends differ searches the few edges between
-them, with the same comparison.  Every step is thus bit-identical to a
-search of the whole row (see :class:`_WalkSampler`).  The sampler is
-derived from the graph alone, with no seed, so each graph builds it once
-and keeps it in ``graph.memo``.
+uniform ``u`` in [0, 1), found by one lookup in a bucket guide with the bits
+of a search of the whole row (see :class:`_WalkSampler`).  The sampler holds
+no seed, so each graph builds it once and keeps it in ``graph.memo``.
 """
 from __future__ import annotations
 
@@ -86,16 +70,17 @@ _STREAM_BR = 1
 _STREAM_RWCC_SOURCES = 2
 _STREAM_RWCC_WALKS = 3
 
-# Walks per group: a node's walks are cut into groups of this many, each of
-# which draws its steps in turn.  Part of the stream layout, not a knob.
+# Walks per group: a stream's walks are cut into groups of this many, each
+# of which draws its steps in turn.  Part of the stream layout, not a knob.
 _WALK_GROUP = 1 << 14
 
 #: Most walks one walk pass holds (a pass takes at least one group).  It
 #: bounds the memory of a pass; no result depends on it.
 WALK_ELEMENTS = 1 << 14
 
-#: Most source draws one closeness request holds, 16 bytes each: 2 GiB,
-#: where the work bound alone admits terabytes.
+#: Most source draws plus first-visit records one closeness request holds
+#: at once, 16 bytes each: 2 GiB, where the work bound alone admits
+#: terabytes.
 DRAW_ELEMENTS = 1 << 27
 
 #: Guide buckets per out-edge, at least: each row gets the least power of
@@ -113,9 +98,10 @@ def stream(seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def _walk_stream(seed: int, purpose: int, node: int) -> np.random.Generator:
-    """The SFC64 generator whose uniforms step the walks of one node."""
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(purpose, node))
+def _walk_stream(seed: int, *key: int) -> np.random.Generator:
+    """The SFC64 generator whose uniforms step the walks of one (seed,
+    purpose, ...) task: one node's Bubble Radius, or a closeness request."""
+    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=key)
     return np.random.Generator(np.random.SFC64(ss))
 
 
@@ -134,6 +120,18 @@ def _ceil(x: float) -> int:
     return math.ceil(x)
 
 
+def _hoeffding_size(n: int, t: int, epsilon: float, delta: float) -> int:
+    """max(1, ceil((t - 1)^2 ln(2n / delta) / (2 epsilon^2))), capped at
+    ``MAX_WORK``: the one sample-size rule (see :func:`br_sample_size`)."""
+    check_accuracy(epsilon, delta)
+    check_count("n", n)
+    check_count("horizon", t)
+    check_work("Monte Carlo walks", n, t)  # so t fits a float
+    spread = (t - 1) / epsilon
+    draws = spread * spread * math.log(2.0 * n / delta) / 2.0
+    return max(1, _ceil(min(draws, MAX_WORK)))  # capped, so inf rounds
+
+
 def br_sample_size(n: int, t: int, epsilon: float, delta: float) -> int:
     """Walks per node, r, so that with probability at least ``1 - delta``
     every one of the ``n`` estimates lies within ``epsilon`` of its node's
@@ -148,28 +146,20 @@ def br_sample_size(n: int, t: int, epsilon: float, delta: float) -> int:
     contract.  At t = 1 every length is 1, so one walk is exact.  Raises
     :class:`WorkLimitExceeded` when the n * r walks exceed ``MAX_WORK``.
     """
-    check_accuracy(epsilon, delta)
-    check_count("n", n)
-    check_count("horizon", t)
-    check_work("Monte Carlo Bubble Radius walks", n, t)  # so t fits a float
-    spread = (t - 1) / epsilon
-    walks = spread * spread * math.log(2.0 * n / delta) / 2.0
-    r = max(1, _ceil(min(walks, MAX_WORK)))  # capped, so inf rounds and fails
+    r = _hoeffding_size(n, t, epsilon, delta)
     check_work("Monte Carlo Bubble Radius walks", n * r, t)
     return r
 
 
-def rwcc_sample_size(t_prime: int, epsilon: float, delta: float) -> int:
-    """Sampled sources so the closeness estimate is epsilon-close w.p.
-    1-delta.  Raises :class:`WorkLimitExceeded` when one walk per source
-    already exceeds ``MAX_WORK``."""
-    check_accuracy(epsilon, delta)
-    check_count("horizon", t_prime)
-    check_work("Monte Carlo closeness walks", 1, t_prime)  # so t' fits a float
-    half = t_prime / (2.0 * epsilon)
-    sources = half * half / delta
-    check_work("Monte Carlo closeness walks", sources, t_prime)
-    return _ceil(sources)
+def rwcc_sample_size(n: int, t_prime: int, epsilon: float, delta: float) -> int:
+    """Source draws, N, so that with probability at least ``1 - delta``
+    every closeness estimate on ``n`` nodes lies within ``epsilon``: a draw
+    scores each node in [0, t' - 1], so this is the rule of
+    :func:`br_sample_size` at horizon t'.  Raises
+    :class:`WorkLimitExceeded` when one walk per draw exceeds ``MAX_WORK``."""
+    draws = _hoeffding_size(n, t_prime, epsilon, delta)
+    check_work("Monte Carlo closeness walks", draws, t_prime)
+    return draws
 
 
 def _row_cumsum(indptr: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -312,21 +302,17 @@ def _live_walks(
     walks: _Pass,
     rows: np.ndarray,
     states: np.ndarray,
-    goals: np.ndarray | None = None,
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """Step the walks at ``rows`` of a pass through every step but the last.
 
-    Walk ``rows[i]`` (sorted, indices into the pass) starts at ``states[i]``.
-    It lives while it stays on ``live`` nodes and, with ``goals``, until it
-    reaches node ``goals[i]``.  Before each step, each group draws one
-    uniform per live walk of its own, in order.  After each step k below the
-    horizon, yields k, the rows still live (sorted) and the rows that
-    reached their goal at step k.  The last step is never taken: a walk
-    live before it scores the horizon whatever it does, and so does a goal
-    reached on it.
+    Walk ``rows[i]`` (sorted, indices into the pass) starts at ``states[i]``
+    and lives while it stays on ``live`` nodes.  Before each step, each
+    group draws one uniform per live walk of its own, in order.  After each
+    step k below the horizon, yields k, the rows still live (sorted) and
+    their states.  The last step is never taken: a walk live before it
+    scores the horizon whatever it does.
     """
     buffer = np.empty(rows.size)
-    reached = rows[:0]
     for step in range(1, horizon):
         if rows.size == 0:
             return
@@ -336,48 +322,57 @@ def _live_walks(
             if lo < hi:
                 rng.random(out=u[lo:hi])
         nxt = sampler.step(states, u)
-        going = live[nxt]
-        if goals is not None:
-            at_goal = nxt == goals
-            reached = rows[at_goal]
-            going &= ~at_goal
-        keep = np.flatnonzero(going)
+        keep = np.flatnonzero(live[nxt])
         rows, states = rows[keep], nxt[keep]
-        if goals is not None:
-            goals = goals[keep]
-        yield step, rows, reached
+        yield step, rows, states
 
 
 def _walk_passes(
-    seed: int, purpose: int, nodes: np.ndarray, per_node: int
+    streams: Iterable[np.random.Generator], per_stream: int
 ) -> Iterator[_Pass]:
-    """The walks of ``nodes`` laid end to end, cut into walk passes.
+    """The walks of ``streams`` laid end to end, cut into walk passes.
 
-    ``nodes[k]`` owns walks ``k * per_node`` to ``(k + 1) * per_node - 1``
-    of the whole, in groups of ``_WALK_GROUP`` that draw in turn from
-    ``_walk_stream(seed, purpose, nodes[k])``.  A pass holds whole groups,
-    at most ``WALK_ELEMENTS`` walks but at least one group, and never two
-    groups of one node: the second could only draw once the first is done.
+    Stream k owns walks ``k * per_stream`` to ``(k + 1) * per_stream - 1``
+    of the whole, in groups of ``_WALK_GROUP`` that draw from it in turn.  A
+    pass holds whole groups, at most ``WALK_ELEMENTS`` walks but at least
+    one group, and never two groups of one stream: the second could only
+    draw once the first is done.
     """
-    first, bounds, streams = 0, [0], []
-    for node in nodes.tolist():
-        rng = _walk_stream(seed, purpose, node)
-        for lo in range(0, per_node, _WALK_GROUP):
-            size = min(_WALK_GROUP, per_node - lo)
-            if streams and (lo > 0 or bounds[-1] + size > WALK_ELEMENTS):
-                yield _Pass(first, np.array(bounds), streams)
-                first, bounds, streams = first + bounds[-1], [0], []
+    first, bounds, held = 0, [0], []
+    for rng in streams:
+        for lo in range(0, per_stream, _WALK_GROUP):
+            size = min(_WALK_GROUP, per_stream - lo)
+            if held and (lo > 0 or bounds[-1] + size > WALK_ELEMENTS):
+                yield _Pass(first, np.array(bounds), held)
+                first, bounds, held = first + bounds[-1], [0], []
             bounds.append(bounds[-1] + size)
-            streams.append(rng)
-    if streams:
-        yield _Pass(first, np.array(bounds), streams)
+            held.append(rng)
+    if held:
+        yield _Pass(first, np.array(bounds), held)
 
 
-def _add_by_owner(owner: np.ndarray, values: np.ndarray, out: np.ndarray) -> None:
-    """``out[owner[i]] += values[i]`` for a non-decreasing ``owner``.  The
-    values are whole numbers, so every partial sum is exact and the totals
-    do not depend on how the values were split into passes."""
-    out[owner[0] : owner[-1] + 1] += np.bincount(owner - owner[0], weights=values)
+def _first_visits(
+    steps: Iterable[tuple[int, np.ndarray, np.ndarray]], stride: int, cap: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each walk's first visit of each node over the ``(step, rows,
+    states)`` of a pass, in step order: the keys ``row * stride + node``,
+    ascending, and their steps.  ``cap`` bounds the first visits; the
+    visits held are cut to first visits whenever the next step would take
+    them past ``2 * cap``, however long the walks live."""
+    held, size = [(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))], 0
+
+    def reduced():  # the earliest visit of each key
+        keys, at = (np.concatenate(part) for part in zip(*held))
+        keys, first = np.unique(keys, return_index=True)
+        return [(keys, at[first])]
+
+    for step, rows, states in steps:
+        if size + rows.size > 2 * cap:
+            held = reduced()
+            size = held[0][0].size
+        held.append((rows * stride + states, np.full(rows.size, step)))
+        size += rows.size
+    return reduced()[0]
 
 
 def estimate_br(
@@ -414,7 +409,8 @@ def estimate_br(
         nodes = graph.nodes_of(color)
         live = graph.color_mask(color)
         lengths = np.zeros(nodes.size, dtype=np.int64)  # over each node's r walks
-        for walks in _walk_passes(seed, _STREAM_BR, nodes, r):
+        streams = (_walk_stream(seed, _STREAM_BR, v) for v in nodes.tolist())
+        for walks in _walk_passes(streams, r):
             # A walk's capped length is the number of steps it is live
             # before.  A pass holds one group of each of its owners, which
             # are contiguous, and its live rows are sorted, so each step's
@@ -447,49 +443,44 @@ def estimate_rwcc_many(
     """Monte Carlo bounded closeness c_{t'}(v, S) for every v in ``nodes``.
 
     The twin of :func:`exact.exact_rwcc_many`: entry j belongs to the j-th
-    entry of ``nodes``.  For each node v, draws z = :func:`rwcc_sample_size`
-    sources uniformly at random with replacement, estimates each drawn
-    source's capped hit time of v as the mean of ``kappa`` walks, and
-    returns t' minus the grand mean.  A walk stops when it enters the
-    opposite color or reaches v.  A drawn source equal to v contributes the
-    full horizon (zero centrality), matching the exact form in which the
-    self term is skipped.  The walks of all nodes step together; each
-    estimate reads only its node's streams, so it does not depend on the
-    other entries of ``nodes``.
+    entry of ``nodes``.  Draws N = :func:`rwcc_sample_size` sources
+    uniformly from S with replacement and runs ``kappa`` walks from each,
+    each until it enters the opposite color.  A node's estimate is the mean
+    over the walks of t' - i for a first visit at step i < t', or 0; a walk
+    never scores its own start, as the exact form skips the self term.
+    Raises :class:`WorkLimitExceeded`, before any walk, when the walks
+    exceed ``MAX_WORK`` or the draws plus the first-visit records a pass may
+    hold exceed ``DRAW_ELEMENTS``.
     """
     check_count("horizon", t_prime)
     check_count("kappa", kappa)
-    targets, uniq, src = _centrality_request(graph, nodes, sources)
-    z = rwcc_sample_size(t_prime, epsilon, delta)
-    check_work("Monte Carlo closeness walks", uniq.size * z * int(kappa), t_prime)
-    if uniq.size * z > DRAW_ELEMENTS:
-        raise WorkLimitExceeded(f"Monte Carlo closeness: {uniq.size * z} source draws > 2**27")
-    if uniq.size == 0:
+    targets, _, src = _centrality_request(graph, nodes, sources)
+    draws = rwcc_sample_size(graph.n, t_prime, epsilon, delta)
+    walking = draws * int(kappa)
+    check_work("Monte Carlo closeness walks", walking, t_prime)
+    live = graph.color_mask(graph.color_of(int(src[0])))
+    # A walk first visits at most one node per step, and only live ones.
+    cap = min(walking, _WALK_GROUP) * min(t_prime - 1, int(live.sum()))
+    if draws + 2 * cap > DRAW_ELEMENTS:
+        raise WorkLimitExceeded(f"Monte Carlo closeness: {draws} source draws and "
+                                f"{2 * cap} first-visit records > {DRAW_ELEMENTS}")
+    if targets.size == 0:
         return np.empty(0)
-    starts = np.concatenate([
-        src[stream(seed, _STREAM_RWCC_SOURCES, int(v)).integers(0, src.size, size=z)]
-        for v in uniq
-    ])
-    live = graph.color_mask(graph.color_of(int(uniq[0])))
+    starts = src[stream(seed, _STREAM_RWCC_SOURCES).integers(0, src.size, size=draws)]
     sampler = _sampler_of(graph)
-    # Each draw's kappa walks score t' apiece, less t' - k for a walk that
-    # reaches v at a step k < t'.  A self draw keeps the full horizon, so
-    # its walks never step.
-    hit_sums = np.full(uniq.size * z, float(kappa * t_prime))
-    for walks in _walk_passes(seed, _STREAM_RWCC_WALKS, uniq, z * kappa):
-        draw = (walks.first + np.arange(walks.bounds[-1])) // kappa
-        goal, start = uniq[draw // z], starts[draw]
-        walking = np.flatnonzero(start != goal)
-        for step, _, reached in _live_walks(
-            sampler, live, t_prime, walks, walking, start[walking], goal[walking]
-        ):
-            if reached.size:
-                _add_by_owner(
-                    draw[reached], np.full(reached.size, step - t_prime), hit_sums
-                )
-    h_bars = (hit_sums / kappa).reshape(uniq.size, z)
-    values = t_prime - h_bars.mean(axis=1)
-    return values[np.searchsorted(uniq, targets)]
+    # Whole scores below 2**53 (the work bound keeps every total under
+    # walks * t'), so each float sum is exact in any order.
+    totals = np.zeros(graph.n)
+    for walks in _walk_passes([_walk_stream(seed, _STREAM_RWCC_WALKS)], walking):
+        rows = np.arange(walks.bounds[-1])
+        start = starts[(walks.first + rows) // kappa]
+        keys, steps = _first_visits(
+            _live_walks(sampler, live, t_prime, walks, rows, start), graph.n, cap
+        )
+        walk, node = np.divmod(keys, graph.n)
+        scored = node != start[walk]
+        totals += np.bincount(node[scored], t_prime - steps[scored], graph.n)
+    return totals[targets] / walking
 
 
 def estimate_rwcc(

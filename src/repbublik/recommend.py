@@ -89,9 +89,9 @@ def closeness(
 ) -> np.ndarray:
     """Bounded closeness c_horizon(v, sources) of every v in ``nodes``.
 
-    The exact backend runs one block pass; the Monte Carlo backend steps the
-    walks of all nodes together, with ``cfg``'s accuracy and ``kappa`` and
-    the given seed.
+    The exact backend runs one block pass; the Monte Carlo backend scores
+    every node from one pooled set of walks from the sources, sized by
+    ``cfg``'s accuracy and ``kappa``, drawn from the given seed.
     """
     if backend == "exact":
         return exact_rwcc_many(graph, nodes, sources, horizon)

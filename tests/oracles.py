@@ -309,35 +309,38 @@ def _walk(
     return steps, ends
 
 
-def _walk_stream(seed: int, purpose: int, v: int) -> np.random.Generator:
-    """Node ``v``'s SFC64 walk stream for ``purpose``."""
-    key = np.random.SeedSequence(entropy=seed, spawn_key=(purpose, v))
-    return np.random.Generator(np.random.SFC64(key))
+def _walk_stream(seed: int, *key: int) -> np.random.Generator:
+    """The SFC64 walk stream of ``(seed, purpose, ...)``."""
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=key)
+    return np.random.Generator(np.random.SFC64(ss))
 
 
 def walk_steps(
     graph: ColoredGraph, rng: np.random.Generator, starts: np.ndarray,
     stop: np.ndarray, horizon: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One node's walks as its walk stream ``rng`` runs them.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One stream's walks as the walk stream ``rng`` runs them.
 
-    Walk i starts at ``starts[i]``; a start of -1 never steps.  The walks
-    run in groups of ``_WALK_GROUP``, one group after the other; a group
-    steps through every step but the last, and before each step draws one
-    uniform per walk still live, in walk order.  A walk at ``s`` moves to
-    the out-neighbor ``count(rowcum <= u)`` of its row, the count taken over
-    the row's inner edges by a search of the whole row.  It stops on
-    entering the ``stop`` set.  Returns each walk's steps taken (its
-    uniforms drawn) and its stop node, -1 for a walk that never stopped.
+    Walk i starts at ``starts[i]``.  The walks run in groups of
+    ``_WALK_GROUP``, one group after the other; a group steps through every
+    step but the last, and before each step draws one uniform per walk
+    still live, in walk order.  A walk at ``s`` moves to the out-neighbor
+    ``count(rowcum <= u)`` of its row, the count taken over the row's inner
+    edges by a search of the whole row.  It stops on entering the ``stop``
+    set.  Returns each walk's steps taken (its uniforms drawn), its stop
+    node (-1 for a walk that never stopped) and its path: ``paths[i, k]`` is
+    its node after step k while it has not stopped, else -1.
     """
     indptr, targets = graph.indptr, graph.targets
     rowcums = [np.cumsum(graph.weights[a:b]) for a, b in zip(indptr, indptr[1:])]
     steps = np.zeros(starts.size, dtype=np.int64)
     ends = np.full(starts.size, -1, dtype=np.int64)
+    paths = np.full((starts.size, horizon), -1, dtype=np.int64)
+    paths[:, 0] = starts
     for first in range(0, starts.size, _WALK_GROUP):
-        walks = first + np.flatnonzero(starts[first : first + _WALK_GROUP] >= 0)
+        walks = np.arange(first, min(first + _WALK_GROUP, starts.size))
         states = starts[walks]
-        for _ in range(1, horizon):
+        for k in range(1, horizon):
             if walks.size == 0:
                 break
             u = rng.random(walks.size)
@@ -351,7 +354,8 @@ def walk_steps(
             hit = stop[nxt]
             ends[walks[hit]] = nxt[hit]
             walks, states = walks[~hit], nxt[~hit]
-    return steps, ends
+            paths[walks, k] = states
+    return steps, ends, paths
 
 
 def br_by_walks(
@@ -371,35 +375,43 @@ def br_by_walks(
     for v in range(graph.n):
         absorbing = graph.color_mask(opposite(graph.color_of(v)))
         rng = _walk_stream(seed, _STREAM_BR, v)
-        steps, ends = walk_steps(graph, rng, np.full(r, v), absorbing, t)
+        steps, ends, _ = walk_steps(graph, rng, np.full(r, v), absorbing, t)
         values[v] = np.where(ends >= 0, steps, t).sum() / r
         draws[v] = steps.sum()
     return values, draws
 
 
 def rwcc_by_walks(
-    graph: ColoredGraph, v: int, sources: Iterable[int], t_prime: int,
-    kappa: int, seed: int, z: int,
-) -> tuple[float, int]:
-    """``estimate_rwcc(graph, v, sources, t_prime, epsilon, delta, kappa,
-    seed)`` reduced walk by walk, with the uniforms ``v`` draws, for the z
-    sources that ``rwcc_sample_size(t_prime, epsilon, delta)`` sizes.
+    graph: ColoredGraph, nodes: Iterable[int], sources: Iterable[int],
+    t_prime: int, kappa: int, seed: int, draws: int,
+) -> tuple[np.ndarray, int]:
+    """``estimate_rwcc_many(graph, nodes, sources, t_prime, epsilon, delta,
+    kappa, seed)`` reduced walk by walk, with the uniforms the request
+    draws, for the N = ``draws`` sources that ``rwcc_sample_size(graph.n,
+    t_prime, epsilon, delta)`` sizes.
 
-    Draw i of the node's z source picks owns walks ``i * kappa`` to ``i *
-    kappa + kappa - 1`` of its ``(seed, _STREAM_RWCC_WALKS, v)`` walk
-    stream, run by :func:`walk_steps` until they enter the other color or
-    reach ``v``.  A walk that reaches ``v`` at step k scores k, any other
-    t'; a self draw's walks never step and score t'.
+    The N picks come from the ``(seed, _STREAM_RWCC_SOURCES)`` stream, and
+    pick i owns walks ``i * kappa`` to ``i * kappa + kappa - 1`` of the one
+    ``(seed, _STREAM_RWCC_WALKS)`` walk stream, run by :func:`walk_steps`
+    until they enter the other color.  Each node a walk first visits at a
+    step k < t', other than its start, scores t' - k; a node's value is its
+    total over the walks divided by their number.
     """
     src = np.asarray(sorted(set(sources)), dtype=np.int64)
-    picks = stream(seed, _STREAM_RWCC_SOURCES, v).integers(0, src.size, size=z)
-    starts = np.repeat(np.where(src[picks] == v, -1, src[picks]), kappa)
-    stop = graph.color_mask(opposite(graph.color_of(v))).copy()
-    stop[v] = True
-    rng = _walk_stream(seed, _STREAM_RWCC_WALKS, v)
-    steps, ends = walk_steps(graph, rng, starts, stop, t_prime)
-    h_bars = np.where(ends == v, steps, t_prime).reshape(z, kappa).mean(axis=1)
-    return float(t_prime - h_bars.mean()), int(steps.sum())
+    picks = stream(seed, _STREAM_RWCC_SOURCES).integers(0, src.size, size=draws)
+    starts = np.repeat(src[picks], kappa)
+    stop = graph.color_mask(opposite(graph.color_of(int(src[0]))))
+    rng = _walk_stream(seed, _STREAM_RWCC_WALKS)
+    steps, _, paths = walk_steps(graph, rng, starts, stop, t_prime)
+    totals = np.zeros(graph.n)
+    for path in paths.tolist():
+        seen = {path[0]}
+        for k, node in enumerate(path[1:], start=1):
+            if node >= 0 and node not in seen:
+                seen.add(node)
+                totals[node] += t_prime - k
+    values = totals[np.fromiter(nodes, dtype=np.int64)] / starts.size
+    return values, int(steps.sum())
 
 
 def simulate_restart_session(

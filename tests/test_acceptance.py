@@ -131,7 +131,7 @@ def test_criterion_2_estimator_concentration():
         side = reds if reds.size >= blues.size else blues
         v, sources = int(side[0]), [int(x) for x in side]
         exact_c = exact_rwcc(graph, v, sources, t)
-        assert rwcc_sample_size(t, rw_eps, rw_delta) >= 1
+        assert rwcc_sample_size(graph.n, t, rw_eps, rw_delta) >= 1
         for rep in range(25):
             est_c = estimate_rwcc(
                 graph, v, sources, t, rw_eps, rw_delta,

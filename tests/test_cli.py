@@ -621,6 +621,46 @@ def test_long_closeness_horizon_finishes(tmp_path):
     assert proc.stdout.splitlines()[0] == "node\trwcc"
 
 
+def test_huge_br_horizon_stops_when_every_walk_dies(tmp_path):
+    # 1e8 products pass the work bound, but survival on this graph is all
+    # +0.0 after about 2,150 of them, and every later product adds +0.0.
+    edges, colors = tmp_path / "e.tsv", tmp_path / "c.tsv"
+    edges.write_text("0\t1\t.5\n0\t2\t.5\n1\t0\t1\n2\t0\t1\n")
+    colors.write_text("0\tR\n1\tR\n2\tB\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "repbublik.cli", "br", "--t", "100000000",
+         "--edges", str(edges), "--colors", str(colors), "--theta-good", "1.5",
+         "--theta-bad", "2"],
+        capture_output=True, text=True, timeout=10,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["node\tbr", "0\t3", "1\t4", "2\t1"]
+
+
+@pytest.mark.filterwarnings("ignore:estimation epsilon")
+@pytest.mark.parametrize("ring,horizon,code", [(3, 200, 0), (5000, 3000, 1)])
+def test_long_monte_carlo_closeness_horizon_on_a_trap(tmp_path, capsys, ring, horizon, code):
+    # A red ring that no walk leaves: every walk lives to t' and revisits
+    # the ring's nodes.  The small ring's passes hold at most 3 first visits
+    # per walk and finish; the large one's would hold 2,999 per walk for
+    # 16,384 walks, past the draw bound, and is refused before any walk.
+    edges, colors = tmp_path / "e.tsv", tmp_path / "c.tsv"
+    edges.write_text("".join(f"{v}\t{(v + 1) % ring}\t1\n" for v in range(ring))
+                     + f"{ring}\t0\t1\n")
+    colors.write_text("".join(f"{v}\tR\n" for v in range(ring)) + f"{ring}\tB\n")
+    got = main([
+        "rwcc", "--backend", "mc", "--t", "2", "--horizon", str(horizon),
+        "--theta-good", "1.5", "--theta-bad", "2", "--epsilon", "1",
+        "--delta", "0.5", "--kappa", "1",
+        "--edges", str(edges), "--colors", str(colors),
+    ])
+    err = capsys.readouterr().err
+    assert got == code
+    assert "Traceback" not in err and "MemoryError" not in err
+    if code:
+        assert "first-visit records" in err
+
+
 def test_console_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "repbublik.cli", "--help"],

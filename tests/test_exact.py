@@ -565,6 +565,126 @@ class TestReturnMassBlock:
                 checked += 1
         assert checked > 60
 
+def _fixed_length_br(graph, t):
+    """``exact_br(graph, t).values`` with all t - 1 products over W taken."""
+    within = repbublik.exact._within(graph)
+    survival = np.ones(graph.n)
+    expected = survival.copy()
+    for _ in range(t - 1):
+        survival = within @ survival
+        expected += survival
+    return expected
+
+
+def _fixed_length_profiles(graph, nodes, t_prime):
+    """``_return_profiles`` in one block with all t' - 1 products taken."""
+    color = repbublik.exact._color_block(graph, graph.color_of(int(nodes[0])))
+    local, cols = color.local(nodes), np.arange(nodes.size)
+    profiles = np.zeros((nodes.size, t_prime))
+    profiles[:, 0] = 1.0
+    block = np.zeros((color.nodes.size, nodes.size))
+    block[local, cols] = 1.0
+    for step in range(1, t_prime):
+        block = color.matrix_t @ block
+        profiles[cols, step] = block[local, cols]
+    return profiles
+
+
+def _fixed_length_rwcc(graph, nodes, t_prime):
+    """``exact_rwcc_many(graph, nodes, nodes, t_prime)`` with every product of
+    its occupancy and profile passes taken."""
+    color = repbublik.exact._color_block(graph, graph.color_of(int(nodes[0])))
+    local = color.local(nodes)
+    returns = _fixed_length_profiles(graph, nodes, t_prime).T
+    occupancy = np.zeros(color.nodes.size)
+    occupancy[local] = 1.0
+    passages = np.zeros((t_prime, nodes.size))
+    for i in range(1, t_prime):
+        occupancy = color.matrix_t @ occupancy
+        passages[i] = occupancy[local] - returns[i]
+    values = np.zeros(nodes.size)
+    for k in range(1, t_prime):
+        passages[k + 1 :] -= passages[k] * returns[1 : t_prime - k]
+        values += (t_prime - k) * passages[k]
+    return values / nodes.size
+
+
+def _dying_graph(rng, n):
+    """Every node sends at least half its weight across the colors, so every
+    walk's survival falls below 2**-k and reaches +0.0 within 1,100 steps."""
+    colors = ["R"] * (n // 2) + ["B"] * (n - n // 2)
+    edges = []
+    for v in range(n):
+        same = [w for w in range(n) if w != v and colors[w] == colors[v]]
+        other = [w for w in range(n) if colors[w] != colors[v]]
+        cross = float(rng.uniform(0.5, 1.0)) if same else 1.0
+        edges.append((v, other[int(rng.integers(len(other)))], cross))
+        if same:
+            edges.append((v, same[int(rng.integers(len(same)))], 1.0 - cross))
+    return build_graph(colors, edges)
+
+
+class TestEarlyExit:
+    """The passes that stop once every walk has died keep the bits of the
+    loops that take every product."""
+
+    @staticmethod
+    def _cases():
+        rng = np.random.default_rng(131)
+        dying = [_dying_graph(rng, int(rng.integers(4, 12))) for _ in range(6)]
+        # Monochrome graphs and the all-red cycle never let a walk leave.
+        trapped = _monochrome() + [
+            build_graph(["R", "R", "R"], [(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0)]),
+            _cross_only(),
+        ]
+        randoms = [graph for graph, _ in _random_cases()[:4]]
+        return dying + trapped + randoms
+
+    def test_equal_to_fixed_length_loops(self):
+        cases = self._cases()
+        for graph in cases[:6]:  # the early exits run on these
+            assert not np.linalg.matrix_power(
+                repbublik.exact._within(graph).toarray(), 1100
+            ).any()
+        checked = 0
+        for graph in cases:
+            for t in (1, 2, 7, 1200):
+                assert np.array_equal(exact_br(graph, t).values, _fixed_length_br(graph, t))
+                for color in ("R", "B"):
+                    nodes = graph.nodes_of(color)
+                    if nodes.size == 0:
+                        continue
+                    profiles = repbublik.exact._return_profiles(graph, nodes, t)
+                    assert np.array_equal(profiles, _fixed_length_profiles(graph, nodes, t))
+                    got = exact_rwcc_many(graph, nodes, nodes, t)
+                    assert np.array_equal(got, _fixed_length_rwcc(graph, nodes, t))
+                    checked += 1
+        assert checked > 80
+
+    def test_br_at_a_huge_horizon_stops_when_the_walks_die(self, monkeypatch):
+        # Survival on this graph is all +0.0 after about 2,150 products.
+        graph = build_graph(
+            ["R", "R", "B"], [(0, 1, 0.5), (0, 2, 0.5), (1, 0, 1.0), (2, 0, 1.0)]
+        )
+        products = []
+        within = repbublik.exact._within(graph)
+        monkeypatch.setitem(graph.memo, "within", _Counting(within, products))
+        got = exact_br(graph, 10**8).values
+        assert 2000 < len(products) < 2300
+        assert np.array_equal(got, _fixed_length_br(graph, 3000))
+
+
+class _Counting:
+    """A matrix whose products are tallied in ``products``."""
+
+    def __init__(self, matrix, products):
+        self.matrix, self.products = matrix, products
+
+    def __matmul__(self, other):
+        self.products.append(1)
+        return self.matrix @ other
+
+
 class TestExactGain:
     def test_empty_plan_is_identity(self, g2):
         assert exact_gain(g2, [0, 1, 2], [], 4) == 0.0
@@ -622,4 +742,4 @@ class TestParochialHorizonBound:
                 for v in np.flatnonzero(br_t >= t / 2):
                     assert t_prime / 2 - 1e-9 <= values[v] <= t_prime + 1e-9
                     checked += 1
-        assert checked > 100
+        assert checked > 80

@@ -21,6 +21,7 @@ from repbublik import (
     estimate_rwcc_many,
     exact_br,
     exact_rwcc,
+    exact_rwcc_many,
     generate_polarized,
     insert_edge,
     opposite,
@@ -62,23 +63,24 @@ class TestSampleSizes:
             assert br_sample_size(n, t, eps, delta) == want, (n, t, eps, delta)
 
     def test_sizes_beyond_the_work_bound_are_typed(self):
-        # About 7e20 walks per node, and 5e20 sources per target.
+        # About 3e20 walks per node, and as many source draws per request.
         with pytest.raises(WorkLimitExceeded, match="Bubble Radius walks"):
             br_sample_size(40, 10, 1e-9, 0.05)
         with pytest.raises(WorkLimitExceeded, match="closeness walks"):
-            rwcc_sample_size(10, 1e-9, 0.05)
+            rwcc_sample_size(40, 10, 1e-9, 0.05)
         # An epsilon whose square underflows, and horizons past any float.
         with pytest.raises(WorkLimitExceeded):
             br_sample_size(40, 10, 1e-200, 0.05)
         with pytest.raises(WorkLimitExceeded):
             br_sample_size(40, 10**400, 0.5, 0.05)
         with pytest.raises(WorkLimitExceeded):
-            rwcc_sample_size(10**400, 0.5, 0.05)
+            rwcc_sample_size(40, 10**400, 0.5, 0.05)
 
     def test_sizes_at_100k_nodes_fit_the_work_bound(self):
         n, t = 100_000, 10
         assert n * br_sample_size(n, t, 0.5, 0.05) * t <= MAX_WORK
-        assert n * rwcc_sample_size(t, 0.5, 0.05) * 4 * t <= MAX_WORK
+        # One closeness request serves every target of the 100k nodes.
+        assert rwcc_sample_size(n, t, 0.5, 0.05) * 4 * t <= MAX_WORK
 
     def test_closeness_request_beyond_the_bound_is_typed(self, g2):
         # The source draw would otherwise fail inside numpy, untyped.
@@ -86,25 +88,39 @@ class TestSampleSizes:
             estimate_rwcc_many(g2, [0], {0, 1}, 4, 1e-9, 0.05, 4, 0)
 
     def test_source_draws_beyond_the_draw_bound_are_typed(self, g2, monkeypatch):
-        # 2.25e9 draws per target pass the work bound at t' = 3 but would
-        # need 36 GiB per target.
+        # 1e9 draws pass the work bound at t' = 3 but would need 8 GiB.
         with pytest.raises(WorkLimitExceeded, match="source draws"):
-            estimate_rwcc_many(g2, [0, 1], {0, 1}, 3, 1.0, 1e-9, 1, 0)
-        z = rwcc_sample_size(3, 0.5, 0.1)
-        monkeypatch.setattr(mc, "DRAW_ELEMENTS", 2 * z)
-        assert estimate_rwcc_many(g2, [0, 1], {0, 1}, 3, 0.5, 0.1, 1, 0).shape == (2,)
-        with pytest.raises(WorkLimitExceeded, match="source draws"):
-            estimate_rwcc_many(g2, [0, 1, 2], {0, 1}, 3, 0.5, 0.1, 1, 0)
+            estimate_rwcc_many(g2, [0, 1], {0, 1}, 3, 1e-4, 0.05, 1, 0)
+        # The bound holds the draws plus twice the first-visit records of a
+        # pass: a walk first visits at most min(t' - 1, |C|) nodes, and g2
+        # has three red nodes.
+        for t_prime, visits in ((3, 2), (10, 3)):
+            draws = rwcc_sample_size(g2.n, t_prime, 1.0, 0.5)
+            limit = draws + 2 * min(2 * draws, mc._WALK_GROUP) * visits
+            monkeypatch.setattr(mc, "DRAW_ELEMENTS", limit)
+            assert estimate_rwcc_many(g2, [0, 1], {0, 1}, t_prime, 1.0, 0.5, 2, 0).shape == (2,)
+            monkeypatch.setattr(mc, "DRAW_ELEMENTS", limit - 1)
+            with pytest.raises(WorkLimitExceeded, match="source draws"):
+                estimate_rwcc_many(g2, [0, 1], {0, 1}, t_prime, 1.0, 0.5, 2, 0)
 
     def test_rwcc_reference_value(self):
-        assert rwcc_sample_size(10, 1.0, 0.1) == 250
+        # The Bubble Radius rule at horizon t': a draw scores in [0, t' - 1].
+        assert rwcc_sample_size(100, 10, 0.5, 0.05) == 1344
+        assert rwcc_sample_size(30, 1, 0.4, 0.1) == 1  # every score is 0
 
     def test_rwcc_delta_one_rejected(self):
         with pytest.raises(ValueError):
-            rwcc_sample_size(2, 1.0, 1.0)
+            rwcc_sample_size(3, 2, 1.0, 1.0)
 
     def test_rwcc_quarter_delta(self):
-        assert rwcc_sample_size(4, 0.5, 0.25) == 64
+        # ceil(3^2 * ln(8 * 4) / (2 * 0.25)) = ceil(62.4)
+        assert rwcc_sample_size(4, 4, 0.5, 0.25) == 63
+        for n, t_prime, eps, delta in itertools.product(
+            (1, 7, 400), (2, 3, 8), (0.1, 0.5, 1.0), (0.01, 0.25)
+        ):
+            assert rwcc_sample_size(n, t_prime, eps, delta) == br_sample_size(
+                n, t_prime, eps, delta
+            )
 
     @pytest.mark.parametrize("epsilon,delta", [(0.0, 0.05), (1.5, 0.05), (0.5, 1.0)])
     def test_accuracy_outside_range_rejected(self, epsilon, delta):
@@ -112,7 +128,7 @@ class TestSampleSizes:
         with pytest.raises(ThresholdOrder):
             br_sample_size(10, 5, epsilon, delta)
         with pytest.raises(ThresholdOrder):
-            rwcc_sample_size(5, epsilon, delta)
+            rwcc_sample_size(10, 5, epsilon, delta)
 
 
 def _br_accuracy(n, t, r):
@@ -124,11 +140,13 @@ def _br_accuracy(n, t, r):
     return epsilon, delta
 
 
-def _rwcc_accuracy(t_prime, z):
-    """An (epsilon, delta) at which ``rwcc_sample_size`` sizes z sources at
-    horizon t'; needs t'^2 < 4z."""
-    epsilon, delta = 1.0, t_prime * t_prime / (4 * z)
-    assert rwcc_sample_size(t_prime, epsilon, delta) == z
+def _rwcc_accuracy(n, t_prime, draws):
+    """An (epsilon, delta) at which ``rwcc_sample_size`` sizes N = ``draws``
+    source draws for n nodes at horizon t' >= 2; needs N >= (t' - 1)^2
+    ln(4n) / 2."""
+    delta = 0.5
+    epsilon = (t_prime - 1) * math.sqrt(math.log(2 * n / delta) / (2 * draws))
+    assert rwcc_sample_size(n, t_prime, epsilon, delta) == draws
     return epsilon, delta
 
 
@@ -386,13 +404,36 @@ class TestEstimateRwcc:
         for _ in range(6):
             graph, t = random_polarized(rng, n_max=20)
             reds = [int(w) for w in graph.nodes_of("R")]
-            z = rwcc_sample_size(t, 1.0, 0.5)
-            for v in reds[:3]:
-                for kappa in (1, 4):
-                    seed = int(rng.integers(2**32))
-                    got = estimate_rwcc(graph, v, reds, t, 1.0, 0.5, kappa=kappa,
-                                        seed=seed)
-                    assert got == rwcc_by_walks(graph, v, reds, t, kappa, seed, z)[0]
+            draws = rwcc_sample_size(graph.n, t, 1.0, 0.5)
+            for kappa in (1, 4):
+                seed = int(rng.integers(2**32))
+                values, _ = rwcc_by_walks(graph, reds, reds, t, kappa, seed, draws)
+                got = estimate_rwcc_many(graph, reds, reds, t, 1.0, 0.5, kappa, seed)
+                assert got.tolist() == values.tolist()
+                for i, v in enumerate(reds[:3]):
+                    assert estimate_rwcc(graph, v, reds, t, 1.0, 0.5, kappa, seed) == values[i]
+
+    def test_uniform_miss_rate_against_exact(self):
+        # With probability at least 1 - delta a request's estimates all lie
+        # within epsilon of c(v, S), over pools and half pools of sources.
+        rng = np.random.default_rng(151)
+        eps, delta = 0.5, 0.2
+        runs = misses = 0
+        for _ in range(24):
+            graph, t = random_polarized(rng)
+            for color in ("R", "B"):
+                pool = graph.nodes_of(color)
+                for sources in (pool, pool[::2], pool[1::2]):
+                    if sources.size == 0:
+                        continue
+                    exact = exact_rwcc_many(graph, pool, sources, t)
+                    for _ in range(3):
+                        est = estimate_rwcc_many(graph, pool, sources, t, eps, delta,
+                                                 4, derive_seed(151, runs))
+                        misses += int(np.abs(est - exact).max() > eps)
+                        runs += 1
+        assert runs >= 400
+        assert misses <= delta * runs
 
     def test_deterministic_single_edge(self):
         g = build_graph(["R", "R", "B"], [(0, 1, 1.0), (1, 0, 1.0), (2, 0, 1.0)])
@@ -463,13 +504,14 @@ class TestChunking:
                                                seed=5))
             assert all(np.array_equal(runs[0], other) for other in runs[1:])
 
-    @pytest.mark.parametrize("z", [13, 150])
-    def test_one_node_equals_its_entry_in_any_batch(self, z, monkeypatch):
+    @pytest.mark.parametrize("draws", [13, 150])
+    def test_one_node_equals_its_entry_in_any_batch(self, draws, monkeypatch):
         rng = np.random.default_rng(83)
         monkeypatch.setattr(mc, "WALK_ELEMENTS", 37)
         for graph, t in self._graphs():
-            horizon = min(t, 7)  # z = 13 sources needs t'^2 < 52
-            eps, delta = _rwcc_accuracy(horizon, z)
+            # N = 13 draws needs (t' - 1)^2 ln(4n) <= 26, and n < 20 here.
+            horizon = min(t, 3 if draws == 13 else 9)
+            eps, delta = _rwcc_accuracy(graph.n, horizon, draws)
             blues = graph.nodes_of("B")
             batches = [blues, blues[::-1], np.concatenate([blues, blues[:2]]),
                        rng.permutation(blues)[: max(1, blues.size // 2)]]
@@ -491,7 +533,7 @@ class TestChunking:
         for graph, t in self._graphs()[:2]:
             reds = graph.nodes_of("R")
             br_eps, br_delta = _br_accuracy(graph.n, t, r)
-            rw_eps, rw_delta = _rwcc_accuracy(t, r // 2)
+            rw_eps, rw_delta = _rwcc_accuracy(graph.n, t, r // 2)
             tables, runs = [], []
             for budget in BUDGETS:
                 monkeypatch.setattr(mc, "WALK_ELEMENTS", budget)
@@ -535,8 +577,8 @@ class TestDrawsRead:
         tally = collections.Counter()
         walk_stream = mc._walk_stream
 
-        def counting(seed, purpose, node):
-            return _CountingStream(walk_stream(seed, purpose, node), tally, (purpose, node))
+        def counting(seed, *key):
+            return _CountingStream(walk_stream(seed, *key), tally, key)
 
         monkeypatch.setattr(mc, "_walk_stream", counting)
         return tally
@@ -557,29 +599,32 @@ class TestDrawsRead:
                     assert sum(tally.values()) == 0
 
     def test_rwcc_draws_the_steps_taken(self, tally):
-        # Pools of one color hold each node itself, so the z = 14 draws at
-        # t' = 7 include self draws, whose walks draw nothing.
+        # A request draws from its one walk stream, and at t' = 1 not at all.
         rng = np.random.default_rng(97)
         for _ in range(3):
             graph, _ = random_polarized(rng, n_max=16)
             for t in (1, 2, 7):
-                z = rwcc_sample_size(t, 1.0, 0.9)
+                draws = rwcc_sample_size(graph.n, t, 1.0, 0.9)
                 for color in ("R", "B"):
                     tally.clear()
                     seed = int(rng.integers(2**32))
                     pool = graph.nodes_of(color)
                     got = estimate_rwcc_many(graph, pool, pool, t, 1.0, 0.9, kappa=3,
                                              seed=seed)
-                    expected = [rwcc_by_walks(graph, int(v), pool, t, 3, seed, z)
-                                for v in pool]
-                    assert got.tolist() == [value for value, _ in expected]
-                    assert [tally[mc._STREAM_RWCC_WALKS, int(v)] for v in pool] == [
-                        draws for _, draws in expected
-                    ]
+                    values, steps = rwcc_by_walks(graph, pool, pool, t, 3, seed, draws)
+                    assert got.tolist() == values.tolist()
+                    assert dict(tally) == ({(mc._STREAM_RWCC_WALKS,): steps} if steps else {})
+                    if t == 1:
+                        assert steps == 0 and not got.any()
 
-    def test_self_draws_draw_nothing(self, g2, tally):
-        assert estimate_rwcc(g2, 0, {0}, 4, 0.5, 0.1, kappa=3, seed=9) == 0.0
-        assert sum(tally.values()) == 0
+    def test_walks_score_nothing_on_their_own_start(self, g2, tally):
+        # Every walk from 0 visits 1 and 2 on steps 1 and 2, and half of them
+        # return to 0 on step 3, which scores nothing: the exact form skips
+        # the self term.
+        got = estimate_rwcc_many(g2, [0, 1, 2], {0}, 4, 0.5, 0.1, kappa=3, seed=9)
+        assert got.tolist() == [0.0, 3.0, 2.0]
+        assert got.tolist() == exact_rwcc_many(g2, [0, 1, 2], {0}, 4).tolist()
+        assert sum(tally.values()) > 0
 
     def test_walks_across_groups(self, g2, tally):
         r = br_sample_size(g2.n, 4, 0.022, 0.1)
@@ -588,12 +633,12 @@ class TestDrawsRead:
         values, draws = br_by_walks(g2, 4, r, 6)
         assert np.array_equal(table.values, values)
         assert [tally[mc._STREAM_BR, v] for v in range(g2.n)] == draws.tolist()
-        z = rwcc_sample_size(4, 0.02, 0.5)
-        assert 2 * z > 2 * mc._WALK_GROUP  # 20,000 draws of 2 walks: three groups
-        got = estimate_rwcc(g2, 2, {0, 1, 2}, 4, 0.02, 0.5, kappa=2, seed=6)
-        assert (got, tally[mc._STREAM_RWCC_WALKS, 2]) == rwcc_by_walks(
-            g2, 2, {0, 1, 2}, 4, 2, 6, z
-        )
+        draws = rwcc_sample_size(g2.n, 4, 0.02, 0.5)
+        assert 2 * draws > 3 * mc._WALK_GROUP  # 31,191 draws of 2 walks: four groups
+        got = estimate_rwcc_many(g2, [0, 1, 2], {0, 1, 2}, 4, 0.02, 0.5, kappa=2, seed=6)
+        values, steps = rwcc_by_walks(g2, [0, 1, 2], {0, 1, 2}, 4, 2, 6, draws)
+        assert got.tolist() == values.tolist()
+        assert tally[(mc._STREAM_RWCC_WALKS,)] == steps
 
 
 class TestRestartSessions:

@@ -14,7 +14,11 @@ the ``repbublik`` plans and the targets of ``repbublik-plus``; the other
 ``@mc`` variants read the estimates only through parochial pools, which did
 not change on these graphs.  The greedies once took a keyword ``policy``
 whose uniform targets had digests of their own; they went with it, and the
-greedies' digests are those once recorded for their lowest-BR targets.  Each
+greedies' digests are those once recorded for their lowest-BR targets.  The
+four that read Monte Carlo closeness (``repbublik``, ``repbublik-plus``,
+``rcn`` and ``rwcn``) were recorded again when closeness came from one pooled
+set of walks per request; ``rcn@mc`` now happens to pick the exact backend's
+sources, and ``rwcn@mc`` no longer does.  Each
 call draws from its config's seed, ``10 + gi``.  Any change to a source choice, a
 target choice, a tie break, an insertion weight's bits or an evaluated
 Bubble Radius changes a digest.
@@ -59,11 +63,11 @@ EXPECTED = {
     "pure-random@exact": "d46403d872674d2236fe591d4fbf14085d36facaabce5a5ce829a51d22235541",
     "rcn@exact": "cef6f9080d7751e32000ca2ee3f3af1aa8985bd73b4659404ce0ca8589cabe18",
     "rwcn@exact": "2f613f77e270092b4c03a1ab95c12fcbaf600e9f102100bb90fd611c746bd1e2",
-    "repbublik@mc": "c524b12408e9cadd148a65334e37a6ec737469b315d947c1feb937aac3e1bd17",
-    "repbublik-plus@mc": "771f9ded5aa7884616d56c075994605b39863fc53d909d325edce8a2dff0c6dd",
+    "repbublik@mc": "15d71d94174b781b66373f14ba748c074f70e87dc1e0fd1cce71390837bdf22a",
+    "repbublik-plus@mc": "d97754825e1e0ab37224d3c43ea5b1d7a8627229eb05a8940b026d60e2336d27",
     "pure-random@mc": "d46403d872674d2236fe591d4fbf14085d36facaabce5a5ce829a51d22235541",
-    "rcn@mc": "0bb703636cd7646cc5decb513796832d3db319c913d989d83a1d920644355ebc",
-    "rwcn@mc": "2f613f77e270092b4c03a1ab95c12fcbaf600e9f102100bb90fd611c746bd1e2",
+    "rcn@mc": "cef6f9080d7751e32000ca2ee3f3af1aa8985bd73b4659404ce0ca8589cabe18",
+    "rwcn@mc": "54761d7d24741257b555e52c025e8696caab1b5c5e8ef818fcfaad60350cb4a4",
 }
 
 

@@ -135,11 +135,10 @@ def test_sampled_hit_times_within_horizon():
 
 def _exit_cycle():
     """A red 3-cycle 0 -> 1 -> 2 -> 0 whose node 2 also leaves for a blue
-    2-cycle.  Node 0's closeness pool {0, 1, 2} holds self draws whose walks
-    return to 0 at step 3, walks from 1 that first reach 0 at step 2 and
-    walks from 2 that reach it at step 1; so t' = 2 has goals first reached
-    at step t', and t' = 10 has self draws that would return before t' if
-    they walked."""
+    2-cycle that no walk leaves.  A red walk returns to its own start every
+    third step while it lives.  At t' = 10 a blue walk takes 9 steps, past
+    2 min(t' - 1, |C|) = 4, so a pass's held visits are reduced to first
+    visits before its walks end."""
     return build_graph(
         ["R", "R", "R", "B", "B"],
         [(0, 1, 1.0), (1, 2, 1.0), (2, 0, 0.5), (2, 3, 0.5), (3, 4, 1.0), (4, 3, 1.0)],
@@ -158,16 +157,16 @@ def test_walk_loop_equals_per_walk_oracle(one_group_per_pass, monkeypatch):
     for graph in graphs:
         for t in (1, 2, 3, 10):
             seed = int(rng.integers(2**32))
-            r, z = br_sample_size(graph.n, t, 1.0, 0.9), rwcc_sample_size(t, 1.0, 0.9)
+            r = br_sample_size(graph.n, t, 1.0, 0.9)
+            draws = rwcc_sample_size(graph.n, t, 1.0, 0.9)
             table = estimate_br(graph, t, 1.0, 0.9, seed=seed)
             assert np.array_equal(table.values, br_by_walks(graph, t, r, seed)[0])
             for color in ("R", "B"):
                 pool = graph.nodes_of(color)
                 got = estimate_rwcc_many(graph, pool, pool, t, 1.0, 0.9, kappa=3,
                                          seed=seed)
-                assert got.tolist() == [
-                    rwcc_by_walks(graph, int(v), pool, t, 3, seed, z)[0] for v in pool
-                ]
+                want, _ = rwcc_by_walks(graph, pool, pool, t, 3, seed, draws)
+                assert got.tolist() == want.tolist()
 
 
 def test_estimated_br_within_declared_range():
@@ -285,7 +284,8 @@ PARAMETER_CALLS = {
     "brute_force_opt-k": _count(lambda g, x, _: brute_force_opt(g, "R", x, 4), 0),
     "br_sample_size-n": _count(lambda g, x, _: br_sample_size(x, 10, 0.5, 0.1)),
     "br_sample_size-t": _count(lambda g, x, _: br_sample_size(10, x, 0.5, 0.1)),
-    "rwcc_sample_size": _count(lambda g, x, _: rwcc_sample_size(x, 0.5, 0.1)),
+    "rwcc_sample_size": _count(lambda g, x, _: rwcc_sample_size(10, x, 0.5, 0.1)),
+    "rwcc_sample_size-n": _count(lambda g, x, _: rwcc_sample_size(x, 10, 0.5, 0.1)),
     "estimate_br-t": _count(lambda g, x, _: estimate_br(g, x, 0.5, 0.1, 0)),
     "estimate_br-seed": _seed(lambda g, x, _: estimate_br(g, 4, 0.5, 0.1, x)),
     "estimate_rwcc-t": _count(
