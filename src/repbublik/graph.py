@@ -192,12 +192,12 @@ def check_work(name: str, items: float, steps: int) -> None:
     items each exceed ``MAX_WORK``; called before the work starts.  Each
     step is charged ``max(items, STEP_COST)``.
 
-    The Monte Carlo sizes and estimators pass their walk count and the
-    horizon (a walk visits at most ``horizon`` nodes), ``rwcc_sample_size``
-    its count before rounding, a float; the exact passes pass the graph's
-    nodes plus edges and the horizon (each of the ``horizon - 1`` products
-    over W touches every one once), and the closeness renewal its targets
-    and its count of row updates.
+    The Monte Carlo sizes pass the node count, then their rounded walk or
+    draw count, each with the horizon (a walk visits at most ``horizon``
+    nodes), and the closeness estimator its walks; the exact passes pass the
+    graph's nodes plus edges and the horizon (each of the ``horizon - 1``
+    products over W touches every one once), and the closeness renewal its
+    targets and its count of row updates.
     """
     if steps and max(items, STEP_COST) > MAX_WORK / steps:
         raise WorkLimitExceeded(

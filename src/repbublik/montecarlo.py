@@ -79,8 +79,8 @@ _WALK_GROUP = 1 << 14
 WALK_ELEMENTS = 1 << 14
 
 #: Most source draws plus first-visit records one closeness request holds
-#: at once, 16 bytes each: 2 GiB, where the work bound alone admits
-#: terabytes.
+#: at once, 16 bytes each (2 GiB; near 6 GiB at the peak, as ``np.unique``
+#: sorts copies of the records): the work bound alone admits terabytes.
 DRAW_ELEMENTS = 1 << 27
 
 #: Guide buckets per out-edge, at least: each row gets the least power of
@@ -363,6 +363,7 @@ def _first_visits(
 
     def reduced():  # the earliest visit of each key
         keys, at = (np.concatenate(part) for part in zip(*held))
+        held.clear()  # free the parts before the sort makes its copies
         keys, first = np.unique(keys, return_index=True)
         return [(keys, at[first])]
 
@@ -448,14 +449,16 @@ def estimate_rwcc_many(
     each until it enters the opposite color.  A node's estimate is the mean
     over the walks of t' - i for a first visit at step i < t', or 0; a walk
     never scores its own start, as the exact form skips the self term.
-    Raises :class:`WorkLimitExceeded`, before any walk, when the walks
-    exceed ``MAX_WORK`` or the draws plus the first-visit records a pass may
-    hold exceed ``DRAW_ELEMENTS``.
+    Raises :class:`WorkLimitExceeded`, before any walk but after an empty
+    request returns, when the walks exceed ``MAX_WORK`` or the draws plus
+    the first-visit records a pass may hold exceed ``DRAW_ELEMENTS``.
     """
     check_count("horizon", t_prime)
     check_count("kappa", kappa)
     targets, _, src = _centrality_request(graph, nodes, sources)
     draws = rwcc_sample_size(graph.n, t_prime, epsilon, delta)
+    if targets.size == 0:
+        return np.empty(0)
     walking = draws * int(kappa)
     check_work("Monte Carlo closeness walks", walking, t_prime)
     live = graph.color_mask(graph.color_of(int(src[0])))
@@ -464,8 +467,6 @@ def estimate_rwcc_many(
     if draws + 2 * cap > DRAW_ELEMENTS:
         raise WorkLimitExceeded(f"Monte Carlo closeness: {draws} source draws and "
                                 f"{2 * cap} first-visit records > {DRAW_ELEMENTS}")
-    if targets.size == 0:
-        return np.empty(0)
     starts = src[stream(seed, _STREAM_RWCC_SOURCES).integers(0, src.size, size=draws)]
     sampler = _sampler_of(graph)
     # Whole scores below 2**53 (the work bound keeps every total under

@@ -742,4 +742,4 @@ class TestParochialHorizonBound:
                 for v in np.flatnonzero(br_t >= t / 2):
                     assert t_prime / 2 - 1e-9 <= values[v] <= t_prime + 1e-9
                     checked += 1
-        assert checked > 80
+        assert checked > 100

@@ -102,6 +102,8 @@ class TestSampleSizes:
             monkeypatch.setattr(mc, "DRAW_ELEMENTS", limit - 1)
             with pytest.raises(WorkLimitExceeded, match="source draws"):
                 estimate_rwcc_many(g2, [0, 1], {0, 1}, t_prime, 1.0, 0.5, 2, 0)
+            # A request for no targets holds nothing, so it is never refused.
+            assert estimate_rwcc_many(g2, [], {0, 1}, t_prime, 1.0, 0.5, 2, 0).shape == (0,)
 
     def test_rwcc_reference_value(self):
         # The Bubble Radius rule at horizon t': a draw scores in [0, t' - 1].
