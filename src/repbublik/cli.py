@@ -1,7 +1,7 @@
 """Command-line interface: stats, br, rwcc, recommend, sweep, generators.
 
 Exit codes: 0 on success, 1 on validation errors, 2 when a sweep finished
-but some cells failed.
+but some cells failed or when argparse rejects the command line.
 """
 from __future__ import annotations
 
@@ -35,7 +35,6 @@ _WALK_OPTIONS = {
     "--theta-bad": dict(type=float, default=None, help="parochial threshold (default t/2)"),
     "--epsilon": dict(type=float, default=0.5, help="estimation accuracy"),
     "--delta": dict(type=float, default=0.05, help="estimation failure probability"),
-    "--kappa": dict(type=int, default=4, help="inner walks per sampled source"),
     "--seed": dict(type=int, default=0, help="master random seed"),
     "--backend": dict(choices=("exact", "mc"), default="exact"),
     "--output": dict(type=Path, default=None, help="write results here instead of stdout"),
@@ -77,7 +76,6 @@ def _config(args: argparse.Namespace) -> WalkConfig:
         epsilon=args.epsilon,
         delta=args.delta,
         seed=args.seed,
-        kappa=args.kappa,
     )
 
 

@@ -194,10 +194,10 @@ def check_work(name: str, items: float, steps: int) -> None:
 
     The Monte Carlo sizes pass the node count, then their rounded walk or
     draw count, each with the horizon (a walk visits at most ``horizon``
-    nodes), and the closeness estimator its walks; the exact passes pass the
-    graph's nodes plus edges and the horizon (each of the ``horizon - 1``
-    products over W touches every one once), and the closeness renewal its
-    targets and its count of row updates.
+    nodes); the exact passes pass the graph's nodes plus edges and the
+    horizon (each of the ``horizon - 1`` products over W touches every one
+    once), and the closeness renewal its targets and its count of row
+    updates.
     """
     if steps and max(items, STEP_COST) > MAX_WORK / steps:
         raise WorkLimitExceeded(
@@ -237,8 +237,8 @@ class WalkConfig:
 
     ``t`` caps the walk length (exploration factor).  Nodes with Bubble
     Radius at most ``theta_good`` are cosmopolitan, at least ``theta_bad``
-    parochial; ``theta_bad`` defaults to ``t / 2``.  ``kappa`` is the number
-    of inner walks per sampled source in Monte Carlo closeness estimates.
+    parochial; ``theta_bad`` defaults to ``t / 2``.  The Monte Carlo
+    estimators size their walks from ``epsilon`` and ``delta`` alone.
     """
 
     t: int
@@ -247,7 +247,6 @@ class WalkConfig:
     epsilon: float = 0.5
     delta: float = 0.05
     seed: int = 0
-    kappa: int = 4
 
     def __post_init__(self):
         check_count("exploration factor t", self.t)
@@ -256,7 +255,6 @@ class WalkConfig:
         check_thresholds(self.theta_good, self.theta_bad, self.t)
         check_accuracy(self.epsilon, self.delta)
         check_seed(self.seed)
-        check_count("kappa", self.kappa)
 
 
 #: Record layout of an edge table.  :func:`build_graph` reads an array of

@@ -17,9 +17,8 @@ generated graphs, the target picks and the baselines.  The walk steps come
 from SFC64 streams (:func:`_walk_stream`), which fill uniforms about four
 times faster.  The Bubble Radius of ``v`` runs its r walks on ``(seed,
 _STREAM_BR, v)``.  A closeness request draws its N sources uniformly over S
-from ``(seed, _STREAM_RWCC_SOURCES)`` and runs ``kappa`` walks from each on
-``(seed, _STREAM_RWCC_WALKS)``: draw ``i`` owns walks ``i * kappa`` to
-``i * kappa + kappa - 1``.
+from ``(seed, _STREAM_RWCC_SOURCES)`` and runs one walk from each on
+``(seed, _STREAM_RWCC_WALKS)``: walk ``i`` starts at draw ``i``.
 
 A walk stream holds only the uniforms that are read.  Its walks are cut into
 groups of ``_WALK_GROUP`` walks, run in order; a group draws step by step,
@@ -36,9 +35,10 @@ One walk loop (:func:`_live_walks`) steps both estimators, keeping only the
 live walks, their indices in order and their states.  A node's summed
 capped length is, over the steps k, the count of its walks live before step
 k.  A closeness walk scores ``t' - k`` for every node it first visits at a
-step k < t', other than its own start; a node's total over the ``N *
-kappa`` walks, divided by their number, estimates c_{t'}(v, S) without bias
-for every v at once, and no entry depends on the other targets asked for.
+step k < t', other than its own start; a node's total over the N walks,
+divided by N, estimates c_{t'}(v, S) without bias for every v at once, and
+no entry depends on the other targets asked for.  Epsilon alone trades
+walks for accuracy.
 
 A walk step moves to out-edge ``count(rowcum <= u)`` of its row for a
 uniform ``u`` in [0, 1), found by one lookup in a bucket guide with the bits
@@ -156,7 +156,8 @@ def rwcc_sample_size(n: int, t_prime: int, epsilon: float, delta: float) -> int:
     every closeness estimate on ``n`` nodes lies within ``epsilon``: a draw
     scores each node in [0, t' - 1], so this is the rule of
     :func:`br_sample_size` at horizon t'.  Raises
-    :class:`WorkLimitExceeded` when one walk per draw exceeds ``MAX_WORK``."""
+    :class:`WorkLimitExceeded` when the N walks, one per draw, exceed
+    ``MAX_WORK``."""
     draws = _hoeffding_size(n, t_prime, epsilon, delta)
     check_work("Monte Carlo closeness walks", draws, t_prime)
     return draws
@@ -438,32 +439,29 @@ def estimate_rwcc_many(
     t_prime: int,
     epsilon: float,
     delta: float,
-    kappa: int,
     seed: int,
 ) -> np.ndarray:
     """Monte Carlo bounded closeness c_{t'}(v, S) for every v in ``nodes``.
 
     The twin of :func:`exact.exact_rwcc_many`: entry j belongs to the j-th
     entry of ``nodes``.  Draws N = :func:`rwcc_sample_size` sources
-    uniformly from S with replacement and runs ``kappa`` walks from each,
-    each until it enters the opposite color.  A node's estimate is the mean
-    over the walks of t' - i for a first visit at step i < t', or 0; a walk
-    never scores its own start, as the exact form skips the self term.
-    Raises :class:`WorkLimitExceeded`, before any walk but after an empty
-    request returns, when the walks exceed ``MAX_WORK`` or the draws plus
-    the first-visit records a pass may hold exceed ``DRAW_ELEMENTS``.
+    uniformly from S with replacement and runs one walk from each, until it
+    enters the opposite color.  A node's estimate is the mean over the walks
+    of t' - i for a first visit at step i < t', or 0; a walk never scores its
+    own start, as the exact form skips the self term.  Raises
+    :class:`WorkLimitExceeded` before any walk: from the sizing when the
+    walks exceed ``MAX_WORK``, and after an empty request returns when the
+    draws plus the first-visit records a pass may hold exceed
+    ``DRAW_ELEMENTS``.
     """
     check_count("horizon", t_prime)
-    check_count("kappa", kappa)
     targets, _, src = _centrality_request(graph, nodes, sources)
     draws = rwcc_sample_size(graph.n, t_prime, epsilon, delta)
     if targets.size == 0:
         return np.empty(0)
-    walking = draws * int(kappa)
-    check_work("Monte Carlo closeness walks", walking, t_prime)
     live = graph.color_mask(graph.color_of(int(src[0])))
     # A walk first visits at most one node per step, and only live ones.
-    cap = min(walking, _WALK_GROUP) * min(t_prime - 1, int(live.sum()))
+    cap = min(draws, _WALK_GROUP) * min(t_prime - 1, int(live.sum()))
     if draws + 2 * cap > DRAW_ELEMENTS:
         raise WorkLimitExceeded(f"Monte Carlo closeness: {draws} source draws and "
                                 f"{2 * cap} first-visit records > {DRAW_ELEMENTS}")
@@ -472,16 +470,16 @@ def estimate_rwcc_many(
     # Whole scores below 2**53 (the work bound keeps every total under
     # walks * t'), so each float sum is exact in any order.
     totals = np.zeros(graph.n)
-    for walks in _walk_passes([_walk_stream(seed, _STREAM_RWCC_WALKS)], walking):
+    for walks in _walk_passes([_walk_stream(seed, _STREAM_RWCC_WALKS)], draws):
         rows = np.arange(walks.bounds[-1])
-        start = starts[(walks.first + rows) // kappa]
+        start = starts[walks.first + rows]
         keys, steps = _first_visits(
             _live_walks(sampler, live, t_prime, walks, rows, start), graph.n, cap
         )
         walk, node = np.divmod(keys, graph.n)
         scored = node != start[walk]
         totals += np.bincount(node[scored], t_prime - steps[scored], graph.n)
-    return totals[targets] / walking
+    return totals[targets] / draws
 
 
 def estimate_rwcc(
@@ -491,11 +489,10 @@ def estimate_rwcc(
     t_prime: int,
     epsilon: float,
     delta: float,
-    kappa: int,
     seed: int,
 ) -> float:
     """Monte Carlo bounded closeness of ``v`` w.r.t. a monochromatic set:
     ``estimate_rwcc_many`` for the one node ``v``."""
     return float(estimate_rwcc_many(
-        graph, (v,), sources, t_prime, epsilon, delta, kappa, seed
+        graph, (v,), sources, t_prime, epsilon, delta, seed
     )[0])

@@ -90,16 +90,15 @@ def closeness(
     """Bounded closeness c_horizon(v, sources) of every v in ``nodes``.
 
     The exact backend runs one block pass; the Monte Carlo backend scores
-    every node from one pooled set of walks from the sources, sized by
-    ``cfg``'s accuracy and ``kappa``, drawn from the given seed.
+    every node from one walk per source draw, the draws sized by ``cfg``'s
+    accuracy alone and drawn from the given seed.
     """
     if backend == "exact":
         return exact_rwcc_many(graph, nodes, sources, horizon)
     if backend != "mc":
         raise UnknownName(f"unknown backend {backend!r}")
     return estimate_rwcc_many(
-        graph, nodes, sources, horizon, cfg.epsilon, cfg.delta,
-        kappa=cfg.kappa, seed=seed,
+        graph, nodes, sources, horizon, cfg.epsilon, cfg.delta, seed=seed
     )
 
 

@@ -383,23 +383,23 @@ def br_by_walks(
 
 def rwcc_by_walks(
     graph: ColoredGraph, nodes: Iterable[int], sources: Iterable[int],
-    t_prime: int, kappa: int, seed: int, draws: int,
+    t_prime: int, seed: int, draws: int,
 ) -> tuple[np.ndarray, int]:
     """``estimate_rwcc_many(graph, nodes, sources, t_prime, epsilon, delta,
-    kappa, seed)`` reduced walk by walk, with the uniforms the request
-    draws, for the N = ``draws`` sources that ``rwcc_sample_size(graph.n,
-    t_prime, epsilon, delta)`` sizes.
+    seed)`` reduced walk by walk, with the uniforms the request draws, for
+    the N = ``draws`` sources that ``rwcc_sample_size(graph.n, t_prime,
+    epsilon, delta)`` sizes.
 
     The N picks come from the ``(seed, _STREAM_RWCC_SOURCES)`` stream, and
-    pick i owns walks ``i * kappa`` to ``i * kappa + kappa - 1`` of the one
-    ``(seed, _STREAM_RWCC_WALKS)`` walk stream, run by :func:`walk_steps`
-    until they enter the other color.  Each node a walk first visits at a
-    step k < t', other than its start, scores t' - k; a node's value is its
-    total over the walks divided by their number.
+    walk i of the one ``(seed, _STREAM_RWCC_WALKS)`` walk stream starts at
+    pick i; :func:`walk_steps` runs each until it enters the other color.
+    Each node a walk first visits at a step k < t', other than its start,
+    scores t' - k; a node's value is its total over the N walks divided by
+    N.
     """
     src = np.asarray(sorted(set(sources)), dtype=np.int64)
     picks = stream(seed, _STREAM_RWCC_SOURCES).integers(0, src.size, size=draws)
-    starts = np.repeat(src[picks], kappa)
+    starts = src[picks]
     stop = graph.color_mask(opposite(graph.color_of(int(src[0]))))
     rng = _walk_stream(seed, _STREAM_RWCC_WALKS)
     steps, _, paths = walk_steps(graph, rng, starts, stop, t_prime)

@@ -134,8 +134,7 @@ def test_criterion_2_estimator_concentration():
         assert rwcc_sample_size(graph.n, t, rw_eps, rw_delta) >= 1
         for rep in range(25):
             est_c = estimate_rwcc(
-                graph, v, sources, t, rw_eps, rw_delta,
-                kappa=1, seed=derive_seed(1001, gi, rep),
+                graph, v, sources, t, rw_eps, rw_delta, seed=derive_seed(1001, gi, rep)
             )
             if abs(est_c - exact_c) > rw_eps:
                 rw_misses += 1

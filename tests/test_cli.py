@@ -526,28 +526,6 @@ def test_negative_k_max_rejected(g2_files, tmp_path, capsys):
     assert not out.exists()
 
 
-def test_kappa_reaches_the_recommenders(g2_files, tmp_path, monkeypatch):
-    import repbublik.recommend
-
-    seen = []
-    original = repbublik.recommend.estimate_rwcc_many
-
-    def spy(*args, **kwargs):
-        seen.append(kwargs["kappa"])
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(repbublik.recommend, "estimate_rwcc_many", spy)
-    edges, colors = g2_files
-    assert main([
-        "recommend", "--edges", str(edges), "--colors", str(colors),
-        "--t", "4", "--theta-good", "1.5", "--theta-bad", "2.0",
-        "--epsilon", "0.9", "--delta", "0.5", "--backend", "mc",
-        "--kappa", "3", "--color", "R", "-k", "1",
-        "--output", str(tmp_path / "plan.tsv"),
-    ]) == 0
-    assert seen and set(seen) == {3}
-
-
 # The verbs whose --output is not "results instead of stdout", and what its
 # help says instead.
 _OUTPUT_HELP = {
@@ -651,7 +629,7 @@ def test_long_monte_carlo_closeness_horizon_on_a_trap(tmp_path, capsys, ring, ho
     got = main([
         "rwcc", "--backend", "mc", "--t", "2", "--horizon", str(horizon),
         "--theta-good", "1.5", "--theta-bad", "2", "--epsilon", "1",
-        "--delta", "0.5", "--kappa", "1",
+        "--delta", "0.5",
         "--edges", str(edges), "--colors", str(colors),
     ])
     err = capsys.readouterr().err

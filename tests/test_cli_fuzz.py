@@ -76,7 +76,6 @@ def commands(draw):
         verb, "--backend", draw(st.sampled_from(["exact", "mc"])), "--t", str(t),
         "--theta-good", draw(st.sampled_from(["1.5", "1", "2"])),
         "--epsilon", draw(ACCURACY), "--delta", draw(ACCURACY),
-        "--kappa", str(draw(st.integers(1, 4))),
         "--seed", str(draw(st.integers(0, 3))),
     ]
     theta_bad = draw(st.sampled_from([None, str(t), "2.5", "5"]))

@@ -80,30 +80,30 @@ class TestSampleSizes:
         n, t = 100_000, 10
         assert n * br_sample_size(n, t, 0.5, 0.05) * t <= MAX_WORK
         # One closeness request serves every target of the 100k nodes.
-        assert rwcc_sample_size(n, t, 0.5, 0.05) * 4 * t <= MAX_WORK
+        assert rwcc_sample_size(n, t, 0.5, 0.05) * t <= MAX_WORK
 
     def test_closeness_request_beyond_the_bound_is_typed(self, g2):
         # The source draw would otherwise fail inside numpy, untyped.
         with pytest.raises(WorkLimitExceeded):
-            estimate_rwcc_many(g2, [0], {0, 1}, 4, 1e-9, 0.05, 4, 0)
+            estimate_rwcc_many(g2, [0], {0, 1}, 4, 1e-9, 0.05, 0)
 
     def test_source_draws_beyond_the_draw_bound_are_typed(self, g2, monkeypatch):
         # 1e9 draws pass the work bound at t' = 3 but would need 8 GiB.
         with pytest.raises(WorkLimitExceeded, match="source draws"):
-            estimate_rwcc_many(g2, [0, 1], {0, 1}, 3, 1e-4, 0.05, 1, 0)
+            estimate_rwcc_many(g2, [0, 1], {0, 1}, 3, 1e-4, 0.05, 0)
         # The bound holds the draws plus twice the first-visit records of a
         # pass: a walk first visits at most min(t' - 1, |C|) nodes, and g2
         # has three red nodes.
         for t_prime, visits in ((3, 2), (10, 3)):
             draws = rwcc_sample_size(g2.n, t_prime, 1.0, 0.5)
-            limit = draws + 2 * min(2 * draws, mc._WALK_GROUP) * visits
+            limit = draws + 2 * min(draws, mc._WALK_GROUP) * visits
             monkeypatch.setattr(mc, "DRAW_ELEMENTS", limit)
-            assert estimate_rwcc_many(g2, [0, 1], {0, 1}, t_prime, 1.0, 0.5, 2, 0).shape == (2,)
+            assert estimate_rwcc_many(g2, [0, 1], {0, 1}, t_prime, 1.0, 0.5, 0).shape == (2,)
             monkeypatch.setattr(mc, "DRAW_ELEMENTS", limit - 1)
             with pytest.raises(WorkLimitExceeded, match="source draws"):
-                estimate_rwcc_many(g2, [0, 1], {0, 1}, t_prime, 1.0, 0.5, 2, 0)
+                estimate_rwcc_many(g2, [0, 1], {0, 1}, t_prime, 1.0, 0.5, 0)
             # A request for no targets holds nothing, so it is never refused.
-            assert estimate_rwcc_many(g2, [], {0, 1}, t_prime, 1.0, 0.5, 2, 0).shape == (0,)
+            assert estimate_rwcc_many(g2, [], {0, 1}, t_prime, 1.0, 0.5, 0).shape == (0,)
 
     def test_rwcc_reference_value(self):
         # The Bubble Radius rule at horizon t': a draw scores in [0, t' - 1].
@@ -314,7 +314,7 @@ class TestWalkSampler:
         graph, t = random_polarized(np.random.default_rng(97))
         reds = graph.nodes_of("R")
         estimate_br(graph, t, 1.0, 0.9, seed=1)
-        estimate_rwcc_many(graph, reds, reds, t, 1.0, 0.9, kappa=4, seed=1)
+        estimate_rwcc_many(graph, reds, reds, t, 1.0, 0.9, seed=1)
         for seed in (1, 2):
             simulate_restart_session(graph, int(reds[0]), t, 2, seed=seed)
         assert len(built) == 1
@@ -407,13 +407,33 @@ class TestEstimateRwcc:
             graph, t = random_polarized(rng, n_max=20)
             reds = [int(w) for w in graph.nodes_of("R")]
             draws = rwcc_sample_size(graph.n, t, 1.0, 0.5)
-            for kappa in (1, 4):
-                seed = int(rng.integers(2**32))
-                values, _ = rwcc_by_walks(graph, reds, reds, t, kappa, seed, draws)
-                got = estimate_rwcc_many(graph, reds, reds, t, 1.0, 0.5, kappa, seed)
-                assert got.tolist() == values.tolist()
-                for i, v in enumerate(reds[:3]):
-                    assert estimate_rwcc(graph, v, reds, t, 1.0, 0.5, kappa, seed) == values[i]
+            seed = int(rng.integers(2**32))
+            values, _ = rwcc_by_walks(graph, reds, reds, t, seed, draws)
+            got = estimate_rwcc_many(graph, reds, reds, t, 1.0, 0.5, seed)
+            assert got.tolist() == values.tolist()
+            for i, v in enumerate(reds[:3]):
+                assert estimate_rwcc(graph, v, reds, t, 1.0, 0.5, seed) == values[i]
+
+    def test_a_request_runs_one_walk_per_draw(self, monkeypatch):
+        # Walk i starts at source draw i, so a request runs exactly N walks,
+        # however its passes are cut.
+        passes, walked = mc._walk_passes, []
+
+        def counting(streams, per_stream):
+            for walks in passes(streams, per_stream):
+                walked.append(int(walks.bounds[-1]))
+                yield walks
+
+        monkeypatch.setattr(mc, "_walk_passes", counting)
+        monkeypatch.setattr(mc, "WALK_ELEMENTS", 37)
+        rng = np.random.default_rng(101)
+        for _ in range(3):
+            graph, t = random_polarized(rng, n_max=16)
+            reds = graph.nodes_of("R")
+            for eps in (1.0, 0.3):
+                walked.clear()
+                estimate_rwcc_many(graph, reds, reds, t, eps, 0.2, seed=1)
+                assert sum(walked) == rwcc_sample_size(graph.n, t, eps, 0.2)
 
     def test_uniform_miss_rate_against_exact(self):
         # With probability at least 1 - delta a request's estimates all lie
@@ -431,7 +451,7 @@ class TestEstimateRwcc:
                     exact = exact_rwcc_many(graph, pool, sources, t)
                     for _ in range(3):
                         est = estimate_rwcc_many(graph, pool, sources, t, eps, delta,
-                                                 4, derive_seed(151, runs))
+                                                 derive_seed(151, runs))
                         misses += int(np.abs(est - exact).max() > eps)
                         runs += 1
         assert runs >= 400
@@ -439,41 +459,37 @@ class TestEstimateRwcc:
 
     def test_deterministic_single_edge(self):
         g = build_graph(["R", "R", "B"], [(0, 1, 1.0), (1, 0, 1.0), (2, 0, 1.0)])
-        for kappa in (1, 3):
-            value = estimate_rwcc(g, 1, {0}, 3, 0.5, 0.1, kappa=kappa, seed=1)
-            assert value == pytest.approx(2.0)
+        assert estimate_rwcc(g, 1, {0}, 3, 0.5, 0.1, seed=1) == pytest.approx(2.0)
 
     def test_unreachable_target_zero(self):
         g = build_graph(["R", "R", "B"], [(0, 2, 1.0), (1, 0, 1.0), (2, 0, 1.0)])
-        assert estimate_rwcc(g, 1, {0}, 4, 0.5, 0.1, kappa=4, seed=2) == 0.0
+        assert estimate_rwcc(g, 1, {0}, 4, 0.5, 0.1, seed=2) == 0.0
 
     def test_g2_concentration(self, g2):
         eps, delta = 0.5, 0.05
         exact = exact_rwcc(g2, 2, {0, 1}, 4)
         misses = 0
         for rep in range(200):
-            est = estimate_rwcc(
-                g2, 2, {0, 1}, 4, eps, delta, kappa=4, seed=derive_seed(23, rep)
-            )
+            est = estimate_rwcc(g2, 2, {0, 1}, 4, eps, delta, seed=derive_seed(23, rep))
             if abs(est - exact) > eps:
                 misses += 1
         assert misses / 200 <= 0.05
 
     def test_hit_times_within_horizon(self, g2):
-        value = estimate_rwcc(g2, 2, {0, 1}, 4, 1.0, 0.1, kappa=2, seed=5)
+        value = estimate_rwcc(g2, 2, {0, 1}, 4, 1.0, 0.1, seed=5)
         assert 0.0 <= value <= 4.0 - 1.0  # t' minus at least one step
 
     def test_mixed_colors_rejected(self, g2):
         with pytest.raises(MixedColorSet):
-            estimate_rwcc(g2, 2, {0, 3}, 4, 0.5, 0.1, kappa=4, seed=1)
+            estimate_rwcc(g2, 2, {0, 3}, 4, 0.5, 0.1, seed=1)
 
     def test_empty_sources_rejected(self, g2):
         with pytest.raises(EmptySourceSet):
-            estimate_rwcc(g2, 2, set(), 4, 0.5, 0.1, kappa=4, seed=1)
+            estimate_rwcc(g2, 2, set(), 4, 0.5, 0.1, seed=1)
 
     def test_self_source_contributes_zero(self, g2):
         # With S = {v}, every draw is the self source: centrality must be 0.
-        assert estimate_rwcc(g2, 0, {0}, 4, 0.5, 0.1, kappa=4, seed=9) == 0.0
+        assert estimate_rwcc(g2, 0, {0}, 4, 0.5, 0.1, seed=9) == 0.0
 
 
 BUDGETS = (1, 37, mc.WALK_ELEMENTS, 2**30)
@@ -502,8 +518,7 @@ class TestChunking:
             runs = []
             for budget in BUDGETS:
                 monkeypatch.setattr(mc, "WALK_ELEMENTS", budget)
-                runs.append(estimate_rwcc_many(graph, reds, reds, t, 1.0, 0.5, kappa=3,
-                                               seed=5))
+                runs.append(estimate_rwcc_many(graph, reds, reds, t, 1.0, 0.5, seed=5))
             assert all(np.array_equal(runs[0], other) for other in runs[1:])
 
     @pytest.mark.parametrize("draws", [13, 150])
@@ -518,15 +533,13 @@ class TestChunking:
             batches = [blues, blues[::-1], np.concatenate([blues, blues[:2]]),
                        rng.permutation(blues)[: max(1, blues.size // 2)]]
             for batch in batches:
-                got = estimate_rwcc_many(graph, batch, blues, horizon, eps, delta,
-                                         kappa=2, seed=7)
+                got = estimate_rwcc_many(graph, batch, blues, horizon, eps, delta, seed=7)
                 for i, v in enumerate(batch):
-                    alone = estimate_rwcc(graph, int(v), blues, horizon, eps, delta,
-                                          kappa=2, seed=7)
+                    alone = estimate_rwcc(graph, int(v), blues, horizon, eps, delta, seed=7)
                     assert got[i] == alone
 
     def test_empty_batch(self, g2):
-        assert estimate_rwcc_many(g2, [], [0, 1], 4, 0.5, 0.1, 4, 0).shape == (0,)
+        assert estimate_rwcc_many(g2, [], [0, 1], 4, 0.5, 0.1, 0).shape == (0,)
 
     def test_walks_beyond_a_group_equal_under_every_budget(self, monkeypatch):
         # More walks per node than a group and than every budget but the
@@ -535,14 +548,14 @@ class TestChunking:
         for graph, t in self._graphs()[:2]:
             reds = graph.nodes_of("R")
             br_eps, br_delta = _br_accuracy(graph.n, t, r)
-            rw_eps, rw_delta = _rwcc_accuracy(graph.n, t, r // 2)
+            rw_eps, rw_delta = _rwcc_accuracy(graph.n, t, r)
             tables, runs = [], []
             for budget in BUDGETS:
                 monkeypatch.setattr(mc, "WALK_ELEMENTS", budget)
                 tables.append(estimate_br(_fresh(graph), t, br_eps, br_delta,
                                           seed=4).values)
                 runs.append(estimate_rwcc_many(graph, reds, reds, t, rw_eps, rw_delta,
-                                               kappa=2, seed=4))
+                                               seed=4))
             assert all(np.array_equal(tables[0], other) for other in tables[1:])
             assert all(np.array_equal(runs[0], other) for other in runs[1:])
 
@@ -611,9 +624,8 @@ class TestDrawsRead:
                     tally.clear()
                     seed = int(rng.integers(2**32))
                     pool = graph.nodes_of(color)
-                    got = estimate_rwcc_many(graph, pool, pool, t, 1.0, 0.9, kappa=3,
-                                             seed=seed)
-                    values, steps = rwcc_by_walks(graph, pool, pool, t, 3, seed, draws)
+                    got = estimate_rwcc_many(graph, pool, pool, t, 1.0, 0.9, seed=seed)
+                    values, steps = rwcc_by_walks(graph, pool, pool, t, seed, draws)
                     assert got.tolist() == values.tolist()
                     assert dict(tally) == ({(mc._STREAM_RWCC_WALKS,): steps} if steps else {})
                     if t == 1:
@@ -623,7 +635,7 @@ class TestDrawsRead:
         # Every walk from 0 visits 1 and 2 on steps 1 and 2, and half of them
         # return to 0 on step 3, which scores nothing: the exact form skips
         # the self term.
-        got = estimate_rwcc_many(g2, [0, 1, 2], {0}, 4, 0.5, 0.1, kappa=3, seed=9)
+        got = estimate_rwcc_many(g2, [0, 1, 2], {0}, 4, 0.5, 0.1, seed=9)
         assert got.tolist() == [0.0, 3.0, 2.0]
         assert got.tolist() == exact_rwcc_many(g2, [0, 1, 2], {0}, 4).tolist()
         assert sum(tally.values()) > 0
@@ -635,10 +647,10 @@ class TestDrawsRead:
         values, draws = br_by_walks(g2, 4, r, 6)
         assert np.array_equal(table.values, values)
         assert [tally[mc._STREAM_BR, v] for v in range(g2.n)] == draws.tolist()
-        draws = rwcc_sample_size(g2.n, 4, 0.02, 0.5)
-        assert 2 * draws > 3 * mc._WALK_GROUP  # 31,191 draws of 2 walks: four groups
-        got = estimate_rwcc_many(g2, [0, 1, 2], {0, 1, 2}, 4, 0.02, 0.5, kappa=2, seed=6)
-        values, steps = rwcc_by_walks(g2, [0, 1, 2], {0, 1, 2}, 4, 2, 6, draws)
+        draws = rwcc_sample_size(g2.n, 4, 0.015, 0.5)
+        assert draws > 3 * mc._WALK_GROUP  # 55,452 draws of one walk: four groups
+        got = estimate_rwcc_many(g2, [0, 1, 2], {0, 1, 2}, 4, 0.015, 0.5, seed=6)
+        values, steps = rwcc_by_walks(g2, [0, 1, 2], {0, 1, 2}, 4, 6, draws)
         assert got.tolist() == values.tolist()
         assert tally[(mc._STREAM_RWCC_WALKS,)] == steps
 

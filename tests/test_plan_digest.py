@@ -18,8 +18,11 @@ greedies' digests are those once recorded for their lowest-BR targets.  The
 four that read Monte Carlo closeness (``repbublik``, ``repbublik-plus``,
 ``rcn`` and ``rwcn``) were recorded again when closeness came from one pooled
 set of walks per request; ``rcn@mc`` now happens to pick the exact backend's
-sources, and ``rwcn@mc`` no longer does.  Each
-call draws from its config's seed, ``10 + gi``.  Any change to a source choice, a
+sources, and ``rwcn@mc`` no longer does.  ``repbublik-plus@mc`` was
+recorded again when a request came to run one walk per source draw instead
+of four; it equals the old code's digest with one walk per draw, and the
+other three kept theirs.  Each call draws from its config's seed,
+``10 + gi``.  Any change to a source choice, a
 target choice, a tie break, an insertion weight's bits or an evaluated
 Bubble Radius changes a digest.
 """
@@ -64,7 +67,7 @@ EXPECTED = {
     "rcn@exact": "cef6f9080d7751e32000ca2ee3f3af1aa8985bd73b4659404ce0ca8589cabe18",
     "rwcn@exact": "2f613f77e270092b4c03a1ab95c12fcbaf600e9f102100bb90fd611c746bd1e2",
     "repbublik@mc": "15d71d94174b781b66373f14ba748c074f70e87dc1e0fd1cce71390837bdf22a",
-    "repbublik-plus@mc": "d97754825e1e0ab37224d3c43ea5b1d7a8627229eb05a8940b026d60e2336d27",
+    "repbublik-plus@mc": "19e5f8e44569b1417d71c2e1a2147187ebb0fafc24bbaad5ac98c4daa53a584e",
     "pure-random@mc": "d46403d872674d2236fe591d4fbf14085d36facaabce5a5ce829a51d22235541",
     "rcn@mc": "cef6f9080d7751e32000ca2ee3f3af1aa8985bd73b4659404ce0ca8589cabe18",
     "rwcn@mc": "54761d7d24741257b555e52c025e8696caab1b5c5e8ef818fcfaad60350cb4a4",

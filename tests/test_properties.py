@@ -163,9 +163,8 @@ def test_walk_loop_equals_per_walk_oracle(one_group_per_pass, monkeypatch):
             assert np.array_equal(table.values, br_by_walks(graph, t, r, seed)[0])
             for color in ("R", "B"):
                 pool = graph.nodes_of(color)
-                got = estimate_rwcc_many(graph, pool, pool, t, 1.0, 0.9, kappa=3,
-                                         seed=seed)
-                want, _ = rwcc_by_walks(graph, pool, pool, t, 3, seed, draws)
+                got = estimate_rwcc_many(graph, pool, pool, t, 1.0, 0.9, seed=seed)
+                want, _ = rwcc_by_walks(graph, pool, pool, t, seed, draws)
                 assert got.tolist() == want.tolist()
 
 
@@ -222,8 +221,8 @@ NODE_ID_CALLS = {
         g, [u], [EdgeInsertion(0, 3, 0.5)], 4, backend="mc",
         cfg=WalkConfig(t=4, theta_good=1.5),
     ),
-    "estimate_rwcc-v": lambda g, u: estimate_rwcc(g, u, [0, 1], 3, 0.5, 0.1, 4, 0),
-    "estimate_rwcc-sources": lambda g, u: estimate_rwcc(g, 2, [u, 2], 3, 0.5, 0.1, 4, 0),
+    "estimate_rwcc-v": lambda g, u: estimate_rwcc(g, u, [0, 1], 3, 0.5, 0.1, 0),
+    "estimate_rwcc-sources": lambda g, u: estimate_rwcc(g, 2, [u, 2], 3, 0.5, 0.1, 0),
     "simulate_restart_session": lambda g, u: simulate_restart_session(g, u, 4, 2, 0),
     "exact_first_passage-source": lambda g, u: exact_first_passage(g, u, 1, 4),
     "exact_first_passage-target": lambda g, u: exact_first_passage(g, 0, u, 4),
@@ -267,7 +266,6 @@ _PLAN = [EdgeInsertion(0, 3, 0.5)]
 # of (g2, value, scratch dir) with the values its rule rejects.
 PARAMETER_CALLS = {
     "WalkConfig-t": _count(lambda g, x, _: WalkConfig(t=x)),
-    "WalkConfig-kappa": _count(lambda g, x, _: WalkConfig(t=4, kappa=x)),
     "WalkConfig-seed": _seed(lambda g, x, _: WalkConfig(t=4, seed=x)),
     "exact_bounded_hitting": _count(lambda g, x, _: exact_bounded_hitting(g, [3], x)),
     "exact_br": _count(lambda g, x, _: exact_br(g, x)),
@@ -289,13 +287,10 @@ PARAMETER_CALLS = {
     "estimate_br-t": _count(lambda g, x, _: estimate_br(g, x, 0.5, 0.1, 0)),
     "estimate_br-seed": _seed(lambda g, x, _: estimate_br(g, 4, 0.5, 0.1, x)),
     "estimate_rwcc-t": _count(
-        lambda g, x, _: estimate_rwcc(g, 0, [1, 2], x, 0.5, 0.1, 4, 0)
-    ),
-    "estimate_rwcc-kappa": _count(
-        lambda g, x, _: estimate_rwcc(g, 0, [1, 2], 3, 0.5, 0.1, x, 0)
+        lambda g, x, _: estimate_rwcc(g, 0, [1, 2], x, 0.5, 0.1, 0)
     ),
     "estimate_rwcc-seed": _seed(
-        lambda g, x, _: estimate_rwcc(g, 0, [1, 2], 3, 0.5, 0.1, 4, x)
+        lambda g, x, _: estimate_rwcc(g, 0, [1, 2], 3, 0.5, 0.1, x)
     ),
     "simulate_restart_session-t": _count(
         lambda g, x, _: simulate_restart_session(g, 0, x, 2, 0)

@@ -70,10 +70,10 @@ def test_estimator_signatures_are_pinned():
     expected = {
         repbublik.estimate_br: ["graph", "t", "epsilon", "delta", "seed"],
         repbublik.estimate_rwcc_many: [
-            "graph", "nodes", "sources", "t_prime", "epsilon", "delta", "kappa", "seed",
+            "graph", "nodes", "sources", "t_prime", "epsilon", "delta", "seed",
         ],
         repbublik.estimate_rwcc: [
-            "graph", "v", "sources", "t_prime", "epsilon", "delta", "kappa", "seed",
+            "graph", "v", "sources", "t_prime", "epsilon", "delta", "seed",
         ],
         repbublik.exact_br: ["graph", "t"],
         repbublik.exact_rwcc: ["graph", "v", "sources", "t_prime"],

@@ -34,11 +34,3 @@ def test_gadget_demo_output():
     assert done.returncode == 0, done.stderr
     assert done.stdout == GADGET_DEMO_STDOUT
 
-
-def test_polarized_sweep_runs(tmp_path):
-    done = _run(
-        "run_polarized_sweep.py", "--n-red", "20", "--n-blue", "20",
-        "--repeats", "1", "--out-dir", str(tmp_path),
-    )
-    assert done.returncode == 0, done.stderr
-    assert (tmp_path / "sweep.csv").is_file()
