@@ -15,30 +15,31 @@ Every draw but the walk steps comes from counter-based Philox streams
 (:func:`stream`): the closeness source draws, and outside this module the
 generated graphs, the target picks and the baselines.  The walk steps come
 from SFC64 streams (:func:`_walk_stream`), which fill uniforms about four
-times faster.  The Bubble Radius of ``v`` runs its r walks on ``(seed,
-_STREAM_BR, v)``.  A closeness request draws its N sources uniformly over S
-from ``(seed, _STREAM_RWCC_SOURCES)`` and runs one walk from each on
-``(seed, _STREAM_RWCC_WALKS)``: walk ``i`` starts at draw ``i``.
+times faster, one walk stream per request.  A Bubble Radius table runs the
+r walks of every node on ``(seed, _STREAM_BR)``: the red nodes' walks, then
+the blue nodes', each color in node order.  A closeness request draws its N
+sources uniformly over S from ``(seed, _STREAM_RWCC_SOURCES)`` and runs one
+walk from each on ``(seed, _STREAM_RWCC_WALKS)``: walk ``i`` starts at draw
+``i``.
 
 A walk stream holds only the uniforms that are read.  Its walks are cut into
-groups of ``_WALK_GROUP`` walks, run in order; a group draws step by step,
-at step k one uniform for each of its walks still live before step k, in
-walk order.  No walk takes the last step of the horizon, which cannot change
-a capped length or a closeness score.  The group size and this order are the
-stream layout; they fix every estimate.  The groups of many streams are laid
-end to end and packed into walk passes of at most ``WALK_ELEMENTS`` walks
-(and at least one group, never two of one stream).  Every estimate is
-reduced through exact integer sums, so results are bit-identical whatever
-the budget, and identical (graph, config, seed) gives identical estimates.
+groups of ``_WALK_GROUP`` walks, run one after the other; a group draws step
+by step, at step k one uniform for each of its walks still live before step
+k, in walk order.  No walk takes the last step of the horizon, which cannot
+change a capped length or a closeness score.  The group size and this order
+are the stream layout; they fix every estimate.  A group is all the walks
+held at once, so memory does not grow with the walk count.  Every estimate
+is reduced through exact integer sums, so identical (graph, config, seed)
+gives bit-identical estimates.
 
-One walk loop (:func:`_live_walks`) steps both estimators, keeping only the
-live walks, their indices in order and their states.  A node's summed
-capped length is, over the steps k, the count of its walks live before step
-k.  A closeness walk scores ``t' - k`` for every node it first visits at a
-step k < t', other than its own start; a node's total over the N walks,
-divided by N, estimates c_{t'}(v, S) without bias for every v at once, and
-no entry depends on the other targets asked for.  Epsilon alone trades
-walks for accuracy.
+One walk loop (:func:`_live_walks`) steps each group of both estimators,
+keeping only the live walks, their indices in order and their states.  A
+node's summed capped length is, over the steps k, the count of its walks
+live before step k.  A closeness walk scores ``t' - k`` for every node it
+first visits at a step k < t', other than its own start; a node's total over
+the N walks, divided by N, estimates c_{t'}(v, S) without bias for every v at
+once, and no entry depends on the other targets asked for.  Epsilon alone
+trades walks for accuracy.
 
 A walk step moves to out-edge ``count(rowcum <= u)`` of its row for a
 uniform ``u`` in [0, 1), found by one lookup in a bucket guide with the bits
@@ -48,7 +49,7 @@ no seed, so each graph builds it once and keeps it in ``graph.memo``.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -71,12 +72,9 @@ _STREAM_RWCC_SOURCES = 2
 _STREAM_RWCC_WALKS = 3
 
 # Walks per group: a stream's walks are cut into groups of this many, each
-# of which draws its steps in turn.  Part of the stream layout, not a knob.
+# of which draws its steps in turn.  Part of the stream layout, not a knob;
+# a group is also all the walks held at once.
 _WALK_GROUP = 1 << 14
-
-#: Most walks one walk pass holds (a pass takes at least one group).  It
-#: bounds the memory of a pass; no result depends on it.
-WALK_ELEMENTS = 1 << 14
 
 #: Most source draws plus first-visit records one closeness request holds
 #: at once, 16 bytes each (2 GiB; near 6 GiB at the peak, as ``np.unique``
@@ -100,7 +98,7 @@ def stream(seed: int, *key: int) -> np.random.Generator:
 
 def _walk_stream(seed: int, *key: int) -> np.random.Generator:
     """The SFC64 generator whose uniforms step the walks of one (seed,
-    purpose, ...) task: one node's Bubble Radius, or a closeness request."""
+    purpose) request: a Bubble Radius table, or a closeness request."""
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=key)
     return np.random.Generator(np.random.SFC64(ss))
 
@@ -283,80 +281,40 @@ def _sampler_of(graph: ColoredGraph) -> _WalkSampler:
     return graph.memo["walk_sampler"]
 
 
-class _Pass(NamedTuple):
-    """One walk pass: whole groups of walks, at most one per node.
-
-    The pass holds walks ``first`` to ``first + bounds[-1] - 1`` of the
-    whole; group j is its walks ``bounds[j]`` to ``bounds[j + 1] - 1`` and
-    draws from ``streams[j]``.
-    """
-
-    first: int
-    bounds: np.ndarray
-    streams: list[np.random.Generator]
-
-
 def _live_walks(
     sampler: _WalkSampler,
     live: np.ndarray,
     horizon: int,
-    walks: _Pass,
-    rows: np.ndarray,
-    states: np.ndarray,
+    rng: np.random.Generator,
+    starts: np.ndarray,
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """Step the walks at ``rows`` of a pass through every step but the last.
+    """Step one group of walks through every step but the last.
 
-    Walk ``rows[i]`` (sorted, indices into the pass) starts at ``states[i]``
-    and lives while it stays on ``live`` nodes.  Before each step, each
-    group draws one uniform per live walk of its own, in order.  After each
-    step k below the horizon, yields k, the rows still live (sorted) and
-    their states.  The last step is never taken: a walk live before it
-    scores the horizon whatever it does.
+    Walk ``i`` of the group starts at ``starts[i]`` and lives while it stays
+    on ``live`` nodes.  Before each step, ``rng`` draws one uniform per live
+    walk, in walk order.  After each step k below the horizon, yields k, the
+    group's local indices of the walks still live (sorted) and their states.
+    The last step is never taken: a walk live before it scores the horizon
+    whatever it does.
     """
-    buffer = np.empty(rows.size)
+    rows, states = np.arange(starts.size), starts
+    buffer = np.empty(starts.size)
     for step in range(1, horizon):
         if rows.size == 0:
             return
         u = buffer[: rows.size]
-        cut = np.searchsorted(rows, walks.bounds).tolist()
-        for rng, lo, hi in zip(walks.streams, cut, cut[1:]):
-            if lo < hi:
-                rng.random(out=u[lo:hi])
+        rng.random(out=u)
         nxt = sampler.step(states, u)
         keep = np.flatnonzero(live[nxt])
         rows, states = rows[keep], nxt[keep]
         yield step, rows, states
 
 
-def _walk_passes(
-    streams: Iterable[np.random.Generator], per_stream: int
-) -> Iterator[_Pass]:
-    """The walks of ``streams`` laid end to end, cut into walk passes.
-
-    Stream k owns walks ``k * per_stream`` to ``(k + 1) * per_stream - 1``
-    of the whole, in groups of ``_WALK_GROUP`` that draw from it in turn.  A
-    pass holds whole groups, at most ``WALK_ELEMENTS`` walks but at least
-    one group, and never two groups of one stream: the second could only
-    draw once the first is done.
-    """
-    first, bounds, held = 0, [0], []
-    for rng in streams:
-        for lo in range(0, per_stream, _WALK_GROUP):
-            size = min(_WALK_GROUP, per_stream - lo)
-            if held and (lo > 0 or bounds[-1] + size > WALK_ELEMENTS):
-                yield _Pass(first, np.array(bounds), held)
-                first, bounds, held = first + bounds[-1], [0], []
-            bounds.append(bounds[-1] + size)
-            held.append(rng)
-    if held:
-        yield _Pass(first, np.array(bounds), held)
-
-
 def _first_visits(
     steps: Iterable[tuple[int, np.ndarray, np.ndarray]], stride: int, cap: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Each walk's first visit of each node over the ``(step, rows,
-    states)`` of a pass, in step order: the keys ``row * stride + node``,
+    states)`` of a group, in step order: the keys ``row * stride + node``,
     ascending, and their steps.  ``cap`` bounds the first visits; the
     visits held are cut to first visits whenever the next step would take
     them past ``2 * cap``, however long the walks live."""
@@ -388,8 +346,11 @@ def estimate_br(
     capped walk lengths per node.
 
     Walks stop when they hit the opposite color or after ``t`` steps,
-    whichever comes first.  The walks of each color's nodes step together,
-    and node ``v`` runs its walks on its own ``(seed, _STREAM_BR, v)`` stream.
+    whichever comes first.  The table's walks run on one ``(seed,
+    _STREAM_BR)`` stream: the red nodes' walks, then the blue nodes', each
+    color in node order with r walks per node, so walk ``i`` of a color
+    belongs to ``nodes[i // r]``.  Each color is cut into groups of
+    ``_WALK_GROUP`` walks, and a node's walks may straddle two groups.
     Deterministic for a fixed seed, so the table is computed once per
     graph, ``t``, walk count and seed and kept in ``graph.memo``.  A graph
     without nodes gets the exact backend's empty table: there is no
@@ -406,25 +367,24 @@ def estimate_br(
     if key in graph.memo:
         return graph.memo[key]
     sampler = _sampler_of(graph)
+    rng = _walk_stream(seed, _STREAM_BR)
     values = np.empty(graph.n)
     for color in (RED, BLUE):
         nodes = graph.nodes_of(color)
         live = graph.color_mask(color)
         lengths = np.zeros(nodes.size, dtype=np.int64)  # over each node's r walks
-        streams = (_walk_stream(seed, _STREAM_BR, v) for v in nodes.tolist())
-        for walks in _walk_passes(streams, r):
+        total = nodes.size * r
+        for first in range(0, total, _WALK_GROUP):
             # A walk's capped length is the number of steps it is live
-            # before.  A pass holds one group of each of its owners, which
-            # are contiguous, and its live rows are sorted, so each step's
-            # live count per owner is one search.
-            bounds = walks.bounds
-            lo = walks.first // r
+            # before.  The group's owners are contiguous and its live rows
+            # sorted, so each step's live count per owner is one search of
+            # the owners' bounds, clipped to the group.
+            size = min(_WALK_GROUP, total - first)
+            lo, hi = first // r, (first + size - 1) // r + 1
+            bounds = np.clip(np.arange(lo, hi + 1) * r - first, 0, size)
             counts = np.diff(bounds)
-            hi = lo + counts.size
-            for _, walking, _ in _live_walks(
-                sampler, live, t, walks, np.arange(bounds[-1]),
-                np.repeat(nodes[lo:hi], counts),
-            ):
+            starts = np.repeat(nodes[lo:hi], counts)  # nodes[walk // r]
+            for _, walking, _ in _live_walks(sampler, live, t, rng, starts):
                 counts += np.diff(np.searchsorted(walking, bounds))
             lengths[lo:hi] += counts
         values[nodes] = lengths / r
@@ -451,12 +411,13 @@ def estimate_rwcc_many(
     own start, as the exact form skips the self term.  Raises
     :class:`WorkLimitExceeded` before any walk: from the sizing when the
     walks exceed ``MAX_WORK``, and after an empty request returns when the
-    draws plus the first-visit records a pass may hold exceed
+    draws plus the first-visit records a group may hold exceed
     ``DRAW_ELEMENTS``.
     """
     check_count("horizon", t_prime)
     targets, _, src = _centrality_request(graph, nodes, sources)
     draws = rwcc_sample_size(graph.n, t_prime, epsilon, delta)
+    check_seed(seed)
     if targets.size == 0:
         return np.empty(0)
     live = graph.color_mask(graph.color_of(int(src[0])))
@@ -467,14 +428,14 @@ def estimate_rwcc_many(
                                 f"{2 * cap} first-visit records > {DRAW_ELEMENTS}")
     starts = src[stream(seed, _STREAM_RWCC_SOURCES).integers(0, src.size, size=draws)]
     sampler = _sampler_of(graph)
+    rng = _walk_stream(seed, _STREAM_RWCC_WALKS)
     # Whole scores below 2**53 (the work bound keeps every total under
     # walks * t'), so each float sum is exact in any order.
     totals = np.zeros(graph.n)
-    for walks in _walk_passes([_walk_stream(seed, _STREAM_RWCC_WALKS)], draws):
-        rows = np.arange(walks.bounds[-1])
-        start = starts[walks.first + rows]
+    for first in range(0, draws, _WALK_GROUP):
+        start = starts[first : first + _WALK_GROUP]
         keys, steps = _first_visits(
-            _live_walks(sampler, live, t_prime, walks, rows, start), graph.n, cap
+            _live_walks(sampler, live, t_prime, rng, start), graph.n, cap
         )
         walk, node = np.divmod(keys, graph.n)
         scored = node != start[walk]

@@ -365,19 +365,22 @@ def br_by_walks(
     walk, with each node's uniforms drawn, for the r walks per node that
     ``br_sample_size(graph.n, t, epsilon, delta)`` sizes.
 
-    Node ``v`` runs its r walks from ``v`` by :func:`walk_steps` on its
-    ``(seed, _STREAM_BR, v)`` walk stream.  A walk that stops at step k
-    scores k, any other t; the node's value is the mean of its walks'
-    scores, and its draws the sum of their steps.
+    The red nodes' walks and then the blue nodes' run by :func:`walk_steps`
+    on the one ``(seed, _STREAM_BR)`` walk stream, each color's over
+    ``np.repeat(nodes, r)``: r walks from each node, in node order.  A walk
+    that stops at step k scores k, any other t; a node's value is the mean
+    of its walks' scores, and its draws the sum of their steps.
     """
     values = np.empty(graph.n)
     draws = np.zeros(graph.n, dtype=np.int64)
-    for v in range(graph.n):
-        absorbing = graph.color_mask(opposite(graph.color_of(v)))
-        rng = _walk_stream(seed, _STREAM_BR, v)
-        steps, ends, _ = walk_steps(graph, rng, np.full(r, v), absorbing, t)
-        values[v] = np.where(ends >= 0, steps, t).sum() / r
-        draws[v] = steps.sum()
+    rng = _walk_stream(seed, _STREAM_BR)
+    for color in ("R", "B"):
+        nodes = graph.nodes_of(color)
+        absorbing = graph.color_mask(opposite(color))
+        steps, ends, _ = walk_steps(graph, rng, np.repeat(nodes, r), absorbing, t)
+        scores = np.where(ends >= 0, steps, t).reshape(nodes.size, r)
+        values[nodes] = scores.sum(axis=1) / r
+        draws[nodes] = steps.reshape(nodes.size, r).sum(axis=1)
     return values, draws
 
 

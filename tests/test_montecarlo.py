@@ -416,16 +416,15 @@ class TestEstimateRwcc:
 
     def test_a_request_runs_one_walk_per_draw(self, monkeypatch):
         # Walk i starts at source draw i, so a request runs exactly N walks,
-        # however its passes are cut.
-        passes, walked = mc._walk_passes, []
+        # however its groups are cut.
+        live_walks, walked = mc._live_walks, []
 
-        def counting(streams, per_stream):
-            for walks in passes(streams, per_stream):
-                walked.append(int(walks.bounds[-1]))
-                yield walks
+        def counting(sampler, live, horizon, rng, starts):
+            walked.append(starts.size)
+            return live_walks(sampler, live, horizon, rng, starts)
 
-        monkeypatch.setattr(mc, "_walk_passes", counting)
-        monkeypatch.setattr(mc, "WALK_ELEMENTS", 37)
+        monkeypatch.setattr(mc, "_live_walks", counting)
+        monkeypatch.setattr(mc, "_WALK_GROUP", 37)
         rng = np.random.default_rng(101)
         for _ in range(3):
             graph, t = random_polarized(rng, n_max=16)
@@ -492,39 +491,18 @@ class TestEstimateRwcc:
         assert estimate_rwcc(g2, 0, {0}, 4, 0.5, 0.1, seed=9) == 0.0
 
 
-BUDGETS = (1, 37, mc.WALK_ELEMENTS, 2**30)
-
-
 class TestChunking:
-    """No walk budget and no batch changes a Monte Carlo result."""
+    """No batch changes a Monte Carlo result, and walks beyond a group keep
+    the oracles' bits."""
 
     @staticmethod
     def _graphs():
         rng = np.random.default_rng(79)
         return [random_polarized(rng, n_max=20) for _ in range(4)]
 
-    def test_br_equal_under_every_budget(self, monkeypatch):
-        for graph, t in self._graphs():
-            tables = []
-            for budget in BUDGETS:
-                monkeypatch.setattr(mc, "WALK_ELEMENTS", budget)
-                table = estimate_br(_fresh(graph), t, 1.0, 0.5, seed=3)
-                tables.append(table.values)
-            assert all(np.array_equal(tables[0], other) for other in tables[1:])
-
-    def test_rwcc_many_equal_under_every_budget(self, monkeypatch):
-        for graph, t in self._graphs():
-            reds = graph.nodes_of("R")
-            runs = []
-            for budget in BUDGETS:
-                monkeypatch.setattr(mc, "WALK_ELEMENTS", budget)
-                runs.append(estimate_rwcc_many(graph, reds, reds, t, 1.0, 0.5, seed=5))
-            assert all(np.array_equal(runs[0], other) for other in runs[1:])
-
     @pytest.mark.parametrize("draws", [13, 150])
-    def test_one_node_equals_its_entry_in_any_batch(self, draws, monkeypatch):
+    def test_one_node_equals_its_entry_in_any_batch(self, draws):
         rng = np.random.default_rng(83)
-        monkeypatch.setattr(mc, "WALK_ELEMENTS", 37)
         for graph, t in self._graphs():
             # N = 13 draws needs (t' - 1)^2 ln(4n) <= 26, and n < 20 here.
             horizon = min(t, 3 if draws == 13 else 9)
@@ -541,23 +519,29 @@ class TestChunking:
     def test_empty_batch(self, g2):
         assert estimate_rwcc_many(g2, [], [0, 1], 4, 0.5, 0.1, 0).shape == (0,)
 
-    def test_walks_beyond_a_group_equal_under_every_budget(self, monkeypatch):
-        # More walks per node than a group and than every budget but the
-        # largest, which packs the groups of several nodes into one pass.
+    def test_walks_beyond_a_group_equal_the_oracles(self):
+        # More walks per node, and more source draws, than a group: every
+        # node's walks straddle two groups.
         r = mc._WALK_GROUP + 5
         for graph, t in self._graphs()[:2]:
             reds = graph.nodes_of("R")
             br_eps, br_delta = _br_accuracy(graph.n, t, r)
             rw_eps, rw_delta = _rwcc_accuracy(graph.n, t, r)
-            tables, runs = [], []
-            for budget in BUDGETS:
-                monkeypatch.setattr(mc, "WALK_ELEMENTS", budget)
-                tables.append(estimate_br(_fresh(graph), t, br_eps, br_delta,
-                                          seed=4).values)
-                runs.append(estimate_rwcc_many(graph, reds, reds, t, rw_eps, rw_delta,
-                                               seed=4))
-            assert all(np.array_equal(tables[0], other) for other in tables[1:])
-            assert all(np.array_equal(runs[0], other) for other in runs[1:])
+            table = estimate_br(_fresh(graph), t, br_eps, br_delta, seed=4)
+            assert np.array_equal(table.values, br_by_walks(graph, t, r, 4)[0])
+            got = estimate_rwcc_many(graph, reds, reds, t, rw_eps, rw_delta, seed=4)
+            assert got.tolist() == rwcc_by_walks(graph, reds, reds, t, 4, r)[0].tolist()
+
+    def test_nodes_sharing_a_group_equal_the_oracle(self):
+        # r does not divide the group, so a group holds the whole walks of
+        # several nodes and part of the next one's, whose other part opens
+        # the next group; and the blue walks draw on after the red ones.
+        graph = generate_polarized(12, 10, 0.3, 0.05, seed=5)
+        t, r = 6, 3001
+        assert mc._WALK_GROUP % r and mc._WALK_GROUP > 4 * r
+        eps, delta = _br_accuracy(graph.n, t, r)
+        table = estimate_br(graph, t, eps, delta, seed=8)
+        assert np.array_equal(table.values, br_by_walks(graph, t, r, 8)[0])
 
     def test_pass_memory_does_not_grow_with_walks(self, g2):
         peaks = []
@@ -569,7 +553,7 @@ class TestChunking:
             estimate_br(graph, 4, eps, delta, seed=1)
             peaks.append(tracemalloc.get_traced_memory()[1])
             tracemalloc.stop()
-        # A pass holds one group either way; allow a few objects of slack.
+        # One group is held at a time either way; allow a few objects of slack.
         assert peaks[1] <= 1.01 * peaks[0]
 
 
@@ -585,7 +569,7 @@ class _CountingStream:
 
 
 class TestDrawsRead:
-    """Each node draws one uniform per step its walks take, and no more."""
+    """Each request draws one uniform per step its walks take, and no more."""
 
     @pytest.fixture
     def tally(self, monkeypatch):
@@ -609,9 +593,11 @@ class TestDrawsRead:
                 r = br_sample_size(graph.n, t, 1.0, 0.9)
                 values, draws = br_by_walks(graph, t, r, seed)
                 assert np.array_equal(table.values, values)
-                assert [tally[mc._STREAM_BR, v] for v in range(graph.n)] == draws.tolist()
+                # The table draws from its one walk stream, and at t = 1 not at all.
+                steps = int(draws.sum())
+                assert dict(tally) == ({(mc._STREAM_BR,): steps} if steps else {})
                 if t == 1:
-                    assert sum(tally.values()) == 0
+                    assert steps == 0
 
     def test_rwcc_draws_the_steps_taken(self, tally):
         # A request draws from its one walk stream, and at t' = 1 not at all.
@@ -642,11 +628,11 @@ class TestDrawsRead:
 
     def test_walks_across_groups(self, g2, tally):
         r = br_sample_size(g2.n, 4, 0.022, 0.1)
-        assert r > 2 * mc._WALK_GROUP  # 40,742 walks per node: three groups
+        assert r > 2 * mc._WALK_GROUP  # 40,742 walks per node: three groups each
         table = estimate_br(g2, 4, 0.022, 0.1, seed=6)
         values, draws = br_by_walks(g2, 4, r, 6)
         assert np.array_equal(table.values, values)
-        assert [tally[mc._STREAM_BR, v] for v in range(g2.n)] == draws.tolist()
+        assert tally[(mc._STREAM_BR,)] == draws.sum()
         draws = rwcc_sample_size(g2.n, 4, 0.015, 0.5)
         assert draws > 3 * mc._WALK_GROUP  # 55,452 draws of one walk: four groups
         got = estimate_rwcc_many(g2, [0, 1, 2], {0, 1, 2}, 4, 0.015, 0.5, seed=6)

@@ -21,10 +21,14 @@ set of walks per request; ``rcn@mc`` now happens to pick the exact backend's
 sources, and ``rwcn@mc`` no longer does.  ``repbublik-plus@mc`` was
 recorded again when a request came to run one walk per source draw instead
 of four; it equals the old code's digest with one walk per draw, and the
-other three kept theirs.  Each call draws from its config's seed,
-``10 + gi``.  Any change to a source choice, a
-target choice, a tie break, an insertion weight's bits or an evaluated
-Bubble Radius changes a digest.
+other three kept theirs.  ``repbublik@mc`` and ``repbublik-plus@mc`` were
+recorded again when a Bubble Radius table came to run the walks of all its
+nodes on one walk stream instead of one stream per node: every estimated
+Bubble Radius changed, while closeness kept every bit, and the other three
+``@mc`` variants read the estimates only through parochial pools, which did
+not change on these graphs.  Each call draws from its config's seed,
+``10 + gi``.  Any change to a source choice, a target choice, a tie break,
+an insertion weight's bits or an evaluated Bubble Radius changes a digest.
 """
 import hashlib
 import json
@@ -66,8 +70,8 @@ EXPECTED = {
     "pure-random@exact": "d46403d872674d2236fe591d4fbf14085d36facaabce5a5ce829a51d22235541",
     "rcn@exact": "cef6f9080d7751e32000ca2ee3f3af1aa8985bd73b4659404ce0ca8589cabe18",
     "rwcn@exact": "2f613f77e270092b4c03a1ab95c12fcbaf600e9f102100bb90fd611c746bd1e2",
-    "repbublik@mc": "15d71d94174b781b66373f14ba748c074f70e87dc1e0fd1cce71390837bdf22a",
-    "repbublik-plus@mc": "19e5f8e44569b1417d71c2e1a2147187ebb0fafc24bbaad5ac98c4daa53a584e",
+    "repbublik@mc": "6205405e2ca5daa08f4225f8fb44eab84301300838de3ba4a33301193d55ed4d",
+    "repbublik-plus@mc": "a7fcc428c8a340fe54d97a4d419f592b11b09a58e882aaf16ed9b91d2a23956b",
     "pure-random@mc": "d46403d872674d2236fe591d4fbf14085d36facaabce5a5ce829a51d22235541",
     "rcn@mc": "cef6f9080d7751e32000ca2ee3f3af1aa8985bd73b4659404ce0ca8589cabe18",
     "rwcn@mc": "54761d7d24741257b555e52c025e8696caab1b5c5e8ef818fcfaad60350cb4a4",
@@ -129,13 +133,12 @@ def test_sweep_csv_matches_recorded_digest(tmp_path):
 
 
 # Small chunk sizes, set as module attributes in a fresh interpreter: one
-# column per exact block on the desk graph, Monte Carlo passes of one walk
-# group, and a bucket guide of one bucket per out-edge (GUIDE is 4).
+# column per exact block on the desk graph, and a bucket guide of one bucket
+# per out-edge (GUIDE is 4).
 _SMALL_CHUNKS = """
 import json, sys
 import repbublik.exact, repbublik.montecarlo
 repbublik.exact.BLOCK_ELEMENTS = 64
-repbublik.montecarlo.WALK_ELEMENTS = 256
 repbublik.montecarlo.GUIDE = 1
 from pathlib import Path
 import test_plan_digest as digests

@@ -36,6 +36,7 @@ from repbublik.cli import build_parser
 from repbublik.errors import IdOutOfRange, ThresholdOrder
 from repbublik.montecarlo import _WalkSampler, derive_seed, stream
 
+import oracles
 from conftest import random_polarized
 from oracles import (
     _walk,
@@ -137,7 +138,7 @@ def _exit_cycle():
     """A red 3-cycle 0 -> 1 -> 2 -> 0 whose node 2 also leaves for a blue
     2-cycle that no walk leaves.  A red walk returns to its own start every
     third step while it lives.  At t' = 10 a blue walk takes 9 steps, past
-    2 min(t' - 1, |C|) = 4, so a pass's held visits are reduced to first
+    2 min(t' - 1, |C|) = 4, so a group's held visits are reduced to first
     visits before its walks end."""
     return build_graph(
         ["R", "R", "R", "B", "B"],
@@ -145,12 +146,14 @@ def _exit_cycle():
     )
 
 
-@pytest.mark.parametrize("one_group_per_pass", [True, False])
-def test_walk_loop_equals_per_walk_oracle(one_group_per_pass, monkeypatch):
+@pytest.mark.parametrize("small_groups", [True, False])
+def test_walk_loop_equals_per_walk_oracle(small_groups, monkeypatch):
     """Both estimators equal the per-walk walker's reduction bit for bit,
-    whatever the walk passes hold."""
-    if one_group_per_pass:
-        monkeypatch.setattr(mc, "WALK_ELEMENTS", 1)
+    with groups of three walks (each node's walks straddling groups) and
+    with groups of the stream layout."""
+    if small_groups:
+        monkeypatch.setattr(mc, "_WALK_GROUP", 3)
+        monkeypatch.setattr(oracles, "_WALK_GROUP", 3)
     rng = np.random.default_rng(41)
     # Fresh graphs: estimate_br keeps its tables in graph.memo.
     graphs = [random_polarized(rng, n_max=16)[0] for _ in range(3)] + [_exit_cycle()]
@@ -291,6 +294,9 @@ PARAMETER_CALLS = {
     ),
     "estimate_rwcc-seed": _seed(
         lambda g, x, _: estimate_rwcc(g, 0, [1, 2], 3, 0.5, 0.1, x)
+    ),
+    "estimate_rwcc_many-empty-seed": _seed(
+        lambda g, x, _: estimate_rwcc_many(g, [], [0, 1], 4, 0.5, 0.1, x)
     ),
     "simulate_restart_session-t": _count(
         lambda g, x, _: simulate_restart_session(g, 0, x, 2, 0)
