@@ -120,11 +120,13 @@ class _ColorBlock:
     """The within-color matrix restricted to one color's nodes.
 
     ``matrix_t`` is the transpose of A = W[C][:, C] = M[C][:, C] for the
-    ascending nodes C of the color.
+    ascending nodes C of the color, and ``take`` the positions in W's data
+    of its entries, in its order: ``matrix_t.data == W.data[take]``.
     """
 
     nodes: np.ndarray
     matrix_t: sp.csr_matrix
+    take: np.ndarray
 
     def local(self, nodes: np.ndarray) -> np.ndarray:
         """Local indices of ``nodes``, all of the block's color."""
@@ -133,18 +135,36 @@ class _ColorBlock:
 
 def _color_block(graph: ColoredGraph, color: str) -> _ColorBlock:
     """The block of ``color``, its rows of W on local column ids; built on
-    first use and kept in ``graph.memo``."""
+    first use and kept in ``graph.memo``.
+
+    A graph whose lineage (see ``ColoredGraph.patterns``) built the block
+    before reads W's values through that block's ``take`` into its pattern;
+    otherwise the pattern is found here and left for the lineage.
+    """
     key = ("block", color)
     if key not in graph.memo:
-        inside = graph.color_mask(color)
-        nodes = np.flatnonzero(inside)
-        rows = _within(graph)[nodes]
-        local = np.cumsum(inside) - 1
-        matrix = sp.csr_matrix(
-            (rows.data, local[rows.indices], rows.indptr),
-            shape=(nodes.size, nodes.size),
+        within = _within(graph)
+        pattern = graph.patterns.get(key)
+        if pattern is None:
+            inside = graph.color_mask(color)
+            nodes = np.flatnonzero(inside)
+            local = np.cumsum(inside) - 1
+            # W's rows of the color are the block, in (row, column) order;
+            # a stable sort by column puts them in the transpose's order.
+            degree = np.diff(within.indptr)
+            where = np.flatnonzero(np.repeat(inside, degree))
+            rows = np.repeat(local[nodes], degree[nodes])
+            cols = local[within.indices[where]]
+            order = np.argsort(cols, kind="stable")
+            indptr = np.concatenate(([0], np.cumsum(np.bincount(cols, minlength=nodes.size))))
+            pattern = (nodes, where[order], rows[order], indptr)
+        nodes, take, indices, indptr = pattern
+        matrix_t = sp.csr_matrix(
+            (within.data[take], indices, indptr), shape=(nodes.size, nodes.size)
         )
-        graph.memo[key] = _ColorBlock(nodes=nodes, matrix_t=matrix.T.tocsr())
+        # Keep the index arrays scipy settled on, so later builds reuse them.
+        graph.patterns[key] = (nodes, take, matrix_t.indices, matrix_t.indptr)
+        graph.memo[key] = _ColorBlock(nodes=nodes, matrix_t=matrix_t, take=take)
     return graph.memo[key]
 
 

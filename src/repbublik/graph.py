@@ -93,6 +93,16 @@ class ColoredGraph:
         return {}
 
     @cached_property
+    def patterns(self) -> dict:
+        """Sparsity patterns of results derived from this graph that every
+        graph grown from it by :func:`apply_plan` shares (each color's block
+        of W), keyed by what they describe.  A grown graph starts with its
+        parent's dict, not a copy: an insertion adds a cross-color edge, so
+        W and its blocks keep their pattern, and only values move.  The dict
+        holds index arrays, never a graph."""
+        return {}
+
+    @cached_property
     def _out_degrees(self) -> list[int]:
         """Every node's out-degree as Python ints, built on first use: a
         list read is several times cheaper than two numpy-scalar reads."""
@@ -392,7 +402,9 @@ def apply_plan(
     at = np.repeat(indptr[touched] - offsets, lengths) + np.arange(lengths.sum())
     targets[at] = [x for row_targets, _ in rows.values() for x in row_targets]
     weights[at] = [x for _, row_weights in rows.values() for x in row_weights]
-    return ColoredGraph(colors=graph.colors, indptr=indptr, targets=targets, weights=weights)
+    grown = ColoredGraph(colors=graph.colors, indptr=indptr, targets=targets, weights=weights)
+    grown.__dict__["patterns"] = graph.patterns  # the cached_property's slot
+    return grown
 
 
 def weight_oracle(

@@ -603,7 +603,9 @@ def _run_cell(
             delta = float(
                 np.mean(base_br.values[parochial] - new_br.values[parochial])
             )
-            healed = (parochial.size - new_partition.parochial.size) / parochial.size
+            # The two colors' parochial sets are disjoint.
+            left = new_partition.parochial_red.size + new_partition.parochial_blue.size
+            healed = (parochial.size - left) / parochial.size
         else:
             delta, healed = 0.0, 0.0
     except RepbublikError as exc:  # record the failure, keep sweeping

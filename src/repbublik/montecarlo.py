@@ -48,6 +48,7 @@ no seed, so each graph builds it once and keeps it in ``graph.memo``.
 """
 from __future__ import annotations
 
+import functools
 import math
 from typing import Iterable, Iterator
 
@@ -104,8 +105,17 @@ def _walk_stream(seed: int, *key: int) -> np.random.Generator:
 
 
 def derive_seed(seed: int, *key: int) -> int:
-    """Collapse (seed, key...) into a fresh 64-bit master seed."""
+    """Collapse (seed, key...) into a fresh 64-bit master seed.
+
+    The seed is checked on every call; the value is computed once per
+    (seed, key) and then read from a cache, since one seed derivation costs
+    tens of microseconds and a sweep repeats the same few hundred."""
     check_seed(seed)
+    return _derived(seed, key)
+
+
+@functools.lru_cache(maxsize=1 << 12, typed=True)
+def _derived(seed: int, key: tuple[int, ...]) -> int:
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(k) for k in key))
     return int(ss.generate_state(1, np.uint64)[0])
 

@@ -120,6 +120,24 @@ def _holds(ascending: list[int], x: int) -> bool:
     return i < len(ascending) and ascending[i] == x
 
 
+def _excluded_positions(
+    graph: ColoredGraph, others: np.ndarray, sources: np.ndarray
+) -> list[list[int]]:
+    """For each of ``sources``, the ascending positions in ``others`` (an
+    ascending array) of its out-neighbors: one numpy pass over their rows."""
+    lo, hi = graph.indptr[sources], graph.indptr[sources + 1]
+    lengths = hi - lo
+    starts = np.cumsum(lengths) - lengths
+    rows = graph.targets[np.repeat(lo - starts, lengths) + np.arange(lengths.sum())]
+    pos = np.searchsorted(others, rows)
+    hit = np.append(others, -1)[pos] == rows  # -1 matches no node
+    # Each source's hits come out ascending and in source order.
+    owner = np.repeat(np.arange(sources.size), lengths)[hit]
+    ends = np.cumsum(np.bincount(owner, minlength=sources.size)).tolist()
+    flat = pos[hit].tolist()
+    return [flat[a:b] for a, b in zip([0, *ends], ends)]
+
+
 class _Plan:
     """One insertion plan while it is built: its edges, the edges planned
     per source, and the legal targets left, without an n-long mask.
@@ -128,10 +146,12 @@ class _Plan:
     out-neighbors and the targets already picked for it.  ``others`` holds
     the opposite color ascending, and each source keeps the excluded
     positions in ``others`` as a sorted list, so the count and the k-th
-    legal target follow from the two sorted sequences.  With ``rng`` every
-    pick is one uniform draw from it; without, every pick follows the order
-    set by :meth:`rank`.  ``planned[v]`` counts the edges planned from v,
-    the count the oracle weight of v's next edge reads.
+    legal target follow from the two sorted sequences.  :meth:`exclude`
+    finds them for a whole pool of sources in one pass; a source outside
+    every pool finds its own on its first pick.  With ``rng`` every pick is
+    one uniform draw from it; without, every pick follows the order set by
+    :meth:`rank`.  ``planned[v]`` counts the edges planned from v, the count
+    the oracle weight of v's next edge reads.
     """
 
     def __init__(
@@ -143,6 +163,7 @@ class _Plan:
     ):
         self.graph, self.color, self.budget, self.rng = graph, color, budget, rng
         self.others = graph.nodes_of(opposite(color))
+        self._others = self.others.tolist()  # for cheap reads
         self.edges: list[EdgeInsertion] = []
         self.planned = np.zeros(graph.n, dtype=np.int64)
         self._excluded: dict[int, list[int]] = {}
@@ -152,15 +173,12 @@ class _Plan:
         """Order ``others`` by (BR, id) for the picks without ``rng``."""
         self._ranked = np.lexsort((self.others, br.values[self.others]))
 
-    def _excluded_of(self, v: int) -> list[int]:
-        excluded = self._excluded.get(v)
-        if excluded is None:
-            row = self.graph.row(v)[0]
-            pos = np.searchsorted(self.others, row)
-            inside = pos < self.others.size
-            pos, row = pos[inside], row[inside]
-            excluded = self._excluded[v] = pos[self.others[pos] == row].tolist()
-        return excluded
+    def exclude(self, sources: np.ndarray) -> None:
+        """Find the excluded positions of every one of ``sources`` not seen
+        yet."""
+        fresh = sources[[v not in self._excluded for v in sources.tolist()]]
+        positions = _excluded_positions(self.graph, self.others, fresh)
+        self._excluded.update(zip(fresh.tolist(), positions))
 
     def add(self, v: int) -> bool:
         """Plan ``v``'s next edge with its oracle weight; False, with nothing
@@ -171,7 +189,10 @@ class _Plan:
         without: the legal target first in the ranked order, so of smallest
         BR, ties to the lowest id.
         """
-        excluded = self._excluded_of(v)
+        excluded = self._excluded.get(v)
+        if excluded is None:
+            self.exclude(np.array([v]))
+            excluded = self._excluded[v]
         legal = self.others.size - len(excluded)
         if legal == 0:
             return False
@@ -186,7 +207,7 @@ class _Plan:
         insort(excluded, pos)
         planned = int(self.planned[v])
         weight = weight_oracle(self.graph, v, planned=planned)
-        self.edges.append(EdgeInsertion(v, int(self.others[pos]), weight))
+        self.edges.append(EdgeInsertion(v, self._others[pos], weight))
         self.planned[v] = planned + 1
         return True
 
@@ -258,6 +279,7 @@ def repbublik_plus(
         return plan.done()
     base = _centralities(graph, pool, cfg, backend, derive_seed(cfg.seed, _TAG_RWCC, 0))
     plan.rank(br)
+    plan.exclude(pool)
 
     # A min-heap on (-score, eta, id), where eta is one plus the edges
     # planned from the source and the score is base * oracle weight / eta.
@@ -289,8 +311,9 @@ def _random_plan(
     replacement, targets uniform over the still-legal cross edges.  Warns
     when the pool (possibly empty) runs out of legal edges before the
     budget is spent."""
-    pool = [int(v) for v in pool]
     plan = _Plan(graph, color, budget, rng)
+    plan.exclude(pool)
+    pool = pool.tolist()
     while len(plan.edges) < budget and pool:
         v = pool[int(rng.integers(len(pool)))]
         if not plan.add(v):

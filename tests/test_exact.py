@@ -1,8 +1,12 @@
 """Exact DP engine: hitting times, Bubble Radius, passage profiles, gains."""
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from repbublik import (
+    ColoredGraph,
     EdgeInsertion,
     build_graph,
     exact_br,
@@ -11,6 +15,7 @@ from repbublik import (
     exact_rwcc_many,
     generate_gadget,
     generate_polarized,
+    insert_edge,
     weight_oracle,
 )
 import repbublik.exact
@@ -130,6 +135,72 @@ class TestColorBlock:
                 assert np.array_equal(got.data, want.data)
                 checked += 1
         assert checked > 50
+
+    @staticmethod
+    def _cold(graph):
+        """The same graph without memo or inherited patterns."""
+        return ColoredGraph(graph.colors, graph.indptr, graph.targets, graph.weights)
+
+    @staticmethod
+    def _assert_same_arrays(got, want):
+        for name in ("data", "indices", "indptr"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    def test_inherited_block_equals_a_fresh_one(self):
+        """A grown graph reads its block through the pattern its lineage
+        built, and gets the arrays a fresh build gives, bit for bit, over
+        chains of insertions; some from sources with no within-color
+        out-edge, whose rows of the block stay empty."""
+        rng = np.random.default_rng(41)
+        cases = [graph for graph, _ in _random_cases()] + [_cross_only()]
+        checked = moved = 0
+        for graph in cases:
+            for color in ("R", "B"):
+                repbublik.exact._color_block(graph, color)
+            current = graph
+            for _ in range(5):
+                v = int(rng.integers(current.n))
+                others = current.nodes_of(opposite(current.color_of(v)))
+                free = others[~np.isin(others, current.row(v)[0])]
+                if free.size == 0:
+                    continue
+                edge = EdgeInsertion(v, int(rng.choice(free)), weight_oracle(current, v))
+                parent, current = current, insert_edge(current, edge)
+                assert current.patterns is graph.patterns and not current.memo
+                cold = self._cold(current)
+                for color in ("R", "B"):
+                    if current.nodes_of(color).size == 0:
+                        continue
+                    block = repbublik.exact._color_block(current, color)
+                    fresh = repbublik.exact._color_block(cold, color)
+                    self._assert_same_arrays(block.matrix_t, fresh.matrix_t)
+                    assert np.array_equal(block.take, fresh.take)
+                    old = repbublik.exact._color_block(parent, color).matrix_t.data
+                    moved += not np.array_equal(block.matrix_t.data, old)
+                    checked += 1
+        assert checked > 150 and moved > 50
+
+    def test_lineage_holds_no_graph(self):
+        """The patterns a grown graph inherits keep no graph alive: the
+        parent is freed while its child lives, and the child's block still
+        equals a fresh one."""
+        graph = generate_polarized(12, 12, 0.3, 0.05, seed=5)
+        for color in ("R", "B"):
+            repbublik.exact._color_block(graph, color)
+        v = int(graph.nodes_of("R")[0])
+        free = [w for w in graph.nodes_of("B").tolist() if w not in graph.row(v)[0]]
+        child = insert_edge(graph, EdgeInsertion(v, free[0], 0.25))
+        parent = weakref.ref(graph)
+        del graph
+        gc.collect()
+        assert parent() is None
+        cold = self._cold(child)
+        for color in ("R", "B"):
+            self._assert_same_arrays(
+                repbublik.exact._color_block(child, color).matrix_t,
+                repbublik.exact._color_block(cold, color).matrix_t,
+            )
 
 
 class TestFirstPassage:

@@ -212,6 +212,30 @@ def _probes(sampler, graph, s):
     return probes[probes < 1.0]
 
 
+class TestDeriveSeed:
+    """The cached seed derivation checks every seed it is given and returns
+    the values of the uncached SeedSequence computation."""
+
+    @staticmethod
+    def _uncached(seed, *key):
+        ss = np.random.SeedSequence(entropy=int(seed), spawn_key=key)
+        return int(ss.generate_state(1, np.uint64)[0])
+
+    def test_seed_checks_survive_the_cache(self):
+        assert derive_seed(1, 31) == self._uncached(1, 31)
+        for bad in (1.0, np.float64(1.0), -1, 2**64, "1", None, [1], np.array(1)):
+            with pytest.raises(ThresholdOrder, match="seed"):
+                derive_seed(bad, 31)
+
+    def test_cached_values_equal_the_computation(self):
+        for seed in (0, 1, 31, 2**63, 2**64 - 1):
+            for key in ((), (31,), (11, 0), (11, 7), (12, 3)):
+                want = self._uncached(seed, *key)
+                for given in (seed, np.uint64(seed), seed, np.uint64(seed)):
+                    got = derive_seed(given, *key)
+                    assert got == want and type(got) is int
+
+
 class TestWalkSampler:
     def test_step_matches_linear_count(self):
         # Out-degrees 1, 4 (a power of two), 3 and 5, with uneven weights.

@@ -583,6 +583,52 @@ class TestPlanPaths:
                     expected = _random_plan_reference(graph, pool, budget, rec.stream(cfg.seed, 3))
                     assert _triples(plan) == expected
 
+    def test_pooled_exclusions_equal_per_source_rows(self):
+        """One pass over a pool finds, for each source in pool order, the
+        positions in the other color of its out-neighbors that a per-source
+        ``graph.row`` lookup finds."""
+        rng = np.random.default_rng(71)
+        checked = 0
+        for graph, _ in _plan_cases():
+            for color in ("R", "B"):
+                others = graph.nodes_of("B" if color == "R" else "R")
+                nodes = graph.nodes_of(color)
+                for pool in (nodes, nodes[::-1], nodes[:0], nodes[:1], rng.permutation(nodes)):
+                    want = [
+                        [i for i, w in enumerate(others.tolist()) if w in graph.row(v)[0]]
+                        for v in pool.tolist()
+                    ]
+                    assert rec._excluded_positions(graph, others, pool) == want
+                    checked += len(want)
+        assert checked > 500
+
+    def test_source_linked_to_the_whole_other_color(self, monkeypatch):
+        """A source that starts out linked to every node of the other color
+        is passed over with nothing drawn for its target, then dropped from
+        the pool, as in the mask loop."""
+        colors = ["R"] * 4 + ["B"] * 3
+        edges = [(0, w, 0.25) for w in (1, 4, 5, 6)]  # node 0 links to every blue node
+        edges += [(1, 2, 0.5), (1, 4, 0.5), (2, 3, 1.0), (3, 1, 1.0)]
+        edges += [(4, 5, 1.0), (5, 6, 1.0), (6, 0, 1.0)]
+        graph = build_graph(colors, edges)
+        pool = np.arange(4)
+        assert rec._excluded_positions(graph, graph.nodes_of("B"), pool)[0] == [0, 1, 2]
+        add, passed_over = rec._Plan.add, []
+
+        def spy(plan, v):
+            added = add(plan, v)
+            passed_over.extend([v] if not added else [])
+            return added
+
+        monkeypatch.setattr(rec._Plan, "add", spy)
+        for seed in range(8):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                plan = rec._random_plan(graph, pool, "R", 6, rec.stream(seed, 3))
+            assert _triples(plan) == _random_plan_reference(graph, pool, 6, rec.stream(seed, 3))
+            assert 0 not in [e.src for e in plan.edges] and len(plan) == 6
+        assert passed_over.count(0) >= 4  # at most once per plan
+
 
 class TestMemo:
     """Exact BR and closeness, and Monte Carlo BR, are computed once per
