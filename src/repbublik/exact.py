@@ -72,15 +72,31 @@ def _node_set(graph: ColoredGraph, nodes: Iterable[int]) -> np.ndarray:
 
 def _within(graph: ColoredGraph) -> sp.csr_matrix:
     """W, the transition matrix M without its cross-color edges, in M's row
-    order; built on first use and kept in ``graph.memo``."""
+    order; built on first use and kept in ``graph.memo``.
+
+    W's index arrays are built once per lineage (see
+    ``ColoredGraph.patterns``): a graph whose lineage built W before only
+    gathers its own values into them."""
     if "within" not in graph.memo:
         red = graph.color_mask(RED)
         kept = np.repeat(red, np.diff(graph.indptr)) == red[graph.targets]
-        indptr = np.concatenate(([0], np.cumsum(kept)))[graph.indptr]
-        graph.memo["within"] = sp.csr_matrix(
-            (graph.weights[kept], graph.targets[kept], indptr),
-            shape=(graph.n, graph.n),
-        )
+        pattern = graph.patterns.get("within")
+        if pattern is None:
+            indptr = np.concatenate(([0], np.cumsum(kept)))[graph.indptr]
+            within = sp.csr_matrix(
+                (graph.weights[kept], graph.targets[kept], indptr),
+                shape=(graph.n, graph.n),
+            )
+            # Keep the index arrays scipy settled on, read-only, since every
+            # W of the lineage shares them.
+            within.indices.setflags(write=False)
+            within.indptr.setflags(write=False)
+            graph.patterns["within"] = (within.indices, within.indptr)
+        else:
+            within = sp.csr_matrix(
+                (graph.weights[kept], *pattern), shape=(graph.n, graph.n)
+            )
+        graph.memo["within"] = within
     return graph.memo["within"]
 
 

@@ -95,12 +95,18 @@ class ColoredGraph:
     @cached_property
     def patterns(self) -> dict:
         """Sparsity patterns of results derived from this graph that every
-        graph grown from it by :func:`apply_plan` shares (each color's block
-        of W), keyed by what they describe.  A grown graph starts with its
-        parent's dict, not a copy: an insertion adds a cross-color edge, so
-        W and its blocks keep their pattern, and only values move.  The dict
-        holds index arrays, never a graph."""
+        graph grown from it by :func:`apply_plan` shares (W and each color's
+        block of W), keyed by what they describe.  A grown graph starts with
+        its parent's dict, not a copy: an insertion adds a cross-color edge,
+        so W and its blocks keep their pattern, and only values move.  The
+        dict holds index arrays, never a graph."""
         return {}
+
+    @cached_property
+    def _red(self) -> list[bool]:
+        """Whether each node is red, as Python bools, built on first use and
+        handed to every graph grown from this one, which has its colors."""
+        return self._red_mask.tolist()
 
     @cached_property
     def _out_degrees(self) -> list[int]:
@@ -363,7 +369,7 @@ def apply_plan(
     are rebuilt, as Python lists, and the graph is assembled once.
     """
     n = graph.n
-    red = graph.color_mask(RED).tolist()
+    red = graph._red
     rows: dict[int, tuple[list[int], list[float]]] = {}  # touched rows
     for edge in plan:
         v, w, m = edge.src, edge.dst, edge.weight
@@ -392,18 +398,26 @@ def apply_plan(
     lengths = np.fromiter((len(row) for row, _ in rows.values()), dtype=np.int64)
     added = np.zeros(n, dtype=np.int64)
     added[touched] = lengths - (graph.indptr[touched + 1] - graph.indptr[touched])
-    # Open room at the end of every touched row, then overwrite those rows.
-    ends = np.repeat(graph.indptr[1:], added)
-    targets = np.insert(graph.targets, ends, 0)
-    weights = np.insert(graph.weights, ends, 0.0)
     indptr = graph.indptr + np.concatenate(([0], np.cumsum(added)))
+    # The old entries fill every slot but the ones opened at the end of each
+    # touched row, in order; then the touched rows are overwritten.
+    opened = added[touched]
+    ends = np.cumsum(opened)
+    old = np.ones(indptr[-1], dtype=bool)
+    old[np.repeat(indptr[touched + 1] - ends, opened) + np.arange(ends[-1])] = False
+    targets = np.empty(indptr[-1], dtype=graph.targets.dtype)
+    weights = np.empty(indptr[-1], dtype=graph.weights.dtype)
+    targets[old] = graph.targets
+    weights[old] = graph.weights
     # Entry j of the touched rows laid end to end goes to ``at[j]``.
     offsets = np.cumsum(lengths) - lengths
     at = np.repeat(indptr[touched] - offsets, lengths) + np.arange(lengths.sum())
     targets[at] = [x for row_targets, _ in rows.values() for x in row_targets]
     weights[at] = [x for _, row_weights in rows.values() for x in row_weights]
     grown = ColoredGraph(colors=graph.colors, indptr=indptr, targets=targets, weights=weights)
-    grown.__dict__["patterns"] = graph.patterns  # the cached_property's slot
+    # The cached properties' slots: the colors and the lineage's patterns.
+    grown.__dict__["_red"] = red
+    grown.__dict__["patterns"] = graph.patterns
     return grown
 
 

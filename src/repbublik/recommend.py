@@ -46,6 +46,8 @@ from .montecarlo import derive_seed, estimate_rwcc, estimate_rwcc_many, stream  
 _TAG_BR = 11
 _TAG_RWCC = 12
 _TAG_BASELINE = 14
+#: Raw words a plan's draws read at a time.
+_WORD_BLOCK = 64
 
 #: Share of the parochial pool, in percent, that the central baselines sample from.
 DEFAULT_TOP_PCT = 10.0
@@ -138,6 +140,50 @@ def _excluded_positions(
     return [flat[a:b] for a, b in zip([0, *ends], ends)]
 
 
+class _Draws:
+    """Uniform integers below a bound, each equal to the one
+    ``Generator.integers(bound)`` would return on the same Philox bit
+    generator, draw for draw: the bounded-draw rule of the package's
+    baseline streams, replayed from the raw words without a call per draw.
+
+    The rule is numpy's for a bound of at most 2**32, Lemire's multiply and
+    reject (Lemire 2019, "Fast Random Integer Generation in an Interval",
+    ACM TOMACS 29(1)).  Each 64-bit word gives two 32-bit draws u, low half
+    first.  For a bound b, m = u * b is drawn again while its low 32 bits
+    are below both b and (2**32 - b) % b, and the draw is m >> 32.  A bound
+    of 1 returns 0 and reads nothing.  Bounds run from 1 to 2**32: a plan's
+    bounds are a pool's size and a count of legal targets, and a larger one
+    would need 2**32 nodes of one color.
+
+    The words are read from ``bit_generator.random_raw`` in blocks, so some
+    are read ahead and never used: the bit generator must be the draws'
+    alone from the first draw on.
+    """
+
+    __slots__ = ("_raw", "_halves", "_at")
+
+    def __init__(self, bit_generator: np.random.BitGenerator):
+        self._raw = bit_generator.random_raw
+        self._halves: list[int] = []  # the 32-bit draws read so far
+        self._at = 0  # the next one's index
+
+    def below(self, bound: int) -> int:
+        """One uniform integer in [0, ``bound``)."""
+        if bound == 1:
+            return 0
+        while True:
+            if self._at == len(self._halves):
+                words = self._raw(_WORD_BLOCK)
+                halves = np.stack((words & 0xFFFFFFFF, words >> 32), axis=1)
+                self._halves, self._at = halves.ravel().tolist(), 0
+            m = self._halves[self._at] * bound
+            self._at += 1
+            low = m & 0xFFFFFFFF
+            # (2**32 - b) % b < b, so a low part of at least b is kept at once.
+            if low >= bound or low >= (0x100000000 - bound) % bound:
+                return m >> 32
+
+
 class _Plan:
     """One insertion plan while it is built: its edges, the edges planned
     per source, and the legal targets left, without an n-long mask.
@@ -148,9 +194,9 @@ class _Plan:
     positions in ``others`` as a sorted list, so the count and the k-th
     legal target follow from the two sorted sequences.  :meth:`exclude`
     finds them for a whole pool of sources in one pass; a source outside
-    every pool finds its own on its first pick.  With ``rng`` every pick is
-    one uniform draw from it; without, every pick follows the order set by
-    :meth:`rank`.  ``planned[v]`` counts the edges planned from v, the count
+    every pool finds its own on its first pick.  With ``draws`` every pick
+    is one uniform draw from them; without, every pick follows the order set
+    by :meth:`rank`.  ``planned[v]`` counts the edges planned from v, the count
     the oracle weight of v's next edge reads.
     """
 
@@ -159,9 +205,9 @@ class _Plan:
         graph: ColoredGraph,
         color: str,
         budget: int,
-        rng: np.random.Generator | None = None,
+        draws: _Draws | None = None,
     ):
-        self.graph, self.color, self.budget, self.rng = graph, color, budget, rng
+        self.graph, self.color, self.budget, self.draws = graph, color, budget, draws
         self.others = graph.nodes_of(opposite(color))
         self._others = self.others.tolist()  # for cheap reads
         self.edges: list[EdgeInsertion] = []
@@ -170,7 +216,7 @@ class _Plan:
         self._ranked: np.ndarray | None = None  # set by rank()
 
     def rank(self, br: BrTable) -> None:
-        """Order ``others`` by (BR, id) for the picks without ``rng``."""
+        """Order ``others`` by (BR, id) for the picks without ``draws``."""
         self._ranked = np.lexsort((self.others, br.values[self.others]))
 
     def exclude(self, sources: np.ndarray) -> None:
@@ -185,7 +231,7 @@ class _Plan:
         planned and nothing drawn, when ``v`` links to every node of the
         other color.
 
-        With ``rng``: one uniform draw over the legal targets, ascending;
+        With ``draws``: one uniform draw over the legal targets, ascending;
         without: the legal target first in the ranked order, so of smallest
         BR, ties to the lowest id.
         """
@@ -196,8 +242,8 @@ class _Plan:
         legal = self.others.size - len(excluded)
         if legal == 0:
             return False
-        if self.rng is not None:
-            pos = int(self.rng.integers(legal))
+        if self.draws is not None:
+            pos = self.draws.below(legal)
             for p in excluded:  # step over the excluded positions at or before it
                 if p > pos:
                     break
@@ -310,12 +356,14 @@ def _random_plan(
     """Sample (source, target) pairs: sources uniform from the pool with
     replacement, targets uniform over the still-legal cross edges.  Warns
     when the pool (possibly empty) runs out of legal edges before the
-    budget is spent."""
-    plan = _Plan(graph, color, budget, rng)
+    budget is spent.  Every draw is the plan's, from ``rng``'s bit generator,
+    which no one reads after it."""
+    draws = _Draws(rng.bit_generator)
+    plan = _Plan(graph, color, budget, draws)
     plan.exclude(pool)
     pool = pool.tolist()
     while len(plan.edges) < budget and pool:
-        v = pool[int(rng.integers(len(pool)))]
+        v = pool[draws.below(len(pool))]
         if not plan.add(v):
             pool.remove(v)
     if len(plan.edges) < budget:

@@ -6,10 +6,11 @@ arrays, the bounded hitting times and first-passage profiles stepped on it
 that the exact engines are checked against, the one-node return-mass
 profile, the Bubble Radius gain of a plan (exact or estimated), the paper's
 browsing-session model, the brute-force optimum of the insertion problem,
-the one-source target choice of the recommenders, the per-walk walker the
-sessions run on, and the walk-stream walker with the walk-by-walk
-reductions the Monte Carlo estimators must equal bit for bit, draw for
-draw.  Tests import this module the way they import ``conftest``.
+the one-source target choice of the recommenders, the mask-based random
+plan drawn with ``Generator.integers``, the edge-by-edge ``np.insert``
+growth of a graph, the per-walk walker the sessions run on, and the walk-stream
+walker with the walk-by-walk reductions the Monte Carlo estimators must
+equal bit for bit, draw for draw.  Tests import this module the way they import ``conftest``.
 """
 from __future__ import annotations
 
@@ -22,9 +23,18 @@ import numpy as np
 import scipy.sparse as sp
 
 from repbublik.bias import br_table
-from repbublik.errors import EmptySourceSet, GraphValidationError, RepbublikError
+from repbublik.errors import (
+    EdgeExists,
+    EmptySourceSet,
+    GraphValidationError,
+    NonStochasticRow,
+    RepbublikError,
+    SameColorEndpoints,
+    UnknownColor,
+)
 from repbublik.exact import _node_set, _return_profiles, exact_br, parochial_nodes
 from repbublik.graph import (
+    ROW_SUM_TOL,
     ColoredGraph,
     EdgeInsertion,
     InsertionPlan,
@@ -460,3 +470,64 @@ def target_selection(
     if not one.add(v):
         raise NoLegalTarget(v)
     return one.edges[-1].dst
+
+
+def legal_targets(graph: ColoredGraph, v: int, taken: Iterable[int] = ()) -> np.ndarray:
+    """The nodes ``v`` may still link to, ascending, from an n-long mask:
+    the other color without ``v``'s out-neighbors and ``taken``."""
+    legal = ~graph.color_mask(graph.color_of(v))
+    legal[graph.row(v)[0]] = False
+    legal[list(taken)] = False
+    return np.flatnonzero(legal)
+
+
+def random_plan_by_integers(
+    graph: ColoredGraph, pool: Iterable[int], budget: int, rng: np.random.Generator
+) -> tuple[tuple[int, int, float], ...]:
+    """The (src, dst, weight) triples of a random baseline plan drawn with
+    one scalar ``rng.integers`` call per draw: a source uniform from the
+    pool, then a target uniform over its mask-based legal targets; a source
+    without one is dropped from the pool and draws no target."""
+    pool = [int(v) for v in pool]
+    planned: dict[int, list[int]] = {}
+    edges = []
+    while len(edges) < budget and pool:
+        v = pool[int(rng.integers(len(pool)))]
+        legal = legal_targets(graph, v, planned.get(v, ()))
+        if legal.size == 0:
+            pool.remove(v)
+            continue
+        w = int(legal[rng.integers(legal.size)])
+        taken = planned.setdefault(v, [])
+        edges.append((v, w, weight_oracle(graph, v, planned=len(taken))))
+        taken.append(w)
+    return tuple(edges)
+
+
+def insert_one_by_one(graph: ColoredGraph, plan: Iterable[EdgeInsertion]) -> ColoredGraph:
+    """``apply_plan`` edge by edge, one graph per edge, each grown with two
+    ``np.insert`` calls: the same checks in the same order, and the same
+    float operations on every entry."""
+    for edge in plan:
+        v, w, m = edge.src, edge.dst, edge.weight
+        if not (0 <= v < graph.n and 0 <= w < graph.n):
+            raise UnknownColor(f"insertion ({v}, {w}) references a node outside the graph")
+        if graph.color_of(v) == graph.color_of(w):
+            raise SameColorEndpoints(v, w)
+        if graph.has_edge(v, w):
+            raise EdgeExists(v, w)
+        lo, hi = int(graph.indptr[v]), int(graph.indptr[v + 1])
+        pos = lo + int(np.searchsorted(graph.targets[lo:hi], w))
+        targets = np.insert(graph.targets, pos, w)
+        weights = graph.weights.copy()
+        weights[lo:hi] *= 1.0 - m
+        weights = np.insert(weights, pos, m)
+        indptr = graph.indptr.copy()
+        indptr[v + 1 :] += 1
+        new_sum = math.fsum(weights[lo : hi + 1])  # apply_plan's row-sum rule
+        if abs(new_sum - 1.0) > ROW_SUM_TOL:
+            raise NonStochasticRow(v, new_sum, "renormalization drifted")
+        graph = ColoredGraph(
+            colors=graph.colors, indptr=indptr, targets=targets, weights=weights
+        )
+    return graph

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from repbublik import exact_br, exact_rwcc_many, generate_polarized
+import repbublik.cli
 from repbublik.cli import main
 from repbublik.exact import parochial_nodes
 from repbublik.graph import build_graph
@@ -165,6 +166,36 @@ def test_recommend_verb(g2_files, capsys):
     assert code == 0
     assert out[0] == "src\tdst\tweight"
     assert len(out) == 2
+
+
+def test_main_calls_share_no_state(g2_files, tmp_path, capsys):
+    """``main`` parses with one parser per process, and no call's options
+    carry over to the next: a call after one with other options writes the
+    bytes the same call wrote first."""
+    edges, colors = g2_files
+    common = ["--edges", str(edges), "--colors", str(colors), "--theta-good", "1.5"]
+    plain = {
+        "br": ["br", *common, "--t", "4"],
+        "recommend": ["recommend", *common, "--t", "4", "--color", "R", "-k", "1"],
+    }
+    other = {
+        "br": ["br", *common, "--t", "6", "--theta-bad", "5", "--backend", "mc",
+               "--seed", "9", "--epsilon", "0.9"],
+        "recommend": ["recommend", *common, "--t", "5", "--color", "B", "-k", "2",
+                      "--algorithm", "pure-random", "--seed", "3"],
+    }
+    repbublik.cli._parser.cache_clear()
+    for verb in plain:
+        outputs = []
+        for argv in (plain[verb], other[verb], plain[verb]):
+            path = tmp_path / f"{verb}.{len(outputs)}.tsv"
+            assert main([*argv, "--output", str(path)]) == 0
+            outputs.append(path.read_bytes())
+        assert outputs[0] == outputs[2] != outputs[1]
+        assert vars(repbublik.cli._parser().parse_args(plain[verb])) == vars(
+            repbublik.cli.build_parser().parse_args(plain[verb])
+        )
+    assert repbublik.cli._parser.cache_info().misses == 1
 
 
 def test_sweep_verb_and_plots(g2_files, tmp_path, capsys):

@@ -181,6 +181,35 @@ class TestColorBlock:
                     checked += 1
         assert checked > 150 and moved > 50
 
+    def test_inherited_within_equals_a_fresh_one(self):
+        """A grown graph gathers its values of W into the index arrays its
+        lineage built, and gets the arrays a fresh build gives, bit for bit,
+        over chains of insertions from sources of both colors, some with no
+        within-color out-edge."""
+        rng = np.random.default_rng(43)
+        cases = [graph for graph, _ in _random_cases()] + [_cross_only()]
+        checked = moved = 0
+        for graph in cases:
+            repbublik.exact._within(graph)
+            indices, indptr = graph.patterns["within"]
+            current = graph
+            for i in range(8):
+                v = int(rng.choice(current.nodes_of("RB"[i % 2])))
+                others = current.nodes_of(opposite(current.color_of(v)))
+                free = others[~np.isin(others, current.row(v)[0])]
+                if free.size == 0:
+                    continue
+                edge = EdgeInsertion(v, int(rng.choice(free)), weight_oracle(current, v))
+                parent, current = current, insert_edge(current, edge)
+                assert current.patterns is graph.patterns and not current.memo
+                within = repbublik.exact._within(current)
+                assert np.shares_memory(within.indices, indices)
+                assert np.shares_memory(within.indptr, indptr)
+                self._assert_same_arrays(within, repbublik.exact._within(self._cold(current)))
+                moved += not np.array_equal(within.data, repbublik.exact._within(parent).data)
+                checked += 1
+        assert checked > 150 and moved > 100
+
     def test_lineage_holds_no_graph(self):
         """The patterns a grown graph inherits keep no graph alive: the
         parent is freed while its child lives, and the child's block still
@@ -196,6 +225,9 @@ class TestColorBlock:
         gc.collect()
         assert parent() is None
         cold = self._cold(child)
+        self._assert_same_arrays(
+            repbublik.exact._within(child), repbublik.exact._within(cold)
+        )
         for color in ("R", "B"):
             self._assert_same_arrays(
                 repbublik.exact._color_block(child, color).matrix_t,

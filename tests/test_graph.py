@@ -32,6 +32,7 @@ from repbublik.errors import (
 from repbublik.graph import MAX_WORK, STEP_COST, check_work
 
 from conftest import graph_strategy, random_polarized
+from oracles import insert_one_by_one
 
 
 class TestBuildGraph:
@@ -302,34 +303,6 @@ def test_same_source_insertions_compound(graph, ms):
     assert np.allclose(weights[kept], original * scale, atol=1e-12)
 
 
-def _insert_one_by_one(graph, plan):
-    """Reference: per-edge insertion building one graph per edge, as
-    ``apply_plan`` did before it rebuilt only the touched rows."""
-    for edge in plan:
-        v, w, m = edge.src, edge.dst, edge.weight
-        if not (0 <= v < graph.n and 0 <= w < graph.n):
-            raise UnknownColor(f"insertion ({v}, {w}) references a node outside the graph")
-        if graph.color_of(v) == graph.color_of(w):
-            raise SameColorEndpoints(v, w)
-        if graph.has_edge(v, w):
-            raise EdgeExists(v, w)
-        lo, hi = int(graph.indptr[v]), int(graph.indptr[v + 1])
-        pos = lo + int(np.searchsorted(graph.targets[lo:hi], w))
-        targets = np.insert(graph.targets, pos, w)
-        weights = graph.weights.copy()
-        weights[lo:hi] *= 1.0 - m
-        weights = np.insert(weights, pos, m)
-        indptr = graph.indptr.copy()
-        indptr[v + 1 :] += 1
-        new_sum = math.fsum(weights[lo : hi + 1])  # apply_plan's row-sum rule
-        if abs(new_sum - 1.0) > 1e-9:
-            raise NonStochasticRow(v, new_sum, "renormalization drifted")
-        graph = ColoredGraph(
-            colors=graph.colors, indptr=indptr, targets=targets, weights=weights
-        )
-    return graph
-
-
 def _random_plan(graph, rng, length):
     """Cross-color edges from a few sources (so sources repeat), each legal."""
     color = "R" if rng.random() < 0.5 else "B"
@@ -355,12 +328,49 @@ class TestApplyPlanOnePass:
         for _ in range(40):
             graph, _ = random_polarized(rng, n_max=30)
             plan = _random_plan(graph, rng, int(rng.integers(1, 25)))
-            got, expected = apply_plan(graph, plan), _insert_one_by_one(graph, plan)
+            got, expected = apply_plan(graph, plan), insert_one_by_one(graph, plan)
             assert np.array_equal(got.indptr, expected.indptr)
             assert np.array_equal(got.targets, expected.targets)
             assert np.array_equal(got.weights, expected.weights)
             checked += len(plan)
         assert checked > 200
+
+    def test_structured_plans_equal_one_by_one_insertion(self):
+        """The grown CSR arrays equal those of ``np.insert`` edge by edge,
+        bit for bit and in dtype, for plans that link one source to every
+        node of the other color: from the first and the last row, from
+        sources with no within-color out-edge, and mixed with random plans."""
+        rng = np.random.default_rng(53)
+        graphs = [random_polarized(rng, n_max=30)[0] for _ in range(30)]
+        # Node 0 links only across, and node 3 only to node 0.
+        graphs.append(build_graph(
+            ["R", "R", "R", "B", "B"],
+            [(0, 3, 1.0), (1, 0, 0.5), (1, 2, 0.5), (2, 1, 1.0), (3, 0, 1.0), (4, 3, 1.0)],
+        ))
+        checked = cross_only = 0
+        for graph in graphs:
+            plans = [_random_plan(graph, rng, int(rng.integers(1, 25)))]
+            across = [
+                v for v in range(graph.n)
+                if (graph.colors[graph.row(v)[0]] != graph.colors[v]).all()
+            ]
+            for v in [0, graph.n - 1, int(rng.integers(graph.n)), *across]:
+                others = graph.nodes_of("B" if graph.color_of(v) == "R" else "R")
+                free = rng.permutation([w for w in others.tolist() if not graph.has_edge(v, w)])
+                plans.append([
+                    EdgeInsertion(v, int(w), weight_oracle(graph, v, planned=i))
+                    for i, w in enumerate(free)
+                ])
+                cross_only += v in across and free.size > 0
+            taken = {(e.src, e.dst) for e in plans[-1]}
+            plans.append(plans[-1] + [e for e in plans[0] if (e.src, e.dst) not in taken])
+            for plan in plans:
+                got, want = apply_plan(graph, plan), insert_one_by_one(graph, plan)
+                for name in ("colors", "indptr", "targets", "weights"):
+                    a, b = getattr(got, name), getattr(want, name)
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+                checked += len(plan)
+        assert checked > 1000 and cross_only >= 5
 
     def test_empty_plan_is_identity(self, g2):
         assert apply_plan(g2, []) is g2
@@ -407,7 +417,7 @@ class TestApplyPlanOnePass:
                 bad = EdgeInsertion(v, w, 0.5)
             plan = plan[:i] + [bad] + plan[i:]
             with pytest.raises(error) as expected:
-                _insert_one_by_one(graph, plan)
+                insert_one_by_one(graph, plan)
             with pytest.raises(error) as got:
                 apply_plan(graph, plan)
             assert type(got.value) is type(expected.value)
@@ -451,7 +461,7 @@ class TestApplyPlanOnePass:
             ]
             error = bad[kinds[0]][1]
             with pytest.raises(error) as expected:
-                _insert_one_by_one(graph, plan)
+                insert_one_by_one(graph, plan)
             with pytest.raises(error) as got:
                 apply_plan(graph, plan)
             assert type(got.value) is type(expected.value) is error

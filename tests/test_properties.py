@@ -99,14 +99,16 @@ def test_targets_never_move_an_exact_br():
     move, since a target's place in its row sets which uniform picks it.)"""
     rng = np.random.default_rng(29)
     differing = 0
-    for _ in range(12):
+    for i in range(12):
         graph, t = random_polarized(rng, n_max=20)
         br = exact_br(graph, t)
         for color in ("R", "B"):
             nodes = graph.nodes_of(color)
             lowest = rec._Plan(graph, color, 0)
             lowest.rank(br)
-            uniform = rec._Plan(graph, color, 0, rng)
+            # The draws read ahead, so they get a stream of their own.
+            draws = rec._Draws(stream(29, i, color == "R").bit_generator)
+            uniform = rec._Plan(graph, color, 0, draws)
             for v in rng.choice(nodes, size=3 * nodes.size).tolist():
                 assert lowest.add(v) == uniform.add(v)
             assert [(e.src, e.weight) for e in lowest.edges] == [

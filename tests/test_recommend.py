@@ -36,7 +36,14 @@ from repbublik.errors import NoOppositeColor, RepbublikError, ThresholdOrder
 from repbublik.recommend import _top_pool
 
 from conftest import random_polarized
-from oracles import NoLegalTarget, brute_force_opt, exact_gain, target_selection
+from oracles import (
+    NoLegalTarget,
+    brute_force_opt,
+    exact_gain,
+    legal_targets,
+    random_plan_by_integers,
+    target_selection,
+)
 
 
 def dominant_hub_graph():
@@ -106,7 +113,7 @@ class TestRepbublik:
         graph, cfg = _plan_cases()[4]
         plan = repbublik(graph, "R", 9, cfg)
         assert len(plan) == 9 == len(repbublik_plus(graph, "R", 9, cfg))
-        assert _legal_targets_reference(apply_plan(graph, plan.edges), 0).size == 0
+        assert legal_targets(apply_plan(graph, plan.edges), 0).size == 0
 
     def test_no_opposite_color_rejected(self, all_red_cycle):
         cfg = WalkConfig(t=6, theta_good=2.0, theta_bad=3.0)
@@ -362,16 +369,10 @@ class TestSeedFree:
 
 
 # ---------------------------------------------------------------- references
-# The mask-based target choice and the per-round lexsort loop of
-# repbublik_plus, as they were before the sorted-position targets and the
-# heap replaced them; the plan builders must reproduce them bit for bit.
-
-
-def _legal_targets_reference(graph, v, taken=()):
-    legal = ~graph.color_mask(graph.color_of(v))
-    legal[graph.row(v)[0]] = False
-    legal[list(taken)] = False
-    return np.flatnonzero(legal)
+# The lowest-BR pick from the mask-based legal targets and the per-round
+# lexsort loop of repbublik_plus, as they were before the sorted-position
+# targets and the heap replaced them; the plan builders must reproduce them
+# bit for bit.  The mask-based random plan is ``oracles.random_plan_by_integers``.
 
 
 def _pick_reference(legal, v, br):
@@ -399,7 +400,7 @@ def _plus_reference(graph, color, budget, cfg):
         ranked = np.lexsort((pool, eta, -score))
         i = int(ranked[open_[ranked]][0])
         v = int(pool[i])
-        legal = _legal_targets_reference(graph, v, taken.get(v, ()))
+        legal = legal_targets(graph, v, taken.get(v, ()))
         try:
             target = _pick_reference(legal, v, target_br)
         except NoLegalTarget:
@@ -408,23 +409,6 @@ def _plus_reference(graph, color, budget, cfg):
         edges.append((v, target, float(weight[i])))
         taken.setdefault(v, []).append(target)
         planned[v] += 1
-    return tuple(edges)
-
-
-def _random_plan_reference(graph, pool, budget, rng):
-    pool = [int(v) for v in pool]
-    planned = {}
-    edges = []
-    while len(edges) < budget and pool:
-        v = pool[int(rng.integers(len(pool)))]
-        legal = _legal_targets_reference(graph, v, planned.get(v, ()))
-        if legal.size == 0:
-            pool.remove(v)
-            continue
-        w = int(legal[rng.integers(legal.size)])
-        taken = planned.setdefault(v, [])
-        edges.append((v, w, weight_oracle(graph, v, planned=len(taken))))
-        taken.append(w)
     return tuple(edges)
 
 
@@ -441,14 +425,15 @@ def _plan_cases(n=24):
     return cases
 
 
-class _Draws:
-    """Stands in for a Generator: records each bound and draws from ``rng``."""
+class _RecordedDraws:
+    """Stands in for a plan's draws: records each bound and draws from
+    ``rng`` with ``Generator.integers``."""
 
     def __init__(self, rng):
         self.rng = rng
         self.high = self.k = None
 
-    def integers(self, high):
+    def below(self, high):
         self.high, self.k = high, int(self.rng.integers(high))
         return self.k
 
@@ -485,7 +470,7 @@ class TestArgumentChecks:
 
 class TestTargets:
     """The plan builder's sorted-position targets equal the mask-based legal
-    targets, both the uniform draws of a plan given ``rng`` and the
+    targets, both the uniform draws of a plan given ``draws`` and the
     lowest-BR picks of one without, and a source without one leaves the
     plan and the stream as they were."""
 
@@ -496,11 +481,12 @@ class TestTargets:
         for graph, cfg in _plan_cases():
             br = exact_br(graph, cfg.t)
             for v in range(graph.n):
-                plan = rec._Plan(graph, graph.color_of(v), 0, _Draws(rng) if uniform else None)
+                draws = _RecordedDraws(rng) if uniform else None
+                plan = rec._Plan(graph, graph.color_of(v), 0, draws)
                 plan.rank(br)
                 taken = []
                 while True:
-                    legal = _legal_targets_reference(graph, v, taken)
+                    legal = legal_targets(graph, v, taken)
                     if legal.size == 0:
                         edges, planned = list(plan.edges), plan.planned.copy()
                         state = rng.bit_generator.state
@@ -513,8 +499,8 @@ class TestTargets:
                     assert plan.add(v)
                     edge = plan.edges[-1]
                     if uniform:
-                        assert plan.rng.high == legal.size
-                        assert edge.dst == legal[plan.rng.k]
+                        assert plan.draws.high == legal.size
+                        assert edge.dst == legal[plan.draws.k]
                     else:
                         assert edge.dst == _pick_reference(legal, v, br)
                     assert edge.weight == weight_oracle(graph, v, planned=len(taken))
@@ -522,6 +508,54 @@ class TestTargets:
                     assert plan.planned[v] == len(taken) == plan.planned.sum()
                     checked += 1
         assert checked > 2000 and exhausted > 300
+
+
+class TestDraws:
+    """A plan's draws replay ``Generator.integers(bound)`` from the raw words
+    of the same Philox stream, and a random plan built on them is the plan
+    the scalar draws give."""
+
+    EDGES = [1, 2, 2**31 + 1, 3 * 2**30, 2**32 - 5, 2**32]
+    REJECTING = [3 * 2**30, 2**31 + 1]  # about a quarter and a half rejected
+
+    @classmethod
+    def _bounds(cls, rng, kind):
+        small, large = rng.integers(1, 500, 3000), rng.integers(1, 2**32 + 1, 3000)
+        if kind == "edges":
+            return rng.choice(cls.EDGES, 3000).tolist()
+        if kind == "mixed":
+            return np.where(rng.random(3000) < 0.5, small, large).tolist()
+        return (small if kind == "small" else large).tolist()
+
+    @pytest.mark.parametrize("kind", ["edges", "small", "large", "mixed"])
+    def test_equals_generator_integers(self, kind):
+        rng = np.random.default_rng(83)
+        for seed in range(4):
+            bounds = self._bounds(rng, kind)
+            generator = rec.stream(seed, rec._TAG_BASELINE, 5)
+            draws = rec._Draws(rec.stream(seed, rec._TAG_BASELINE, 5).bit_generator)
+            want = [int(generator.integers(b)) for b in bounds]
+            assert [draws.below(b) for b in bounds] == want
+            assert all(0 <= k < b for k, b in zip(want, bounds))
+
+    @pytest.mark.parametrize("bound", REJECTING)
+    def test_rejected_draws_are_drawn_again(self, bound):
+        """With a bound that often rejects, the generator's draws are not
+        the plain products of the stream's 32-bit halves, and the replay
+        still equals them: the rejection loop ran, draw for draw."""
+        words = rec.stream(7, 1).bit_generator.random_raw(1000)
+        halves = np.stack((words & 0xFFFFFFFF, words >> 32), axis=1).ravel().tolist()
+        generator = rec.stream(7, 1)
+        want = [int(generator.integers(bound)) for _ in range(1000)]
+        assert [(u * bound) >> 32 for u in halves[:1000]] != want
+        draws = rec._Draws(rec.stream(7, 1).bit_generator)
+        assert [draws.below(bound) for _ in range(1000)] == want
+
+    def test_a_bound_of_one_reads_nothing(self):
+        draws = rec._Draws(rec.stream(3, 2).bit_generator)
+        assert [draws.below(1) for _ in range(5)] == [0] * 5
+        want = rec.stream(3, 2).integers(1000, size=50).tolist()
+        assert [draws.below(1000) for _ in range(50)] == want
 
 
 class TestPlanPaths:
@@ -573,15 +607,28 @@ class TestPlanPaths:
                 assert _triples(plan) == _plus_reference(graph, "R", 5, cfg)
 
     def test_baselines_equal_mask_loop(self):
+        """Whole random plans, over pools of a whole color, a top slice, one
+        node and none, several seeds, and budgets that run the pool out of
+        legal targets, equal the mask loop's plans, drawn with one scalar
+        ``Generator.integers`` call a draw."""
+        short = edges = 0
         for graph, cfg in _plan_cases():
             for color in ("R", "B"):
-                pool = graph.nodes_of(color)
-                for budget in (5, graph.n * graph.n):
+                nodes = graph.nodes_of(color)
+                top = _top_pool(nodes, np.arange(nodes.size, dtype=float))
+                budgets = (5, 40, graph.n * graph.n)
+                for pool, budget, seed in itertools.product(
+                    (nodes, top, nodes[:1], nodes[:0]), budgets, range(3)
+                ):
                     with warnings.catch_warnings():
                         warnings.simplefilter("ignore", RuntimeWarning)
-                        plan = rec._random_plan(graph, pool, color, budget, rec.stream(cfg.seed, 3))
-                    expected = _random_plan_reference(graph, pool, budget, rec.stream(cfg.seed, 3))
-                    assert _triples(plan) == expected
+                        rng = rec.stream(cfg.seed, 3, seed)
+                        plan = rec._random_plan(graph, pool, color, budget, rng)
+                    want = random_plan_by_integers(graph, pool, budget, rec.stream(cfg.seed, 3, seed))
+                    assert _triples(plan) == want
+                    short += 0 < len(plan) < budget  # the pool ran out
+                    edges += len(plan)
+        assert short > 300 and edges > 15000
 
     def test_pooled_exclusions_equal_per_source_rows(self):
         """One pass over a pool finds, for each source in pool order, the
@@ -625,7 +672,7 @@ class TestPlanPaths:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
                 plan = rec._random_plan(graph, pool, "R", 6, rec.stream(seed, 3))
-            assert _triples(plan) == _random_plan_reference(graph, pool, 6, rec.stream(seed, 3))
+            assert _triples(plan) == random_plan_by_integers(graph, pool, 6, rec.stream(seed, 3))
             assert 0 not in [e.src for e in plan.edges] and len(plan) == 6
         assert passed_over.count(0) >= 4  # at most once per plan
 
@@ -784,7 +831,7 @@ class TestPrefixContract:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             _, pool = rec._parochial_pool(grown, color, cfg, backend, len(edges))
-        assert all(_legal_targets_reference(grown, v).size == 0 for v in pool.tolist())
+        assert all(legal_targets(grown, v).size == 0 for v in pool.tolist())
 
     @pytest.mark.parametrize("backend", ["exact", "mc"])
     def test_random_graphs(self, backend):
