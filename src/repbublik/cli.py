@@ -87,6 +87,16 @@ def _emit(args: argparse.Namespace, text: str) -> None:
         sys.stdout.write(text)
 
 
+def _table(header: str, row: str, *columns: list) -> str:
+    """The header line, then one ``row``-formatted line per entry of the
+    columns: one ``%`` format over the columns interleaved."""
+    width, n = len(columns), len(columns[0])
+    cells: list = [None] * (width * n)
+    for i, column in enumerate(columns):
+        cells[i::width] = column
+    return f"{header}\n" + (row + "\n") * n % tuple(cells)
+
+
 def _cmd_stats(args) -> int:
     cfg = _config(args)
     loaded = load_dataset(args.edges, args.colors)
@@ -109,8 +119,9 @@ def _cmd_br(args) -> int:
     cfg = _config(args)
     loaded = load_dataset(args.edges, args.colors)
     table = br_table(loaded.graph, cfg, args.backend, cfg.seed)
-    rows = zip(loaded.original_ids.tolist(), table.values.tolist())
-    _emit(args, "node\tbr\n" + "".join(f"{orig}\t{br:.9g}\n" for orig, br in rows))
+    _emit(args, _table(
+        "node\tbr", "%d\t%.9g", loaded.original_ids.tolist(), table.values.tolist()
+    ))
     return 0
 
 
@@ -142,10 +153,10 @@ def _cmd_rwcc(args) -> int:
             pool = graph.nodes_of(color)
         scores = closeness(graph, members, pool, horizon, cfg, args.backend, cfg.seed)
         values.update(zip(members.tolist(), scores))
-    lines = ["node\trwcc"]
-    for v in nodes.tolist():
-        lines.append(f"{int(loaded.original_ids[v])}\t{values[v]:.9g}")
-    _emit(args, "\n".join(lines) + "\n")
+    _emit(args, _table(
+        "node\trwcc", "%d\t%.9g",
+        loaded.original_ids[nodes].tolist(), [values[v] for v in nodes.tolist()],
+    ))
     return 0
 
 
@@ -153,13 +164,12 @@ def _cmd_recommend(args) -> int:
     cfg = _config(args)
     loaded = load_dataset(args.edges, args.colors)
     plan = ALGORITHMS[args.algorithm](loaded.graph, args.color, args.k, cfg, backend=args.backend)
-    lines = ["src\tdst\tweight"]
-    for e in plan.edges:
-        lines.append(
-            f"{int(loaded.original_ids[e.src])}\t{int(loaded.original_ids[e.dst])}"
-            f"\t{e.weight:.9g}"
-        )
-    _emit(args, "\n".join(lines) + "\n")
+    ends = np.array([(e.src, e.dst) for e in plan.edges], dtype=np.int64).reshape(-1, 2)
+    ids = loaded.original_ids[ends].tolist()
+    _emit(args, _table(
+        "src\tdst\tweight", "%d\t%d\t%.9g",
+        [src for src, _ in ids], [dst for _, dst in ids], [e.weight for e in plan.edges],
+    ))
     return 0
 
 

@@ -74,7 +74,6 @@ class ColoredGraph:
     def __post_init__(self):
         for arr in (self.colors, self.indptr, self.targets, self.weights):
             arr.setflags(write=False)
-        object.__setattr__(self, "_red_mask", self.colors == RED)
 
     @property
     def n(self) -> int:
@@ -101,6 +100,14 @@ class ColoredGraph:
         so W and its blocks keep their pattern, and only values move.  The
         dict holds index arrays, never a graph."""
         return {}
+
+    @cached_property
+    def _red_mask(self) -> np.ndarray:
+        """Whether each node is red, read-only, built on first use and
+        handed to every graph grown from this one, which has its colors."""
+        mask = self.colors == RED
+        mask.setflags(write=False)
+        return mask
 
     @cached_property
     def _red(self) -> list[bool]:
@@ -416,6 +423,7 @@ def apply_plan(
     weights[at] = [x for _, row_weights in rows.values() for x in row_weights]
     grown = ColoredGraph(colors=graph.colors, indptr=indptr, targets=targets, weights=weights)
     # The cached properties' slots: the colors and the lineage's patterns.
+    grown.__dict__["_red_mask"] = graph._red_mask
     grown.__dict__["_red"] = red
     grown.__dict__["patterns"] = graph.patterns
     return grown

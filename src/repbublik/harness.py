@@ -8,13 +8,19 @@ over the originally parochial nodes plus the fraction of them healed.
 from __future__ import annotations
 
 import math
+import os
 import re
+import signal
+import sys
+import tempfile
+import threading
 import time
 import warnings
-from dataclasses import dataclass, replace
+from contextlib import contextmanager
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -455,15 +461,28 @@ def run_sweep(
     and the sweep continues; any other exception, a plain ``ValueError``
     included, is a programming error and propagates.
 
-    Each (algorithm, seed, color) plan is built once, at the color's
-    largest budget on the ladder, by the first cell that needs it, and
-    every cell reads a prefix (see :class:`_AlgorithmCells`).  Under the
-    exact backend an entry of ``EXACT_SEED_FREE`` draws nothing, so its
-    plan and grown graphs are built once per color and shared by every
-    repetition seed.  So a recommender's warning about a short plan is
-    raised once per plan, and with ``measure_runtime`` the time to build a
-    plan, or to grow a shared graph, is charged to the cell that does it:
-    a later seed's cell of a shared plan records its evaluation alone.
+    The cells form chains (see :class:`_AlgorithmCells`): one per
+    (algorithm, repetition seed), or one per algorithm for an entry of
+    ``EXACT_SEED_FREE`` under the exact backend, whose plan is the same for
+    every seed.  A chain builds each color's plan once, at the color's
+    largest budget on the ladder, and every cell reads a prefix.  So a
+    recommender's warning about a short plan is raised once per plan, and
+    with ``measure_runtime`` the time to build a plan, or to grow a shared
+    graph, is charged to the first cell that reads it: a later seed's cell
+    of a shared plan records its evaluation alone.
+
+    Chains share nothing but the input graph, so they run on every CPU this
+    process may use, in forked workers (see :func:`_worker_count` and
+    :func:`_forked`).  Before the first fork this process computes what
+    several chains read from the input graph: its BR table and, under the
+    exact backend, each algorithm's first chain's plans, which leave the
+    parochial pools' closeness in the graph's memo for every worker.  The
+    CSV, the records, the warnings and a programming error are those of
+    running the chains one after another in this process: rows are written
+    in (algorithm, K, seed) order, each as soon as the rows before it are
+    known, and a worker's warnings are shown here in chain order.  A
+    programming error propagates once every row before its cell is written;
+    the first failing cell in row order decides which.
 
     With ``measure_runtime`` left off, runtime_ms is written as 0 so that
     identical inputs and seeds produce byte-identical CSV files.
@@ -492,87 +511,191 @@ def run_sweep(
         BLUE: max((k_blue for _, k_blue in splits), default=0),
     }
 
-    records: list[ExperimentRecord] = []
+    chains, slots = _chains(graph, algorithms, len(k_values), seeds, top, cfg, backend)
+
+    def run(cells: _AlgorithmCells) -> _Outcome:
+        outcome = _Outcome()
+        with _recording(outcome.shown):
+            try:
+                for k, split in zip(k_values, splits):
+                    for seed in cells.seeds:
+                        outcome.records.append(_run_cell(
+                            cells, int(k), split, seed,
+                            base_br, parochial, universe, measure_runtime,
+                        ))
+            except Exception as exc:
+                outcome.error = exc
+        cells.release()
+        return outcome
+
+    workers = _worker_count(len(chains))
+    if workers > 1:
+        outcomes = _forked(chains, run, workers)
+    else:
+        outcomes = ((index, run(cells), False) for index, cells in enumerate(chains))
+    try:
+        return _write_rows(
+            outcomes, slots, len(algorithms) * len(k_values) * len(seeds), out_path
+        )
+    finally:
+        outcomes.close()
+
+
+def _chains(
+    graph: ColoredGraph,
+    algorithms: Sequence[str],
+    n_k: int,
+    seeds: Sequence[int],
+    top: dict[str, int],
+    cfg: WalkConfig,
+    backend: str,
+) -> tuple[list[_AlgorithmCells], list[list[int]]]:
+    """A sweep's chains, in the order of their first rows, and the CSV row
+    of each chain's cells in the order it runs them.
+
+    Row (a, i, j) is algorithm a's cell at the i-th K and ``seeds[j]``; a
+    chain runs its cells K by K, and within a K its seed positions in
+    order.  Under the exact backend the first chain of each algorithm
+    builds its plans here, before any worker starts.
+    """
+    chains, slots = [], []
+    for a, algo in enumerate(algorithms):
+        seed_free = backend == "exact" and algo in EXACT_SEED_FREE
+        groups: dict[int | None, list[int]] = {}
+        for j, seed in enumerate(seeds):
+            groups.setdefault(None if seed_free else int(seed), []).append(j)
+        for n, positions in enumerate(groups.values()):
+            cells = _AlgorithmCells(
+                graph, algo, [int(seeds[j]) for j in positions], top, cfg, backend
+            )
+            if n == 0 and backend == "exact":
+                cells.prebuild()
+            chains.append(cells)
+            slots.append([
+                (a * n_k + i) * len(seeds) + j for i in range(n_k) for j in positions
+            ])
+    return chains, slots
+
+
+def _write_rows(
+    outcomes: Iterator[tuple[int, _Outcome, bool]],
+    slots: list[list[int]],
+    n_rows: int,
+    out_path: str | Path,
+) -> list[ExperimentRecord]:
+    """Write the CSV from the chains' outcomes, which may come in any order,
+    as if the chains had run here one after another, and return its rows.
+
+    The chains are merged in order, each showing its warnings.  A row is
+    written once every row before it is known, and a programming error is
+    raised once every row before its cell is written: the first failing
+    cell in row order decides which error.
+    """
+    rows: list[ExperimentRecord | None] = [None] * n_rows
+    written = merged = 0
+    done: dict[int, tuple[_Outcome, bool]] = {}
+    failed: dict[int, _Outcome] = {}  # by the row of its failing cell
     with open(out_path, "w", newline="\n") as fh:
         fh.write(CSV_HEADER + "\n")
-        for algo in algorithms:
-            cells = _AlgorithmCells(graph, algo, top, cfg, backend)
-            for k, split in zip(k_values, splits):
-                for seed in seeds:
-                    record = _run_cell(
-                        cells, int(k), split, int(seed),
-                        base_br, parochial, universe, measure_runtime,
-                    )
-                    records.append(record)
-                    fh.write(record.csv_row() + "\n")
-                    fh.flush()
-    return records
+        for index, outcome, worker in outcomes:
+            done[index] = outcome, worker
+            while merged in done:
+                outcome, worker = done.pop(merged)
+                _display(outcome, worker)
+                for slot, record in zip(slots[merged], outcome.records):
+                    rows[slot] = record
+                if outcome.error is not None:
+                    failed[slots[merged][len(outcome.records)]] = outcome
+                merged += 1
+            while written < n_rows and rows[written] is not None:
+                fh.write(rows[written].csv_row() + "\n")
+                written += 1
+            fh.flush()
+            if written in failed:
+                raise failed[written].error
+    return rows
 
 
 class _AlgorithmCells:
-    """One algorithm's plans and grown graphs while a sweep runs its cells.
+    """One chain of a sweep: an algorithm's plans and grown graphs for one
+    repetition seed, or for every seed of an entry of ``EXACT_SEED_FREE``
+    under the exact backend, whose plan is the same for every seed.
+    ``seeds`` holds the chain's seed at each of its positions in the sweep's
+    seed list, so a later seed of a shared chain at the same K applies no
+    edge, gets the graph back from ``apply_plan`` and its exact table from
+    the graph's memo.
 
     Plans: a recommender's plan for a budget is the first edges of its plan
     for any larger budget, and a recommender that fails at one positive
     budget fails at all of them (``tests/test_recommend.py`` asserts both).
-    So the plan of each (seed, color) is built once, at ``top[color]``, on
-    the first cell whose budget for that color is positive; cells read
-    prefixes of it, or raise again the error its build raised.
+    So each color's plan is built once, at ``top[color]`` with the chain's
+    first seed, by :meth:`prebuild` or by the first cell whose budget for
+    that color is positive; cells read prefixes of it, or raise again the
+    error its build raised.
 
-    Graphs: no color's budget falls as K grows, so each seed keeps the graph
+    Graphs: no color's budget falls as K grows, so the chain keeps the graph
     of its last cell and applies only the new edges of each color to it.
     That gives the bits of one call on the input graph: an edge of one
     color rewrites only that color's rows, and a row renormalised edge by
     edge in plan order runs the same float operations whether it is built
     in one call or in several.
-
-    Seeds: plans and graphs are keyed by the repetition seed, or by None
-    under the exact backend for an entry of ``EXACT_SEED_FREE``, whose plan
-    is the same for every seed.  Then every seed shares one plan per color
-    and one chain of grown graphs: a later seed at the same K applies no
-    edge, gets the graph back from ``apply_plan`` and its exact table from
-    the graph's memo.
     """
 
     def __init__(
-        self, graph: ColoredGraph, algo: str, top: dict[str, int],
+        self, graph: ColoredGraph, algo: str, seeds: list[int], top: dict[str, int],
         cfg: WalkConfig, backend: str,
     ):
-        self.graph, self.algo, self.top = graph, algo, top
+        self.graph, self.algo, self.seeds, self.top = graph, algo, seeds, top
         self.cfg, self.backend = cfg, backend
-        self._seed_free = backend == "exact" and algo in EXACT_SEED_FREE
-        self._plans: dict[tuple[int | None, str], tuple[EdgeInsertion, ...] | Exception] = {}
-        self._grown: dict[int | None, tuple[ColoredGraph, int, int]] = {}
+        self._plans: dict[str, tuple[EdgeInsertion, ...] | Exception] = {}
+        self._grown: tuple[ColoredGraph, int, int] = (graph, 0, 0)
+        #: The seconds :meth:`prebuild` spent on each plan no cell has read
+        #: yet, and those of the plans the running cell read first, which
+        #: its runtime includes.
+        self._unread_s: dict[str, float] = {}
+        self.owed_s = 0.0
 
-    def _key(self, seed: int) -> int | None:
-        return None if self._seed_free else seed
+    def _build(self, color: str) -> None:
+        try:
+            self._plans[color] = ALGORITHMS[self.algo](
+                self.graph, color, self.top[color], replace(self.cfg, seed=self.seeds[0]),
+                backend=self.backend,
+            ).edges
+        except Exception as exc:  # raised again by each cell that reads it
+            self._plans[color] = exc
 
-    def edges(self, color: str, budget: int, seed: int) -> tuple[EdgeInsertion, ...]:
-        """The first ``budget`` edges of the (seed, color) plan."""
+    def prebuild(self) -> None:
+        """Build every plan a cell will read, before any cell runs."""
+        for color in (RED, BLUE):
+            if self.top[color]:
+                started = time.perf_counter()
+                self._build(color)
+                self._unread_s[color] = time.perf_counter() - started
+
+    def edges(self, color: str, budget: int) -> tuple[EdgeInsertion, ...]:
+        """The first ``budget`` edges of the color's plan."""
         if budget == 0:
             return ()
-        key = (self._key(seed), color)
-        if key not in self._plans:
-            try:
-                self._plans[key] = ALGORITHMS[self.algo](
-                    self.graph, color, self.top[color], replace(self.cfg, seed=seed),
-                    backend=self.backend,
-                ).edges
-            except RepbublikError as exc:
-                self._plans[key] = exc
-        plan = self._plans[key]
+        if color not in self._plans:
+            self._build(color)
+        self.owed_s += self._unread_s.pop(color, 0.0)
+        plan = self._plans[color]
         if isinstance(plan, Exception):
             raise plan
         return plan[:budget]
 
+    def release(self) -> None:
+        """Drop the plans and the grown graph once the last cell has run."""
+        self._plans.clear()
+        self._grown = (self.graph, 0, 0)
+
     def grow(
-        self, seed: int, red: tuple[EdgeInsertion, ...], blue: tuple[EdgeInsertion, ...]
+        self, red: tuple[EdgeInsertion, ...], blue: tuple[EdgeInsertion, ...]
     ) -> ColoredGraph:
         """The input graph with ``red`` and then ``blue`` applied."""
-        key = self._key(seed)
-        base, n_red, n_blue = self._grown.get(key, (self.graph, 0, 0))
+        base, n_red, n_blue = self._grown
         grown = apply_plan(base, red[n_red:] + blue[n_blue:])
-        self._grown[key] = (grown, len(red), len(blue))
+        self._grown = (grown, len(red), len(blue))
         return grown
 
 
@@ -587,13 +710,12 @@ def _run_cell(
     measure_runtime: bool,
 ) -> ExperimentRecord:
     started = time.perf_counter()
+    cells.owed_s = 0.0
     delta = healed = float("nan")
     error = None
     try:
         k_red, k_blue = split
-        grown = cells.grow(
-            seed, cells.edges(RED, k_red, seed), cells.edges(BLUE, k_blue, seed)
-        )
+        grown = cells.grow(cells.edges(RED, k_red), cells.edges(BLUE, k_blue))
         cfg = cells.cfg
         new_br = br_table(grown, cfg, cells.backend, derive_seed(seed, _TAG_EVAL))
         if parochial.size:
@@ -610,6 +732,7 @@ def _run_cell(
             delta, healed = 0.0, 0.0
     except RepbublikError as exc:  # record the failure, keep sweeping
         error = f"{type(exc).__name__}: {exc}"
+    elapsed_s = time.perf_counter() - started + cells.owed_s
     return ExperimentRecord(
         algorithm=cells.algo,
         budget=k,
@@ -617,9 +740,220 @@ def _run_cell(
         delta=delta,
         pct_parochial=healed,
         seed=seed,
-        runtime_ms=(time.perf_counter() - started) * 1000.0 if measure_runtime else 0.0,
+        runtime_ms=elapsed_s * 1000.0 if measure_runtime else 0.0,
         error=error,
     )
+
+
+#: A warning as the display hook receives it: (message, category, filename,
+#: lineno).
+_Shown = tuple[Warning, type[Warning], str, int]
+
+
+@dataclass
+class _Outcome:
+    """What one chain gives back: its records in cell order, the error that
+    stopped it, and the warnings it raised that passed the filters of the
+    process that ran it."""
+
+    records: list[ExperimentRecord] = field(default_factory=list)
+    error: Exception | None = None
+    shown: list[_Shown] = field(default_factory=list)
+
+
+@contextmanager
+def _recording(shown: list[_Shown]):
+    """Append the warnings that pass the filters to ``shown`` instead of
+    displaying them.  Only the display hook is replaced, not the filters,
+    so each warning meets the filters and the registries as it is raised."""
+    display = warnings.showwarning
+
+    def record(message, category, filename, lineno, file=None, line=None):
+        shown.append((message, category, filename, lineno))
+
+    warnings.showwarning = record
+    try:
+        yield
+    finally:
+        warnings.showwarning = display
+
+
+def _display(outcome: _Outcome, worker: bool) -> None:
+    """Display the warnings of ``outcome``.  Those of a worker meet this
+    process's filters again, with the registry of the module that raised
+    each, as ``warnings.warn`` would have used: a warning shown once per
+    location is then shown once however many workers raised it."""
+    if not outcome.shown:
+        return
+    if not worker:
+        for message, category, filename, lineno in outcome.shown:
+            warnings.showwarning(message, category, filename, lineno)
+        return
+    modules = {getattr(m, "__file__", None): m for m in list(sys.modules.values())}
+    for message, category, filename, lineno in outcome.shown:
+        scope = vars(modules[filename]) if filename in modules else {}
+        warnings.warn_explicit(
+            message, category, filename, lineno,
+            module=scope.get("__name__"),
+            registry=scope.setdefault("__warningregistry__", {}) if scope else None,
+            module_globals=scope or None,
+        )
+
+
+def _worker_count(chains: int) -> int:
+    """How many processes run a sweep's chains: the CPUs this process may
+    use, at most one per chain.  Only one, the calling process, where a
+    fork is unsafe or unknown: off Linux, without ``os.fork``, or when
+    another Python thread runs, whose locks a child could inherit held."""
+    if not (sys.platform.startswith("linux") and hasattr(os, "fork")):
+        return 1
+    if threading.active_count() > 1:
+        return 1
+    return max(1, min(_usable_cpus(), chains))
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on (its affinity mask, so ``taskset``
+    confines a sweep); the tests replace it to pin a worker count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _fork() -> int:
+    """``os.fork()``, without the ``DeprecationWarning`` CPython 3.12 and
+    later raise when a process with several OS threads forks.
+
+    After ``import numpy`` the other threads are OpenBLAS's idle pool, and
+    they are the only ones: :func:`_worker_count` forks from no process with
+    a second Python thread.  A child runs sweep chains, which call no BLAS
+    routine: every matrix product in them is a scipy sparse matrix times a
+    dense array, computed by scipy's own sparse kernels, and the rest is
+    element-wise numpy, sorting and Python.  So no child waits on a lock or
+    a thread it did not inherit.
+    """
+    with warnings.catch_warnings():
+        warnings.filterwarnings(
+            "ignore",
+            r"This process \(pid=\d+\) is multi-threaded, use of fork\(\)",
+            DeprecationWarning,
+        )
+        return os.fork()
+
+
+class _Claims:
+    """The index of the next chain to run, shared by a sweep's processes: a
+    counter in an unnamed temporary file, read and advanced under a POSIX
+    record lock.  The lock belongs to the process, so forked processes
+    exclude each other, and the kernel drops it when its holder exits."""
+
+    def __init__(self, count: int):
+        self.count = count
+        self._file = tempfile.TemporaryFile()
+        os.pwrite(self._file.fileno(), bytes(8), 0)
+
+    def next(self) -> int | None:
+        """The lowest chain no process has claimed, or None when none is left."""
+        import fcntl  # Unix only; a sweep forks only on Linux
+
+        fd = self._file.fileno()
+        fcntl.lockf(fd, fcntl.LOCK_EX)
+        try:
+            index = int.from_bytes(os.pread(fd, 8, 0), "little")
+            os.pwrite(fd, (index + 1).to_bytes(8, "little"), 0)
+        finally:
+            fcntl.lockf(fd, fcntl.LOCK_UN)
+        return index if index < self.count else None
+
+    def close(self) -> None:
+        self._file.close()
+
+
+def _forked(
+    chains: list[_AlgorithmCells],
+    run: Callable[[_AlgorithmCells], _Outcome],
+    workers: int,
+) -> Iterator[tuple[int, _Outcome, bool]]:
+    """(index, outcome, from a worker) of every chain, in the order the
+    chains finish, run by this process and ``workers - 1`` forked children.
+
+    The children inherit the chains and the memo of the input graph.  Each
+    process claims the lowest chain left (see :class:`_Claims`), and a
+    child sends each outcome back over its own pipe.  This process reads
+    those between its own chains and once no chain is left to claim, and
+    runs again any chain whose child ended before sending it.  Every child
+    is reaped before the generator ends or is closed, and one still running
+    then is killed first.
+    """
+    # Imported here: only a sweep with more than one worker needs it.
+    from multiprocessing.connection import Pipe, wait
+
+    claims = _Claims(len(chains))
+    pids, pipes = [], []
+    finished = False
+    try:
+        for _ in range(workers - 1):
+            pipe, child_end = Pipe(duplex=False)
+            pid = _fork()
+            if pid == 0:
+                code = 1
+                try:
+                    for other in (pipe, *pipes):
+                        other.close()
+                    _serve(claims, child_end, chains, run)
+                    code = 0
+                finally:
+                    # Leave without atexit handlers or flushing the buffers
+                    # this process inherited, the CSV's included.
+                    os._exit(code)
+            pids.append(pid)
+            child_end.close()
+            pipes.append(pipe)
+
+        received: set[int] = set()
+
+        def collect(timeout):
+            for pipe in wait(pipes, timeout):
+                try:
+                    index, outcome = pipe.recv()
+                except EOFError:  # the child found no chain left and ended
+                    pipes.remove(pipe)
+                    continue
+                received.add(index)
+                yield index, outcome, True
+
+        while (index := claims.next()) is not None:
+            received.add(index)
+            yield index, run(chains[index]), False
+            yield from collect(0)
+        while pipes:
+            yield from collect(None)
+        # A chain whose child died, or stopped at a programming error.
+        for index in range(len(chains)):
+            if index not in received:
+                yield index, run(chains[index]), False
+        finished = True
+    finally:
+        claims.close()
+        for pipe in pipes:
+            pipe.close()
+        for pid in pids:
+            if not finished:
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _serve(claims: _Claims, pipe, chains: list[_AlgorithmCells], run) -> None:
+    """A worker's loop: run each chain it claims and send its outcome back,
+    until no chain is left.  A chain stopped by a programming error is not
+    sent: the worker ends there, and the caller runs the chain again, so
+    the error is raised with its own type, message and traceback."""
+    while (index := claims.next()) is not None:
+        outcome = run(chains[index])
+        if outcome.error is not None:
+            return
+        pipe.send((index, outcome))
 
 
 def default_k_values(k_max: int, universe: int | None = None) -> list[int]:

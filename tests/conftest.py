@@ -1,6 +1,9 @@
 """Shared fixtures: canonical graphs and random-instance helpers."""
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -75,3 +78,28 @@ def graph_strategy(draw, max_n: int = 10):
         total = sum(raw)
         edges.extend((v, u, w / total) for u, w in zip(targets, raw))
     return build_graph(colors, edges)
+
+
+class CallLog:
+    """Notes that every process of a sweep appends to one file, so a test
+    reads the notes of forked sweep workers as well as its own.  Each note
+    is a tuple of literals, written as one line."""
+
+    def __init__(self, path: Path):
+        self.path = path
+        self.clear()
+
+    def note(self, *item) -> None:
+        with open(self.path, "a") as fh:
+            fh.write(repr(item) + "\n")
+
+    def read(self) -> list[tuple]:
+        return [ast.literal_eval(line) for line in self.path.read_text().splitlines()]
+
+    def clear(self) -> None:
+        self.path.write_text("")
+
+
+@pytest.fixture
+def call_log(tmp_path) -> CallLog:
+    return CallLog(tmp_path / "calls.log")

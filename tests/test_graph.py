@@ -128,6 +128,24 @@ class TestInsertEdge:
         with pytest.raises(NonStochasticRow):
             EdgeInsertion(0, 1, 0.0)
 
+    def test_grown_graphs_share_one_read_only_red_mask(self):
+        rng = np.random.default_rng(19)
+        chains = 0
+        for _ in range(10):
+            graph, _ = random_polarized(rng, n_max=30)
+            mask = graph.color_mask("R")
+            assert not mask.flags.writeable
+            with pytest.raises(ValueError):
+                mask[0] = not mask[0]
+            current = graph
+            for edge in _random_plan(graph, rng, int(rng.integers(1, 12))):
+                current = insert_edge(current, edge)
+                assert current.color_mask("R") is mask
+                assert np.array_equal(current.color_mask("R"), current.colors == "R")
+                assert np.array_equal(current.color_mask("B"), current.colors == "B")
+                chains += 1
+        assert chains > 30
+
 
 class TestWeightOracle:
     def test_degree_three(self):

@@ -1,4 +1,5 @@
 """Dataset IO, fixture generators, the sweep protocol, and plot emission."""
+import os
 import time
 import warnings
 from dataclasses import replace
@@ -172,17 +173,16 @@ class TestRunSweep:
         )
         assert all(r.delta == 0.0 and r.pct_parochial == 0.0 for r in records)
 
-    def test_no_parochial_node_splits_evenly(self, monkeypatch, tmp_path):
+    def test_no_parochial_node_splits_evenly(self, monkeypatch, tmp_path, call_log):
         # Every walk of this graph leaves its color at the first step.
         graph = build_graph(
             ["R", "R", "B", "B"],
             [(0, 2, 0.5), (0, 3, 0.5), (1, 2, 1.0), (2, 0, 1.0), (3, 1, 1.0)],
         )
         cfg = WalkConfig(t=6, theta_good=2.0, theta_bad=3.0, seed=1)
-        builds = []
 
         def spy(graph, color, budget, cfg, backend="exact"):
-            builds.append((cfg.seed, color, budget))
+            call_log.note(cfg.seed, color, budget)
             return repbublik_plus(graph, color, budget, cfg, backend=backend)
 
         monkeypatch.setitem(ALGORITHMS, "spy", spy)
@@ -193,7 +193,7 @@ class TestRunSweep:
             assert r.delta == 0.0 and r.pct_parochial == 0.0
         # Even splits (0, 0), (0, 1), (1, 1), (1, 2): blue gets the ceiling,
         # and each (seed, color) plan is built at the color's largest budget.
-        assert sorted(builds) == [(1, "B", 2), (1, "R", 1), (2, "B", 2), (2, "R", 1)]
+        assert sorted(call_log.read()) == [(1, "B", 2), (1, "R", 1), (2, "B", 2), (2, "R", 1)]
 
     def test_record_count(self, gadget6, tmp_path):
         cfg = WalkConfig(t=6, theta_good=2.0, theta_bad=3.0, seed=1)
@@ -409,11 +409,9 @@ class TestSweepOracle:
             rows += len(records)
         assert rows == 12 * 5 * len(self.K_VALUES) * 2 and errors < rows // 10
 
-    def test_failing_build_fails_each_cell_of_its_color(self, tmp_path, monkeypatch):
-        calls = []
-
+    def test_failing_build_fails_each_cell_of_its_color(self, tmp_path, monkeypatch, call_log):
         def red_fails(graph, color, budget, cfg, backend="exact"):
-            calls.append((cfg.seed, color, budget))
+            call_log.note(cfg.seed, color, budget)
             if color == "R" and budget > 0:
                 raise _NoRedPlan(f"no red plan for seed {cfg.seed}")
             return baseline_pure_random(graph, color, budget, cfg, backend=backend)
@@ -432,33 +430,44 @@ class TestSweepOracle:
             else:
                 assert r.error is None
         # The sweep calls the entry once per (seed, color), at the top budget.
-        calls.clear()
+        call_log.clear()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             run_sweep(graph, ["red-fails"], k_values, cfg, seeds, tmp_path / "again.csv")
         top = dict(zip("RB", np.max(splits, axis=0).tolist()))
-        assert sorted(calls) == sorted((s, c, top[c]) for s in seeds for c in "RB")
+        assert sorted(call_log.read()) == sorted((s, c, top[c]) for s in seeds for c in "RB")
 
-    def test_split_never_applies_more_than_k_edges(self, tmp_path, monkeypatch):
+    def test_split_never_applies_more_than_k_edges(self, tmp_path, monkeypatch, call_log):
         graph, cfg = _y_red_zero_graph(), WalkConfig(t=10, theta_good=2.0, seed=0)
         y_red, y_blue = self._bias(graph, 10)
         assert y_red == 0.0 and 83 * y_blue / y_blue > 83
         k_values, algorithms = [1, 82, 83, 84], sorted(ALGORITHMS)
         self._assert_same(tmp_path, graph, algorithms, k_values, cfg, [0, 1], "exact")
-        added = []
-        original = harness.br_table
+        original_table, original_cell = harness.br_table, harness._run_cell
+        last = []  # the edges added to the graph of this process's last table
 
-        def spy(grown, *args):
-            added.append(grown.edge_count - graph.edge_count)
-            return original(grown, *args)
+        def table_spy(grown, *args):
+            last[:] = [grown.edge_count - graph.edge_count]
+            call_log.note("table")
+            return original_table(grown, *args)
 
-        monkeypatch.setattr(harness, "br_table", spy)
+        def cell_spy(cells, k, *args):
+            record = original_cell(cells, k, *args)
+            call_log.note("cell", k, last[0])
+            return record
+
+        monkeypatch.setattr(harness, "br_table", table_spy)
+        monkeypatch.setattr(harness, "_run_cell", cell_spy)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             records = run_sweep(graph, algorithms, k_values, cfg, [0, 1], tmp_path / "s.csv")
-        assert len(added) == 1 + len(records)  # the input graph's table, then one per cell
-        assert all(r.error is None and n <= r.budget for r, n in zip(records, added[1:]))
-        assert max(n for r, n in zip(records, added[1:]) if r.budget == 83) == 83
+        notes = call_log.read()
+        # The input graph's table, then one per cell.
+        assert notes.count(("table",)) == 1 + len(records)
+        cells = [note[1:] for note in notes if note[0] == "cell"]
+        assert len(cells) == len(records) and all(r.error is None for r in records)
+        assert all(n <= k for k, n in cells)
+        assert max(n for k, n in cells if k == 83) == 83
 
     def test_rows_before_a_programming_error_are_flushed(self, tmp_path, monkeypatch):
         def broken(graph, color, budget, cfg, backend="exact"):
@@ -488,12 +497,11 @@ class TestSweepOracle:
         assert messages == ["only 3 of 8 insertions were possible for color R"] * 2
         assert all(r.error is None for r in records)
 
-    def test_runtime_charges_each_build_to_its_cell(self, tmp_path, monkeypatch):
+    def test_runtime_charges_each_build_to_its_cell(self, tmp_path, monkeypatch, call_log):
         graph, t = self._graphs()[2]
-        calls = []
 
         def slow(graph, color, budget, cfg, backend="exact"):
-            calls.append((color, budget, cfg.seed))
+            call_log.note(color, budget, cfg.seed)
             time.sleep(0.05)
             return baseline_pure_random(graph, color, budget, cfg, backend=backend)
 
@@ -509,7 +517,7 @@ class TestSweepOracle:
         # budget, inside the first cell that needs it.
         splits = [harness.budget_allocation(*self._bias(graph, t), k) for k in k_values]
         top = dict(zip("RB", np.max(splits, axis=0).tolist()))
-        assert sorted(calls) == sorted((c, top[c], s) for s in seeds for c in "RB" if top[c])
+        assert sorted(call_log.read()) == sorted((c, top[c], s) for s in seeds for c in "RB" if top[c])
         built = set()
         for r, split in zip(records, [s for s in splits for _ in seeds]):
             needs = {(r.seed, c) for c, k_c in zip("RB", split) if k_c} - built
@@ -517,6 +525,199 @@ class TestSweepOracle:
             assert r.runtime_ms >= 50.0 * len(needs)
             if not needs:
                 assert r.runtime_ms < 50.0
+
+
+class _WorkerFailure(RepbublikError):
+    pass
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestParallelSweep:
+    """The chains of a sweep run in forked workers; every byte, record,
+    warning and error equals the one-worker sweep's, and no child outlives
+    the call.  The worker count is pinned through ``harness._usable_cpus``."""
+
+    WORKERS = (1, 2, 3)
+
+    @staticmethod
+    def _sweep(monkeypatch, workers, tmp_path, graph, algorithms, k_values, cfg, seeds,
+               backend="exact"):
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: workers)
+        out = tmp_path / f"w{workers}"
+        out.mkdir(exist_ok=True)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            records = run_sweep(
+                graph, algorithms, k_values, cfg, seeds, out / "s.csv", backend=backend
+            )
+        _no_child_left()
+        if any(r.error is None for r in records):
+            emit_plotdata(records, out / "plots")
+        files = {p.relative_to(out).as_posix(): p.read_bytes() for p in sorted(out.rglob("*.tsv"))}
+        return {
+            "csv": (out / "s.csv").read_bytes(),
+            "records": [repr(r) for r in records],  # NaN-safe
+            "plots": files,
+            "warnings": [(w.category, str(w.message)) for w in caught],
+        }
+
+    @pytest.mark.parametrize("backend", ["exact", "mc"])
+    def test_outputs_do_not_depend_on_the_worker_count(self, backend, tmp_path, monkeypatch):
+        rng = np.random.default_rng(77)
+        graph, t = random_polarized(rng, n_max=24, t_range=(5, 6))
+        cfg = WalkConfig(t=t, theta_good=1.5, theta_bad=t / 2, epsilon=0.9, delta=0.5, seed=3)
+
+        def fails_for_seed_4(graph, color, budget, cfg, backend="exact"):
+            if cfg.seed == 4:
+                raise _WorkerFailure(f"no plan for seed {cfg.seed}")
+            return baseline_pure_random(graph, color, budget, cfg, backend=backend)
+
+        monkeypatch.setitem(ALGORITHMS, "fails-for-seed-4", fails_for_seed_4)
+        # The largest budgets exhaust the pools, so the baselines warn.
+        runs = [
+            self._sweep(monkeypatch, w, tmp_path, graph, sorted(ALGORITHMS), [0, 1, 3, 40, 400],
+                        cfg, [2, 4, 3, 2], backend)
+            for w in self.WORKERS
+        ]
+        assert all(run == runs[0] for run in runs[1:])
+        assert any("ERROR" in row for row in runs[0]["csv"].decode().splitlines())
+        assert any("insertions were possible" in m for _, m in runs[0]["warnings"])
+
+    def test_short_plans_warn_alike(self, tmp_path, monkeypatch):
+        gadget = generate_gadget(3, [[0, 1], [1, 2], [2]], 6)
+        cfg = WalkConfig(t=6, theta_good=2.0, theta_bad=3.0, seed=1)
+        runs = [
+            self._sweep(monkeypatch, w, tmp_path, gadget.graph, ["pure-random", "rcn"],
+                        [1, 2, 4, 8], cfg, [1, 2, 3])
+            for w in self.WORKERS
+        ]
+        assert all(run == runs[0] for run in runs[1:])
+        # Each algorithm's first chain is built before any worker starts,
+        # then the chains follow in order; rcn samples from a pool of one.
+        short = "only {} of 8 insertions were possible for color R".format
+        assert runs[0]["warnings"] == [
+            (RuntimeWarning, short(n)) for n in (3, 1, 3, 3, 1, 1)
+        ]
+
+    @pytest.mark.parametrize("error", [RuntimeError, ValueError])
+    def test_a_worker_error_propagates_after_the_same_rows(
+        self, error, tmp_path, monkeypatch, call_log
+    ):
+        rng = np.random.default_rng(78)
+        graph, t = random_polarized(rng, n_max=24, t_range=(5, 6))
+        cfg = WalkConfig(t=t, theta_good=1.5, theta_bad=t / 2, epsilon=0.9, delta=0.5, seed=3)
+        parent = os.getpid()
+
+        def slow(graph, color, budget, cfg, backend="exact"):
+            if os.getpid() == parent:
+                time.sleep(0.1)  # this process is busy while the workers claim
+            return baseline_pure_random(graph, color, budget, cfg, backend=backend)
+
+        def broken(graph, color, budget, cfg, backend="exact"):
+            call_log.note(os.getpid() != parent)
+            raise error(f"a bug for seed {cfg.seed}")
+
+        monkeypatch.setitem(ALGORITHMS, "slow", slow)
+        monkeypatch.setitem(ALGORITHMS, "broken", broken)
+        written = []
+        for workers in self.WORKERS:
+            monkeypatch.setattr(harness, "_usable_cpus", lambda: workers)
+            call_log.clear()
+            path = tmp_path / f"w{workers}.csv"
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                with pytest.raises(error) as caught:
+                    run_sweep(graph, ["slow", "broken", "rcn"], [0, 1, 3], cfg, [0, 1, 2],
+                              path, backend="mc")
+            _no_child_left()
+            # The first failing cell in row order: K = 1 of seed 0.
+            assert type(caught.value) is error and str(caught.value) == "a bug for seed 0"
+            if workers > 1:
+                assert (True,) in call_log.read()  # a worker raised it
+            written.append(path.read_bytes())
+        assert written[1] == written[0] and written[2] == written[0]
+        rows = written[0].decode().splitlines()
+        assert [row.split(",")[:2] for row in rows[10:]] == [["broken", "0"]] * 3
+
+    def test_no_child_outlives_the_sweep(self, tmp_path, monkeypatch):
+        gadget = generate_gadget(3, [[0, 1], [1, 2], [2]], 6)
+        cfg = WalkConfig(t=6, theta_good=2.0, theta_bad=3.0, seed=1)
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 3)
+
+        def recorded(graph, color, budget, cfg, backend="exact"):
+            raise _WorkerFailure("recorded")
+
+        def interrupted(graph, color, budget, cfg, backend="exact"):
+            raise KeyboardInterrupt
+
+        monkeypatch.setitem(ALGORITHMS, "recorded", recorded)
+        monkeypatch.setitem(ALGORITHMS, "interrupted", interrupted)
+        args = ([1, 2], cfg, [1, 2, 3], tmp_path / "s.csv")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            records = run_sweep(gadget.graph, ["rcn", "recorded"], *args, backend="mc")
+            assert [r.error is None for r in records] == [True] * 6 + [False] * 6
+            _no_child_left()
+            with pytest.raises(KeyboardInterrupt):
+                run_sweep(gadget.graph, ["rcn", "interrupted"], *args, backend="mc")
+            _no_child_left()
+
+    def test_claims_hand_each_chain_to_one_process(self, tmp_path):
+        # Four processes on a few CPUs race for 3,000 claims; a lost
+        # update of the shared counter would hand out an index twice.
+        count, pids = 3000, []
+        claims = harness._Claims(count)
+        for worker in range(3):
+            pid = harness._fork()
+            if pid == 0:
+                code = 1
+                try:
+                    with open(tmp_path / f"{worker}.txt", "w") as fh:
+                        while (index := claims.next()) is not None:
+                            fh.write(f"{index}\n")
+                    code = 0
+                finally:
+                    os._exit(code)
+            pids.append(pid)
+        claimed = []
+        while (index := claims.next()) is not None:
+            claimed.append(index)
+        deadline = time.monotonic() + 60
+        for pid in pids:
+            while (status := os.waitpid(pid, os.WNOHANG)) == (0, 0):
+                assert time.monotonic() < deadline, "a claiming process hangs"
+                time.sleep(0.01)
+            assert os.waitstatus_to_exitcode(status[1]) == 0
+        claims.close()
+        for worker in range(3):
+            claimed += [int(x) for x in (tmp_path / f"{worker}.txt").read_text().split()]
+        assert sorted(claimed) == list(range(count))
+
+    def test_a_chain_whose_worker_dies_runs_here(self, tmp_path, monkeypatch, call_log):
+        rng = np.random.default_rng(79)
+        graph, t = random_polarized(rng, n_max=24, t_range=(5, 6))
+        cfg = WalkConfig(t=t, theta_good=1.5, theta_bad=t / 2, epsilon=0.9, delta=0.5, seed=3)
+        parent = os.getpid()
+
+        def dies_in_a_worker(graph, color, budget, cfg, backend="exact"):
+            if os.getpid() != parent:
+                call_log.note("died")
+                os._exit(3)
+            time.sleep(0.1)  # this process is busy while the workers claim
+            return baseline_pure_random(graph, color, budget, cfg, backend=backend)
+
+        monkeypatch.setitem(ALGORITHMS, "dies", dies_in_a_worker)
+        runs = []
+        for workers in self.WORKERS:
+            call_log.clear()
+            runs.append(self._sweep(monkeypatch, workers, tmp_path, graph, ["dies", "pure-random"],
+                                    [1, 3], cfg, [0, 1, 2, 3], "mc"))
+            assert bool(call_log.read()) == (workers > 1)
+        assert all(run == runs[0] for run in runs[1:])
 
 
 class TestEmitPlotdata:

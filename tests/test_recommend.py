@@ -326,11 +326,15 @@ class TestSeedFree:
         assert {name for name, d in differs.items() if not d} == rec.EXACT_SEED_FREE
 
     @pytest.mark.parametrize("backend", ["exact", "mc"])
-    def test_sweep_builds_a_seed_free_plan_once_per_color(self, backend, tmp_path, monkeypatch):
-        calls, evaluated = [], []
+    def test_sweep_builds_a_seed_free_plan_once_per_color(
+        self, backend, tmp_path, monkeypatch, call_log
+    ):
+        # One worker: the graphs the cells evaluate are compared by identity.
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
+        evaluated = []
         for name in rec.EXACT_SEED_FREE:
             def spy(graph, color, budget, cfg, backend="exact", name=name, fn=ALGORITHMS[name]):
-                calls.append((name, cfg.seed, color))
+                call_log.note(name, cfg.seed, color)
                 return fn(graph, color, budget, cfg, backend=backend)
 
             monkeypatch.setitem(ALGORITHMS, name, spy)
@@ -344,7 +348,7 @@ class TestSeedFree:
         algorithms, k_values = sorted(rec.EXACT_SEED_FREE), [1, 4, 9]
         built = total = 0
         for graph, cfg in self._cases()[:4]:
-            calls.clear()
+            call_log.clear()
             evaluated.clear()
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
@@ -352,6 +356,7 @@ class TestSeedFree:
                     graph, algorithms, k_values, cfg, self.SEEDS, tmp_path / "s.csv",
                     backend=backend,
                 )
+            calls = call_log.read()
             colors = {color for _, _, color in calls}
             per_seed = [(n, s, c) for n in algorithms for s in self.SEEDS for c in sorted(colors)]
             if backend == "exact":
