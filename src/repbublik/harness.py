@@ -16,7 +16,7 @@ import tempfile
 import threading
 import time
 import warnings
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
@@ -821,9 +821,16 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+#: The warning CPython 3.12 and later raise when a multi-threaded process forks.
+_FORK_WARNING = re.compile(r"This process \(pid=\d+\) is multi-threaded, use of fork\(\)")
+
+
 def _fork() -> int:
     """``os.fork()``, without the ``DeprecationWarning`` CPython 3.12 and
-    later raise when a process with several OS threads forks.
+    later raise when a process with several OS threads forks.  Any other
+    warning is shown as it would be; the filters are left alone, since
+    changing them would reset every module's record of the warnings it
+    has shown once.
 
     After ``import numpy`` the other threads are OpenBLAS's idle pool, and
     they are the only ones: :func:`_worker_count` forks from no process with
@@ -833,13 +840,16 @@ def _fork() -> int:
     element-wise numpy, sorting and Python.  So no child waits on a lock or
     a thread it did not inherit.
     """
-    with warnings.catch_warnings():
-        warnings.filterwarnings(
-            "ignore",
-            r"This process \(pid=\d+\) is multi-threaded, use of fork\(\)",
-            DeprecationWarning,
-        )
-        return os.fork()
+    shown: list[_Shown] = []
+    with _recording(shown):
+        pid = os.fork()
+    for message, category, filename, lineno in shown:
+        if not (category is DeprecationWarning and _FORK_WARNING.match(str(message))):
+            warnings.showwarning(message, category, filename, lineno)
+    return pid
+
+
+_FORK_WARNING = re.compile(r"This process \(pid=\d+\) is multi-threaded, use of fork\(\)")
 
 
 class _Claims:
@@ -939,9 +949,11 @@ def _forked(
         for pipe in pipes:
             pipe.close()
         for pid in pids:
-            if not finished:
-                os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+            # Where SIGCHLD is ignored, the kernel has reaped the child.
+            with suppress(ChildProcessError, ProcessLookupError):
+                if not finished:
+                    os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
 
 
 def _serve(claims: _Claims, pipe, chains: list[_AlgorithmCells], run) -> None:
