@@ -74,28 +74,21 @@ def _within(graph: ColoredGraph) -> sp.csr_matrix:
     """W, the transition matrix M without its cross-color edges, in M's row
     order; built on first use and kept in ``graph.memo``.
 
-    W's index arrays are built once per lineage (see
-    ``ColoredGraph.patterns``): a graph whose lineage built W before only
+    W's index arrays are found once per lineage (see
+    ``ColoredGraph.lineage``): a graph whose lineage found them before only
     gathers its own values into them."""
     if "within" not in graph.memo:
         red = graph.color_mask(RED)
         kept = np.repeat(red, np.diff(graph.indptr)) == red[graph.targets]
-        pattern = graph.patterns.get("within")
+        pattern = graph.lineage.get("within")
         if pattern is None:
-            indptr = np.concatenate(([0], np.cumsum(kept)))[graph.indptr]
-            within = sp.csr_matrix(
-                (graph.weights[kept], graph.targets[kept], indptr),
-                shape=(graph.n, graph.n),
-            )
-            # Keep the index arrays scipy settled on, read-only, since every
-            # W of the lineage shares them.
-            within.indices.setflags(write=False)
-            within.indptr.setflags(write=False)
-            graph.patterns["within"] = (within.indices, within.indptr)
-        else:
-            within = sp.csr_matrix(
-                (graph.weights[kept], *pattern), shape=(graph.n, graph.n)
-            )
+            pattern = (graph.targets[kept], np.concatenate(([0], np.cumsum(kept)))[graph.indptr])
+        within = sp.csr_matrix((graph.weights[kept], *pattern), shape=(graph.n, graph.n))
+        # Keep the index arrays scipy settled on, read-only, since every W
+        # of the lineage shares them.
+        within.indices.setflags(write=False)
+        within.indptr.setflags(write=False)
+        graph.lineage["within"] = (within.indices, within.indptr)
         graph.memo["within"] = within
     return graph.memo["within"]
 
@@ -136,13 +129,11 @@ class _ColorBlock:
     """The within-color matrix restricted to one color's nodes.
 
     ``matrix_t`` is the transpose of A = W[C][:, C] = M[C][:, C] for the
-    ascending nodes C of the color, and ``take`` the positions in W's data
-    of its entries, in its order: ``matrix_t.data == W.data[take]``.
+    ascending nodes C of the color.
     """
 
     nodes: np.ndarray
     matrix_t: sp.csr_matrix
-    take: np.ndarray
 
     def local(self, nodes: np.ndarray) -> np.ndarray:
         """Local indices of ``nodes``, all of the block's color."""
@@ -153,14 +144,16 @@ def _color_block(graph: ColoredGraph, color: str) -> _ColorBlock:
     """The block of ``color``, its rows of W on local column ids; built on
     first use and kept in ``graph.memo``.
 
-    A graph whose lineage (see ``ColoredGraph.patterns``) built the block
-    before reads W's values through that block's ``take`` into its pattern;
-    otherwise the pattern is found here and left for the lineage.
+    The block's pattern is ``(nodes, take, indices, indptr)``, where
+    ``take`` holds the positions in W's data of its entries, in its order:
+    ``matrix_t.data == W.data[take]``.  A graph whose lineage (see
+    ``ColoredGraph.lineage``) found it before reads W's values through it;
+    otherwise it is found here and left for the lineage.
     """
     key = ("block", color)
     if key not in graph.memo:
         within = _within(graph)
-        pattern = graph.patterns.get(key)
+        pattern = graph.lineage.get(key)
         if pattern is None:
             inside = graph.color_mask(color)
             nodes = np.flatnonzero(inside)
@@ -179,8 +172,8 @@ def _color_block(graph: ColoredGraph, color: str) -> _ColorBlock:
             (within.data[take], indices, indptr), shape=(nodes.size, nodes.size)
         )
         # Keep the index arrays scipy settled on, so later builds reuse them.
-        graph.patterns[key] = (nodes, take, matrix_t.indices, matrix_t.indptr)
-        graph.memo[key] = _ColorBlock(nodes=nodes, matrix_t=matrix_t, take=take)
+        graph.lineage[key] = (nodes, take, matrix_t.indices, matrix_t.indptr)
+        graph.memo[key] = _ColorBlock(nodes=nodes, matrix_t=matrix_t)
     return graph.memo[key]
 
 

@@ -92,28 +92,20 @@ class ColoredGraph:
         return {}
 
     @cached_property
-    def patterns(self) -> dict:
-        """Sparsity patterns of results derived from this graph that every
-        graph grown from it by :func:`apply_plan` shares (W and each color's
-        block of W), keyed by what they describe.  A grown graph starts with
-        its parent's dict, not a copy: an insertion adds a cross-color edge,
-        so W and its blocks keep their pattern, and only values move.  The
-        dict holds index arrays, never a graph."""
-        return {}
-
-    @cached_property
-    def _red_mask(self) -> np.ndarray:
-        """Whether each node is red, read-only, built on first use and
-        handed to every graph grown from this one, which has its colors."""
+    def lineage(self) -> dict:
+        """What every graph grown from this one by :func:`apply_plan` shares
+        with it, keyed by what it describes: ``"red_mask"``, whether each
+        node is red, read-only; ``"red_list"``, the same as Python bools,
+        built when :func:`apply_plan` first needs it; and the sparsity
+        patterns of W and of each color's block of W, found by the exact
+        engines on first use.  A grown graph starts with its parent's dict,
+        not a copy: it has its parent's colors, and an insertion adds a
+        cross-color edge, so W and its blocks keep their pattern, and only
+        values move.  A graph built directly starts its own.  The dict
+        holds index arrays, never a graph."""
         mask = self.colors == RED
         mask.setflags(write=False)
-        return mask
-
-    @cached_property
-    def _red(self) -> list[bool]:
-        """Whether each node is red, as Python bools, built on first use and
-        handed to every graph grown from this one, which has its colors."""
-        return self._red_mask.tolist()
+        return {"red_mask": mask}
 
     @cached_property
     def _out_degrees(self) -> list[int]:
@@ -138,9 +130,9 @@ class ColoredGraph:
 
     def color_mask(self, color: str) -> np.ndarray:
         if color == RED:
-            return self._red_mask
+            return self.lineage["red_mask"]
         if color == BLUE:
-            return ~self._red_mask
+            return ~self.lineage["red_mask"]
         raise UnknownColor(f"unknown color {color!r}")
 
     def nodes_of(self, color: str) -> np.ndarray:
@@ -376,7 +368,10 @@ def apply_plan(
     are rebuilt, as Python lists, and the graph is assembled once.
     """
     n = graph.n
-    red = graph._red
+    lineage = graph.lineage
+    red = lineage.get("red_list")
+    if red is None:
+        red = lineage["red_list"] = lineage["red_mask"].tolist()
     rows: dict[int, tuple[list[int], list[float]]] = {}  # touched rows
     for edge in plan:
         v, w, m = edge.src, edge.dst, edge.weight
@@ -422,10 +417,7 @@ def apply_plan(
     targets[at] = [x for row_targets, _ in rows.values() for x in row_targets]
     weights[at] = [x for _, row_weights in rows.values() for x in row_weights]
     grown = ColoredGraph(colors=graph.colors, indptr=indptr, targets=targets, weights=weights)
-    # The cached properties' slots: the colors and the lineage's patterns.
-    grown.__dict__["_red_mask"] = graph._red_mask
-    grown.__dict__["_red"] = red
-    grown.__dict__["patterns"] = graph.patterns
+    grown.__dict__["lineage"] = lineage  # the cached property's slot
     return grown
 
 

@@ -849,9 +849,6 @@ def _fork() -> int:
     return pid
 
 
-_FORK_WARNING = re.compile(r"This process \(pid=\d+\) is multi-threaded, use of fork\(\)")
-
-
 class _Claims:
     """The index of the next chain to run, shared by a sweep's processes: a
     counter in an unnamed temporary file, read and advanced under a POSIX

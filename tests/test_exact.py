@@ -138,7 +138,7 @@ class TestColorBlock:
 
     @staticmethod
     def _cold(graph):
-        """The same graph without memo or inherited patterns."""
+        """The same graph without memo, on a lineage of its own."""
         return ColoredGraph(graph.colors, graph.indptr, graph.targets, graph.weights)
 
     @staticmethod
@@ -167,7 +167,7 @@ class TestColorBlock:
                     continue
                 edge = EdgeInsertion(v, int(rng.choice(free)), weight_oracle(current, v))
                 parent, current = current, insert_edge(current, edge)
-                assert current.patterns is graph.patterns and not current.memo
+                assert current.lineage is graph.lineage and not current.memo
                 cold = self._cold(current)
                 for color in ("R", "B"):
                     if current.nodes_of(color).size == 0:
@@ -175,7 +175,8 @@ class TestColorBlock:
                     block = repbublik.exact._color_block(current, color)
                     fresh = repbublik.exact._color_block(cold, color)
                     self._assert_same_arrays(block.matrix_t, fresh.matrix_t)
-                    assert np.array_equal(block.take, fresh.take)
+                    take = current.lineage[("block", color)][1]
+                    assert np.array_equal(take, cold.lineage[("block", color)][1])
                     old = repbublik.exact._color_block(parent, color).matrix_t.data
                     moved += not np.array_equal(block.matrix_t.data, old)
                     checked += 1
@@ -191,7 +192,7 @@ class TestColorBlock:
         checked = moved = 0
         for graph in cases:
             repbublik.exact._within(graph)
-            indices, indptr = graph.patterns["within"]
+            indices, indptr = graph.lineage["within"]
             current = graph
             for i in range(8):
                 v = int(rng.choice(current.nodes_of("RB"[i % 2])))
@@ -201,7 +202,7 @@ class TestColorBlock:
                     continue
                 edge = EdgeInsertion(v, int(rng.choice(free)), weight_oracle(current, v))
                 parent, current = current, insert_edge(current, edge)
-                assert current.patterns is graph.patterns and not current.memo
+                assert current.lineage is graph.lineage and not current.memo
                 within = repbublik.exact._within(current)
                 assert np.shares_memory(within.indices, indices)
                 assert np.shares_memory(within.indptr, indptr)
@@ -211,7 +212,7 @@ class TestColorBlock:
         assert checked > 150 and moved > 100
 
     def test_lineage_holds_no_graph(self):
-        """The patterns a grown graph inherits keep no graph alive: the
+        """The lineage a grown graph inherits keeps no graph alive: the
         parent is freed while its child lives, and the child's block still
         equals a fresh one."""
         graph = generate_polarized(12, 12, 0.3, 0.05, seed=5)

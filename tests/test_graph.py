@@ -137,13 +137,22 @@ class TestInsertEdge:
             assert not mask.flags.writeable
             with pytest.raises(ValueError):
                 mask[0] = not mask[0]
+            # Reading the mask builds no red list; the first insertion does.
+            assert "red_list" not in graph.lineage
             current = graph
             for edge in _random_plan(graph, rng, int(rng.integers(1, 12))):
                 current = insert_edge(current, edge)
+                assert current.lineage is graph.lineage
+                assert current.lineage["red_list"] == mask.tolist()
                 assert current.color_mask("R") is mask
                 assert np.array_equal(current.color_mask("R"), current.colors == "R")
                 assert np.array_equal(current.color_mask("B"), current.colors == "B")
                 chains += 1
+            # A graph built directly from a grown graph's arrays starts its own.
+            fresh = ColoredGraph(current.colors, current.indptr, current.targets, current.weights)
+            assert fresh.lineage is not graph.lineage
+            assert fresh.color_mask("R") is not mask
+            assert np.array_equal(fresh.color_mask("R"), mask)
         assert chains > 30
 
 

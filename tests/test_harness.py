@@ -732,6 +732,39 @@ class TestParallelSweep:
             assert bool(call_log.read()) == (workers > 1)
         assert all(run == runs[0] for run in runs[1:])
 
+    def test_fork_drops_only_the_multithreaded_fork_warning(self, monkeypatch):
+        # os.fork stands in for CPython 3.12+'s, which warns when other OS
+        # threads run, so the filter is checked on any version.
+        def fork():
+            warnings.warn(
+                f"This process (pid={os.getpid()}) is multi-threaded, use of fork() "
+                "may lead to deadlocks in the child.",
+                DeprecationWarning, stacklevel=2,
+            )
+            warnings.warn("an unrelated warning", UserWarning, stacklevel=2)
+            return 4242
+
+        shown = []
+        warnings.simplefilter("default")
+        monkeypatch.setattr(warnings, "showwarning", lambda *args: shown.append(args[:4]))
+        _warn_once()
+        [(message, category, _, lineno)] = shown
+        registry = globals()["__warningregistry__"]
+        assert registry[(str(message), category, lineno)]
+        filters = list(warnings.filters)
+        monkeypatch.setattr(os, "fork", fork)
+        assert harness._fork() == 4242
+        assert [(str(m), c) for m, c, *_ in shown[1:]] == [("an unrelated warning", UserWarning)]
+        assert warnings.filters == filters
+        # The entry made before the fork survives, so the warning is not
+        # shown again.
+        _warn_once()
+        assert registry[(str(message), category, lineno)] and len(shown) == 2
+
+
+def _warn_once():
+    warnings.warn("shown once per location", UserWarning)
+
 
 class TestEmitPlotdata:
     def _records(self):
