@@ -12,7 +12,6 @@ import os
 import re
 import signal
 import sys
-import tempfile
 import threading
 import time
 import warnings
@@ -464,19 +463,22 @@ def run_sweep(
     The cells form chains (see :class:`_AlgorithmCells`): one per
     (algorithm, repetition seed), or one per algorithm for an entry of
     ``EXACT_SEED_FREE`` under the exact backend, whose plan is the same for
-    every seed.  A chain builds each color's plan once, at the color's
-    largest budget on the ladder, and every cell reads a prefix.  So a
+    every seed.  A chain builds each color's plan once, red's first, at the
+    color's largest budget on the ladder, before its first cell, and every
+    cell reads a prefix.  So a
     recommender's warning about a short plan is raised once per plan, and
     with ``measure_runtime`` the time to build a plan, or to grow a shared
     graph, is charged to the first cell that reads it: a later seed's cell
     of a shared plan records its evaluation alone.
 
     Chains share nothing but the input graph, so they run on every CPU this
-    process may use, in forked workers (see :func:`_worker_count` and
-    :func:`_forked`).  Before the first fork this process computes what
-    several chains read from the input graph: its BR table and, under the
-    exact backend, each algorithm's first chain's plans, which leave the
-    parochial pools' closeness in the graph's memo for every worker.  The
+    process may use, in fixed stripes over this process and forked workers
+    (see :func:`_worker_count` and :func:`_forked`); with one CPU, off
+    Linux, or beside another Python thread, every chain runs here.  Before
+    the first fork this process computes what several chains read from the
+    input graph: its BR table and, under the exact backend, each
+    algorithm's first chain's plans, which leave the parochial pools'
+    closeness in the graph's memo for every worker.  The
     CSV, the records, the warnings and a programming error are those of
     running the chains one after another in this process: rows are written
     in (algorithm, K, seed) order, each as soon as the rows before it are
@@ -516,6 +518,7 @@ def run_sweep(
     def run(cells: _AlgorithmCells) -> _Outcome:
         outcome = _Outcome()
         with _recording(outcome.shown):
+            cells.prebuild()
             try:
                 for k, split in zip(k_values, splits):
                     for seed in cells.seeds:
@@ -528,11 +531,7 @@ def run_sweep(
         cells.release()
         return outcome
 
-    workers = _worker_count(len(chains))
-    if workers > 1:
-        outcomes = _forked(chains, run, workers)
-    else:
-        outcomes = ((index, run(cells), False) for index, cells in enumerate(chains))
+    outcomes = _forked(chains, run, _worker_count(len(chains)))
     try:
         return _write_rows(
             outcomes, slots, len(algorithms) * len(k_values) * len(seeds), out_path
@@ -629,9 +628,8 @@ class _AlgorithmCells:
     for any larger budget, and a recommender that fails at one positive
     budget fails at all of them (``tests/test_recommend.py`` asserts both).
     So each color's plan is built once, at ``top[color]`` with the chain's
-    first seed, by :meth:`prebuild` or by the first cell whose budget for
-    that color is positive; cells read prefixes of it, or raise again the
-    error its build raised.
+    first seed, by :meth:`prebuild` before the chain's first cell; cells
+    read prefixes of it, or raise again the error its build raised.
 
     Graphs: no color's budget falls as K grows, so the chain keeps the graph
     of its last cell and applies only the new edges of each color to it.
@@ -655,29 +653,25 @@ class _AlgorithmCells:
         self._unread_s: dict[str, float] = {}
         self.owed_s = 0.0
 
-    def _build(self, color: str) -> None:
-        try:
-            self._plans[color] = ALGORITHMS[self.algo](
-                self.graph, color, self.top[color], replace(self.cfg, seed=self.seeds[0]),
-                backend=self.backend,
-            ).edges
-        except Exception as exc:  # raised again by each cell that reads it
-            self._plans[color] = exc
-
     def prebuild(self) -> None:
-        """Build every plan a cell will read, before any cell runs."""
+        """Build every plan a cell will read that is not built yet, red's
+        first, before any cell runs."""
         for color in (RED, BLUE):
-            if self.top[color]:
+            if self.top[color] and color not in self._plans:
                 started = time.perf_counter()
-                self._build(color)
+                try:
+                    self._plans[color] = ALGORITHMS[self.algo](
+                        self.graph, color, self.top[color],
+                        replace(self.cfg, seed=self.seeds[0]), backend=self.backend,
+                    ).edges
+                except Exception as exc:  # raised again by each cell that reads it
+                    self._plans[color] = exc
                 self._unread_s[color] = time.perf_counter() - started
 
     def edges(self, color: str, budget: int) -> tuple[EdgeInsertion, ...]:
         """The first ``budget`` edges of the color's plan."""
         if budget == 0:
             return ()
-        if color not in self._plans:
-            self._build(color)
         self.owed_s += self._unread_s.pop(color, 0.0)
         plan = self._plans[color]
         if isinstance(plan, Exception):
@@ -815,10 +809,7 @@ def _worker_count(chains: int) -> int:
 def _usable_cpus() -> int:
     """The CPUs this process may run on (its affinity mask, so ``taskset``
     confines a sweep); the tests replace it to pin a worker count."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
+    return len(os.sched_getaffinity(0))
 
 
 #: The warning CPython 3.12 and later raise when a multi-threaded process forks.
@@ -849,34 +840,6 @@ def _fork() -> int:
     return pid
 
 
-class _Claims:
-    """The index of the next chain to run, shared by a sweep's processes: a
-    counter in an unnamed temporary file, read and advanced under a POSIX
-    record lock.  The lock belongs to the process, so forked processes
-    exclude each other, and the kernel drops it when its holder exits."""
-
-    def __init__(self, count: int):
-        self.count = count
-        self._file = tempfile.TemporaryFile()
-        os.pwrite(self._file.fileno(), bytes(8), 0)
-
-    def next(self) -> int | None:
-        """The lowest chain no process has claimed, or None when none is left."""
-        import fcntl  # Unix only; a sweep forks only on Linux
-
-        fd = self._file.fileno()
-        fcntl.lockf(fd, fcntl.LOCK_EX)
-        try:
-            index = int.from_bytes(os.pread(fd, 8, 0), "little")
-            os.pwrite(fd, (index + 1).to_bytes(8, "little"), 0)
-        finally:
-            fcntl.lockf(fd, fcntl.LOCK_UN)
-        return index if index < self.count else None
-
-    def close(self) -> None:
-        self._file.close()
-
-
 def _forked(
     chains: list[_AlgorithmCells],
     run: Callable[[_AlgorithmCells], _Outcome],
@@ -885,22 +848,26 @@ def _forked(
     """(index, outcome, from a worker) of every chain, in the order the
     chains finish, run by this process and ``workers - 1`` forked children.
 
-    The children inherit the chains and the memo of the input graph.  Each
-    process claims the lowest chain left (see :class:`_Claims`), and a
-    child sends each outcome back over its own pipe.  This process reads
-    those between its own chains and once no chain is left to claim, and
-    runs again any chain whose child ended before sending it.  Every child
-    is reaped before the generator ends or is closed, and one still running
-    then is killed first.
+    Process p runs chains p, p + workers, p + 2 * workers, ... in order,
+    and this process is the last one, so with one worker it forks nothing
+    and runs every chain here.  A chain's cost hardly depends on its seed
+    and an algorithm's chains are adjacent, so these fixed stripes spread
+    each algorithm's chains across the processes.  The children inherit
+    the chains and the memo of the input graph, and each sends its
+    outcomes back over its own pipe.  This process reads those between its
+    own chains and once its stripe is done, and runs again any chain whose
+    child ended before sending it.  A child stopped by a programming error
+    sends nothing more, so the error is raised here with its own type,
+    message and traceback.  Every child is reaped before the generator
+    ends or is closed, and one still running then is killed first.
     """
-    # Imported here: only a sweep with more than one worker needs it.
+    # Imported here: ``import repbublik`` stays cheap for what runs no sweep.
     from multiprocessing.connection import Pipe, wait
 
-    claims = _Claims(len(chains))
     pids, pipes = [], []
     finished = False
     try:
-        for _ in range(workers - 1):
+        for p in range(workers - 1):
             pipe, child_end = Pipe(duplex=False)
             pid = _fork()
             if pid == 0:
@@ -908,7 +875,11 @@ def _forked(
                 try:
                     for other in (pipe, *pipes):
                         other.close()
-                    _serve(claims, child_end, chains, run)
+                    for index in range(p, len(chains), workers):
+                        outcome = run(chains[index])
+                        if outcome.error is not None:
+                            break
+                        child_end.send((index, outcome))
                     code = 0
                 finally:
                     # Leave without atexit handlers or flushing the buffers
@@ -924,13 +895,13 @@ def _forked(
             for pipe in wait(pipes, timeout):
                 try:
                     index, outcome = pipe.recv()
-                except EOFError:  # the child found no chain left and ended
+                except EOFError:  # the child has ended
                     pipes.remove(pipe)
                     continue
                 received.add(index)
                 yield index, outcome, True
 
-        while (index := claims.next()) is not None:
+        for index in range(workers - 1, len(chains), workers):
             received.add(index)
             yield index, run(chains[index]), False
             yield from collect(0)
@@ -942,7 +913,6 @@ def _forked(
                 yield index, run(chains[index]), False
         finished = True
     finally:
-        claims.close()
         for pipe in pipes:
             pipe.close()
         for pid in pids:
@@ -951,18 +921,6 @@ def _forked(
                 if not finished:
                     os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
-
-
-def _serve(claims: _Claims, pipe, chains: list[_AlgorithmCells], run) -> None:
-    """A worker's loop: run each chain it claims and send its outcome back,
-    until no chain is left.  A chain stopped by a programming error is not
-    sent: the worker ends there, and the caller runs the chain again, so
-    the error is raised with its own type, message and traceback."""
-    while (index := claims.next()) is not None:
-        outcome = run(chains[index])
-        if outcome.error is not None:
-            return
-        pipe.send((index, outcome))
 
 
 def default_k_values(k_max: int, universe: int | None = None) -> list[int]:

@@ -1,6 +1,7 @@
 """Dataset IO, fixture generators, the sweep protocol, and plot emission."""
 import os
 import signal
+import sys
 import time
 import warnings
 from dataclasses import replace
@@ -614,16 +615,10 @@ class TestParallelSweep:
         cfg = WalkConfig(t=t, theta_good=1.5, theta_bad=t / 2, epsilon=0.9, delta=0.5, seed=3)
         parent = os.getpid()
 
-        def slow(graph, color, budget, cfg, backend="exact"):
-            if os.getpid() == parent:
-                time.sleep(0.1)  # this process is busy while the workers claim
-            return baseline_pure_random(graph, color, budget, cfg, backend=backend)
-
         def broken(graph, color, budget, cfg, backend="exact"):
             call_log.note(os.getpid() != parent)
             raise error(f"a bug for seed {cfg.seed}")
 
-        monkeypatch.setitem(ALGORITHMS, "slow", slow)
         monkeypatch.setitem(ALGORITHMS, "broken", broken)
         written = []
         for workers in self.WORKERS:
@@ -633,7 +628,7 @@ class TestParallelSweep:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
                 with pytest.raises(error) as caught:
-                    run_sweep(graph, ["slow", "broken", "rcn"], [0, 1, 3], cfg, [0, 1, 2],
+                    run_sweep(graph, ["pure-random", "broken", "rcn"], [0, 1, 3], cfg, [0, 1, 2],
                               path, backend="mc")
             _no_child_left()
             # The first failing cell in row order: K = 1 of seed 0.
@@ -679,36 +674,45 @@ class TestParallelSweep:
         finally:
             signal.signal(signal.SIGCHLD, previous)
 
-    def test_claims_hand_each_chain_to_one_process(self, tmp_path):
-        # Four processes on a few CPUs race for 3,000 claims; a lost
-        # update of the shared counter would hand out an index twice.
-        count, pids = 3000, []
-        claims = harness._Claims(count)
-        for worker in range(3):
-            pid = harness._fork()
-            if pid == 0:
-                code = 1
-                try:
-                    with open(tmp_path / f"{worker}.txt", "w") as fh:
-                        while (index := claims.next()) is not None:
-                            fh.write(f"{index}\n")
-                    code = 0
-                finally:
-                    os._exit(code)
-            pids.append(pid)
-        claimed = []
-        while (index := claims.next()) is not None:
-            claimed.append(index)
-        deadline = time.monotonic() + 60
-        for pid in pids:
-            while (status := os.waitpid(pid, os.WNOHANG)) == (0, 0):
-                assert time.monotonic() < deadline, "a claiming process hangs"
-                time.sleep(0.01)
-            assert os.waitstatus_to_exitcode(status[1]) == 0
-        claims.close()
-        for worker in range(3):
-            claimed += [int(x) for x in (tmp_path / f"{worker}.txt").read_text().split()]
-        assert sorted(claimed) == list(range(count))
+    def test_each_plan_is_built_once(self, tmp_path, monkeypatch, call_log):
+        # Each algorithm's first chain builds its plans before the fork, the
+        # other chains in the process whose stripe holds them, and no chain
+        # a worker sent back runs again here.
+        rng = np.random.default_rng(80)
+        graph, t = random_polarized(rng, n_max=24, t_range=(5, 6))
+        cfg = WalkConfig(t=t, theta_good=1.5, theta_bad=t / 2, epsilon=0.9, delta=0.5, seed=3)
+
+        def logged(name):
+            def build(graph, color, budget, cfg, backend="exact"):
+                call_log.note(name, cfg.seed, color)
+                return baseline_pure_random(graph, color, budget, cfg, backend=backend)
+            return build
+
+        for name in ("a", "b"):
+            monkeypatch.setitem(ALGORITHMS, name, logged(name))
+        seeds = [0, 1, 2, 3, 4]
+        plans = sorted((a, s, c) for a in "ab" for s in seeds for c in "RB")
+        for workers in self.WORKERS:
+            call_log.clear()
+            self._sweep(monkeypatch, workers, tmp_path, graph, ["a", "b"], [1, 3, 6], cfg, seeds)
+            assert sorted(call_log.read()) == plans
+
+    @pytest.mark.parametrize("confined", ["one-cpu", "darwin"])
+    def test_one_worker_forks_nothing(self, confined, tmp_path, monkeypatch):
+        gadget = generate_gadget(3, [[0, 1], [1, 2], [2]], 6)
+        cfg = WalkConfig(t=6, theta_good=2.0, theta_bad=3.0, seed=1)
+        args = (gadget.graph, ["pure-random", "rcn"], [1, 2, 4], cfg, [1, 2, 3])
+        expected = self._sweep(monkeypatch, 3, tmp_path, *args)
+
+        def fork():
+            raise AssertionError("a one-worker sweep forked")
+
+        monkeypatch.setattr(harness, "_fork", fork)
+        workers = 1
+        if confined == "darwin":
+            monkeypatch.setattr(sys, "platform", "darwin")
+            workers = 3
+        assert self._sweep(monkeypatch, workers, tmp_path, *args) == expected
 
     def test_a_chain_whose_worker_dies_runs_here(self, tmp_path, monkeypatch, call_log):
         rng = np.random.default_rng(79)
@@ -720,7 +724,6 @@ class TestParallelSweep:
             if os.getpid() != parent:
                 call_log.note("died")
                 os._exit(3)
-            time.sleep(0.1)  # this process is busy while the workers claim
             return baseline_pure_random(graph, color, budget, cfg, backend=backend)
 
         monkeypatch.setitem(ALGORITHMS, "dies", dies_in_a_worker)
