@@ -6,6 +6,7 @@ but some cells failed or when argparse rejects the command line.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import sys
 from pathlib import Path
@@ -45,28 +46,40 @@ _WALK_OPTIONS = {
 def _add_walk_options(
     p: argparse.ArgumentParser,
     names: tuple[str, ...] = tuple(_WALK_OPTIONS),
-    output_help: str | None = None,
+    output: dict | None = None,
 ) -> None:
-    """Add the shared options ``names``; ``output_help`` replaces the help of
-    ``--output`` for a verb that does not write its results to stdout."""
+    """Add the shared options ``names``; ``output`` (a default and a help)
+    replaces those of ``--output`` for a verb that does not write its
+    results to stdout."""
     g = p.add_argument_group("walk configuration")
     for name in names:
         options = _WALK_OPTIONS[name]
-        if name == "--output" and output_help is not None:
-            options = dict(options, help=output_help)
+        if name == "--output" and output is not None:
+            options = dict(options, **output)
         g.add_argument(name, **options)
 
 
-def _prefix_help(default: str) -> str:
-    return (
-        "file prefix: write PREFIX.edges.tsv and PREFIX.colors.tsv "
-        f"(default {default})"
+def _prefix_help(default: str) -> dict:
+    return dict(
+        default=default,
+        help="file prefix: write PREFIX.edges.tsv and PREFIX.colors.tsv (default %(default)s)",
     )
 
 
-def _add_dataset_options(p: argparse.ArgumentParser) -> None:
+def _dataset_verb(sub, name: str, help: str, verb, output: dict | None = None):
+    """Add the verb ``name``, which runs ``verb(args, cfg, loaded)`` on the
+    walk configuration and the dataset that ``--edges`` and ``--colors``
+    name; return its parser for the verb's own options."""
+    p = sub.add_parser(name, help=help)
     p.add_argument("--edges", type=Path, required=True, help="TSV: src<TAB>dst<TAB>weight")
     p.add_argument("--colors", type=Path, required=True, help="TSV: node<TAB>R|B")
+    _add_walk_options(p, output=output)
+    p.set_defaults(fn=_on_dataset, verb=verb)
+    return p
+
+
+def _on_dataset(args: argparse.Namespace) -> int:
+    return args.verb(args, _config(args), load_dataset(args.edges, args.colors))
 
 
 def _config(args: argparse.Namespace) -> WalkConfig:
@@ -97,27 +110,16 @@ def _table(header: str, row: str, *columns: list) -> str:
     return f"{header}\n" + (row + "\n") * n % tuple(cells)
 
 
-def _cmd_stats(args) -> int:
-    cfg = _config(args)
-    loaded = load_dataset(args.edges, args.colors)
-    s = dataset_stats(loaded.graph, cfg, args.backend)
-    lines = [
-        "metric\tvalue",
-        f"n_red\t{s.n_red}",
-        f"n_blue\t{s.n_blue}",
-        f"edges_red_to_blue\t{s.edges_red_to_blue}",
-        f"edges_blue_to_red\t{s.edges_blue_to_red}",
-        f"edge_count\t{s.edge_count}",
-        f"pct_parochial_red\t{s.pct_parochial_red:.4f}",
-        f"pct_parochial_blue\t{s.pct_parochial_blue:.4f}",
-    ]
-    _emit(args, "\n".join(lines) + "\n")
+def _cmd_stats(args, cfg, loaded) -> int:
+    row = dataclasses.asdict(dataset_stats(loaded.graph, cfg, args.backend))
+    _emit(args, _table(
+        "metric\tvalue", "%s\t%s",
+        list(row), ["%.4f" % v if isinstance(v, float) else v for v in row.values()],
+    ))
     return 0
 
 
-def _cmd_br(args) -> int:
-    cfg = _config(args)
-    loaded = load_dataset(args.edges, args.colors)
+def _cmd_br(args, cfg, loaded) -> int:
     table = br_table(loaded.graph, cfg, args.backend, cfg.seed)
     _emit(args, _table(
         "node\tbr", "%d\t%.9g", loaded.original_ids.tolist(), table.values.tolist()
@@ -125,11 +127,9 @@ def _cmd_br(args) -> int:
     return 0
 
 
-def _cmd_rwcc(args) -> int:
-    cfg = _config(args)
+def _cmd_rwcc(args, cfg, loaded) -> int:
     if args.horizon is not None:
         check_count("horizon", args.horizon)
-    loaded = load_dataset(args.edges, args.colors)
     graph = loaded.graph
     horizon = args.horizon if args.horizon is not None else max(cfg.t - 2, 1)
     table = br_table(graph, cfg, args.backend, cfg.seed)
@@ -160,9 +160,7 @@ def _cmd_rwcc(args) -> int:
     return 0
 
 
-def _cmd_recommend(args) -> int:
-    cfg = _config(args)
-    loaded = load_dataset(args.edges, args.colors)
+def _cmd_recommend(args, cfg, loaded) -> int:
     plan = ALGORITHMS[args.algorithm](loaded.graph, args.color, args.k, cfg, backend=args.backend)
     ends = np.array([(e.src, e.dst) for e in plan.edges], dtype=np.int64).reshape(-1, 2)
     ids = loaded.original_ids[ends].tolist()
@@ -173,9 +171,8 @@ def _cmd_recommend(args) -> int:
     return 0
 
 
-def _cmd_sweep(args) -> int:
-    cfg = _config(args)
-    graph = load_dataset(args.edges, args.colors).graph
+def _cmd_sweep(args, cfg, loaded) -> int:
+    graph = loaded.graph
     if args.k_list:
         k_values = sorted(int(k) for k in args.k_list.split(","))
     else:
@@ -183,14 +180,13 @@ def _cmd_sweep(args) -> int:
         partition = classify(table, graph.colors, cfg.theta_good, cfg.theta_bad)
         k_values = default_k_values(args.k_max, candidate_universe(graph, partition))
     seeds = [int(s) for s in args.seeds.split(",")]
-    out_path = args.output if args.output is not None else Path("sweep.csv")
     records = run_sweep(
         graph,
         args.algorithms.split(","),
         k_values,
         cfg,
         seeds,
-        out_path,
+        args.output,
         backend=args.backend,
         measure_runtime=args.measure_runtime,
     )
@@ -210,11 +206,10 @@ def _cmd_gen_gadget(args) -> int:
         for block in args.sets.split(";")
     ]
     gadget = generate_gadget(args.elements, subsets, args.t)
-    prefix = args.output if args.output is not None else Path("gadget")
-    write_dataset(gadget.graph, f"{prefix}.edges.tsv", f"{prefix}.colors.tsv")
+    write_dataset(gadget.graph, f"{args.output}.edges.tsv", f"{args.output}.colors.tsv")
     print(
-        f"gadget with {gadget.graph.n} nodes written to {prefix}.edges.tsv / "
-        f"{prefix}.colors.tsv (sink node {gadget.sink})"
+        f"gadget with {gadget.graph.n} nodes written to {args.output}.edges.tsv / "
+        f"{args.output}.colors.tsv (sink node {gadget.sink})"
     )
     return 0
 
@@ -223,9 +218,8 @@ def _cmd_gen_polarized(args) -> int:
     graph = generate_polarized(
         args.n_red, args.n_blue, args.p_within, args.p_cross, args.seed
     )
-    prefix = args.output if args.output is not None else Path("polarized")
-    write_dataset(graph, f"{prefix}.edges.tsv", f"{prefix}.colors.tsv")
-    print(f"polarized graph with {graph.n} nodes written to {prefix}.edges.tsv")
+    write_dataset(graph, f"{args.output}.edges.tsv", f"{args.output}.colors.tsv")
+    print(f"polarized graph with {graph.n} nodes written to {args.output}.edges.tsv")
     return 0
 
 
@@ -237,36 +231,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("stats", help="dataset statistics table")
-    _add_dataset_options(p)
-    _add_walk_options(p)
-    p.set_defaults(fn=_cmd_stats)
+    _dataset_verb(sub, "stats", "dataset statistics table", _cmd_stats)
+    _dataset_verb(sub, "br", "per-node Bubble Radius table", _cmd_br)
 
-    p = sub.add_parser("br", help="per-node Bubble Radius table")
-    _add_dataset_options(p)
-    _add_walk_options(p)
-    p.set_defaults(fn=_cmd_br)
-
-    p = sub.add_parser("rwcc", help="bounded random-walk closeness centrality")
-    _add_dataset_options(p)
-    _add_walk_options(p)
+    p = _dataset_verb(sub, "rwcc", "bounded random-walk closeness centrality", _cmd_rwcc)
     p.add_argument("--node", type=int, default=None, help="original id of a single node")
     p.add_argument("--horizon", type=int, default=None, help="centrality horizon (default t-2)")
-    p.set_defaults(fn=_cmd_rwcc)
 
-    p = sub.add_parser("recommend", help="compute an insertion plan")
-    _add_dataset_options(p)
-    _add_walk_options(p)
+    p = _dataset_verb(sub, "recommend", "compute an insertion plan", _cmd_recommend)
     p.add_argument("--color", choices=(RED, BLUE), required=True)
     p.add_argument("-k", type=int, required=True, help="number of insertions")
     p.add_argument(
         "--algorithm", choices=sorted(ALGORITHMS), default="repbublik-plus"
     )
-    p.set_defaults(fn=_cmd_recommend)
 
-    p = sub.add_parser("sweep", help="budget sweep over several algorithms")
-    _add_dataset_options(p)
-    _add_walk_options(p, output_help="CSV file to write (default sweep.csv)")
+    p = _dataset_verb(
+        sub, "sweep", "budget sweep over several algorithms", _cmd_sweep,
+        dict(default="sweep.csv", help="CSV file to write (default %(default)s)"),
+    )
     p.add_argument(
         "--algorithms",
         default="repbublik-plus,pure-random,rcn,rwcn",
@@ -281,7 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="record wall-clock runtime_ms (breaks byte-level reproducibility)",
     )
-    p.set_defaults(fn=_cmd_sweep)
 
     p = sub.add_parser("gen-gadget", help="write a set-cover gadget dataset")
     _add_walk_options(p, ("--t", "--output"), _prefix_help("gadget"))

@@ -482,7 +482,9 @@ def run_sweep(
     CSV, the records, the warnings and a programming error are those of
     running the chains one after another in this process: rows are written
     in (algorithm, K, seed) order, each as soon as the rows before it are
-    known, and a worker's warnings are shown here in chain order.  A
+    known, and a worker's warnings are shown here in chain order.  Only the
+    warnings' order differs: under the exact backend the plans built before
+    the fork warn first, as they are built, one algorithm after another.  A
     programming error propagates once every row before its cell is written;
     the first failing cell in row order decides which.
 

@@ -26,15 +26,25 @@ def g2_files(tmp_path):
     return edges, colors
 
 
+@pytest.mark.filterwarnings("ignore:estimation epsilon")
 def test_stats_verb(g2_files, capsys):
     edges, colors = g2_files
-    code = main([
-        "stats", "--edges", str(edges), "--colors", str(colors),
-        "--t", "4", "--theta-good", "1.5", "--theta-bad", "2.0",
-    ])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "n_red\t3" in out and "edges_red_to_blue\t1" in out
+    for backend in ("exact", "mc"):
+        code = main([
+            "stats", "--edges", str(edges), "--colors", str(colors),
+            "--t", "4", "--theta-good", "1.5", "--theta-bad", "2.0", "--backend", backend,
+        ])
+        assert code == 0
+        assert capsys.readouterr().out == (
+            "metric\tvalue\n"
+            "n_red\t3\n"
+            "n_blue\t1\n"
+            "edges_red_to_blue\t1\n"
+            "edges_blue_to_red\t1\n"
+            "edge_count\t5\n"
+            "pct_parochial_red\t100.0000\n"
+            "pct_parochial_blue\t0.0000\n"
+        ), backend
 
 
 def test_br_verb_writes_table(g2_files, tmp_path, capsys):
@@ -236,6 +246,39 @@ def test_generators_roundtrip(tmp_path, capsys):
         "--p-within", "0.3", "--p-cross", "0.05", "--seed", "3",
         "--output", str(prefix2),
     ]) == 0
+
+
+def test_output_defaults_match_an_explicit_output(g2_files, tmp_path, monkeypatch, capsys):
+    """Without --output, sweep writes sweep.csv and the generators write
+    gadget.*.tsv and polarized.*.tsv in the working directory, with the bytes
+    an explicit --output gets."""
+    edges, colors = g2_files
+    work, explicit = tmp_path / "work", tmp_path / "explicit"
+    work.mkdir()
+    explicit.mkdir()
+    monkeypatch.chdir(work)
+    cases = [
+        ([
+            "sweep", "--edges", str(edges), "--colors", str(colors),
+            "--t", "4", "--theta-good", "1.5", "--theta-bad", "2.0",
+            "--algorithms", "repbublik-plus,pure-random", "--k-list", "0,1", "--seeds", "1,2",
+        ], "sweep.csv", ["sweep.csv"]),
+        ([
+            "gen-gadget", "--elements", "2", "--sets", "0,1;1", "--t", "6",
+        ], "gadget", ["gadget.edges.tsv", "gadget.colors.tsv"]),
+        ([
+            "gen-polarized", "--n-red", "10", "--n-blue", "10",
+            "--p-within", "0.3", "--p-cross", "0.05", "--seed", "3",
+        ], "polarized", ["polarized.edges.tsv", "polarized.colors.tsv"]),
+    ]
+    for argv, output, names in cases:
+        assert main(argv) == 0
+        assert main([*argv, "--output", str(explicit / output)]) == 0
+        for name in names:
+            assert (work / name).read_bytes() == (explicit / name).read_bytes()
+    assert sorted(p.name for p in work.iterdir()) == sorted(
+        name for _, _, names in cases for name in names
+    )
 
 
 @pytest.mark.parametrize("argv,flag", [
