@@ -211,8 +211,9 @@ def check_work(name: str, items: float, steps: int) -> None:
     draw count, each with the horizon (a walk visits at most ``horizon``
     nodes); the exact passes pass the graph's nodes plus edges and the
     horizon (each of the ``horizon - 1`` products over W touches every one
-    once), and the closeness renewal its targets and its count of row
-    updates.
+    once), the closeness renewal its targets and its count of row updates,
+    and :func:`~repbublik.harness.generate_polarized` its node count twice
+    (it draws one uniform per ordered pair).
     """
     if steps and max(items, STEP_COST) > MAX_WORK / steps:
         raise WorkLimitExceeded(

@@ -46,6 +46,7 @@ from .graph import (
     build_graph,
     check_count,
     check_seed,
+    check_work,
     opposite,
 )
 from .montecarlo import derive_seed, stream
@@ -399,6 +400,7 @@ def generate_polarized(
             f"got p_within={p_within}, p_cross={p_cross}"
         )
     n = n_red + n_blue
+    check_work("polarized graph draws", n, n)
     red = np.arange(n) < n_red
     rng = stream(seed, _TAG_POLARIZED)
     # Row v reads the next n uniforms, every row before any forced edge, and
@@ -464,8 +466,8 @@ def run_sweep(
     (algorithm, repetition seed), or one per algorithm for an entry of
     ``EXACT_SEED_FREE`` under the exact backend, whose plan is the same for
     every seed.  A chain builds each color's plan once, red's first, at the
-    color's largest budget on the ladder, before its first cell, and every
-    cell reads a prefix.  So a
+    color's largest budget on the ladder, in the process that runs it,
+    before its first cell, and every cell reads a prefix.  So a
     recommender's warning about a short plan is raised once per plan, and
     with ``measure_runtime`` the time to build a plan, or to grow a shared
     graph, is charged to the first cell that reads it: a later seed's cell
@@ -475,18 +477,14 @@ def run_sweep(
     process may use, in fixed stripes over this process and forked workers
     (see :func:`_worker_count` and :func:`_forked`); with one CPU, off
     Linux, or beside another Python thread, every chain runs here.  Before
-    the first fork this process computes what several chains read from the
-    input graph: its BR table and, under the exact backend, each
-    algorithm's first chain's plans, which leave the parochial pools'
-    closeness in the graph's memo for every worker.  The
-    CSV, the records, the warnings and a programming error are those of
-    running the chains one after another in this process: rows are written
-    in (algorithm, K, seed) order, each as soon as the rows before it are
-    known, and a worker's warnings are shown here in chain order.  Only the
-    warnings' order differs: under the exact backend the plans built before
-    the fork warn first, as they are built, one algorithm after another.  A
-    programming error propagates once every row before its cell is written;
-    the first failing cell in row order decides which.
+    the first fork this process computes the input graph's BR table, which
+    every chain reads.  The CSV, the records, the warnings and a
+    programming error are those of running the chains one after another in
+    this process: rows are written in (algorithm, K, seed) order, each as
+    soon as the rows before it are known, and a worker's warnings are shown
+    here in chain order.  A programming error propagates once every row
+    before its cell is written; the first failing cell in row order decides
+    which.
 
     With ``measure_runtime`` left off, runtime_ms is written as 0 so that
     identical inputs and seeds produce byte-identical CSV files.
@@ -515,12 +513,12 @@ def run_sweep(
         BLUE: max((k_blue for _, k_blue in splits), default=0),
     }
 
-    chains, slots = _chains(graph, algorithms, len(k_values), seeds, top, cfg, backend)
+    chains, slots = _chains(algorithms, len(k_values), seeds, backend)
 
-    def run(cells: _AlgorithmCells) -> _Outcome:
+    def run(chain: tuple[str, list[int]]) -> _Outcome:
         outcome = _Outcome()
         with _recording(outcome.shown):
-            cells.prebuild()
+            cells = _AlgorithmCells(graph, *chain, top, cfg, backend)
             try:
                 for k, split in zip(k_values, splits):
                     for seed in cells.seeds:
@@ -530,7 +528,6 @@ def run_sweep(
                         ))
             except Exception as exc:
                 outcome.error = exc
-        cells.release()
         return outcome
 
     outcomes = _forked(chains, run, _worker_count(len(chains)))
@@ -543,21 +540,14 @@ def run_sweep(
 
 
 def _chains(
-    graph: ColoredGraph,
-    algorithms: Sequence[str],
-    n_k: int,
-    seeds: Sequence[int],
-    top: dict[str, int],
-    cfg: WalkConfig,
-    backend: str,
-) -> tuple[list[_AlgorithmCells], list[list[int]]]:
-    """A sweep's chains, in the order of their first rows, and the CSV row
-    of each chain's cells in the order it runs them.
+    algorithms: Sequence[str], n_k: int, seeds: Sequence[int], backend: str
+) -> tuple[list[tuple[str, list[int]]], list[list[int]]]:
+    """A sweep's chains as (algorithm, seeds), in the order of their first
+    rows, and the CSV row of each chain's cells in the order it runs them.
 
     Row (a, i, j) is algorithm a's cell at the i-th K and ``seeds[j]``; a
     chain runs its cells K by K, and within a K its seed positions in
-    order.  Under the exact backend the first chain of each algorithm
-    builds its plans here, before any worker starts.
+    order.
     """
     chains, slots = [], []
     for a, algo in enumerate(algorithms):
@@ -565,13 +555,8 @@ def _chains(
         groups: dict[int | None, list[int]] = {}
         for j, seed in enumerate(seeds):
             groups.setdefault(None if seed_free else int(seed), []).append(j)
-        for n, positions in enumerate(groups.values()):
-            cells = _AlgorithmCells(
-                graph, algo, [int(seeds[j]) for j in positions], top, cfg, backend
-            )
-            if n == 0 and backend == "exact":
-                cells.prebuild()
-            chains.append(cells)
+        for positions in groups.values():
+            chains.append((algo, [int(seeds[j]) for j in positions]))
             slots.append([
                 (a * n_k + i) * len(seeds) + j for i in range(n_k) for j in positions
             ])
@@ -629,9 +614,9 @@ class _AlgorithmCells:
     Plans: a recommender's plan for a budget is the first edges of its plan
     for any larger budget, and a recommender that fails at one positive
     budget fails at all of them (``tests/test_recommend.py`` asserts both).
-    So each color's plan is built once, at ``top[color]`` with the chain's
-    first seed, by :meth:`prebuild` before the chain's first cell; cells
-    read prefixes of it, or raise again the error its build raised.
+    So each color's plan is built once, red's first, at ``top[color]`` with
+    the chain's first seed, by the constructor; cells read prefixes of it,
+    or raise again the error its build raised.
 
     Graphs: no color's budget falls as K grows, so the chain keeps the graph
     of its last cell and applies only the new edges of each color to it.
@@ -645,26 +630,21 @@ class _AlgorithmCells:
         self, graph: ColoredGraph, algo: str, seeds: list[int], top: dict[str, int],
         cfg: WalkConfig, backend: str,
     ):
-        self.graph, self.algo, self.seeds, self.top = graph, algo, seeds, top
-        self.cfg, self.backend = cfg, backend
+        self.algo, self.seeds, self.cfg, self.backend = algo, seeds, cfg, backend
         self._plans: dict[str, tuple[EdgeInsertion, ...] | Exception] = {}
         self._grown: tuple[ColoredGraph, int, int] = (graph, 0, 0)
-        #: The seconds :meth:`prebuild` spent on each plan no cell has read
-        #: yet, and those of the plans the running cell read first, which
-        #: its runtime includes.
+        #: The seconds spent building each plan no cell has read yet, and
+        #: those of the plans the running cell read first, which its
+        #: runtime includes.
         self._unread_s: dict[str, float] = {}
         self.owed_s = 0.0
-
-    def prebuild(self) -> None:
-        """Build every plan a cell will read that is not built yet, red's
-        first, before any cell runs."""
         for color in (RED, BLUE):
-            if self.top[color] and color not in self._plans:
+            if top[color]:
                 started = time.perf_counter()
                 try:
-                    self._plans[color] = ALGORITHMS[self.algo](
-                        self.graph, color, self.top[color],
-                        replace(self.cfg, seed=self.seeds[0]), backend=self.backend,
+                    self._plans[color] = ALGORITHMS[algo](
+                        graph, color, top[color], replace(cfg, seed=seeds[0]),
+                        backend=backend,
                     ).edges
                 except Exception as exc:  # raised again by each cell that reads it
                     self._plans[color] = exc
@@ -679,11 +659,6 @@ class _AlgorithmCells:
         if isinstance(plan, Exception):
             raise plan
         return plan[:budget]
-
-    def release(self) -> None:
-        """Drop the plans and the grown graph once the last cell has run."""
-        self._plans.clear()
-        self._grown = (self.graph, 0, 0)
 
     def grow(
         self, red: tuple[EdgeInsertion, ...], blue: tuple[EdgeInsertion, ...]
@@ -843,8 +818,8 @@ def _fork() -> int:
 
 
 def _forked(
-    chains: list[_AlgorithmCells],
-    run: Callable[[_AlgorithmCells], _Outcome],
+    chains: list[tuple[str, list[int]]],
+    run: Callable[[tuple[str, list[int]]], _Outcome],
     workers: int,
 ) -> Iterator[tuple[int, _Outcome, bool]]:
     """(index, outcome, from a worker) of every chain, in the order the

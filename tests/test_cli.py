@@ -657,6 +657,16 @@ def test_work_past_the_bound_exits_1_at_once(tmp_path, argv):
     assert "exceed the work limit of 2**40" in proc.stderr
 
 
+def test_polarized_draws_past_the_bound_exit_1_and_write_nothing(tmp_path, capsys):
+    code = main([
+        "gen-polarized", "--n-red", "2000000", "--n-blue", "1",
+        "--p-within", "0.5", "--p-cross", "0.1", "--output", str(tmp_path / "g"),
+    ])
+    assert code == 1
+    assert "exceed the work limit of 2**40" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_long_closeness_horizon_finishes(tmp_path):
     # t' = 22998 passes the work bound; the renewal solve is t' - 1 array
     # operations, so the request finishes in seconds.

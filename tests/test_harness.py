@@ -33,6 +33,7 @@ from repbublik.errors import (
     ThresholdOrder,
     UncoveredElement,
     UnknownColor,
+    WorkLimitExceeded,
 )
 from repbublik.harness import CSV_HEADER, ExperimentRecord
 from repbublik.montecarlo import derive_seed
@@ -160,6 +161,13 @@ class TestGeneratePolarized:
     def test_every_node_has_an_out_edge(self):
         g = generate_polarized(40, 5, 0.05, 0.01, seed=7)
         assert (np.diff(g.indptr) >= 1).all()
+
+    def test_draws_past_the_bound_raise_at_once(self):
+        # n uniforms for each of n rows: 2**20 nodes pass, one more does not.
+        started = time.perf_counter()
+        with pytest.raises(WorkLimitExceeded, match="polarized graph draws"):
+            generate_polarized(2**20, 1, 0.5, 0.1, seed=0)
+        assert time.perf_counter() - started < 1.0
 
 
 class TestRunSweep:
@@ -599,12 +607,33 @@ class TestParallelSweep:
             for w in self.WORKERS
         ]
         assert all(run == runs[0] for run in runs[1:])
-        # Each algorithm's first chain is built before any worker starts,
-        # then the chains follow in order; rcn samples from a pool of one.
-        # The default action shows each message once, from whichever process.
+        # The chains' warnings in chain order, pure-random's three seeds
+        # then rcn's; rcn samples from a pool of one.  The default action
+        # shows each message once, from whichever process.
         short = "only {} of 8 insertions were possible for color R".format
-        counts = (3, 1, 3, 3, 1, 1) if action == "always" else (3, 1)
+        counts = (3, 3, 3, 1, 1, 1) if action == "always" else (3, 1)
         assert runs[0]["warnings"] == [(RuntimeWarning, short(n)) for n in counts]
+
+    @pytest.mark.parametrize("backend", ["exact", "mc"])
+    def test_warnings_are_those_of_the_chains_one_after_another(
+        self, backend, tmp_path, monkeypatch
+    ):
+        gadget = generate_gadget(3, [[0, 1], [1, 2], [2]], 6)
+        cfg = WalkConfig(t=6, theta_good=2.0, theta_bad=3.0, seed=1)
+        algorithms, k_values, seeds = ["pure-random", "rcn"], [1, 2, 4, 8], [1, 2, 3]
+        # Each (algorithm, seed) chain swept on its own, in chain order.
+        alone = [
+            shown
+            for algo in algorithms
+            for seed in seeds
+            for shown in self._sweep(monkeypatch, 1, tmp_path, gadget.graph, [algo],
+                                     k_values, cfg, [seed], backend)["warnings"]
+        ]
+        assert len(alone) == 6
+        for workers in self.WORKERS:
+            run = self._sweep(monkeypatch, workers, tmp_path, gadget.graph, algorithms,
+                              k_values, cfg, seeds, backend)
+            assert run["warnings"] == alone
 
     @pytest.mark.parametrize("error", [RuntimeError, ValueError])
     def test_a_worker_error_propagates_after_the_same_rows(
@@ -675,9 +704,8 @@ class TestParallelSweep:
             signal.signal(signal.SIGCHLD, previous)
 
     def test_each_plan_is_built_once(self, tmp_path, monkeypatch, call_log):
-        # Each algorithm's first chain builds its plans before the fork, the
-        # other chains in the process whose stripe holds them, and no chain
-        # a worker sent back runs again here.
+        # Each chain builds its plans in the process whose stripe holds it,
+        # and no chain a worker sent back runs again here.
         rng = np.random.default_rng(80)
         graph, t = random_polarized(rng, n_max=24, t_range=(5, 6))
         cfg = WalkConfig(t=t, theta_good=1.5, theta_bad=t / 2, epsilon=0.9, delta=0.5, seed=3)

@@ -329,8 +329,6 @@ class TestSeedFree:
     def test_sweep_builds_a_seed_free_plan_once_per_color(
         self, backend, tmp_path, monkeypatch, call_log
     ):
-        # One worker: the graphs the cells evaluate are compared by identity.
-        monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
         evaluated = []
         for name in rec.EXACT_SEED_FREE:
             def spy(graph, color, budget, cfg, backend="exact", name=name, fn=ALGORITHMS[name]):
@@ -348,26 +346,35 @@ class TestSeedFree:
         algorithms, k_values = sorted(rec.EXACT_SEED_FREE), [1, 4, 9]
         built = total = 0
         for graph, cfg in self._cases()[:4]:
-            call_log.clear()
-            evaluated.clear()
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
-                records = harness.run_sweep(
-                    graph, algorithms, k_values, cfg, self.SEEDS, tmp_path / "s.csv",
-                    backend=backend,
-                )
-            calls = call_log.read()
-            colors = {color for _, _, color in calls}
-            per_seed = [(n, s, c) for n in algorithms for s in self.SEEDS for c in sorted(colors)]
-            if backend == "exact":
+            # The call log reads the notes of forked workers too; the graphs
+            # the cells evaluate are compared by identity at one worker, where
+            # every cell runs in this process.
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(harness, "_usable_cpus", lambda: workers)
+                call_log.clear()
+                evaluated.clear()
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", RuntimeWarning)
+                    records = harness.run_sweep(
+                        graph, algorithms, k_values, cfg, self.SEEDS, tmp_path / "s.csv",
+                        backend=backend,
+                    )
+                calls = call_log.read()
+                colors = {color for _, _, color in calls}
+                per_seed = [
+                    (n, s, c) for n in algorithms for s in self.SEEDS for c in sorted(colors)
+                ]
+                if backend == "mc":
+                    assert sorted(calls) == per_seed
+                    continue
                 # Built by the first seed's cell, and only then.
                 assert sorted(calls) == sorted({(n, self.SEEDS[0], c) for n, _, c in per_seed})
+                if workers > 1:
+                    continue
                 # Every seed's cell at one K evaluates the one shared grown graph.
                 for i in range(0, len(records), len(self.SEEDS)):
                     cell_graphs = evaluated[1 + i : 1 + i + len(self.SEEDS)]
                     assert all(g is cell_graphs[0] for g in cell_graphs)
-            else:
-                assert sorted(calls) == per_seed
             built += len(colors)
             total += len(records)
         assert built >= 6 and total == 4 * len(algorithms) * len(k_values) * len(self.SEEDS)
