@@ -27,7 +27,6 @@ def br_table(graph: ColoredGraph, cfg: WalkConfig, backend: str, seed: int) -> B
     if backend == "exact":
         return exact_br(graph, cfg.t)
     if backend == "mc":
-        warn_if_estimate_too_coarse(cfg)
         return estimate_br(graph, cfg.t, cfg.epsilon, cfg.delta, seed)
     raise UnknownName(f"unknown backend {backend!r}")
 
@@ -85,14 +84,16 @@ def structural_bias(
     return float(br.values[nodes].sum())
 
 
-def warn_if_estimate_too_coarse(cfg: WalkConfig) -> None:
-    """Advise when the estimation accuracy cannot separate the thresholds.
+def warn_if_estimate_too_coarse(cfg: WalkConfig, backend: str) -> None:
+    """Advise when Monte Carlo estimates cannot separate the thresholds.
 
     Classification from an estimated table uses the point estimate with no
     hysteresis band, so epsilon should be at most (theta_bad - theta_good)/2.
+    Code that classifies estimates calls this once, before its first table;
+    the warning names that code's caller.
     """
     limit = (cfg.theta_bad - cfg.theta_good) / 2.0
-    if cfg.epsilon > limit:
+    if backend == "mc" and cfg.epsilon > limit:
         warnings.warn(
             f"estimation epsilon={cfg.epsilon} exceeds (theta_bad - theta_good)/2"
             f"={limit}; estimated classifications may flip near the thresholds",

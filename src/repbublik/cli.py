@@ -13,10 +13,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .bias import classify
+from .bias import classify, warn_if_estimate_too_coarse
 from .errors import RepbublikError, UnknownColor
 from .graph import BLUE, RED, WalkConfig, check_count
 from .harness import (
+    _warn_if_short,
     candidate_universe,
     dataset_stats,
     default_k_values,
@@ -132,6 +133,7 @@ def _cmd_rwcc(args, cfg, loaded) -> int:
         check_count("horizon", args.horizon)
     graph = loaded.graph
     horizon = args.horizon if args.horizon is not None else max(cfg.t - 2, 1)
+    warn_if_estimate_too_coarse(cfg, args.backend)
     table = br_table(graph, cfg, args.backend, cfg.seed)
     partition = classify(table, graph.colors, cfg.theta_good, cfg.theta_bad)
 
@@ -161,7 +163,9 @@ def _cmd_rwcc(args, cfg, loaded) -> int:
 
 
 def _cmd_recommend(args, cfg, loaded) -> int:
+    warn_if_estimate_too_coarse(cfg, args.backend)
     plan = ALGORITHMS[args.algorithm](loaded.graph, args.color, args.k, cfg, backend=args.backend)
+    _warn_if_short(plan, stacklevel=1)
     ends = np.array([(e.src, e.dst) for e in plan.edges], dtype=np.int64).reshape(-1, 2)
     ids = loaded.original_ids[ends].tolist()
     _emit(args, _table(

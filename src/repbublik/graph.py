@@ -158,9 +158,10 @@ class EdgeInsertion:
 class InsertionPlan:
     """Ordered set of cross-color insertions, all sharing one source color.
 
-    ``requested`` records the budget the plan was asked for; a plan may be
-    shorter when the algorithm stopped early because no parochial node was
-    left to repair.
+    ``requested`` records the budget the plan was asked for.  A plan holds
+    fewer edges when the algorithm stopped early: every parochial node was
+    healed, or no legal cross-color edge was left.  Such a short plan is
+    data, not a warning; the sweep and the ``recommend`` verb report it.
     """
 
     edges: tuple[EdgeInsertion, ...]

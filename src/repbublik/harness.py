@@ -15,7 +15,7 @@ import sys
 import threading
 import time
 import warnings
-from contextlib import contextmanager, suppress
+from contextlib import suppress
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
@@ -41,6 +41,7 @@ from .graph import (
     RED,
     ColoredGraph,
     EdgeInsertion,
+    InsertionPlan,
     WalkConfig,
     apply_plan,
     build_graph,
@@ -50,7 +51,7 @@ from .graph import (
     opposite,
 )
 from .montecarlo import derive_seed, stream
-from .bias import br_table
+from .bias import br_table, warn_if_estimate_too_coarse
 from .recommend import ALGORITHMS, EXACT_SEED_FREE
 
 _TAG_EVAL = 31
@@ -134,6 +135,7 @@ def dataset_stats(
     rb, br_ = cross_edge_counts(graph)
     n_red = int(graph.color_mask(RED).sum())
     n_blue = graph.n - n_red
+    warn_if_estimate_too_coarse(cfg, backend)
     table = br_table(graph, cfg, backend, cfg.seed)
     part = classify(table, graph.colors, cfg.theta_good, cfg.theta_bad)
     pct_red = 100.0 * part.parochial_red.size / n_red if n_red else 0.0
@@ -467,11 +469,11 @@ def run_sweep(
     ``EXACT_SEED_FREE`` under the exact backend, whose plan is the same for
     every seed.  A chain builds each color's plan once, red's first, at the
     color's largest budget on the ladder, in the process that runs it,
-    before its first cell, and every cell reads a prefix.  So a
-    recommender's warning about a short plan is raised once per plan, and
-    with ``measure_runtime`` the time to build a plan, or to grow a shared
-    graph, is charged to the first cell that reads it: a later seed's cell
-    of a shared plan records its evaluation alone.
+    before its first cell, and every cell reads a prefix.  So a short plan
+    is reported once, and with ``measure_runtime`` the time to build a
+    plan, or to grow a shared graph, is charged to the first cell that
+    reads it: a later seed's cell of a shared plan records its evaluation
+    alone.
 
     Chains share nothing but the input graph, so they run on every CPU this
     process may use, in fixed stripes over this process and forked workers
@@ -481,10 +483,14 @@ def run_sweep(
     every chain reads.  The CSV, the records, the warnings and a
     programming error are those of running the chains one after another in
     this process: rows are written in (algorithm, K, seed) order, each as
-    soon as the rows before it are known, and a worker's warnings are shown
-    here in chain order.  A programming error propagates once every row
-    before its cell is written; the first failing cell in row order decides
-    which.
+    soon as the rows before it are known.  A programming error propagates
+    once every row before its cell is written; the first failing cell in
+    row order decides which.
+
+    The sweep's warnings are raised here, naming this function's caller:
+    under the Monte Carlo backend, one before any chain runs when epsilon
+    cannot separate the thresholds; then one per short plan (fewer edges
+    than its budget), in chain order, as each chain is merged.
 
     With ``measure_runtime`` left off, runtime_ms is written as 0 so that
     identical inputs and seeds produce byte-identical CSV files.
@@ -499,6 +505,7 @@ def run_sweep(
     for seed in seeds:
         check_seed(seed)
 
+    warn_if_estimate_too_coarse(cfg, backend)
     base_br = br_table(graph, cfg, backend, cfg.seed)
     partition = classify(base_br, graph.colors, cfg.theta_good, cfg.theta_bad)
     y_red = structural_bias(base_br, partition, RED)
@@ -516,18 +523,17 @@ def run_sweep(
     chains, slots = _chains(algorithms, len(k_values), seeds, backend)
 
     def run(chain: tuple[str, list[int]]) -> _Outcome:
-        outcome = _Outcome()
-        with _recording(outcome.shown):
-            cells = _AlgorithmCells(graph, *chain, top, cfg, backend)
-            try:
-                for k, split in zip(k_values, splits):
-                    for seed in cells.seeds:
-                        outcome.records.append(_run_cell(
-                            cells, int(k), split, seed,
-                            base_br, parochial, universe, measure_runtime,
-                        ))
-            except Exception as exc:
-                outcome.error = exc
+        cells = _AlgorithmCells(graph, *chain, top, cfg, backend)
+        outcome = _Outcome(short=cells.short)
+        try:
+            for k, split in zip(k_values, splits):
+                for seed in cells.seeds:
+                    outcome.records.append(_run_cell(
+                        cells, int(k), split, seed,
+                        base_br, parochial, universe, measure_runtime,
+                    ))
+        except Exception as exc:
+            outcome.error = exc
         return outcome
 
     outcomes = _forked(chains, run, _worker_count(len(chains)))
@@ -564,7 +570,7 @@ def _chains(
 
 
 def _write_rows(
-    outcomes: Iterator[tuple[int, _Outcome, bool]],
+    outcomes: Iterator[tuple[int, _Outcome]],
     slots: list[list[int]],
     n_rows: int,
     out_path: str | Path,
@@ -572,22 +578,24 @@ def _write_rows(
     """Write the CSV from the chains' outcomes, which may come in any order,
     as if the chains had run here one after another, and return its rows.
 
-    The chains are merged in order, each showing its warnings.  A row is
-    written once every row before it is known, and a programming error is
-    raised once every row before its cell is written: the first failing
-    cell in row order decides which error.
+    The chains are merged in order, each warning for its short plans with
+    the location of ``run_sweep``'s caller.  A row is written once every
+    row before it is known, and a programming error is raised once every
+    row before its cell is written: the first failing cell in row order
+    decides which error.
     """
     rows: list[ExperimentRecord | None] = [None] * n_rows
     written = merged = 0
-    done: dict[int, tuple[_Outcome, bool]] = {}
+    done: dict[int, _Outcome] = {}
     failed: dict[int, _Outcome] = {}  # by the row of its failing cell
     with open(out_path, "w", newline="\n") as fh:
         fh.write(CSV_HEADER + "\n")
-        for index, outcome, worker in outcomes:
-            done[index] = outcome, worker
+        for index, outcome in outcomes:
+            done[index] = outcome
             while merged in done:
-                outcome, worker = done.pop(merged)
-                _display(outcome, worker)
+                outcome = done.pop(merged)
+                for plan in outcome.short:
+                    _warn_if_short(plan, stacklevel=3)
                 for slot, record in zip(slots[merged], outcome.records):
                     rows[slot] = record
                 if outcome.error is not None:
@@ -616,7 +624,8 @@ class _AlgorithmCells:
     budget fails at all of them (``tests/test_recommend.py`` asserts both).
     So each color's plan is built once, red's first, at ``top[color]`` with
     the chain's first seed, by the constructor; cells read prefixes of it,
-    or raise again the error its build raised.
+    or raise again the error its build raised.  ``short`` keeps the plans
+    that came back shorter than their budget, for the caller to report.
 
     Graphs: no color's budget falls as K grows, so the chain keeps the graph
     of its last cell and applies only the new edges of each color to it.
@@ -632,6 +641,7 @@ class _AlgorithmCells:
     ):
         self.algo, self.seeds, self.cfg, self.backend = algo, seeds, cfg, backend
         self._plans: dict[str, tuple[EdgeInsertion, ...] | Exception] = {}
+        self.short: list[InsertionPlan] = []
         self._grown: tuple[ColoredGraph, int, int] = (graph, 0, 0)
         #: The seconds spent building each plan no cell has read yet, and
         #: those of the plans the running cell read first, which its
@@ -642,10 +652,13 @@ class _AlgorithmCells:
             if top[color]:
                 started = time.perf_counter()
                 try:
-                    self._plans[color] = ALGORITHMS[algo](
+                    plan = ALGORITHMS[algo](
                         graph, color, top[color], replace(cfg, seed=seeds[0]),
                         backend=backend,
-                    ).edges
+                    )
+                    self._plans[color] = plan.edges
+                    if _is_short(plan):
+                        self.short.append(plan)
                 except Exception as exc:  # raised again by each cell that reads it
                     self._plans[color] = exc
                 self._unread_s[color] = time.perf_counter() - started
@@ -716,59 +729,30 @@ def _run_cell(
     )
 
 
-#: A warning as the display hook receives it: (message, category, filename,
-#: lineno).
-_Shown = tuple[Warning, type[Warning], str, int]
+def _is_short(plan: InsertionPlan) -> bool:
+    """Whether ``plan`` holds fewer edges than its budget asked for."""
+    return plan.requested is not None and len(plan) < plan.requested
+
+
+def _warn_if_short(plan: InsertionPlan, stacklevel: int) -> None:
+    """Warn when ``plan`` is short; ``stacklevel`` counts from the caller,
+    as ``warnings.warn``'s does."""
+    if _is_short(plan):
+        warnings.warn(
+            f"only {len(plan)} of {plan.requested} insertions were possible for color {plan.color}",
+            RuntimeWarning,
+            stacklevel=stacklevel + 1,
+        )
 
 
 @dataclass
 class _Outcome:
-    """What one chain gives back: its records in cell order, the error that
-    stopped it, and the warnings it raised that passed the filters of the
-    process that ran it."""
+    """What one chain gives back: its short plans, its records in cell
+    order, and the error that stopped it."""
 
+    short: list[InsertionPlan]
     records: list[ExperimentRecord] = field(default_factory=list)
     error: Exception | None = None
-    shown: list[_Shown] = field(default_factory=list)
-
-
-@contextmanager
-def _recording(shown: list[_Shown]):
-    """Append the warnings that pass the filters to ``shown`` instead of
-    displaying them.  Only the display hook is replaced, not the filters,
-    so each warning meets the filters and the registries as it is raised."""
-    display = warnings.showwarning
-
-    def record(message, category, filename, lineno, file=None, line=None):
-        shown.append((message, category, filename, lineno))
-
-    warnings.showwarning = record
-    try:
-        yield
-    finally:
-        warnings.showwarning = display
-
-
-def _display(outcome: _Outcome, worker: bool) -> None:
-    """Display the warnings of ``outcome``.  Those of a worker meet this
-    process's filters again, with the registry of the module that raised
-    each, as ``warnings.warn`` would have used: a warning shown once per
-    location is then shown once however many workers raised it."""
-    if not outcome.shown:
-        return
-    if not worker:
-        for message, category, filename, lineno in outcome.shown:
-            warnings.showwarning(message, category, filename, lineno)
-        return
-    modules = {getattr(m, "__file__", None): m for m in list(sys.modules.values())}
-    for message, category, filename, lineno in outcome.shown:
-        scope = vars(modules[filename]) if filename in modules else {}
-        warnings.warn_explicit(
-            message, category, filename, lineno,
-            module=scope.get("__name__"),
-            registry=scope.setdefault("__warningregistry__", {}) if scope else None,
-            module_globals=scope or None,
-        )
 
 
 def _worker_count(chains: int) -> int:
@@ -795,10 +779,10 @@ _FORK_WARNING = re.compile(r"This process \(pid=\d+\) is multi-threaded, use of 
 
 def _fork() -> int:
     """``os.fork()``, without the ``DeprecationWarning`` CPython 3.12 and
-    later raise when a process with several OS threads forks.  Any other
-    warning is shown as it would be; the filters are left alone, since
-    changing them would reset every module's record of the warnings it
-    has shown once.
+    later raise when a process with several OS threads forks.  Only the
+    display hook is replaced while it forks, and any other warning is then
+    shown as it would be; the filters are left alone, since changing them
+    would reset every module's record of the warnings it has shown once.
 
     After ``import numpy`` the other threads are OpenBLAS's idle pool, and
     they are the only ones: :func:`_worker_count` forks from no process with
@@ -808,12 +792,15 @@ def _fork() -> int:
     element-wise numpy, sorting and Python.  So no child waits on a lock or
     a thread it did not inherit.
     """
-    shown: list[_Shown] = []
-    with _recording(shown):
+    display, shown = warnings.showwarning, []
+    warnings.showwarning = lambda *args: shown.append(args[:4])
+    try:
         pid = os.fork()
+    finally:
+        warnings.showwarning = display
     for message, category, filename, lineno in shown:
         if not (category is DeprecationWarning and _FORK_WARNING.match(str(message))):
-            warnings.showwarning(message, category, filename, lineno)
+            display(message, category, filename, lineno)
     return pid
 
 
@@ -821,9 +808,9 @@ def _forked(
     chains: list[tuple[str, list[int]]],
     run: Callable[[tuple[str, list[int]]], _Outcome],
     workers: int,
-) -> Iterator[tuple[int, _Outcome, bool]]:
-    """(index, outcome, from a worker) of every chain, in the order the
-    chains finish, run by this process and ``workers - 1`` forked children.
+) -> Iterator[tuple[int, _Outcome]]:
+    """(index, outcome) of every chain, in the order the chains finish,
+    run by this process and ``workers - 1`` forked children.
 
     Process p runs chains p, p + workers, p + 2 * workers, ... in order,
     and this process is the last one, so with one worker it forks nothing
@@ -835,8 +822,11 @@ def _forked(
     own chains and once its stripe is done, and runs again any chain whose
     child ended before sending it.  A child stopped by a programming error
     sends nothing more, so the error is raised here with its own type,
-    message and traceback.  Every child is reaped before the generator
-    ends or is closed, and one still running then is killed first.
+    message and traceback.  A warning raised in a child is shown by the
+    child as raised; the package raises none there, since the sweep
+    reports short plans from their outcomes.  Every child is reaped before
+    the generator ends or is closed, and one still running then is killed
+    first.
     """
     # Imported here: ``import repbublik`` stays cheap for what runs no sweep.
     from multiprocessing.connection import Pipe, wait
@@ -876,18 +866,18 @@ def _forked(
                     pipes.remove(pipe)
                     continue
                 received.add(index)
-                yield index, outcome, True
+                yield index, outcome
 
         for index in range(workers - 1, len(chains), workers):
             received.add(index)
-            yield index, run(chains[index]), False
+            yield index, run(chains[index])
             yield from collect(0)
         while pipes:
             yield from collect(None)
         # A chain whose child died, or stopped at a programming error.
         for index in range(len(chains)):
             if index not in received:
-                yield index, run(chains[index]), False
+                yield index, run(chains[index])
         finished = True
     finally:
         for pipe in pipes:

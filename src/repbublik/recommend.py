@@ -20,7 +20,6 @@ whichever node that is.
 from __future__ import annotations
 
 import heapq
-import warnings
 from bisect import bisect_left, insort
 from typing import Collection
 
@@ -354,10 +353,10 @@ def _random_plan(
     rng: np.random.Generator,
 ) -> InsertionPlan:
     """Sample (source, target) pairs: sources uniform from the pool with
-    replacement, targets uniform over the still-legal cross edges.  Warns
-    when the pool (possibly empty) runs out of legal edges before the
-    budget is spent.  Every draw is the plan's, from ``rng``'s bit generator,
-    which no one reads after it."""
+    replacement, targets uniform over the still-legal cross edges.  The plan
+    ends short when the pool (possibly empty) runs out of legal edges before
+    the budget is spent.  Every draw is the plan's, from ``rng``'s bit
+    generator, which no one reads after it."""
     draws = _Draws(rng.bit_generator)
     plan = _Plan(graph, color, budget, draws)
     plan.exclude(pool)
@@ -366,12 +365,6 @@ def _random_plan(
         v = pool[draws.below(len(pool))]
         if not plan.add(v):
             pool.remove(v)
-    if len(plan.edges) < budget:
-        warnings.warn(
-            f"only {len(plan.edges)} of {budget} insertions were possible for color {color}",
-            RuntimeWarning,
-            stacklevel=3,
-        )
     return plan.done()
 
 

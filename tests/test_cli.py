@@ -723,6 +723,33 @@ def test_long_monte_carlo_closeness_horizon_on_a_trap(tmp_path, capsys, ring, ho
         assert "first-visit records" in err
 
 
+def test_coarse_epsilon_warns_once_per_verb_that_classifies(g2_files, tmp_path):
+    # Epsilon 0.5 cannot separate thresholds 0.5 apart.  `br` classifies
+    # nothing; the other verbs classify from estimates and warn once, the
+    # sweep for all of its algorithms.  g2 has at most two legal edges.
+    edges, colors = g2_files
+    verbs = {
+        "br": [], "stats": [], "rwcc": [], "recommend": ["--color", "R", "-k", "9"],
+        "sweep": ["--algorithms", "repbublik-plus,pure-random", "--k-list", "1,2",
+                  "--seeds", "0,1", "--output", str(tmp_path / "s.csv")],
+    }
+    stderr = {}
+    for verb, argv in verbs.items():
+        proc = subprocess.run(
+            [sys.executable, "-W", "always", "-m", "repbublik.cli", verb, *argv,
+             "--edges", str(edges), "--colors", str(colors), "--t", "4",
+             "--theta-good", "1.5", "--theta-bad", "2.0", "--backend", "mc"],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        stderr[verb] = proc.stderr
+    counts = {verb: err.count("estimation epsilon=0.5 exceeds") for verb, err in stderr.items()}
+    assert counts == {"br": 0, "stats": 1, "rwcc": 1, "recommend": 1, "sweep": 1}
+    # The recommend verb reports its short plan at a line of its own.
+    short = r"cli\.py:\d+: RuntimeWarning: only [0-2] of 9 insertions were possible"
+    assert re.search(short, stderr["recommend"])
+
+
 def test_console_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "repbublik.cli", "--help"],

@@ -572,7 +572,7 @@ class TestParallelSweep:
             "csv": (out / "s.csv").read_bytes(),
             "records": [repr(r) for r in records],  # NaN-safe
             "plots": files,
-            "warnings": [(w.category, str(w.message)) for w in caught],
+            "warnings": [(w.category, str(w.message), w.filename) for w in caught],
         }
 
     @pytest.mark.parametrize("backend", ["exact", "mc"])
@@ -595,24 +595,39 @@ class TestParallelSweep:
         ]
         assert all(run == runs[0] for run in runs[1:])
         assert any("ERROR" in row for row in runs[0]["csv"].decode().splitlines())
-        assert any("insertions were possible" in m for _, m in runs[0]["warnings"])
+        assert any("insertions were possible" in m for _, m, _ in runs[0]["warnings"])
 
     @pytest.mark.parametrize("action", ["always", "default"])
     def test_short_plans_warn_alike(self, action, tmp_path, monkeypatch):
         gadget = generate_gadget(3, [[0, 1], [1, 2], [2]], 6)
-        cfg = WalkConfig(t=6, theta_good=2.0, theta_bad=3.0, seed=1)
-        runs = [
-            self._sweep(monkeypatch, w, tmp_path, gadget.graph, ["pure-random", "rcn"],
-                        [1, 2, 4, 8], cfg, [1, 2, 3], action=action)
-            for w in self.WORKERS
-        ]
-        assert all(run == runs[0] for run in runs[1:])
-        # The chains' warnings in chain order, pure-random's three seeds
-        # then rcn's; rcn samples from a pool of one.  The default action
-        # shows each message once, from whichever process.
+        # Epsilon 0.9 cannot separate thresholds 0.5 apart.
+        cfg = WalkConfig(t=6, theta_good=2.0, theta_bad=3.0, epsilon=0.9, delta=0.2, seed=1)
+        coarse = (
+            "estimation epsilon=0.9 exceeds (theta_bad - theta_good)/2=0.5; "
+            "estimated classifications may flip near the thresholds"
+        )
         short = "only {} of 8 insertions were possible for color R".format
-        counts = (3, 3, 3, 1, 1, 1) if action == "always" else (3, 1)
-        assert runs[0]["warnings"] == [(RuntimeWarning, short(n)) for n in counts]
+        for backend in ("exact", "mc"):
+            runs = [
+                self._sweep(monkeypatch, w, tmp_path, gadget.graph,
+                            ["pure-random", "rcn", "repbublik-plus"], [1, 2, 4, 8], cfg,
+                            [1, 2, 3], backend, action)
+                for w in self.WORKERS
+            ]
+            assert all(run == runs[0] for run in runs[1:])
+            # The chains' short plans in chain order: pure-random's three
+            # seeds, rcn's, which samples from a pool of one, then
+            # repbublik-plus's, one chain under the exact backend.  Under
+            # the Monte Carlo backend the coarse epsilon warns once first.
+            # The default action shows each message once.
+            messages = [short(n) for n in (3, 3, 3, 1, 1, 1)]
+            messages += [short(3)] * (1 if backend == "exact" else 3)
+            if backend == "mc":
+                messages.insert(0, coarse)
+            if action == "default":
+                messages = list(dict.fromkeys(messages))
+            # Each names the caller of run_sweep.
+            assert runs[0]["warnings"] == [(RuntimeWarning, m, __file__) for m in messages]
 
     @pytest.mark.parametrize("backend", ["exact", "mc"])
     def test_warnings_are_those_of_the_chains_one_after_another(

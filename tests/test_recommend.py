@@ -227,11 +227,13 @@ class TestBaselines:
         plan.validate_against(polarized)
         assert {e.src for e in plan.edges} <= parochial
 
-    def test_empty_parochial_warns(self, g1):
+    def test_empty_parochial_gives_a_silent_short_plan(self, g1):
+        # A short plan is data: the callers that present results warn.
         cfg = WalkConfig(t=5, theta_good=2.0, theta_bad=4.0, seed=3)
-        with pytest.warns(RuntimeWarning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             plan = baseline_pure_random(g1, "R", 2, cfg)
-        assert len(plan) == 0
+        assert plan.requested == 2 and len(plan) == 0
 
     def test_top_pool_ceiling(self):
         pool = np.arange(58)
@@ -288,6 +290,20 @@ class TestBaselines:
         assert set(ALGORITHMS) == {
             "repbublik", "repbublik-plus", "pure-random", "rcn", "rwcn"
         }
+
+
+@pytest.mark.parametrize("backend", ["exact", "mc"])
+def test_no_recommender_warns(backend):
+    # The gadget has three legal edges, so every plan for 8 comes back
+    # short, and epsilon = 0.9 cannot separate thresholds 0.5 apart: the
+    # package still raises nothing in the process that builds the plans.
+    gadget = generate_gadget(3, [[0, 1], [1, 2], [2]], 6)
+    cfg = WalkConfig(t=6, theta_good=2.0, theta_bad=3.0, epsilon=0.9, delta=0.2, seed=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        plans = [fn(gadget.graph, "R", 8, cfg, backend=backend) for fn in ALGORITHMS.values()]
+        rec.br_table(gadget.graph, cfg, "mc", 0)
+    assert all(plan.requested == 8 > len(plan) for plan in plans)
 
 
 class TestSeedFree:
