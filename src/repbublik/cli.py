@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bias import classify, warn_if_estimate_too_coarse
+from .bias import br_table, classify, warn_if_estimate_too_coarse
 from .errors import RepbublikError, UnknownColor
 from .graph import BLUE, RED, WalkConfig, check_count
 from .harness import (
@@ -28,7 +28,6 @@ from .harness import (
     run_sweep,
     write_dataset,
 )
-from .bias import br_table
 from .recommend import ALGORITHMS, closeness
 
 

@@ -16,14 +16,21 @@ import threading
 import time
 import warnings
 from contextlib import suppress
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .bias import BiasPartition, budget_allocation, classify, structural_bias
+from .bias import (
+    BiasPartition,
+    br_table,
+    budget_allocation,
+    classify,
+    structural_bias,
+    warn_if_estimate_too_coarse,
+)
 from .errors import (
     EmptyRecords,
     IdOutOfRange,
@@ -34,7 +41,6 @@ from .errors import (
     UnknownColor,
     UnknownName,
 )
-from .exact import BrTable
 from .graph import (
     BLUE,
     EDGE_ROW,
@@ -51,7 +57,6 @@ from .graph import (
     opposite,
 )
 from .montecarlo import derive_seed, stream
-from .bias import br_table, warn_if_estimate_too_coarse
 from .recommend import ALGORITHMS, EXACT_SEED_FREE
 
 _TAG_EVAL = 31
@@ -464,16 +469,15 @@ def run_sweep(
     and the sweep continues; any other exception, a plain ``ValueError``
     included, is a programming error and propagates.
 
-    The cells form chains (see :class:`_AlgorithmCells`): one per
-    (algorithm, repetition seed), or one per algorithm for an entry of
-    ``EXACT_SEED_FREE`` under the exact backend, whose plan is the same for
-    every seed.  A chain builds each color's plan once, red's first, at the
-    color's largest budget on the ladder, in the process that runs it,
-    before its first cell, and every cell reads a prefix.  So a short plan
-    is reported once, and with ``measure_runtime`` the time to build a
-    plan, or to grow a shared graph, is charged to the first cell that
-    reads it: a later seed's cell of a shared plan records its evaluation
-    alone.
+    The cells form chains: one per (algorithm, repetition seed), or one
+    per algorithm for an entry of ``EXACT_SEED_FREE`` under the exact
+    backend, whose plan is the same for every seed.  A chain builds each
+    color's plan once, at the color's largest budget on the ladder, in the
+    process that runs it, when the first cell that reads it runs, and every
+    cell reads a prefix.  So a short plan is reported once, and with
+    ``measure_runtime`` the time to build a plan, or to grow a shared
+    graph, is part of the runtime of the cell that does it: a later seed's
+    cell of a shared plan records its evaluation alone.
 
     Chains share nothing but the input graph, so they run on every CPU this
     process may use, in fixed stripes over this process and forked workers
@@ -490,7 +494,8 @@ def run_sweep(
     The sweep's warnings are raised here, naming this function's caller:
     under the Monte Carlo backend, one before any chain runs when epsilon
     cannot separate the thresholds; then one per short plan (fewer edges
-    than its budget), in chain order, as each chain is merged.
+    than its budget), in chain order and within a chain red's before
+    blue's, as each chain is merged.
 
     With ``measure_runtime`` left off, runtime_ms is written as 0 so that
     identical inputs and seeds produce byte-identical CSV files.
@@ -523,18 +528,96 @@ def run_sweep(
     chains, slots = _chains(algorithms, len(k_values), seeds, backend)
 
     def run(chain: tuple[str, list[int]]) -> _Outcome:
-        cells = _AlgorithmCells(graph, *chain, top, cfg, backend)
-        outcome = _Outcome(short=cells.short)
+        """Run one chain's cells, K by K and, within a K, seed by seed.
+
+        ``chain`` is an algorithm and its seed at each of its positions in
+        the sweep's seed list, so a later seed of a shared chain at the same
+        K applies no edge, gets the graph back from ``apply_plan`` and its
+        exact table from the graph's memo.
+
+        Plans: a recommender's plan for a budget is the first edges of its
+        plan for any larger budget, and a recommender that fails at one
+        positive budget fails at all of them (``tests/test_recommend.py``
+        asserts both).  So each color's plan is built once, at
+        ``top[color]`` with the chain's first seed, by the first cell that
+        reads it; cells read prefixes of it, or raise again the error its
+        build raised.
+
+        Graphs: no color's budget falls as K grows, so the chain keeps the
+        graph of its last cell and applies only the new edges of each color
+        to it.  That gives the bits of one call on the input graph: an edge
+        of one color rewrites only that color's rows, and a row
+        renormalised edge by edge in plan order runs the same float
+        operations whether it is built in one call or in several.
+        """
+        algo, chain_seeds = chain
+        plans: dict[str, InsertionPlan | Exception] = {}
+
+        def read(color: str, budget: int) -> tuple[EdgeInsertion, ...] | Exception:
+            """The first ``budget`` edges of the color's plan, or the error
+            its build raised."""
+            if budget == 0:
+                return ()
+            if color not in plans:
+                try:
+                    plans[color] = ALGORITHMS[algo](
+                        graph, color, top[color], replace(cfg, seed=chain_seeds[0]),
+                        backend=backend,
+                    )
+                except Exception as exc:  # raised again by each cell that reads it
+                    plans[color] = exc
+            plan = plans[color]
+            return plan if isinstance(plan, Exception) else plan.edges[:budget]
+
+        grown, n_red, n_blue = graph, 0, 0
+        records, stopped = [], None
         try:
-            for k, split in zip(k_values, splits):
-                for seed in cells.seeds:
-                    outcome.records.append(_run_cell(
-                        cells, int(k), split, seed,
-                        base_br, parochial, universe, measure_runtime,
+            for k, (k_red, k_blue) in zip(map(int, k_values), splits):
+                for seed in chain_seeds:
+                    started = time.perf_counter()
+                    delta = healed = float("nan")
+                    error = None
+                    try:
+                        # Both plans are read before red's error is raised,
+                        # so a failing red build hides no short blue plan.
+                        red, blue = read(RED, k_red), read(BLUE, k_blue)
+                        for edges in (red, blue):
+                            if isinstance(edges, Exception):
+                                raise edges
+                        grown = apply_plan(grown, red[n_red:] + blue[n_blue:])
+                        n_red, n_blue = len(red), len(blue)
+                        new_br = br_table(grown, cfg, backend, derive_seed(seed, _TAG_EVAL))
+                        if parochial.size:
+                            left = classify(new_br, grown.colors, cfg.theta_good, cfg.theta_bad)
+                            delta = float(np.mean(
+                                base_br.values[parochial] - new_br.values[parochial]
+                            ))
+                            # The two colors' parochial sets are disjoint.
+                            n_left = left.parochial_red.size + left.parochial_blue.size
+                            healed = (parochial.size - n_left) / parochial.size
+                        else:
+                            delta, healed = 0.0, 0.0
+                    except RepbublikError as exc:  # record the failure, keep sweeping
+                        error = f"{type(exc).__name__}: {exc}"
+                    records.append(ExperimentRecord(
+                        algorithm=algo,
+                        budget=k,
+                        pct_candidate=100.0 * k / universe if universe else 0.0,
+                        delta=delta,
+                        pct_parochial=healed,
+                        seed=seed,
+                        runtime_ms=(time.perf_counter() - started) * 1000.0
+                        if measure_runtime else 0.0,
+                        error=error,
                     ))
         except Exception as exc:
-            outcome.error = exc
-        return outcome
+            stopped = exc
+        # Red's short plan before blue's, whichever color's budget came first.
+        short = [
+            plan for plan in map(plans.get, (RED, BLUE))
+            if isinstance(plan, InsertionPlan) and _is_short(plan)
+        ]
+        return _Outcome(short, records, stopped)
 
     outcomes = _forked(chains, run, _worker_count(len(chains)))
     try:
@@ -610,125 +693,6 @@ def _write_rows(
     return rows
 
 
-class _AlgorithmCells:
-    """One chain of a sweep: an algorithm's plans and grown graphs for one
-    repetition seed, or for every seed of an entry of ``EXACT_SEED_FREE``
-    under the exact backend, whose plan is the same for every seed.
-    ``seeds`` holds the chain's seed at each of its positions in the sweep's
-    seed list, so a later seed of a shared chain at the same K applies no
-    edge, gets the graph back from ``apply_plan`` and its exact table from
-    the graph's memo.
-
-    Plans: a recommender's plan for a budget is the first edges of its plan
-    for any larger budget, and a recommender that fails at one positive
-    budget fails at all of them (``tests/test_recommend.py`` asserts both).
-    So each color's plan is built once, red's first, at ``top[color]`` with
-    the chain's first seed, by the constructor; cells read prefixes of it,
-    or raise again the error its build raised.  ``short`` keeps the plans
-    that came back shorter than their budget, for the caller to report.
-
-    Graphs: no color's budget falls as K grows, so the chain keeps the graph
-    of its last cell and applies only the new edges of each color to it.
-    That gives the bits of one call on the input graph: an edge of one
-    color rewrites only that color's rows, and a row renormalised edge by
-    edge in plan order runs the same float operations whether it is built
-    in one call or in several.
-    """
-
-    def __init__(
-        self, graph: ColoredGraph, algo: str, seeds: list[int], top: dict[str, int],
-        cfg: WalkConfig, backend: str,
-    ):
-        self.algo, self.seeds, self.cfg, self.backend = algo, seeds, cfg, backend
-        self._plans: dict[str, tuple[EdgeInsertion, ...] | Exception] = {}
-        self.short: list[InsertionPlan] = []
-        self._grown: tuple[ColoredGraph, int, int] = (graph, 0, 0)
-        #: The seconds spent building each plan no cell has read yet, and
-        #: those of the plans the running cell read first, which its
-        #: runtime includes.
-        self._unread_s: dict[str, float] = {}
-        self.owed_s = 0.0
-        for color in (RED, BLUE):
-            if top[color]:
-                started = time.perf_counter()
-                try:
-                    plan = ALGORITHMS[algo](
-                        graph, color, top[color], replace(cfg, seed=seeds[0]),
-                        backend=backend,
-                    )
-                    self._plans[color] = plan.edges
-                    if _is_short(plan):
-                        self.short.append(plan)
-                except Exception as exc:  # raised again by each cell that reads it
-                    self._plans[color] = exc
-                self._unread_s[color] = time.perf_counter() - started
-
-    def edges(self, color: str, budget: int) -> tuple[EdgeInsertion, ...]:
-        """The first ``budget`` edges of the color's plan."""
-        if budget == 0:
-            return ()
-        self.owed_s += self._unread_s.pop(color, 0.0)
-        plan = self._plans[color]
-        if isinstance(plan, Exception):
-            raise plan
-        return plan[:budget]
-
-    def grow(
-        self, red: tuple[EdgeInsertion, ...], blue: tuple[EdgeInsertion, ...]
-    ) -> ColoredGraph:
-        """The input graph with ``red`` and then ``blue`` applied."""
-        base, n_red, n_blue = self._grown
-        grown = apply_plan(base, red[n_red:] + blue[n_blue:])
-        self._grown = (grown, len(red), len(blue))
-        return grown
-
-
-def _run_cell(
-    cells: _AlgorithmCells,
-    k: int,
-    split: tuple[int, int],
-    seed: int,
-    base_br: BrTable,
-    parochial: np.ndarray,
-    universe: int,
-    measure_runtime: bool,
-) -> ExperimentRecord:
-    started = time.perf_counter()
-    cells.owed_s = 0.0
-    delta = healed = float("nan")
-    error = None
-    try:
-        k_red, k_blue = split
-        grown = cells.grow(cells.edges(RED, k_red), cells.edges(BLUE, k_blue))
-        cfg = cells.cfg
-        new_br = br_table(grown, cfg, cells.backend, derive_seed(seed, _TAG_EVAL))
-        if parochial.size:
-            new_partition = classify(
-                new_br, grown.colors, cfg.theta_good, cfg.theta_bad
-            )
-            delta = float(
-                np.mean(base_br.values[parochial] - new_br.values[parochial])
-            )
-            # The two colors' parochial sets are disjoint.
-            left = new_partition.parochial_red.size + new_partition.parochial_blue.size
-            healed = (parochial.size - left) / parochial.size
-        else:
-            delta, healed = 0.0, 0.0
-    except RepbublikError as exc:  # record the failure, keep sweeping
-        error = f"{type(exc).__name__}: {exc}"
-    elapsed_s = time.perf_counter() - started + cells.owed_s
-    return ExperimentRecord(
-        algorithm=cells.algo,
-        budget=k,
-        pct_candidate=100.0 * k / universe if universe else 0.0,
-        delta=delta,
-        pct_parochial=healed,
-        seed=seed,
-        runtime_ms=elapsed_s * 1000.0 if measure_runtime else 0.0,
-        error=error,
-    )
-
-
 def _is_short(plan: InsertionPlan) -> bool:
     """Whether ``plan`` holds fewer edges than its budget asked for."""
     return plan.requested is not None and len(plan) < plan.requested
@@ -751,8 +715,8 @@ class _Outcome:
     order, and the error that stopped it."""
 
     short: list[InsertionPlan]
-    records: list[ExperimentRecord] = field(default_factory=list)
-    error: Exception | None = None
+    records: list[ExperimentRecord]
+    error: Exception | None
 
 
 def _worker_count(chains: int) -> int:

@@ -1,5 +1,6 @@
 """Dataset IO, fixture generators, the sweep protocol, and plot emission."""
 import os
+import re
 import signal
 import sys
 import time
@@ -447,35 +448,33 @@ class TestSweepOracle:
         top = dict(zip("RB", np.max(splits, axis=0).tolist()))
         assert sorted(call_log.read()) == sorted((s, c, top[c]) for s in seeds for c in "RB")
 
-    def test_split_never_applies_more_than_k_edges(self, tmp_path, monkeypatch, call_log):
+    def test_split_never_applies_more_than_k_edges(self, tmp_path, monkeypatch):
         graph, cfg = _y_red_zero_graph(), WalkConfig(t=10, theta_good=2.0, seed=0)
         y_red, y_blue = self._bias(graph, 10)
         assert y_red == 0.0 and 83 * y_blue / y_blue > 83
-        k_values, algorithms = [1, 82, 83, 84], sorted(ALGORITHMS)
-        self._assert_same(tmp_path, graph, algorithms, k_values, cfg, [0, 1], "exact")
-        original_table, original_cell = harness.br_table, harness._run_cell
-        last = []  # the edges added to the graph of this process's last table
+        k_values, algorithms, seeds = [1, 82, 83, 84], sorted(ALGORITHMS), [0, 1]
+        self._assert_same(tmp_path, graph, algorithms, k_values, cfg, seeds, "exact")
+        # One process runs the chains one after another, so its tables come
+        # in the order _chains gives each chain's rows.
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
+        original_table = harness.br_table
+        gained = []  # the edges each table's graph has beyond the input graph
 
         def table_spy(grown, *args):
-            last[:] = [grown.edge_count - graph.edge_count]
-            call_log.note("table")
+            gained.append(grown.edge_count - graph.edge_count)
             return original_table(grown, *args)
 
-        def cell_spy(cells, k, *args):
-            record = original_cell(cells, k, *args)
-            call_log.note("cell", k, last[0])
-            return record
-
         monkeypatch.setattr(harness, "br_table", table_spy)
-        monkeypatch.setattr(harness, "_run_cell", cell_spy)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            records = run_sweep(graph, algorithms, k_values, cfg, [0, 1], tmp_path / "s.csv")
-        notes = call_log.read()
+            records = run_sweep(graph, algorithms, k_values, cfg, seeds, tmp_path / "s.csv")
+        _, slots = harness._chains(algorithms, len(k_values), seeds, "exact")
+        rows = [slot for chain in slots for slot in chain]
         # The input graph's table, then one per cell.
-        assert notes.count(("table",)) == 1 + len(records)
-        cells = [note[1:] for note in notes if note[0] == "cell"]
-        assert len(cells) == len(records) and all(r.error is None for r in records)
+        assert len(gained) == 1 + len(records) and gained[0] == 0
+        cells = [(records[row].budget, n) for row, n in zip(rows, gained[1:])]
+        assert sorted(rows) == list(range(len(records)))
+        assert all(r.error is None for r in records)
         assert all(n <= k for k, n in cells)
         assert max(n for k, n in cells if k == 83) == 83
 
@@ -555,14 +554,15 @@ class TestParallelSweep:
 
     @staticmethod
     def _sweep(monkeypatch, workers, tmp_path, graph, algorithms, k_values, cfg, seeds,
-               backend="exact", action="always"):
+               backend="exact", action="always", measure_runtime=False):
         monkeypatch.setattr(harness, "_usable_cpus", lambda: workers)
         out = tmp_path / f"w{workers}"
         out.mkdir(exist_ok=True)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter(action)
             records = run_sweep(
-                graph, algorithms, k_values, cfg, seeds, out / "s.csv", backend=backend
+                graph, algorithms, k_values, cfg, seeds, out / "s.csv", backend=backend,
+                measure_runtime=measure_runtime,
             )
         _no_child_left()
         if any(r.error is None for r in records):
@@ -596,6 +596,80 @@ class TestParallelSweep:
         assert all(run == runs[0] for run in runs[1:])
         assert any("ERROR" in row for row in runs[0]["csv"].decode().splitlines())
         assert any("insertions were possible" in m for _, m, _ in runs[0]["warnings"])
+
+    @pytest.mark.parametrize("backend", ["exact", "mc"])
+    def test_measured_runtime_changes_no_other_column(self, backend, tmp_path, monkeypatch):
+        rng = np.random.default_rng(77)
+        graph, t = random_polarized(rng, n_max=24, t_range=(5, 6))
+        cfg = WalkConfig(t=t, theta_good=1.5, theta_bad=t / 2, epsilon=0.9, delta=0.5, seed=3)
+
+        def fails_for_seed_4(graph, color, budget, cfg, backend="exact"):
+            if cfg.seed == 4:
+                raise _WorkerFailure(f"no plan for seed {cfg.seed}")
+            return baseline_pure_random(graph, color, budget, cfg, backend=backend)
+
+        monkeypatch.setitem(ALGORITHMS, "fails-for-seed-4", fails_for_seed_4)
+        args = (graph, sorted(ALGORITHMS), [0, 1, 3, 40, 400], cfg, [2, 4, 3, 2], backend)
+        expected = self._sweep(monkeypatch, 1, tmp_path, *args)
+        unmeasured = re.compile(r"runtime_ms=[^,]*")
+        for workers in self.WORKERS:
+            run = self._sweep(monkeypatch, workers, tmp_path, *args, measure_runtime=True)
+            rows = [row.split(",") for row in run.pop("csv").decode().splitlines()]
+            assert rows[0] == CSV_HEADER.split(",") and rows[0][6] == "runtime_ms"
+            assert [row[:6] for row in rows] == [
+                row.split(",")[:6] for row in expected["csv"].decode().splitlines()
+            ]
+            assert all(float(row[6]) > 0.0 for row in rows[1:])
+            records = [unmeasured.sub("runtime_ms=0.0", r) for r in run.pop("records")]
+            assert records == expected["records"]
+            assert run == {k: v for k, v in expected.items() if k in run}
+
+    @pytest.mark.parametrize("backend", ["exact", "mc"])
+    def test_short_plans_warn_red_then_blue(self, backend, tmp_path, monkeypatch):
+        # No cross-color edge: every node is parochial, and blue, the larger
+        # color, carries more bias, so K = 1 gives (0, 1) and each chain
+        # reads blue's plan first.  K = 40 gives (17, 23), more than the 12
+        # legal edges of either color.
+        graph = generate_polarized(3, 4, 0.7, 0.0, seed=0)
+        cfg = WalkConfig(t=6, theta_good=2.0, theta_bad=3.0, seed=1)
+        partition = classify(exact_br(graph, cfg.t), graph.colors, cfg.theta_good, cfg.theta_bad)
+        y_red = harness.structural_bias(exact_br(graph, cfg.t), partition, "R")
+        y_blue = harness.structural_bias(exact_br(graph, cfg.t), partition, "B")
+        splits = [harness.budget_allocation(y_red, y_blue, k) for k in (1, 3, 40)]
+        assert splits == [(0, 1), (1, 2), (17, 23)]
+        short = "only {} of {} insertions were possible for color {}".format
+        every = [short(12, 17, "R"), short(12, 23, "B")]
+        # pure-random's chains at seeds 1 and 2; rcn's, which draw from one
+        # source per color; then repbublik-plus's: one chain under the exact
+        # backend, one per seed under Monte Carlo.
+        messages = every * 2 + [short(4, 17, "R"), short(3, 23, "B")] * 2
+        messages += every * (1 if backend == "exact" else 2)
+        for workers in self.WORKERS:
+            run = self._sweep(monkeypatch, workers, tmp_path, graph,
+                              ["pure-random", "rcn", "repbublik-plus"], [1, 3, 40], cfg,
+                              [1, 2], backend)
+            assert run["warnings"] == [(RuntimeWarning, m, __file__) for m in messages]
+
+    def test_a_failing_red_build_hides_no_short_blue_plan(self, tmp_path, monkeypatch):
+        # Every cell that reads blue's plan reads red's, which fails, so the
+        # sweep still builds blue's plan and reports it short.
+        graph = generate_polarized(3, 4, 0.7, 0.0, seed=0)
+        cfg = WalkConfig(t=6, theta_good=2.0, theta_bad=3.0, seed=1)
+
+        def red_fails(graph, color, budget, cfg, backend="exact"):
+            if color == "R":
+                raise _WorkerFailure(f"no red plan for seed {cfg.seed}")
+            return baseline_pure_random(graph, color, budget, cfg, backend=backend)
+
+        monkeypatch.setitem(ALGORITHMS, "red-fails", red_fails)
+        message = "only 12 of 23 insertions were possible for color B"
+        for workers in self.WORKERS:
+            run = self._sweep(monkeypatch, workers, tmp_path, graph, ["red-fails"], [3, 40],
+                              cfg, [1, 2])
+            assert run["warnings"] == [(RuntimeWarning, message, __file__)] * 2
+            assert all(r.endswith("error='_WorkerFailure: no red plan for seed 1')")
+                       or r.endswith("error='_WorkerFailure: no red plan for seed 2')")
+                       for r in run["records"])
 
     @pytest.mark.parametrize("action", ["always", "default"])
     def test_short_plans_warn_alike(self, action, tmp_path, monkeypatch):
