@@ -128,10 +128,9 @@ def _cmd_br(args, cfg, loaded) -> int:
 
 
 def _cmd_rwcc(args, cfg, loaded) -> int:
-    if args.horizon is not None:
-        check_count("horizon", args.horizon)
+    horizon = max(cfg.t - 2, 1) if args.horizon is None else args.horizon
+    check_count("horizon", horizon)
     graph = loaded.graph
-    horizon = args.horizon if args.horizon is not None else max(cfg.t - 2, 1)
     warn_if_estimate_too_coarse(cfg, args.backend)
     table = br_table(graph, cfg, args.backend, cfg.seed)
     partition = classify(table, graph.colors, cfg.theta_good, cfg.theta_bad)

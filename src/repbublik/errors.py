@@ -23,7 +23,7 @@ class ZeroOutDegree(GraphValidationError):
 class NonStochasticRow(GraphValidationError):
     def __init__(self, node: int, row_sum: float, detail: str = ""):
         self.node = node
-        self.row_sum = row_sum
+        self.row_sum, self.detail = row_sum, detail
         msg = f"out-weights of node {node} sum to {row_sum!r}, not 1"
         super().__init__(msg + (f" ({detail})" if detail else ""))
 

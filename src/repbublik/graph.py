@@ -306,19 +306,18 @@ def build_graph(
         edges = np.array([tuple(e) for e in edges], dtype=EDGE_ROW)
     src, dst, wgt = edges["src"], edges["dst"], edges["weight"]
 
-    if src.size:
-        out_of_range = (src < 0) | (src >= n) | (dst < 0) | (dst >= n)
-        if out_of_range.any():
-            k = int(np.flatnonzero(out_of_range)[0])
-            raise UnknownColor(
-                f"edge ({src[k]}, {dst[k]}) references a node without a color entry"
-            )
-        loops = src == dst
-        if loops.any():
-            raise SelfLoopEdge(int(src[np.flatnonzero(loops)[0]]))
-        if not np.all(np.isfinite(wgt) & (wgt > 0.0)):
-            k = int(np.flatnonzero(~(np.isfinite(wgt) & (wgt > 0.0)))[0])
-            raise NonStochasticRow(int(src[k]), float(wgt[k]), "edge weight must be positive")
+    out_of_range = (src < 0) | (src >= n) | (dst < 0) | (dst >= n)
+    if out_of_range.any():
+        k = int(np.flatnonzero(out_of_range)[0])
+        raise UnknownColor(
+            f"edge ({src[k]}, {dst[k]}) references a node without a color entry"
+        )
+    loops = src == dst
+    if loops.any():
+        raise SelfLoopEdge(int(src[np.flatnonzero(loops)[0]]))
+    if not np.all(np.isfinite(wgt) & (wgt > 0.0)):
+        k = int(np.flatnonzero(~(np.isfinite(wgt) & (wgt > 0.0)))[0])
+        raise NonStochasticRow(int(src[k]), float(wgt[k]), "edge weight must be positive")
 
     # One key per (src, dst) pair; a stable sort of it orders the edges as
     # lexsort((dst, src)) does.

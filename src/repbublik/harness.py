@@ -32,14 +32,18 @@ from .bias import (
     warn_if_estimate_too_coarse,
 )
 from .errors import (
+    DuplicateEdge,
     EmptyRecords,
     IdOutOfRange,
+    NonStochasticRow,
     ParseError,
     RepbublikError,
+    SelfLoopEdge,
     ThresholdOrder,
     UncoveredElement,
     UnknownColor,
     UnknownName,
+    ZeroOutDegree,
 )
 from .graph import (
     BLUE,
@@ -291,7 +295,8 @@ def load_dataset(edge_path: str | Path, color_path: str | Path) -> LoadedDataset
     to dense 0..n-1 ids (ascending original order) and the mapping is
     returned alongside the graph; :func:`dataset_stats` makes its stats
     row.  Blank lines are skipped.  Each file is parsed in one array pass;
-    a bad file is scanned line by line to name its first bad line.
+    a bad file is scanned line by line to name its first bad line.  An
+    error of the graph's own checks names the original ids.
     """
     color_path, edge_path = Path(color_path), Path(edge_path)
     original_ids, colors = _read_tsv(
@@ -303,7 +308,14 @@ def load_dataset(edge_path: str | Path, color_path: str | Path) -> LoadedDataset
         lambda rows: _dense_edges(rows, original_ids),
         lambda path, lines: _check_edge_lines(path, lines, set(original_ids.tolist())),
     )
-    graph = build_graph(colors, edges)
+    try:
+        graph = build_graph(colors, edges)
+    except DuplicateEdge as exc:  # named by the file's own ids
+        raise DuplicateEdge(*original_ids[[exc.src, exc.dst]].tolist()) from None
+    except (SelfLoopEdge, ZeroOutDegree) as exc:
+        raise type(exc)(int(original_ids[exc.node])) from None
+    except NonStochasticRow as exc:
+        raise NonStochasticRow(int(original_ids[exc.node]), exc.row_sum, exc.detail) from None
     return LoadedDataset(graph=graph, original_ids=original_ids)
 
 
@@ -363,10 +375,8 @@ def generate_gadget(
     colors = [RED] * n
     colors[sink] = BLUE
     edges: list[tuple[int, int, float]] = []
-    for i in range(n_elements):
-        for j, s in enumerate(members):
-            if i in s:
-                edges.append((i, set_base + j, 1.0 / counts[i]))
+    for j, s in enumerate(members):
+        edges += [(i, set_base + j, 1.0 / counts[i]) for i in s]
     for j in range(n_sets):
         chain = [set_base + j]
         chain += [path_base + j * per_set_inner + k for k in range(per_set_inner)]
@@ -482,14 +492,16 @@ def run_sweep(
     Chains share nothing but the input graph, so they run on every CPU this
     process may use, in fixed stripes over this process and forked workers
     (see :func:`_worker_count` and :func:`_forked`); with one CPU, off
-    Linux, or beside another Python thread, every chain runs here.  Before
-    the first fork this process computes the input graph's BR table, which
-    every chain reads.  The CSV, the records, the warnings and a
-    programming error are those of running the chains one after another in
-    this process: rows are written in (algorithm, K, seed) order, each as
-    soon as the rows before it are known.  A programming error propagates
-    once every row before its cell is written; the first failing cell in
-    row order decides which.
+    Linux, or beside another Python thread, every chain runs here, and a
+    stripe whose fork fails runs here too.  Before the first fork this
+    process computes the input graph's BR table, which every chain reads.
+    The CSV, the records, the warnings and a programming error are those of
+    running the chains one after another in this process: each cell
+    computes its own CSV row from its algorithm, K and seed positions, and
+    rows are written in (algorithm, K, seed) order, each as soon as the
+    rows before it are known.  A programming error propagates once every
+    row before its cell is written; the first failing cell in row order
+    decides which.
 
     The sweep's warnings are raised here, naming this function's caller:
     under the Monte Carlo backend, one before any chain runs when epsilon
@@ -525,15 +537,16 @@ def run_sweep(
         BLUE: max((k_blue for _, k_blue in splits), default=0),
     }
 
-    chains, slots = _chains(algorithms, len(k_values), seeds, backend)
+    chains = _chains(algorithms, seeds, backend)
 
-    def run(chain: tuple[str, list[int]]) -> _Outcome:
+    def run(chain: tuple[int, list[int]]) -> _Outcome:
         """Run one chain's cells, K by K and, within a K, seed by seed.
 
-        ``chain`` is an algorithm and its seed at each of its positions in
-        the sweep's seed list, so a later seed of a shared chain at the same
-        K applies no edge, gets the graph back from ``apply_plan`` and its
-        exact table from the graph's memo.
+        ``chain`` is an algorithm's position in ``algorithms`` and the
+        chain's positions in ``seeds``, so each cell knows its own CSV row,
+        and a later seed of a shared chain at the same K applies no edge,
+        gets the graph back from ``apply_plan`` and its exact table from
+        the graph's memo.
 
         Plans: a recommender's plan for a budget is the first edges of its
         plan for any larger budget, and a recommender that fails at one
@@ -550,7 +563,8 @@ def run_sweep(
         renormalised edge by edge in plan order runs the same float
         operations whether it is built in one call or in several.
         """
-        algo, chain_seeds = chain
+        a, positions = chain
+        algo, chain_seeds = algorithms[a], [int(seeds[j]) for j in positions]
         plans: dict[str, InsertionPlan | Exception] = {}
 
         def read(color: str, budget: int) -> tuple[EdgeInsertion, ...] | Exception:
@@ -572,8 +586,9 @@ def run_sweep(
         grown, n_red, n_blue = graph, 0, 0
         records, stopped = [], None
         try:
-            for k, (k_red, k_blue) in zip(map(int, k_values), splits):
-                for seed in chain_seeds:
+            for i, (k, (k_red, k_blue)) in enumerate(zip(map(int, k_values), splits)):
+                for j, seed in zip(positions, chain_seeds):
+                    row = (a * len(k_values) + i) * len(seeds) + j
                     started = time.perf_counter()
                     delta = healed = float("nan")
                     error = None
@@ -599,7 +614,7 @@ def run_sweep(
                             delta, healed = 0.0, 0.0
                     except RepbublikError as exc:  # record the failure, keep sweeping
                         error = f"{type(exc).__name__}: {exc}"
-                    records.append(ExperimentRecord(
+                    records.append((row, ExperimentRecord(
                         algorithm=algo,
                         budget=k,
                         pct_candidate=100.0 * k / universe if universe else 0.0,
@@ -609,9 +624,9 @@ def run_sweep(
                         runtime_ms=(time.perf_counter() - started) * 1000.0
                         if measure_runtime else 0.0,
                         error=error,
-                    ))
+                    )))
         except Exception as exc:
-            stopped = exc
+            stopped = row, exc
         # Red's short plan before blue's, whichever color's budget came first.
         short = [
             plan for plan in map(plans.get, (RED, BLUE))
@@ -621,42 +636,32 @@ def run_sweep(
 
     outcomes = _forked(chains, run, _worker_count(len(chains)))
     try:
-        return _write_rows(
-            outcomes, slots, len(algorithms) * len(k_values) * len(seeds), out_path
-        )
+        return _write_rows(outcomes, len(algorithms) * len(k_values) * len(seeds), out_path)
     finally:
         outcomes.close()
 
 
 def _chains(
-    algorithms: Sequence[str], n_k: int, seeds: Sequence[int], backend: str
-) -> tuple[list[tuple[str, list[int]]], list[list[int]]]:
-    """A sweep's chains as (algorithm, seeds), in the order of their first
-    rows, and the CSV row of each chain's cells in the order it runs them.
-
-    Row (a, i, j) is algorithm a's cell at the i-th K and ``seeds[j]``; a
-    chain runs its cells K by K, and within a K its seed positions in
-    order.
+    algorithms: Sequence[str], seeds: Sequence[int], backend: str
+) -> list[tuple[int, list[int]]]:
+    """A sweep's chains as (algorithm position, seed positions), in the
+    order of their first rows: one per algorithm and repetition seed, or
+    one per algorithm for an entry of ``EXACT_SEED_FREE`` under the exact
+    backend.  The cell at the i-th K and ``seeds[j]`` of algorithm a writes
+    CSV row ``(a * len(k_values) + i) * len(seeds) + j``.
     """
-    chains, slots = [], []
+    chains = []
     for a, algo in enumerate(algorithms):
         seed_free = backend == "exact" and algo in EXACT_SEED_FREE
         groups: dict[int | None, list[int]] = {}
         for j, seed in enumerate(seeds):
             groups.setdefault(None if seed_free else int(seed), []).append(j)
-        for positions in groups.values():
-            chains.append((algo, [int(seeds[j]) for j in positions]))
-            slots.append([
-                (a * n_k + i) * len(seeds) + j for i in range(n_k) for j in positions
-            ])
-    return chains, slots
+        chains += [(a, positions) for positions in groups.values()]
+    return chains
 
 
 def _write_rows(
-    outcomes: Iterator[tuple[int, _Outcome]],
-    slots: list[list[int]],
-    n_rows: int,
-    out_path: str | Path,
+    outcomes: Iterator[tuple[int, _Outcome]], n_rows: int, out_path: str | Path
 ) -> list[ExperimentRecord]:
     """Write the CSV from the chains' outcomes, which may come in any order,
     as if the chains had run here one after another, and return its rows.
@@ -670,7 +675,7 @@ def _write_rows(
     rows: list[ExperimentRecord | None] = [None] * n_rows
     written = merged = 0
     done: dict[int, _Outcome] = {}
-    failed: dict[int, _Outcome] = {}  # by the row of its failing cell
+    failed: dict[int, Exception] = {}  # by the row of its cell
     with open(out_path, "w", newline="\n") as fh:
         fh.write(CSV_HEADER + "\n")
         for index, outcome in outcomes:
@@ -679,17 +684,18 @@ def _write_rows(
                 outcome = done.pop(merged)
                 for plan in outcome.short:
                     _warn_if_short(plan, stacklevel=3)
-                for slot, record in zip(slots[merged], outcome.records):
-                    rows[slot] = record
+                for row, record in outcome.records:
+                    rows[row] = record
                 if outcome.error is not None:
-                    failed[slots[merged][len(outcome.records)]] = outcome
+                    row, exc = outcome.error
+                    failed[row] = exc
                 merged += 1
             while written < n_rows and rows[written] is not None:
                 fh.write(rows[written].csv_row() + "\n")
                 written += 1
             fh.flush()
             if written in failed:
-                raise failed[written].error
+                raise failed[written]
     return rows
 
 
@@ -711,12 +717,13 @@ def _warn_if_short(plan: InsertionPlan, stacklevel: int) -> None:
 
 @dataclass
 class _Outcome:
-    """What one chain gives back: its short plans, its records in cell
-    order, and the error that stopped it."""
+    """What one chain gives back: its short plans, the (CSV row, record)
+    of each cell it ran, in cell order, and the (CSV row, error) of the
+    cell a programming error stopped it at."""
 
     short: list[InsertionPlan]
-    records: list[ExperimentRecord]
-    error: Exception | None
+    records: list[tuple[int, ExperimentRecord]]
+    error: tuple[int, Exception] | None
 
 
 def _worker_count(chains: int) -> int:
@@ -769,8 +776,8 @@ def _fork() -> int:
 
 
 def _forked(
-    chains: list[tuple[str, list[int]]],
-    run: Callable[[tuple[str, list[int]]], _Outcome],
+    chains: list[tuple[int, list[int]]],
+    run: Callable[[tuple[int, list[int]]], _Outcome],
     workers: int,
 ) -> Iterator[tuple[int, _Outcome]]:
     """(index, outcome) of every chain, in the order the chains finish,
@@ -784,7 +791,10 @@ def _forked(
     the chains and the memo of the input graph, and each sends its
     outcomes back over its own pipe.  This process reads those between its
     own chains and once its stripe is done, and runs again any chain whose
-    child ended before sending it.  A child stopped by a programming error
+    child ended before sending it.  Where a pipe or a fork fails with an
+    ``OSError`` (a process, memory or descriptor limit), no more children
+    are forked: the stripes no child took run here too, after this
+    process's own.  A child stopped by a programming error
     sends nothing more, so the error is raised here with its own type,
     message and traceback.  A warning raised in a child is shown by the
     child as raised; the package raises none there, since the sweep
@@ -799,8 +809,14 @@ def _forked(
     finished = False
     try:
         for p in range(workers - 1):
-            pipe, child_end = Pipe(duplex=False)
-            pid = _fork()
+            ends = ()
+            try:
+                ends = pipe, child_end = Pipe(duplex=False)
+                pid = _fork()
+            except OSError:  # a process, memory or descriptor limit
+                for end in ends:
+                    end.close()
+                break
             if pid == 0:
                 code = 1
                 try:
@@ -828,6 +844,7 @@ def _forked(
                     index, outcome = pipe.recv()
                 except EOFError:  # the child has ended
                     pipes.remove(pipe)
+                    pipe.close()
                     continue
                 received.add(index)
                 yield index, outcome
@@ -838,7 +855,8 @@ def _forked(
             yield from collect(0)
         while pipes:
             yield from collect(None)
-        # A chain whose child died, or stopped at a programming error.
+        # A chain whose child died or stopped at a programming error, or
+        # whose stripe no child took.
         for index in range(len(chains)):
             if index not in received:
                 yield index, run(chains[index])

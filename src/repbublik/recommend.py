@@ -281,8 +281,6 @@ def repbublik(
     for round_no in range(budget):
         if round_no > 0:
             br, pool = _parochial_pool(current, color, cfg, backend, round_no)
-        if pool.size == 0:
-            break
         scores = _centralities(
             current, pool, cfg, backend, derive_seed(cfg.seed, _TAG_RWCC, round_no)
         )
@@ -320,7 +318,7 @@ def repbublik_plus(
     """
     br, pool = _prologue(graph, color, budget, cfg, backend)
     plan = _Plan(graph, color, budget)
-    if pool.size == 0 or budget == 0:
+    if budget == 0:  # skips a closeness pass no round reads
         return plan.done()
     base = _centralities(graph, pool, cfg, backend, derive_seed(cfg.seed, _TAG_RWCC, 0))
     plan.rank(br)

@@ -1,4 +1,7 @@
 """Dataset IO, fixture generators, the sweep protocol, and plot emission."""
+import contextlib
+import errno
+import multiprocessing.connection
 import os
 import re
 import signal
@@ -27,14 +30,19 @@ from repbublik import (
     run_sweep,
     write_dataset,
 )
+from repbublik.cli import main
 from repbublik.errors import (
+    DuplicateEdge,
     EmptyRecords,
+    NonStochasticRow,
     ParseError,
     RepbublikError,
+    SelfLoopEdge,
     ThresholdOrder,
     UncoveredElement,
     UnknownColor,
     WorkLimitExceeded,
+    ZeroOutDegree,
 )
 from repbublik.harness import CSV_HEADER, ExperimentRecord
 from repbublik.montecarlo import derive_seed
@@ -96,6 +104,27 @@ class TestLoadDataset:
         assert "dense_ids" not in vars(loaded)  # built on first use
         assert loaded.dense_ids == {10: 0, 700: 1}
         assert loaded.graph.color_of(0) == "R"
+
+    @pytest.mark.parametrize("fault, error, message", [
+        ("300\t100\t1.0\n300\t100\t1.0", DuplicateEdge, "duplicate edge (300, 100)"),
+        ("300\t300\t0.5\n300\t100\t0.5", SelfLoopEdge, "self-loop on node 300 is not allowed"),
+        ("", ZeroOutDegree, "node 300 has no outgoing edge"),
+        ("300\t100\t0.7", NonStochasticRow, "out-weights of node 300 sum to 0.7, not 1"),
+        ("300\t100\tnan", NonStochasticRow,
+         "out-weights of node 300 sum to nan, not 1 (edge weight must be positive)"),
+    ], ids=["duplicate", "self-loop", "zero-out-degree", "row-sum", "nan-weight"])
+    def test_graph_errors_name_the_original_ids(
+        self, fault, error, message, tmp_path, capsys
+    ):
+        edges = tmp_path / "sparse.edges.tsv"
+        colors = tmp_path / "sparse.colors.tsv"
+        edges.write_text(f"100\t200\t1.0\n200\t300\t1.0\n{fault}\n")
+        colors.write_text("100\tR\n200\tB\n300\tR\n")
+        with pytest.raises(error) as caught:
+            load_dataset(edges, colors)
+        assert type(caught.value) is error and str(caught.value) == message
+        assert main(["stats", "--edges", str(edges), "--colors", str(colors)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_roundtrip_through_writer(self, tmp_path):
         gadget = generate_gadget(2, [[0, 1], [1]], 6)
@@ -454,8 +483,8 @@ class TestSweepOracle:
         assert y_red == 0.0 and 83 * y_blue / y_blue > 83
         k_values, algorithms, seeds = [1, 82, 83, 84], sorted(ALGORITHMS), [0, 1]
         self._assert_same(tmp_path, graph, algorithms, k_values, cfg, seeds, "exact")
-        # One process runs the chains one after another, so its tables come
-        # in the order _chains gives each chain's rows.
+        # One process runs the chains one after another, each K by K and
+        # within a K seed by seed, so its tables come in that order.
         monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
         original_table = harness.br_table
         gained = []  # the edges each table's graph has beyond the input graph
@@ -468,8 +497,12 @@ class TestSweepOracle:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             records = run_sweep(graph, algorithms, k_values, cfg, seeds, tmp_path / "s.csv")
-        _, slots = harness._chains(algorithms, len(k_values), seeds, "exact")
-        rows = [slot for chain in slots for slot in chain]
+        rows = [
+            (a * len(k_values) + i) * len(seeds) + j
+            for a, positions in harness._chains(algorithms, seeds, "exact")
+            for i in range(len(k_values))
+            for j in positions
+        ]
         # The input graph's table, then one per cell.
         assert len(gained) == 1 + len(records) and gained[0] == 0
         cells = [(records[row].budget, n) for row, n in zip(rows, gained[1:])]
@@ -543,6 +576,15 @@ class _WorkerFailure(RepbublikError):
 def _no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def _descriptors():
+    """This process's open file descriptors and what each one refers to."""
+    out = {}
+    for fd in os.listdir("/proc/self/fd"):
+        with contextlib.suppress(FileNotFoundError):  # the listing's own
+            out[fd] = os.readlink(f"/proc/self/fd/{fd}")
+    return out
 
 
 class TestParallelSweep:
@@ -851,6 +893,39 @@ class TestParallelSweep:
                                     [1, 3], cfg, [0, 1, 2, 3], "mc"))
             assert bool(call_log.read()) == (workers > 1)
         assert all(run == runs[0] for run in runs[1:])
+
+    @pytest.mark.parametrize("fails, at", [("fork", 1), ("fork", 2), ("pipe", 2)])
+    def test_a_stripe_whose_fork_fails_runs_here(self, fails, at, tmp_path, monkeypatch):
+        # A process, memory or descriptor limit ends the forking, not the
+        # sweep: the stripes no child took run in this process.
+        rng = np.random.default_rng(79)
+        graph, t = random_polarized(rng, n_max=24, t_range=(5, 6))
+        cfg = WalkConfig(t=t, theta_good=1.5, theta_bad=t / 2, epsilon=0.9, delta=0.5, seed=3)
+        args = (graph, ["pure-random", "rcn"], [1, 3], cfg, [0, 1, 2], "mc")
+        expected = self._sweep(monkeypatch, 1, tmp_path, *args)
+        calls = []
+
+        def failing(original, exc):
+            def call(*a, **kw):
+                calls.append(None)
+                if len(calls) == at:
+                    raise exc
+                return original(*a, **kw)
+            return call
+
+        if fails == "fork":
+            limit = BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+            monkeypatch.setattr(harness, "_fork", failing(harness._fork, limit))
+        else:
+            limit = OSError(errno.EMFILE, os.strerror(errno.EMFILE))
+            monkeypatch.setattr(multiprocessing.connection, "Pipe",
+                                failing(multiprocessing.connection.Pipe, limit))
+        descriptors = _descriptors()
+        for workers in (3, 4):
+            calls.clear()
+            assert self._sweep(monkeypatch, workers, tmp_path, *args) == expected
+            assert len(calls) == at
+            assert _descriptors() == descriptors
 
     def test_fork_drops_only_the_multithreaded_fork_warning(self, monkeypatch):
         # os.fork stands in for CPython 3.12+'s, which warns when other OS

@@ -227,12 +227,14 @@ class TestBaselines:
         plan.validate_against(polarized)
         assert {e.src for e in plan.edges} <= parochial
 
-    def test_empty_parochial_gives_a_silent_short_plan(self, g1):
+    @pytest.mark.parametrize("backend", ["exact", "mc"])
+    @pytest.mark.parametrize("name", list(ALGORITHMS))
+    def test_empty_parochial_gives_a_silent_short_plan(self, g1, name, backend):
         # A short plan is data: the callers that present results warn.
         cfg = WalkConfig(t=5, theta_good=2.0, theta_bad=4.0, seed=3)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            plan = baseline_pure_random(g1, "R", 2, cfg)
+            plan = ALGORITHMS[name](g1, "R", 2, cfg, backend=backend)
         assert plan.requested == 2 and len(plan) == 0
 
     def test_top_pool_ceiling(self):
