@@ -28,6 +28,18 @@ class NonStochasticRow(GraphValidationError):
         super().__init__(msg + (f" ({detail})" if detail else ""))
 
 
+class BadEdgeWeight(NonStochasticRow):
+    """One edge's weight breaks ``detail``; no row sum was formed, so the
+    message names the edge (``node`` is its source) and its weight."""
+
+    def __init__(self, src: int, dst: int, weight: float, detail: str):
+        self.node = self.src = src
+        self.dst, self.weight, self.detail = dst, weight, detail
+        self.row_sum = None
+        msg = f"edge ({src}, {dst}) has weight {weight!r}; {detail}"
+        GraphValidationError.__init__(self, msg)
+
+
 class DuplicateEdge(GraphValidationError):
     def __init__(self, src: int, dst: int):
         self.src, self.dst = src, dst

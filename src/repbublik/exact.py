@@ -16,6 +16,9 @@ most ``BLOCK_ELEMENTS`` entries.  Every term W leaves out was an exact
 :func:`exact_gamma` sums the profiles; :func:`exact_rwcc_many` adds one
 forward occupancy pass and solves the renewal equation for the first
 passages.
+scipy is imported in :func:`_csr` alone, when an engine first builds W or
+a block: it is most of what ``import repbublik`` would cost, and the Monte
+Carlo backend, the generators and ``--help`` never build a matrix.
 """
 from __future__ import annotations
 
@@ -23,7 +26,6 @@ from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import BrOutOfRange, EmptySourceSet, IdOutOfRange, MixedColorSet
 from .graph import BLUE, RED, ColoredGraph, check_count, check_work
@@ -70,7 +72,17 @@ def _node_set(graph: ColoredGraph, nodes: Iterable[int]) -> np.ndarray:
     return arr
 
 
-def _within(graph: ColoredGraph) -> sp.csr_matrix:
+def _csr(
+    data: np.ndarray, indices: np.ndarray, indptr: np.ndarray, shape: tuple[int, int]
+) -> scipy.sparse.csr_matrix:
+    """The CSR matrix of ``(data, indices, indptr)``; the package's one
+    scipy import, made here on the first call."""
+    import scipy.sparse
+
+    return scipy.sparse.csr_matrix((data, indices, indptr), shape=shape)
+
+
+def _within(graph: ColoredGraph) -> scipy.sparse.csr_matrix:
     """W, the transition matrix M without its cross-color edges, in M's row
     order; built on first use and kept in ``graph.memo``.
 
@@ -83,7 +95,7 @@ def _within(graph: ColoredGraph) -> sp.csr_matrix:
         pattern = graph.lineage.get("within")
         if pattern is None:
             pattern = (graph.targets[kept], np.concatenate(([0], np.cumsum(kept)))[graph.indptr])
-        within = sp.csr_matrix((graph.weights[kept], *pattern), shape=(graph.n, graph.n))
+        within = _csr(graph.weights[kept], *pattern, (graph.n, graph.n))
         # Keep the index arrays scipy settled on, read-only, since every W
         # of the lineage shares them.
         within.indices.setflags(write=False)
@@ -133,7 +145,7 @@ class _ColorBlock:
     """
 
     nodes: np.ndarray
-    matrix_t: sp.csr_matrix
+    matrix_t: scipy.sparse.csr_matrix
 
     def local(self, nodes: np.ndarray) -> np.ndarray:
         """Local indices of ``nodes``, all of the block's color."""
@@ -168,9 +180,7 @@ def _color_block(graph: ColoredGraph, color: str) -> _ColorBlock:
             indptr = np.concatenate(([0], np.cumsum(np.bincount(cols, minlength=nodes.size))))
             pattern = (nodes, where[order], rows[order], indptr)
         nodes, take, indices, indptr = pattern
-        matrix_t = sp.csr_matrix(
-            (within.data[take], indices, indptr), shape=(nodes.size, nodes.size)
-        )
+        matrix_t = _csr(within.data[take], indices, indptr, (nodes.size, nodes.size))
         # Keep the index arrays scipy settled on, so later builds reuse them.
         graph.lineage[key] = (nodes, take, matrix_t.indices, matrix_t.indptr)
         graph.memo[key] = _ColorBlock(nodes=nodes, matrix_t=matrix_t)

@@ -19,6 +19,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import (
+    BadEdgeWeight,
     DuplicateEdge,
     EdgeExists,
     GraphValidationError,
@@ -149,8 +150,8 @@ class EdgeInsertion:
 
     def __post_init__(self):
         if not 0.0 < self.weight < 1.0:
-            raise NonStochasticRow(
-                self.src, self.weight, "insertion weight must lie in (0, 1)"
+            raise BadEdgeWeight(
+                self.src, self.dst, self.weight, "insertion weights must lie in (0, 1)"
             )
 
 
@@ -288,9 +289,10 @@ def build_graph(
     ``edges`` is an iterable of ``(src, dst, weight)`` tuples or an array of
     ``EDGE_ROW`` records.  Rows whose weight sum deviates from 1 by at most
     ``ROW_RENORM_TOL`` are renormalized (clickstream data carries rounding
-    noise); larger deviations raise :class:`NonStochasticRow`.  Every node
-    needs at least one out-edge, self-loops and duplicate (src, dst) pairs are
-    rejected.
+    noise); larger deviations raise :class:`NonStochasticRow`, and a weight
+    that is not positive and finite raises its subclass
+    :class:`BadEdgeWeight`, naming the edge.  Every node needs at least one
+    out-edge, self-loops and duplicate (src, dst) pairs are rejected.
     """
     color_arr = np.asarray(
         colors if isinstance(colors, np.ndarray) else list(colors), dtype=str
@@ -317,7 +319,9 @@ def build_graph(
         raise SelfLoopEdge(int(src[np.flatnonzero(loops)[0]]))
     if not np.all(np.isfinite(wgt) & (wgt > 0.0)):
         k = int(np.flatnonzero(~(np.isfinite(wgt) & (wgt > 0.0)))[0])
-        raise NonStochasticRow(int(src[k]), float(wgt[k]), "edge weight must be positive")
+        raise BadEdgeWeight(
+            int(src[k]), int(dst[k]), float(wgt[k]), "edge weights must be positive and finite"
+        )
 
     # One key per (src, dst) pair; a stable sort of it orders the edges as
     # lexsort((dst, src)) does.

@@ -32,6 +32,7 @@ from .bias import (
     warn_if_estimate_too_coarse,
 )
 from .errors import (
+    BadEdgeWeight,
     DuplicateEdge,
     EmptyRecords,
     IdOutOfRange,
@@ -312,6 +313,9 @@ def load_dataset(edge_path: str | Path, color_path: str | Path) -> LoadedDataset
         graph = build_graph(colors, edges)
     except DuplicateEdge as exc:  # named by the file's own ids
         raise DuplicateEdge(*original_ids[[exc.src, exc.dst]].tolist()) from None
+    except BadEdgeWeight as exc:
+        ends = original_ids[[exc.src, exc.dst]].tolist()
+        raise BadEdgeWeight(*ends, exc.weight, exc.detail) from None
     except (SelfLoopEdge, ZeroOutDegree) as exc:
         raise type(exc)(int(original_ids[exc.node])) from None
     except NonStochasticRow as exc:
@@ -494,7 +498,9 @@ def run_sweep(
     (see :func:`_worker_count` and :func:`_forked`); with one CPU, off
     Linux, or beside another Python thread, every chain runs here, and a
     stripe whose fork fails runs here too.  Before the first fork this
-    process computes the input graph's BR table, which every chain reads.
+    process computes the input graph's BR table, which every chain reads;
+    under the exact backend that imports scipy here, once, and the workers
+    inherit it.
     The CSV, the records, the warnings and a programming error are those of
     running the chains one after another in this process: each cell
     computes its own CSV row from its algorithm, K and seed positions, and

@@ -18,6 +18,7 @@ from repbublik import (
     weight_oracle,
 )
 from repbublik.errors import (
+    BadEdgeWeight,
     DuplicateEdge,
     EdgeExists,
     GraphValidationError,
@@ -60,6 +61,18 @@ class TestBuildGraph:
     def test_far_from_stochastic_rejected(self):
         with pytest.raises(NonStochasticRow):
             build_graph(["R", "B"], [(0, 1, 0.8), (1, 0, 1.0)])
+
+    @pytest.mark.parametrize("weight", [float("nan"), 0.0, -0.5, float("inf")])
+    def test_bad_weight_names_its_edge(self, weight):
+        # Node 0's row is never summed: the error names the edge.
+        edges = [(0, 1, 0.5), (0, 2, weight), (1, 0, 1.0), (2, 0, 1.0)]
+        with pytest.raises(BadEdgeWeight) as exc:
+            build_graph(["R", "B", "B"], edges)
+        assert isinstance(exc.value, NonStochasticRow)
+        assert str(exc.value) == (
+            f"edge (0, 2) has weight {weight!r}; edge weights must be positive and finite"
+        )
+        assert (exc.value.src, exc.value.dst, exc.value.node) == (0, 2, 0)
 
     def test_duplicate_edge_rejected(self):
         with pytest.raises(DuplicateEdge):
@@ -127,6 +140,9 @@ class TestInsertEdge:
             EdgeInsertion(0, 1, 1.0)
         with pytest.raises(NonStochasticRow):
             EdgeInsertion(0, 1, 0.0)
+        with pytest.raises(BadEdgeWeight, match=r"^edge \(3, 7\) has weight 1\.5; "
+                           r"insertion weights must lie in \(0, 1\)$"):
+            EdgeInsertion(3, 7, 1.5)
 
     def test_grown_graphs_share_one_read_only_red_mask(self):
         rng = np.random.default_rng(19)

@@ -32,6 +32,7 @@ from repbublik import (
 )
 from repbublik.cli import main
 from repbublik.errors import (
+    BadEdgeWeight,
     DuplicateEdge,
     EmptyRecords,
     NonStochasticRow,
@@ -110,9 +111,12 @@ class TestLoadDataset:
         ("300\t300\t0.5\n300\t100\t0.5", SelfLoopEdge, "self-loop on node 300 is not allowed"),
         ("", ZeroOutDegree, "node 300 has no outgoing edge"),
         ("300\t100\t0.7", NonStochasticRow, "out-weights of node 300 sum to 0.7, not 1"),
-        ("300\t100\tnan", NonStochasticRow,
-         "out-weights of node 300 sum to nan, not 1 (edge weight must be positive)"),
-    ], ids=["duplicate", "self-loop", "zero-out-degree", "row-sum", "nan-weight"])
+        ("300\t100\tnan", BadEdgeWeight,
+         "edge (300, 100) has weight nan; edge weights must be positive and finite"),
+        ("300\t100\t-0.5", BadEdgeWeight,
+         "edge (300, 100) has weight -0.5; edge weights must be positive and finite"),
+    ], ids=["duplicate", "self-loop", "zero-out-degree", "row-sum", "nan-weight",
+            "negative-weight"])
     def test_graph_errors_name_the_original_ids(
         self, fault, error, message, tmp_path, capsys
     ):

@@ -29,7 +29,7 @@ PUBLIC = {
 
 # Every class in errors.py; each one subclasses RepbublikError.
 ERRORS = {
-    "BrOutOfRange", "DuplicateEdge", "EdgeExists", "EmptyRecords",
+    "BadEdgeWeight", "BrOutOfRange", "DuplicateEdge", "EdgeExists", "EmptyRecords",
     "EmptySourceSet", "GraphValidationError", "IdOutOfRange", "MixedColorSet",
     "NoOppositeColor", "NonStochasticRow", "ParseError", "RepbublikError",
     "SameColorEndpoints", "SelfLoopEdge", "ThresholdOrder", "UncoveredElement",
@@ -107,7 +107,7 @@ def test_every_error_class_is_used_outside_errors_py():
 def test_error_classes_are_pinned():
     tree = ast.parse((PACKAGE / "errors.py").read_text())
     classes = {node.name for node in tree.body if isinstance(node, ast.ClassDef)}
-    assert len(ERRORS) == 20
+    assert len(ERRORS) == 21
     assert classes == ERRORS
     assert all(issubclass(getattr(errors, name), errors.RepbublikError) for name in ERRORS)
 
