@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .bias import br_table, classify, warn_if_estimate_too_coarse
-from .errors import RepbublikError, UnknownColor
+from .errors import RepbublikError, ThresholdOrder, UnknownColor
 from .graph import BLUE, RED, WalkConfig, check_count
 from .harness import (
     _warn_if_short,
@@ -175,13 +175,13 @@ def _cmd_recommend(args, cfg, loaded) -> int:
 
 def _cmd_sweep(args, cfg, loaded) -> int:
     graph = loaded.graph
-    if args.k_list:
-        k_values = sorted(int(k) for k in args.k_list.split(","))
+    seeds = _int_list(args.seeds, "--seeds")
+    if args.k_list is not None:
+        k_values = sorted(_int_list(args.k_list, "--k-list"))
     else:
         table = br_table(graph, cfg, args.backend, cfg.seed)
         partition = classify(table, graph.colors, cfg.theta_good, cfg.theta_bad)
         k_values = default_k_values(args.k_max, candidate_universe(graph, partition))
-    seeds = [int(s) for s in args.seeds.split(",")]
     records = run_sweep(
         graph,
         args.algorithms.split(","),
@@ -200,6 +200,15 @@ def _cmd_sweep(args, cfg, loaded) -> int:
     if args.plot_dir is not None:
         emit_plotdata(records, args.plot_dir)
     return 2 if failed else 0
+
+
+def _int_list(text: str, option: str) -> list[int]:
+    """The comma-separated integers given to ``option``.  An empty entry,
+    and so an empty list, raises :class:`ThresholdOrder`."""
+    entries = text.split(",")
+    if any(not entry.strip() for entry in entries):
+        raise ThresholdOrder(f"{option} has an empty entry: {text!r}")
+    return [int(entry) for entry in entries]
 
 
 def _cmd_gen_gadget(args) -> int:

@@ -129,13 +129,20 @@ class ExperimentRecord:
         )
 
 
-def cross_edge_counts(graph: ColoredGraph) -> tuple[int, int]:
+def _cross_out_degree(graph: ColoredGraph) -> np.ndarray:
+    """Each node's number of out-edges into the opposite color."""
     red = graph.color_mask(RED)
-    src_red = np.repeat(red, np.diff(graph.indptr))
-    dst_red = red[graph.targets]
-    red_to_blue = int(np.count_nonzero(src_red & ~dst_red))
-    blue_to_red = int(np.count_nonzero(dst_red & ~src_red))
-    return red_to_blue, blue_to_red
+    cross = np.repeat(red, np.diff(graph.indptr)) != red[graph.targets]
+    # Cross edges before each row's start; a row's count is the difference.
+    before = np.concatenate(([0], np.cumsum(cross)))[graph.indptr]
+    return np.diff(before)
+
+
+def cross_edge_counts(graph: ColoredGraph) -> tuple[int, int]:
+    """(red-to-blue, blue-to-red) edge counts."""
+    cross = _cross_out_degree(graph)
+    red = graph.color_mask(RED)
+    return int(cross[red].sum()), int(cross[~red].sum())
 
 
 def dataset_stats(
@@ -451,10 +458,7 @@ def candidate_universe(graph: ColoredGraph, partition: BiasPartition) -> int:
     """Number of insertable cross-color edges with parochial sources: per
     color, every (parochial, opposite-color) pair minus the cross-color
     edges the parochial nodes already have."""
-    src = np.repeat(np.arange(graph.n), np.diff(graph.indptr))
-    red = graph.color_mask(RED)
-    cross = red[src] != red[graph.targets]
-    cross_out_degree = np.bincount(src[cross], minlength=graph.n)
+    cross_out_degree = _cross_out_degree(graph)
     total = 0
     for color in (RED, BLUE):
         parochial = partition.parochial_of(color)
@@ -746,7 +750,9 @@ def _worker_count(chains: int) -> int:
 
 def _usable_cpus() -> int:
     """The CPUs this process may run on (its affinity mask, so ``taskset``
-    confines a sweep); the tests replace it to pin a worker count."""
+    confines a sweep).  Most tests replace it to pin a worker count;
+    ``tests/test_processes.py`` confines a child interpreter to one CPU and
+    checks that its sweep then forks no worker."""
     return len(os.sched_getaffinity(0))
 
 

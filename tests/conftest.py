@@ -1,14 +1,40 @@
-"""Shared fixtures: canonical graphs and random-instance helpers."""
+"""Shared fixtures: canonical graphs, random-instance helpers and the
+fresh interpreters that run the CLI."""
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from repbublik import ColoredGraph, build_graph, generate_polarized
+import repbublik
+from repbublik import ColoredGraph, build_graph, generate_polarized, write_dataset
+
+# A child interpreter runs in a temporary directory, so the package's own
+# source directory goes on its path first.
+ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    p for p in (str(Path(repbublik.__file__).parents[1]), os.environ.get("PYTHONPATH")) if p
+))
+
+
+def child(
+    script: str, argv: Sequence[str] = (), cwd=None, **env: str
+) -> subprocess.CompletedProcess:
+    """Run ``script`` in a fresh interpreter, with ``argv`` as its arguments,
+    in ``cwd``, and with ``env`` added to ``ENV``; it must exit 0.  Its
+    stdout and stderr are bytes."""
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *argv], cwd=cwd, env=dict(ENV, **env),
+        capture_output=True,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    return proc
 
 
 @pytest.fixture
@@ -39,6 +65,16 @@ def all_red_cycle() -> ColoredGraph:
 @pytest.fixture
 def red_two_cycle() -> ColoredGraph:
     return build_graph(["R", "R"], [(0, 1, 1.0), (1, 0, 1.0)])
+
+
+@pytest.fixture(scope="session")
+def desk_tsv(tmp_path_factory) -> tuple[Path, Path]:
+    """The seed-0 desk graph's edge and color TSVs, as ``gen-polarized``
+    writes them: 200 red and 200 blue nodes, p_within 0.02, p_cross 0.002."""
+    where = tmp_path_factory.mktemp("desk")
+    edges, colors = where / "desk.edges.tsv", where / "desk.colors.tsv"
+    write_dataset(generate_polarized(200, 200, 0.02, 0.002, seed=0), edges, colors)
+    return edges, colors
 
 
 def random_polarized(rng: np.random.Generator, n_max: int = 40,

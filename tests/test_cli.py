@@ -600,6 +600,23 @@ def test_negative_k_max_rejected(g2_files, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("option,value", [
+    ("--k-list", ""), ("--k-list", "1,,2"), ("--seeds", ""),
+])
+def test_sweep_list_with_an_empty_entry_exits_1(option, value, g2_files, tmp_path, capsys):
+    # An empty --k-list is no request for the default ladder.
+    edges, colors = g2_files
+    out = tmp_path / "s.csv"
+    code = main([
+        "sweep", "--edges", str(edges), "--colors", str(colors),
+        "--t", "4", "--theta-good", "1.5", "--theta-bad", "2.0",
+        f"{option}={value}", "--output", str(out),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {option} has an empty entry: {value!r}\n"
+    assert not out.exists()
+
+
 # The verbs whose --output is not "results instead of stdout", and what its
 # help says instead.
 _OUTPUT_HELP = {

@@ -23,6 +23,7 @@ from repbublik import (
     exact_rwcc_many,
     generate_polarized,
     insert_edge,
+    load_dataset,
     opposite,
     repbublik_plus,
     rwcc_sample_size,
@@ -33,6 +34,7 @@ from repbublik.errors import (
     ThresholdOrder,
     WorkLimitExceeded,
 )
+from repbublik.exact import parochial_nodes
 from repbublik.graph import MAX_WORK
 from repbublik.montecarlo import _WalkSampler, derive_seed, stream
 
@@ -476,6 +478,24 @@ class TestEstimateRwcc:
                         runs += 1
         assert runs >= 400
         assert misses <= delta * runs
+
+    def test_desk_parochial_pools_within_epsilon(self, desk_tsv):
+        # The seed-0 desk graph as its TSV loads, at the CLI's defaults: each
+        # color's estimates, scored on the exact parochial pool, lie within
+        # epsilon of the exact closeness all at once.
+        graph = load_dataset(*desk_tsv).graph
+        cfg = WalkConfig(t=10, theta_good=2, theta_bad=5, seed=0)
+        table = exact_br(graph, cfg.t)
+        worst, scored = 0.0, 0
+        for color in ("R", "B"):
+            pool = parochial_nodes(graph.colors, table, color, cfg.theta_bad)
+            exact = exact_rwcc_many(graph, pool, pool, cfg.t - 2)
+            est = estimate_rwcc_many(graph, pool, pool, cfg.t - 2, cfg.epsilon, cfg.delta,
+                                     cfg.seed)
+            worst = max(worst, float(np.abs(est - exact).max()))
+            scored += pool.size
+        assert scored == 381
+        assert worst <= cfg.epsilon
 
     def test_deterministic_single_edge(self):
         g = build_graph(["R", "R", "B"], [(0, 1, 1.0), (1, 0, 1.0), (2, 0, 1.0)])

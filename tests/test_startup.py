@@ -8,20 +8,10 @@ scipy was still imported with the package, so moving the import kept every
 byte of that verb.
 """
 import hashlib
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
-import repbublik
-
-# The commands run in temporary directories, so the package's own source
-# directory goes on their path first.
-ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
-    p for p in (str(Path(repbublik.__file__).parents[1]), os.environ.get("PYTHONPATH")) if p
-))
+from conftest import child
 
 # Runs one CLI command line and prints whether scipy.sparse got loaded.
 PROBE = """
@@ -44,10 +34,7 @@ EXACT_BR_SHA256 = "6a993096f22df0be41636c021dc14f72d18ae27e43f390742e906371af137
 def run(argv: list[str], cwd) -> tuple[bool, bytes]:
     """Whether a fresh interpreter running ``argv`` loaded scipy.sparse,
     and its stdout; the command must succeed."""
-    proc = subprocess.run(
-        [sys.executable, "-c", PROBE, *argv], cwd=cwd, env=ENV, capture_output=True,
-        check=True,
-    )
+    proc = child(PROBE, argv, cwd)
     loaded, code = proc.stderr.decode().splitlines()[-1].split()
     assert code == "0", proc.stderr.decode()
     return loaded == "True", proc.stdout
@@ -63,11 +50,8 @@ def small(tmp_path_factory):
 
 @pytest.mark.parametrize("module", ["repbublik", "repbublik.cli"])
 def test_import_leaves_scipy_out(module):
-    proc = subprocess.run(
-        [sys.executable, "-c", f"import sys, {module}; print('scipy' in sys.modules)"],
-        env=ENV, capture_output=True, text=True, check=True,
-    )
-    assert proc.stdout == "False\n"
+    proc = child(f"import sys, {module}; print('scipy' in sys.modules)")
+    assert proc.stdout == b"False\n"
 
 
 @pytest.mark.parametrize("verb", [
