@@ -203,19 +203,19 @@ def _cmd_sweep(args, cfg, loaded) -> int:
 
 
 def _int_list(text: str, option: str) -> list[int]:
-    """The comma-separated integers given to ``option``.  An empty entry,
-    and so an empty list, raises :class:`ThresholdOrder`."""
+    """The comma-separated integers given to ``option``.  An empty entry
+    (and so an empty list) or a non-integer one raises :class:`ThresholdOrder`."""
     entries = text.split(",")
     if any(not entry.strip() for entry in entries):
         raise ThresholdOrder(f"{option} has an empty entry: {text!r}")
-    return [int(entry) for entry in entries]
+    try:
+        return [int(entry) for entry in entries]
+    except ValueError:
+        raise ThresholdOrder(f"{option} has a non-integer entry: {text!r}") from None
 
 
 def _cmd_gen_gadget(args) -> int:
-    subsets = [
-        [int(x) for x in block.split(",") if x != ""]
-        for block in args.sets.split(";")
-    ]
+    subsets = [_int_list(block, "--sets") for block in args.sets.split(";")]
     gadget = generate_gadget(args.elements, subsets, args.t)
     write_dataset(gadget.graph, f"{args.output}.edges.tsv", f"{args.output}.colors.tsv")
     print(
@@ -303,10 +303,13 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command line.  A package error or a file that cannot be read
+    or written prints one ``error:`` line and returns 1; any other
+    exception, a plain ``ValueError`` included, is a bug and propagates."""
     args = _parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (RepbublikError, ValueError, OSError) as exc:
+    except (RepbublikError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -189,8 +189,9 @@ def _read_tsv(path: Path, dtype: np.dtype, convert: Callable, check: Callable):
     ``convert`` makes the array checks and returns None when a row fails one.
     Only then, or when a line does not parse, ``check(path, lines)`` scans
     the non-blank lines and raises the error of the first bad one with its
-    1-based number.  A file whose only fault is a whitespace-only line,
-    which loadtxt does not skip, is parsed again without those lines.
+    1-based number, or the first line that is not UTF-8.  A file whose
+    only fault is a whitespace-only line, which loadtxt does not skip, is
+    parsed again without those lines.
     """
     try:
         # Given a path, loadtxt reads the file in blocks; given an open file,
@@ -200,9 +201,14 @@ def _read_tsv(path: Path, dtype: np.dtype, convert: Callable, check: Callable):
         rows = None
     out = None if rows is None else convert(rows)
     if out is None:
+        try:
+            text = path.read_text()
+        except UnicodeDecodeError as exc:
+            line_no = path.read_bytes().count(b"\n", 0, exc.start) + 1
+            raise ParseError(str(path), line_no, "not UTF-8 text") from None
         lines = [
             (line_no, line)
-            for line_no, line in enumerate(path.read_text().split("\n"), start=1)
+            for line_no, line in enumerate(text.split("\n"), start=1)
             if line.strip()
         ]
         check(str(path), lines)
@@ -369,11 +375,11 @@ def generate_gadget(
     for s in members:
         if s and (s[0] < 0 or s[-1] >= n_elements):
             raise IdOutOfRange(f"subset {s} references elements outside 0..{n_elements - 1}")
-    counts = np.zeros(n_elements, dtype=np.int64)
-    for s in members:
-        counts[s] += 1
-    if (counts == 0).any():
-        raise UncoveredElement(int(np.flatnonzero(counts == 0)[0]))
+    # The first uncovered element is at most the number covered, so nothing
+    # sized by n_elements is allocated before the gadget is known to be valid.
+    covered = set().union(*members)
+    if len(covered) < n_elements:
+        raise UncoveredElement(next(i for i in range(n_elements) if i not in covered))
 
     n_sets = len(members)
     path_len = math.ceil(t / 2) - 1          # edges from each subset node to the sink
@@ -382,6 +388,11 @@ def generate_gadget(
     path_base = set_base + n_sets
     sink = path_base + n_sets * per_set_inner
     n = sink + 1
+    n_edges = sum(map(len, members)) + n_sets * path_len + 1
+    check_work("gadget", n + n_edges, t)
+    counts = np.zeros(n_elements, dtype=np.int64)
+    for s in members:
+        counts[s] += 1
 
     colors = [RED] * n
     colors[sink] = BLUE

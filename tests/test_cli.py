@@ -1,5 +1,7 @@
 """End-to-end CLI coverage over the documented verbs and exit codes."""
+import os
 import re
+import resource
 import subprocess
 import sys
 
@@ -327,6 +329,14 @@ LOADER_FAULTS = {
                                    UnknownColor, "e.tsv:3: node 1 has no color entry"),
     "digit-separator": ("0\t1\t1.0\n1\t0\t1.0\n", "0\tR\n1_0\tB\n", ParseError,
                         "c.tsv:2: bad node id '1_0'"),
+    "three-field-color-line": ("0\t1\t1.0\n1\t0\t1.0\n", "0\tR\n1\tB\tx\n", ParseError,
+                               "c.tsv:2: expected 2 fields, got 3"),
+    "negative-id": ("0\t1\t1.0\n1\t0\t1.0\n", "0\tR\n-1\tB\n", ParseError,
+                    "c.tsv:2: node id must be non-negative, got -1"),
+    "weight-digit-separator": ("0\t1\t1_0\n1\t0\t1.0\n", "0\tR\n1\tB\n", ParseError,
+                               "e.tsv:1: bad weight '1_0'"),
+    "non-ascii-weight": ("0\t1\t\u0661\n1\t0\t1.0\n", "0\tR\n1\tB\n", ParseError,
+                         "e.tsv:1: bad weight '\u0661'"),
 }
 
 
@@ -345,11 +355,25 @@ def test_loader_fault_is_a_typed_error(fault, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("bad,line", [("e.tsv", 1), ("c.tsv", 2)])
+def test_a_file_that_is_not_utf8_exits_1(bad, line, tmp_path, capsys):
+    # The first "1\t" of each file, on the line given, becomes "\xff\t".
+    edges, colors = tmp_path / "e.tsv", tmp_path / "c.tsv"
+    edges.write_text("0\t1\t1.0\n1\t0\t1.0\n")
+    colors.write_text("0\tR\n1\tB\n")
+    path = tmp_path / bad
+    path.write_bytes(path.read_bytes().replace(b"1\t", b"\xff\t", 1))
+    code = main(["stats", "--edges", str(edges), "--colors", str(colors)])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {path}:{line}: not UTF-8 text\n"
+
+
 def _reference_load(edge_path, color_path):
     """The per-line loader the array loader replaced, kept as the reference.
 
-    Ids follow the documented grammar (ASCII decimal digits with an optional
-    sign, in [0, 2**63)); otherwise this is the old loop line for line.
+    Ids and weights follow the documented grammar (ids: ASCII decimal digits
+    with an optional sign, in [0, 2**63); weights: ASCII ``float`` syntax
+    without ``_`` separators); otherwise this is the old loop line for line.
     """
     def parse_int(token, path, line_no, what):
         digits = token.strip()
@@ -389,6 +413,8 @@ def _reference_load(edge_path, color_path):
         src = parse_int(parts[0], str(edge_path), line_no, "source id")
         dst = parse_int(parts[1], str(edge_path), line_no, "target id")
         try:
+            if not parts[2].isascii() or "_" in parts[2]:
+                raise ValueError
             weight = float(parts[2])
         except ValueError:
             raise ParseError(str(edge_path), line_no, f"bad weight {parts[2]!r}") from None
@@ -600,21 +626,62 @@ def test_negative_k_max_rejected(g2_files, tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("option,value", [
-    ("--k-list", ""), ("--k-list", "1,,2"), ("--seeds", ""),
-])
+# Each bad list option value, and the error line it ends in.  A --sets
+# block follows the --k-list rule, so the line quotes the bad block.
+BAD_LISTS = {
+    ("--k-list", ""): "--k-list has an empty entry: ''",
+    ("--k-list", "1,,2"): "--k-list has an empty entry: '1,,2'",
+    ("--seeds", ""): "--seeds has an empty entry: ''",
+    ("--k-list", "a"): "--k-list has a non-integer entry: 'a'",
+    ("--k-list", "1e2"): "--k-list has a non-integer entry: '1e2'",
+    ("--seeds", "1.5"): "--seeds has a non-integer entry: '1.5'",
+    ("--sets", "0,,1;1,2;2"): "--sets has an empty entry: '0,,1'",
+    ("--sets", "0,1;1,2;2;"): "--sets has an empty entry: ''",
+    ("--sets", "0,1;;1,2;2"): "--sets has an empty entry: ''",
+    ("--sets", "0,x;1"): "--sets has a non-integer entry: '0,x'",
+}
+
+
+@pytest.mark.parametrize("option,value", list(BAD_LISTS))
 def test_sweep_list_with_an_empty_entry_exits_1(option, value, g2_files, tmp_path, capsys):
-    # An empty --k-list is no request for the default ladder.
+    # An empty --k-list is no request for the default ladder, and an empty
+    # --sets block is no empty subset.
     edges, colors = g2_files
-    out = tmp_path / "s.csv"
-    code = main([
-        "sweep", "--edges", str(edges), "--colors", str(colors),
-        "--t", "4", "--theta-good", "1.5", "--theta-bad", "2.0",
-        f"{option}={value}", "--output", str(out),
-    ])
+    before = sorted(tmp_path.iterdir())
+    if option == "--sets":
+        argv = ["gen-gadget", "--elements", "3", "--t", "6", "--output", str(tmp_path / "g")]
+    else:
+        argv = [
+            "sweep", "--edges", str(edges), "--colors", str(colors),
+            "--t", "4", "--theta-good", "1.5", "--theta-bad", "2.0",
+            "--output", str(tmp_path / "s.csv"),
+        ]
+    code = main([*argv, f"{option}={value}"])
     assert code == 1
-    assert capsys.readouterr().err == f"error: {option} has an empty entry: {value!r}\n"
-    assert not out.exists()
+    assert capsys.readouterr().err == f"error: {BAD_LISTS[option, value]}\n"
+    assert sorted(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("verb", ["recommend", "sweep"])
+def test_plain_value_error_in_a_verb_propagates(verb, g2_files, tmp_path, monkeypatch):
+    # Only package errors are validation errors: any other exception, a
+    # plain ValueError included, is a bug and ends in its traceback.
+    def broken(graph, color, budget, cfg, backend="exact"):
+        raise ValueError("a bug, not bad input")
+
+    monkeypatch.setitem(repbublik.cli.ALGORITHMS, "pure-random", broken)
+    edges, colors = g2_files
+    argv = [
+        verb, "--edges", str(edges), "--colors", str(colors),
+        "--t", "4", "--theta-good", "1.5", "--theta-bad", "2.0",
+    ]
+    if verb == "recommend":
+        argv += ["--algorithm", "pure-random", "--color", "R", "-k", "1"]
+    else:
+        argv += ["--algorithms", "pure-random", "--k-list", "1",
+                 "--output", str(tmp_path / "s.csv")]
+    with pytest.raises(ValueError, match="a bug, not bad input"):
+        main(argv)
 
 
 # The verbs whose --output is not "results instead of stdout", and what its
@@ -681,6 +748,28 @@ def test_polarized_draws_past_the_bound_exit_1_and_write_nothing(tmp_path, capsy
     ])
     assert code == 1
     assert "exceed the work limit of 2**40" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+@pytest.mark.parametrize("elements,t,message", [
+    ("1000000000000", "6", "element 1 belongs to no subset"),
+    ("1", "1000000000000", "gadget: 1000000000000 steps exceed the work limit of 2**40"),
+], ids=["huge-elements", "huge-t"])
+def test_huge_gadget_exits_1_before_allocating(elements, t, message, tmp_path):
+    # Each call runs in a child with 2 GiB of address space, so an allocation
+    # sized by --elements or --t fails there at once rather than swapping.
+    proc = subprocess.run(
+        [sys.executable, "-m", "repbublik.cli", "gen-gadget", "--elements", elements,
+         "--t", t, "--sets", "0", "--output", str(tmp_path / "g")],
+        capture_output=True, text=True, timeout=30, preexec_fn=_limit_address_space,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(f"error: {message}") and proc.stderr.count("\n") == 1
     assert not list(tmp_path.iterdir())
 
 

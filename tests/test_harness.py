@@ -196,6 +196,14 @@ class TestGeneratePolarized:
         g = generate_polarized(40, 5, 0.05, 0.01, seed=7)
         assert (np.diff(g.indptr) >= 1).all()
 
+    def test_a_lone_node_gets_a_cross_color_edge(self):
+        # Node 0 is the only red node and draws no cross-color hit, so its
+        # forced edge has no same-color peer and goes to a blue node.
+        g = generate_polarized(1, 3, 0.5, 0.0, seed=0)
+        targets, weights = g.row(0)
+        assert targets.size == 1 and g.color_of(int(targets[0])) == "B"
+        assert weights.tolist() == [1.0]
+
     def test_draws_past_the_bound_raise_at_once(self):
         # n uniforms for each of n rows: 2**20 nodes pass, one more does not.
         started = time.perf_counter()

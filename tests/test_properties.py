@@ -232,6 +232,7 @@ NODE_ID_CALLS = {
     "exact_first_passage-source": lambda g, u: exact_first_passage(g, u, 1, 4),
     "exact_first_passage-target": lambda g, u: exact_first_passage(g, 0, u, 4),
     "exact_return_mass": lambda g, u: exact_return_mass(g, u, 4),
+    "generate_gadget-elements": lambda g, u: generate_gadget(g.n, [range(g.n), [u]], 6),
 }
 
 
@@ -267,8 +268,9 @@ def _seed(call):
 _CFG = WalkConfig(t=4, theta_good=1.5)
 _PLAN = [EdgeInsertion(0, 3, 0.5)]
 
-# Every entry point that takes a horizon, count, budget or seed, as a call
-# of (g2, value, scratch dir) with the values its rule rejects.
+# Every entry point that takes a horizon, count, budget, seed, bias sum or
+# probability, as a call of (g2, value, scratch dir) with the values its
+# rule rejects.
 PARAMETER_CALLS = {
     "WalkConfig-t": _count(lambda g, x, _: WalkConfig(t=x)),
     "WalkConfig-seed": _seed(lambda g, x, _: WalkConfig(t=4, seed=x)),
@@ -312,6 +314,13 @@ PARAMETER_CALLS = {
     "stream-seed": _seed(lambda g, x, _: stream(x, 1)),
     "derive_seed-seed": _seed(lambda g, x, _: derive_seed(x, 1)),
     "budget_allocation": _count(lambda g, x, _: budget_allocation(1.0, 2.0, x), 0),
+    "budget_allocation-bias": (lambda g, x, _: budget_allocation(1.0, x, 3), (-1.0,)),
+    "generate_polarized-p_within": (
+        lambda g, x, _: generate_polarized(2, 2, x, 0.0, 0), (0.0, 1.5)
+    ),
+    "generate_polarized-p_cross": (
+        lambda g, x, _: generate_polarized(2, 2, 0.5, x, 0), (-0.1, 0.6)
+    ),
     "generate_polarized-n_red": _count(lambda g, x, _: generate_polarized(x, 2, 0.5, 0.1, 0)),
     "generate_polarized-n_blue": _count(lambda g, x, _: generate_polarized(2, x, 0.5, 0.1, 0)),
     "generate_polarized-seed": _seed(lambda g, x, _: generate_polarized(2, 2, 0.5, 0.1, x)),

@@ -4,6 +4,9 @@ import builtins
 import inspect
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import repbublik
 from repbublik import errors
 
@@ -124,3 +127,32 @@ def test_no_module_raises_a_builtin_exception():
             if isinstance(exc, ast.Name) and exc.id in BUILTIN_EXCEPTIONS:
                 found.append(f"{path.name}:{node.lineno} raises {exc.id}")
     assert found == []
+
+
+# One bad argument for each guard of a public routine, and the error it
+# raises; tests/test_properties.py has the guards of ids and of parameters.
+BAD_ARGUMENTS = {
+    "br_table-backend": (
+        lambda g: repbublik.bias.br_table(g, repbublik.WalkConfig(t=6), "gpu", 0),
+        errors.UnknownName,
+    ),
+    "closeness-backend": (
+        lambda g: repbublik.closeness(g, [0], [1], 2, repbublik.WalkConfig(t=6), "gpu", 0),
+        errors.UnknownName,
+    ),
+    "br-above-t": (lambda g: repbublik.BrTable(values=np.array([1.0, 4.5]), t=4),
+                   errors.BrOutOfRange),
+    "br-below-1": (lambda g: repbublik.BrTable(values=np.array([0.5]), t=4),
+                   errors.BrOutOfRange),
+    "opposite-color": (lambda g: repbublik.opposite("G"), errors.UnknownColor),
+    "color-mask-color": (lambda g: g.color_mask("G"), errors.UnknownColor),
+    "plan-color": (lambda g: repbublik.InsertionPlan(edges=(), color="G"),
+                   errors.UnknownColor),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_ARGUMENTS))
+def test_bad_argument_raises_its_typed_error(case, g2):
+    call, error = BAD_ARGUMENTS[case]
+    with pytest.raises(error):
+        call(g2)
